@@ -32,7 +32,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .combiner import QUANT_STEP, CombinerParams, is_quantized, lr_forward, quantize4
+from .combiner import (
+    QUANT_STEP,
+    CombinerParams,
+    is_quantized,
+    lr_forward,
+    predict,
+    quantize4,
+)
 from .dataset import N_CLASSES, LabelClass, LabeledWindow
 from .nn.model import SensorModel, model_forward
 
@@ -42,7 +49,6 @@ FRAME_BITS = 8 * FRAME_BYTES
 WIRE_VERSION = 1
 PROBS_Q_MAX = 10_000
 PROCESSING_BUDGET_S = 0.020
-INFER_CHUNK = 256
 
 
 class NodeId(IntEnum):
@@ -184,18 +190,6 @@ def _stimulate(policy: StimulationPolicy, decision: LabelClass) -> bool:
     return decision == LabelClass.PRE_0_15
 
 
-def _batched_probs(model: SensorModel, windows: list[LabeledWindow]) -> np.ndarray:
-    xs = np.stack([w.data for w in windows])
-    prev = model.mode
-    model.mode = "inference"
-    out = np.concatenate([
-        model_forward(model, xs[i:i + INFER_CHUNK])
-        for i in range(0, len(xs), INFER_CHUNK)
-    ])
-    model.mode = prev
-    return quantize4(out)
-
-
 def run_simulation(
     cfg: SimConfig,
     eeg_model: SensorModel,
@@ -224,8 +218,8 @@ def run_simulation(
         if we.window_index != wc.window_index:
             raise ValueError("EEG/ECG window pair indices do not match")
 
-    eeg_q = _batched_probs(eeg_model, [p[0] for p in pairs])
-    ecg_q = _batched_probs(ecg_model, [p[1] for p in pairs])
+    eeg_q = quantize4(model_forward(eeg_model, np.stack([we.data for we, _ in pairs])))
+    ecg_q = quantize4(model_forward(ecg_model, np.stack([wc.data for _, wc in pairs])))
 
     rng = np.random.default_rng(cfg.link.seed)
     ft = cfg.link.frame_time_s()
@@ -296,7 +290,7 @@ def run_simulation(
             x = np.concatenate([arrived[w][NodeId.EEG_NODE],
                                 arrived[w][NodeId.ECG_NODE]])
             fused = lr_forward(x, combiner_params)
-            decision = LabelClass(int(np.argmax(fused)))
+            decision = predict(fused)
             trace.decisions[w] = decision
             trace.latencies[w] = t - produced_at[w]
             emit(t, "fusion_decision", NodeId.GATEWAY, w,

@@ -17,23 +17,19 @@ import numpy as np
 
 from .bansim import latency_report, run_simulation, write_trace_jsonl
 from .combiner import load_combiner, save_combiner
-from .config import ExperimentConfig, load_config, to_dict, write_config
-from .dataset import (
-    LabelClass,
-    Recording,
-    kfold_split,
-    load_recording,
-    save_recording,
-    segment,
-    synth_generate,
-)
+from .config import ExperimentConfig, load_config, write_config
+from .dataset import Recording, kfold_split, load_recording, save_recording, synth_generate
+
+# Not called in this module.  perfbench/spans.py traces `segment` under
+# preictal.cli, so the name must stay importable here.
+from .dataset import segment  # noqa: F401
 from .evaluation import (
     TREND_ORDER,
     VARIANTS,
     CrossValidationReport,
-    PipelineConfig,
     VariantResult,
     _predictions,
+    paired_windows,
     run_cross_validation,
     run_patient_fold,
 )
@@ -73,32 +69,6 @@ def _load_dataset(data_dir: Path | str) -> list[tuple[Recording, Recording]]:
         pairs.append((load_recording(index_path.parent / entry["eeg"]),
                       load_recording(index_path.parent / entry["ecg"])))
     return pairs
-
-
-def _pipeline_config(cfg: ExperimentConfig) -> PipelineConfig:
-    return PipelineConfig(
-        window_seconds=cfg.windowing.window_seconds,
-        stride_seconds=cfg.windowing.stride_seconds,
-        k_folds=cfg.folds,
-        kernel_len=cfg.model.kernel_len,
-        pool_size=cfg.model.pool_size,
-        ecg_pool_size=cfg.model.ecg_pool_size,
-        hidden=cfg.model.hidden,
-        focal_gamma=cfg.model.focal_gamma,
-        train_cfg=cfg.training,
-        combiner_cfg=cfg.combiner,
-        seed=cfg.seed,
-    )
-
-
-def _paired_windows(eeg_rec: Recording, ecg_rec: Recording, cfg: ExperimentConfig):
-    eeg_w = {w.window_index: w for w in segment(
-        eeg_rec, cfg.windowing.window_seconds, cfg.windowing.stride_seconds)}
-    ecg_w = {w.window_index: w for w in segment(
-        ecg_rec, cfg.windowing.window_seconds, cfg.windowing.stride_seconds)}
-    if set(eeg_w) != set(ecg_w):
-        raise ValueError("EEG and ECG windowings do not align")
-    return eeg_w, ecg_w
 
 
 def _pick_patient(pairs, patient_id):
@@ -234,13 +204,12 @@ def cmd_train(args) -> int:
     write_config(cfg, out / "config.json")
     eeg_rec, ecg_rec = _pick_patient(_load_dataset(args.data), args.patient)
     pid = eeg_rec.patient_id
-    eeg_w, ecg_w = _paired_windows(eeg_rec, ecg_rec, cfg)
+    eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
     split = kfold_split(list(eeg_w.values()), cfg.folds, seed=cfg.seed)[0]
     print(f"patient {pid}: {len(eeg_w)} windows "
           f"({len(split.train_ids)} train / {len(split.val_ids)} val / "
           f"{len(split.test_ids)} held out)")
-    result = run_patient_fold(eeg_w, ecg_w, split, _pipeline_config(cfg),
-                              fold_seed=cfg.seed)
+    result = run_patient_fold(eeg_w, ecg_w, split, cfg, fold_seed=cfg.seed)
     save_model(result.eeg_model, out / MODEL_FILES["eeg"])
     save_model(result.ecg_model, out / MODEL_FILES["ecg"])
     save_combiner(result.combiner_params, out / MODEL_FILES["combiner"])
@@ -261,7 +230,7 @@ def cmd_cross_validate(args) -> int:
     out = _out_dir(args)
     write_config(cfg, out / "config.json")
     pairs = _load_dataset(args.data)
-    report = run_cross_validation(pairs, _pipeline_config(cfg))
+    report = run_cross_validation(pairs, cfg)
     _write_report_files(report, out)
     models_dir = out / "models"
     models_dir.mkdir(exist_ok=True)
@@ -299,7 +268,7 @@ def cmd_simulate(args) -> int:
     holdout = json.loads(holdout_path.read_text()) if holdout_path.exists() else None
     patient = args.patient or (holdout["patient"] if holdout else None)
     eeg_rec, ecg_rec = _pick_patient(_load_dataset(args.data), patient)
-    eeg_w, ecg_w = _paired_windows(eeg_rec, ecg_rec, cfg)
+    eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
     ids = sorted(eeg_w)
     if holdout and holdout["patient"] == eeg_rec.patient_id and not args.all_windows:
         ids = [i for i in sorted(holdout["window_ids"]) if i in eeg_w]

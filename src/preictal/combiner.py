@@ -17,14 +17,23 @@ import numpy as np
 
 from .dataset import N_CLASSES, LabelClass
 from .errors import ShapeError
-from .nn.optim import TrainConfig
 from .nn.ops import softmax
 
 QUANT_STEP = 1e-4
 N_INPUTS = 2 * N_CLASSES
-
-DEFAULT_COMBINER_CFG = TrainConfig(learning_rate=1.0, max_epochs=500)
 GRAD_TOL = 1e-8
+
+
+@dataclass
+class CombinerConfig:
+    """Full-batch gradient descent settings for `lr_train`."""
+
+    learning_rate: float = 1.0
+    max_epochs: int = 500
+
+    def __post_init__(self):
+        if self.learning_rate <= 0 or self.max_epochs <= 0:
+            raise ValueError("combiner learning_rate and max_epochs must be positive")
 
 
 @dataclass
@@ -79,7 +88,7 @@ def predict(p: np.ndarray) -> LabelClass:
 
 def lr_train(
     dataset: Sequence[tuple[np.ndarray, LabelClass | int]],
-    cfg: Optional[TrainConfig] = None,
+    cfg: Optional[CombinerConfig] = None,
 ) -> CombinerParams:
     """Fit by full-batch gradient descent on mean cross-entropy from zero init.
 
@@ -89,7 +98,7 @@ def lr_train(
     """
     if len(dataset) == 0:
         raise ValueError("combiner training set must be non-empty")
-    cfg = cfg or DEFAULT_COMBINER_CFG
+    cfg = cfg or CombinerConfig()
     xs = np.stack([np.asarray(x, dtype=float) for x, _ in dataset])
     if xs.shape[1] != N_INPUTS:
         raise ShapeError(f"combiner inputs must have {N_INPUTS} elements")
@@ -112,15 +121,6 @@ def lr_train(
         w -= cfg.learning_rate * g_w
         b -= cfg.learning_rate * g_b
     return CombinerParams(w, b)
-
-
-def cross_entropy(
-    xs: np.ndarray, ys: np.ndarray, params: CombinerParams
-) -> float:
-    """Mean multinomial cross-entropy of the combiner on (xs, ys)."""
-    probs = lr_forward(xs, params)
-    p_t = np.maximum(probs[np.arange(len(ys)), np.asarray(ys, dtype=int)], 1e-300)
-    return float(-np.log(p_t).mean())
 
 
 def save_combiner(params: CombinerParams, path: Path | str) -> None:

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .bansim import LinkModel, SimConfig
+from .bansim import SimConfig
+from .combiner import CombinerConfig
 from .dataset import SynthConfig
 from .nn.optim import TrainConfig
 
@@ -67,8 +68,7 @@ class ExperimentConfig:
     windowing: WindowingConfig = field(default_factory=WindowingConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
-    combiner: TrainConfig = field(
-        default_factory=lambda: TrainConfig(learning_rate=1.0, max_epochs=500))
+    combiner: CombinerConfig = field(default_factory=CombinerConfig)
     sim: SimConfig = field(default_factory=SimConfig)
 
     def __post_init__(self):

@@ -9,7 +9,6 @@ itself or the hour after it are discarded as well.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -489,11 +488,17 @@ def save_recording(rec: Recording, out_dir: Path | str, basename: str) -> Path:
 
 def load_recording(manifest_path: Path | str) -> Recording:
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
-    raw = (manifest_path.parent / manifest["data_file"]).read_bytes()
-    samples = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(
-        manifest["channels"], manifest["n_samples"]
-    )
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{manifest_path}: manifest is not valid JSON: {exc}") from exc
+    data_path = manifest_path.parent / manifest["data_file"]
+    raw = data_path.read_bytes()
+    shape = (manifest["channels"], manifest["n_samples"])
+    if len(raw) != 8 * shape[0] * shape[1]:
+        raise ValueError(f"{data_path} holds {len(raw)} bytes; {shape[0]} channels x "
+                         f"{shape[1]} samples of float64 need {8 * shape[0] * shape[1]}")
+    samples = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     return Recording(
         patient_id=manifest["patient_id"],
         sensor=Sensor(manifest["sensor"]),
@@ -505,11 +510,3 @@ def load_recording(manifest_path: Path | str) -> Recording:
             for a in manifest["annotations"]
         ],
     )
-
-
-def export_windows_csv(windows: list[LabeledWindow], path: Path | str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_index", "start_time", "label_code"])
-        for w in windows:
-            writer.writerow([w.window_index, w.start_time, int(w.label)])

@@ -10,12 +10,13 @@ silently zeroed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .combiner import CombinerParams, build_input, lr_forward, lr_train, quantize4
+from .combiner import CombinerParams, build_input, lr_forward, lr_train, predict, quantize4
+from .config import ExperimentConfig, WindowingConfig
 from .dataset import (
     N_CLASSES,
     FoldSplit,
@@ -28,7 +29,6 @@ from .dataset import (
 )
 from .nn.losses import FocalLossConfig, inverse_frequency_alpha
 from .nn.model import SensorModel, build_model, model_forward
-from .nn.optim import TrainConfig
 from .nn.train import TrainReport, stack_windows, train
 
 TREND_ORDER = (
@@ -190,25 +190,6 @@ def _nanmean_quiet(stack: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class PipelineConfig:
-    """Everything needed to run the window->models->combiner->metrics pipeline."""
-
-    window_seconds: float = 5.0
-    stride_seconds: float = 5.0
-    k_folds: int = 5
-    kernel_len: int = 5
-    pool_size: int = 4
-    ecg_pool_size: int = 2  # single-channel stack keeps more time resolution
-    hidden: tuple[int, int] = (64, 32)
-    focal_gamma: float = 2.0
-    train_cfg: TrainConfig = field(default_factory=TrainConfig)
-    combiner_cfg: TrainConfig = field(
-        default_factory=lambda: TrainConfig(learning_rate=1.0, max_epochs=500)
-    )
-    seed: int = 0
-
-
-@dataclass
 class VariantResult:
     confusion: ConfusionMatrix
     binary: BinaryMetrics
@@ -255,6 +236,22 @@ class CrossValidationReport:
         )
 
 
+def paired_windows(
+    eeg_rec: Recording, ecg_rec: Recording, windowing: WindowingConfig
+) -> tuple[dict[int, LabeledWindow], dict[int, LabeledWindow]]:
+    """Window both recordings of a patient, each keyed by window index.
+
+    The two recordings share annotations, so their stride-grid windowings
+    must align index for index; ValueError if they do not.
+    """
+    step = (windowing.window_seconds, windowing.stride_seconds)
+    eeg_windows = {w.window_index: w for w in segment(eeg_rec, *step)}
+    ecg_windows = {w.window_index: w for w in segment(ecg_rec, *step)}
+    if set(eeg_windows) != set(ecg_windows):
+        raise ValueError("EEG and ECG windowings do not align")
+    return eeg_windows, ecg_windows
+
+
 def _predictions(
     eeg_model: SensorModel,
     ecg_model: SensorModel,
@@ -262,71 +259,57 @@ def _predictions(
     eeg_windows: list[LabeledWindow],
     ecg_windows: list[LabeledWindow],
 ) -> dict[str, list[LabelClass]]:
-    xe, _ = stack_windows(eeg_windows)
-    xc, _ = stack_windows(ecg_windows)
-    p_eeg = model_forward(eeg_model, xe)
-    p_ecg = model_forward(ecg_model, xc)
-    preds = {
-        "eeg": [LabelClass(int(i)) for i in p_eeg.argmax(axis=1)],
-        "ecg": [LabelClass(int(i)) for i in p_ecg.argmax(axis=1)],
-    }
-    combined = []
-    for i in range(len(eeg_windows)):
-        x = build_input(quantize4(p_eeg[i]), quantize4(p_ecg[i]))
-        combined.append(LabelClass(int(np.argmax(lr_forward(x, combiner_params)))))
-    preds["combined"] = combined
-    return preds
+    p_eeg = model_forward(eeg_model, stack_windows(eeg_windows)[0])
+    p_ecg = model_forward(ecg_model, stack_windows(ecg_windows)[0])
+    combined = [
+        predict(lr_forward(build_input(quantize4(pe), quantize4(pc)),
+                           combiner_params))
+        for pe, pc in zip(p_eeg, p_ecg)
+    ]
+    return {"eeg": [predict(p) for p in p_eeg],
+            "ecg": [predict(p) for p in p_ecg],
+            "combined": combined}
 
 
 def run_patient_fold(
     eeg_windows: dict[int, LabeledWindow],
     ecg_windows: dict[int, LabeledWindow],
     split: FoldSplit,
-    cfg: PipelineConfig,
+    cfg: ExperimentConfig,
     fold_seed: int,
 ) -> FoldResult:
+    """Train both sensor models and the combiner on one split; score the test set.
+
+    The EEG model and its training shuffle are seeded with `fold_seed`, the
+    ECG ones with `fold_seed + 1`.
+    """
     def pick(ids, table):
         return [table[i] for i in ids]
 
-    eeg_sample = next(iter(eeg_windows.values()))
-    ecg_sample = next(iter(ecg_windows.values()))
-    eeg_model = build_model(
-        sensor=_sensor_of(eeg_sample), in_channels=eeg_sample.data.shape[0],
-        window_samples=eeg_sample.data.shape[1], kernel_len=cfg.kernel_len,
-        pool_size=cfg.pool_size, hidden=cfg.hidden, seed=fold_seed,
-    )
-    ecg_model = build_model(
-        sensor=_sensor_of(ecg_sample), in_channels=ecg_sample.data.shape[0],
-        window_samples=ecg_sample.data.shape[1], kernel_len=cfg.kernel_len,
-        pool_size=cfg.ecg_pool_size, hidden=cfg.hidden, seed=fold_seed + 1,
-    )
-    tc = cfg.train_cfg
-    eeg_tc = TrainConfig(**{**tc.__dict__, "seed": fold_seed})
-    ecg_tc = TrainConfig(**{**tc.__dict__, "seed": fold_seed + 1})
-    gamma = cfg.focal_gamma
+    trained = []
+    for offset, (sensor, windows, pool_size) in enumerate((
+            (Sensor.EEG, eeg_windows, cfg.model.pool_size),
+            (Sensor.ECG, ecg_windows, cfg.model.ecg_pool_size))):
+        shape = next(iter(windows.values())).data.shape
+        model = build_model(
+            sensor=sensor, in_channels=shape[0], window_samples=shape[1],
+            kernel_len=cfg.model.kernel_len, pool_size=pool_size,
+            hidden=cfg.model.hidden, seed=fold_seed + offset,
+        )
+        trained.append(train(
+            model, pick(split.train_ids, windows), pick(split.val_ids, windows),
+            loss_cfg=_loss_cfg(cfg.model.focal_gamma, split, windows),
+            train_cfg=replace(cfg.training, seed=fold_seed + offset),
+        ))
+    (eeg_model, eeg_report), (ecg_model, ecg_report) = trained
 
-    eeg_model, eeg_report = train(
-        eeg_model, pick(split.train_ids, eeg_windows), pick(split.val_ids, eeg_windows),
-        loss_cfg=None if gamma is None else _loss_cfg(gamma, split, eeg_windows),
-        train_cfg=eeg_tc,
-    )
-    ecg_model, ecg_report = train(
-        ecg_model, pick(split.train_ids, ecg_windows), pick(split.val_ids, ecg_windows),
-        loss_cfg=None if gamma is None else _loss_cfg(gamma, split, ecg_windows),
-        train_cfg=ecg_tc,
-    )
-
-    train_eeg = pick(split.train_ids, eeg_windows)
-    train_ecg = pick(split.train_ids, ecg_windows)
-    xe, ye = stack_windows(train_eeg)
-    xc, _ = stack_windows(train_ecg)
+    xe, ye = stack_windows(pick(split.train_ids, eeg_windows))
+    xc, _ = stack_windows(pick(split.train_ids, ecg_windows))
     p_eeg = quantize4(model_forward(eeg_model, xe))
     p_ecg = quantize4(model_forward(ecg_model, xc))
-    fusion_set = [
-        (np.concatenate([p_eeg[i], p_ecg[i]]), int(ye[i]))
-        for i in range(len(train_eeg))
-    ]
-    combiner_params = lr_train(fusion_set, cfg.combiner_cfg)
+    fusion_set = [(np.concatenate([pe, pc]), int(y))
+                  for pe, pc, y in zip(p_eeg, p_ecg, ye)]
+    combiner_params = lr_train(fusion_set, cfg.combiner)
 
     test_eeg = pick(split.test_ids, eeg_windows)
     test_ecg = pick(split.test_ids, ecg_windows)
@@ -349,20 +332,14 @@ def _loss_cfg(gamma: float, split: FoldSplit, windows: dict[int, LabeledWindow])
     return FocalLossConfig(gamma=gamma, alpha=inverse_frequency_alpha(ys))
 
 
-def _sensor_of(window: LabeledWindow):
-    return Sensor.ECG if window.data.shape[0] == 1 else Sensor.EEG
-
-
 def run_cross_validation(
     recordings: list[tuple[Recording, Recording]],
-    cfg: PipelineConfig,
+    cfg: ExperimentConfig,
 ) -> CrossValidationReport:
     """Train and evaluate all three predictor variants per patient and fold.
 
-    `recordings` holds (EEG, ECG) pairs, one per synthetic patient.  The two
-    recordings of a pair share annotations, so their stride-grid windowings
-    align index-for-index; folds are computed once per patient on the shared
-    indices.
+    `recordings` holds (EEG, ECG) pairs, one per synthetic patient.  Folds
+    are computed once per patient on the pair's shared window indices.
     """
     if not recordings:
         raise ValueError("need at least one patient's recordings")
@@ -371,13 +348,9 @@ def run_cross_validation(
         if eeg_rec.patient_id != ecg_rec.patient_id:
             raise ValueError("EEG/ECG pair must belong to one patient")
         try:
-            eeg_windows = {w.window_index: w for w in segment(
-                eeg_rec, cfg.window_seconds, cfg.stride_seconds)}
-            ecg_windows = {w.window_index: w for w in segment(
-                ecg_rec, cfg.window_seconds, cfg.stride_seconds)}
-            if set(eeg_windows) != set(ecg_windows):
-                raise ValueError("EEG and ECG windowings do not align")
-            splits = kfold_split(list(eeg_windows.values()), cfg.k_folds,
+            eeg_windows, ecg_windows = paired_windows(eeg_rec, ecg_rec,
+                                                      cfg.windowing)
+            splits = kfold_split(list(eeg_windows.values()), cfg.folds,
                                  seed=cfg.seed + 97 * p_idx)
             folds = []
             for split in splits:

@@ -1,29 +1,14 @@
-from .losses import (
-    FocalLossConfig,
-    focal_loss,
-    focal_loss_batch,
-    inverse_frequency_alpha,
-)
+from .losses import FocalLossConfig, focal_loss_batch, inverse_frequency_alpha
 from .model import (
     SensorModel,
-    backward,
     backward_batch,
     build_model,
     load_model,
-    mean_focal_loss,
     model_forward,
     parameters,
     save_model,
 )
-from .ops import (
-    BatchNormParams,
-    ConvBlockParams,
-    DenseParams,
-    batchnorm_forward,
-    conv1d_forward,
-    maxpool1d,
-    softmax,
-)
+from .ops import BatchNormParams, ConvBlockParams, DenseParams, conv1d_forward, softmax
 from .optim import AdamState, TrainConfig, adam_step
 from .train import TrainReport, evaluate, stack_windows, train, write_train_report
 
@@ -37,18 +22,13 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "adam_step",
-    "backward",
     "backward_batch",
-    "batchnorm_forward",
     "build_model",
     "conv1d_forward",
     "evaluate",
-    "focal_loss",
     "focal_loss_batch",
     "inverse_frequency_alpha",
     "load_model",
-    "maxpool1d",
-    "mean_focal_loss",
     "model_forward",
     "parameters",
     "save_model",

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataset import N_CLASSES, LabelClass
+from ..dataset import N_CLASSES
 
 P_CLAMP = 1e-12
 
@@ -56,13 +56,6 @@ def focal_loss_batch(
     targets = np.asarray(targets, dtype=int)
     p_t = np.maximum(probs[np.arange(len(targets)), targets], P_CLAMP)
     return -cfg.alpha[targets] * (1.0 - p_t) ** cfg.gamma * np.log(p_t)
-
-
-def focal_loss(
-    probs: np.ndarray, target: LabelClass | int, cfg: FocalLossConfig
-) -> float:
-    return float(focal_loss_batch(np.asarray(probs, dtype=float)[None, :],
-                                  np.array([int(target)]), cfg)[0])
 
 
 def focal_grad_wrt_logits(

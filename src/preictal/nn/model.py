@@ -2,21 +2,28 @@
 
 The forward pass is batchnorm -> 4 x (conv -> ReLU -> maxpool) -> flatten ->
 dense -> ReLU -> dense -> ReLU -> dense -> softmax over the five classes.
-`backward` runs reverse-mode differentiation through the whole stack and
-returns exact gradients of the mean focal loss for every trainable parameter.
+`backward_batch` runs reverse-mode differentiation through the whole stack
+and returns exact gradients of the mean focal loss for every trainable
+parameter.
+
+Every array of a model is a named view into one flat float64 buffer, in the
+order of the weight files: batchnorm (gamma, beta, running_mean,
+running_var), blocks 1-4 (kernels, bias), dense 1-3 (weights, bias).
+Gradients use the same layout, so Adam, best-epoch snapshots and weight
+files each handle one array.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from ..dataset import N_CLASSES, LabelClass, Sensor
+from ..dataset import N_CLASSES, Sensor
 from ..errors import ShapeError
 from .losses import FocalLossConfig, focal_grad_wrt_logits, focal_loss_batch
 from .ops import (
@@ -39,6 +46,7 @@ from .ops import (
 MODEL_MAGIC = b"PSM1"
 N_BLOCKS = 4
 N_DENSE = 3
+FORWARD_CHUNK = 256  # windows per batched inference pass; bounds memory
 
 
 @dataclass
@@ -48,16 +56,15 @@ class SensorModel:
     blocks: list[ConvBlockParams]
     dense: list[DenseParams]
     window_samples: int
-    mode: str = "inference"
     seed: int = 0
+    buffer: np.ndarray = field(init=False, repr=False)
+    shapes: dict[str, tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.blocks) != N_BLOCKS:
             raise ValueError(f"expected {N_BLOCKS} conv blocks")
         if len(self.dense) != N_DENSE:
             raise ValueError(f"expected {N_DENSE} dense layers")
-        if self.mode not in ("train", "inference"):
-            raise ValueError(f"mode must be 'train' or 'inference', got {self.mode!r}")
         c = self.in_channels
         t = self.window_samples
         for blk in self.blocks:
@@ -76,9 +83,32 @@ class SensorModel:
         if self.dense[-1].weights.shape[0] != N_CLASSES:
             raise ShapeError(f"final dense layer must output {N_CLASSES} classes")
 
+        # Copy every array into one buffer and rebind each to its view.
+        slots = [(f"batchnorm.{a}", self.batchnorm, a)
+                 for a in ("gamma", "beta", "running_mean", "running_var")]
+        for i, blk in enumerate(self.blocks):
+            slots += [(f"blocks.{i}.{a}", blk, a) for a in ("kernels", "bias")]
+        for i, layer in enumerate(self.dense):
+            slots += [(f"dense.{i}.{a}", layer, a) for a in ("weights", "bias")]
+        self.shapes = {name: getattr(obj, a).shape for name, obj, a in slots}
+        self.buffer = np.concatenate(
+            [np.ravel(getattr(obj, a)) for _, obj, a in slots], dtype=np.float64)
+        for (_, obj, a), view in zip(slots, self.views(self.buffer).values()):
+            setattr(obj, a, view)
+
     @property
     def in_channels(self) -> int:
         return self.batchnorm.gamma.shape[0]
+
+    def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into `buffer`, laid out like the parameter buffer."""
+        out = {}
+        offset = 0
+        for name, shape in self.shapes.items():
+            size = math.prod(shape)
+            out[name] = buffer[offset:offset + size].reshape(shape)
+            offset += size
+        return out
 
 
 CONV_INIT_NOISE = 0.3
@@ -147,16 +177,21 @@ def _check_input(model: SensorModel, xb: np.ndarray) -> None:
         )
 
 
-def _forward(model: SensorModel, xb: np.ndarray, keep_cache: bool):
-    """Batched forward pass returning logits and, optionally, the tape."""
+def _forward(model: SensorModel, xb: np.ndarray, training: bool):
+    """Batched forward pass returning logits and, when training, the tape.
+
+    Training normalizes by the batch statistics (and folds them into the
+    running averages); otherwise batchnorm uses the running statistics.
+    """
     _check_input(model, xb)
-    h, xhat = batchnorm_forward_with_cache(xb, model.batchnorm, model.mode)
-    cache = {"xhat": xhat, "blocks": []} if keep_cache else None
+    h, xhat = batchnorm_forward_with_cache(
+        xb, model.batchnorm, "train" if training else "inference")
+    cache = {"xhat": xhat, "blocks": []} if training else None
     for blk in model.blocks:
         z = conv1d_forward(h, blk)
         a = relu(z)
         pooled, arg = maxpool1d_with_argmax(a, blk.pool_size)
-        if keep_cache:
+        if training:
             cache["blocks"].append({"x": h, "z": z, "arg": arg, "t_in": a.shape[2]})
         h = pooled
     b = h.shape[0]
@@ -169,85 +204,53 @@ def _forward(model: SensorModel, xb: np.ndarray, keep_cache: bool):
         z = dense_forward(h, layer)
         dense_z.append(z)
         h = relu(z) if i < N_DENSE - 1 else z
-    if keep_cache:
+    if training:
         cache["flat_shape"] = flat_shape
         cache["dense_x"] = dense_x
         cache["dense_z"] = dense_z
     return h, cache
 
 
-def model_forward(model: SensorModel, window: np.ndarray) -> np.ndarray:
-    """Class probabilities for one window [C x T] or a batch [B x C x T]."""
-    if window.ndim == 2:
-        logits, _ = _forward(model, window[None], keep_cache=False)
+def model_forward(model: SensorModel, windows: np.ndarray) -> np.ndarray:
+    """Class probabilities for one window [C x T] or a batch [B x C x T].
+
+    Batchnorm uses the running statistics.  A batch runs in chunks of
+    FORWARD_CHUNK windows.
+    """
+    if windows.ndim == 2:
+        logits, _ = _forward(model, windows[None], training=False)
         return softmax(logits)[0]
-    logits, _ = _forward(model, window, keep_cache=False)
-    return softmax(logits)
-
-
-def mean_focal_loss(
-    model: SensorModel,
-    windows: np.ndarray,
-    labels: np.ndarray,
-    cfg: FocalLossConfig,
-) -> float:
-    logits, _ = _forward(model, windows, keep_cache=False)
-    return float(focal_loss_batch(softmax(logits), labels, cfg).mean())
+    return np.concatenate([
+        softmax(_forward(model, windows[i:i + FORWARD_CHUNK], training=False)[0])
+        for i in range(0, len(windows), FORWARD_CHUNK)
+    ])
 
 
 def parameters(model: SensorModel) -> list[tuple[str, np.ndarray]]:
-    """Trainable parameters in the documented serialization order."""
-    out = [("batchnorm.gamma", model.batchnorm.gamma),
-           ("batchnorm.beta", model.batchnorm.beta)]
-    for i, blk in enumerate(model.blocks):
-        out.append((f"blocks.{i}.kernels", blk.kernels))
-        out.append((f"blocks.{i}.bias", blk.bias))
-    for i, layer in enumerate(model.dense):
-        out.append((f"dense.{i}.weights", layer.weights))
-        out.append((f"dense.{i}.bias", layer.bias))
-    return out
-
-
-def set_parameters(model: SensorModel, values: dict[str, np.ndarray]) -> None:
-    model.batchnorm.gamma = values["batchnorm.gamma"]
-    model.batchnorm.beta = values["batchnorm.beta"]
-    for i, blk in enumerate(model.blocks):
-        blk.kernels = values[f"blocks.{i}.kernels"]
-        blk.bias = values[f"blocks.{i}.bias"]
-    for i, layer in enumerate(model.dense):
-        layer.weights = values[f"dense.{i}.weights"]
-        layer.bias = values[f"dense.{i}.bias"]
-
-
-def backward(
-    model: SensorModel,
-    batch: Sequence[tuple[np.ndarray, LabelClass | int]],
-    cfg: FocalLossConfig,
-) -> dict[str, np.ndarray]:
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
-    xb = np.stack([w for w, _ in batch])
-    yb = np.array([int(lbl) for _, lbl in batch])
-    _, grads = backward_batch(model, xb, yb, cfg)
-    return grads
+    """Trainable parameters (views into the buffer), in buffer order."""
+    return [(name, view) for name, view in model.views(model.buffer).items()
+            if not name.startswith("batchnorm.running")]
 
 
 def backward_batch(
     model: SensorModel, xb: np.ndarray, yb: np.ndarray, cfg: FocalLossConfig
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean focal loss over the batch and its gradient for every parameter."""
-    if model.mode != "train":
-        raise ValueError("backward requires the model in train mode")
-    logits, cache = _forward(model, xb, keep_cache=True)
+) -> tuple[float, np.ndarray]:
+    """Mean focal loss over the batch and its gradient, laid out like
+    `model.buffer` (the running statistics get zero gradient).
+
+    Batchnorm normalizes by the batch statistics and updates the running
+    averages.
+    """
+    logits, cache = _forward(model, xb, training=True)
     probs = softmax(logits)
     loss = float(focal_loss_batch(probs, yb, cfg).mean())
     delta = focal_grad_wrt_logits(probs, yb, cfg)
 
-    grads: dict[str, np.ndarray] = {}
+    grad = np.zeros_like(model.buffer)
+    g = model.views(grad)
     for i in range(N_DENSE - 1, -1, -1):
-        d_w, d_b, delta = dense_backward(delta, cache["dense_x"][i], model.dense[i])
-        grads[f"dense.{i}.weights"] = d_w
-        grads[f"dense.{i}.bias"] = d_b
+        g[f"dense.{i}.weights"][...], g[f"dense.{i}.bias"][...], delta = (
+            dense_backward(delta, cache["dense_x"][i], model.dense[i]))
         if i > 0:
             delta = relu_backward(delta, cache["dense_z"][i - 1])
 
@@ -258,30 +261,17 @@ def backward_batch(
         delta = maxpool1d_backward(delta, blk_cache["arg"], blk.pool_size,
                                    blk_cache["t_in"])
         delta = relu_backward(delta, blk_cache["z"])
-        d_k, d_b, delta = conv1d_backward(delta, blk_cache["x"], blk)
-        grads[f"blocks.{i}.kernels"] = d_k
-        grads[f"blocks.{i}.bias"] = d_b
+        g[f"blocks.{i}.kernels"][...], g[f"blocks.{i}.bias"][...], delta = (
+            conv1d_backward(delta, blk_cache["x"], blk))
 
-    d_gamma, d_beta = batchnorm_param_grads(delta, cache["xhat"])
-    grads["batchnorm.gamma"] = d_gamma
-    grads["batchnorm.beta"] = d_beta
-    return loss, grads
+    g["batchnorm.gamma"][...], g["batchnorm.beta"][...] = batchnorm_param_grads(
+        delta, cache["xhat"])
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------
-# Weight files: JSON header + raw little-endian float64 blob.  Blob order is
-# batchnorm (gamma, beta, running_mean, running_var), blocks 1-4
-# (kernels, bias), dense 1-3 (weights, bias).
-
-
-def _all_arrays(model: SensorModel) -> list[np.ndarray]:
-    arrays = [model.batchnorm.gamma, model.batchnorm.beta,
-              model.batchnorm.running_mean, model.batchnorm.running_var]
-    for blk in model.blocks:
-        arrays.extend([blk.kernels, blk.bias])
-    for layer in model.dense:
-        arrays.extend([layer.weights, layer.bias])
-    return arrays
+# Weight files: magic, u32 LE header length, JSON header, then the parameter
+# buffer as raw little-endian float64.
 
 
 def save_model(model: SensorModel, path: Path | str) -> None:
@@ -299,23 +289,28 @@ def save_model(model: SensorModel, path: Path | str) -> None:
         "seed": model.seed,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                    for a in _all_arrays(model))
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(blob)
+        fh.write(model.buffer.astype("<f8").tobytes())
 
 
 def load_model(path: Path | str) -> SensorModel:
     raw = Path(path).read_bytes()
-    if raw[:4] != MODEL_MAGIC:
+    if len(raw) < 8 or raw[:4] != MODEL_MAGIC:
         raise ValueError(f"{path} is not a sensor model file")
     (hlen,) = struct.unpack_from("<I", raw, 4)
-    header = json.loads(raw[8:8 + hlen].decode())
+    if 8 + hlen > len(raw):
+        raise ValueError(f"{path}: {hlen}-byte model header does not fit "
+                         f"in the {len(raw)}-byte file")
+    try:
+        header = json.loads(raw[8:8 + hlen].decode())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"{path}: model header does not decode: {exc}") from exc
     if header.get("version") != 1:
-        raise ValueError(f"unsupported model file version {header.get('version')}")
+        raise ValueError(f"{path}: unsupported model file version "
+                         f"{header.get('version')}")
 
     c = header["in_channels"]
     klen = header["kernel_len"]
@@ -335,14 +330,9 @@ def load_model(path: Path | str) -> SensorModel:
     model = SensorModel(Sensor(header["sensor"]), bn, blocks, dense,
                         header["window_samples"], seed=header["seed"])
 
-    values = np.frombuffer(raw[8 + hlen:], dtype="<f8").astype(np.float64)
-    offset = 0
-    for arr in _all_arrays(model):
-        n = arr.size
-        if offset + n > values.size:
-            raise ValueError("model file blob is shorter than the architecture needs")
-        arr[...] = values[offset:offset + n].reshape(arr.shape)
-        offset += n
-    if offset != values.size:
-        raise ValueError("model file blob has trailing data")
+    blob = raw[8 + hlen:]
+    if len(blob) != 8 * model.buffer.size:
+        raise ValueError(f"{path}: weight blob holds {len(blob)} bytes but the "
+                         f"architecture needs {8 * model.buffer.size}")
+    model.buffer[...] = np.frombuffer(blob, dtype="<f8")
     return model

@@ -8,7 +8,7 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,11 +124,6 @@ def conv1d_backward(
     return d_kernels, d_bias, d_xp[:, :, left:left + t]
 
 
-def maxpool1d(x: np.ndarray, pool_size: int) -> np.ndarray:
-    out, _ = maxpool1d_with_argmax(x, pool_size)
-    return out
-
-
 def maxpool1d_with_argmax(
     x: np.ndarray, pool_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -161,29 +156,16 @@ def maxpool1d_backward(
     return d_pad.reshape(b, c, n_out * pool_size)[:, :, :input_len]
 
 
-def batchnorm_forward(
-    x: np.ndarray,
-    params: BatchNormParams,
-    mode: str,
-    update_running: bool = True,
-) -> np.ndarray:
-    out, _ = batchnorm_forward_with_cache(x, params, mode, update_running)
-    return out
-
-
 def batchnorm_forward_with_cache(
-    x: np.ndarray,
-    params: BatchNormParams,
-    mode: str,
-    update_running: bool = True,
+    x: np.ndarray, params: BatchNormParams, mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel normalization.
 
     Train mode normalizes by the batch statistics (biased variance over the
-    batch and time axes) and, unless disabled, folds them into the running
-    averages: running <- (1 - momentum) * running + momentum * batch.
-    Inference uses the running statistics and is pure.  Returns the output
-    and the normalized pre-scale values (needed for gamma's gradient).
+    batch and time axes) and folds them into the running averages in place:
+    running <- (1 - momentum) * running + momentum * batch.  Inference uses
+    the running statistics and is pure.  Returns the output and the
+    normalized pre-scale values (needed for gamma's gradient).
     """
     if mode not in ("train", "inference"):
         raise ValueError(f"mode must be 'train' or 'inference', got {mode!r}")
@@ -194,10 +176,11 @@ def batchnorm_forward_with_cache(
     if mode == "train":
         mean = xb.mean(axis=(0, 2))
         var = xb.var(axis=(0, 2))
-        if update_running:
-            m = params.momentum
-            params.running_mean = (1 - m) * params.running_mean + m * mean
-            params.running_var = (1 - m) * params.running_var + m * var
+        m = params.momentum
+        # Written in place: a model's running statistics are views into its
+        # parameter buffer, and rebinding would detach them from it.
+        params.running_mean[...] = (1 - m) * params.running_mean + m * mean
+        params.running_var[...] = (1 - m) * params.running_var + m * var
     else:
         mean = params.running_mean
         var = params.running_var

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,34 +33,34 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """First and second moment estimates, shaped like the parameter buffer."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    cfg: TrainConfig,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update, in place.  Deterministic; no internal randomness."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeError("params, grads, and state must have matching lengths")
+    params: np.ndarray, grads: np.ndarray, state: AdamState, cfg: TrainConfig
+) -> None:
+    """One Adam update of a flat parameter buffer, in place.
+
+    A single fused elementwise pass; entries with zero gradient (and zero
+    moments) are left exactly as they are.  Deterministic.
+    """
+    if params.shape != grads.shape or params.shape != state.m.shape:
+        raise ShapeError(f"params {params.shape}, grads {grads.shape} and Adam "
+                         f"state {state.m.shape} must have one shape")
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_epsilon)
-    return params, state
+    m, v = state.m, state.v
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grads
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * grads * grads
+    params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_epsilon)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -11,11 +12,8 @@ import numpy as np
 
 from ..dataset import LabeledWindow
 from .losses import FocalLossConfig, focal_loss_batch, inverse_frequency_alpha
-from .model import SensorModel, _all_arrays, _forward, backward_batch, parameters
+from .model import SensorModel, backward_batch, model_forward
 from .optim import AdamState, TrainConfig, adam_step
-from .ops import softmax
-
-EVAL_CHUNK = 256
 
 
 @dataclass
@@ -36,18 +34,16 @@ def stack_windows(windows: list[LabeledWindow]) -> tuple[np.ndarray, np.ndarray]
 def evaluate(
     model: SensorModel, xs: np.ndarray, ys: np.ndarray, loss_cfg: FocalLossConfig
 ) -> tuple[float, float]:
-    """(mean focal loss, accuracy) in inference mode, chunked to bound memory."""
-    prev_mode = model.mode
-    model.mode = "inference"
-    losses = []
-    correct = 0
-    for i in range(0, len(xs), EVAL_CHUNK):
-        logits, _ = _forward(model, xs[i:i + EVAL_CHUNK], keep_cache=False)
-        probs = softmax(logits)
-        losses.append(focal_loss_batch(probs, ys[i:i + EVAL_CHUNK], loss_cfg))
-        correct += int((probs.argmax(axis=1) == ys[i:i + EVAL_CHUNK]).sum())
-    model.mode = prev_mode
-    return float(np.concatenate(losses).mean()), correct / len(xs)
+    """(mean focal loss, accuracy) with batchnorm on its running statistics."""
+    probs = model_forward(model, xs)
+    loss = float(focal_loss_batch(probs, ys, loss_cfg).mean())
+    return loss, int((probs.argmax(axis=1) == ys).sum()) / len(xs)
+
+
+def _check_finite(model: SensorModel, loss: float, what: str, epoch: int) -> None:
+    if not math.isfinite(loss):
+        raise ValueError(f"{model.sensor.value} model: {what} is {loss} at epoch "
+                         f"{epoch}; are there NaN or inf values in the windows?")
 
 
 def train(
@@ -62,7 +58,8 @@ def train(
     When `loss_cfg` is omitted, alpha weights are set to the inverse class
     frequency of the training windows (normalized to max 1).  Early stopping
     keeps the snapshot with the lowest validation focal loss and gives up
-    after `patience` epochs without improvement.
+    after `patience` epochs without improvement.  A non-finite batch or
+    validation loss raises ValueError.
     """
     if not train_windows or not val_windows:
         raise ValueError("train and validation window sets must be non-empty")
@@ -80,34 +77,32 @@ def train(
         loss_cfg = FocalLossConfig(alpha=inverse_frequency_alpha(ys))
 
     rng = np.random.default_rng(train_cfg.seed)
-    params = [arr for _, arr in parameters(model)]
-    names = [name for name, _ in parameters(model)]
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(model.buffer)
     report = TrainReport()
     best_val = np.inf
-    best_snapshot = None
     bad_epochs = 0
 
-    model.mode = "train"
     for epoch in range(1, train_cfg.max_epochs + 1):
         order = rng.permutation(len(xs))
         batch_losses = []
         batch_sizes = []
         for i in range(0, len(order), train_cfg.batch_size):
             idx = order[i:i + train_cfg.batch_size]
-            loss, grads = backward_batch(model, xs[idx], ys[idx], loss_cfg)
-            adam_step(params, [grads[n] for n in names], state, train_cfg)
+            loss, grad = backward_batch(model, xs[idx], ys[idx], loss_cfg)
+            _check_finite(model, loss, "batch loss", epoch)
+            adam_step(model.buffer, grad, state, train_cfg)
             batch_losses.append(loss)
             batch_sizes.append(len(idx))
         train_loss = float(np.average(batch_losses, weights=batch_sizes))
         val_loss, val_acc = evaluate(model, xv, yv, loss_cfg)
+        _check_finite(model, val_loss, "validation loss", epoch)
         report.epochs.append(epoch)
         report.train_loss.append(train_loss)
         report.val_loss.append(val_loss)
         report.val_accuracy.append(val_acc)
         if val_loss < best_val:
             best_val = val_loss
-            best_snapshot = [a.copy() for a in _all_arrays(model)]
+            best_snapshot = model.buffer.copy()
             report.best_epoch = epoch
             bad_epochs = 0
         else:
@@ -115,10 +110,8 @@ def train(
             if bad_epochs >= train_cfg.patience:
                 break
 
-    if best_snapshot is not None:
-        for arr, saved in zip(_all_arrays(model), best_snapshot):
-            arr[...] = saved
-    model.mode = "inference"
+    # Epoch 1 always improves on inf, so a snapshot exists.
+    model.buffer[...] = best_snapshot
     return model, report
 
 

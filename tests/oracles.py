@@ -123,3 +123,13 @@ def collapse_via_confusion(preds, labels):
     fp = int(counts[4, :4].sum())
     tn = int(counts[4, 4])
     return tp, fp, tn, fn
+
+
+def cross_entropy(xs: np.ndarray, ys: np.ndarray, params) -> float:
+    """Mean multinomial cross-entropy of softmax(W x + b) over (xs, ys),
+    one example at a time through log-sum-exp; `params` has W and b."""
+    total = 0.0
+    for x, y in zip(xs, ys):
+        z = params.W @ x + params.b
+        total += np.log(np.exp(z - z.max()).sum()) + z.max() - z[int(y)]
+    return float(total / len(ys))

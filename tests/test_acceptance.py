@@ -42,10 +42,10 @@ from preictal.dataset import (
     segment,
     synth_generate,
 )
-from preictal.evaluation import PipelineConfig, collapse_binary, run_cross_validation
-from preictal.nn import FocalLossConfig, build_model, focal_loss, mean_focal_loss, model_forward
+from preictal.evaluation import collapse_binary, run_cross_validation
+from preictal.nn import FocalLossConfig, build_model, focal_loss_batch, model_forward
 from preictal.nn.model import backward_batch, parameters
-from preictal.nn.ops import ConvBlockParams, conv1d_forward, maxpool1d, softmax
+from preictal.nn.ops import ConvBlockParams, conv1d_forward, maxpool1d_with_argmax, softmax
 from preictal.nn.train import stack_windows
 
 VARIANTS = ("eeg", "ecg", "combined")
@@ -64,15 +64,14 @@ def test_criterion_01_gradient_correctness():
     t0 = time.monotonic()
     model = build_model(Sensor.EEG, in_channels=2, window_samples=16,
                         pool_size=2, seed=0)
-    model.mode = "train"
     rng = np.random.default_rng(0)
     xb = rng.standard_normal((4, 2, 16))
     yb = np.array([0, 1, 3, 4])
     cfg = FocalLossConfig(gamma=2.0, alpha=np.array([0.5, 0.8, 1.0, 0.9, 0.6]))
-    _, grads = backward_batch(model, xb, yb, cfg)
+    grads = model.views(backward_batch(model, xb, yb, cfg)[1])
 
     named = parameters(model)
-    fd = central_difference(lambda: mean_focal_loss(model, xb, yb, cfg),
+    fd = central_difference(lambda: backward_batch(model, xb, yb, cfg)[0],
                             [a for _, a in named], step=1e-5)
     worst, worst_name = 0.0, "-"
     n_params = 0
@@ -102,7 +101,8 @@ def test_criterion_02_focal_reduces_to_cross_entropy():
         probs = rng.uniform(0.01, 1.0, size=5)
         probs /= probs.sum()
         target = int(rng.integers(5))
-        diff = abs(focal_loss(probs, target, cfg) - (-np.log(probs[target])))
+        loss = focal_loss_batch(probs[None], np.array([target]), cfg)[0]
+        diff = abs(loss - (-np.log(probs[target])))
         worst = max(worst, diff)
     verdict(2, worst <= 1e-12,
             f"1000 random (probs, target) pairs; max |focal(g=0,a=1) - "
@@ -132,7 +132,7 @@ def test_criterion_03_oracle_equivalence():
                    int(rng.integers(1, 50)))
         pool = int(rng.integers(1, 7))
         x = rng.standard_normal((b, c, t))
-        pool_exact += int(np.array_equal(maxpool1d(x, pool),
+        pool_exact += int(np.array_equal(maxpool1d_with_argmax(x, pool)[0],
                                          maxpool1d_naive(x, pool)))
 
     collapse_exact = 0
@@ -288,7 +288,7 @@ def desk_run():
         pytest.fail(f"band-energy oracle gate failed before training: {oracle}")
 
     t0 = time.monotonic()
-    report = run_cross_validation(recordings, PipelineConfig())
+    report = run_cross_validation(recordings, ExperimentConfig())
     elapsed = time.monotonic() - t0
     n_windows = len(segment(recordings[0][0], 5.0, 5.0))
     return oracle, report, elapsed, n_windows

@@ -105,6 +105,17 @@ class TestGenData:
         err = capsys.readouterr().err
         assert "error:" in err and "not_a_key" in err
 
+    def test_combiner_takes_only_its_two_settings(self, work, capsys,
+                                                  dataset_dir):
+        bad = work / "bad_combiner.json"
+        bad.write_text(json.dumps({"combiner": {"batch_size": 32}}))
+        assert main(["gen-data", "--config", str(bad),
+                     "--out", str(work / "never3")]) == 1
+        err = capsys.readouterr().err
+        assert "unknown config key 'batch_size'" in err
+        echo = json.loads((dataset_dir / "config.json").read_text())
+        assert echo["combiner"] == {"learning_rate": 1.0, "max_epochs": 20}
+
     def test_malformed_json_fails_cleanly(self, work, capsys):
         bad = work / "broken.json"
         bad.write_text("{nope")

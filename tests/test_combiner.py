@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import central_difference
+from oracles import central_difference, cross_entropy
 from preictal.combiner import (
     N_INPUTS,
     QUANT_STEP,
+    CombinerConfig,
     CombinerParams,
     build_input,
-    cross_entropy,
     is_quantized,
     load_combiner,
     lr_forward,
@@ -21,7 +21,6 @@ from preictal.combiner import (
 )
 from preictal.dataset import LabelClass
 from preictal.errors import ShapeError
-from preictal.nn.optim import TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +174,10 @@ class TestTrain:
         x = build_input(quantize4(np.array([0.7, 0.1, 0.1, 0.05, 0.05])),
                         quantize4(np.array([0.6, 0.1, 0.1, 0.1, 0.1])))
         params = lr_train([(x, LabelClass.PRE_0_15)],
-                          TrainConfig(learning_rate=1.0, max_epochs=50))
+                          CombinerConfig(learning_rate=1.0, max_epochs=50))
         assert lr_forward(x, params)[0] > 0.2
         more = lr_train([(x, LabelClass.PRE_0_15)],
-                        TrainConfig(learning_rate=1.0, max_epochs=200))
+                        CombinerConfig(learning_rate=1.0, max_epochs=200))
         assert lr_forward(x, more)[0] > lr_forward(x, params)[0]
 
     def test_deterministic(self):
@@ -218,6 +217,13 @@ class TestTrain:
         denom_b = np.maximum(np.maximum(np.abs(g_b), np.abs(fd_b)), 1e-6)
         assert (np.abs(g_w - fd_w) / denom_w).max() < 1e-6
         assert (np.abs(g_b - fd_b) / denom_b).max() < 1e-6
+
+    def test_config_validation(self):
+        assert CombinerConfig() == CombinerConfig(learning_rate=1.0, max_epochs=500)
+        with pytest.raises(ValueError):
+            CombinerConfig(learning_rate=0.0)
+        with pytest.raises(ValueError):
+            CombinerConfig(max_epochs=0)
 
     def test_rejects_empty_and_unquantized(self):
         with pytest.raises(ValueError):

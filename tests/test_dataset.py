@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from preictal.dataset import (
     SeizureAnnotation,
     Sensor,
     SynthConfig,
-    export_windows_csv,
     kfold_split,
     label_for_offset,
     load_recording,
@@ -368,12 +369,16 @@ class TestRecordingFiles:
         save_recording(eeg, tmp_path, "b")
         assert (tmp_path / "a.f64").read_bytes() == (tmp_path / "b.f64").read_bytes()
 
-    def test_windows_csv(self, tmp_path):
-        rec = _recording(60.0)
-        windows = segment(rec, 5.0, 5.0)
-        path = tmp_path / "w.csv"
-        export_windows_csv(windows, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "window_index,start_time,label_code"
-        assert lines[1].split(",") == ["0", "0.0", "4"]
-        assert len(lines) == len(windows) + 1
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated_files_name_their_path(self, tmp_path_factory, data):
+        out = tmp_path_factory.mktemp("trunc")
+        manifest = save_recording(_recording(3.0, annotations=[
+            SeizureAnnotation(1.0, 2.0)]), out, "r")
+        target = data.draw(st.sampled_from([manifest, out / "r.f64"]))
+        raw = target.read_bytes()
+        # Dropping only the manifest's final newline leaves valid JSON.
+        longest = len(raw) - (2 if target == manifest else 1)
+        target.write_bytes(raw[:data.draw(st.integers(0, longest))])
+        with pytest.raises(ValueError, match=re.escape(str(target))):
+            load_recording(manifest)

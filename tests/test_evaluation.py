@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import collapse_via_confusion
-from preictal.dataset import LabelClass, SynthConfig, synth_generate
+from preictal.combiner import CombinerConfig
+from preictal.config import ExperimentConfig, ModelConfig, WindowingConfig
+from preictal.dataset import LabelClass, Recording, Sensor, SynthConfig, synth_generate
 from preictal.evaluation import (
     TREND_ORDER,
     VARIANTS,
@@ -14,13 +16,13 @@ from preictal.evaluation import (
     FoldResult,
     MeanBinaryMetrics,
     PatientResult,
-    PipelineConfig,
     TrendReport,
     VariantResult,
     accuracy_trend,
     aggregate,
     collapse_binary,
     confusion,
+    paired_windows,
     run_cross_validation,
 )
 from preictal.nn.optim import TrainConfig
@@ -244,12 +246,12 @@ def _tiny_recordings(seed=0):
 
 
 def _tiny_pipeline():
-    return PipelineConfig(
-        stride_seconds=40.0,
-        hidden=(8, 6),
-        train_cfg=TrainConfig(max_epochs=2, patience=1, batch_size=32, seed=0),
-        combiner_cfg=TrainConfig(learning_rate=1.0, max_epochs=20),
+    return ExperimentConfig(
         seed=0,
+        windowing=WindowingConfig(stride_seconds=40.0),
+        model=ModelConfig(hidden=(8, 6)),
+        training=TrainConfig(max_epochs=2, patience=1, batch_size=32, seed=0),
+        combiner=CombinerConfig(learning_rate=1.0, max_epochs=20),
     )
 
 
@@ -281,7 +283,8 @@ class TestRunCrossValidation:
         # Folds' test sets partition all windows exactly once.
         from preictal.dataset import segment
         eeg_rec, _ = recordings[0]
-        n_windows = len(segment(eeg_rec, cfg.window_seconds, cfg.stride_seconds))
+        n_windows = len(segment(eeg_rec, cfg.windowing.window_seconds,
+                                cfg.windowing.stride_seconds))
         assert n_total == n_windows
 
     def test_rejects_empty_and_mismatched_pairs(self):
@@ -297,6 +300,25 @@ class TestRunCrossValidation:
     def test_wraps_inner_failures_with_patient_context(self):
         (eeg, ecg), = _tiny_recordings()
         cfg = _tiny_pipeline()
-        cfg.k_folds = 10_000   # more folds than windows
+        cfg.folds = 10_000   # more folds than windows
         with pytest.raises(RuntimeError, match=eeg.patient_id):
             run_cross_validation([(eeg, ecg)], cfg)
+
+
+class TestPairedWindows:
+    @staticmethod
+    def _pair(ecg_seconds):
+        rng = np.random.default_rng(0)
+        eeg = Recording("p", Sensor.EEG, 8, 2, rng.standard_normal((2, 8 * 100)))
+        ecg = Recording("p", Sensor.ECG, 8, 1,
+                        rng.standard_normal((1, 8 * ecg_seconds)))
+        return eeg, ecg
+
+    def test_windows_keyed_by_shared_index(self):
+        eeg_w, ecg_w = paired_windows(*self._pair(100), WindowingConfig())
+        assert sorted(eeg_w) == sorted(ecg_w) == list(range(20))
+        assert eeg_w[3].data.shape == (2, 40) and ecg_w[3].data.shape == (1, 40)
+
+    def test_shorter_ecg_does_not_align(self):
+        with pytest.raises(ValueError, match="do not align"):
+            paired_windows(*self._pair(90), WindowingConfig())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,32 +15,41 @@ from preictal.nn import (
     TrainConfig,
     adam_step,
     build_model,
-    focal_loss,
     focal_loss_batch,
     inverse_frequency_alpha,
     load_model,
-    mean_focal_loss,
     model_forward,
     save_model,
     train,
 )
 from preictal.nn.losses import focal_grad_wrt_logits
-from preictal.nn.model import backward_batch, parameters, set_parameters
+from preictal.nn.model import backward_batch, parameters
 from preictal.nn.ops import (
     BatchNormParams,
     ConvBlockParams,
     DenseParams,
-    batchnorm_forward,
     batchnorm_forward_with_cache,
     conv1d_forward,
     dense_forward,
-    maxpool1d,
     maxpool1d_backward,
     maxpool1d_with_argmax,
     relu,
     softmax,
 )
 from preictal.nn.train import TrainReport, evaluate, write_train_report
+
+
+def focal_loss(probs, target, cfg):
+    """Focal loss of one probability vector."""
+    return float(focal_loss_batch(np.asarray(probs)[None], np.array([target]), cfg)[0])
+
+
+def maxpool1d(x, pool_size):
+    return maxpool1d_with_argmax(x, pool_size)[0]
+
+
+def batchnorm_forward(x, params, mode):
+    return batchnorm_forward_with_cache(x, params, mode)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +167,7 @@ class TestBatchNorm:
                                  running_mean=np.zeros(1), running_var=np.ones(1),
                                  epsilon=1e-12)
         x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
-        out = batchnorm_forward(x, params, "train", update_running=False)
+        out = batchnorm_forward(x, params, "train")
         expected = (x - 2.5) / np.sqrt(1.25 + 1e-12)
         np.testing.assert_allclose(out, expected, atol=1e-9)
         assert abs(out.mean()) < 1e-9
@@ -186,8 +197,7 @@ class TestBatchNorm:
                                  running_mean=np.zeros(1), running_var=np.ones(1),
                                  epsilon=1e-12)
         x = np.array([[[1.0, -1.0]]])
-        out, xhat = batchnorm_forward_with_cache(x, params, "train",
-                                                 update_running=False)
+        out, xhat = batchnorm_forward_with_cache(x, params, "train")
         np.testing.assert_allclose(out, 3.0 * xhat - 1.0)
 
     def test_mode_and_shape_validation(self):
@@ -380,27 +390,20 @@ class TestModel:
         with pytest.raises(ShapeError):
             model_forward(model, np.zeros((3, 16)))
 
-    def test_backward_requires_train_mode(self):
-        model = _tiny_model()
-        xb = np.zeros((1, 2, 16))
-        with pytest.raises(ValueError):
-            backward_batch(model, xb, np.array([0]), FocalLossConfig())
-
     def test_gradients_match_finite_differences(self):
         model = _tiny_model(seed=1)
-        model.mode = "train"
         rng = np.random.default_rng(9)
         xb = rng.standard_normal((3, 2, 16))
         yb = np.array([0, 2, 4])
         cfg = FocalLossConfig(gamma=2.0,
                               alpha=np.array([0.5, 0.7, 0.9, 1.0, 0.6]))
-        _, grads = backward_batch(model, xb, yb, cfg)
+        grads = model.views(backward_batch(model, xb, yb, cfg)[1])
 
         names = [n for n, _ in parameters(model)]
         arrays = [a for _, a in parameters(model)]
 
         def loss():
-            return mean_focal_loss(model, xb, yb, cfg)
+            return backward_batch(model, xb, yb, cfg)[0]
 
         fd = central_difference(loss, arrays, step=1e-5)
         for name, g_fd in zip(names, fd):
@@ -410,11 +413,32 @@ class TestModel:
             assert rel.max() < 1e-5, f"{name}: max rel err {rel.max():.3e}"
 
     def test_set_parameters_roundtrip(self):
+        # Writing through a named view writes the buffer, and back.
         model = _tiny_model(seed=2)
         values = {n: a.copy() + 1.0 for n, a in parameters(model)}
-        set_parameters(model, values)
         for n, a in parameters(model):
-            np.testing.assert_array_equal(a, values[n])
+            a[...] = values[n]
+        views = model.views(model.buffer)
+        for n, v in values.items():
+            np.testing.assert_array_equal(views[n], v)
+        np.testing.assert_array_equal(model.dense[2].bias, values["dense.2.bias"])
+        model.buffer[:] = 0.0
+        assert not np.any(model.blocks[0].kernels)
+
+    def test_buffer_layout_matches_blob_order(self):
+        model = _tiny_model(seed=2)
+        names = list(model.views(model.buffer))
+        assert names[:4] == ["batchnorm.gamma", "batchnorm.beta",
+                             "batchnorm.running_mean", "batchnorm.running_var"]
+        assert names[4:6] == ["blocks.0.kernels", "blocks.0.bias"]
+        assert names[-2:] == ["dense.2.weights", "dense.2.bias"]
+        assert sum(v.size for v in model.views(model.buffer).values()) == \
+            model.buffer.size
+        # Batchnorm's running statistics update in place, inside the buffer.
+        backward_batch(model, np.ones((2, 2, 16)), np.array([0, 1]),
+                       FocalLossConfig())
+        np.testing.assert_array_equal(model.views(model.buffer)
+                                      ["batchnorm.running_mean"], [0.1, 0.1])
 
     def test_structure_validation(self):
         model = _tiny_model()
@@ -480,6 +504,17 @@ class TestModelFiles:
         with pytest.raises(ValueError):
             load_model(path)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated_file_names_its_path(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("trunc") / "m.bin"
+        save_model(_tiny_model(), path)
+        raw = path.read_bytes()
+        cut = data.draw(st.one_of(st.integers(0, 48), st.integers(0, len(raw) - 1)))
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_model(path)
+
 
 # ---------------------------------------------------------------------------
 # Adam
@@ -487,43 +522,46 @@ class TestModelFiles:
 
 class TestAdam:
     def test_first_step_formula(self):
-        p = [np.array([1.0])]
-        g = [np.array([0.5])]
+        p = np.array([1.0, 2.0])
+        g = np.array([0.5, 0.0])
         cfg = TrainConfig(learning_rate=1e-3)
         state = AdamState.for_params(p)
         adam_step(p, g, state, cfg)
-        # After bias correction the first step is lr * g / (|g| + eps).
+        # After bias correction the first step is lr * g / (|g| + eps); a
+        # zero gradient leaves its entry exactly as it was.
         expected = 1.0 - 1e-3 * 0.5 / (0.5 + 1e-8)
-        np.testing.assert_allclose(p[0], [expected], atol=1e-15)
+        np.testing.assert_allclose(p[0], expected, atol=1e-15)
+        assert p[1] == 2.0
         assert state.t == 1
 
     def test_matches_reference_over_many_steps(self):
         rng = np.random.default_rng(11)
         cfg = TrainConfig(learning_rate=0.01)
-        p = [rng.standard_normal(4), rng.standard_normal((2, 3))]
-        ref_p = [a.copy() for a in p]
+        p = rng.standard_normal(10)
+        ref_p = [p[:4].copy(), p[4:].reshape(2, 3).copy()]
         m = [np.zeros_like(a) for a in ref_p]
         v = [np.zeros_like(a) for a in ref_p]
         state = AdamState.for_params(p)
         for t in range(1, 21):
-            grads = [rng.standard_normal(a.shape) for a in p]
-            adam_step(p, grads, state, cfg)
-            for a, g, mi, vi in zip(ref_p, grads, m, v):
+            grad = rng.standard_normal(10)
+            adam_step(p, grad, state, cfg)
+            for a, g, mi, vi in zip(ref_p, (grad[:4], grad[4:].reshape(2, 3)), m, v):
                 mi[...] = cfg.beta1 * mi + (1 - cfg.beta1) * g
                 vi[...] = cfg.beta2 * vi + (1 - cfg.beta2) * g * g
                 mhat = mi / (1 - cfg.beta1 ** t)
                 vhat = vi / (1 - cfg.beta2 ** t)
                 a -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_epsilon)
-        for got, want in zip(p, ref_p):
-            np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(p, np.concatenate([a.ravel() for a in ref_p]),
+                                   atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        p = [np.zeros(3)]
+        p = np.zeros(3)
         state = AdamState.for_params(p)
         with pytest.raises(ShapeError):
-            adam_step(p, [np.zeros(4)], state, TrainConfig())
+            adam_step(p, np.zeros(4), state, TrainConfig())
         with pytest.raises(ShapeError):
-            adam_step(p, [np.zeros(3), np.zeros(1)], state, TrainConfig())
+            adam_step(p, np.zeros(3), AdamState.for_params(np.zeros(4)),
+                      TrainConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -571,7 +609,6 @@ class TestTrain:
         model, report = train(model, _toy_windows(12, seed=1),
                               _toy_windows(4, seed=2), train_cfg=cfg)
         assert max(report.val_accuracy) >= 0.95
-        assert model.mode == "inference"
 
     def test_deterministic(self):
         cfg = TrainConfig(learning_rate=1e-3, batch_size=8, max_epochs=3,
@@ -621,6 +658,19 @@ class TestTrain:
             train(model, [], _toy_windows(2, seed=0))
         with pytest.raises(ValueError):
             train(model, _toy_windows(2, seed=0), [])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_input_stops_training(self):
+        model = _toy_model()
+        bad = _toy_windows(6, seed=0)
+        bad[3].data[1, 10] = np.nan
+        cfg = TrainConfig(batch_size=8, max_epochs=3, seed=0)
+        with pytest.raises(ValueError, match="EEG model: batch loss is nan at epoch 1"):
+            train(model, bad, _toy_windows(2, seed=1), train_cfg=cfg)
+        val = _toy_windows(2, seed=1)
+        val[0].data[0, 0] = np.inf
+        with pytest.raises(ValueError, match="validation loss is nan at epoch 1"):
+            train(_toy_model(), _toy_windows(6, seed=0), val, train_cfg=cfg)
 
     def test_rejects_mismatched_window_shape(self):
         model = _toy_model()  # expects 2 x 64
