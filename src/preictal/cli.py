@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -63,12 +64,14 @@ def _load_dataset(data_dir: Path | str) -> list[tuple[Recording, Recording]]:
     if not index_path.exists():
         raise FileNotFoundError(f"expected dataset index at {index_path}; "
                                 f"run gen-data first")
-    index = json.loads(index_path.read_text())
-    pairs = []
-    for entry in index["patients"]:
-        pairs.append((load_recording(index_path.parent / entry["eeg"]),
-                      load_recording(index_path.parent / entry["ecg"])))
-    return pairs
+    try:
+        index = json.loads(index_path.read_text())
+        files = [(entry["eeg"], entry["ecg"]) for entry in index["patients"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{index_path} is not a dataset index "
+                         f"({type(exc).__name__}: {exc})") from exc
+    return [(load_recording(index_path.parent / eeg),
+             load_recording(index_path.parent / ecg)) for eeg, ecg in files]
 
 
 def _pick_patient(pairs, patient_id):
@@ -285,18 +288,7 @@ def cmd_simulate(args) -> int:
         for w in trace.decisions
     )
     rep = latency_report(trace)
-    summary = {
-        "n_windows": rep.n_windows,
-        "n_fused": rep.n_fused,
-        "n_dropped": rep.n_dropped,
-        "drop_rate": rep.drop_rate,
-        "mean_latency_s": rep.mean_latency_s,
-        "max_latency_s": rep.max_latency_s,
-        "stimulation_count": rep.stimulation_count,
-        "mean_sensor_processing_s": rep.mean_sensor_processing_s,
-        "processing_within_budget": rep.processing_within_budget,
-        "equivalence": equivalence,
-    }
+    summary = {**dataclasses.asdict(rep), "equivalence": equivalence}
     (out / "latency.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"simulated {rep.n_windows} windows on patient {eeg_rec.patient_id}: "

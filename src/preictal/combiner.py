@@ -129,5 +129,9 @@ def save_combiner(params: CombinerParams, path: Path | str) -> None:
 
 
 def load_combiner(path: Path | str) -> CombinerParams:
-    payload = json.loads(Path(path).read_text())
-    return CombinerParams(np.array(payload["W"]), np.array(payload["b"]))
+    try:
+        payload = json.loads(Path(path).read_text())
+        return CombinerParams(np.array(payload["W"]), np.array(payload["b"]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not a combiner file "
+                         f"({type(exc).__name__}: {exc})") from exc

@@ -5,18 +5,14 @@ from .model import (
     build_model,
     load_model,
     model_forward,
-    parameters,
     save_model,
 )
-from .ops import BatchNormParams, ConvBlockParams, DenseParams, conv1d_forward, softmax
+from .ops import conv1d_forward, softmax
 from .optim import AdamState, TrainConfig, adam_step
 from .train import TrainReport, evaluate, stack_windows, train, write_train_report
 
 __all__ = [
     "AdamState",
-    "BatchNormParams",
-    "ConvBlockParams",
-    "DenseParams",
     "FocalLossConfig",
     "SensorModel",
     "TrainConfig",
@@ -30,7 +26,6 @@ __all__ = [
     "inverse_frequency_alpha",
     "load_model",
     "model_forward",
-    "parameters",
     "save_model",
     "softmax",
     "stack_windows",

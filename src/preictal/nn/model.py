@@ -6,11 +6,15 @@ dense -> ReLU -> dense -> ReLU -> dense -> softmax over the five classes.
 and returns exact gradients of the mean focal loss for every trainable
 parameter.
 
-Every array of a model is a named view into one flat float64 buffer, in the
-order of the weight files: batchnorm (gamma, beta, running_mean,
-running_var), blocks 1-4 (kernels, bias), dense 1-3 (weights, bias).
-Gradients use the same layout, so Adam, best-epoch snapshots and weight
-files each handle one array.
+A `SensorModel` is an immutable architecture spec plus one flat float64
+buffer.  The spec's fields are the weight-file header's (sensor, channels,
+window length, kernel length, pool sizes, hidden widths, batchnorm epsilon
+and momentum, seed); from them alone follow the buffer layout, the conv
+stack's output width and the header.  Every array is a named view into the
+buffer, in the order of the weight files: batchnorm (gamma, beta,
+running_mean, running_var), blocks 1-4 (kernels, bias), dense 1-3 (weights,
+bias).  Gradients use the same layout, so Adam, best-epoch snapshots and
+weight files each handle one array.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +31,6 @@ from ..dataset import N_CLASSES, Sensor
 from ..errors import ShapeError
 from .losses import FocalLossConfig, focal_grad_wrt_logits, focal_loss_batch
 from .ops import (
-    BatchNormParams,
-    ConvBlockParams,
-    DenseParams,
     batchnorm_forward_with_cache,
     batchnorm_param_grads,
     conv1d_backward,
@@ -48,57 +49,85 @@ N_BLOCKS = 4
 N_DENSE = 3
 FORWARD_CHUNK = 256  # windows per batched inference pass; bounds memory
 
+# View names, in buffer order.
+BN_KEYS = tuple(f"batchnorm.{a}"
+                for a in ("gamma", "beta", "running_mean", "running_var"))
+BLOCK_KEYS = tuple((f"blocks.{i}.kernels", f"blocks.{i}.bias") for i in range(N_BLOCKS))
+DENSE_KEYS = tuple((f"dense.{i}.weights", f"dense.{i}.bias") for i in range(N_DENSE))
 
-@dataclass
+
+def _whole(v, low=None) -> bool:
+    return (isinstance(v, int) and not isinstance(v, bool)
+            and (low is None or v >= low))
+
+
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _widths(v, n) -> bool:
+    return (isinstance(v, (list, tuple)) and len(v) == n
+            and all(_whole(x, 1) for x in v))
+
+
+@dataclass(frozen=True, eq=False)
 class SensorModel:
+    """Architecture spec plus its parameter buffer.
+
+    The spec is fixed; training and loading change only the buffer's
+    contents.  `params` holds the named views into `buffer`.
+    """
+
     sensor: Sensor
-    batchnorm: BatchNormParams
-    blocks: list[ConvBlockParams]
-    dense: list[DenseParams]
+    in_channels: int
     window_samples: int
-    seed: int = 0
-    buffer: np.ndarray = field(init=False, repr=False)
+    kernel_len: int
+    pool_sizes: tuple[int, ...]
+    hidden: tuple[int, ...]
+    bn_epsilon: float
+    bn_momentum: float
+    seed: int
     shapes: dict[str, tuple[int, ...]] = field(init=False, repr=False)
+    buffer: np.ndarray = field(init=False, repr=False)
+    params: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.blocks) != N_BLOCKS:
-            raise ValueError(f"expected {N_BLOCKS} conv blocks")
-        if len(self.dense) != N_DENSE:
-            raise ValueError(f"expected {N_DENSE} dense layers")
-        c = self.in_channels
-        t = self.window_samples
-        for blk in self.blocks:
-            if blk.kernels.shape[0] != c:
-                raise ShapeError("conv blocks must preserve the input channel count")
-            t = -(-t // blk.pool_size)
-        flat = c * t
-        if self.dense[0].weights.shape[1] != flat:
-            raise ShapeError(
-                f"first dense layer expects {self.dense[0].weights.shape[1]} inputs "
-                f"but the conv stack flattens to {flat}"
-            )
-        for prev, nxt in zip(self.dense, self.dense[1:]):
-            if nxt.weights.shape[1] != prev.weights.shape[0]:
-                raise ShapeError("dense layer widths do not chain")
-        if self.dense[-1].weights.shape[0] != N_CLASSES:
-            raise ShapeError(f"final dense layer must output {N_CLASSES} classes")
+        checks = (
+            ("sensor", self.sensor in list(Sensor), "EEG or ECG"),
+            ("in_channels", _whole(self.in_channels, 1), "a positive integer"),
+            ("window_samples", _whole(self.window_samples, 1), "a positive integer"),
+            ("kernel_len", _whole(self.kernel_len, 1), "a positive integer"),
+            ("pool_sizes", _widths(self.pool_sizes, N_BLOCKS),
+             f"{N_BLOCKS} positive integers"),
+            ("hidden", _widths(self.hidden, N_DENSE - 1),
+             f"{N_DENSE - 1} positive integers"),
+            ("bn_epsilon", _real(self.bn_epsilon) and self.bn_epsilon > 0,
+             "a positive number"),
+            ("bn_momentum", _real(self.bn_momentum) and 0 < self.bn_momentum < 1,
+             "a number in (0, 1)"),
+            ("seed", _whole(self.seed), "an integer"),
+        )
+        for name, ok, want in checks:
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
+        set_field = object.__setattr__
+        set_field(self, "sensor", Sensor(self.sensor))
+        set_field(self, "pool_sizes", tuple(self.pool_sizes))
+        set_field(self, "hidden", tuple(self.hidden))
 
-        # Copy every array into one buffer and rebind each to its view.
-        slots = [(f"batchnorm.{a}", self.batchnorm, a)
-                 for a in ("gamma", "beta", "running_mean", "running_var")]
-        for i, blk in enumerate(self.blocks):
-            slots += [(f"blocks.{i}.{a}", blk, a) for a in ("kernels", "bias")]
-        for i, layer in enumerate(self.dense):
-            slots += [(f"dense.{i}.{a}", layer, a) for a in ("weights", "bias")]
-        self.shapes = {name: getattr(obj, a).shape for name, obj, a in slots}
-        self.buffer = np.concatenate(
-            [np.ravel(getattr(obj, a)) for _, obj, a in slots], dtype=np.float64)
-        for (_, obj, a), view in zip(slots, self.views(self.buffer).values()):
-            setattr(obj, a, view)
-
-    @property
-    def in_channels(self) -> int:
-        return self.batchnorm.gamma.shape[0]
+        c, t = self.in_channels, self.window_samples
+        for pool in self.pool_sizes:
+            t = -(-t // pool)
+        widths = [c * t, *self.hidden, N_CLASSES]
+        shapes = dict.fromkeys(BN_KEYS, (c,))
+        for kernels, bias in BLOCK_KEYS:
+            shapes[kernels], shapes[bias] = (c, c, self.kernel_len), (c,)
+        for (weights, bias), n_in, n_out in zip(DENSE_KEYS, widths, widths[1:]):
+            shapes[weights], shapes[bias] = (n_out, n_in), (n_out,)
+        set_field(self, "shapes", shapes)
+        set_field(self, "buffer",
+                  np.zeros(sum(math.prod(s) for s in shapes.values())))
+        set_field(self, "params", self.views(self.buffer))
 
     def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
         """Named views into `buffer`, laid out like the parameter buffer."""
@@ -110,6 +139,14 @@ class SensorModel:
             offset += size
         return out
 
+    def header(self) -> dict:
+        """The weight-file header: format, version and every spec field."""
+        spec = {name: getattr(self, name) for name in SPEC_FIELDS}
+        spec["sensor"] = self.sensor.value
+        return {"format": "preictal-sensor-model", "version": 1, **spec}
+
+
+SPEC_FIELDS = tuple(f.name for f in fields(SensorModel) if f.init)
 
 CONV_INIT_NOISE = 0.3
 
@@ -134,39 +171,26 @@ def build_model(
     every block begins as a near-pass-through filter instead.  Dense layers
     use ReLU-gain fan-in-scaled uniform weights; biases start at zero.
     """
+    model = SensorModel(sensor, in_channels, window_samples, kernel_len,
+                        (pool_size,) * N_BLOCKS, hidden, bn_epsilon, bn_momentum,
+                        seed)
     rng = np.random.default_rng(seed)
 
     def uniform(shape, fan_in):
         limit = np.sqrt(6.0 / fan_in)
         return rng.uniform(-limit, limit, size=shape)
 
-    bn = BatchNormParams(
-        gamma=np.ones(in_channels),
-        beta=np.zeros(in_channels),
-        running_mean=np.zeros(in_channels),
-        running_var=np.ones(in_channels),
-        epsilon=bn_epsilon,
-        momentum=bn_momentum,
-    )
+    p = model.params
+    p["batchnorm.gamma"][...] = 1.0
+    p["batchnorm.running_var"][...] = 1.0
     center = (kernel_len - 1) // 2
-    blocks = []
-    for _ in range(N_BLOCKS):
-        kernels = CONV_INIT_NOISE * uniform(
-            (in_channels, in_channels, kernel_len), in_channels * kernel_len)
-        kernels[:, :, center] += np.eye(in_channels)
-        blocks.append(ConvBlockParams(kernels=kernels,
-                                      bias=np.zeros(in_channels),
-                                      pool_size=pool_size))
-    t = window_samples
-    for _ in range(N_BLOCKS):
-        t = -(-t // pool_size)
-    widths = [in_channels * t, *hidden, N_CLASSES]
-    dense = [
-        DenseParams(weights=uniform((widths[i + 1], widths[i]), widths[i]),
-                    bias=np.zeros(widths[i + 1]))
-        for i in range(N_DENSE)
-    ]
-    return SensorModel(sensor, bn, blocks, dense, window_samples, seed=seed)
+    for kernels, _ in BLOCK_KEYS:
+        p[kernels][...] = CONV_INIT_NOISE * uniform(p[kernels].shape,
+                                                    in_channels * kernel_len)
+        p[kernels][:, :, center] += np.eye(in_channels)
+    for weights, _ in DENSE_KEYS:
+        p[weights][...] = uniform(p[weights].shape, p[weights].shape[1])
+    return model
 
 
 def _check_input(model: SensorModel, xb: np.ndarray) -> None:
@@ -184,13 +208,15 @@ def _forward(model: SensorModel, xb: np.ndarray, training: bool):
     running averages); otherwise batchnorm uses the running statistics.
     """
     _check_input(model, xb)
+    p = model.params
     h, xhat = batchnorm_forward_with_cache(
-        xb, model.batchnorm, "train" if training else "inference")
+        xb, *[p[k] for k in BN_KEYS], model.bn_epsilon, model.bn_momentum,
+        "train" if training else "inference")
     cache = {"xhat": xhat, "blocks": []} if training else None
-    for blk in model.blocks:
-        z = conv1d_forward(h, blk)
+    for (kernels, bias), pool in zip(BLOCK_KEYS, model.pool_sizes):
+        z = conv1d_forward(h, p[kernels], p[bias])
         a = relu(z)
-        pooled, arg = maxpool1d_with_argmax(a, blk.pool_size)
+        pooled, arg = maxpool1d_with_argmax(a, pool)
         if training:
             cache["blocks"].append({"x": h, "z": z, "arg": arg, "t_in": a.shape[2]})
         h = pooled
@@ -199,9 +225,9 @@ def _forward(model: SensorModel, xb: np.ndarray, training: bool):
     h = h.reshape(b, -1)
     dense_x = []
     dense_z = []
-    for i, layer in enumerate(model.dense):
+    for i, (weights, bias) in enumerate(DENSE_KEYS):
         dense_x.append(h)
-        z = dense_forward(h, layer)
+        z = dense_forward(h, p[weights], p[bias])
         dense_z.append(z)
         h = relu(z) if i < N_DENSE - 1 else z
     if training:
@@ -226,12 +252,6 @@ def model_forward(model: SensorModel, windows: np.ndarray) -> np.ndarray:
     ])
 
 
-def parameters(model: SensorModel) -> list[tuple[str, np.ndarray]]:
-    """Trainable parameters (views into the buffer), in buffer order."""
-    return [(name, view) for name, view in model.views(model.buffer).items()
-            if not name.startswith("batchnorm.running")]
-
-
 def backward_batch(
     model: SensorModel, xb: np.ndarray, yb: np.ndarray, cfg: FocalLossConfig
 ) -> tuple[float, np.ndarray]:
@@ -246,23 +266,25 @@ def backward_batch(
     loss = float(focal_loss_batch(probs, yb, cfg).mean())
     delta = focal_grad_wrt_logits(probs, yb, cfg)
 
+    p = model.params
     grad = np.zeros_like(model.buffer)
     g = model.views(grad)
     for i in range(N_DENSE - 1, -1, -1):
-        g[f"dense.{i}.weights"][...], g[f"dense.{i}.bias"][...], delta = (
-            dense_backward(delta, cache["dense_x"][i], model.dense[i]))
+        weights, bias = DENSE_KEYS[i]
+        g[weights][...], g[bias][...], delta = (
+            dense_backward(delta, cache["dense_x"][i], p[weights]))
         if i > 0:
             delta = relu_backward(delta, cache["dense_z"][i - 1])
 
     delta = delta.reshape(cache["flat_shape"])
     for i in range(N_BLOCKS - 1, -1, -1):
         blk_cache = cache["blocks"][i]
-        blk = model.blocks[i]
-        delta = maxpool1d_backward(delta, blk_cache["arg"], blk.pool_size,
+        kernels, bias = BLOCK_KEYS[i]
+        delta = maxpool1d_backward(delta, blk_cache["arg"], model.pool_sizes[i],
                                    blk_cache["t_in"])
         delta = relu_backward(delta, blk_cache["z"])
-        g[f"blocks.{i}.kernels"][...], g[f"blocks.{i}.bias"][...], delta = (
-            conv1d_backward(delta, blk_cache["x"], blk))
+        g[kernels][...], g[bias][...], delta = (
+            conv1d_backward(delta, blk_cache["x"], p[kernels]))
 
     g["batchnorm.gamma"][...], g["batchnorm.beta"][...] = batchnorm_param_grads(
         delta, cache["xhat"])
@@ -275,20 +297,7 @@ def backward_batch(
 
 
 def save_model(model: SensorModel, path: Path | str) -> None:
-    header = {
-        "format": "preictal-sensor-model",
-        "version": 1,
-        "sensor": model.sensor.value,
-        "in_channels": model.in_channels,
-        "window_samples": model.window_samples,
-        "kernel_len": model.blocks[0].kernels.shape[2],
-        "pool_sizes": [blk.pool_size for blk in model.blocks],
-        "hidden": [layer.weights.shape[0] for layer in model.dense[:-1]],
-        "bn_epsilon": model.batchnorm.epsilon,
-        "bn_momentum": model.batchnorm.momentum,
-        "seed": model.seed,
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode()
+    header_bytes = json.dumps(model.header(), sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
@@ -308,27 +317,16 @@ def load_model(path: Path | str) -> SensorModel:
         header = json.loads(raw[8:8 + hlen].decode())
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise ValueError(f"{path}: model header does not decode: {exc}") from exc
-    if header.get("version") != 1:
-        raise ValueError(f"{path}: unsupported model file version "
-                         f"{header.get('version')}")
-
-    c = header["in_channels"]
-    klen = header["kernel_len"]
-    bn = BatchNormParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c),
-                         epsilon=header["bn_epsilon"],
-                         momentum=header["bn_momentum"])
-    blocks = [
-        ConvBlockParams(np.zeros((c, c, klen)), np.zeros(c), pool)
-        for pool in header["pool_sizes"]
-    ]
-    t = header["window_samples"]
-    for pool in header["pool_sizes"]:
-        t = -(-t // pool)
-    widths = [c * t, *header["hidden"], N_CLASSES]
-    dense = [DenseParams(np.zeros((widths[i + 1], widths[i])), np.zeros(widths[i + 1]))
-             for i in range(N_DENSE)]
-    model = SensorModel(Sensor(header["sensor"]), bn, blocks, dense,
-                        header["window_samples"], seed=header["seed"])
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != 1:
+        raise ValueError(f"{path}: unsupported model file version {version}")
+    missing = [name for name in SPEC_FIELDS if name not in header]
+    if missing:
+        raise ValueError(f"{path}: model header lacks {', '.join(missing)}")
+    try:
+        model = SensorModel(**{name: header[name] for name in SPEC_FIELDS})
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad model header: {exc}") from exc
 
     blob = raw[8 + hlen:]
     if len(blob) != 8 * model.buffer.size:

@@ -1,80 +1,16 @@
 """Array primitives for the sensor CNNs: conv, pooling, batchnorm, dense, softmax.
 
-All operations are plain float64 numpy, written so forward passes accept
-either a single window (channels x time) or a batch (batch x channels x time).
-Backward counterparts compute exact gradients and are checked against central
-finite differences in the test suite.
+All operations are plain float64 numpy over batched input (batch x channels
+x time) and take the parameter arrays they read.  Backward counterparts
+compute exact gradients and are checked against central finite differences
+in the test suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ShapeError
-
-
-@dataclass
-class BatchNormParams:
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    epsilon: float = 1e-5
-    momentum: float = 0.1
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if not 0 < self.momentum < 1:
-            raise ValueError("momentum must lie in (0, 1)")
-        if np.any(self.running_var < 0):
-            raise ValueError("running_var components must be >= 0")
-        n = self.gamma.shape[0]
-        for name in ("beta", "running_mean", "running_var"):
-            if getattr(self, name).shape != (n,):
-                raise ShapeError(f"{name} must have shape ({n},)")
-
-
-@dataclass
-class ConvBlockParams:
-    """One conv + max-pool block; output channels always equal input channels."""
-
-    kernels: np.ndarray  # [out_channels x in_channels x kernel_len]
-    bias: np.ndarray     # [out_channels]
-    pool_size: int
-
-    def __post_init__(self):
-        if self.kernels.ndim != 3:
-            raise ShapeError("kernels must be [out x in x kernel_len]")
-        out_c, in_c, _ = self.kernels.shape
-        if out_c != in_c:
-            raise ValueError("conv blocks preserve the channel count (out == in)")
-        if self.bias.shape != (out_c,):
-            raise ShapeError(f"bias must have shape ({out_c},)")
-        if self.pool_size <= 0:
-            raise ValueError("pool_size must be positive")
-
-
-@dataclass
-class DenseParams:
-    weights: np.ndarray  # [out x in]
-    bias: np.ndarray     # [out]
-
-    def __post_init__(self):
-        if self.weights.ndim != 2:
-            raise ShapeError("weights must be [out x in]")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise ShapeError("bias length must match the output width")
-
-
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    if x.ndim == 2:
-        return x[None, :, :], True
-    if x.ndim == 3:
-        return x, False
-    raise ShapeError(f"expected [C x T] or [B x C x T], got shape {x.shape}")
 
 
 def _same_padding(kernel_len: int) -> tuple[int, int]:
@@ -86,41 +22,42 @@ def pad_same(x: np.ndarray, kernel_len: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (left, right)))
 
 
-def conv1d_forward(x: np.ndarray, params: ConvBlockParams) -> np.ndarray:
-    """Cross-correlation, stride 1, zero 'same' padding, plus per-channel bias."""
-    xb, squeeze = _as_batch(x)
-    out_c, in_c, klen = params.kernels.shape
-    if xb.shape[1] != in_c:
-        raise ShapeError(f"input has {xb.shape[1]} channels, kernels expect {in_c}")
-    t = xb.shape[2]
+def conv1d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Cross-correlation, stride 1, zero 'same' padding, plus per-channel bias.
+
+    `kernels` is [out_channels x in_channels x kernel_len].
+    """
+    out_c, in_c, klen = kernels.shape
+    if x.shape[1] != in_c:
+        raise ShapeError(f"input has {x.shape[1]} channels, kernels expect {in_c}")
+    t = x.shape[2]
     if t < 1:
         raise ShapeError("input must have at least one time step")
-    xp = pad_same(xb, klen)
-    y = np.broadcast_to(params.bias[None, :, None], (xb.shape[0], out_c, t)).copy()
+    xp = pad_same(x, klen)
+    y = np.broadcast_to(bias[None, :, None], (x.shape[0], out_c, t)).copy()
     for k in range(klen):
-        y += params.kernels[:, :, k] @ xp[:, :, k:k + t]
-    return y[0] if squeeze else y
+        y += kernels[:, :, k] @ xp[:, :, k:k + t]
+    return y
 
 
 def conv1d_backward(
-    delta: np.ndarray, x: np.ndarray, params: ConvBlockParams
+    delta: np.ndarray, x: np.ndarray, kernels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (d_kernels, d_bias, d_input) for conv1d_forward.
 
-    `delta` and `x` are batched; `delta` must already carry any loss-mean
-    scaling.
+    `delta` must already carry any loss-mean scaling.
     """
-    out_c, in_c, klen = params.kernels.shape
+    klen = kernels.shape[2]
     t = x.shape[2]
     left, _ = _same_padding(klen)
     xp = pad_same(x, klen)
-    d_kernels = np.empty_like(params.kernels)
+    d_kernels = np.empty_like(kernels)
     for k in range(klen):
         d_kernels[:, :, k] = np.einsum("bot,bct->oc", delta, xp[:, :, k:k + t])
     d_bias = delta.sum(axis=(0, 2))
     d_xp = np.zeros_like(xp)
     for k in range(klen):
-        d_xp[:, :, k:k + t] += params.kernels[:, :, k].T @ delta
+        d_xp[:, :, k:k + t] += kernels[:, :, k].T @ delta
     return d_kernels, d_bias, d_xp[:, :, left:left + t]
 
 
@@ -134,17 +71,15 @@ def maxpool1d_with_argmax(
     """
     if pool_size <= 0:
         raise ValueError("pool_size must be positive")
-    xb, squeeze = _as_batch(x)
-    b, c, t = xb.shape
+    b, c, t = x.shape
     if t < 1:
         raise ShapeError("input must have at least one time step")
     n_out = -(-t // pool_size)
     padded = np.full((b, c, n_out * pool_size), -np.inf)
-    padded[:, :, :t] = xb
+    padded[:, :, :t] = x
     view = padded.reshape(b, c, n_out, pool_size)
     arg = view.argmax(axis=3)
-    out = np.take_along_axis(view, arg[..., None], axis=3)[..., 0]
-    return (out[0] if squeeze else out), arg
+    return np.take_along_axis(view, arg[..., None], axis=3)[..., 0], arg
 
 
 def maxpool1d_backward(
@@ -157,7 +92,14 @@ def maxpool1d_backward(
 
 
 def batchnorm_forward_with_cache(
-    x: np.ndarray, params: BatchNormParams, mode: str
+    x: np.ndarray,
+    gamma: np.ndarray,
+    beta: np.ndarray,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    epsilon: float,
+    momentum: float,
+    mode: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel normalization.
 
@@ -169,26 +111,21 @@ def batchnorm_forward_with_cache(
     """
     if mode not in ("train", "inference"):
         raise ValueError(f"mode must be 'train' or 'inference', got {mode!r}")
-    xb, squeeze = _as_batch(x)
-    c = params.gamma.shape[0]
-    if xb.shape[1] != c:
-        raise ShapeError(f"input has {xb.shape[1]} channels, batchnorm expects {c}")
+    c = gamma.shape[0]
+    if x.shape[1] != c:
+        raise ShapeError(f"input has {x.shape[1]} channels, batchnorm expects {c}")
     if mode == "train":
-        mean = xb.mean(axis=(0, 2))
-        var = xb.var(axis=(0, 2))
-        m = params.momentum
+        mean = x.mean(axis=(0, 2))
+        var = x.var(axis=(0, 2))
         # Written in place: a model's running statistics are views into its
         # parameter buffer, and rebinding would detach them from it.
-        params.running_mean[...] = (1 - m) * params.running_mean + m * mean
-        params.running_var[...] = (1 - m) * params.running_var + m * var
+        running_mean[...] = (1 - momentum) * running_mean + momentum * mean
+        running_var[...] = (1 - momentum) * running_var + momentum * var
     else:
-        mean = params.running_mean
-        var = params.running_var
-    xhat = (xb - mean[None, :, None]) / np.sqrt(var + params.epsilon)[None, :, None]
-    out = params.gamma[None, :, None] * xhat + params.beta[None, :, None]
-    if squeeze:
-        return out[0], xhat[0]
-    return out, xhat
+        mean = running_mean
+        var = running_var
+    xhat = (x - mean[None, :, None]) / np.sqrt(var + epsilon)[None, :, None]
+    return gamma[None, :, None] * xhat + beta[None, :, None], xhat
 
 
 def batchnorm_param_grads(
@@ -206,19 +143,20 @@ def relu_backward(delta: np.ndarray, pre_activation: np.ndarray) -> np.ndarray:
     return delta * (pre_activation > 0)
 
 
-def dense_forward(x: np.ndarray, params: DenseParams) -> np.ndarray:
-    if x.shape[-1] != params.weights.shape[1]:
+def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """x @ weights.T + bias, with `weights` [out x in]."""
+    if x.shape[-1] != weights.shape[1]:
         raise ShapeError(
             f"input width {x.shape[-1]} does not match dense layer "
-            f"input {params.weights.shape[1]}"
+            f"input {weights.shape[1]}"
         )
-    return x @ params.weights.T + params.bias
+    return x @ weights.T + bias
 
 
 def dense_backward(
-    delta: np.ndarray, x: np.ndarray, params: DenseParams
+    delta: np.ndarray, x: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return delta.T @ x, delta.sum(axis=0), delta @ params.weights
+    return delta.T @ x, delta.sum(axis=0), delta @ weights
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

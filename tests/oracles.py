@@ -133,3 +133,10 @@ def cross_entropy(xs: np.ndarray, ys: np.ndarray, params) -> float:
         z = params.W @ x + params.b
         total += np.log(np.exp(z - z.max()).sum()) + z.max() - z[int(y)]
     return float(total / len(ys))
+
+
+def parameters(model) -> list[tuple[str, np.ndarray]]:
+    """A sensor model's trainable arrays (views into its buffer), in buffer
+    order: every named view except batchnorm's running statistics."""
+    return [(name, view) for name, view in model.params.items()
+            if not name.startswith("batchnorm.running")]

@@ -20,6 +20,7 @@ from oracles import (
     conv1d_naive,
     label_code_reference,
     maxpool1d_naive,
+    parameters,
 )
 from preictal.bansim import (
     LinkModel,
@@ -44,8 +45,8 @@ from preictal.dataset import (
 )
 from preictal.evaluation import collapse_binary, run_cross_validation
 from preictal.nn import FocalLossConfig, build_model, focal_loss_batch, model_forward
-from preictal.nn.model import backward_batch, parameters
-from preictal.nn.ops import ConvBlockParams, conv1d_forward, maxpool1d_with_argmax, softmax
+from preictal.nn.model import backward_batch
+from preictal.nn.ops import conv1d_forward, maxpool1d_with_argmax, softmax
 from preictal.nn.train import stack_windows
 
 VARIANTS = ("eeg", "ecg", "combined")
@@ -123,7 +124,7 @@ def test_criterion_03_oracle_equivalence():
         x = rng.integers(-8, 9, size=(b, c, t)).astype(float)
         kernels = rng.integers(-4, 5, size=(c, c, k)).astype(float)
         bias = rng.integers(-4, 5, size=c).astype(float)
-        got = conv1d_forward(x, ConvBlockParams(kernels, bias, pool_size=2))
+        got = conv1d_forward(x, kernels, bias)
         conv_exact += int(np.array_equal(got, conv1d_naive(x, kernels, bias)))
 
     pool_exact = 0

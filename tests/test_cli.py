@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -171,6 +172,24 @@ class TestTrain:
                      "--out", str(work / "never5")]) == 1
         assert "p99" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        pytest.param(None, id="truncated"),
+        pytest.param("{}", id="no-patients"),
+        pytest.param('{"patients": [{"id": "p00", "ecg": "p00_ecg.json"}]}',
+                     id="no-eeg"),
+        pytest.param('{"patients": [{"id": "p00", "eeg": "p00_eeg.json"}]}',
+                     id="no-ecg"),
+    ])
+    def test_malformed_dataset_index_is_named(self, tmp_path, config_path,
+                                              dataset_dir, capsys, text):
+        index = tmp_path / "dataset.json"
+        if text is None:  # cut mid-key, as an interrupted write leaves it
+            text = (dataset_dir / "dataset.json").read_text()[:16]
+        index.write_text(text)
+        assert main(["train", "--config", str(config_path),
+                     "--data", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+        assert str(index) in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # cross-validate
@@ -330,3 +349,36 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+# ---------------------------------------------------------------------------
+# whole pipeline
+
+
+def _run_pipeline(root, config_path):
+    """gen-data, train, cross-validate and simulate --all-windows under
+    `root`; returns {relative path: sha256} of every file written."""
+    data, models = root / "data", root / "models"
+    for argv in (["gen-data", "--out", data],
+                 ["train", "--data", data, "--out", models],
+                 ["cross-validate", "--data", data, "--out", root / "cv"],
+                 ["simulate", "--data", data, "--models", models,
+                  "--all-windows", "--out", root / "sim"]):
+        assert main([*map(str, argv), "--config", str(config_path)]) == 0
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestRerun:
+    def test_every_artifact_is_byte_identical(self, tmp_path, config_path):
+        first = _run_pipeline(tmp_path / "a", config_path)
+        second = _run_pipeline(tmp_path / "b", config_path)
+        for name in ("data/p00_eeg.f64", "models/eeg_model.bin",
+                     "models/ecg_model.bin", "models/combiner.json",
+                     "models/eeg_train.csv", "models/holdout.json",
+                     "cv/report.json", "cv/confusion.csv",
+                     "cv/models/p00_fold4_ecg.bin",
+                     "cv/models/p00_fold4_combiner.json",
+                     "sim/trace.jsonl", "sim/latency.json"):
+            assert name in first, name
+        assert first == second

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,3 +259,14 @@ class TestCombinerFiles:
         payload = json.loads(path.read_text())
         assert set(payload) == {"W", "b"}
         assert len(payload["W"]) == 5 and len(payload["W"][0]) == 10
+
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"W": [[0.0, 0.0', id="invalid-json"),
+        pytest.param("{}", id="no-weights"),
+        pytest.param('{"W": [[0.0, 0.0]], "b": [0, 0, 0, 0, 0]}', id="1x2-W"),
+    ])
+    def test_malformed_file_names_its_path(self, tmp_path, text):
+        path = tmp_path / "combiner.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_combiner(path)

@@ -277,8 +277,8 @@ class TestRunCrossValidation:
                                               f2.variants[v].confusion.counts)
             np.testing.assert_array_equal(f1.combiner_params.W,
                                           f2.combiner_params.W)
-            np.testing.assert_array_equal(
-                f1.eeg_model.dense[0].weights, f2.eeg_model.dense[0].weights)
+            np.testing.assert_array_equal(f1.eeg_model.params["dense.0.weights"],
+                                          f2.eeg_model.params["dense.0.weights"])
 
         # Folds' test sets partition all windows exactly once.
         from preictal.dataset import segment

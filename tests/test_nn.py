@@ -1,11 +1,20 @@
+import dataclasses
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import central_difference, conv1d_naive, focal_reference, maxpool1d_naive
+from oracles import (
+    central_difference,
+    conv1d_naive,
+    focal_reference,
+    maxpool1d_naive,
+    parameters,
+)
 from preictal.dataset import Sensor
 from preictal.errors import ShapeError
 from preictal.nn import (
@@ -23,11 +32,8 @@ from preictal.nn import (
     train,
 )
 from preictal.nn.losses import focal_grad_wrt_logits
-from preictal.nn.model import backward_batch, parameters
+from preictal.nn.model import SPEC_FIELDS, backward_batch
 from preictal.nn.ops import (
-    BatchNormParams,
-    ConvBlockParams,
-    DenseParams,
     batchnorm_forward_with_cache,
     conv1d_forward,
     dense_forward,
@@ -48,8 +54,13 @@ def maxpool1d(x, pool_size):
     return maxpool1d_with_argmax(x, pool_size)[0]
 
 
-def batchnorm_forward(x, params, mode):
-    return batchnorm_forward_with_cache(x, params, mode)[0]
+def bn_arrays(channels, gamma=1.0, beta=0.0, mean=0.0, var=1.0):
+    """Fresh (gamma, beta, running_mean, running_var) arrays."""
+    return tuple(np.full(channels, v) for v in (gamma, beta, mean, var))
+
+
+def batchnorm_forward(x, arrays, mode, epsilon=1e-5, momentum=0.1):
+    return batchnorm_forward_with_cache(x, *arrays, epsilon, momentum, mode)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +71,9 @@ class TestConv1d:
     def test_hand_example(self):
         # x = [1 2 3 4], kernel [1 0 -1], bias 0.5, same padding:
         # padded [0 1 2 3 4 0] -> correlations [-2 -2 -2 3] + 0.5.
-        x = np.array([[1.0, 2.0, 3.0, 4.0]])
-        params = ConvBlockParams(kernels=np.array([[[1.0, 0.0, -1.0]]]),
-                                 bias=np.array([0.5]), pool_size=2)
-        out = conv1d_forward(x, params)
-        np.testing.assert_array_equal(out, [[-1.5, -1.5, -1.5, 3.5]])
+        x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
+        out = conv1d_forward(x, np.array([[[1.0, 0.0, -1.0]]]), np.array([0.5]))
+        np.testing.assert_array_equal(out, [[[-1.5, -1.5, -1.5, 3.5]]])
 
     def test_matches_naive_oracle_exactly(self):
         # Integer-valued inputs keep every partial product exactly
@@ -77,24 +86,12 @@ class TestConv1d:
             x = rng.integers(-8, 9, size=(b, c, t)).astype(float)
             kernels = rng.integers(-4, 5, size=(c, c, k)).astype(float)
             bias = rng.integers(-4, 5, size=c).astype(float)
-            params = ConvBlockParams(kernels=kernels, bias=bias, pool_size=2)
-            np.testing.assert_array_equal(conv1d_forward(x, params),
+            np.testing.assert_array_equal(conv1d_forward(x, kernels, bias),
                                           conv1d_naive(x, kernels, bias))
 
-    def test_single_window_and_batch_agree(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((3, 2, 20))
-        params = ConvBlockParams(kernels=rng.standard_normal((2, 2, 5)),
-                                 bias=rng.standard_normal(2), pool_size=2)
-        batched = conv1d_forward(x, params)
-        for i in range(3):
-            np.testing.assert_array_equal(conv1d_forward(x[i], params), batched[i])
-
     def test_channel_mismatch_rejected(self):
-        params = ConvBlockParams(kernels=np.zeros((2, 2, 3)),
-                                 bias=np.zeros(2), pool_size=2)
         with pytest.raises(ShapeError):
-            conv1d_forward(np.zeros((3, 10)), params)
+            conv1d_forward(np.zeros((1, 3, 10)), np.zeros((2, 2, 3)), np.zeros(2))
 
     def test_input_shorter_than_kernel_still_works(self):
         # Deep pooling stacks shrink the signal below the kernel length; with
@@ -102,21 +99,9 @@ class TestConv1d:
         rng = np.random.default_rng(13)
         x = rng.integers(-5, 6, size=(2, 1, 2)).astype(float)
         kernels = rng.integers(-3, 4, size=(1, 1, 5)).astype(float)
-        params = ConvBlockParams(kernels=kernels, bias=np.zeros(1), pool_size=2)
-        out = conv1d_forward(x, params)
+        out = conv1d_forward(x, kernels, np.zeros(1))
         assert out.shape == (2, 1, 2)
         np.testing.assert_array_equal(out, conv1d_naive(x, kernels, np.zeros(1)))
-
-    def test_block_params_validation(self):
-        with pytest.raises(ValueError):
-            ConvBlockParams(kernels=np.zeros((2, 3, 5)), bias=np.zeros(2),
-                            pool_size=2)  # out != in
-        with pytest.raises(ShapeError):
-            ConvBlockParams(kernels=np.zeros((2, 2, 5)), bias=np.zeros(3),
-                            pool_size=2)
-        with pytest.raises(ValueError):
-            ConvBlockParams(kernels=np.zeros((2, 2, 5)), bias=np.zeros(2),
-                            pool_size=0)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +110,8 @@ class TestConv1d:
 
 class TestMaxPool:
     def test_hand_example_with_partial_tail(self):
-        x = np.array([[5.0, 1.0, 4.0, 4.0, 2.0]])
-        np.testing.assert_array_equal(maxpool1d(x, 2), [[5.0, 4.0, 2.0]])
+        x = np.array([[[5.0, 1.0, 4.0, 4.0, 2.0]]])
+        np.testing.assert_array_equal(maxpool1d(x, 2), [[[5.0, 4.0, 2.0]]])
 
     def test_matches_naive_oracle_exactly(self):
         rng = np.random.default_rng(2)
@@ -163,54 +148,40 @@ class TestMaxPool:
 
 class TestBatchNorm:
     def test_train_mode_normalizes_batch(self):
-        params = BatchNormParams(gamma=np.ones(1), beta=np.zeros(1),
-                                 running_mean=np.zeros(1), running_var=np.ones(1),
-                                 epsilon=1e-12)
         x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
-        out = batchnorm_forward(x, params, "train")
+        out = batchnorm_forward(x, bn_arrays(1), "train", epsilon=1e-12)
         expected = (x - 2.5) / np.sqrt(1.25 + 1e-12)
         np.testing.assert_allclose(out, expected, atol=1e-9)
         assert abs(out.mean()) < 1e-9
         np.testing.assert_allclose(out.std(), 1.0, atol=1e-6)
 
     def test_running_statistics_update(self):
-        params = BatchNormParams(gamma=np.ones(1), beta=np.zeros(1),
-                                 running_mean=np.zeros(1), running_var=np.ones(1),
-                                 momentum=0.1)
+        arrays = bn_arrays(1)
         x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
-        batchnorm_forward(x, params, "train")
-        np.testing.assert_allclose(params.running_mean, [0.9 * 0.0 + 0.1 * 2.5])
-        np.testing.assert_allclose(params.running_var, [0.9 * 1.0 + 0.1 * 1.25])
+        batchnorm_forward(x, arrays, "train", momentum=0.1)
+        np.testing.assert_allclose(arrays[2], [0.9 * 0.0 + 0.1 * 2.5])
+        np.testing.assert_allclose(arrays[3], [0.9 * 1.0 + 0.1 * 1.25])
 
     def test_inference_mode_is_pure_and_uses_running_stats(self):
-        params = BatchNormParams(gamma=np.array([2.0]), beta=np.array([1.0]),
-                                 running_mean=np.array([3.0]),
-                                 running_var=np.array([4.0]), epsilon=1e-12)
+        arrays = bn_arrays(1, gamma=2.0, beta=1.0, mean=3.0, var=4.0)
         x = np.array([[[3.0, 5.0]]])
-        out = batchnorm_forward(x, params, "inference")
+        out = batchnorm_forward(x, arrays, "inference", epsilon=1e-12)
         np.testing.assert_allclose(out, [[[1.0, 3.0]]], atol=1e-9)
-        np.testing.assert_array_equal(params.running_mean, [3.0])
-        np.testing.assert_array_equal(params.running_var, [4.0])
+        np.testing.assert_array_equal(arrays[2], [3.0])
+        np.testing.assert_array_equal(arrays[3], [4.0])
 
     def test_gamma_beta_applied(self):
-        params = BatchNormParams(gamma=np.array([3.0]), beta=np.array([-1.0]),
-                                 running_mean=np.zeros(1), running_var=np.ones(1),
-                                 epsilon=1e-12)
         x = np.array([[[1.0, -1.0]]])
-        out, xhat = batchnorm_forward_with_cache(x, params, "train")
+        out, xhat = batchnorm_forward_with_cache(
+            x, *bn_arrays(1, gamma=3.0, beta=-1.0), 1e-12, 0.1, "train")
         np.testing.assert_allclose(out, 3.0 * xhat - 1.0)
 
     def test_mode_and_shape_validation(self):
-        params = BatchNormParams(gamma=np.ones(2), beta=np.zeros(2),
-                                 running_mean=np.zeros(2), running_var=np.ones(2))
+        arrays = bn_arrays(2)
         with pytest.raises(ValueError):
-            batchnorm_forward(np.zeros((2, 4)), params, "eval")
+            batchnorm_forward(np.zeros((1, 2, 4)), arrays, "eval")
         with pytest.raises(ShapeError):
-            batchnorm_forward(np.zeros((3, 4)), params, "train")
-        with pytest.raises(ValueError):
-            BatchNormParams(gamma=np.ones(1), beta=np.zeros(1),
-                            running_mean=np.zeros(1), running_var=np.ones(1),
-                            momentum=1.5)
+            batchnorm_forward(np.zeros((1, 3, 4)), arrays, "train")
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +190,14 @@ class TestBatchNorm:
 
 class TestDenseAndSoftmax:
     def test_dense_example(self):
-        params = DenseParams(weights=np.array([[1.0, 2.0], [0.0, -1.0]]),
-                             bias=np.array([0.5, 0.0]))
-        np.testing.assert_array_equal(dense_forward(np.array([3.0, 4.0]), params),
-                                      [11.5, -4.0])
+        weights = np.array([[1.0, 2.0], [0.0, -1.0]])
+        np.testing.assert_array_equal(
+            dense_forward(np.array([3.0, 4.0]), weights, np.array([0.5, 0.0])),
+            [11.5, -4.0])
 
     def test_dense_width_mismatch(self):
-        params = DenseParams(weights=np.zeros((2, 3)), bias=np.zeros(2))
         with pytest.raises(ShapeError):
-            dense_forward(np.zeros(4), params)
+            dense_forward(np.zeros(4), np.zeros((2, 3)), np.zeros(2))
 
     def test_relu(self):
         np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])),
@@ -353,10 +323,10 @@ class TestModel:
     def test_conv_stack_output_widths(self):
         # pool 4 halves 320 -> 80 -> 20 -> 5 -> 2 by ceiling division.
         eeg = build_model(Sensor.EEG, 4, 320, pool_size=4)
-        assert eeg.dense[0].weights.shape == (64, 4 * 2)
+        assert eeg.params["dense.0.weights"].shape == (64, 4 * 2)
         ecg = build_model(Sensor.ECG, 1, 320, pool_size=2)
-        assert ecg.dense[0].weights.shape == (64, 1 * 20)
-        assert eeg.dense[-1].weights.shape[0] == 5
+        assert ecg.params["dense.0.weights"].shape == (64, 1 * 20)
+        assert eeg.params["dense.2.weights"].shape[0] == 5
 
     def test_forward_shapes_and_normalization(self):
         model = _tiny_model()
@@ -378,9 +348,10 @@ class TestModel:
 
     def test_initial_blocks_are_near_identity(self):
         model = _tiny_model()
-        for blk in model.blocks:
-            center = (blk.kernels.shape[2] - 1) // 2
-            diag = blk.kernels[:, :, center]
+        for i in range(4):
+            kernels = model.params[f"blocks.{i}.kernels"]
+            center = (kernels.shape[2] - 1) // 2
+            diag = kernels[:, :, center]
             assert np.all(np.abs(np.diag(diag) - 1.0) < 1.0)
 
     def test_wrong_window_shape_rejected(self):
@@ -421,9 +392,10 @@ class TestModel:
         views = model.views(model.buffer)
         for n, v in values.items():
             np.testing.assert_array_equal(views[n], v)
-        np.testing.assert_array_equal(model.dense[2].bias, values["dense.2.bias"])
+        np.testing.assert_array_equal(model.params["dense.2.bias"],
+                                      values["dense.2.bias"])
         model.buffer[:] = 0.0
-        assert not np.any(model.blocks[0].kernels)
+        assert not np.any(model.params["blocks.0.kernels"])
 
     def test_buffer_layout_matches_blob_order(self):
         model = _tiny_model(seed=2)
@@ -441,14 +413,19 @@ class TestModel:
                                       ["batchnorm.running_mean"], [0.1, 0.1])
 
     def test_structure_validation(self):
+        # The spec fixes every shape; what can still be wrong is its values.
         model = _tiny_model()
+        spec = {name: getattr(model, name) for name in SPEC_FIELDS}
+        assert SensorModel(**spec).shapes == model.shapes
+        for bad in ({"pool_sizes": (2, 2, 2)}, {"pool_sizes": (2, 2, 0, 2)},
+                    {"bn_momentum": 1.5}, {"bn_momentum": 0.0},
+                    {"bn_epsilon": 0.0}, {"hidden": (4,)}, {"in_channels": 0}):
+            with pytest.raises(ValueError):
+                SensorModel(**{**spec, **bad})
         with pytest.raises(ValueError):
-            SensorModel(Sensor.EEG, model.batchnorm, model.blocks[:3],
-                        model.dense, 16)
-        with pytest.raises(ShapeError):
-            bad_dense = [model.dense[0], model.dense[1],
-                         DenseParams(np.zeros((4, 3)), np.zeros(4))]
-            SensorModel(Sensor.EEG, model.batchnorm, model.blocks, bad_dense, 16)
+            build_model(Sensor.EEG, 2, 16, pool_size=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.in_channels = 3
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +435,8 @@ class TestModel:
 class TestModelFiles:
     def test_roundtrip_bit_exact(self, tmp_path):
         model = _tiny_model(seed=5)
-        model.batchnorm.running_mean += 0.25  # non-default state must survive
+        # Non-default running statistics must survive.
+        model.params["batchnorm.running_mean"] += 0.25
         path = tmp_path / "m.bin"
         save_model(model, path)
         back = load_model(path)
@@ -467,10 +445,8 @@ class TestModelFiles:
         for (na, a), (nb, b) in zip(parameters(model), parameters(back)):
             assert na == nb
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(back.batchnorm.running_mean,
-                                      model.batchnorm.running_mean)
-        np.testing.assert_array_equal(back.batchnorm.running_var,
-                                      model.batchnorm.running_var)
+        for name in ("batchnorm.running_mean", "batchnorm.running_var"):
+            np.testing.assert_array_equal(back.params[name], model.params[name])
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         model = _tiny_model(seed=6)
@@ -512,6 +488,29 @@ class TestModelFiles:
         raw = path.read_bytes()
         cut = data.draw(st.one_of(st.integers(0, 48), st.integers(0, len(raw) - 1)))
         path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: h.pop("in_channels"), id="missing-key"),
+        pytest.param(lambda h: h.update(kernel_len="3"), id="wrong-type"),
+        pytest.param(lambda h: h.update(hidden=4), id="wrong-type-list"),
+        pytest.param(lambda h: h.update(sensor="EMG"), id="unknown-sensor"),
+        pytest.param(lambda h: h.update(pool_sizes=[2, 2, 2]), id="three-pools"),
+        pytest.param(lambda h: h.update(pool_sizes=[2, 2, 0, 2]), id="zero-pool"),
+        pytest.param(lambda h: h.update(bn_momentum=2.0), id="momentum-range"),
+        pytest.param(lambda h: h.update(bn_epsilon=-1e-5), id="epsilon-range"),
+    ])
+    def test_bad_header_names_its_path(self, tmp_path, edit):
+        path = tmp_path / "m.bin"
+        save_model(_tiny_model(), path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 4)
+        header = json.loads(raw[8:8 + hlen])
+        edit(header)
+        text = json.dumps(header).encode()
+        path.write_bytes(raw[:4] + struct.pack("<I", len(text)) + text
+                         + raw[8 + hlen:])
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_model(path)
 
