@@ -1,8 +1,8 @@
 """Command-line driver: gen-data, train, cross-validate, simulate, report.
 
-Every command takes --config (JSON overrides), --seed (overrides the config
-seed), and --out; the fully resolved config is echoed into the output
-directory, and all outputs are deterministic functions of it.
+Every command but report takes --config (JSON overrides), --seed (overrides
+the config seed), and --out; the fully resolved config is echoed into the
+output directory, and all outputs are deterministic functions of it.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bansim import latency_report, run_simulation, write_trace_jsonl
 from .combiner import load_combiner, save_combiner
 from .config import ExperimentConfig, load_config, write_config
@@ -25,12 +23,14 @@ from .dataset import Recording, kfold_split, load_recording, save_recording, syn
 # preictal.cli, so the name must stay importable here.
 from .dataset import segment  # noqa: F401
 from .evaluation import (
+    RATES,
     TREND_ORDER,
     VARIANTS,
-    CrossValidationReport,
-    VariantResult,
+    PatientResult,
     _predictions,
+    binary_metrics,
     paired_windows,
+    report_document,
     run_cross_validation,
     run_patient_fold,
 )
@@ -59,17 +59,23 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _read_json(path: Path, what: str, extract):
+    """`extract` applied to the file's JSON; ValueError naming the file if it
+    does not parse or lacks what `extract` reads."""
+    try:
+        return extract(json.loads(path.read_text()))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not {what} "
+                         f"({type(exc).__name__}: {exc})") from exc
+
+
 def _load_dataset(data_dir: Path | str) -> list[tuple[Recording, Recording]]:
     index_path = Path(data_dir) / DATASET_INDEX
     if not index_path.exists():
         raise FileNotFoundError(f"expected dataset index at {index_path}; "
                                 f"run gen-data first")
-    try:
-        index = json.loads(index_path.read_text())
-        files = [(entry["eeg"], entry["ecg"]) for entry in index["patients"]]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"{index_path} is not a dataset index "
-                         f"({type(exc).__name__}: {exc})") from exc
+    files = _read_json(index_path, "a dataset index", lambda index: [
+        (entry["eeg"], entry["ecg"]) for entry in index["patients"]])
     return [(load_recording(index_path.parent / eeg),
              load_recording(index_path.parent / ecg)) for eeg, ecg in files]
 
@@ -90,90 +96,39 @@ def _fnum(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Report serialization
+# Report files
 
 
-def _binary_payload(b) -> dict:
-    return {"tp": b.tp, "fp": b.fp, "tn": b.tn, "fn": b.fn,
-            "sensitivity": b.sensitivity, "specificity": b.specificity,
-            "accuracy": b.accuracy}
-
-
-def _trend_payload(t) -> dict:
-    return {cls.name.lower(): t.accuracy[cls] for cls in TREND_ORDER}
-
-
-def _variant_payload(v: VariantResult) -> dict:
-    return {"confusion": v.confusion.counts.tolist(),
-            "binary": _binary_payload(v.binary),
-            "trend": _trend_payload(v.trend)}
-
-
-def _nan_to_none(matrix: np.ndarray) -> list:
-    return [[None if np.isnan(x) else float(x) for x in row] for row in matrix]
-
-
-def _report_payload(report: CrossValidationReport) -> dict:
-    payload = {"patients": {}, "aggregate": {}}
-    for pr in report.patients:
-        payload["patients"][pr.patient_id] = {
-            "folds": {
-                str(fr.fold_index): {
-                    name: _variant_payload(fr.variants[name]) for name in VARIANTS
-                }
-                for fr in pr.folds
-            }
-        }
-    for name in VARIANTS:
-        conf, binary, trend = report.aggregate_variant(name)
-        payload["aggregate"][name] = {
-            "confusion_normalized": _nan_to_none(conf),
-            "binary": {"sensitivity": binary.sensitivity,
-                       "specificity": binary.specificity,
-                       "accuracy": binary.accuracy,
-                       "n": binary.n},
-            "trend": _trend_payload(trend),
-        }
-    return payload
-
-
-def _write_report_files(report: CrossValidationReport, out: Path) -> None:
-    payload = _report_payload(report)
-    (out / "report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    with open(out / "confusion.csv", "w", newline="") as fh:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["patient", "fold", "variant", "row", "col", "count"])
-        for pr in report.patients:
-            for fr in pr.folds:
-                for name in VARIANTS:
-                    counts = fr.variants[name].confusion.counts
-                    for r in range(counts.shape[0]):
-                        for c in range(counts.shape[1]):
-                            writer.writerow([pr.patient_id, fr.fold_index,
-                                             name, r, c, counts[r, c]])
+        writer.writerow(header)
+        writer.writerows(rows)
 
-    with open(out / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient", "fold", "variant",
-                         "sensitivity", "specificity", "accuracy"])
-        for pr in report.patients:
-            for fr in pr.folds:
-                for name in VARIANTS:
-                    b = fr.variants[name].binary
-                    writer.writerow([pr.patient_id, fr.fold_index, name,
-                                     _fnum(b.sensitivity), _fnum(b.specificity),
-                                     _fnum(b.accuracy)])
 
-    with open(out / "trend.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "bin", "accuracy"])
-        for name in VARIANTS:
-            trend = payload["aggregate"][name]["trend"]
-            for cls in TREND_ORDER:
-                writer.writerow([name, cls.name.lower(),
-                                 _fnum(trend[cls.name.lower()])])
+def _write_report_files(patients: list[PatientResult], out: Path) -> dict:
+    """Write report.json and the three CSVs walked from it; returns the
+    document."""
+    doc = report_document(patients)
+    (out / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    folds = [(pid, fold, name, scores)
+             for pid, patient in doc["patients"].items()
+             for fold, variants in patient["folds"].items()
+             for name, scores in variants.items()]
+    _write_csv(out / "confusion.csv",
+               ["patient", "fold", "variant", "row", "col", "count"],
+               ([pid, fold, name, r, c, count]
+                for pid, fold, name, scores in folds
+                for r, row in enumerate(scores["confusion"])
+                for c, count in enumerate(row)))
+    _write_csv(out / "metrics.csv", ["patient", "fold", "variant", *RATES],
+               ([pid, fold, name, *(_fnum(scores["binary"][k]) for k in RATES)]
+                for pid, fold, name, scores in folds))
+    _write_csv(out / "trend.csv", ["variant", "bin", "accuracy"],
+               ([name, key, _fnum(value)]
+                for name in VARIANTS
+                for key, value in doc["aggregate"][name]["trend"].items()))
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +176,7 @@ def cmd_train(args) -> int:
     (out / "holdout.json").write_text(json.dumps(
         {"patient": pid, "window_ids": split.test_ids}, sort_keys=True) + "\n")
     for name in VARIANTS:
-        b = result.variants[name].binary
+        b = binary_metrics(result.confusion[name])
         print(f"  {name:>8}: sensitivity={_fnum(b.sensitivity)} "
               f"specificity={_fnum(b.specificity)} accuracy={_fnum(b.accuracy)} "
               f"on the held-out fold")
@@ -233,11 +188,11 @@ def cmd_cross_validate(args) -> int:
     out = _out_dir(args)
     write_config(cfg, out / "config.json")
     pairs = _load_dataset(args.data)
-    report = run_cross_validation(pairs, cfg)
-    _write_report_files(report, out)
+    patients = run_cross_validation(pairs, cfg)
+    doc = _write_report_files(patients, out)
     models_dir = out / "models"
     models_dir.mkdir(exist_ok=True)
-    for pr in report.patients:
+    for pr in patients:
         for fr in pr.folds:
             stem = f"{pr.patient_id}_fold{fr.fold_index}"
             save_model(fr.eeg_model, models_dir / f"{stem}_eeg.bin")
@@ -246,10 +201,10 @@ def cmd_cross_validate(args) -> int:
             write_train_report(fr.eeg_report, models_dir / f"{stem}_eeg_train.csv")
             write_train_report(fr.ecg_report, models_dir / f"{stem}_ecg_train.csv")
     for name in VARIANTS:
-        _, binary, _ = report.aggregate_variant(name)
-        print(f"{name:>8}: sensitivity={_fnum(binary.sensitivity)} "
-              f"specificity={_fnum(binary.specificity)} "
-              f"accuracy={_fnum(binary.accuracy)}")
+        b = doc["aggregate"][name]["binary"]
+        print(f"{name:>8}: sensitivity={_fnum(b['sensitivity'])} "
+              f"specificity={_fnum(b['specificity'])} "
+              f"accuracy={_fnum(b['accuracy'])}")
     print(f"report written to {out / 'report.json'}")
     return 0
 
@@ -268,13 +223,17 @@ def cmd_simulate(args) -> int:
     combiner_params = load_combiner(paths["combiner"])
 
     holdout_path = model_dir / "holdout.json"
-    holdout = json.loads(holdout_path.read_text()) if holdout_path.exists() else None
-    patient = args.patient or (holdout["patient"] if holdout else None)
-    eeg_rec, ecg_rec = _pick_patient(_load_dataset(args.data), patient)
+    held_patient, held_ids = None, []
+    if holdout_path.exists():
+        held_patient, held_ids = _read_json(
+            holdout_path, "a held-out window list",
+            lambda h: (h["patient"], sorted(h["window_ids"])))
+    eeg_rec, ecg_rec = _pick_patient(_load_dataset(args.data),
+                                     args.patient or held_patient)
     eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
     ids = sorted(eeg_w)
-    if holdout and holdout["patient"] == eeg_rec.patient_id and not args.all_windows:
-        ids = [i for i in sorted(holdout["window_ids"]) if i in eeg_w]
+    if held_patient == eeg_rec.patient_id and not args.all_windows:
+        ids = [i for i in held_ids if i in eeg_w]
     pairs = [(eeg_w[i], ecg_w[i]) for i in ids]
 
     trace = run_simulation(cfg.sim, eeg_model, ecg_model, combiner_params, pairs)
@@ -298,22 +257,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    report_path = Path(args.report_dir) / "report.json"
-    if not report_path.exists():
-        raise FileNotFoundError(f"expected cross-validation report at {report_path}")
-    payload = json.loads(report_path.read_text())
+def _summary_lines(doc: dict) -> list[str]:
     lines = []
     for name in VARIANTS:
-        agg = payload["aggregate"][name]
+        agg = doc["aggregate"][name]
         b = agg["binary"]
         lines.append(f"{name}: sensitivity={b['sensitivity']} "
                      f"specificity={b['specificity']} accuracy={b['accuracy']}")
         trend = agg["trend"]
         order = [cls.name.lower() for cls in TREND_ORDER]
-        lines.append("  trend " + " -> ".join(
-            f"{k}={trend[k]}" for k in order))
-    text = "\n".join(lines)
+        lines.append("  trend " + " -> ".join(f"{k}={trend[k]}" for k in order))
+    return lines
+
+
+def cmd_report(args) -> int:
+    report_path = Path(args.report_dir) / "report.json"
+    if not report_path.exists():
+        raise FileNotFoundError(f"expected cross-validation report at {report_path}")
+    text = "\n".join(_read_json(report_path, "a cross-validation report",
+                                _summary_lines))
     print(text)
     if args.out:
         out = _out_dir(args)
@@ -370,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "summary")
     p.add_argument("--report-dir", required=True,
                    help="directory from cross-validate")
-    p.add_argument("--config", help=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out", help="also write summary.txt here")
     p.set_defaults(func=cmd_report)
 

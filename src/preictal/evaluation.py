@@ -1,16 +1,20 @@
-"""Evaluation artifacts: confusion matrices, binary collapse at the 60-minute
-boundary, per-bin accuracy trend, and patient/fold aggregation.
+"""Evaluation: one 5x5 confusion count matrix per variant and fold is the
+whole of a fold's score; everything reported is derived from it.
 
-The binary view calls everything under 60 minutes to onset pre-seizure
-(classes 0-3) and the interictal class non-seizure.  Undefined ratios (empty
-denominators) are reported as None/NaN and excluded from averages, never
-silently zeroed.
+Rows are true classes, columns predictions.  The binary view calls
+everything under 60 minutes to onset pre-seizure (classes 0-3) and the
+interictal class non-seizure, so its four counts are block sums of the
+matrix; the trend is each pre-seizure row's share of pre-seizure calls.
+Averaging is unweighted at both levels, folds into a patient and then
+patients into the aggregate, so patients weigh equally whatever their fold
+counts.  Undefined ratios (empty denominators) are reported as None/NaN and
+excluded from averages, never silently zeroed.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,31 +42,8 @@ TREND_ORDER = (
     LabelClass.PRE_0_15,
 )
 VARIANTS = ("eeg", "ecg", "combined")
-
-
-@dataclass
-class ConfusionMatrix:
-    """5x5 counts; rows are true classes, columns predictions."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=int)
-        if self.counts.shape != (N_CLASSES, N_CLASSES):
-            raise ValueError(f"counts must be {N_CLASSES}x{N_CLASSES}")
-        if (self.counts < 0).any():
-            raise ValueError("counts must be non-negative")
-
-    def normalized(self) -> np.ndarray:
-        """Row-normalized matrix; rows with no samples become NaN."""
-        totals = self.counts.sum(axis=1, keepdims=True).astype(float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = self.counts / totals
-        out[totals[:, 0] == 0, :] = np.nan
-        return out
-
-    def accuracy(self) -> float:
-        return float(np.trace(self.counts) / self.counts.sum())
+RATES = ("sensitivity", "specificity", "accuracy")
+INTERICTAL = int(LabelClass.INTERICTAL)  # classes below it are pre-seizure
 
 
 @dataclass
@@ -76,69 +57,66 @@ class BinaryMetrics:
     accuracy: Optional[float]
 
 
-@dataclass
-class TrendReport:
-    """Binary recall per pre-seizure bin, farthest from onset first."""
-
-    accuracy: dict[LabelClass, Optional[float]]
-
-    def values(self) -> list[Optional[float]]:
-        return [self.accuracy[c] for c in TREND_ORDER]
+def _ratio(num: int, den: int) -> Optional[float]:
+    return num / den if den else None
 
 
-def _check_pairs(preds: Sequence, labels: Sequence) -> None:
+def confusion(preds: Sequence[int], labels: Sequence[int]) -> np.ndarray:
+    """5x5 counts; rows are true classes, columns predictions."""
     if len(preds) != len(labels):
         raise ValueError(f"got {len(preds)} predictions for {len(labels)} labels")
     if len(preds) == 0:
         raise ValueError("need at least one (prediction, label) pair")
+    cells = np.asarray(labels, dtype=int) * N_CLASSES + np.asarray(preds, dtype=int)
+    return np.bincount(cells, minlength=N_CLASSES * N_CLASSES).reshape(
+        N_CLASSES, N_CLASSES)
 
 
-def confusion(preds: Sequence[LabelClass], labels: Sequence[LabelClass]) -> ConfusionMatrix:
-    _check_pairs(preds, labels)
-    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=int)
-    for p, t in zip(preds, labels):
-        counts[int(t), int(p)] += 1
-    return ConfusionMatrix(counts)
+def binary_metrics(counts: np.ndarray) -> BinaryMetrics:
+    """The binary view of a count matrix: its four blocks."""
+    tp = int(counts[:INTERICTAL, :INTERICTAL].sum())
+    fn = int(counts[:INTERICTAL, INTERICTAL:].sum())
+    fp = int(counts[INTERICTAL:, :INTERICTAL].sum())
+    tn = int(counts[INTERICTAL:, INTERICTAL:].sum())
+    return BinaryMetrics(tp=tp, fp=fp, tn=tn, fn=fn,
+                         sensitivity=_ratio(tp, tp + fn),
+                         specificity=_ratio(tn, tn + fp),
+                         accuracy=_ratio(tp + tn, tp + fp + tn + fn))
 
 
-def collapse_binary(
-    preds: Sequence[LabelClass], labels: Sequence[LabelClass]
-) -> BinaryMetrics:
-    _check_pairs(preds, labels)
-    preds_pos = np.array([int(p) for p in preds]) < int(LabelClass.INTERICTAL)
-    labels_pos = np.array([int(t) for t in labels]) < int(LabelClass.INTERICTAL)
-    tp = int(np.sum(preds_pos & labels_pos))
-    fp = int(np.sum(preds_pos & ~labels_pos))
-    tn = int(np.sum(~preds_pos & ~labels_pos))
-    fn = int(np.sum(~preds_pos & labels_pos))
-    return BinaryMetrics(
-        tp=tp, fp=fp, tn=tn, fn=fn,
-        sensitivity=tp / (tp + fn) if tp + fn > 0 else None,
-        specificity=tn / (tn + fp) if tn + fp > 0 else None,
-        accuracy=(tp + tn) / len(preds),
-    )
+def trend_values(counts: np.ndarray) -> dict[str, Optional[float]]:
+    """Binary recall per pre-seizure bin, keyed by bin name, farthest first."""
+    return {cls.name.lower(): _ratio(int(counts[cls, :INTERICTAL].sum()),
+                                     int(counts[cls].sum()))
+            for cls in TREND_ORDER}
+
+
+def collapse_binary(preds: Sequence[int], labels: Sequence[int]) -> BinaryMetrics:
+    return binary_metrics(confusion(preds, labels))
 
 
 def accuracy_trend(
-    preds: Sequence[LabelClass], labels: Sequence[LabelClass]
-) -> TrendReport:
-    """Fraction of each pre-seizure bin detected as pre-seizure (binary recall)."""
-    _check_pairs(preds, labels)
-    preds_pos = np.array([int(p) for p in preds]) < int(LabelClass.INTERICTAL)
-    labels_arr = np.array([int(t) for t in labels])
-    out: dict[LabelClass, Optional[float]] = {}
-    for cls in TREND_ORDER:
-        mask = labels_arr == int(cls)
-        out[cls] = float(preds_pos[mask].mean()) if mask.any() else None
-    return TrendReport(out)
+    preds: Sequence[int], labels: Sequence[int]
+) -> dict[str, Optional[float]]:
+    return trend_values(confusion(preds, labels))
 
 
-@dataclass
-class MeanBinaryMetrics:
-    sensitivity: Optional[float]
-    specificity: Optional[float]
-    accuracy: Optional[float]
-    n: int
+def normalized(counts: np.ndarray) -> np.ndarray:
+    """Row-normalized matrix; rows with no samples become NaN."""
+    totals = counts.sum(axis=1, keepdims=True).astype(float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = counts / totals
+    out[totals[:, 0] == 0, :] = np.nan
+    return out
+
+
+def score(counts: np.ndarray) -> dict:
+    """What averaging reads from one fold: the normalized matrix and the
+    binary and trend ratios.  `mean_score` returns the same shape."""
+    b = binary_metrics(counts)
+    return {"confusion_normalized": normalized(counts),
+            "binary": {k: getattr(b, k) for k in RATES},
+            "trend": trend_values(counts)}
 
 
 def _mean_defined(values: list[Optional[float]]) -> Optional[float]:
@@ -148,41 +126,23 @@ def _mean_defined(values: list[Optional[float]]) -> Optional[float]:
     return float(np.mean(defined)) if defined else None
 
 
-def aggregate(items: Sequence):
-    """Unweighted mean across patients/folds.
+def mean_score(scores: Sequence[dict]) -> dict:
+    """Unweighted mean of scores, for either averaging level.
 
-    Confusion matrices are averaged in normalized form, cell-wise, skipping
-    NaN rows; BinaryMetrics and TrendReports average each defined value.
+    Each ratio is the mean of its defined values.  Confusion cells take a
+    NaN-skipping mean over the stack, in the given order; a cell undefined
+    in every score stays NaN.
     """
-    items = list(items)
-    if not items:
-        raise ValueError("nothing to aggregate")
-    first = items[0]
-    if isinstance(first, ConfusionMatrix):
-        stack = np.stack([m.normalized() for m in items])
-        return _nanmean_quiet(stack)
-    if isinstance(first, BinaryMetrics) or isinstance(first, MeanBinaryMetrics):
-        return MeanBinaryMetrics(
-            sensitivity=_mean_defined([m.sensitivity for m in items]),
-            specificity=_mean_defined([m.specificity for m in items]),
-            accuracy=_mean_defined([m.accuracy for m in items]),
-            n=len(items),
-        )
-    if isinstance(first, TrendReport):
-        return TrendReport({
-            cls: _mean_defined([t.accuracy[cls] for t in items])
-            for cls in TREND_ORDER
-        })
-    if isinstance(first, np.ndarray):
-        return _nanmean_quiet(np.stack(list(items)))
-    raise TypeError(f"cannot aggregate {type(first).__name__}")
-
-
-def _nanmean_quiet(stack: np.ndarray) -> np.ndarray:
-    """Cell-wise nanmean; cells undefined everywhere stay NaN, silently."""
+    if not scores:
+        raise ValueError("nothing to average")
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="Mean of empty slice")
-        return np.nanmean(stack, axis=0)
+        conf = np.nanmean(np.stack([s["confusion_normalized"] for s in scores]),
+                          axis=0)
+    return {"confusion_normalized": conf,
+            **{part: {k: _mean_defined([s[part][k] for s in scores])
+                      for k in scores[0][part]}
+               for part in ("binary", "trend")}}
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +150,9 @@ def _nanmean_quiet(stack: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class VariantResult:
-    confusion: ConfusionMatrix
-    binary: BinaryMetrics
-    trend: TrendReport
-
-
-@dataclass
 class FoldResult:
     fold_index: int
-    variants: dict[str, VariantResult]
+    confusion: dict[str, np.ndarray]  # variant -> 5x5 counts on the test set
     eeg_model: SensorModel
     ecg_model: SensorModel
     combiner_params: CombinerParams
@@ -213,27 +166,31 @@ class PatientResult:
     folds: list[FoldResult]
 
 
-@dataclass
-class CrossValidationReport:
-    patients: list[PatientResult]
+def report_document(patients: Sequence[PatientResult]) -> dict:
+    """The report.json document.
 
-    def aggregate_variant(self, variant: str):
-        """Per-patient means over folds first, then the mean across patients."""
-        per_patient_conf = []
-        per_patient_bin = []
-        per_patient_trend = []
-        for pr in self.patients:
-            per_patient_conf.append(
-                aggregate([f.variants[variant].confusion for f in pr.folds]))
-            per_patient_bin.append(
-                aggregate([f.variants[variant].binary for f in pr.folds]))
-            per_patient_trend.append(
-                aggregate([f.variants[variant].trend for f in pr.folds]))
-        return (
-            aggregate(per_patient_conf),
-            aggregate(per_patient_bin),
-            aggregate(per_patient_trend),
-        )
+    Per fold and variant: the counts with their binary and trend views.  Per
+    variant, `aggregate`: each patient's mean over its folds, then the mean
+    across patients; `binary.n` is the number of patients.
+    """
+    doc = {"patients": {}, "aggregate": {}}
+    for pr in patients:
+        doc["patients"][pr.patient_id] = {"folds": {
+            str(f.fold_index): {
+                v: {"confusion": f.confusion[v].tolist(),
+                    "binary": asdict(binary_metrics(f.confusion[v])),
+                    "trend": trend_values(f.confusion[v])}
+                for v in VARIANTS}
+            for f in pr.folds}}
+    for v in VARIANTS:
+        agg = mean_score([mean_score([score(f.confusion[v]) for f in pr.folds])
+                          for pr in patients])
+        agg["confusion_normalized"] = [[None if np.isnan(x) else float(x)
+                                        for x in row]
+                                       for row in agg["confusion_normalized"]]
+        agg["binary"]["n"] = len(patients)
+        doc["aggregate"][v] = agg
+    return doc
 
 
 def paired_windows(
@@ -299,7 +256,7 @@ def run_patient_fold(
         trained.append(train(
             model, pick(split.train_ids, windows), pick(split.val_ids, windows),
             loss_cfg=_loss_cfg(cfg.model.focal_gamma, split, windows),
-            train_cfg=replace(cfg.training, seed=fold_seed + offset),
+            train_cfg=cfg.training,
         ))
     (eeg_model, eeg_report), (ecg_model, ecg_report) = trained
 
@@ -315,15 +272,8 @@ def run_patient_fold(
     test_ecg = pick(split.test_ids, ecg_windows)
     labels = [w.label for w in test_eeg]
     preds = _predictions(eeg_model, ecg_model, combiner_params, test_eeg, test_ecg)
-    variants = {
-        name: VariantResult(
-            confusion=confusion(p, labels),
-            binary=collapse_binary(p, labels),
-            trend=accuracy_trend(p, labels),
-        )
-        for name, p in preds.items()
-    }
-    return FoldResult(split.fold_index, variants, eeg_model, ecg_model,
+    counts = {name: confusion(p, labels) for name, p in preds.items()}
+    return FoldResult(split.fold_index, counts, eeg_model, ecg_model,
                       combiner_params, eeg_report, ecg_report)
 
 
@@ -335,14 +285,18 @@ def _loss_cfg(gamma: float, split: FoldSplit, windows: dict[int, LabeledWindow])
 def run_cross_validation(
     recordings: list[tuple[Recording, Recording]],
     cfg: ExperimentConfig,
-) -> CrossValidationReport:
+) -> list[PatientResult]:
     """Train and evaluate all three predictor variants per patient and fold.
 
-    `recordings` holds (EEG, ECG) pairs, one per synthetic patient.  Folds
-    are computed once per patient on the pair's shared window indices.
+    `recordings` holds (EEG, ECG) pairs, one per synthetic patient, each
+    patient id once.  Folds are computed once per patient on the pair's
+    shared window indices.
     """
     if not recordings:
         raise ValueError("need at least one patient's recordings")
+    ids = [eeg_rec.patient_id for eeg_rec, _ in recordings]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"patient ids must be unique, got {ids}")
     patients = []
     for p_idx, (eeg_rec, ecg_rec) in enumerate(recordings):
         if eeg_rec.patient_id != ecg_rec.patient_id:
@@ -362,4 +316,4 @@ def run_cross_validation(
                 f"cross-validation failed for patient {eeg_rec.patient_id!r}"
             ) from exc
         patients.append(PatientResult(eeg_rec.patient_id, folds))
-    return CrossValidationReport(patients)
+    return patients

@@ -18,7 +18,6 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 30
     patience: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:

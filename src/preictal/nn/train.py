@@ -55,8 +55,9 @@ def train(
 ) -> tuple[SensorModel, TrainReport]:
     """Train in place; returns the model restored to its best-validation state.
 
-    When `loss_cfg` is omitted, alpha weights are set to the inverse class
-    frequency of the training windows (normalized to max 1).  Early stopping
+    The epoch shuffle is seeded with the model's `seed`.  When `loss_cfg` is
+    omitted, alpha weights are set to the inverse class frequency of the
+    training windows (normalized to max 1).  Early stopping
     keeps the snapshot with the lowest validation focal loss and gives up
     after `patience` epochs without improvement.  A non-finite batch or
     validation loss raises ValueError.
@@ -76,7 +77,7 @@ def train(
     if loss_cfg is None:
         loss_cfg = FocalLossConfig(alpha=inverse_frequency_alpha(ys))
 
-    rng = np.random.default_rng(train_cfg.seed)
+    rng = np.random.default_rng(model.seed)
     state = AdamState.for_params(model.buffer)
     report = TrainReport()
     best_val = np.inf

@@ -43,7 +43,12 @@ from preictal.dataset import (
     segment,
     synth_generate,
 )
-from preictal.evaluation import collapse_binary, run_cross_validation
+from preictal.evaluation import (
+    TREND_ORDER,
+    collapse_binary,
+    report_document,
+    run_cross_validation,
+)
 from preictal.nn import FocalLossConfig, build_model, focal_loss_batch, model_forward
 from preictal.nn.model import backward_batch
 from preictal.nn.ops import conv1d_forward, maxpool1d_with_argmax, softmax
@@ -289,40 +294,41 @@ def desk_run():
         pytest.fail(f"band-energy oracle gate failed before training: {oracle}")
 
     t0 = time.monotonic()
-    report = run_cross_validation(recordings, ExperimentConfig())
+    patients = run_cross_validation(recordings, ExperimentConfig())
     elapsed = time.monotonic() - t0
     n_windows = len(segment(recordings[0][0], 5.0, 5.0))
-    return oracle, report, elapsed, n_windows
+    return oracle, report_document(patients)["aggregate"], elapsed, n_windows
 
 
 def test_criterion_06_combined_model_quality(desk_run):
-    oracle, report, elapsed, n_windows = desk_run
-    binary = {v: report.aggregate_variant(v)[1] for v in VARIANTS}
+    oracle, aggregate, elapsed, n_windows = desk_run
+    binary = {v: aggregate[v]["binary"] for v in VARIANTS}
     comb = binary["combined"]
-    needed = (comb.sensitivity, comb.specificity, comb.accuracy,
-              binary["eeg"].accuracy, binary["ecg"].accuracy)
+    needed = (comb["sensitivity"], comb["specificity"], comb["accuracy"],
+              binary["eeg"]["accuracy"], binary["ecg"]["accuracy"])
     if any(v is None for v in needed):
         verdict(6, False, f"undefined binary metrics: {binary}")
-    best_single = max(binary["eeg"].accuracy, binary["ecg"].accuracy)
+    best_single = max(binary["eeg"]["accuracy"], binary["ecg"]["accuracy"])
     ok = (min(oracle.values()) >= 0.99
-          and comb.sensitivity >= 0.95
-          and comb.specificity >= 0.95
-          and comb.accuracy >= 0.95
-          and comb.accuracy >= best_single - 0.02
+          and comb["sensitivity"] >= 0.95
+          and comb["specificity"] >= 0.95
+          and comb["accuracy"] >= 0.95
+          and comb["accuracy"] >= best_single - 0.02
           and elapsed < 900.0)
     verdict(6, ok,
             f"oracle gate min {min(oracle.values()):.4f} (>= 0.99); 5-fold "
             f"means over 2 patients x {n_windows} windows: combined "
-            f"sens={comb.sensitivity:.4f} spec={comb.specificity:.4f} "
-            f"acc={comb.accuracy:.4f} (each >= 0.95); eeg acc="
-            f"{binary['eeg'].accuracy:.4f} ecg acc={binary['ecg'].accuracy:.4f} "
+            f"sens={comb['sensitivity']:.4f} spec={comb['specificity']:.4f} "
+            f"acc={comb['accuracy']:.4f} (each >= 0.95); eeg acc="
+            f"{binary['eeg']['accuracy']:.4f} ecg acc={binary['ecg']['accuracy']:.4f} "
             f"(combined >= best single - 0.02); cross-validation "
             f"{elapsed:.0f}s (< 900s)")
 
 
 def test_criterion_07_trend_non_decreasing(desk_run):
-    _, report, _, _ = desk_run
-    values = report.aggregate_variant("combined")[2].values()
+    _, aggregate, _, _ = desk_run
+    trend = aggregate["combined"]["trend"]
+    values = [trend[cls.name.lower()] for cls in TREND_ORDER]
     defined = all(v is not None for v in values)
     steps = [b - a for a, b in zip(values, values[1:])] if defined else []
     ok = defined and all(s >= -0.02 for s in steps)
@@ -336,8 +342,9 @@ def test_criterion_07_trend_non_decreasing(desk_run):
 
 
 def test_criterion_08_confusion_adjacency(desk_run):
-    _, report, _, _ = desk_run
-    conf = report.aggregate_variant("combined")[0]
+    _, aggregate, _, _ = desk_run
+    # null (a row no fold defines) becomes NaN
+    conf = np.array(aggregate["combined"]["confusion_normalized"], dtype=float)
     rows_ok = []
     details = []
     for r in range(4):   # the four pre-seizure rows

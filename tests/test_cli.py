@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import shutil
 
 import pytest
 
@@ -116,6 +117,16 @@ class TestGenData:
         assert "unknown config key 'batch_size'" in err
         echo = json.loads((dataset_dir / "config.json").read_text())
         assert echo["combiner"] == {"learning_rate": 1.0, "max_epochs": 20}
+
+    def test_training_takes_no_seed(self, work, capsys, dataset_dir):
+        # Each fold's models and shuffles are seeded from the experiment seed.
+        bad = work / "bad_training.json"
+        bad.write_text(json.dumps({"training": {"seed": 123}}))
+        assert main(["gen-data", "--config", str(bad),
+                     "--out", str(work / "never7")]) == 1
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+        echo = json.loads((dataset_dir / "config.json").read_text())
+        assert "seed" not in echo["training"]
 
     def test_malformed_json_fails_cleanly(self, work, capsys):
         bad = work / "broken.json"
@@ -305,6 +316,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "eeg_model.bin" in err and "train" in err
 
+    @pytest.mark.parametrize("text", [
+        pytest.param(None, id="truncated"),
+        pytest.param('{"patient": "p00"}', id="no-window-ids"),
+    ])
+    def test_malformed_holdout_is_named(self, tmp_path, config_path,
+                                        dataset_dir, train_dir, capsys, text):
+        models = tmp_path / "models"
+        shutil.copytree(train_dir, models)
+        holdout = models / "holdout.json"
+        if text is None:
+            text = (train_dir / "holdout.json").read_text()[:20]
+        holdout.write_text(text)
+        assert main(["simulate", "--config", str(config_path),
+                     "--data", str(dataset_dir), "--models", str(models),
+                     "--out", str(tmp_path / "sim")]) == 1
+        assert str(holdout) in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # report
@@ -329,6 +357,24 @@ class TestReport:
     def test_missing_report_fails_cleanly(self, work, capsys):
         assert main(["report", "--report-dir", str(work / "novelty")]) == 1
         assert "report.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(None, id="truncated"),
+        pytest.param('{"aggregate": {}}', id="no-variants"),
+    ])
+    def test_malformed_report_is_named(self, tmp_path, cv_dir, capsys, text):
+        report = tmp_path / "report.json"
+        if text is None:
+            text = (cv_dir / "report.json").read_text()[:30]
+        report.write_text(text)
+        assert main(["report", "--report-dir", str(tmp_path)]) == 1
+        assert str(report) in capsys.readouterr().err
+
+    def test_takes_no_config_or_seed(self, cv_dir):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--report-dir", str(cv_dir),
+                  "--config", "/no/such/file.json", "--seed", "99"])
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

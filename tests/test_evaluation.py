@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,20 +12,17 @@ from preictal.dataset import LabelClass, Recording, Sensor, SynthConfig, synth_g
 from preictal.evaluation import (
     TREND_ORDER,
     VARIANTS,
-    BinaryMetrics,
-    ConfusionMatrix,
-    CrossValidationReport,
     FoldResult,
-    MeanBinaryMetrics,
     PatientResult,
-    TrendReport,
-    VariantResult,
     accuracy_trend,
-    aggregate,
     collapse_binary,
     confusion,
+    mean_score,
+    normalized,
     paired_windows,
+    report_document,
     run_cross_validation,
+    score,
 )
 from preictal.nn.optim import TrainConfig
 
@@ -45,19 +44,18 @@ class TestConfusion:
         expected[0, 0] = 1   # true P0 predicted P0
         expected[4, 0] = 1   # true I predicted P0
         expected[4, 4] = 1   # true I predicted I
-        np.testing.assert_array_equal(cm.counts, expected)
-        np.testing.assert_allclose(cm.accuracy(), 2 / 3)
+        np.testing.assert_array_equal(cm, expected)
 
     def test_normalized_rows_sum_to_one(self):
         cm = confusion([P0, P1, P1, I], [P0, P1, P0, I])
-        norm = cm.normalized()
-        present = cm.counts.sum(axis=1) > 0
+        norm = normalized(cm)
+        present = cm.sum(axis=1) > 0
         np.testing.assert_allclose(norm[present].sum(axis=1),
                                    np.ones(present.sum()), atol=1e-12)
 
     def test_normalized_empty_row_is_nan(self):
         cm = confusion([P0], [P0])
-        norm = cm.normalized()
+        norm = normalized(cm)
         assert np.isnan(norm[4]).all()
         np.testing.assert_array_equal(norm[0], [1, 0, 0, 0, 0])
 
@@ -65,17 +63,13 @@ class TestConfusion:
         rng = np.random.default_rng(0)
         labels = [LabelClass(int(c)) for c in rng.integers(0, 5, 40)]
         preds = [LabelClass(int(c)) for c in rng.integers(0, 5, 40)]
-        assert confusion(preds, labels).counts.sum() == 40
+        assert confusion(preds, labels).sum() == 40
 
     def test_errors(self):
         with pytest.raises(ValueError):
             confusion([P0], [P0, P1])
         with pytest.raises(ValueError):
             confusion([], [])
-        with pytest.raises(ValueError):
-            ConfusionMatrix(np.zeros((4, 5), dtype=int))
-        with pytest.raises(ValueError):
-            ConfusionMatrix(np.full((5, 5), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -132,61 +126,64 @@ class TestAccuracyTrend:
         labels = [P3, P3, P0, I]
         preds = [P0, I, P2, I]   # P2 still counts: any pre-seizure call is a hit
         trend = accuracy_trend(preds, labels)
-        assert trend.accuracy[P3] == 0.5
-        assert trend.accuracy[P2] is None
-        assert trend.accuracy[P1] is None
-        assert trend.accuracy[P0] == 1.0
-        assert trend.values() == [0.5, None, None, 1.0]
+        assert trend["pre_45_60"] == 0.5
+        assert trend["pre_30_45"] is None
+        assert trend["pre_15_30"] is None
+        assert trend["pre_0_15"] == 1.0
+        assert list(trend.values()) == [0.5, None, None, 1.0]
 
     def test_order_is_farthest_bin_first(self):
         assert TREND_ORDER == (P3, P2, P1, P0)
+        assert list(accuracy_trend([P0], [P0])) == [c.name.lower()
+                                                    for c in TREND_ORDER]
 
     def test_interictal_rows_do_not_enter_trend(self):
         trend = accuracy_trend([I, P0], [I, P0])
-        assert trend.accuracy[P0] == 1.0
-        assert I not in trend.accuracy
+        assert trend["pre_0_15"] == 1.0
+        assert "interictal" not in trend
 
 
 # ---------------------------------------------------------------------------
 # Aggregation
 
 
+def _score(sensitivity, specificity, accuracy, trend=(None,) * 4):
+    """A hand-built score with an all-NaN confusion matrix."""
+    return {"confusion_normalized": np.full((5, 5), np.nan),
+            "binary": {"sensitivity": sensitivity, "specificity": specificity,
+                       "accuracy": accuracy},
+            "trend": dict(zip(("pre_45_60", "pre_30_45", "pre_15_30",
+                               "pre_0_15"), trend))}
+
+
 class TestAggregate:
     def test_binary_mean_skips_none(self):
-        items = [
-            BinaryMetrics(1, 0, 1, 0, sensitivity=1.0, specificity=1.0, accuracy=1.0),
-            BinaryMetrics(0, 1, 0, 1, sensitivity=0.0, specificity=None, accuracy=0.0),
-        ]
-        mean = aggregate(items)
-        assert isinstance(mean, MeanBinaryMetrics)
-        assert mean.sensitivity == 0.5
-        assert mean.specificity == 1.0   # only one defined value
-        assert mean.accuracy == 0.5
-        assert mean.n == 2
+        mean = mean_score([_score(1.0, 1.0, 1.0), _score(0.0, None, 0.0)])
+        assert mean["binary"] == {"sensitivity": 0.5,
+                                  "specificity": 1.0,   # one defined value
+                                  "accuracy": 0.5}
 
     def test_all_none_stays_none(self):
-        items = [BinaryMetrics(0, 0, 1, 0, None, 1.0, 1.0)] * 3
-        assert aggregate(items).sensitivity is None
+        mean = mean_score([_score(None, 1.0, 1.0)] * 3)
+        assert mean["binary"]["sensitivity"] is None
 
     def test_trend_mean(self):
-        a = TrendReport({P3: 0.2, P2: None, P1: 1.0, P0: 1.0})
-        b = TrendReport({P3: 0.4, P2: 0.6, P1: None, P0: 0.5})
-        mean = aggregate([a, b])
-        np.testing.assert_allclose(mean.values()[0], 0.3)
-        assert mean.accuracy[P2] == 0.6
-        assert mean.accuracy[P1] == 1.0
-        assert mean.accuracy[P0] == 0.75
+        a = _score(1.0, 1.0, 1.0, trend=(0.2, None, 1.0, 1.0))
+        b = _score(1.0, 1.0, 1.0, trend=(0.4, 0.6, None, 0.5))
+        mean = mean_score([a, b])["trend"]
+        np.testing.assert_allclose(mean["pre_45_60"], 0.3)
+        assert mean["pre_30_45"] == 0.6
+        assert mean["pre_15_30"] == 1.0
+        assert mean["pre_0_15"] == 0.75
+        assert list(mean) == [c.name.lower() for c in TREND_ORDER]
 
     def test_confusion_mean_skips_nan_rows(self):
-        full = confusion([P0, I], [P0, I])
-        partial = confusion([P1], [P0])      # interictal row empty -> NaN
-        mean = aggregate([full, partial])
+        full = score(confusion([P0, I], [P0, I]))
+        partial = score(confusion([P1], [P0]))   # interictal row empty -> NaN
+        mean = mean_score([full, partial])["confusion_normalized"]
         np.testing.assert_allclose(mean[4], [0, 0, 0, 0, 1])   # only `full` defines it
         np.testing.assert_allclose(mean[0], [0.5, 0.5, 0, 0, 0])
-
-    def test_ndarray_mean(self):
-        out = aggregate([np.array([1.0, np.nan]), np.array([3.0, 2.0])])
-        np.testing.assert_allclose(out, [2.0, 2.0])
+        assert np.isnan(mean[1]).all()                         # defined nowhere
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
@@ -194,31 +191,29 @@ class TestAggregate:
         for _ in range(4):
             labels = [LabelClass(int(c)) for c in rng.integers(0, 5, 30)]
             preds = [LabelClass(int(c)) for c in rng.integers(0, 5, 30)]
-            items.append(collapse_binary(preds, labels))
-        fwd = aggregate(items)
-        rev = aggregate(items[::-1])
-        assert (fwd.sensitivity, fwd.specificity, fwd.accuracy) == \
-               (rev.sensitivity, rev.specificity, rev.accuracy)
+            items.append(score(confusion(preds, labels)))
+        fwd = mean_score(items)
+        rev = mean_score(items[::-1])
+        assert fwd["binary"] == rev["binary"]
+        assert fwd["trend"] == rev["trend"]
 
-    def test_empty_and_unknown_type_rejected(self):
+    def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([])
-        with pytest.raises(TypeError):
-            aggregate(["not", "metrics"])
+            mean_score([])
 
 
-def _variant(acc):
-    preds = [P0, I] if acc == 1.0 else [I, P0]
-    labels = [P0, I]
-    return VariantResult(confusion=confusion(preds, labels),
-                         binary=collapse_binary(preds, labels),
-                         trend=accuracy_trend(preds, labels))
-
-
-def _fold(idx, acc):
-    v = _variant(acc)
-    return FoldResult(idx, {name: v for name in VARIANTS},
+def _fold(idx, preds, labels):
+    counts = confusion(preds, labels)
+    return FoldResult(idx, {name: counts for name in VARIANTS},
                       None, None, None, None, None)
+
+
+def _document(patients):
+    """report_document as report.json holds it (None written as null)."""
+    return json.loads(json.dumps(report_document(patients), allow_nan=False))
+
+
+HIT, MISS = ([P0, I], [P0, I]), ([I, P0], [P0, I])   # accuracy 1.0 and 0.0
 
 
 class TestAggregateVariant:
@@ -226,13 +221,53 @@ class TestAggregateVariant:
         # Patient a: folds at accuracy 1.0 and 0.0 -> patient mean 0.5.
         # Patient b: one fold at 1.0.  Across patients: 0.75, not the
         # pooled-fold mean of 2/3.
-        report = CrossValidationReport([
-            PatientResult("a", [_fold(0, 1.0), _fold(1, 0.0)]),
-            PatientResult("b", [_fold(0, 1.0)]),
-        ])
-        _, binary, trend = report.aggregate_variant("combined")
-        assert binary.accuracy == 0.75
-        assert trend.accuracy[P0] == 0.75
+        agg = _document([
+            PatientResult("a", [_fold(0, *HIT), _fold(1, *MISS)]),
+            PatientResult("b", [_fold(0, *HIT)]),
+        ])["aggregate"]["combined"]
+        assert agg["binary"] == {"sensitivity": 0.75, "specificity": 0.75,
+                                 "accuracy": 0.75, "n": 2}
+        assert agg["trend"]["pre_0_15"] == 0.75
+        assert agg["confusion_normalized"][0] == [0.75, 0, 0, 0, 0.25]
+
+
+class TestReportDocument:
+    def test_absent_class_gives_nan_row_and_none_ratio(self):
+        # Fold 0 has no pre-seizure windows, fold 1 no interictal ones.
+        doc = _document([PatientResult("a", [_fold(0, [P0, I], [I, I]),
+                                             _fold(1, [P3, I], [P3, P0])])])
+        f0, f1 = (doc["patients"]["a"]["folds"][k]["eeg"] for k in ("0", "1"))
+        assert f0["binary"] == {"tp": 0, "fp": 1, "tn": 1, "fn": 0,
+                                "sensitivity": None, "specificity": 0.5,
+                                "accuracy": 0.5}
+        assert f0["trend"] == {"pre_45_60": None, "pre_30_45": None,
+                               "pre_15_30": None, "pre_0_15": None}
+        assert f1["binary"] == {"tp": 1, "fp": 0, "tn": 0, "fn": 1,
+                                "sensitivity": 0.5, "specificity": None,
+                                "accuracy": 0.5}
+        assert f1["trend"] == {"pre_45_60": 1.0, "pre_30_45": None,
+                               "pre_15_30": None, "pre_0_15": 0.0}
+        agg = doc["aggregate"]["eeg"]
+        # Each ratio and each confusion row comes from the folds defining it.
+        assert agg["binary"] == {"sensitivity": 0.5, "specificity": 0.5,
+                                 "accuracy": 0.5, "n": 1}
+        assert agg["trend"] == {"pre_45_60": 1.0, "pre_30_45": None,
+                                "pre_15_30": None, "pre_0_15": 0.0}
+        conf = agg["confusion_normalized"]
+        assert conf[0] == [0.0, 0.0, 0.0, 0.0, 1.0]   # fold 1 only
+        assert conf[3] == [0.0, 0.0, 0.0, 1.0, 0.0]   # fold 1 only
+        assert conf[4] == [0.5, 0.0, 0.0, 0.0, 0.5]   # fold 0 only
+
+    def test_value_undefined_in_every_fold_stays_null(self):
+        doc = _document([PatientResult("a", [_fold(0, [I], [I])]),
+                         PatientResult("b", [_fold(0, [P0, I], [I, I]),
+                                             _fold(1, [I], [I])])])
+        agg = doc["aggregate"]["ecg"]
+        assert agg["binary"]["sensitivity"] is None
+        assert agg["binary"]["specificity"] == 0.875   # (1.0 + 0.75) / 2
+        assert set(agg["trend"].values()) == {None}
+        assert agg["confusion_normalized"][:4] == [[None] * 5] * 4
+        assert agg["confusion_normalized"][4] == [0.125, 0.0, 0.0, 0.0, 0.875]
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +285,7 @@ def _tiny_pipeline():
         seed=0,
         windowing=WindowingConfig(stride_seconds=40.0),
         model=ModelConfig(hidden=(8, 6)),
-        training=TrainConfig(max_epochs=2, patience=1, batch_size=32, seed=0),
+        training=TrainConfig(max_epochs=2, patience=1, batch_size=32),
         combiner=CombinerConfig(learning_rate=1.0, max_epochs=20),
     )
 
@@ -262,19 +297,18 @@ class TestRunCrossValidation:
         r1 = run_cross_validation(recordings, cfg)
         r2 = run_cross_validation(_tiny_recordings(), cfg)
 
-        assert len(r1.patients) == 1
-        folds = r1.patients[0].folds
+        assert len(r1) == 1
+        folds = r1[0].folds
         assert [f.fold_index for f in folds] == [0, 1, 2, 3, 4]
         n_total = 0
         for f in folds:
-            assert set(f.variants) == set(VARIANTS)
-            sizes = {f.variants[v].confusion.counts.sum() for v in VARIANTS}
+            assert set(f.confusion) == set(VARIANTS)
+            sizes = {f.confusion[v].sum() for v in VARIANTS}
             assert len(sizes) == 1    # every variant scored the same test set
             n_total += sizes.pop()
-        for f1, f2 in zip(folds, r2.patients[0].folds):
+        for f1, f2 in zip(folds, r2[0].folds):
             for v in VARIANTS:
-                np.testing.assert_array_equal(f1.variants[v].confusion.counts,
-                                              f2.variants[v].confusion.counts)
+                np.testing.assert_array_equal(f1.confusion[v], f2.confusion[v])
             np.testing.assert_array_equal(f1.combiner_params.W,
                                           f2.combiner_params.W)
             np.testing.assert_array_equal(f1.eeg_model.params["dense.0.weights"],
@@ -296,6 +330,9 @@ class TestRunCrossValidation:
             ecg.samples, ecg.annotations)
         with pytest.raises(ValueError):
             run_cross_validation([(eeg, ecg_other)], _tiny_pipeline())
+        # report.json keys patients by id, so a repeated id is refused.
+        with pytest.raises(ValueError, match="unique"):
+            run_cross_validation([(eeg, ecg), (eeg, ecg)], _tiny_pipeline())
 
     def test_wraps_inner_failures_with_patient_context(self):
         (eeg, ecg), = _tiny_recordings()

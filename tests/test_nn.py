@@ -604,14 +604,14 @@ class TestTrain:
     def test_learns_separable_toy_problem(self):
         model = _toy_model(seed=0)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=16, max_epochs=40,
-                          patience=10, seed=0)
+                          patience=10)
         model, report = train(model, _toy_windows(12, seed=1),
                               _toy_windows(4, seed=2), train_cfg=cfg)
         assert max(report.val_accuracy) >= 0.95
 
     def test_deterministic(self):
         cfg = TrainConfig(learning_rate=1e-3, batch_size=8, max_epochs=3,
-                          patience=2, seed=7)
+                          patience=2)
         runs = []
         for _ in range(2):
             model = _toy_model(seed=3)
@@ -626,7 +626,7 @@ class TestTrain:
 
     def test_report_is_consistent(self):
         model = _toy_model(seed=1)
-        cfg = TrainConfig(max_epochs=4, patience=2, batch_size=8, seed=0)
+        cfg = TrainConfig(max_epochs=4, patience=2, batch_size=8)
         _, report = train(model, _toy_windows(6, seed=6),
                           _toy_windows(2, seed=7), train_cfg=cfg)
         n = len(report.epochs)
@@ -641,7 +641,7 @@ class TestTrain:
     def test_restores_best_snapshot(self):
         model = _toy_model(seed=2)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=10,
-                          patience=9, seed=0)
+                          patience=9)
         train_w, val_w = _toy_windows(6, seed=8), _toy_windows(2, seed=9)
         model, report = train(model, train_w, val_w, train_cfg=cfg)
         from preictal.nn.train import stack_windows
@@ -663,7 +663,7 @@ class TestTrain:
         model = _toy_model()
         bad = _toy_windows(6, seed=0)
         bad[3].data[1, 10] = np.nan
-        cfg = TrainConfig(batch_size=8, max_epochs=3, seed=0)
+        cfg = TrainConfig(batch_size=8, max_epochs=3)
         with pytest.raises(ValueError, match="EEG model: batch loss is nan at epoch 1"):
             train(model, bad, _toy_windows(2, seed=1), train_cfg=cfg)
         val = _toy_windows(2, seed=1)
