@@ -15,13 +15,16 @@ channel physics.  All frames are 16 bytes::
     offset 6  probs * 1e4   5 x u16 LE
 
 Stimulation commands reuse the same frame, carrying the fused probability
-vector with the gateway as source.  The event loop is a priority queue keyed
-by (timestamp, sequence number), so a trace is a pure function of the
-configuration — including the link seed.
+vector with the gateway as source.  A window is pending from production
+until its second sensor frame arrives, and is then fused; a window still
+pending at its deadline is dropped, so each window ends exactly one way.
+The event loop is a priority queue keyed by (timestamp, sequence number), so
+a trace is a pure function of the configuration — including the link seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -48,7 +51,6 @@ FRAME_BYTES = FRAME_STRUCT.size  # 16
 FRAME_BITS = 8 * FRAME_BYTES
 WIRE_VERSION = 1
 PROBS_Q_MAX = 10_000
-PROCESSING_BUDGET_S = 0.020
 
 
 class NodeId(IntEnum):
@@ -104,14 +106,14 @@ class LinkModel:
         if not (0.0 <= self.loss_probability < 1.0):
             raise ValueError("loss_probability must lie in [0, 1)")
 
-    def frame_time_s(self, n_bits: int = FRAME_BITS) -> float:
-        return n_bits / self.bitrate_bps + self.propagation_delay_s
+    def frame_time_s(self) -> float:
+        return FRAME_BITS / self.bitrate_bps + self.propagation_delay_s
 
 
 @dataclass
 class SimConfig:
     window_period_s: float = 5.0
-    processing_delay_s: float = PROCESSING_BUDGET_S
+    processing_delay_s: float = 0.020
     link: LinkModel = field(default_factory=LinkModel)
     stimulation_policy: StimulationPolicy = StimulationPolicy.ANY_PREICTAL
     duration_s: float = 3600.0
@@ -139,7 +141,6 @@ class TraceEvent:
 
 @dataclass
 class SimTrace:
-    config: SimConfig
     events: list[TraceEvent] = field(default_factory=list)
     latencies: dict[int, float] = field(default_factory=dict)
     decisions: dict[int, LabelClass] = field(default_factory=dict)
@@ -202,10 +203,10 @@ def run_simulation(
     Window w becomes available at (w+1) * window_period_s (a window must end
     before it can be classified); both sensor nodes then spend one processing
     delay on inference and transmit.  A lost frame is retried back-to-back up
-    to retry_limit times.  The gateway fuses as soon as both messages of a
-    window have arrived; if they have not arrived one window period after
-    production, the window is dropped.  Per-window latency is the gateway
-    decision time minus the window production time.
+    to retry_limit times.  A window is pending until both sensor frames reach
+    the gateway, which fuses it one processing delay later; a window still
+    pending one window period after production is dropped.  Per-window
+    latency is the gateway decision time minus the production time.
     """
     if not windows:
         raise ValueError("need at least one window pair to simulate")
@@ -223,28 +224,20 @@ def run_simulation(
 
     rng = np.random.default_rng(cfg.link.seed)
     ft = cfg.link.frame_time_s()
-    trace = SimTrace(config=cfg, n_windows=n_sim)
-    heap: list = []
-    seq = 0
+    trace = SimTrace(n_windows=n_sim)
+    heap: list = []  # (time, seq, kind, window, payload, attempt)
+    seq = itertools.count()
+    pending: dict[int, dict[NodeId, np.ndarray]] = {}  # window -> probs so far
 
-    def schedule(time_s, kind, **payload):
-        nonlocal seq
-        heappush(heap, (time_s, seq, kind, payload))
-        seq += 1
+    def schedule(time_s, kind, w, payload=None, attempt=0):
+        heappush(heap, (time_s, next(seq), kind, w, payload, attempt))
 
     def emit(time_s, event_type, node: NodeId, window_index, **detail):
         trace.events.append(
             TraceEvent(time_s, event_type, node.label, window_index, detail))
 
-    produced_at: dict[int, float] = {}
-    arrived: dict[int, dict[NodeId, np.ndarray]] = {}
-    done: set[int] = set()  # fused or dropped
-
-    for w in range(n_sim):
-        schedule((w + 1) * cfg.window_period_s, "produce", w=w)
-
-    def send_frame(t, w, frame, attempt, on_delivered):
-        """One transmission attempt; schedules the retry chain on loss."""
+    def send(t, w, frame, attempt):
+        """One transmission attempt; schedules the retry on loss."""
         source = NodeId(frame[0])
         emit(t, "message_sent", source, w, attempt=attempt)
         t_arr = t + ft
@@ -252,64 +245,59 @@ def run_simulation(
             final = attempt >= cfg.retry_limit
             emit(t_arr, "message_lost", source, w, attempt=attempt, final=final)
             if not final:
-                schedule(t_arr, "send", w=w, frame=frame, attempt=attempt + 1,
-                         on_delivered=on_delivered)
+                schedule(t_arr, "send", w, frame, attempt + 1)
         else:
-            schedule(t_arr, "deliver", w=w, frame=frame, attempt=attempt,
-                     on_delivered=on_delivered)
+            schedule(t_arr, "deliver", w, frame, attempt)
+
+    for w in range(n_sim):
+        schedule((w + 1) * cfg.window_period_s, "produce", w)
 
     while heap:
-        t, _, kind, ev = heappop(heap)
-        w = ev.get("w")
+        t, _, kind, w, payload, attempt = heappop(heap)
         if kind == "produce":
-            produced_at[w] = t
-            arrived[w] = {}
+            pending[w] = {}
             emit(t, "window_produced", NodeId.GATEWAY, w,
                  label=int(pairs[w][0].label),
                  dataset_index=pairs[w][0].window_index)
             for source, row in ((NodeId.EEG_NODE, eeg_q[w]),
                                 (NodeId.ECG_NODE, ecg_q[w])):
-                schedule(t + cfg.processing_delay_s, "send", w=w,
-                         frame=encode_message(row, w, source), attempt=0,
-                         on_delivered="pair")
-            schedule(t + cfg.window_period_s, "deadline", w=w)
+                schedule(t + cfg.processing_delay_s, "send", w,
+                         encode_message(row, w, source))
+            schedule(t + cfg.window_period_s, "deadline", w)
         elif kind == "send":
-            send_frame(t, w, ev["frame"], ev["attempt"], ev["on_delivered"])
+            send(t, w, payload, attempt)
         elif kind == "deliver":
-            msg = decode_message(ev["frame"])
-            receiver = (NodeId.DBS_NODE if msg.source is NodeId.GATEWAY
-                        else NodeId.GATEWAY)
-            emit(t, "message_delivered", receiver, w,
-                 source=msg.source.label, attempt=ev["attempt"])
-            if ev["on_delivered"] == "pair" and w not in done:
-                arrived[w][msg.source] = msg.dequantized()
-                if len(arrived[w]) == 2:
-                    schedule(t + cfg.processing_delay_s, "fuse", w=w)
+            msg = decode_message(payload)
+            to_dbs = msg.source is NodeId.GATEWAY
+            emit(t, "message_delivered",
+                 NodeId.DBS_NODE if to_dbs else NodeId.GATEWAY, w,
+                 source=msg.source.label, attempt=attempt)
+            if not to_dbs and w in pending:
+                probs = pending[w]
+                probs[msg.source] = msg.dequantized()
+                if len(probs) == 2:
+                    del pending[w]
+                    schedule(t + cfg.processing_delay_s, "fuse", w,
+                             np.concatenate([probs[NodeId.EEG_NODE],
+                                             probs[NodeId.ECG_NODE]]))
         elif kind == "fuse":
-            done.add(w)
-            x = np.concatenate([arrived[w][NodeId.EEG_NODE],
-                                arrived[w][NodeId.ECG_NODE]])
-            fused = lr_forward(x, combiner_params)
+            fused = lr_forward(payload, combiner_params)
             decision = predict(fused)
             trace.decisions[w] = decision
-            trace.latencies[w] = t - produced_at[w]
+            trace.latencies[w] = t - (w + 1) * cfg.window_period_s
             emit(t, "fusion_decision", NodeId.GATEWAY, w,
                  decision=int(decision), label=int(pairs[w][0].label))
             if _stimulate(cfg.stimulation_policy, decision):
                 emit(t, "alert", NodeId.GATEWAY, w, decision=int(decision))
                 emit(t, "stimulation_command", NodeId.GATEWAY, w,
                      decision=int(decision))
-                send_frame(t, w, encode_message(quantize4(fused), w,
-                                                NodeId.GATEWAY), 0, "dbs")
-        elif kind == "deadline":
-            if w not in done:
-                done.add(w)
-                emit(t, "window_dropped", NodeId.GATEWAY, w,
-                     eeg_arrived=NodeId.EEG_NODE in arrived[w],
-                     ecg_arrived=NodeId.ECG_NODE in arrived[w])
-                trace.dropped.append(w)
-        else:  # pragma: no cover - loop is closed over its own event kinds
-            raise RuntimeError(f"unknown event kind {kind!r}")
+                send(t, w, encode_message(quantize4(fused), w, NodeId.GATEWAY), 0)
+        elif kind == "deadline" and w in pending:
+            probs = pending.pop(w)
+            emit(t, "window_dropped", NodeId.GATEWAY, w,
+                 eeg_arrived=NodeId.EEG_NODE in probs,
+                 ecg_arrived=NodeId.ECG_NODE in probs)
+            trace.dropped.append(w)
 
     return trace
 
@@ -327,22 +315,13 @@ class LatencyReport:
     mean_latency_s: Optional[float]
     max_latency_s: Optional[float]
     stimulation_count: int
-    mean_sensor_processing_s: Optional[float]
-    processing_within_budget: Optional[bool]
 
 
-def latency_report(
-    trace: SimTrace, budget_s: float = PROCESSING_BUDGET_S
-) -> LatencyReport:
-    """Arithmetic summary of a finished trace.
-
-    The budget flag compares the (configured, constant) per-window sensor
-    processing delay against `budget_s`; summaries of an empty trace are
-    reported absent.
-    """
+def latency_report(trace: SimTrace) -> LatencyReport:
+    """Arithmetic summary of a finished trace; summaries of an empty trace
+    are reported absent."""
     lat = list(trace.latencies.values())
     n = trace.n_windows
-    proc = trace.config.processing_delay_s if n else None
     return LatencyReport(
         n_windows=n,
         n_fused=len(lat),
@@ -351,8 +330,6 @@ def latency_report(
         mean_latency_s=float(np.mean(lat)) if lat else None,
         max_latency_s=float(np.max(lat)) if lat else None,
         stimulation_count=trace.count("stimulation_command"),
-        mean_sensor_processing_s=proc,
-        processing_within_budget=(proc <= budget_s) if proc is not None else None,
     )
 
 
@@ -360,10 +337,4 @@ def write_trace_jsonl(trace: SimTrace, path: Path | str) -> None:
     """One event per line: time_s, event_type, node, window_index, detail."""
     with open(path, "w") as fh:
         for e in trace.events:
-            fh.write(json.dumps({
-                "time_s": e.time_s,
-                "event_type": e.event_type,
-                "node": e.node,
-                "window_index": e.window_index,
-                "detail": e.detail,
-            }, sort_keys=True) + "\n")
+            fh.write(json.dumps(vars(e), sort_keys=True) + "\n")

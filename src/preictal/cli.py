@@ -18,6 +18,7 @@ from .bansim import latency_report, run_simulation, write_trace_jsonl
 from .combiner import load_combiner, save_combiner
 from .config import ExperimentConfig, load_config, write_config
 from .dataset import Recording, kfold_split, load_recording, save_recording, synth_generate
+from .errors import read_json
 
 # Not called in this module.  perfbench/spans.py traces `segment` under
 # preictal.cli, so the name must stay importable here.
@@ -59,22 +60,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _read_json(path: Path, what: str, extract):
-    """`extract` applied to the file's JSON; ValueError naming the file if it
-    does not parse or lacks what `extract` reads."""
-    try:
-        return extract(json.loads(path.read_text()))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"{path} is not {what} "
-                         f"({type(exc).__name__}: {exc})") from exc
-
-
 def _load_dataset(data_dir: Path | str) -> list[tuple[Recording, Recording]]:
     index_path = Path(data_dir) / DATASET_INDEX
     if not index_path.exists():
         raise FileNotFoundError(f"expected dataset index at {index_path}; "
                                 f"run gen-data first")
-    files = _read_json(index_path, "a dataset index", lambda index: [
+    files = read_json(index_path, "a dataset index", lambda index: [
         (entry["eeg"], entry["ecg"]) for entry in index["patients"]])
     return [(load_recording(index_path.parent / eeg),
              load_recording(index_path.parent / ecg)) for eeg, ecg in files]
@@ -225,7 +216,7 @@ def cmd_simulate(args) -> int:
     holdout_path = model_dir / "holdout.json"
     held_patient, held_ids = None, []
     if holdout_path.exists():
-        held_patient, held_ids = _read_json(
+        held_patient, held_ids = read_json(
             holdout_path, "a held-out window list",
             lambda h: (h["patient"], sorted(h["window_ids"])))
     eeg_rec, ecg_rec = _pick_patient(_load_dataset(args.data),
@@ -274,7 +265,7 @@ def cmd_report(args) -> int:
     report_path = Path(args.report_dir) / "report.json"
     if not report_path.exists():
         raise FileNotFoundError(f"expected cross-validation report at {report_path}")
-    text = "\n".join(_read_json(report_path, "a cross-validation report",
+    text = "\n".join(read_json(report_path, "a cross-validation report",
                                 _summary_lines))
     print(text)
     if args.out:

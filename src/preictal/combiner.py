@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import N_CLASSES, LabelClass
-from .errors import ShapeError
+from .errors import ShapeError, read_json
 from .nn.ops import softmax
 
 QUANT_STEP = 1e-4
@@ -129,9 +129,5 @@ def save_combiner(params: CombinerParams, path: Path | str) -> None:
 
 
 def load_combiner(path: Path | str) -> CombinerParams:
-    try:
-        payload = json.loads(Path(path).read_text())
-        return CombinerParams(np.array(payload["W"]), np.array(payload["b"]))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"{path} is not a combiner file "
-                         f"({type(exc).__name__}: {exc})") from exc
+    return read_json(Path(path), "a combiner file", lambda payload: CombinerParams(
+        np.array(payload["W"]), np.array(payload["b"])))

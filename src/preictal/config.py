@@ -7,15 +7,15 @@ closed-loop network simulation.  (Clinic-scale recordings — 19-channel
 10-20 EEG at 256 Hz — stay available through dataset.SynthConfig; these
 defaults trade channels and sample rate for a laptop-sized run.)
 
-A config file may specify any subset of keys; the rest keep their defaults.
-Unknown keys are rejected rather than ignored.
+A config file may specify any subset of keys, within a section too; the rest
+keep their defaults.  Unknown keys and values of the wrong type are rejected
+rather than ignored.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -23,6 +23,7 @@ from pathlib import Path
 from .bansim import SimConfig
 from .combiner import CombinerConfig
 from .dataset import SynthConfig
+from .errors import read_json
 from .nn.optim import TrainConfig
 
 
@@ -90,37 +91,48 @@ def to_dict(cfg) -> dict:
     return cfg
 
 
-def _build(cls, payload: dict):
+def _fits(value, default) -> bool:
+    """A config value must have its default's type, except that an int may
+    stand for a float, a list for a tuple and a string for an enum."""
+    if isinstance(default, Enum):
+        return isinstance(value, str)
+    allowed = {float: (float, int), tuple: (tuple, list)}.get(
+        type(default), type(default))
+    return (isinstance(value, allowed)
+            and isinstance(value, bool) == isinstance(default, bool))
+
+
+def _overlay(default, payload):
+    """`default` with the keys of `payload` replaced; a nested section is
+    overlaid onto the default's own section, so its other keys keep their
+    values."""
+    name = type(default).__name__
     if not isinstance(payload, dict):
-        raise ValueError(f"{cls.__name__} section must be an object, "
+        raise ValueError(f"{name} section must be an object, "
                          f"got {type(payload).__name__}")
-    hints = typing.get_type_hints(cls)
-    known = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {}
+    known = {f.name for f in dataclasses.fields(default)}
+    changes = {}
     for key, value in payload.items():
         if key not in known:
-            raise ValueError(f"unknown config key {key!r} in {cls.__name__} "
+            raise ValueError(f"unknown config key {key!r} in {name} "
                              f"(known: {', '.join(sorted(known))})")
-        hint = hints[key]
-        if dataclasses.is_dataclass(hint):
-            value = _build(hint, value)
-        kwargs[key] = value
-    return cls(**kwargs)
+        current = getattr(default, key)
+        if dataclasses.is_dataclass(current):
+            value = _overlay(current, value)
+        elif not _fits(value, current):
+            raise ValueError(f"config key {key!r} in {name} must be "
+                             f"{type(current).__name__}, got {value!r}")
+        changes[key] = value
+    return dataclasses.replace(default, **changes)
 
 
 def from_dict(payload: dict) -> ExperimentConfig:
     """Build a config from a (possibly partial) nested dict of overrides."""
-    return _build(ExperimentConfig, payload)
+    return _overlay(ExperimentConfig(), payload)
 
 
 def load_config(path: Path | str) -> ExperimentConfig:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
-    return from_dict(payload)
+    return read_json(Path(path), "an experiment config", from_dict)
 
 
 def write_config(cfg: ExperimentConfig, path: Path | str) -> None:

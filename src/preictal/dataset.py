@@ -18,6 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import read_json
+
 PREICTAL_HORIZON_MIN = 60.0      # labeled pre-seizure bins end here
 INTERICTAL_THRESHOLD_MIN = 90.0  # beyond this a window counts as baseline
 BUFFER_MIN = (60.0, 90.0)        # inclusive discard zone between the two
@@ -487,26 +489,30 @@ def save_recording(rec: Recording, out_dir: Path | str, basename: str) -> Path:
 
 
 def load_recording(manifest_path: Path | str) -> Recording:
+    """The recording a manifest describes; ValueError naming the manifest if
+    it or its samples file is malformed."""
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{manifest_path}: manifest is not valid JSON: {exc}") from exc
-    data_path = manifest_path.parent / manifest["data_file"]
-    raw = data_path.read_bytes()
-    shape = (manifest["channels"], manifest["n_samples"])
-    if len(raw) != 8 * shape[0] * shape[1]:
-        raise ValueError(f"{data_path} holds {len(raw)} bytes; {shape[0]} channels x "
-                         f"{shape[1]} samples of float64 need {8 * shape[0] * shape[1]}")
-    samples = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    return Recording(
-        patient_id=manifest["patient_id"],
-        sensor=Sensor(manifest["sensor"]),
-        sample_rate_hz=manifest["sample_rate_hz"],
-        channels=manifest["channels"],
-        samples=samples,
-        annotations=[
-            SeizureAnnotation(a["onset_time"], a["end_time"])
-            for a in manifest["annotations"]
-        ],
-    )
+
+    def build(manifest) -> Recording:
+        data_path = manifest_path.parent / manifest["data_file"]
+        shape = (manifest["channels"], manifest["n_samples"])
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"channels and n_samples must be non-negative "
+                             f"integers, got {shape}")
+        raw = data_path.read_bytes()
+        if len(raw) != 8 * shape[0] * shape[1]:
+            raise ValueError(f"{data_path} holds {len(raw)} bytes; {shape[0]} channels x "
+                             f"{shape[1]} samples of float64 need {8 * shape[0] * shape[1]}")
+        return Recording(
+            patient_id=manifest["patient_id"],
+            sensor=Sensor(manifest["sensor"]),
+            sample_rate_hz=manifest["sample_rate_hz"],
+            channels=manifest["channels"],
+            samples=np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape),
+            annotations=[
+                SeizureAnnotation(a["onset_time"], a["end_time"])
+                for a in manifest["annotations"]
+            ],
+        )
+
+    return read_json(manifest_path, "a recording manifest", build)

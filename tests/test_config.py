@@ -1,0 +1,80 @@
+import re
+
+import pytest
+
+from preictal.bansim import StimulationPolicy
+from preictal.config import ExperimentConfig, from_dict, load_config
+from preictal.dataset import SynthConfig
+
+
+class TestPartialSections:
+    def test_partial_section_keeps_desk_defaults(self):
+        cfg = from_dict({"data": {"noise_sigma": 0.8}})
+        desk = ExperimentConfig().data
+        assert cfg.data == SynthConfig(
+            duration_s=desk.duration_s, n_seizures=desk.n_seizures,
+            sample_rate_hz=desk.sample_rate_hz, eeg_channels=desk.eeg_channels,
+            seizure_duration_s=desk.seizure_duration_s, noise_sigma=0.8)
+        assert (cfg.data.n_seizures, cfg.data.sample_rate_hz,
+                cfg.data.eeg_channels) == (4, 64, 4)
+
+    def test_readme_example_keeps_desk_defaults(self):
+        # The example config of the README.
+        cfg = from_dict({
+            "seed": 7,
+            "patients": 4,
+            "data": {"noise_sigma": 0.8, "duration_s": 41240.0},
+            "training": {"max_epochs": 30, "patience": 5},
+            "combiner": {"learning_rate": 1.0, "max_epochs": 500},
+            "sim": {"link": {"loss_probability": 0.2}, "retry_limit": 3},
+        })
+        assert (cfg.data.n_seizures, cfg.data.sample_rate_hz,
+                cfg.data.eeg_channels) == (4, 64, 4)
+        assert cfg.sim.link.loss_probability == 0.2
+        assert cfg.sim.link.bitrate_bps == ExperimentConfig().sim.link.bitrate_bps
+
+    def test_accepted_stand_ins(self):
+        cfg = from_dict({"data": {"duration_s": 41240},
+                         "model": {"hidden": [8, 6]},
+                         "sim": {"stimulation_policy": "pre0to15_only"}})
+        assert cfg.data.duration_s == 41240.0
+        assert cfg.model.hidden == (8, 6)
+        assert cfg.sim.stimulation_policy is StimulationPolicy.PRE_0_15_ONLY
+
+
+class TestTypeMismatch:
+    @pytest.mark.parametrize("payload, key", [
+        pytest.param({"data": {"sample_rate_hz": 64.5}}, "sample_rate_hz",
+                     id="float-for-int"),
+        pytest.param({"seed": 7.5}, "seed", id="float-seed"),
+        pytest.param({"patients": True}, "patients", id="bool-for-int"),
+        pytest.param({"folds": "5"}, "folds", id="string-for-int"),
+        pytest.param({"training": {"batch_size": "32"}}, "batch_size",
+                     id="string-batch-size"),
+        pytest.param({"model": {"hidden": 5}}, "hidden", id="int-for-tuple"),
+        pytest.param({"sim": {"processing_delay_s": False}},
+                     "processing_delay_s", id="bool-for-float"),
+        pytest.param({"sim": {"stimulation_policy": 1}}, "stimulation_policy",
+                     id="int-for-enum"),
+    ])
+    def test_rejected_with_its_key(self, payload, key):
+        with pytest.raises(ValueError, match=f"config key {key!r}"):
+            from_dict(payload)
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(ValueError, match="SynthConfig section"):
+            from_dict({"data": 5})
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"seed": ', id="invalid-json"),
+        pytest.param('{"nope": 1}', id="unknown-key"),
+        pytest.param('{"folds": "5"}', id="wrong-type"),
+        pytest.param('[1, 2]', id="not-an-object"),
+    ])
+    def test_errors_name_the_file(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_config(path)

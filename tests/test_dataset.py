@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -382,3 +383,22 @@ class TestRecordingFiles:
         target.write_bytes(raw[:data.draw(st.integers(0, longest))])
         with pytest.raises(ValueError, match=re.escape(str(target))):
             load_recording(manifest)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda m: m.pop("channels"), id="no-channels"),
+        pytest.param(lambda m: m.update(sensor="EMG"), id="unknown-sensor"),
+        pytest.param(lambda m: m.update(annotations=[
+            {"onset_time": 1.0, "end_time": 9.0}]), id="annotation-past-end"),
+        pytest.param(lambda m: m.update(channels="1"), id="string-channels"),
+        pytest.param(lambda m: m.update(n_samples=2.5), id="float-n-samples"),
+        pytest.param(lambda m: m.update(annotations=None), id="null-annotations"),
+        pytest.param(lambda m: m.pop("data_file"), id="no-data-file"),
+    ])
+    def test_malformed_manifest_names_its_path(self, tmp_path, edit):
+        manifest = save_recording(_recording(3.0), tmp_path, "r")
+        payload = json.loads(manifest.read_text())
+        edit(payload)
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(str(manifest))) as exc:
+            load_recording(manifest)
+        assert len(str(exc.value)) < 1000
