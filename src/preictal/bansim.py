@@ -38,6 +38,7 @@ import numpy as np
 from .combiner import (
     QUANT_STEP,
     CombinerParams,
+    build_input,
     is_quantized,
     lr_forward,
     predict,
@@ -105,6 +106,8 @@ class LinkModel:
             raise ValueError("propagation_delay_s must be non-negative")
         if not (0.0 <= self.loss_probability < 1.0):
             raise ValueError("loss_probability must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("link seed must be non-negative")
 
     def frame_time_s(self) -> float:
         return FRAME_BITS / self.bitrate_bps + self.propagation_delay_s
@@ -278,8 +281,8 @@ def run_simulation(
                 if len(probs) == 2:
                     del pending[w]
                     schedule(t + cfg.processing_delay_s, "fuse", w,
-                             np.concatenate([probs[NodeId.EEG_NODE],
-                                             probs[NodeId.ECG_NODE]]))
+                             build_input(probs[NodeId.EEG_NODE],
+                                         probs[NodeId.ECG_NODE]))
         elif kind == "fuse":
             fused = lr_forward(payload, combiner_params)
             decision = predict(fused)

@@ -27,6 +27,7 @@ from .evaluation import (
     RATES,
     TREND_ORDER,
     VARIANTS,
+    FoldResult,
     PatientResult,
     _predictions,
     binary_metrics,
@@ -50,7 +51,7 @@ MODEL_FILES = {"eeg": "eeg_model.bin", "ecg": "ecg_model.bin",
 def _resolve_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -60,25 +61,26 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_dataset(data_dir: Path | str) -> list[tuple[Recording, Recording]]:
+def _dataset_index(data_dir: Path | str) -> list[tuple[str, Path, Path]]:
+    """(patient id, EEG manifest, ECG manifest) per patient, in index order."""
     index_path = Path(data_dir) / DATASET_INDEX
     if not index_path.exists():
         raise FileNotFoundError(f"expected dataset index at {index_path}; "
                                 f"run gen-data first")
-    files = read_json(index_path, "a dataset index", lambda index: [
-        (entry["eeg"], entry["ecg"]) for entry in index["patients"]])
-    return [(load_recording(index_path.parent / eeg),
-             load_recording(index_path.parent / ecg)) for eeg, ecg in files]
+    return read_json(index_path, "a dataset index", lambda index: [
+        (entry["id"], index_path.parent / entry["eeg"],
+         index_path.parent / entry["ecg"]) for entry in index["patients"]])
 
 
-def _pick_patient(pairs, patient_id):
-    if patient_id is None:
-        return pairs[0]
-    for pair in pairs:
-        if pair[0].patient_id == patient_id:
-            return pair
-    known = ", ".join(p[0].patient_id for p in pairs)
-    raise ValueError(f"patient {patient_id!r} not in dataset (known: {known})")
+def _load_patient(data_dir: Path | str, patient_id) -> tuple[Recording, Recording]:
+    """Load one patient's pair, the first in the index when `patient_id` is None."""
+    entries = _dataset_index(data_dir)
+    ids = [entry[0] for entry in entries]
+    if patient_id not in (None, *ids):
+        raise ValueError(f"patient {patient_id!r} not in dataset "
+                         f"(known: {', '.join(ids)})")
+    _, eeg, ecg = entries[0 if patient_id is None else ids.index(patient_id)]
+    return load_recording(eeg), load_recording(ecg)
 
 
 def _fnum(value) -> str:
@@ -88,6 +90,16 @@ def _fnum(value) -> str:
 
 # ---------------------------------------------------------------------------
 # Report files
+
+
+def _save_fold(fold: FoldResult, out: Path, stem: str = "",
+               model_suffix: str = "_model.bin") -> None:
+    """Write a fold's two sensor models, their training curves and its combiner."""
+    for sensor, model in fold.models.items():
+        name = stem + sensor.value.lower()
+        save_model(model, out / (name + model_suffix))
+        write_train_report(fold.reports[sensor], out / f"{name}_train.csv")
+    save_combiner(fold.combiner_params, out / f"{stem}combiner.json")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -151,7 +163,7 @@ def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
     write_config(cfg, out / "config.json")
-    eeg_rec, ecg_rec = _pick_patient(_load_dataset(args.data), args.patient)
+    eeg_rec, ecg_rec = _load_patient(args.data, args.patient)
     pid = eeg_rec.patient_id
     eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
     split = kfold_split(list(eeg_w.values()), cfg.folds, seed=cfg.seed)[0]
@@ -159,11 +171,7 @@ def cmd_train(args) -> int:
           f"({len(split.train_ids)} train / {len(split.val_ids)} val / "
           f"{len(split.test_ids)} held out)")
     result = run_patient_fold(eeg_w, ecg_w, split, cfg, fold_seed=cfg.seed)
-    save_model(result.eeg_model, out / MODEL_FILES["eeg"])
-    save_model(result.ecg_model, out / MODEL_FILES["ecg"])
-    save_combiner(result.combiner_params, out / MODEL_FILES["combiner"])
-    write_train_report(result.eeg_report, out / "eeg_train.csv")
-    write_train_report(result.ecg_report, out / "ecg_train.csv")
+    _save_fold(result, out)
     (out / "holdout.json").write_text(json.dumps(
         {"patient": pid, "window_ids": split.test_ids}, sort_keys=True) + "\n")
     for name in VARIANTS:
@@ -178,19 +186,15 @@ def cmd_cross_validate(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
     write_config(cfg, out / "config.json")
-    pairs = _load_dataset(args.data)
+    pairs = [(load_recording(eeg), load_recording(ecg))
+             for _, eeg, ecg in _dataset_index(args.data)]
     patients = run_cross_validation(pairs, cfg)
     doc = _write_report_files(patients, out)
     models_dir = out / "models"
     models_dir.mkdir(exist_ok=True)
     for pr in patients:
         for fr in pr.folds:
-            stem = f"{pr.patient_id}_fold{fr.fold_index}"
-            save_model(fr.eeg_model, models_dir / f"{stem}_eeg.bin")
-            save_model(fr.ecg_model, models_dir / f"{stem}_ecg.bin")
-            save_combiner(fr.combiner_params, models_dir / f"{stem}_combiner.json")
-            write_train_report(fr.eeg_report, models_dir / f"{stem}_eeg_train.csv")
-            write_train_report(fr.ecg_report, models_dir / f"{stem}_ecg_train.csv")
+            _save_fold(fr, models_dir, f"{pr.patient_id}_fold{fr.fold_index}_", ".bin")
     for name in VARIANTS:
         b = doc["aggregate"][name]["binary"]
         print(f"{name:>8}: sensitivity={_fnum(b['sensitivity'])} "
@@ -219,8 +223,7 @@ def cmd_simulate(args) -> int:
         held_patient, held_ids = read_json(
             holdout_path, "a held-out window list",
             lambda h: (h["patient"], sorted(h["window_ids"])))
-    eeg_rec, ecg_rec = _pick_patient(_load_dataset(args.data),
-                                     args.patient or held_patient)
+    eeg_rec, ecg_rec = _load_patient(args.data, args.patient or held_patient)
     eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
     ids = sorted(eeg_w)
     if held_patient == eeg_rec.patient_id and not args.all_windows:
@@ -230,13 +233,9 @@ def cmd_simulate(args) -> int:
     trace = run_simulation(cfg.sim, eeg_model, ecg_model, combiner_params, pairs)
     write_trace_jsonl(trace, out / "trace.jsonl")
 
-    sim_pairs = pairs[:trace.n_windows]
     offline = _predictions(eeg_model, ecg_model, combiner_params,
-                           [p[0] for p in sim_pairs], [p[1] for p in sim_pairs])
-    equivalence = all(
-        trace.decisions[w] == offline["combined"][w]
-        for w in trace.decisions
-    )
+                           *zip(*pairs[:trace.n_windows]))["combined"]
+    equivalence = all(offline[w] == d for w, d in trace.decisions.items())
     rep = latency_report(trace)
     summary = {**dataclasses.asdict(rep), "equivalence": equivalence}
     (out / "latency.json").write_text(

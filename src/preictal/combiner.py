@@ -2,8 +2,9 @@
 
 The two five-class probability vectors are quantized to four decimal digits
 (that is what fits on the body-area-network wire), concatenated EEG-first into
-a ten-element input, and mapped to the final class by softmax(W x + b) with an
-argmax readout.  Training sees the same quantized precision as operation.
+a ten-element input by `build_input` (for one window or a batch alike), and
+mapped to the final class by softmax(W x + b) with an argmax readout.
+Training sees the same quantized precision as operation.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -64,21 +65,28 @@ def is_quantized(p: np.ndarray) -> bool:
 
 
 def build_input(p_eeg: np.ndarray, p_ecg: np.ndarray) -> np.ndarray:
-    """Concatenate quantized EEG then ECG probabilities, class order 0..4."""
+    """The fusion input, quantized EEG then ECG probabilities in class order,
+    for one window ([5] each gives [10]) or a batch ([N x 5] each gives
+    [N x 10]).  Every fusion input is built here, so the combiner is fit and
+    applied on one layout."""
     p_eeg = np.asarray(p_eeg, dtype=float)
     p_ecg = np.asarray(p_ecg, dtype=float)
-    if p_eeg.shape != (N_CLASSES,) or p_ecg.shape != (N_CLASSES,):
-        raise ShapeError(f"expected two length-{N_CLASSES} probability vectors")
+    if p_eeg.shape != p_ecg.shape or p_eeg.shape[-1:] != (N_CLASSES,) or p_eeg.ndim > 2:
+        raise ShapeError(f"expected two [{N_CLASSES}] or [N x {N_CLASSES}] probability "
+                         f"arrays of one shape, got {p_eeg.shape} and {p_ecg.shape}")
     if not (is_quantized(p_eeg) and is_quantized(p_ecg)):
         raise ValueError("combiner inputs must be quantized to 4 decimal digits")
-    return np.concatenate([p_eeg, p_ecg])
+    return np.concatenate([p_eeg, p_ecg], axis=-1)
 
 
 def lr_forward(x: np.ndarray, params: CombinerParams) -> np.ndarray:
+    """softmax(W x + b) for one input [10] or each row of a batch [N x 10].
+    A row gets the same bits alone or in a batch: einsum sums every row the
+    same way, where a matmul uses gemv for one row and gemm for many."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != N_INPUTS:
         raise ShapeError(f"combiner input must have {N_INPUTS} elements, got {x.shape}")
-    return softmax(x @ params.W.T + params.b)
+    return softmax(np.einsum("...i,ki->...k", x, params.W) + params.b)
 
 
 def predict(p: np.ndarray) -> LabelClass:
@@ -87,24 +95,25 @@ def predict(p: np.ndarray) -> LabelClass:
 
 
 def lr_train(
-    dataset: Sequence[tuple[np.ndarray, LabelClass | int]],
-    cfg: Optional[CombinerConfig] = None,
+    xs: np.ndarray, ys: np.ndarray, cfg: Optional[CombinerConfig] = None
 ) -> CombinerParams:
     """Fit by full-batch gradient descent on mean cross-entropy from zero init.
 
-    Stops when the gradient max-norm falls below 1e-8 or after `max_epochs`
-    steps.  The problem is convex; the analytic gradient is
-    (softmax - onehot)^T x averaged over the dataset.
+    `xs` holds one fusion input per row ([N x 10], from `build_input`) and
+    `ys` its class.  Stops when the gradient max-norm falls below 1e-8 or
+    after `max_epochs` steps.  The problem is convex; the analytic gradient
+    is (softmax - onehot)^T x averaged over the dataset.
     """
-    if len(dataset) == 0:
-        raise ValueError("combiner training set must be non-empty")
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=int)
+    if len(ys) == 0 or len(xs) != len(ys):
+        raise ValueError(f"combiner training set must be non-empty, one label per "
+                         f"input; got {len(xs)} inputs for {len(ys)} labels")
     cfg = cfg or CombinerConfig()
-    xs = np.stack([np.asarray(x, dtype=float) for x, _ in dataset])
-    if xs.shape[1] != N_INPUTS:
+    if xs.shape[1:] != (N_INPUTS,):
         raise ShapeError(f"combiner inputs must have {N_INPUTS} elements")
     if not is_quantized(xs):
         raise ValueError("combiner training inputs must be quantized")
-    ys = np.array([int(lbl) for _, lbl in dataset])
     n = len(ys)
     onehot = np.zeros((n, N_CLASSES))
     onehot[np.arange(n), ys] = 1.0

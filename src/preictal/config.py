@@ -3,9 +3,7 @@
 Defaults run the full desk-scale experiment end to end: two synthetic
 patients at 64 Hz with four EEG channels, four seizures each, five-fold
 cross-validation of the two sensor models plus the fusion combiner, and a
-closed-loop network simulation.  (Clinic-scale recordings — 19-channel
-10-20 EEG at 256 Hz — stay available through dataset.SynthConfig; these
-defaults trade channels and sample rate for a laptop-sized run.)
+closed-loop network simulation.
 
 A config file may specify any subset of keys, within a section too; the rest
 keep their defaults.  Unknown keys and values of the wrong type are rejected
@@ -55,17 +53,12 @@ class ModelConfig:
             raise ValueError("focal_gamma must be >= 0")
 
 
-def _desk_synth() -> SynthConfig:
-    return SynthConfig(duration_s=41_240.0, n_seizures=4, sample_rate_hz=64,
-                       eeg_channels=4, seizure_duration_s=60.0, noise_sigma=0.3)
-
-
 @dataclass
 class ExperimentConfig:
     seed: int = 0
     patients: int = 2
     folds: int = 5
-    data: SynthConfig = field(default_factory=_desk_synth)
+    data: SynthConfig = field(default_factory=SynthConfig)
     windowing: WindowingConfig = field(default_factory=WindowingConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
@@ -73,6 +66,8 @@ class ExperimentConfig:
     sim: SimConfig = field(default_factory=SimConfig)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.patients < 1:
             raise ValueError("patients must be >= 1")
         if self.folds < 2:
@@ -93,11 +88,14 @@ def to_dict(cfg) -> dict:
 
 def _fits(value, default) -> bool:
     """A config value must have its default's type, except that an int may
-    stand for a float, a list for a tuple and a string for an enum."""
+    stand for a float, a list for a tuple and a string for an enum; a tuple's
+    elements must each fit the default's."""
     if isinstance(default, Enum):
         return isinstance(value, str)
-    allowed = {float: (float, int), tuple: (tuple, list)}.get(
-        type(default), type(default))
+    if isinstance(default, tuple):
+        return (isinstance(value, (tuple, list)) and len(value) == len(default)
+                and all(map(_fits, value, default)))
+    allowed = (float, int) if type(default) is float else type(default)
     return (isinstance(value, allowed)
             and isinstance(value, bool) == isinstance(default, bool))
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -213,6 +213,11 @@ def segment(
     return windows
 
 
+def stack_windows(windows: Sequence[LabeledWindow]) -> tuple[np.ndarray, np.ndarray]:
+    """Windows -> their data [N x C x T] and int classes [N]."""
+    return np.stack([w.data for w in windows]), np.array([int(w.label) for w in windows])
+
+
 def _overlaps_exclusion(
     start: float,
     end: float,
@@ -248,12 +253,12 @@ PREICTAL_S = 60.0 * PREICTAL_HORIZON_MIN
 
 @dataclass
 class SynthConfig:
-    duration_s: float = 6.0 * 3600.0
-    n_seizures: int = 2
-    sample_rate_hz: int = 256
-    eeg_channels: int = 19
+    duration_s: float = 41_240.0
+    n_seizures: int = 4
+    sample_rate_hz: int = 64
+    eeg_channels: int = 4
     seizure_duration_s: float = 60.0
-    noise_sigma: float = 0.5
+    noise_sigma: float = 0.3
 
     def __post_init__(self):
         if self.duration_s <= 0:

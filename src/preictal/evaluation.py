@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .combiner import CombinerParams, build_input, lr_forward, lr_train, predict, quantize4
+from .combiner import CombinerParams, build_input, lr_forward, lr_train, quantize4
 from .config import ExperimentConfig, WindowingConfig
 from .dataset import (
     N_CLASSES,
@@ -30,10 +30,11 @@ from .dataset import (
     Sensor,
     kfold_split,
     segment,
+    stack_windows,
 )
 from .nn.losses import FocalLossConfig, inverse_frequency_alpha
 from .nn.model import SensorModel, build_model, model_forward
-from .nn.train import TrainReport, stack_windows, train
+from .nn.train import TrainReport, train
 
 TREND_ORDER = (
     LabelClass.PRE_45_60,
@@ -153,11 +154,9 @@ def mean_score(scores: Sequence[dict]) -> dict:
 class FoldResult:
     fold_index: int
     confusion: dict[str, np.ndarray]  # variant -> 5x5 counts on the test set
-    eeg_model: SensorModel
-    ecg_model: SensorModel
+    models: dict[Sensor, SensorModel]
+    reports: dict[Sensor, TrainReport]
     combiner_params: CombinerParams
-    eeg_report: TrainReport
-    ecg_report: TrainReport
 
 
 @dataclass
@@ -215,17 +214,17 @@ def _predictions(
     combiner_params: CombinerParams,
     eeg_windows: list[LabeledWindow],
     ecg_windows: list[LabeledWindow],
-) -> dict[str, list[LabelClass]]:
+) -> dict[str, np.ndarray]:
+    """Each variant's class per window as an int array, from one batched pass.
+    Argmax breaks ties toward the lowest class as `predict` does, and
+    `lr_forward` gives a row the same bits alone or in a batch, so the combined
+    classes equal the gateway's per-window decisions."""
     p_eeg = model_forward(eeg_model, stack_windows(eeg_windows)[0])
     p_ecg = model_forward(ecg_model, stack_windows(ecg_windows)[0])
-    combined = [
-        predict(lr_forward(build_input(quantize4(pe), quantize4(pc)),
-                           combiner_params))
-        for pe, pc in zip(p_eeg, p_ecg)
-    ]
-    return {"eeg": [predict(p) for p in p_eeg],
-            "ecg": [predict(p) for p in p_ecg],
-            "combined": combined}
+    fused = lr_forward(build_input(quantize4(p_eeg), quantize4(p_ecg)),
+                       combiner_params)
+    return {"eeg": p_eeg.argmax(axis=1), "ecg": p_ecg.argmax(axis=1),
+            "combined": fused.argmax(axis=1)}
 
 
 def run_patient_fold(
@@ -237,49 +236,33 @@ def run_patient_fold(
 ) -> FoldResult:
     """Train both sensor models and the combiner on one split; score the test set.
 
-    The EEG model and its training shuffle are seeded with `fold_seed`, the
-    ECG ones with `fold_seed + 1`.
+    One pass per sensor stacks its training and validation windows once,
+    trains its model (model and shuffle seeded with `fold_seed` for EEG and
+    `fold_seed + 1` for ECG) and forwards its training windows into the
+    combiner's fit set.  Fusion and test labels are the EEG windows'.
     """
-    def pick(ids, table):
-        return [table[i] for i in ids]
-
-    trained = []
+    models, reports, fit = {}, {}, {}
     for offset, (sensor, windows, pool_size) in enumerate((
             (Sensor.EEG, eeg_windows, cfg.model.pool_size),
             (Sensor.ECG, ecg_windows, cfg.model.ecg_pool_size))):
-        shape = next(iter(windows.values())).data.shape
-        model = build_model(
-            sensor=sensor, in_channels=shape[0], window_samples=shape[1],
-            kernel_len=cfg.model.kernel_len, pool_size=pool_size,
-            hidden=cfg.model.hidden, seed=fold_seed + offset,
-        )
-        trained.append(train(
-            model, pick(split.train_ids, windows), pick(split.val_ids, windows),
-            loss_cfg=_loss_cfg(cfg.model.focal_gamma, split, windows),
-            train_cfg=cfg.training,
-        ))
-    (eeg_model, eeg_report), (ecg_model, ecg_report) = trained
+        xs, ys = stack_windows([windows[i] for i in split.train_ids])
+        xv, yv = stack_windows([windows[i] for i in split.val_ids])
+        model = models[sensor] = build_model(
+            sensor, *xs.shape[1:], kernel_len=cfg.model.kernel_len,
+            pool_size=pool_size, hidden=cfg.model.hidden, seed=fold_seed + offset)
+        loss_cfg = FocalLossConfig(gamma=cfg.model.focal_gamma,
+                                   alpha=inverse_frequency_alpha(ys))
+        _, reports[sensor] = train(model, xs, ys, xv, yv, loss_cfg, cfg.training)
+        fit[sensor] = quantize4(model_forward(model, xs)), ys
 
-    xe, ye = stack_windows(pick(split.train_ids, eeg_windows))
-    xc, _ = stack_windows(pick(split.train_ids, ecg_windows))
-    p_eeg = quantize4(model_forward(eeg_model, xe))
-    p_ecg = quantize4(model_forward(ecg_model, xc))
-    fusion_set = [(np.concatenate([pe, pc]), int(y))
-                  for pe, pc, y in zip(p_eeg, p_ecg, ye)]
-    combiner_params = lr_train(fusion_set, cfg.combiner)
-
-    test_eeg = pick(split.test_ids, eeg_windows)
-    test_ecg = pick(split.test_ids, ecg_windows)
-    labels = [w.label for w in test_eeg]
-    preds = _predictions(eeg_model, ecg_model, combiner_params, test_eeg, test_ecg)
-    counts = {name: confusion(p, labels) for name, p in preds.items()}
-    return FoldResult(split.fold_index, counts, eeg_model, ecg_model,
-                      combiner_params, eeg_report, ecg_report)
-
-
-def _loss_cfg(gamma: float, split: FoldSplit, windows: dict[int, LabeledWindow]):
-    ys = np.array([int(windows[i].label) for i in split.train_ids])
-    return FocalLossConfig(gamma=gamma, alpha=inverse_frequency_alpha(ys))
+    (p_eeg, labels), (p_ecg, _) = fit[Sensor.EEG], fit[Sensor.ECG]
+    combiner_params = lr_train(build_input(p_eeg, p_ecg), labels, cfg.combiner)
+    test_eeg = [eeg_windows[i] for i in split.test_ids]
+    preds = _predictions(models[Sensor.EEG], models[Sensor.ECG], combiner_params,
+                         test_eeg, [ecg_windows[i] for i in split.test_ids])
+    counts = {name: confusion(p, [w.label for w in test_eeg])
+              for name, p in preds.items()}
+    return FoldResult(split.fold_index, counts, models, reports, combiner_params)
 
 
 def run_cross_validation(

@@ -9,7 +9,7 @@ from .model import (
 )
 from .ops import conv1d_forward, softmax
 from .optim import AdamState, TrainConfig, adam_step
-from .train import TrainReport, evaluate, stack_windows, train, write_train_report
+from .train import TrainReport, evaluate, train, write_train_report
 
 __all__ = [
     "AdamState",
@@ -28,7 +28,6 @@ __all__ = [
     "model_forward",
     "save_model",
     "softmax",
-    "stack_windows",
     "train",
     "write_train_report",
 ]

@@ -10,7 +10,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..dataset import LabeledWindow
 from .losses import FocalLossConfig, focal_loss_batch, inverse_frequency_alpha
 from .model import SensorModel, backward_batch, model_forward
 from .optim import AdamState, TrainConfig, adam_step
@@ -23,12 +22,6 @@ class TrainReport:
     val_loss: list[float] = field(default_factory=list)
     val_accuracy: list[float] = field(default_factory=list)
     best_epoch: int = 0
-
-
-def stack_windows(windows: list[LabeledWindow]) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.stack([w.data for w in windows])
-    ys = np.array([int(w.label) for w in windows])
-    return xs, ys
 
 
 def evaluate(
@@ -48,32 +41,35 @@ def _check_finite(model: SensorModel, loss: float, what: str, epoch: int) -> Non
 
 def train(
     model: SensorModel,
-    train_windows: list[LabeledWindow],
-    val_windows: list[LabeledWindow],
+    xs: np.ndarray,
+    ys: np.ndarray,
+    xv: np.ndarray,
+    yv: np.ndarray,
     loss_cfg: Optional[FocalLossConfig] = None,
     train_cfg: Optional[TrainConfig] = None,
 ) -> tuple[SensorModel, TrainReport]:
     """Train in place; returns the model restored to its best-validation state.
 
-    The epoch shuffle is seeded with the model's `seed`.  When `loss_cfg` is
+    `xs` [N x C x T] and `ys` [N] are the training windows and their classes,
+    `xv` and `yv` the validation ones (see `dataset.stack_windows`).  The
+    epoch shuffle is seeded with the model's `seed`.  When `loss_cfg` is
     omitted, alpha weights are set to the inverse class frequency of the
     training windows (normalized to max 1).  Early stopping
     keeps the snapshot with the lowest validation focal loss and gives up
     after `patience` epochs without improvement.  A non-finite batch or
     validation loss raises ValueError.
     """
-    if not train_windows or not val_windows:
-        raise ValueError("train and validation window sets must be non-empty")
+    if not (len(xs) == len(ys) > 0 and len(xv) == len(yv) > 0):
+        raise ValueError("train and validation window sets must be non-empty, "
+                         "with one label per window")
     train_cfg = train_cfg or TrainConfig()
     expected = (model.in_channels, model.window_samples)
-    for w in (*train_windows, *val_windows):
-        if w.data.shape != expected:
+    for x in (xs, xv):
+        if x.shape[1:] != expected:
             raise ValueError(
-                f"window shape {w.data.shape} does not match the {model.sensor.value} "
+                f"window shape {x.shape[1:]} does not match the {model.sensor.value} "
                 f"model input {expected}; is the data from the right sensor?"
             )
-    xs, ys = stack_windows(train_windows)
-    xv, yv = stack_windows(val_windows)
     if loss_cfg is None:
         loss_cfg = FocalLossConfig(alpha=inverse_frequency_alpha(ys))
 

@@ -41,6 +41,7 @@ from preictal.dataset import (
     Sensor,
     kfold_split,
     segment,
+    stack_windows,
     synth_generate,
 )
 from preictal.evaluation import (
@@ -52,7 +53,6 @@ from preictal.evaluation import (
 from preictal.nn import FocalLossConfig, build_model, focal_loss_batch, model_forward
 from preictal.nn.model import backward_batch
 from preictal.nn.ops import conv1d_forward, maxpool1d_with_argmax, softmax
-from preictal.nn.train import stack_windows
 
 VARIANTS = ("eeg", "ecg", "combined")
 

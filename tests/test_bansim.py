@@ -30,9 +30,8 @@ from preictal.combiner import (
     lr_forward,
     quantize4,
 )
-from preictal.dataset import LabelClass, LabeledWindow, Sensor
+from preictal.dataset import LabelClass, LabeledWindow, Sensor, stack_windows
 from preictal.nn import build_model, model_forward
-from preictal.nn.train import stack_windows
 
 
 # ---------------------------------------------------------------------------

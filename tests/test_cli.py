@@ -336,6 +336,35 @@ class TestSimulate:
         assert str(holdout) in capsys.readouterr().err
 
 
+class TestLoadsOnlyThePatientUsed:
+    @pytest.fixture(scope="class")
+    def broken_p01(self, work):
+        """A two-patient dataset whose p01 EEG samples are cut short."""
+        config = work / "two.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "patients": 2}))
+        data = work / "two_data"
+        assert main(["gen-data", "--config", str(config), "--out", str(data)]) == 0
+        samples = data / "p01_eeg.f64"
+        samples.write_bytes(samples.read_bytes()[:-8])
+        return config, data
+
+    def test_train_reads_only_its_patient(self, work, broken_p01):
+        config, data = broken_p01
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--patient", "p00", "--out", str(work / "two_models")]) == 0
+
+    def test_simulate_reads_only_its_patient(self, work, broken_p01, train_dir):
+        config, data = broken_p01
+        assert main(["simulate", "--config", str(config), "--data", str(data),
+                     "--models", str(train_dir), "--out", str(work / "two_sim")]) == 0
+
+    def test_cross_validate_names_the_broken_file(self, work, broken_p01, capsys):
+        config, data = broken_p01
+        assert main(["cross-validate", "--config", str(config), "--data", str(data),
+                     "--out", str(work / "never_two_cv")]) == 1
+        assert "p01_eeg" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report
 

@@ -88,6 +88,19 @@ class TestBuildInput:
         with pytest.raises(ShapeError):
             build_input(np.zeros(4), np.zeros(5))
 
+    def test_batch_equals_stacked_single_rows(self):
+        rng = np.random.default_rng(2)
+        p_eeg, p_ecg = quantize4(rng.random((2, 7, 5)))
+        batch = build_input(p_eeg, p_ecg)
+        assert batch.shape == (7, 10)
+        np.testing.assert_array_equal(
+            batch, np.stack([build_input(e, c) for e, c in zip(p_eeg, p_ecg)]))
+
+    @pytest.mark.parametrize("shape_ecg", [(5,), (4, 5)], ids=["row", "shorter"])
+    def test_rejects_batch_with_other_shape(self, shape_ecg):
+        with pytest.raises(ShapeError):
+            build_input(np.zeros((3, 5)), np.zeros(shape_ecg))
+
 
 # ---------------------------------------------------------------------------
 # Forward / predict
@@ -126,6 +139,17 @@ class TestForward:
         for i in range(6):
             np.testing.assert_allclose(batch[i], lr_forward(xs[i], params))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 600), st.integers(0, 2**32 - 1))
+    def test_batch_rows_equal_single_rows_bit_for_bit(self, n, seed):
+        rng = np.random.default_rng(seed)
+        params = CombinerParams(3 * rng.standard_normal((5, 10)),
+                                rng.standard_normal(5))
+        xs = quantize4(rng.random((n, 10)))
+        batch = lr_forward(xs, params)
+        rows = np.stack([lr_forward(x, params) for x in xs])
+        assert batch.tobytes() == rows.tobytes()
+
     def test_wrong_width_rejected(self):
         params = CombinerParams(np.zeros((5, 10)), np.zeros(5))
         with pytest.raises(ShapeError):
@@ -150,9 +174,10 @@ class TestForward:
 
 
 def _separable_dataset(n_per_class=20, seed=0, confidence=0.9):
-    """Both sensors usually agree with the label; inputs pre-quantized."""
+    """(inputs [N x 10], classes [N]); both sensors usually agree with the
+    label; inputs pre-quantized."""
     rng = np.random.default_rng(seed)
-    rows = []
+    rows, labels = [], []
     rest = (1.0 - confidence) / 4.0
     for code in range(5):
         for _ in range(n_per_class):
@@ -161,45 +186,42 @@ def _separable_dataset(n_per_class=20, seed=0, confidence=0.9):
                 p[code] = confidence
                 p += rng.uniform(0, 0.005, size=5)
                 return quantize4(p / p.sum())
-            rows.append((build_input(noisy(), noisy()), LabelClass(code)))
-    return rows
+            rows.append(build_input(noisy(), noisy()))
+            labels.append(code)
+    return np.stack(rows), np.array(labels)
 
 
 class TestTrain:
     def test_learns_separable_fusion(self):
-        data = _separable_dataset()
-        params = lr_train(data)
-        correct = sum(predict(lr_forward(x, params)) is y for x, y in data)
-        assert correct == len(data)
+        xs, ys = _separable_dataset()
+        params = lr_train(xs, ys)
+        correct = sum(predict(lr_forward(x, params)) == y for x, y in zip(xs, ys))
+        assert correct == len(ys)
 
     def test_single_example_probability_increases(self):
         x = build_input(quantize4(np.array([0.7, 0.1, 0.1, 0.05, 0.05])),
                         quantize4(np.array([0.6, 0.1, 0.1, 0.1, 0.1])))
-        params = lr_train([(x, LabelClass.PRE_0_15)],
+        params = lr_train([x], [LabelClass.PRE_0_15],
                           CombinerConfig(learning_rate=1.0, max_epochs=50))
         assert lr_forward(x, params)[0] > 0.2
-        more = lr_train([(x, LabelClass.PRE_0_15)],
+        more = lr_train([x], [LabelClass.PRE_0_15],
                         CombinerConfig(learning_rate=1.0, max_epochs=200))
         assert lr_forward(x, more)[0] > lr_forward(x, params)[0]
 
     def test_deterministic(self):
-        data = _separable_dataset(seed=3)
-        a, b = lr_train(data), lr_train(data)
+        xs, ys = _separable_dataset(seed=3)
+        a, b = lr_train(xs, ys), lr_train(xs, ys)
         np.testing.assert_array_equal(a.W, b.W)
         np.testing.assert_array_equal(a.b, b.b)
 
     def test_training_reduces_cross_entropy(self):
-        data = _separable_dataset(seed=4)
-        xs = np.stack([x for x, _ in data])
-        ys = np.array([int(y) for _, y in data])
+        xs, ys = _separable_dataset(seed=4)
         zero = CombinerParams(np.zeros((5, 10)), np.zeros(5))
-        fitted = lr_train(data)
+        fitted = lr_train(xs, ys)
         assert cross_entropy(xs, ys, fitted) < cross_entropy(xs, ys, zero)
 
     def test_analytic_gradient_matches_finite_differences(self):
-        data = _separable_dataset(n_per_class=4, seed=5)
-        xs = np.stack([x for x, _ in data])
-        ys = np.array([int(y) for _, y in data])
+        xs, ys = _separable_dataset(n_per_class=4, seed=5)
         n = len(ys)
         onehot = np.zeros((n, 5))
         onehot[np.arange(n), ys] = 1.0
@@ -229,11 +251,16 @@ class TestTrain:
 
     def test_rejects_empty_and_unquantized(self):
         with pytest.raises(ValueError):
-            lr_train([])
+            lr_train(np.empty((0, 10)), [])
         with pytest.raises(ValueError):
-            lr_train([(np.full(10, 0.12345), LabelClass.PRE_0_15)])
+            lr_train([np.full(10, 0.12345)], [LabelClass.PRE_0_15])
         with pytest.raises(ShapeError):
-            lr_train([(quantize4(np.full(9, 0.1)), LabelClass.PRE_0_15)])
+            lr_train([quantize4(np.full(9, 0.1))], [LabelClass.PRE_0_15])
+
+    def test_rejects_mismatched_lengths(self):
+        xs, ys = _separable_dataset(n_per_class=2)
+        with pytest.raises(ValueError, match="10 inputs for 9 labels"):
+            lr_train(xs, ys[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,10 @@ class TestTypeMismatch:
                      "processing_delay_s", id="bool-for-float"),
         pytest.param({"sim": {"stimulation_policy": 1}}, "stimulation_policy",
                      id="int-for-enum"),
+        pytest.param({"model": {"hidden": [8, "x"]}}, "hidden",
+                     id="string-in-tuple"),
+        pytest.param({"model": {"hidden": [8, 6.5]}}, "hidden",
+                     id="float-in-int-tuple"),
     ])
     def test_rejected_with_its_key(self, payload, key):
         with pytest.raises(ValueError, match=f"config key {key!r}"):
@@ -64,6 +68,16 @@ class TestTypeMismatch:
     def test_section_must_be_an_object(self):
         with pytest.raises(ValueError, match="SynthConfig section"):
             from_dict({"data": 5})
+
+
+class TestOutOfRange:
+    @pytest.mark.parametrize("payload", [
+        pytest.param({"seed": -3}, id="experiment-seed"),
+        pytest.param({"sim": {"link": {"seed": -1}}}, id="link-seed"),
+    ])
+    def test_negative_seed_rejected_at_load(self, payload):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            from_dict(payload)
 
 
 class TestConfigFile:

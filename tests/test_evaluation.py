@@ -6,14 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import collapse_via_confusion
-from preictal.combiner import CombinerConfig
+from preictal.combiner import (
+    CombinerConfig,
+    CombinerParams,
+    build_input,
+    lr_forward,
+    predict,
+    quantize4,
+)
 from preictal.config import ExperimentConfig, ModelConfig, WindowingConfig
-from preictal.dataset import LabelClass, Recording, Sensor, SynthConfig, synth_generate
+from preictal.dataset import (
+    LabelClass,
+    LabeledWindow,
+    Recording,
+    Sensor,
+    SynthConfig,
+    stack_windows,
+    synth_generate,
+)
 from preictal.evaluation import (
     TREND_ORDER,
     VARIANTS,
     FoldResult,
     PatientResult,
+    _predictions,
     accuracy_trend,
     collapse_binary,
     confusion,
@@ -24,6 +40,7 @@ from preictal.evaluation import (
     run_cross_validation,
     score,
 )
+from preictal.nn import build_model, model_forward
 from preictal.nn.optim import TrainConfig
 
 P0, P1, P2, P3, I = (LabelClass.PRE_0_15, LabelClass.PRE_15_30,
@@ -204,8 +221,7 @@ class TestAggregate:
 
 def _fold(idx, preds, labels):
     counts = confusion(preds, labels)
-    return FoldResult(idx, {name: counts for name in VARIANTS},
-                      None, None, None, None, None)
+    return FoldResult(idx, {name: counts for name in VARIANTS}, {}, {}, None)
 
 
 def _document(patients):
@@ -290,6 +306,30 @@ def _tiny_pipeline():
     )
 
 
+class TestPredictions:
+    def test_combined_equals_the_per_window_readout(self):
+        rng = np.random.default_rng(0)
+        eeg, ecg = (build_model(sensor, channels, 64, kernel_len=3, pool_size=2,
+                                hidden=(8, 6), seed=seed)
+                    for seed, (sensor, channels) in enumerate(((Sensor.EEG, 2),
+                                                               (Sensor.ECG, 1))))
+        eeg_w, ecg_w = ([LabeledWindow(i, 5.0 * i, rng.standard_normal((c, 64)),
+                                       LabelClass(i % 5)) for i in range(300)]
+                        for c in (2, 1))
+        pe = quantize4(model_forward(eeg, stack_windows(eeg_w)[0]))
+        pc = quantize4(model_forward(ecg, stack_windows(ecg_w)[0]))
+        # Untrained heads barely vary; large weights centred on the mean
+        # input spread the fused calls over the classes.
+        w = 300 * rng.standard_normal((5, 10))
+        params = CombinerParams(w, -w @ build_input(pe, pc).mean(axis=0))
+        combined = _predictions(eeg, ecg, params, eeg_w, ecg_w)["combined"]
+        readout = [predict(lr_forward(build_input(pe[i], pc[i]), params))
+                   for i in range(300)]
+        assert combined.dtype.kind == "i"
+        assert combined.tolist() == readout
+        assert len(set(readout)) > 1
+
+
 class TestRunCrossValidation:
     def test_structure_and_determinism(self):
         recordings = _tiny_recordings()
@@ -311,8 +351,9 @@ class TestRunCrossValidation:
                 np.testing.assert_array_equal(f1.confusion[v], f2.confusion[v])
             np.testing.assert_array_equal(f1.combiner_params.W,
                                           f2.combiner_params.W)
-            np.testing.assert_array_equal(f1.eeg_model.params["dense.0.weights"],
-                                          f2.eeg_model.params["dense.0.weights"])
+            np.testing.assert_array_equal(
+                f1.models[Sensor.EEG].params["dense.0.weights"],
+                f2.models[Sensor.EEG].params["dense.0.weights"])
 
         # Folds' test sets partition all windows exactly once.
         from preictal.dataset import segment

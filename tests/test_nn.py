@@ -577,22 +577,20 @@ class TestAdam:
 # Training loop
 
 
-def _toy_windows(n_per_class, seed, channels=2, samples=64):
-    """Windows whose dominant frequency encodes the class; separable by a CNN."""
-    from preictal.dataset import LabelClass, LabeledWindow
-
+def _toy_set(n_per_class, seed, channels=2, samples=64):
+    """(windows [N x C x T], classes [N]) whose dominant frequency encodes the
+    class; separable by a CNN."""
     rng = np.random.default_rng(seed)
     t = np.arange(samples)
-    windows = []
-    idx = 0
+    windows, labels = [], []
     for code in range(5):
         for _ in range(n_per_class):
             phase = 0.3 * rng.standard_normal((channels, 1))
             data = np.sin(2 * np.pi * (code + 1) * t / samples + phase)
             data += 0.05 * rng.standard_normal((channels, samples))
-            windows.append(LabeledWindow(idx, float(idx), data, LabelClass(code)))
-            idx += 1
-    return windows
+            windows.append(data)
+            labels.append(code)
+    return np.stack(windows), np.array(labels)
 
 
 def _toy_model(seed=0):
@@ -605,8 +603,8 @@ class TestTrain:
         model = _toy_model(seed=0)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=16, max_epochs=40,
                           patience=10)
-        model, report = train(model, _toy_windows(12, seed=1),
-                              _toy_windows(4, seed=2), train_cfg=cfg)
+        model, report = train(model, *_toy_set(12, seed=1),
+                              *_toy_set(4, seed=2), train_cfg=cfg)
         assert max(report.val_accuracy) >= 0.95
 
     def test_deterministic(self):
@@ -615,8 +613,8 @@ class TestTrain:
         runs = []
         for _ in range(2):
             model = _toy_model(seed=3)
-            model, report = train(model, _toy_windows(6, seed=4),
-                                  _toy_windows(2, seed=5), train_cfg=cfg)
+            model, report = train(model, *_toy_set(6, seed=4),
+                                  *_toy_set(2, seed=5), train_cfg=cfg)
             runs.append(([a.copy() for _, a in parameters(model)],
                          report.train_loss, report.val_loss))
         for a, b in zip(runs[0][0], runs[1][0]):
@@ -627,8 +625,8 @@ class TestTrain:
     def test_report_is_consistent(self):
         model = _toy_model(seed=1)
         cfg = TrainConfig(max_epochs=4, patience=2, batch_size=8)
-        _, report = train(model, _toy_windows(6, seed=6),
-                          _toy_windows(2, seed=7), train_cfg=cfg)
+        _, report = train(model, *_toy_set(6, seed=6),
+                          *_toy_set(2, seed=7), train_cfg=cfg)
         n = len(report.epochs)
         assert 1 <= n <= 4
         assert report.epochs == list(range(1, n + 1))
@@ -642,40 +640,43 @@ class TestTrain:
         model = _toy_model(seed=2)
         cfg = TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=10,
                           patience=9)
-        train_w, val_w = _toy_windows(6, seed=8), _toy_windows(2, seed=9)
-        model, report = train(model, train_w, val_w, train_cfg=cfg)
-        from preictal.nn.train import stack_windows
-        xv, yv = stack_windows(val_w)
+        (xs, ys), (xv, yv) = _toy_set(6, seed=8), _toy_set(2, seed=9)
+        model, report = train(model, xs, ys, xv, yv, train_cfg=cfg)
         loss, _ = evaluate(model, xv, yv,
-                           FocalLossConfig(alpha=inverse_frequency_alpha(
-                               stack_windows(train_w)[1])))
+                           FocalLossConfig(alpha=inverse_frequency_alpha(ys)))
         np.testing.assert_allclose(loss, min(report.val_loss), rtol=1e-9)
 
     def test_rejects_empty_sets(self):
         model = _toy_model()
+        empty = np.empty((0, 2, 64)), np.empty(0, dtype=int)
         with pytest.raises(ValueError):
-            train(model, [], _toy_windows(2, seed=0))
+            train(model, *empty, *_toy_set(2, seed=0))
         with pytest.raises(ValueError):
-            train(model, _toy_windows(2, seed=0), [])
+            train(model, *_toy_set(2, seed=0), *empty)
+
+    def test_rejects_a_label_count_unlike_the_window_count(self):
+        xs, ys = _toy_set(2, seed=0)
+        with pytest.raises(ValueError, match="one label per window"):
+            train(_toy_model(), xs, ys[:-1], xs, ys)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_input_stops_training(self):
         model = _toy_model()
-        bad = _toy_windows(6, seed=0)
-        bad[3].data[1, 10] = np.nan
+        bad, ys = _toy_set(6, seed=0)
+        bad[3, 1, 10] = np.nan
         cfg = TrainConfig(batch_size=8, max_epochs=3)
         with pytest.raises(ValueError, match="EEG model: batch loss is nan at epoch 1"):
-            train(model, bad, _toy_windows(2, seed=1), train_cfg=cfg)
-        val = _toy_windows(2, seed=1)
-        val[0].data[0, 0] = np.inf
+            train(model, bad, ys, *_toy_set(2, seed=1), train_cfg=cfg)
+        val, yv = _toy_set(2, seed=1)
+        val[0, 0, 0] = np.inf
         with pytest.raises(ValueError, match="validation loss is nan at epoch 1"):
-            train(_toy_model(), _toy_windows(6, seed=0), val, train_cfg=cfg)
+            train(_toy_model(), *_toy_set(6, seed=0), val, yv, train_cfg=cfg)
 
     def test_rejects_mismatched_window_shape(self):
         model = _toy_model()  # expects 2 x 64
-        wrong = _toy_windows(2, seed=0, channels=1)
+        wrong = _toy_set(2, seed=0, channels=1)
         with pytest.raises(ValueError, match="does not match"):
-            train(model, wrong, wrong)
+            train(model, *wrong, *wrong)
 
     def test_write_train_report(self, tmp_path):
         report = TrainReport(epochs=[1, 2], train_loss=[0.5, 0.25],
