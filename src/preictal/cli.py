@@ -67,9 +67,12 @@ def _dataset_index(data_dir: Path | str) -> list[tuple[str, Path, Path]]:
     if not index_path.exists():
         raise FileNotFoundError(f"expected dataset index at {index_path}; "
                                 f"run gen-data first")
-    return read_json(index_path, "a dataset index", lambda index: [
+    entries = read_json(index_path, "a dataset index", lambda index: [
         (entry["id"], index_path.parent / entry["eeg"],
          index_path.parent / entry["ecg"]) for entry in index["patients"]])
+    if not entries:
+        raise ValueError(f"{index_path} lists no patients")
+    return entries
 
 
 def _load_patient(data_dir: Path | str, patient_id) -> tuple[Recording, Recording]:

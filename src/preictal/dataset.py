@@ -508,12 +508,15 @@ def load_recording(manifest_path: Path | str) -> Recording:
         if len(raw) != 8 * shape[0] * shape[1]:
             raise ValueError(f"{data_path} holds {len(raw)} bytes; {shape[0]} channels x "
                              f"{shape[1]} samples of float64 need {8 * shape[0] * shape[1]}")
+        # A read-only view of the file's bytes (on a little-endian host): a
+        # copy would double the recording's peak memory while it loads.
+        samples = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
         return Recording(
             patient_id=manifest["patient_id"],
             sensor=Sensor(manifest["sensor"]),
             sample_rate_hz=manifest["sample_rate_hz"],
             channels=manifest["channels"],
-            samples=np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape),
+            samples=samples.reshape(shape),
             annotations=[
                 SeizureAnnotation(a["onset_time"], a["end_time"])
                 for a in manifest["annotations"]

@@ -1,10 +1,18 @@
 """Per-sensor CNN: batchnorm, four conv/max-pool blocks, three dense layers.
 
-The forward pass is batchnorm -> 4 x (conv -> ReLU -> maxpool) -> flatten ->
+The forward pass is batchnorm -> 4 x (conv -> maxpool -> ReLU) -> flatten ->
 dense -> ReLU -> dense -> ReLU -> dense -> softmax over the five classes.
-`backward_batch` runs reverse-mode differentiation through the whole stack
-and returns exact gradients of the mean focal loss for every trainable
-parameter.
+ReLU after the pool gives the same values and gradients as before it, since
+it commutes with max.  Windows arrive as [B x C x T]; from the batchnorm to
+the flatten the activations are channel-major, [C x B x T], so each conv is
+one tap-stacked GEMM over the whole batch (see `ops`).  `backward_batch`
+runs reverse-mode differentiation through the whole stack and returns exact
+gradients of the mean focal loss for every trainable parameter.  Its conv
+buffers come from a dict, keyed by batch size, that the caller may pass to
+every step: `train` owns one for the length of the call, so the conv
+scratch is allocated once per batch size and no buffer outlives training.
+Inference is the same forward pass without the tape, on fresh arrays, in
+chunks of FORWARD_CHUNK windows.
 
 A `SensorModel` is an immutable architecture spec plus one flat float64
 buffer.  The spec's fields are the weight-file header's (sensor, channels,
@@ -47,7 +55,7 @@ from .ops import (
 MODEL_MAGIC = b"PSM1"
 N_BLOCKS = 4
 N_DENSE = 3
-FORWARD_CHUNK = 256  # windows per batched inference pass; bounds memory
+FORWARD_CHUNK = 64  # windows per batched inference pass; bounds memory
 
 # View names, in buffer order.
 BN_KEYS = tuple(f"batchnorm.{a}"
@@ -201,28 +209,47 @@ def _check_input(model: SensorModel, xb: np.ndarray) -> None:
         )
 
 
-def _forward(model: SensorModel, xb: np.ndarray, training: bool):
-    """Batched forward pass returning logits and, when training, the tape.
+def _workspace(model: SensorModel, batch: int) -> list[tuple[np.ndarray, ...]]:
+    """Training buffers for one batch size, one triple per conv block: the
+    padded input, its tap stack and the conv output.  A block's backward
+    pass reuses its forward pass's triple for the input gradient; by then
+    only the tap stack is still needed, and the kernel gradient reads it
+    first."""
+    c, k, t = model.in_channels, model.kernel_len, model.window_samples
+    blocks = []
+    for pool in model.pool_sizes:
+        blocks.append((np.empty((c, batch, t + k - 1)), np.empty((k * c, batch * t)),
+                       np.empty((c, batch * t))))
+        t = -(-t // pool)
+    return blocks
 
-    Training normalizes by the batch statistics (and folds them into the
-    running averages); otherwise batchnorm uses the running statistics.
+
+def _forward(model: SensorModel, xb: np.ndarray, training: bool, work=None):
+    """Batched forward pass over [B x C x T] windows returning logits and,
+    when training, the tape.
+
+    The conv blocks run channel-major, [C x B x T], from the batchnorm to the
+    flatten.  Training normalizes by the batch statistics (and folds them
+    into the running averages) and runs the convs in `work`, the batch
+    size's buffers from `_workspace`; otherwise batchnorm uses the running
+    statistics and every array is fresh.  ReLU follows each max-pool: it
+    commutes with max and passes the same gradients.
     """
     _check_input(model, xb)
     p = model.params
+    b = xb.shape[0]
     h, xhat = batchnorm_forward_with_cache(
-        xb, *[p[k] for k in BN_KEYS], model.bn_epsilon, model.bn_momentum,
-        "train" if training else "inference")
-    cache = {"xhat": xhat, "blocks": []} if training else None
-    for (kernels, bias), pool in zip(BLOCK_KEYS, model.pool_sizes):
-        z = conv1d_forward(h, p[kernels], p[bias])
-        a = relu(z)
-        pooled, arg = maxpool1d_with_argmax(a, pool)
+        xb.transpose(1, 0, 2), *[p[k] for k in BN_KEYS], model.bn_epsilon,
+        model.bn_momentum, "train" if training else "inference")
+    tape = {"xhat": xhat, "blocks": []} if training else None
+    for (kernels, bias), pool, buffers in zip(
+            BLOCK_KEYS, model.pool_sizes, work or [(None,) * 3] * N_BLOCKS):
+        z = conv1d_forward(h, p[kernels], p[bias], *buffers)
+        pooled, arg = maxpool1d_with_argmax(z, pool)
+        h = relu(pooled)
         if training:
-            cache["blocks"].append({"x": h, "z": z, "arg": arg, "t_in": a.shape[2]})
-        h = pooled
-    b = h.shape[0]
-    flat_shape = h.shape
-    h = h.reshape(b, -1)
+            tape["blocks"].append((buffers[1], arg, h, z.shape[2]))
+    h = h.transpose(1, 0, 2).reshape(b, -1)
     dense_x = []
     dense_z = []
     for i, (weights, bias) in enumerate(DENSE_KEYS):
@@ -231,10 +258,9 @@ def _forward(model: SensorModel, xb: np.ndarray, training: bool):
         dense_z.append(z)
         h = relu(z) if i < N_DENSE - 1 else z
     if training:
-        cache["flat_shape"] = flat_shape
-        cache["dense_x"] = dense_x
-        cache["dense_z"] = dense_z
-    return h, cache
+        tape["dense_x"] = dense_x
+        tape["dense_z"] = dense_z
+    return h, tape
 
 
 def model_forward(model: SensorModel, windows: np.ndarray) -> np.ndarray:
@@ -253,15 +279,22 @@ def model_forward(model: SensorModel, windows: np.ndarray) -> np.ndarray:
 
 
 def backward_batch(
-    model: SensorModel, xb: np.ndarray, yb: np.ndarray, cfg: FocalLossConfig
+    model: SensorModel, xb: np.ndarray, yb: np.ndarray, cfg: FocalLossConfig,
+    work: dict | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean focal loss over the batch and its gradient, laid out like
     `model.buffer` (the running statistics get zero gradient).
 
     Batchnorm normalizes by the batch statistics and updates the running
-    averages.
+    averages.  `work` maps a batch size to its conv buffers and gains an
+    entry for each new size; a caller that passes the same dict to every
+    step reuses them.  Without it the buffers are fresh.
     """
-    logits, cache = _forward(model, xb, training=True)
+    b = len(xb)
+    work = {} if work is None else work
+    if b not in work:
+        work[b] = _workspace(model, b)
+    logits, tape = _forward(model, xb, True, work[b])
     probs = softmax(logits)
     loss = float(focal_loss_batch(probs, yb, cfg).mean())
     delta = focal_grad_wrt_logits(probs, yb, cfg)
@@ -272,22 +305,21 @@ def backward_batch(
     for i in range(N_DENSE - 1, -1, -1):
         weights, bias = DENSE_KEYS[i]
         g[weights][...], g[bias][...], delta = (
-            dense_backward(delta, cache["dense_x"][i], p[weights]))
+            dense_backward(delta, tape["dense_x"][i], p[weights]))
         if i > 0:
-            delta = relu_backward(delta, cache["dense_z"][i - 1])
+            delta = relu_backward(delta, tape["dense_z"][i - 1])
 
-    delta = delta.reshape(cache["flat_shape"])
+    delta = delta.reshape(b, model.in_channels, -1).transpose(1, 0, 2)
     for i in range(N_BLOCKS - 1, -1, -1):
-        blk_cache = cache["blocks"][i]
+        cols, arg, a, t_in = tape["blocks"][i]
         kernels, bias = BLOCK_KEYS[i]
-        delta = maxpool1d_backward(delta, blk_cache["arg"], model.pool_sizes[i],
-                                   blk_cache["t_in"])
-        delta = relu_backward(delta, blk_cache["z"])
-        g[kernels][...], g[bias][...], delta = (
-            conv1d_backward(delta, blk_cache["x"], p[kernels]))
+        delta = maxpool1d_backward(relu_backward(delta, a), arg,
+                                   model.pool_sizes[i], t_in)
+        g[kernels][...], g[bias][...], delta = conv1d_backward(
+            delta, cols, p[kernels], *work[b][i])
 
     g["batchnorm.gamma"][...], g["batchnorm.beta"][...] = batchnorm_param_grads(
-        delta, cache["xhat"])
+        delta, tape["xhat"])
     return loss, grad
 
 

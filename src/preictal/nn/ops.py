@@ -1,9 +1,20 @@
 """Array primitives for the sensor CNNs: conv, pooling, batchnorm, dense, softmax.
 
-All operations are plain float64 numpy over batched input (batch x channels
-x time) and take the parameter arrays they read.  Backward counterparts
-compute exact gradients and are checked against central finite differences
-in the test suite.
+The conv-block ops (conv, max-pool, batchnorm) take channel-major input
+[C x B x T]: channel, then window, then time, so one channel's samples over
+the whole batch are one contiguous [B*T] row.  A conv stacks its K taps into
+one [K*C_in x B*T] array, `cols`, whose tap k is the zero-padded input
+shifted by k, and is then a single GEMM with the kernels taken in (out, tap,
+in) order.  Its backward pass takes the kernel gradient as one GEMM against
+the same `cols`, and the input gradient as one more tap-stacked GEMM over
+the output gradient.  Dense, ReLU and softmax act on [B x features].
+
+All operations are plain float64 numpy and take the parameter arrays they
+read.  The conv ops take their scratch arrays as optional arguments, like
+numpy's `out=`: training passes buffers that it reuses from step to step;
+without them fresh arrays are allocated.  Backward counterparts compute
+exact gradients and are checked against central finite differences in the
+test suite.
 """
 
 from __future__ import annotations
@@ -13,82 +24,122 @@ import numpy as np
 from ..errors import ShapeError
 
 
-def _same_padding(kernel_len: int) -> tuple[int, int]:
-    return (kernel_len - 1) // 2, kernel_len // 2
+def _tap_gemm(
+    x: np.ndarray,
+    weights: np.ndarray,
+    klen: int,
+    before: int,
+    xpad: np.ndarray | None,
+    cols: np.ndarray | None,
+    out: np.ndarray | None,
+) -> np.ndarray:
+    """`weights` [R x K*C] times the tap stack of `x` [C x B x T] zero-padded
+    by `before` samples in front and K-1-before behind: [R x B*T]."""
+    c, b, t = x.shape
+    if xpad is None:
+        xpad = np.empty((c, b, t + klen - 1))
+    if cols is None:
+        cols = np.empty((klen * c, b * t))
+    xpad[:, :, :before] = 0.0
+    xpad[:, :, before:before + t] = x
+    xpad[:, :, before + t:] = 0.0
+    taps = cols.reshape(klen, c, b, t)
+    for k in range(klen):
+        taps[k] = xpad[:, :, k:k + t]
+    return np.matmul(weights, cols, out=out)
 
 
-def pad_same(x: np.ndarray, kernel_len: int) -> np.ndarray:
-    left, right = _same_padding(kernel_len)
-    return np.pad(x, ((0, 0), (0, 0), (left, right)))
-
-
-def conv1d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv1d_forward(
+    x: np.ndarray,
+    kernels: np.ndarray,
+    bias: np.ndarray,
+    xpad: np.ndarray | None = None,
+    cols: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Cross-correlation, stride 1, zero 'same' padding, plus per-channel bias.
 
-    `kernels` is [out_channels x in_channels x kernel_len].
+    `x` is [C_in x B x T] and `kernels` [C_out x C_in x K]; the result is
+    [C_out x B x T].  Each window gets (K-1)//2 zeros before it and K//2
+    after.  Optional scratch: `xpad` [C_in x B x T+K-1] for the padded
+    input, `cols` [K*C_in x B*T], which afterwards holds the tap stack
+    `conv1d_backward` reads, and `out` [C_out x B*T], which the result views.
     """
     out_c, in_c, klen = kernels.shape
-    if x.shape[1] != in_c:
-        raise ShapeError(f"input has {x.shape[1]} channels, kernels expect {in_c}")
-    t = x.shape[2]
+    if x.ndim != 3 or x.shape[0] != in_c:
+        raise ShapeError(f"input {x.shape} is not [{in_c} channels x batch x time]")
+    _, b, t = x.shape
     if t < 1:
         raise ShapeError("input must have at least one time step")
-    xp = pad_same(x, klen)
-    y = np.broadcast_to(bias[None, :, None], (x.shape[0], out_c, t)).copy()
-    for k in range(klen):
-        y += kernels[:, :, k] @ xp[:, :, k:k + t]
-    return y
+    weights = kernels.transpose(0, 2, 1).reshape(out_c, klen * in_c)
+    y = _tap_gemm(x, weights, klen, (klen - 1) // 2, xpad, cols, out)
+    y += bias[:, None]
+    return y.reshape(out_c, b, t)
 
 
 def conv1d_backward(
-    delta: np.ndarray, x: np.ndarray, kernels: np.ndarray
+    delta: np.ndarray,
+    cols: np.ndarray,
+    kernels: np.ndarray,
+    d_pad: np.ndarray | None = None,
+    d_cols: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (d_kernels, d_bias, d_input) for conv1d_forward.
 
-    `delta` must already carry any loss-mean scaling.
+    `delta` [C_out x B x T] is the gradient at the output and must already
+    carry any loss-mean scaling; `cols` is the tap stack the forward pass
+    left.  The input gradient is itself a tap-stacked correlation: of
+    `delta`, padded the other way round, with the kernels mirrored in time
+    and with in and out channels swapped.  Optional scratch, as for
+    conv1d_forward: `d_pad` [C_out x B x T+K-1], `d_cols` [K*C_out x B*T]
+    and `out` [C_in x B*T], which the input gradient views.  `d_cols` may be
+    `cols` itself: the kernel gradient reads `cols` before it is overwritten.
     """
-    klen = kernels.shape[2]
-    t = x.shape[2]
-    left, _ = _same_padding(klen)
-    xp = pad_same(x, klen)
-    d_kernels = np.empty_like(kernels)
-    for k in range(klen):
-        d_kernels[:, :, k] = np.einsum("bot,bct->oc", delta, xp[:, :, k:k + t])
-    d_bias = delta.sum(axis=(0, 2))
-    d_xp = np.zeros_like(xp)
-    for k in range(klen):
-        d_xp[:, :, k:k + t] += kernels[:, :, k].T @ delta
-    return d_kernels, d_bias, d_xp[:, :, left:left + t]
+    out_c, in_c, klen = kernels.shape
+    _, b, t = delta.shape
+    d = delta.reshape(out_c, b * t)
+    d_kernels = (d @ cols.T).reshape(out_c, klen, in_c).transpose(0, 2, 1)
+    mirrored = kernels[:, :, ::-1].transpose(1, 2, 0).reshape(in_c, klen * out_c)
+    d_input = _tap_gemm(delta, mirrored, klen, klen // 2, d_pad, d_cols, out)
+    return d_kernels, d.sum(axis=1), d_input.reshape(in_c, b, t)
 
 
 def maxpool1d_with_argmax(
     x: np.ndarray, pool_size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Non-overlapping max pooling; a trailing partial window is pooled as-is.
+    """Non-overlapping max pooling along the last (time) axis; a trailing
+    partial window is pooled as-is.
 
     Also returns the within-window argmax (first maximum on ties) used to
     route gradients back.
     """
     if pool_size <= 0:
         raise ValueError("pool_size must be positive")
-    b, c, t = x.shape
+    *lead, t = x.shape
     if t < 1:
         raise ShapeError("input must have at least one time step")
     n_out = -(-t // pool_size)
-    padded = np.full((b, c, n_out * pool_size), -np.inf)
-    padded[:, :, :t] = x
-    view = padded.reshape(b, c, n_out, pool_size)
-    arg = view.argmax(axis=3)
-    return np.take_along_axis(view, arg[..., None], axis=3)[..., 0], arg
+    if t % pool_size:
+        padded = np.full((*lead, n_out * pool_size), -np.inf)
+        padded[..., :t] = x
+        x = padded
+    arg = x.reshape(*lead, n_out, pool_size).argmax(axis=-1)
+    return x.reshape(-1)[_flat_argmax(arg, pool_size)].reshape(arg.shape), arg
+
+
+def _flat_argmax(arg: np.ndarray, pool_size: int) -> np.ndarray:
+    """Each window's argmax as an index into the flattened padded input."""
+    return np.arange(0, arg.size * pool_size, pool_size) + arg.reshape(-1)
 
 
 def maxpool1d_backward(
     delta: np.ndarray, arg: np.ndarray, pool_size: int, input_len: int
 ) -> np.ndarray:
-    b, c, n_out = delta.shape
-    d_pad = np.zeros((b, c, n_out, pool_size))
-    np.put_along_axis(d_pad, arg[..., None], delta[..., None], axis=3)
-    return d_pad.reshape(b, c, n_out * pool_size)[:, :, :input_len]
+    """Route each window's gradient to its argmax; zeros elsewhere."""
+    d = np.zeros(arg.size * pool_size)
+    d[_flat_argmax(arg, pool_size)] = delta.reshape(-1)
+    return d.reshape(*arg.shape[:-1], -1)[..., :input_len]
 
 
 def batchnorm_forward_with_cache(
@@ -101,10 +152,11 @@ def batchnorm_forward_with_cache(
     momentum: float,
     mode: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel normalization.
+    """Per-channel normalization of [C x B x T] input.
 
     Train mode normalizes by the batch statistics (biased variance over the
-    batch and time axes) and folds them into the running averages in place:
+    batch and time axes, one contiguous [B*T] row per channel) and folds
+    them into the running averages in place:
     running <- (1 - momentum) * running + momentum * batch.  Inference uses
     the running statistics and is pure.  Returns the output and the
     normalized pre-scale values (needed for gamma's gradient).
@@ -112,35 +164,40 @@ def batchnorm_forward_with_cache(
     if mode not in ("train", "inference"):
         raise ValueError(f"mode must be 'train' or 'inference', got {mode!r}")
     c = gamma.shape[0]
-    if x.shape[1] != c:
-        raise ShapeError(f"input has {x.shape[1]} channels, batchnorm expects {c}")
+    if x.shape[0] != c:
+        raise ShapeError(f"input has {x.shape[0]} channels, batchnorm expects {c}")
+    rows = x.reshape(c, -1)
     if mode == "train":
-        mean = x.mean(axis=(0, 2))
-        var = x.var(axis=(0, 2))
+        mean = rows.mean(axis=1)
+        centered = rows - mean[:, None]
+        var = np.square(centered).mean(axis=1)
         # Written in place: a model's running statistics are views into its
         # parameter buffer, and rebinding would detach them from it.
         running_mean[...] = (1 - momentum) * running_mean + momentum * mean
         running_var[...] = (1 - momentum) * running_var + momentum * var
     else:
-        mean = running_mean
+        centered = rows - running_mean[:, None]
         var = running_var
-    xhat = (x - mean[None, :, None]) / np.sqrt(var + epsilon)[None, :, None]
-    return gamma[None, :, None] * xhat + beta[None, :, None], xhat
+    xhat = np.divide(centered, np.sqrt(var + epsilon)[:, None], out=centered)
+    y = gamma[:, None] * xhat
+    y += beta[:, None]
+    return y.reshape(x.shape), xhat.reshape(x.shape)
 
 
 def batchnorm_param_grads(
     delta: np.ndarray, xhat: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(d_gamma, d_beta) given the gradient at the batchnorm output."""
-    return (delta * xhat).sum(axis=(0, 2)), delta.sum(axis=(0, 2))
+    """(d_gamma, d_beta) given the gradient at the [C x B x T] batchnorm output."""
+    return (delta * xhat).sum(axis=(1, 2)), delta.sum(axis=(1, 2))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def relu_backward(delta: np.ndarray, pre_activation: np.ndarray) -> np.ndarray:
-    return delta * (pre_activation > 0)
+def relu_backward(delta: np.ndarray, activation: np.ndarray) -> np.ndarray:
+    """Gradient through ReLU given its input or, equally, its output."""
+    return delta * (activation > 0)
 
 
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -57,7 +57,8 @@ def train(
     training windows (normalized to max 1).  Early stopping
     keeps the snapshot with the lowest validation focal loss and gives up
     after `patience` epochs without improvement.  A non-finite batch or
-    validation loss raises ValueError.
+    validation loss raises ValueError.  The conv buffers of each batch size
+    are made once per call and reused by every step; none outlives it.
     """
     if not (len(xs) == len(ys) > 0 and len(xv) == len(yv) > 0):
         raise ValueError("train and validation window sets must be non-empty, "
@@ -78,6 +79,7 @@ def train(
     report = TrainReport()
     best_val = np.inf
     bad_epochs = 0
+    work: dict = {}
 
     for epoch in range(1, train_cfg.max_epochs + 1):
         order = rng.permutation(len(xs))
@@ -85,7 +87,7 @@ def train(
         batch_sizes = []
         for i in range(0, len(order), train_cfg.batch_size):
             idx = order[i:i + train_cfg.batch_size]
-            loss, grad = backward_batch(model, xs[idx], ys[idx], loss_cfg)
+            loss, grad = backward_batch(model, xs[idx], ys[idx], loss_cfg, work)
             _check_finite(model, loss, "batch loss", epoch)
             adam_step(model.buffer, grad, state, train_cfg)
             batch_losses.append(loss)

@@ -129,7 +129,8 @@ def test_criterion_03_oracle_equivalence():
         x = rng.integers(-8, 9, size=(b, c, t)).astype(float)
         kernels = rng.integers(-4, 5, size=(c, c, k)).astype(float)
         bias = rng.integers(-4, 5, size=c).astype(float)
-        got = conv1d_forward(x, kernels, bias)
+        # The conv runs channel-major, [C x B x T]; the oracle takes [B x C x T].
+        got = conv1d_forward(x.swapaxes(0, 1), kernels, bias).swapaxes(0, 1)
         conv_exact += int(np.array_equal(got, conv1d_naive(x, kernels, bias)))
 
     pool_exact = 0

@@ -201,6 +201,19 @@ class TestTrain:
                      "--data", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
         assert str(index) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("patient", [
+        pytest.param([], id="first-patient"),
+        pytest.param(["--patient", "p00"], id="named-patient"),
+    ])
+    def test_dataset_without_patients_is_named(self, tmp_path, config_path,
+                                               capsys, patient):
+        index = tmp_path / "dataset.json"
+        index.write_text('{"seed": 0, "patients": []}')
+        assert main(["train", "--config", str(config_path), "--data", str(tmp_path),
+                     *patient, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert str(index) in err and "lists no patients" in err
+
 
 # ---------------------------------------------------------------------------
 # cross-validate

@@ -35,6 +35,7 @@ from preictal.nn.losses import focal_grad_wrt_logits
 from preictal.nn.model import SPEC_FIELDS, backward_batch
 from preictal.nn.ops import (
     batchnorm_forward_with_cache,
+    conv1d_backward,
     conv1d_forward,
     dense_forward,
     maxpool1d_backward,
@@ -50,6 +51,11 @@ def focal_loss(probs, target, cfg):
     return float(focal_loss_batch(np.asarray(probs)[None], np.array([target]), cfg)[0])
 
 
+def cbt(x):
+    """[B x C x T] <-> [C x B x T], the conv ops' channel-major layout."""
+    return np.swapaxes(x, 0, 1)
+
+
 def maxpool1d(x, pool_size):
     return maxpool1d_with_argmax(x, pool_size)[0]
 
@@ -60,7 +66,8 @@ def bn_arrays(channels, gamma=1.0, beta=0.0, mean=0.0, var=1.0):
 
 
 def batchnorm_forward(x, arrays, mode, epsilon=1e-5, momentum=0.1):
-    return batchnorm_forward_with_cache(x, *arrays, epsilon, momentum, mode)[0]
+    return cbt(batchnorm_forward_with_cache(cbt(x), *arrays, epsilon, momentum,
+                                            mode)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +93,13 @@ class TestConv1d:
             x = rng.integers(-8, 9, size=(b, c, t)).astype(float)
             kernels = rng.integers(-4, 5, size=(c, c, k)).astype(float)
             bias = rng.integers(-4, 5, size=c).astype(float)
-            np.testing.assert_array_equal(conv1d_forward(x, kernels, bias),
+            np.testing.assert_array_equal(cbt(conv1d_forward(cbt(x), kernels, bias)),
                                           conv1d_naive(x, kernels, bias))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            conv1d_forward(np.zeros((1, 3, 10)), np.zeros((2, 2, 3)), np.zeros(2))
+            conv1d_forward(cbt(np.zeros((1, 3, 10))), np.zeros((2, 2, 3)),
+                           np.zeros(2))
 
     def test_input_shorter_than_kernel_still_works(self):
         # Deep pooling stacks shrink the signal below the kernel length; with
@@ -99,9 +107,32 @@ class TestConv1d:
         rng = np.random.default_rng(13)
         x = rng.integers(-5, 6, size=(2, 1, 2)).astype(float)
         kernels = rng.integers(-3, 4, size=(1, 1, 5)).astype(float)
-        out = conv1d_forward(x, kernels, np.zeros(1))
+        out = cbt(conv1d_forward(cbt(x), kernels, np.zeros(1)))
         assert out.shape == (2, 1, 2)
         np.testing.assert_array_equal(out, conv1d_naive(x, kernels, np.zeros(1)))
+
+    @pytest.mark.parametrize("klen", [4, 5])
+    @pytest.mark.parametrize("t", [pytest.param(3, id="T<K"), pytest.param(11, id="T>=K")])
+    def test_backward_matches_finite_differences(self, t, klen):
+        # Channel-major input with several windows and channels, against
+        # float64 central differences of sum(conv(x) * r); an even kernel
+        # pads unevenly, which the input gradient must mirror.
+        rng = np.random.default_rng(14)
+        b, c_in, c_out = 3, 2, 3
+        x = rng.standard_normal((c_in, b, t))
+        kernels = rng.standard_normal((c_out, c_in, klen))
+        bias = rng.standard_normal(c_out)
+        r = rng.standard_normal((c_out, b, t))
+
+        def loss():
+            return float((conv1d_forward(x, kernels, bias) * r).sum())
+
+        fd = central_difference(loss, [kernels, bias, x], step=1e-6)
+        cols = np.empty((klen * c_in, b * t))
+        conv1d_forward(x, kernels, bias, cols=cols)
+        for name, got, want in zip(("kernels", "bias", "input"),
+                                   conv1d_backward(r, cols, kernels), fd):
+            np.testing.assert_allclose(got, want, atol=1e-7, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +167,19 @@ class TestMaxPool:
         grad = maxpool1d_backward(np.array([[[1.0, 1.0]]]), arg, 2, 3)
         assert grad.shape == (1, 1, 3)
         np.testing.assert_array_equal(grad, [[[0.0, 1.0, 1.0]]])
+
+    def test_backward_matches_finite_differences_with_partial_tail(self):
+        # [C x B x T] with T = 11 and pool 4: the last window has 3 samples.
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((2, 3, 11))
+        r = rng.standard_normal((2, 3, 3))
+
+        def loss():
+            return float((maxpool1d(x, 4) * r).sum())
+
+        (fd,) = central_difference(loss, [x], step=1e-6)
+        _, arg = maxpool1d_with_argmax(x, 4)
+        np.testing.assert_allclose(maxpool1d_backward(r, arg, 4, 11), fd, atol=1e-8)
 
     def test_invalid_pool_size(self):
         with pytest.raises(ValueError):
@@ -382,6 +426,34 @@ class TestModel:
             denom = np.maximum(np.abs(g), np.abs(g_fd))
             rel = np.abs(g - g_fd) / np.where(denom > 1e-8, denom, 1.0)
             assert rel.max() < 1e-5, f"{name}: max rel err {rel.max():.3e}"
+
+    @pytest.mark.parametrize("klen", [4, 5])
+    def test_reused_buffers_match_fresh_ones_bit_for_bit(self, klen):
+        # One buffer dict across batch sizes 32, 32, 7, 32, 7, against fresh
+        # buffers at every step.  Pool 3 over 40 samples leaves partial
+        # windows and, in the last blocks, inputs shorter than the kernel.
+        # Every reused buffer is filled with NaN first, so reading anything
+        # an earlier step left behind would show in the loss or gradient.
+        shared, fresh = (build_model(Sensor.EEG, 3, 40, kernel_len=klen,
+                                     pool_size=3, hidden=(6, 4), seed=4)
+                         for _ in range(2))
+        cfg = FocalLossConfig(gamma=2.0, alpha=np.array([0.5, 0.7, 0.9, 1.0, 0.6]))
+        rng = np.random.default_rng(16)
+        work = {}
+        for b in (32, 32, 7, 32, 7):
+            xb = rng.uniform(0.5, 3.0) * rng.standard_normal((b, 3, 40))
+            yb = rng.integers(0, 5, size=b)
+            for blocks in work.values():
+                for buffers in blocks:
+                    for buffer in buffers:
+                        buffer.fill(np.nan)
+            loss, grad = backward_batch(shared, xb, yb, cfg, work)
+            want_loss, want_grad = backward_batch(fresh, xb, yb, cfg)
+            assert loss == want_loss
+            np.testing.assert_array_equal(grad, want_grad)
+            shared.buffer[...] -= 0.05 * grad
+            fresh.buffer[...] -= 0.05 * want_grad
+        assert sorted(work) == [7, 32]
 
     def test_set_parameters_roundtrip(self):
         # Writing through a named view writes the buffer, and back.
@@ -645,6 +717,15 @@ class TestTrain:
         loss, _ = evaluate(model, xv, yv,
                            FocalLossConfig(alpha=inverse_frequency_alpha(ys)))
         np.testing.assert_allclose(loss, min(report.val_loss), rtol=1e-9)
+
+    def test_leaves_no_workspace_on_the_model(self):
+        # The per-batch-size conv buffers live only for the call: a fold's
+        # result keeps its models, and buffers cached on them would stay
+        # resident with every fold.
+        model = _toy_model()
+        cfg = TrainConfig(batch_size=8, max_epochs=1)
+        train(model, *_toy_set(3, seed=0), *_toy_set(1, seed=1), train_cfg=cfg)
+        assert set(vars(model)) == {f.name for f in dataclasses.fields(SensorModel)}
 
     def test_rejects_empty_sets(self):
         model = _toy_model()
