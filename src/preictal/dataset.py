@@ -1,10 +1,12 @@
 """Synthetic EEG/ECG recordings, progressive labeling, windowing, and CV folds.
 
-A recording is labeled relative to seizure onsets: four 15-minute pre-seizure
-bins cover the hour before onset, everything more than 90 minutes out is
-baseline (interictal), and the 60-90 minute stretch is a buffer that is
-discarded rather than forced into either side.  Windows overlapping a seizure
-itself or the hour after it are discarded as well.
+The labeling timeline, stated once in `label_codes`: minutes to the next
+onset fall in BIN_MIN-wide bins up to PREICTAL_HORIZON_MIN, lower edge
+inclusive ([0,15) [15,30) [30,45) [45,60)); the buffer [PREICTAL_HORIZON_MIN,
+INTERICTAL_THRESHOLD_MIN] is discarded rather than forced into either side;
+beyond it, or with no seizure ahead, is baseline (interictal).  `segment`
+also discards windows overlapping a seizure or the POSTICTAL_EXCLUSION_S
+after it; the generator lays out its class regions from the same constants.
 """
 
 from __future__ import annotations
@@ -20,13 +22,11 @@ import numpy as np
 
 from .errors import read_json
 
+BIN_MIN = 15.0                   # width of one pre-seizure bin
 PREICTAL_HORIZON_MIN = 60.0      # labeled pre-seizure bins end here
 INTERICTAL_THRESHOLD_MIN = 90.0  # beyond this a window counts as baseline
-BUFFER_MIN = (60.0, 90.0)        # inclusive discard zone between the two
 POSTICTAL_EXCLUSION_S = 3600.0   # discard zone after a seizure ends
-
-DEFAULT_WINDOW_SECONDS = 5.0
-DEFAULT_STRIDE_SECONDS = 5.0
+DISCARD = -1                     # the label code of a dropped window
 
 
 class LabelClass(IntEnum):
@@ -39,12 +39,6 @@ class LabelClass(IntEnum):
     INTERICTAL = 4
 
 
-PREICTAL_CLASSES = (
-    LabelClass.PRE_0_15,
-    LabelClass.PRE_15_30,
-    LabelClass.PRE_30_45,
-    LabelClass.PRE_45_60,
-)
 N_CLASSES = len(LabelClass)
 
 
@@ -84,8 +78,9 @@ class Recording:
     annotations: list[SeizureAnnotation] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if type(self.sample_rate_hz) is not int or self.sample_rate_hz <= 0:
+            raise ValueError(f"sample_rate_hz must be a positive integer, "
+                             f"got {self.sample_rate_hz!r}")
         if self.sensor == Sensor.EEG and self.channels < 2:
             raise ValueError("EEG recordings need channels >= 2")
         if self.sensor == Sensor.ECG and self.channels != 1:
@@ -131,29 +126,24 @@ class FoldSplit:
     test_ids: list[int]
 
 
-def label_for_offset(minutes_to_next_onset: Optional[float]) -> Optional[LabelClass]:
-    """Map minutes-until-next-onset to a class, or None for the discard buffer.
+def label_codes(minutes) -> np.ndarray:
+    """Minutes until the next onset (inf: none ahead) -> class codes, DISCARD
+    in the buffer; the module docstring states the rule."""
+    minutes = np.asarray(minutes, dtype=float)
+    if (minutes < 0).any():
+        raise ValueError(f"offsets must be non-negative, got {minutes.min()}")
+    edges = np.arange(BIN_MIN, PREICTAL_HORIZON_MIN + BIN_MIN, BIN_MIN)
+    codes = np.searchsorted(edges, minutes, side="right")
+    codes[(minutes >= PREICTAL_HORIZON_MIN) & (minutes <= INTERICTAL_THRESHOLD_MIN)] = DISCARD
+    return codes
 
-    Half-open 15-minute bins, lower edge inclusive: [0,15) [15,30) [30,45)
-    [45,60).  [60,90] is discarded; beyond 90 minutes (or no future seizure
-    at all) is interictal.
-    """
+
+def label_for_offset(minutes_to_next_onset: Optional[float]) -> Optional[LabelClass]:
+    """One offset's class, None in the buffer; None as the offset means no
+    seizure ahead."""
     m = minutes_to_next_onset
-    if m is None:
-        return LabelClass.INTERICTAL
-    if m < 0:
-        raise ValueError(f"offset must be non-negative, got {m}")
-    if m < 15.0:
-        return LabelClass.PRE_0_15
-    if m < 30.0:
-        return LabelClass.PRE_15_30
-    if m < 45.0:
-        return LabelClass.PRE_30_45
-    if m < 60.0:
-        return LabelClass.PRE_45_60
-    if m <= 90.0:
-        return None
-    return LabelClass.INTERICTAL
+    code = int(label_codes([np.inf if m is None else m])[0])
+    return None if code == DISCARD else LabelClass(code)
 
 
 def _check_integral(value: float, what: str) -> int:
@@ -164,71 +154,43 @@ def _check_integral(value: float, what: str) -> int:
 
 
 def segment(
-    recording: Recording,
-    window_seconds: float = DEFAULT_WINDOW_SECONDS,
-    stride_seconds: float = DEFAULT_STRIDE_SECONDS,
-    postictal_exclusion_s: float = POSTICTAL_EXCLUSION_S,
+    recording: Recording, window_seconds: float, stride_seconds: float
 ) -> list[LabeledWindow]:
-    """Cut a recording into labeled windows.
+    """Cut a recording into labeled windows, every stride position in one pass.
 
-    The label comes from the window END time's distance to the next onset
-    (the end is the freshest signal the model sees).  Windows are dropped when
-    that distance lands in the 60-90 minute buffer, or when the window overlaps
-    a seizure or the post-ictal exclusion zone after one.
+    A window's label is `label_codes` of the minutes from its END time (the
+    freshest signal the model sees) to the next onset at or after it.  It is
+    dropped when that is DISCARD or it overlaps [onset, end +
+    POSTICTAL_EXCLUSION_S) of a seizure.  The kept windows are the rows of one
+    block copied out of the recording: one allocation, not one per window.
     """
     fs = recording.sample_rate_hz
     window_samples = _check_integral(window_seconds * fs, "window_seconds * sample_rate")
     stride_samples = _check_integral(stride_seconds * fs, "stride_seconds * sample_rate")
     n = recording.samples.shape[1]
     if n < window_samples:
-        raise ValueError(
-            f"recording ({n} samples) is shorter than one window ({window_samples})"
-        )
+        raise ValueError(f"{recording.patient_id} {recording.sensor.value} recording "
+                         f"({n} samples) is shorter than one window ({window_samples})")
 
-    onsets = np.array([a.onset_time for a in recording.annotations], dtype=float)
-    windows: list[LabeledWindow] = []
-    n_positions = (n - window_samples) // stride_samples + 1
-    for i in range(n_positions):
-        s0 = i * stride_samples
-        s1 = s0 + window_samples
-        start_time = s0 / fs
-        end_time = s1 / fs
-
-        j = int(np.searchsorted(onsets, end_time, side="left"))
-        offset_min = (onsets[j] - end_time) / 60.0 if j < len(onsets) else None
-        label = label_for_offset(offset_min)
-        if label is None:
-            continue
-        if _overlaps_exclusion(start_time, end_time, recording.annotations,
-                               postictal_exclusion_s):
-            continue
-        windows.append(
-            LabeledWindow(
-                window_index=i,
-                start_time=start_time,
-                data=recording.samples[:, s0:s1].copy(),
-                label=label,
-            )
-        )
-    return windows
+    s0 = stride_samples * np.arange((n - window_samples) // stride_samples + 1)
+    starts, ends = s0 / fs, (s0 + window_samples) / fs
+    anns = recording.annotations
+    onsets = np.array([a.onset_time for a in anns] + [np.inf])
+    excluded_until = np.array([a.end_time for a in anns]) + POSTICTAL_EXCLUSION_S
+    next_onset = onsets[np.searchsorted(onsets, ends, side="left")]
+    codes = label_codes((next_onset - ends) / 60.0)
+    codes[((starts[:, None] < excluded_until)
+           & (onsets[:-1] < ends[:, None])).any(axis=1)] = DISCARD
+    keep = np.flatnonzero(codes != DISCARD)
+    grid = np.lib.stride_tricks.sliding_window_view(recording.samples, window_samples, 1)
+    data = grid[:, ::stride_samples].transpose(1, 0, 2)[keep]
+    return [LabeledWindow(int(i), float(starts[i]), x, LabelClass(int(codes[i])))
+            for i, x in zip(keep, data)]
 
 
 def stack_windows(windows: Sequence[LabeledWindow]) -> tuple[np.ndarray, np.ndarray]:
     """Windows -> their data [N x C x T] and int classes [N]."""
     return np.stack([w.data for w in windows]), np.array([int(w.label) for w in windows])
-
-
-def _overlaps_exclusion(
-    start: float,
-    end: float,
-    annotations: list[SeizureAnnotation],
-    postictal_s: float,
-) -> bool:
-    # Half-open interval overlap against [onset, seizure_end + postictal).
-    for ann in annotations:
-        if start < ann.end_time + postictal_s and ann.onset_time < end:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +209,9 @@ ECG_COMPONENT_OFFSETS_HZ = (-0.4, 0.0, 0.4)
 PREICTAL_AMP_RANGE = (0.8, 1.6)
 POSTICTAL_AMP = 0.7
 ICTAL_AMP = 3.0
-BUFFER_S = 60.0 * (BUFFER_MIN[1] - BUFFER_MIN[0])
+BUFFER_S = 60.0 * (INTERICTAL_THRESHOLD_MIN - PREICTAL_HORIZON_MIN)
 PREICTAL_S = 60.0 * PREICTAL_HORIZON_MIN
+BIN_S = 60.0 * BIN_MIN
 
 
 @dataclass
@@ -275,6 +238,9 @@ class SynthConfig:
             raise ValueError("eeg_channels must be >= 2")
         if self.n_seizures < 0:
             raise ValueError("n_seizures must be >= 0")
+        if self.seizure_duration_s <= 0:
+            raise ValueError(f"seizure_duration_s must be positive, "
+                             f"got {self.seizure_duration_s}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 
@@ -304,7 +270,6 @@ def _regions(cfg: SynthConfig, anns: list[SeizureAnnotation]):
     The amplitude is either a scalar or ("ramp", onset_s) for the linear
     pre-seizure ramp; class_code None means ictal noise burst.
     """
-    bin_s = PREICTAL_S / 4.0
     t = 0.0
     for ann in anns:
         pre_start = ann.onset_time - PREICTAL_S
@@ -312,9 +277,9 @@ def _regions(cfg: SynthConfig, anns: list[SeizureAnnotation]):
         if buf_start > t:
             yield (t, buf_start, int(LabelClass.INTERICTAL), 1.0)
         yield (buf_start, pre_start, int(LabelClass.INTERICTAL), 1.0)
-        for k in range(3, -1, -1):  # PRE_45_60 first in time, PRE_0_15 last
-            a = ann.onset_time - (k + 1) * bin_s
-            yield (a, a + bin_s, k, ("ramp", ann.onset_time))
+        for k in reversed(range(round(PREICTAL_S / BIN_S))):  # PRE_0_15 last
+            a = ann.onset_time - (k + 1) * BIN_S
+            yield (a, a + BIN_S, k, ("ramp", ann.onset_time))
         yield (ann.onset_time, ann.end_time, None, ICTAL_AMP)
         post_end = min(ann.end_time + POSTICTAL_EXCLUSION_S, cfg.duration_s)
         yield (ann.end_time, post_end, int(LabelClass.INTERICTAL), POSTICTAL_AMP)

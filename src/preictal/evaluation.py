@@ -197,15 +197,21 @@ def paired_windows(
 ) -> tuple[dict[int, LabeledWindow], dict[int, LabeledWindow]]:
     """Window both recordings of a patient, each keyed by window index.
 
-    The two recordings share annotations, so their stride-grid windowings
-    must align index for index; ValueError if they do not.
+    The two recordings must share one timeline: patient id, sample rate,
+    sample count and annotations.  Then their windowings align index for
+    index and label for label; ValueError naming the patient if they do not.
     """
+    timelines = [(r.patient_id, r.sample_rate_hz, r.samples.shape[1], r.annotations)
+                 for r in (eeg_rec, ecg_rec)]
+    differ = [name for name, a, b in zip(
+        ("patient ids", "sample rates", "sample counts", "annotations"),
+        *timelines) if a != b]
+    if differ:
+        raise ValueError(f"EEG and ECG recordings of patient {eeg_rec.patient_id!r} "
+                         f"do not align: their {', '.join(differ)} differ")
     step = (windowing.window_seconds, windowing.stride_seconds)
-    eeg_windows = {w.window_index: w for w in segment(eeg_rec, *step)}
-    ecg_windows = {w.window_index: w for w in segment(ecg_rec, *step)}
-    if set(eeg_windows) != set(ecg_windows):
-        raise ValueError("EEG and ECG windowings do not align")
-    return eeg_windows, ecg_windows
+    return tuple({w.window_index: w for w in segment(rec, *step)}
+                 for rec in (eeg_rec, ecg_rec))
 
 
 def _predictions(
@@ -282,11 +288,8 @@ def run_cross_validation(
         raise ValueError(f"patient ids must be unique, got {ids}")
     patients = []
     for p_idx, (eeg_rec, ecg_rec) in enumerate(recordings):
-        if eeg_rec.patient_id != ecg_rec.patient_id:
-            raise ValueError("EEG/ECG pair must belong to one patient")
+        eeg_windows, ecg_windows = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
         try:
-            eeg_windows, ecg_windows = paired_windows(eeg_rec, ecg_rec,
-                                                      cfg.windowing)
             splits = kfold_split(list(eeg_windows.values()), cfg.folds,
                                  seed=cfg.seed + 97 * p_idx)
             folds = []

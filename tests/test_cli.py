@@ -214,6 +214,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(index) in err and "lists no patients" in err
 
+    @pytest.mark.parametrize("command", ["train", "cross-validate", "simulate"])
+    def test_cross_patient_pair_is_refused(self, tmp_path, train_dir, capsys,
+                                           command):
+        config = tmp_path / "two.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "patients": 2}))
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", str(config), "--out", str(data)]) == 0
+        index = json.loads((data / "dataset.json").read_text())
+        index["patients"][0]["ecg"] = "p01_ecg.json"
+        (data / "dataset.json").write_text(json.dumps(index))
+        models = ["--models", str(train_dir)] if command == "simulate" else []
+        assert main([command, "--config", str(config), "--data", str(data),
+                     *models, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "patient 'p00' do not align: their patient ids differ" in err
+
 
 # ---------------------------------------------------------------------------
 # cross-validate

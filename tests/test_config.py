@@ -79,6 +79,11 @@ class TestOutOfRange:
         with pytest.raises(ValueError, match="seed must be non-negative"):
             from_dict(payload)
 
+    @pytest.mark.parametrize("value", [0, -60.0])
+    def test_non_positive_seizure_duration_names_its_key(self, value):
+        with pytest.raises(ValueError, match="seizure_duration_s must be positive"):
+            from_dict({"data": {"seizure_duration_s": value}})
+
 
 class TestConfigFile:
     @pytest.mark.parametrize("text", [

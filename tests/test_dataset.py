@@ -114,6 +114,9 @@ class TestSegment:
         assert [w.window_index for w in windows[:3]] == [0, 1, 2]
         assert windows[1].start_time == 2.5
         np.testing.assert_array_equal(windows[0].data, rec.samples[:, :160])
+        # Overlapping windows hold separate copies, none a view of the recording.
+        assert not np.shares_memory(windows[0].data, windows[1].data)
+        assert not any(np.shares_memory(w.data, rec.samples) for w in windows)
 
     def test_postictal_exclusion_boundary(self):
         # Exclusion covers [onset, end + 60 min); the first window starting
@@ -140,31 +143,44 @@ class TestSegment:
             segment(rec, 0.3, 0.3)  # 9.6 samples per window
 
     def test_random_recordings_relabel_bruteforce(self):
+        # (stride, grid): the first case has 30 s seizures at arbitrary
+        # times.  The others draw seizure times and lengths as multiples of
+        # 5 s, so window edges land exactly on onsets, bin edges and
+        # exclusion ends; on the 40 s grid bin edges and exclusion edges
+        # fall on different grid points.
         rng = np.random.default_rng(42)
         fs = 16
-        for _ in range(5):
-            duration = float(rng.integers(2_000, 12_000))
-            anns = []
-            t = float(rng.uniform(0, duration / 3))
-            while t + 30.0 < duration:
-                anns.append(SeizureAnnotation(t, t + 30.0))
-                t += 30.0 + float(rng.uniform(600.0, duration / 2))
-            rec = _recording(duration, fs=fs, annotations=anns, seed=rng.integers(1 << 30))
-            got = {w.window_index: w.label for w in segment(rec, 5.0, 5.0)}
+        for stride, grid in ((5.0, None), (2.5, 5.0), (40.0, 5.0)):
+            def draw(lo, hi):
+                x = float(rng.uniform(lo, hi))
+                return x if grid is None else grid * round(x / grid)
 
-            onsets = [a.onset_time for a in anns]
-            n_positions = (rec.samples.shape[1] - 5 * fs) // (5 * fs) + 1
-            for i in range(n_positions):
-                start = i * 5.0
-                end = start + 5.0
-                nxt = [o for o in onsets if o >= end]
-                want = label_code_reference((nxt[0] - end) / 60.0 if nxt else None)
-                excluded = any(start < a.end_time + 3600.0 and a.onset_time < end
-                               for a in anns)
-                if want == "discard" or excluded:
-                    assert i not in got
-                else:
-                    assert int(got[i]) == want
+            for _ in range(5):
+                duration = float(rng.integers(2_000, 12_000))
+                anns = []
+                t = draw(0, duration / 3)
+                seizure = 30.0 if grid is None else draw(grid, 600.0)
+                while t + seizure < duration:
+                    anns.append(SeizureAnnotation(t, t + seizure))
+                    t += seizure + draw(600.0, duration / 2)
+                    seizure = 30.0 if grid is None else draw(grid, 600.0)
+                rec = _recording(duration, fs=fs, annotations=anns,
+                                 seed=rng.integers(1 << 30))
+                got = {w.window_index: w.label for w in segment(rec, 5.0, stride)}
+
+                onsets = [a.onset_time for a in anns]
+                n_positions = (rec.samples.shape[1] - 5 * fs) // int(stride * fs) + 1
+                for i in range(n_positions):
+                    start = i * stride
+                    end = start + 5.0
+                    nxt = [o for o in onsets if o >= end]
+                    want = label_code_reference((nxt[0] - end) / 60.0 if nxt else None)
+                    excluded = any(start < a.end_time + 3600.0 and a.onset_time < end
+                                   for a in anns)
+                    if want == "discard" or excluded:
+                        assert i not in got
+                    else:
+                        assert got[i] is LabelClass(want)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +250,9 @@ class TestSynthGenerate:
             SynthConfig(sample_rate_hz=40)  # below the class signature bands
         with pytest.raises(ValueError):
             SynthConfig(noise_sigma=-0.1)
+        for seizure_duration_s in (0.0, -60.0):
+            with pytest.raises(ValueError):
+                SynthConfig(seizure_duration_s=seizure_duration_s)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +412,8 @@ class TestRecordingFiles:
         pytest.param(lambda m: m.update(n_samples=2.5), id="float-n-samples"),
         pytest.param(lambda m: m.update(annotations=None), id="null-annotations"),
         pytest.param(lambda m: m.pop("data_file"), id="no-data-file"),
+        pytest.param(lambda m: m.update(sample_rate_hz=True), id="bool-sample-rate"),
+        pytest.param(lambda m: m.update(sample_rate_hz=64.5), id="float-sample-rate"),
     ])
     def test_malformed_manifest_names_its_path(self, tmp_path, edit):
         manifest = save_recording(_recording(3.0), tmp_path, "r")

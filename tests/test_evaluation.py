@@ -19,6 +19,7 @@ from preictal.dataset import (
     LabelClass,
     LabeledWindow,
     Recording,
+    SeizureAnnotation,
     Sensor,
     SynthConfig,
     stack_windows,
@@ -400,3 +401,14 @@ class TestPairedWindows:
     def test_shorter_ecg_does_not_align(self):
         with pytest.raises(ValueError, match="do not align"):
             paired_windows(*self._pair(90), WindowingConfig())
+
+    def test_different_annotations_do_not_align(self):
+        # Windowed at stride 40 s, both keep the same 364 indices, but
+        # windows 158 and 203 fall in different bins of the two timelines.
+        eeg = Recording("p", Sensor.EEG, 16, 2, np.zeros((2, 16 * 20_000)),
+                        [SeizureAnnotation(9010.0, 9070.0)])
+        ecg = Recording("p", Sensor.ECG, 16, 1, np.zeros((1, 16 * 20_000)),
+                        [SeizureAnnotation(9030.0, 9070.0)])
+        with pytest.raises(ValueError,
+                           match="'p' do not align: their annotations differ"):
+            paired_windows(eeg, ecg, WindowingConfig(5.0, 40.0))
