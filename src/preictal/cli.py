@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bansim import latency_report, run_simulation, write_trace_jsonl
 from .combiner import load_combiner, save_combiner
-from .config import ExperimentConfig, load_config, write_config
+from .config import ExperimentConfig, WindowingConfig, load_config, write_config
 from .dataset import Recording, kfold_split, load_recording, save_recording, synth_generate
 from .errors import read_json
 
@@ -176,7 +176,8 @@ def cmd_train(args) -> int:
     result = run_patient_fold(eeg_w, ecg_w, split, cfg, fold_seed=cfg.seed)
     _save_fold(result, out)
     (out / "holdout.json").write_text(json.dumps(
-        {"patient": pid, "window_ids": split.test_ids}, sort_keys=True) + "\n")
+        {"patient": pid, "window_ids": split.test_ids,
+         **dataclasses.asdict(cfg.windowing)}, sort_keys=True) + "\n")
     for name in VARIANTS:
         b = binary_metrics(result.confusion[name])
         print(f"  {name:>8}: sensitivity={_fnum(b.sensitivity)} "
@@ -221,16 +222,27 @@ def cmd_simulate(args) -> int:
     combiner_params = load_combiner(paths["combiner"])
 
     holdout_path = model_dir / "holdout.json"
-    held_patient, held_ids = None, []
+    held_patient = held_ids = held_windowing = None
     if holdout_path.exists():
-        held_patient, held_ids = read_json(
+        held_patient, held_ids, held_windowing = read_json(
             holdout_path, "a held-out window list",
-            lambda h: (h["patient"], sorted(h["window_ids"])))
+            lambda h: (h["patient"], sorted(h["window_ids"]), WindowingConfig(
+                h["window_seconds"], h["stride_seconds"])))
     eeg_rec, ecg_rec = _load_patient(args.data, args.patient or held_patient)
     eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
     ids = sorted(eeg_w)
     if held_patient == eeg_rec.patient_id and not args.all_windows:
-        ids = [i for i in held_ids if i in eeg_w]
+        # Window ids are stride-grid positions, so they name the same data
+        # only at the windowing they were cut at.
+        if held_windowing != cfg.windowing:
+            raise ValueError(f"{holdout_path} was cut at {held_windowing}; the "
+                             f"config asks for {cfg.windowing}")
+        unknown = [i for i in held_ids if i not in eeg_w]
+        if unknown:
+            raise ValueError(f"{holdout_path} lists {len(unknown)} ids that are not "
+                             f"windows of patient {held_patient!r}, the first "
+                             f"{unknown[0]}")
+        ids = held_ids
     pairs = [(eeg_w[i], ecg_w[i]) for i in ids]
 
     trace = run_simulation(cfg.sim, eeg_model, ecg_model, combiner_params, pairs)

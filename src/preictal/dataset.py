@@ -247,8 +247,6 @@ class SynthConfig:
 
 def _plan_onsets(cfg: SynthConfig) -> list[SeizureAnnotation]:
     """Place seizures so each has a full buffer+preictal runway and postictal tail."""
-    if cfg.n_seizures == 0:
-        return []
     block = BUFFER_S + PREICTAL_S + cfg.seizure_duration_s + POSTICTAL_EXCLUSION_S
     gap = (cfg.duration_s - cfg.n_seizures * block) / (cfg.n_seizures + 1)
     if gap < 0:
@@ -264,30 +262,6 @@ def _plan_onsets(cfg: SynthConfig) -> list[SeizureAnnotation]:
     return anns
 
 
-def _regions(cfg: SynthConfig, anns: list[SeizureAnnotation]):
-    """Yield (start_s, stop_s, class_code, amplitude) content regions.
-
-    The amplitude is either a scalar or ("ramp", onset_s) for the linear
-    pre-seizure ramp; class_code None means ictal noise burst.
-    """
-    t = 0.0
-    for ann in anns:
-        pre_start = ann.onset_time - PREICTAL_S
-        buf_start = pre_start - BUFFER_S
-        if buf_start > t:
-            yield (t, buf_start, int(LabelClass.INTERICTAL), 1.0)
-        yield (buf_start, pre_start, int(LabelClass.INTERICTAL), 1.0)
-        for k in reversed(range(round(PREICTAL_S / BIN_S))):  # PRE_0_15 last
-            a = ann.onset_time - (k + 1) * BIN_S
-            yield (a, a + BIN_S, k, ("ramp", ann.onset_time))
-        yield (ann.onset_time, ann.end_time, None, ICTAL_AMP)
-        post_end = min(ann.end_time + POSTICTAL_EXCLUSION_S, cfg.duration_s)
-        yield (ann.end_time, post_end, int(LabelClass.INTERICTAL), POSTICTAL_AMP)
-        t = post_end
-    if t < cfg.duration_s:
-        yield (t, cfg.duration_s, int(LabelClass.INTERICTAL), 1.0)
-
-
 def _render_sensor(
     cfg: SynthConfig,
     anns: list[SeizureAnnotation],
@@ -296,33 +270,54 @@ def _render_sensor(
     offsets: tuple[float, ...],
     rng: np.random.Generator,
 ) -> np.ndarray:
+    """One sensor's samples, laid out seizure by seizure as they are rendered:
+    interictal up to the buffer and through it, the four bins on the amplitude
+    ramp, the ictal burst, the post-ictal tail; then interictal to the end,
+    and noise over all of it."""
     fs = cfg.sample_rate_hz
     n = int(round(cfg.duration_s * fs))
     out = np.zeros((channels, n))
     gains = rng.uniform(0.8, 1.2, size=channels)
     amp_lo, amp_hi = PREICTAL_AMP_RANGE
-    for start_s, stop_s, cls, amp in _regions(cfg, anns):
-        i0, i1 = int(round(start_s * fs)), int(round(stop_s * fs))
-        if i1 <= i0:
-            continue
-        if cls is None:
-            out[:, i0:i1] = amp * rng.standard_normal((channels, i1 - i0))
-            continue
-        t = np.arange(i0, i1) / fs
-        if isinstance(amp, tuple):
-            onset = amp[1]
-            frac = 1.0 - (onset - t) / PREICTAL_S  # 0 at -60 min, 1 at onset
-            a = amp_lo + (amp_hi - amp_lo) * frac
-        else:
-            a = amp
+
+    def span(start_s: float, stop_s: float) -> slice:
+        return slice(int(round(start_s * fs)), int(round(stop_s * fs)))
+
+    def tone(start_s: float, stop_s: float, cls: int = int(LabelClass.INTERICTAL),
+             amp=lambda t: 1.0) -> None:
+        """Class `cls`'s tone mixture over [start_s, stop_s), scaled by amp(t)
+        at the sample times t; an empty span draws no phases."""
+        cols = span(start_s, stop_s)
+        t = np.arange(cols.start, cols.stop) / fs
+        if not len(t):
+            return
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(channels, len(offsets)))
-        sig = np.zeros((channels, i1 - i0))
+        sig = np.zeros((channels, len(t)))
         for j, df in enumerate(offsets):
             sig += np.sin(2.0 * np.pi * (freqs[cls] + df) * t[None, :]
                           + phases[:, j][:, None])
-        out[:, i0:i1] = a * gains[:, None] * sig
+        out[:, cols] = amp(t) * gains[:, None] * sig
+
+    t0 = 0.0
+    for ann in anns:
+        onset = ann.onset_time
+        buf_start = onset - PREICTAL_S - BUFFER_S
+        if buf_start > t0:
+            tone(t0, buf_start)
+        tone(buf_start, onset - PREICTAL_S)
+        for k in reversed(range(round(PREICTAL_S / BIN_S))):  # PRE_0_15 last
+            a = onset - (k + 1) * BIN_S
+            tone(a, a + BIN_S, k, lambda t: amp_lo + (amp_hi - amp_lo)
+                 * (1.0 - (onset - t) / PREICTAL_S))  # 0 at -60 min, 1 at onset
+        cols = span(onset, ann.end_time)
+        out[:, cols] = ICTAL_AMP * rng.standard_normal((channels, cols.stop - cols.start))
+        t0 = min(ann.end_time + POSTICTAL_EXCLUSION_S, cfg.duration_s)
+        tone(ann.end_time, t0, amp=lambda t: POSTICTAL_AMP)
+    if t0 < cfg.duration_s:
+        tone(t0, cfg.duration_s)
     if cfg.noise_sigma > 0:
-        out += cfg.noise_sigma * rng.standard_normal(out.shape)
+        for row in out:  # row by row: the stream of one (channels, n) draw
+            row += cfg.noise_sigma * rng.standard_normal(n)
     return out
 
 
@@ -365,65 +360,44 @@ def kfold_split(
         raise ValueError(f"need at least k={k} windows, got {len(windows)}")
 
     rng = np.random.default_rng(seed)
-    by_class: dict[int, list[int]] = {}
-    for w in windows:
-        by_class.setdefault(int(w.label), []).append(w.window_index)
-    chunks: dict[int, list[list[int]]] = {}
-    loads = [0] * k
-    for cls in sorted(by_class):
-        ids = np.array(sorted(by_class[cls]), dtype=int)
+    index = np.array([w.window_index for w in windows])
+    label = np.array([int(w.label) for w in windows])
+    loads = np.zeros(k, dtype=int)  # test windows per fold so far
+    cuts = []                       # per class, in class order: its k test cuts
+    for cls in np.unique(label):
+        ids = np.sort(index[label == cls])
         rng.shuffle(ids)
-        base, rem = divmod(len(ids), k)
-        bonus = set(sorted(range(k), key=lambda f: (loads[f], f))[:rem])
-        sizes = [base + (1 if f in bonus else 0) for f in range(k)]
-        cuts = np.cumsum([0] + sizes)
-        chunks[cls] = [ids[cuts[f]:cuts[f + 1]].tolist() for f in range(k)]
-        for f in range(k):
-            loads[f] += sizes[f]
+        sizes = np.full(k, len(ids) // k)
+        sizes[np.argsort(loads, kind="stable")[:len(ids) % k]] += 1
+        loads += sizes
+        cuts.append(np.split(ids, np.cumsum(sizes)[:-1]))
 
     splits = []
     for f in range(k):
-        test_ids: list[int] = []
-        nontest_by_class: dict[int, list[int]] = {}
-        for cls in sorted(chunks):
-            test_ids.extend(chunks[cls][f])
-            pool = [i for g in range(k) if g != f for i in chunks[cls][g]]
-            if pool:
-                nontest_by_class[cls] = pool
-        m = sum(len(v) for v in nontest_by_class.values())
-        target = int(math.floor(0.1 * m + 0.5))
-        quotas = _largest_remainder(
-            {cls: len(v) for cls, v in nontest_by_class.items()}, target
-        )
+        pools = [np.concatenate(c[:f] + c[f + 1:]) for c in cuts]
+        sizes = [len(pool) for pool in pools]
+        quotas = _largest_remainder(sizes, int(math.floor(0.1 * sum(sizes) + 0.5)))
         fold_rng = np.random.default_rng([seed, f])
-        val_ids: list[int] = []
-        train_ids: list[int] = []
-        for cls in sorted(nontest_by_class):
-            pool = np.array(nontest_by_class[cls], dtype=int)
+        for pool in pools:
             fold_rng.shuffle(pool)
-            q = quotas[cls]
-            val_ids.extend(pool[:q].tolist())
-            train_ids.extend(pool[q:].tolist())
-        splits.append(
-            FoldSplit(f, sorted(train_ids), sorted(val_ids), sorted(test_ids))
-        )
+        train = np.concatenate([pool[q:] for pool, q in zip(pools, quotas)])
+        val = np.concatenate([pool[:q] for pool, q in zip(pools, quotas)])
+        test = np.concatenate([c[f] for c in cuts])
+        splits.append(FoldSplit(f, *(np.sort(ids).tolist() for ids in (train, val, test))))
     return splits
 
 
-def _largest_remainder(sizes: dict[int, int], target: int) -> dict[int, int]:
-    """Apportion `target` among classes proportionally to their sizes."""
-    total = sum(sizes.values())
+def _largest_remainder(sizes: list[int], target: int) -> list[int]:
+    """Apportion `target` among pools by size; a tie goes to the earlier pool."""
+    total = sum(sizes)
     if total == 0 or target == 0:
-        return {cls: 0 for cls in sizes}
-    shares = {cls: target * n / total for cls, n in sizes.items()}
-    quotas = {cls: int(math.floor(s)) for cls, s in shares.items()}
-    leftover = target - sum(quotas.values())
-    order = sorted(sizes, key=lambda c: (-(shares[c] - quotas[c]), c))
-    for cls in order[:leftover]:
-        quotas[cls] += 1
-    for cls in sizes:  # quota cannot exceed the pool
-        quotas[cls] = min(quotas[cls], sizes[cls])
-    return quotas
+        return [0] * len(sizes)
+    shares = [target * n / total for n in sizes]
+    quotas = [math.floor(s) for s in shares]
+    leftover = target - sum(quotas)
+    for i in sorted(range(len(sizes)), key=lambda i: quotas[i] - shares[i])[:leftover]:
+        quotas[i] += 1
+    return [min(q, n) for q, n in zip(quotas, sizes)]  # quota cannot exceed the pool
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +434,7 @@ def save_recording(rec: Recording, out_dir: Path | str, basename: str) -> Path:
 
 def load_recording(manifest_path: Path | str) -> Recording:
     """The recording a manifest describes; ValueError naming the manifest if
-    it or its samples file is malformed."""
+    it or its samples file is malformed or holds a non-finite sample."""
     manifest_path = Path(manifest_path)
 
     def build(manifest) -> Recording:
@@ -476,6 +450,11 @@ def load_recording(manifest_path: Path | str) -> Recording:
         # A read-only view of the file's bytes (on a little-endian host): a
         # copy would double the recording's peak memory while it loads.
         samples = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
+        # NaN propagates through min and max, so no full-size mask is needed.
+        if samples.size and not np.isfinite([samples.min(), samples.max()]).all():
+            c, i = divmod(int(np.flatnonzero(~np.isfinite(samples))[0]), shape[1])
+            raise ValueError(f"{data_path} holds NaN or infinite samples, the "
+                             f"first at channel {c}, sample {i}")
         return Recording(
             patient_id=manifest["patient_id"],
             sensor=Sensor(manifest["sensor"]),

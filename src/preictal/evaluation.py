@@ -298,8 +298,7 @@ def run_cross_validation(
                 folds.append(run_patient_fold(
                     eeg_windows, ecg_windows, split, cfg, fold_seed))
         except Exception as exc:
-            raise RuntimeError(
-                f"cross-validation failed for patient {eeg_rec.patient_id!r}"
-            ) from exc
+            raise RuntimeError(f"cross-validation failed for patient "
+                               f"{eeg_rec.patient_id!r}: {exc}") from exc
         patients.append(PatientResult(eeg_rec.patient_id, folds))
     return patients

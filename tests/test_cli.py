@@ -2,6 +2,9 @@ import csv
 import hashlib
 import json
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +156,8 @@ class TestTrain:
             assert (train_dir / name).exists(), name
         holdout = json.loads((train_dir / "holdout.json").read_text())
         assert holdout["patient"] == "p00"
+        assert holdout["window_seconds"] == 5.0
+        assert holdout["stride_seconds"] == 40.0
         ids = holdout["window_ids"]
         assert ids and len(ids) == len(set(ids))
 
@@ -350,6 +355,7 @@ class TestSimulate:
     @pytest.mark.parametrize("text", [
         pytest.param(None, id="truncated"),
         pytest.param('{"patient": "p00"}', id="no-window-ids"),
+        pytest.param('{"patient": "p00", "window_ids": [1]}', id="no-windowing"),
     ])
     def test_malformed_holdout_is_named(self, tmp_path, config_path,
                                         dataset_dir, train_dir, capsys, text):
@@ -363,6 +369,34 @@ class TestSimulate:
                      "--data", str(dataset_dir), "--models", str(models),
                      "--out", str(tmp_path / "sim")]) == 1
         assert str(holdout) in capsys.readouterr().err
+
+    def test_replay_at_another_stride_is_refused(self, tmp_path, dataset_dir,
+                                                 train_dir, capsys):
+        # Trained at stride 40 s.  At stride 20 s, held-out id 106 would
+        # name the data of stride-40 window 53, which the models were
+        # trained or validated on.
+        config = tmp_path / "stride20.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "windowing": {
+            "window_seconds": 5.0, "stride_seconds": 20.0}}))
+        assert main(["simulate", "--config", str(config),
+                     "--data", str(dataset_dir), "--models", str(train_dir),
+                     "--out", str(tmp_path / "sim")]) == 1
+        err = capsys.readouterr().err
+        assert str(train_dir / "holdout.json") in err
+        assert "stride_seconds=40.0" in err and "stride_seconds=20.0" in err
+
+    def test_held_id_off_the_grid_is_refused(self, tmp_path, config_path,
+                                             dataset_dir, train_dir, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(train_dir, models)
+        holdout = json.loads((models / "holdout.json").read_text())
+        holdout["window_ids"].append(10 ** 6)
+        (models / "holdout.json").write_text(json.dumps(holdout))
+        assert main(["simulate", "--config", str(config_path),
+                     "--data", str(dataset_dir), "--models", str(models),
+                     "--out", str(tmp_path / "sim")]) == 1
+        err = capsys.readouterr().err
+        assert str(models / "holdout.json") in err and "1000000" in err
 
 
 class TestLoadsOnlyThePatientUsed:
@@ -488,3 +522,16 @@ class TestRerun:
                      "sim/trace.jsonl", "sim/latency.json"):
             assert name in first, name
         assert first == second
+
+
+class TestArtifactDigest:
+    def test_two_runs_hash_identically(self, tmp_path, config_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digest.py"
+        for ws in ("a", "b"):
+            run = subprocess.run([sys.executable, str(script), "--config",
+                                  str(config_path), "--workspace", str(tmp_path / ws)],
+                                 capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+        first = (tmp_path / "a.sha256").read_text().splitlines()
+        assert len(first) == 45
+        assert first == (tmp_path / "b.sha256").read_text().splitlines()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -239,6 +240,30 @@ class TestSynthGenerate:
                                                LabelClass.PRE_0_15)]
         assert all(b > a for a, b in zip(means, means[1:]))
 
+    def test_pinned_samples_per_region(self):
+        # One sample from each region, in layout order: interictal lead-in,
+        # buffer, the four bins from PRE_45_60 to PRE_0_15, ictal,
+        # post-ictal, trailing interictal.  A change in the order of the
+        # random draws changes them.
+        eeg, ecg = synth_generate(_small_synth(), seed=5)
+        assert [(a.onset_time, a.end_time) for a in eeg.annotations] == [(5600.0, 5660.0)]
+        cols = [64 * t + 7 for t in (100, 1000, 2450, 3350, 4250, 5150, 5630,
+                                     7000, 9360)]
+        expected = {
+            "eeg": [[-1.0816603296595035, -1.1028269939757005, -0.691185099363852,
+                     0.1064009882449472, 3.576776903370128, 4.717832673214128,
+                     -3.1153745700245983, 0.639634349461302, 0.9750883306834054],
+                    [-1.0978786591746466, -1.6109681309937396, -0.19945925180897028,
+                     -1.8166473043321172, 2.2225975680306047, 0.9914221184161146,
+                     -3.0836982692438246, 0.3834458428294735, -0.45443186828670945]],
+            "ecg": [[0.26371829110678174, -2.5089566399380465, -1.1941267798241122,
+                     -1.2307855102890555, -0.6463228832391855, -4.08870808314135,
+                     0.07750878876648568, 0.6958052208927141, -2.030987365775475]],
+        }
+        for rec, name in ((eeg, "eeg"), (ecg, "ecg")):
+            np.testing.assert_allclose(rec.samples[:, cols], expected[name],
+                                       rtol=0, atol=1e-12)
+
     def test_duration_too_short_for_seizures(self):
         with pytest.raises(ValueError):
             synth_generate(_small_synth(duration_s=5000.0), seed=0)
@@ -288,7 +313,7 @@ class TestRecordingInvariants:
 # Cross-validation folds
 
 
-def _labeled_windows(class_counts, seed=0):
+def _labeled_windows(class_counts, seed=0, step=1):
     rng = np.random.default_rng(seed)
     windows = []
     idx = 0
@@ -296,7 +321,7 @@ def _labeled_windows(class_counts, seed=0):
         for _ in range(count):
             windows.append(LabeledWindow(idx, float(idx), np.zeros((1, 1)),
                                          LabelClass(code)))
-            idx += 1
+            idx += step
     rng.shuffle(windows)
     return windows
 
@@ -359,6 +384,25 @@ class TestKfoldSplit:
             assert sa.val_ids == sb.val_ids
             assert sa.train_ids == sb.train_ids
 
+    def test_pinned_layout(self):
+        # One seeded, imbalanced input with gapped ids and a class absent:
+        # a change in the order of the random draws changes these folds.
+        windows = _labeled_windows({0: 2, 1: 5, 3: 3, 4: 9}, seed=4, step=3)
+        folds = [(s.train_ids, s.val_ids, s.test_ids)
+                 for s in kfold_split(windows, 3, seed=11)]
+        assert folds == [
+            ([0, 6, 12, 15, 24, 27, 30, 33, 39, 45, 48], [42],
+             [3, 9, 18, 21, 36, 51, 54]),
+            ([3, 6, 9, 15, 18, 21, 27, 36, 42, 45, 51, 54], [30],
+             [0, 12, 24, 33, 39, 48]),
+            ([0, 3, 9, 12, 18, 21, 24, 33, 36, 39, 48, 54], [51],
+             [6, 15, 27, 30, 42, 45]),
+        ]
+        folds = [(s.train_ids, s.val_ids, s.test_ids)
+                 for s in kfold_split(windows, 5, seed=11)]
+        assert hashlib.sha256(json.dumps(folds).encode()).hexdigest() == \
+            "e2ed00ff271062a4ee2129763645bdcdc75e89c472fb9a0c81b012f284b8b6c6"
+
     def test_rejects_bad_k(self):
         windows = _labeled_windows({0: 10})
         with pytest.raises(ValueError):
@@ -401,6 +445,18 @@ class TestRecordingFiles:
         longest = len(raw) - (2 if target == manifest else 1)
         target.write_bytes(raw[:data.draw(st.integers(0, longest))])
         with pytest.raises(ValueError, match=re.escape(str(target))):
+            load_recording(manifest)
+
+    @pytest.mark.parametrize("value", [pytest.param(np.nan, id="nan"),
+                                       pytest.param(np.inf, id="inf"),
+                                       pytest.param(-np.inf, id="-inf")])
+    def test_non_finite_samples_name_their_file(self, tmp_path, value):
+        manifest = save_recording(_recording(3.0), tmp_path, "r")
+        samples = np.fromfile(tmp_path / "r.f64", dtype="<f8")
+        samples[100] = value  # channel 1, sample 4 of a 2 x 96 recording
+        samples.tofile(tmp_path / "r.f64")
+        with pytest.raises(ValueError, match=re.escape(str(tmp_path / "r.f64"))
+                           + ".*channel 1, sample 4"):
             load_recording(manifest)
 
     @pytest.mark.parametrize("edit", [

@@ -380,7 +380,8 @@ class TestRunCrossValidation:
         (eeg, ecg), = _tiny_recordings()
         cfg = _tiny_pipeline()
         cfg.folds = 10_000   # more folds than windows
-        with pytest.raises(RuntimeError, match=eeg.patient_id):
+        with pytest.raises(RuntimeError, match=f"{eeg.patient_id}.*"
+                           "need at least k=10000 windows"):
             run_cross_validation([(eeg, ecg)], cfg)
 
 
