@@ -8,55 +8,3 @@ confusion/sensitivity/specificity/trend artifacts under stratified k-fold
 cross-validation, and replayed through a deterministic discrete-event
 simulation of the closed-loop body-area network.
 """
-
-from .combiner import (
-    CombinerParams,
-    build_input,
-    load_combiner,
-    lr_forward,
-    lr_train,
-    predict,
-    quantize4,
-    save_combiner,
-)
-from .dataset import (
-    LabelClass,
-    LabeledWindow,
-    Recording,
-    SeizureAnnotation,
-    Sensor,
-    SynthConfig,
-    kfold_split,
-    label_for_offset,
-    load_recording,
-    save_recording,
-    segment,
-    synth_generate,
-)
-from .errors import ShapeError
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CombinerParams",
-    "LabelClass",
-    "LabeledWindow",
-    "Recording",
-    "SeizureAnnotation",
-    "Sensor",
-    "ShapeError",
-    "SynthConfig",
-    "build_input",
-    "kfold_split",
-    "label_for_offset",
-    "load_combiner",
-    "load_recording",
-    "lr_forward",
-    "lr_train",
-    "predict",
-    "quantize4",
-    "save_combiner",
-    "save_recording",
-    "segment",
-    "synth_generate",
-]

@@ -35,6 +35,7 @@ from .evaluation import (
     report_document,
     run_cross_validation,
     run_patient_fold,
+    split_seed,
 )
 from .nn.model import load_model, save_model
 from .nn.train import write_train_report
@@ -75,15 +76,16 @@ def _dataset_index(data_dir: Path | str) -> list[tuple[str, Path, Path]]:
     return entries
 
 
-def _load_patient(data_dir: Path | str, patient_id) -> tuple[Recording, Recording]:
-    """Load one patient's pair, the first in the index when `patient_id` is None."""
+def _load_patient(data_dir: Path | str, patient_id) -> tuple[int, Recording, Recording]:
+    """One patient's index position and pair, the first's if `patient_id` is None."""
     entries = _dataset_index(data_dir)
     ids = [entry[0] for entry in entries]
     if patient_id not in (None, *ids):
         raise ValueError(f"patient {patient_id!r} not in dataset "
                          f"(known: {', '.join(ids)})")
-    _, eeg, ecg = entries[0 if patient_id is None else ids.index(patient_id)]
-    return load_recording(eeg), load_recording(ecg)
+    p_idx = 0 if patient_id is None else ids.index(patient_id)
+    _, eeg, ecg = entries[p_idx]
+    return p_idx, load_recording(eeg), load_recording(ecg)
 
 
 def _fnum(value) -> str:
@@ -166,14 +168,15 @@ def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
     write_config(cfg, out / "config.json")
-    eeg_rec, ecg_rec = _load_patient(args.data, args.patient)
+    p_idx, eeg_rec, ecg_rec = _load_patient(args.data, args.patient)
     pid = eeg_rec.patient_id
     eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
-    split = kfold_split(list(eeg_w.values()), cfg.folds, seed=cfg.seed)[0]
+    # The patient's cross-validation fold 0.
+    split = kfold_split(list(eeg_w.values()), cfg.folds, seed=split_seed(cfg, p_idx))[0]
     print(f"patient {pid}: {len(eeg_w)} windows "
           f"({len(split.train_ids)} train / {len(split.val_ids)} val / "
           f"{len(split.test_ids)} held out)")
-    result = run_patient_fold(eeg_w, ecg_w, split, cfg, fold_seed=cfg.seed)
+    result = run_patient_fold(eeg_w, ecg_w, split, cfg, p_idx)
     _save_fold(result, out)
     (out / "holdout.json").write_text(json.dumps(
         {"patient": pid, "window_ids": split.test_ids,
@@ -190,8 +193,8 @@ def cmd_cross_validate(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args)
     write_config(cfg, out / "config.json")
-    pairs = [(load_recording(eeg), load_recording(ecg))
-             for _, eeg, ecg in _dataset_index(args.data)]
+    pairs = ((load_recording(eeg), load_recording(ecg))  # read one patient at a time
+             for _, eeg, ecg in _dataset_index(args.data))
     patients = run_cross_validation(pairs, cfg)
     doc = _write_report_files(patients, out)
     models_dir = out / "models"
@@ -228,7 +231,7 @@ def cmd_simulate(args) -> int:
             holdout_path, "a held-out window list",
             lambda h: (h["patient"], sorted(h["window_ids"]), WindowingConfig(
                 h["window_seconds"], h["stride_seconds"])))
-    eeg_rec, ecg_rec = _load_patient(args.data, args.patient or held_patient)
+    _, eeg_rec, ecg_rec = _load_patient(args.data, args.patient or held_patient)
     eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
     ids = sorted(eeg_w)
     if held_patient == eeg_rec.patient_id and not args.all_windows:

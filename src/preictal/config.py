@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -31,8 +32,11 @@ class WindowingConfig:
     stride_seconds: float = 5.0
 
     def __post_init__(self):
-        if self.window_seconds <= 0 or self.stride_seconds <= 0:
-            raise ValueError("window_seconds and stride_seconds must be positive")
+        # Overlapping windows share samples, which a random fold split would
+        # put on both sides of a fold's train/test boundary.
+        if not 0 < self.window_seconds <= self.stride_seconds:
+            raise ValueError(f"need 0 < window_seconds <= stride_seconds, got "
+                             f"{self.window_seconds} and {self.stride_seconds}")
 
 
 @dataclass
@@ -74,22 +78,11 @@ class ExperimentConfig:
             raise ValueError("folds must be >= 2")
 
 
-def to_dict(cfg) -> dict:
-    """Dataclass tree -> plain nested dict (JSON-ready)."""
-    if dataclasses.is_dataclass(cfg):
-        return {f.name: to_dict(getattr(cfg, f.name))
-                for f in dataclasses.fields(cfg)}
-    if isinstance(cfg, Enum):
-        return cfg.value
-    if isinstance(cfg, tuple):
-        return [to_dict(v) for v in cfg]
-    return cfg
-
-
 def _fits(value, default) -> bool:
     """A config value must have its default's type, except that an int may
     stand for a float, a list for a tuple and a string for an enum; a tuple's
-    elements must each fit the default's."""
+    elements must each fit the default's.  NaN and infinity fit nothing, as
+    they would pass every range check."""
     if isinstance(default, Enum):
         return isinstance(value, str)
     if isinstance(default, tuple):
@@ -97,7 +90,8 @@ def _fits(value, default) -> bool:
                 and all(map(_fits, value, default)))
     allowed = (float, int) if type(default) is float else type(default)
     return (isinstance(value, allowed)
-            and isinstance(value, bool) == isinstance(default, bool))
+            and isinstance(value, bool) == isinstance(default, bool)
+            and (not isinstance(value, float) or math.isfinite(value)))
 
 
 def _overlay(default, payload):
@@ -135,4 +129,4 @@ def load_config(path: Path | str) -> ExperimentConfig:
 
 def write_config(cfg: ExperimentConfig, path: Path | str) -> None:
     """Echo the fully resolved config (provenance for every run)."""
-    Path(path).write_text(json.dumps(to_dict(cfg), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")

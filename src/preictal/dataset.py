@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import read_json
+from .errors import naming, read_json
 
 BIN_MIN = 15.0                   # width of one pre-seizure bin
 PREICTAL_HORIZON_MIN = 60.0      # labeled pre-seizure bins end here
@@ -433,28 +433,31 @@ def save_recording(rec: Recording, out_dir: Path | str, basename: str) -> Path:
 
 
 def load_recording(manifest_path: Path | str) -> Recording:
-    """The recording a manifest describes; ValueError naming the manifest if
-    it or its samples file is malformed or holds a non-finite sample."""
+    """The recording a manifest describes; ValueError naming the manifest if it is
+    malformed, or the samples file if that is the wrong size or not finite."""
     manifest_path = Path(manifest_path)
 
-    def build(manifest) -> Recording:
-        data_path = manifest_path.parent / manifest["data_file"]
+    def locate(manifest):
         shape = (manifest["channels"], manifest["n_samples"])
         if not all(type(n) is int and n >= 0 for n in shape):
             raise ValueError(f"channels and n_samples must be non-negative "
                              f"integers, got {shape}")
-        raw = data_path.read_bytes()
-        if len(raw) != 8 * shape[0] * shape[1]:
-            raise ValueError(f"{data_path} holds {len(raw)} bytes; {shape[0]} channels x "
-                             f"{shape[1]} samples of float64 need {8 * shape[0] * shape[1]}")
-        # A read-only view of the file's bytes (on a little-endian host): a
-        # copy would double the recording's peak memory while it loads.
-        samples = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
-        # NaN propagates through min and max, so no full-size mask is needed.
-        if samples.size and not np.isfinite([samples.min(), samples.max()]).all():
-            c, i = divmod(int(np.flatnonzero(~np.isfinite(samples))[0]), shape[1])
-            raise ValueError(f"{data_path} holds NaN or infinite samples, the "
-                             f"first at channel {c}, sample {i}")
+        return manifest, manifest_path.parent / manifest["data_file"], shape
+
+    manifest, data_path, shape = read_json(manifest_path, "a recording manifest", locate)
+    raw = data_path.read_bytes()
+    if len(raw) != 8 * shape[0] * shape[1]:
+        raise ValueError(f"{data_path} holds {len(raw)} bytes; {shape[0]} channels x "
+                         f"{shape[1]} samples of float64 need {8 * shape[0] * shape[1]}")
+    # A read-only view of the file's bytes (on a little-endian host): a
+    # copy would double the recording's peak memory while it loads.
+    samples = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
+    # NaN propagates through min and max, so no full-size mask is needed.
+    if samples.size and not np.isfinite([samples.min(), samples.max()]).all():
+        c, i = divmod(int(np.flatnonzero(~np.isfinite(samples))[0]), shape[1])
+        raise ValueError(f"{data_path} holds NaN or infinite samples, the "
+                         f"first at channel {c}, sample {i}")
+    with naming(manifest_path, "a recording manifest"):
         return Recording(
             patient_id=manifest["patient_id"],
             sensor=Sensor(manifest["sensor"]),
@@ -466,5 +469,3 @@ def load_recording(manifest_path: Path | str) -> Recording:
                 for a in manifest["annotations"]
             ],
         )
-
-    return read_json(manifest_path, "a recording manifest", build)

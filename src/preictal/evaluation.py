@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -233,20 +233,27 @@ def _predictions(
             "combined": fused.argmax(axis=1)}
 
 
+def split_seed(cfg: ExperimentConfig, p_idx: int) -> int:
+    """The `kfold_split` seed of the patient at position `p_idx` of the dataset."""
+    return cfg.seed + 97 * p_idx
+
+
 def run_patient_fold(
     eeg_windows: dict[int, LabeledWindow],
     ecg_windows: dict[int, LabeledWindow],
     split: FoldSplit,
     cfg: ExperimentConfig,
-    fold_seed: int,
+    p_idx: int,
 ) -> FoldResult:
     """Train both sensor models and the combiner on one split; score the test set.
 
     One pass per sensor stacks its training and validation windows once,
-    trains its model (model and shuffle seeded with `fold_seed` for EEG and
-    `fold_seed + 1` for ECG) and forwards its training windows into the
-    combiner's fit set.  Fusion and test labels are the EEG windows'.
+    trains its model (model and shuffle seeded with the fold's seed for the
+    patient at position `p_idx` of the dataset, plus one for ECG) and forwards
+    its training windows into the combiner's fit set.  Fusion and test labels
+    are the EEG windows'.
     """
+    fold_seed = cfg.seed + 1000 * p_idx + 10 * split.fold_index
     models, reports, fit = {}, {}, {}
     for offset, (sensor, windows, pool_size) in enumerate((
             (Sensor.EEG, eeg_windows, cfg.model.pool_size),
@@ -272,33 +279,32 @@ def run_patient_fold(
 
 
 def run_cross_validation(
-    recordings: list[tuple[Recording, Recording]],
+    recordings: Iterable[tuple[Recording, Recording]],
     cfg: ExperimentConfig,
 ) -> list[PatientResult]:
     """Train and evaluate all three predictor variants per patient and fold.
 
-    `recordings` holds (EEG, ECG) pairs, one per synthetic patient, each
-    patient id once.  Folds are computed once per patient on the pair's
-    shared window indices.
+    `recordings` yields (EEG, ECG) pairs, one per patient in dataset order,
+    each patient id once.  It is walked once and each pair is dropped once
+    windowed, so a generator holds one patient's recordings at a time.
     """
-    if not recordings:
-        raise ValueError("need at least one patient's recordings")
-    ids = [eeg_rec.patient_id for eeg_rec, _ in recordings]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"patient ids must be unique, got {ids}")
     patients = []
-    for p_idx, (eeg_rec, ecg_rec) in enumerate(recordings):
+    for eeg_rec, ecg_rec in recordings:
+        pid, p_idx = eeg_rec.patient_id, len(patients)
+        if any(pr.patient_id == pid for pr in patients):
+            raise ValueError(f"patient ids must be unique; {pid!r} is repeated")
         eeg_windows, ecg_windows = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
+        del eeg_rec, ecg_rec  # the windows are copies; free the samples to train
         try:
             splits = kfold_split(list(eeg_windows.values()), cfg.folds,
-                                 seed=cfg.seed + 97 * p_idx)
-            folds = []
-            for split in splits:
-                fold_seed = cfg.seed + 1000 * p_idx + 10 * split.fold_index
-                folds.append(run_patient_fold(
-                    eeg_windows, ecg_windows, split, cfg, fold_seed))
+                                 seed=split_seed(cfg, p_idx))
+            folds = [run_patient_fold(eeg_windows, ecg_windows, split, cfg, p_idx)
+                     for split in splits]
         except Exception as exc:
             raise RuntimeError(f"cross-validation failed for patient "
-                               f"{eeg_rec.patient_id!r}: {exc}") from exc
-        patients.append(PatientResult(eeg_rec.patient_id, folds))
+                               f"{pid!r}: {exc}") from exc
+        del eeg_windows, ecg_windows  # before the next pair is read
+        patients.append(PatientResult(pid, folds))
+    if not patients:
+        raise ValueError("need at least one patient's recordings")
     return patients

@@ -202,10 +202,11 @@ def build_model(
 
 
 def _check_input(model: SensorModel, xb: np.ndarray) -> None:
-    if xb.shape[1:] != (model.in_channels, model.window_samples):
+    expected = (model.in_channels, model.window_samples)
+    if xb.shape[1:] != expected:
         raise ShapeError(
-            f"window shape {xb.shape[1:]} does not match the model's "
-            f"({model.in_channels}, {model.window_samples})"
+            f"window shape {xb.shape[1:]} does not match the {model.sensor.value} "
+            f"model input {expected}; is the data from the right sensor?"
         )
 
 

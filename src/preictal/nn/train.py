@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .losses import FocalLossConfig, focal_loss_batch, inverse_frequency_alpha
-from .model import SensorModel, backward_batch, model_forward
+from .model import SensorModel, _check_input, backward_batch, model_forward
 from .optim import AdamState, TrainConfig, adam_step
 
 
@@ -64,13 +64,8 @@ def train(
         raise ValueError("train and validation window sets must be non-empty, "
                          "with one label per window")
     train_cfg = train_cfg or TrainConfig()
-    expected = (model.in_channels, model.window_samples)
-    for x in (xs, xv):
-        if x.shape[1:] != expected:
-            raise ValueError(
-                f"window shape {x.shape[1:]} does not match the {model.sensor.value} "
-                f"model input {expected}; is the data from the right sensor?"
-            )
+    _check_input(model, xs)
+    _check_input(model, xv)
     if loss_cfg is None:
         loss_cfg = FocalLossConfig(alpha=inverse_frequency_alpha(ys))
 

@@ -50,8 +50,8 @@ from preictal.evaluation import (
     report_document,
     run_cross_validation,
 )
-from preictal.nn import FocalLossConfig, build_model, focal_loss_batch, model_forward
-from preictal.nn.model import backward_batch
+from preictal.nn.losses import FocalLossConfig, focal_loss_batch
+from preictal.nn.model import backward_batch, build_model, model_forward
 from preictal.nn.ops import conv1d_forward, maxpool1d_with_argmax, softmax
 
 VARIANTS = ("eeg", "ecg", "combined")

@@ -31,7 +31,7 @@ from preictal.combiner import (
     quantize4,
 )
 from preictal.dataset import LabelClass, LabeledWindow, Sensor, stack_windows
-from preictal.nn import build_model, model_forward
+from preictal.nn.model import build_model, model_forward
 
 
 # ---------------------------------------------------------------------------

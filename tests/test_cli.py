@@ -236,6 +236,34 @@ class TestTrain:
         assert "patient 'p00' do not align: their patient ids differ" in err
 
 
+class TestTrainIsFoldZero:
+    @pytest.fixture(scope="class")
+    def two_patients(self, work):
+        """A two-patient dataset and its cross-validation."""
+        config = work / "two_clean.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "patients": 2}))
+        data, cv = work / "two_clean_data", work / "two_clean_cv"
+        for argv in (["gen-data", "--out", data],
+                     ["cross-validate", "--data", data, "--out", cv]):
+            assert main([*map(str, argv), "--config", str(config)]) == 0
+        return config, data, cv
+
+    @pytest.mark.parametrize("patient", ["p00", "p01"])
+    def test_train_writes_cross_validation_fold_zero(self, work, two_patients,
+                                                     patient):
+        config, data, cv = two_patients
+        out = work / f"two_clean_{patient}"
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--patient", patient, "--out", str(out)]) == 0
+        for trained, fold in (("eeg_model.bin", "eeg.bin"),
+                              ("ecg_model.bin", "ecg.bin"),
+                              ("combiner.json", "combiner.json"),
+                              ("eeg_train.csv", "eeg_train.csv"),
+                              ("ecg_train.csv", "ecg_train.csv")):
+            assert (out / trained).read_bytes() == \
+                (cv / "models" / f"{patient}_fold0_{fold}").read_bytes(), trained
+
+
 # ---------------------------------------------------------------------------
 # cross-validate
 
@@ -425,7 +453,8 @@ class TestLoadsOnlyThePatientUsed:
         config, data = broken_p01
         assert main(["cross-validate", "--config", str(config), "--data", str(data),
                      "--out", str(work / "never_two_cv")]) == 1
-        assert "p01_eeg" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "p01_eeg.f64" in err and "not a recording manifest" not in err
 
 
 # ---------------------------------------------------------------------------

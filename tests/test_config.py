@@ -3,7 +3,7 @@ import re
 import pytest
 
 from preictal.bansim import StimulationPolicy
-from preictal.config import ExperimentConfig, from_dict, load_config
+from preictal.config import ExperimentConfig, WindowingConfig, from_dict, load_config
 from preictal.dataset import SynthConfig
 
 
@@ -83,6 +83,49 @@ class TestOutOfRange:
     def test_non_positive_seizure_duration_names_its_key(self, value):
         with pytest.raises(ValueError, match="seizure_duration_s must be positive"):
             from_dict({"data": {"seizure_duration_s": value}})
+
+
+class TestNonFinite:
+    # Written with the JSON literals Python's json module reads as floats.
+    @pytest.mark.parametrize("text, key", [
+        pytest.param('{"data": {"noise_sigma": NaN}}', "noise_sigma", id="data"),
+        pytest.param('{"data": {"duration_s": Infinity}}', "duration_s",
+                     id="data-inf"),
+        pytest.param('{"windowing": {"stride_seconds": NaN}}', "stride_seconds",
+                     id="windowing"),
+        pytest.param('{"model": {"focal_gamma": Infinity}}', "focal_gamma",
+                     id="model"),
+        pytest.param('{"training": {"learning_rate": NaN}}', "learning_rate",
+                     id="training"),
+        pytest.param('{"combiner": {"learning_rate": Infinity}}', "learning_rate",
+                     id="combiner"),
+        pytest.param('{"sim": {"processing_delay_s": NaN}}', "processing_delay_s",
+                     id="sim"),
+        pytest.param('{"sim": {"link": {"bitrate_bps": Infinity}}}', "bitrate_bps",
+                     id="sim-link"),
+        pytest.param('{"sim": {"link": {"propagation_delay_s": NaN}}}',
+                     "propagation_delay_s", id="sim-link-nan"),
+    ])
+    def test_rejected_at_load_with_its_key(self, tmp_path, text, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))
+                           + f".*config key {key!r}.* got (nan|inf)"):
+            load_config(path)
+
+
+class TestOverlappingWindows:
+    def test_config_file_with_a_short_stride_is_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"windowing": {"stride_seconds": 2.5}}')
+        with pytest.raises(ValueError, match=re.escape(str(path))
+                           + ".*window_seconds <= stride_seconds, got 5.0 and 2.5"):
+            load_config(path)
+
+    def test_stride_shorter_than_the_window_is_rejected(self):
+        with pytest.raises(ValueError, match="stride_seconds"):
+            WindowingConfig(5.0, 2.5)
+        assert WindowingConfig(5.0, 5.0).stride_seconds == 5.0
 
 
 class TestConfigFile:

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from preictal.evaluation import (
     run_cross_validation,
     score,
 )
-from preictal.nn import build_model, model_forward
+from preictal.nn.model import build_model, model_forward
 from preictal.nn.optim import TrainConfig
 
 P0, P1, P2, P3, I = (LabelClass.PRE_0_15, LabelClass.PRE_15_30,
@@ -362,6 +363,25 @@ class TestRunCrossValidation:
         n_windows = len(segment(eeg_rec, cfg.windowing.window_seconds,
                                 cfg.windowing.stride_seconds))
         assert n_total == n_windows
+
+    def test_walks_a_generator_one_pair_at_a_time(self):
+        synth = SynthConfig(duration_s=9260.0, n_seizures=1, sample_rate_hz=64,
+                            eeg_channels=2, noise_sigma=0.2)
+        refs, alive_at_draw = [], []
+
+        def pairs():
+            for i in range(3):
+                alive_at_draw.append([r() is not None for r in refs])
+                pair = synth_generate(synth, seed=i, patient_id=f"p{i}")
+                refs.extend(weakref.ref(rec) for rec in pair)
+                yield pair
+
+        patients = run_cross_validation(pairs(), _tiny_pipeline())
+        assert [p.patient_id for p in patients] == ["p0", "p1", "p2"]
+        # When the third pair is drawn, the first pair's recordings are gone.
+        assert alive_at_draw[2][:2] == [False, False]
+        with pytest.raises(ValueError, match="at least one patient"):
+            run_cross_validation(iter([]), _tiny_pipeline())
 
     def test_rejects_empty_and_mismatched_pairs(self):
         with pytest.raises(ValueError):

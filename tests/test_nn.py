@@ -17,22 +17,22 @@ from oracles import (
 )
 from preictal.dataset import Sensor
 from preictal.errors import ShapeError
-from preictal.nn import (
-    AdamState,
+from preictal.nn.losses import (
     FocalLossConfig,
-    SensorModel,
-    TrainConfig,
-    adam_step,
-    build_model,
+    focal_grad_wrt_logits,
     focal_loss_batch,
     inverse_frequency_alpha,
+)
+from preictal.nn.model import (
+    SPEC_FIELDS,
+    SensorModel,
+    backward_batch,
+    build_model,
     load_model,
     model_forward,
     save_model,
-    train,
 )
-from preictal.nn.losses import focal_grad_wrt_logits
-from preictal.nn.model import SPEC_FIELDS, backward_batch
+from preictal.nn.optim import AdamState, TrainConfig, adam_step
 from preictal.nn.ops import (
     batchnorm_forward_with_cache,
     conv1d_backward,
@@ -43,7 +43,7 @@ from preictal.nn.ops import (
     relu,
     softmax,
 )
-from preictal.nn.train import TrainReport, evaluate, write_train_report
+from preictal.nn.train import TrainReport, evaluate, train, write_train_report
 
 
 def focal_loss(probs, target, cfg):
