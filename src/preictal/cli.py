@@ -171,6 +171,7 @@ def cmd_train(args) -> int:
     p_idx, eeg_rec, ecg_rec = _load_patient(args.data, args.patient)
     pid = eeg_rec.patient_id
     eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
+    del eeg_rec, ecg_rec  # the windows are copies; free the samples to train
     # The patient's cross-validation fold 0.
     split = kfold_split(list(eeg_w.values()), cfg.folds, seed=split_seed(cfg, p_idx))[0]
     print(f"patient {pid}: {len(eeg_w)} windows "

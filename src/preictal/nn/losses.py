@@ -61,7 +61,8 @@ def focal_loss_batch(
 def focal_grad_wrt_logits(
     probs: np.ndarray, targets: np.ndarray, cfg: FocalLossConfig
 ) -> np.ndarray:
-    """Gradient of the MEAN focal loss with respect to the softmax logits.
+    """Gradient of the MEAN focal loss with respect to the softmax logits, in
+    the dtype of `probs`.
 
     d loss / d p_t = alpha_t [gamma (1-p)^{gamma-1} ln p - (1-p)^gamma / p],
     then through the softmax Jacobian.  The clamp makes the loss flat below
@@ -73,7 +74,7 @@ def focal_grad_wrt_logits(
     p_raw = probs[rows, targets]
     p = np.maximum(p_raw, P_CLAMP)
     one_m = 1.0 - p
-    dl_dp = np.zeros(b)
+    dl_dp = np.zeros(b, dtype=probs.dtype)
     active = (p_raw > P_CLAMP) & (one_m > 0)
     if active.any():
         pa = p[active]

@@ -7,12 +7,14 @@ it commutes with max.  Windows arrive as [B x C x T]; from the batchnorm to
 the flatten the activations are channel-major, [C x B x T], so each conv is
 one tap-stacked GEMM over the whole batch (see `ops`).  `backward_batch`
 runs reverse-mode differentiation through the whole stack and returns exact
-gradients of the mean focal loss for every trainable parameter.  Its conv
-buffers come from a dict, keyed by batch size, that the caller may pass to
-every step: `train` owns one for the length of the call, so the conv
-scratch is allocated once per batch size and no buffer outlives training.
-Inference is the same forward pass without the tape, on fresh arrays, in
-chunks of FORWARD_CHUNK windows.
+gradients of the mean focal loss for every trainable parameter.  It
+computes in the dtype of its windows, which `train` makes float32, against
+a copy of the float64 parameters cast to that dtype (see `train`).  Its
+conv buffers come from a dict, keyed by batch size, that the caller may
+pass to every step: `train` owns one for the length of the call, so the
+conv scratch is allocated once per batch size and no buffer outlives
+training.  Inference is the same forward pass without the tape, in float64
+on fresh arrays, in chunks of FORWARD_CHUNK windows.
 
 A `SensorModel` is an immutable architecture spec plus one flat float64
 buffer.  The spec's fields are the weight-file header's (sensor, channels,
@@ -22,7 +24,8 @@ stack's output width and the header.  Every array is a named view into the
 buffer, in the order of the weight files: batchnorm (gamma, beta,
 running_mean, running_var), blocks 1-4 (kernels, bias), dense 1-3 (weights,
 bias).  Gradients use the same layout, so Adam, best-epoch snapshots and
-weight files each handle one array.
+weight files each handle one array.  Weight files are version 1 and hold
+the buffer as little-endian float64 (`<f8`), whatever precision trained it.
 """
 
 from __future__ import annotations
@@ -210,37 +213,41 @@ def _check_input(model: SensorModel, xb: np.ndarray) -> None:
         )
 
 
-def _workspace(model: SensorModel, batch: int) -> list[tuple[np.ndarray, ...]]:
-    """Training buffers for one batch size, one triple per conv block: the
-    padded input, its tap stack and the conv output.  A block's backward
-    pass reuses its forward pass's triple for the input gradient; by then
-    only the tap stack is still needed, and the kernel gradient reads it
+def _workspace(model: SensorModel, batch: int, dtype) -> list[tuple[np.ndarray, ...]]:
+    """Training buffers of `dtype` for one batch size, one triple per conv
+    block: the padded input, its tap stack and the conv output.  A block's
+    backward pass reuses its forward pass's triple for the input gradient; by
+    then only the tap stack is still needed, and the kernel gradient reads it
     first."""
     c, k, t = model.in_channels, model.kernel_len, model.window_samples
     blocks = []
     for pool in model.pool_sizes:
-        blocks.append((np.empty((c, batch, t + k - 1)), np.empty((k * c, batch * t)),
-                       np.empty((c, batch * t))))
+        blocks.append((np.empty((c, batch, t + k - 1), dtype),
+                       np.empty((k * c, batch * t), dtype),
+                       np.empty((c, batch * t), dtype)))
         t = -(-t // pool)
     return blocks
 
 
-def _forward(model: SensorModel, xb: np.ndarray, training: bool, work=None):
-    """Batched forward pass over [B x C x T] windows returning logits and,
-    when training, the tape.
+def _forward(model: SensorModel, xb: np.ndarray, p: dict, work=None):
+    """Batched forward pass over [B x C x T] windows with the parameter
+    views `p`, returning logits and, when training, the tape.
 
     The conv blocks run channel-major, [C x B x T], from the batchnorm to the
-    flatten.  Training normalizes by the batch statistics (and folds them
-    into the running averages) and runs the convs in `work`, the batch
-    size's buffers from `_workspace`; otherwise batchnorm uses the running
-    statistics and every array is fresh.  ReLU follows each max-pool: it
-    commutes with max and passes the same gradients.
+    flatten.  Training (`work` given) normalizes by the batch statistics and
+    runs the convs in `work`, the batch size's buffers from `_workspace`;
+    otherwise batchnorm uses the running statistics and every array is
+    fresh.  The running statistics are always the model's own, so training
+    folds the batch statistics into `model.buffer` even when `p` views a
+    cast copy of it.  ReLU follows each max-pool: it commutes with max and
+    passes the same gradients.
     """
     _check_input(model, xb)
-    p = model.params
+    training = work is not None
     b = xb.shape[0]
     h, xhat = batchnorm_forward_with_cache(
-        xb.transpose(1, 0, 2), *[p[k] for k in BN_KEYS], model.bn_epsilon,
+        xb.transpose(1, 0, 2), *[p[k] for k in BN_KEYS[:2]],
+        *[model.params[k] for k in BN_KEYS[2:]], model.bn_epsilon,
         model.bn_momentum, "train" if training else "inference")
     tape = {"xhat": xhat, "blocks": []} if training else None
     for (kernels, bias), pool, buffers in zip(
@@ -271,10 +278,10 @@ def model_forward(model: SensorModel, windows: np.ndarray) -> np.ndarray:
     FORWARD_CHUNK windows.
     """
     if windows.ndim == 2:
-        logits, _ = _forward(model, windows[None], training=False)
+        logits, _ = _forward(model, windows[None], model.params)
         return softmax(logits)[0]
     return np.concatenate([
-        softmax(_forward(model, windows[i:i + FORWARD_CHUNK], training=False)[0])
+        softmax(_forward(model, windows[i:i + FORWARD_CHUNK], model.params)[0])
         for i in range(0, len(windows), FORWARD_CHUNK)
     ])
 
@@ -284,23 +291,27 @@ def backward_batch(
     work: dict | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean focal loss over the batch and its gradient, laid out like
-    `model.buffer` (the running statistics get zero gradient).
+    `model.buffer` and of its dtype (the running statistics get zero
+    gradient).
 
-    Batchnorm normalizes by the batch statistics and updates the running
-    averages.  `work` maps a batch size to its conv buffers and gains an
-    entry for each new size; a caller that passes the same dict to every
-    step reuses them.  Without it the buffers are fresh.
+    The passes compute in the dtype of `xb`: float32 windows run against a
+    float32 copy of the parameters, float64 windows against the buffer
+    itself.  Batchnorm normalizes by the batch statistics and updates the
+    running averages in `model.buffer`.  `work` maps a batch size to its
+    conv buffers, of the windows' dtype, and gains an entry for each new
+    size; a caller that passes the same dict to every step, with windows of
+    one dtype, reuses them.  Without it the buffers are fresh.
     """
     b = len(xb)
     work = {} if work is None else work
     if b not in work:
-        work[b] = _workspace(model, b)
-    logits, tape = _forward(model, xb, True, work[b])
+        work[b] = _workspace(model, b, xb.dtype)
+    p = model.views(model.buffer.astype(xb.dtype, copy=False))
+    logits, tape = _forward(model, xb, p, work[b])
     probs = softmax(logits)
     loss = float(focal_loss_batch(probs, yb, cfg).mean())
     delta = focal_grad_wrt_logits(probs, yb, cfg)
 
-    p = model.params
     grad = np.zeros_like(model.buffer)
     g = model.views(grad)
     for i in range(N_DENSE - 1, -1, -1):

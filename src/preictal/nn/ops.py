@@ -9,12 +9,14 @@ in) order.  Its backward pass takes the kernel gradient as one GEMM against
 the same `cols`, and the input gradient as one more tap-stacked GEMM over
 the output gradient.  Dense, ReLU and softmax act on [B x features].
 
-All operations are plain float64 numpy and take the parameter arrays they
-read.  The conv ops take their scratch arrays as optional arguments, like
-numpy's `out=`: training passes buffers that it reuses from step to step;
-without them fresh arrays are allocated.  Backward counterparts compute
-exact gradients and are checked against central finite differences in the
-test suite.
+All operations are plain numpy and take the parameter arrays they read.
+They compute in the dtype of their input, and every scratch array they make
+follows it: training runs them in float32 (see `train`), inference and the
+finite-difference checks in float64.  The conv ops take their scratch
+arrays as optional arguments, like numpy's `out=`: training passes buffers
+that it reuses from step to step; without them fresh arrays are allocated.
+Backward counterparts compute exact gradients and are checked in float64
+against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ def _tap_gemm(
     by `before` samples in front and K-1-before behind: [R x B*T]."""
     c, b, t = x.shape
     if xpad is None:
-        xpad = np.empty((c, b, t + klen - 1))
+        xpad = np.empty((c, b, t + klen - 1), dtype=x.dtype)
     if cols is None:
-        cols = np.empty((klen * c, b * t))
+        cols = np.empty((klen * c, b * t), dtype=x.dtype)
     xpad[:, :, :before] = 0.0
     xpad[:, :, before:before + t] = x
     xpad[:, :, before + t:] = 0.0
@@ -121,7 +123,7 @@ def maxpool1d_with_argmax(
         raise ShapeError("input must have at least one time step")
     n_out = -(-t // pool_size)
     if t % pool_size:
-        padded = np.full((*lead, n_out * pool_size), -np.inf)
+        padded = np.full((*lead, n_out * pool_size), -np.inf, dtype=x.dtype)
         padded[..., :t] = x
         x = padded
     arg = x.reshape(*lead, n_out, pool_size).argmax(axis=-1)
@@ -137,7 +139,7 @@ def maxpool1d_backward(
     delta: np.ndarray, arg: np.ndarray, pool_size: int, input_len: int
 ) -> np.ndarray:
     """Route each window's gradient to its argmax; zeros elsewhere."""
-    d = np.zeros(arg.size * pool_size)
+    d = np.zeros(arg.size * pool_size, dtype=delta.dtype)
     d[_flat_argmax(arg, pool_size)] = delta.reshape(-1)
     return d.reshape(*arg.shape[:-1], -1)[..., :input_len]
 

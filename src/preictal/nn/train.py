@@ -1,4 +1,12 @@
-"""Mini-batch training with seeded shuffling and early stopping on validation loss."""
+"""Mini-batch training with seeded shuffling and early stopping on validation loss.
+
+Training is mixed precision in the master-weight form (Micikevicius et al.,
+"Mixed Precision Training", arXiv:1710.03740): each step's forward and
+backward passes compute in float32, on the training windows cast once per
+call, while the parameters, Adam's moments and the best-epoch snapshot stay
+float64, and Adam applies the float32-computed gradient to them in float64.
+Validation, and all inference after training, run in float64.
+"""
 
 from __future__ import annotations
 
@@ -57,8 +65,10 @@ def train(
     training windows (normalized to max 1).  Early stopping
     keeps the snapshot with the lowest validation focal loss and gives up
     after `patience` epochs without improvement.  A non-finite batch or
-    validation loss raises ValueError.  The conv buffers of each batch size
-    are made once per call and reused by every step; none outlives it.
+    validation loss raises ValueError.  The steps compute in float32 on a
+    float32 copy of `xs`, made once per call; validation runs in float64.
+    The conv buffers of each batch size are made once per call and reused by
+    every step; none outlives it.
     """
     if not (len(xs) == len(ys) > 0 and len(xv) == len(yv) > 0):
         raise ValueError("train and validation window sets must be non-empty, "
@@ -68,6 +78,7 @@ def train(
     _check_input(model, xv)
     if loss_cfg is None:
         loss_cfg = FocalLossConfig(alpha=inverse_frequency_alpha(ys))
+    xs = xs.astype(np.float32)
 
     rng = np.random.default_rng(model.seed)
     state = AdamState.for_params(model.buffer)

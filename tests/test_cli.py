@@ -4,10 +4,12 @@ import json
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from preictal import cli
 from preictal.cli import main
 
 TINY_CONFIG = {
@@ -262,6 +264,28 @@ class TestTrainIsFoldZero:
                               ("ecg_train.csv", "ecg_train.csv")):
             assert (out / trained).read_bytes() == \
                 (cv / "models" / f"{patient}_fold0_{fold}").read_bytes(), trained
+
+    def test_frees_the_recordings_before_training(self, work, two_patients,
+                                                  monkeypatch):
+        # The windows are copies, so the recordings need not outlive them.
+        config, data, _ = two_patients
+        refs, alive = [], []
+
+        def load(path):
+            rec = load_recording(path)
+            refs.append(weakref.ref(rec))
+            return rec
+
+        def fold(*args):
+            alive.extend(r() is not None for r in refs)
+            return run_patient_fold(*args)
+
+        load_recording, run_patient_fold = cli.load_recording, cli.run_patient_fold
+        monkeypatch.setattr(cli, "load_recording", load)
+        monkeypatch.setattr(cli, "run_patient_fold", fold)
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(work / "two_clean_freed")]) == 0
+        assert len(refs) == 2 and alive == [False, False]
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,27 @@ class TestFocalLoss:
         analytic = focal_grad_wrt_logits(softmax(logits), targets, cfg)
         np.testing.assert_allclose(analytic, fd, atol=1e-8)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    def test_float32_stays_finite_near_certainty(self, gamma):
+        # Training runs the loss in float32, where 1 - p_t near p_t = 1 is
+        # either 0 or a multiple of 2**-24: rows with p_t exactly 1, one
+        # float32 step below it, and 1 - 1e-6, besides a softmax of
+        # extreme logits.
+        below_one = np.nextafter(np.float32(1), np.float32(0))
+        rows = [np.float32(1), below_one, np.float32(1 - 1e-6)]
+        probs = np.array([[p, *[(1 - p) / 4] * 4] for p in rows], dtype=np.float32)
+        probs = np.vstack([probs, softmax(np.array([[0, 0, 90, 0, 0]], np.float32))])
+        targets = np.array([0, 0, 0, 2])
+        cfg = FocalLossConfig(gamma=gamma, alpha=np.array([0.5, 0.7, 0.9, 1.0, 0.6]))
+        loss = focal_loss_batch(probs, targets, cfg)
+        grad = focal_grad_wrt_logits(probs, targets, cfg)
+        assert grad.dtype == np.float32
+        assert np.all(np.isfinite(loss)) and np.all(loss >= 0)
+        assert np.all(np.isfinite(grad))
+        np.testing.assert_allclose(
+            grad, focal_grad_wrt_logits(probs.astype(np.float64), targets, cfg),
+            rtol=1e-5, atol=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # Model construction, forward, gradients
@@ -454,6 +475,40 @@ class TestModel:
             shared.buffer[...] -= 0.05 * grad
             fresh.buffer[...] -= 0.05 * want_grad
         assert sorted(work) == [7, 32]
+
+    def test_float32_windows_give_a_float64_gradient_near_the_float64_one(self):
+        # The tiny model of acceptance criterion 1.  Over seeds 0-19 the
+        # largest gradient error, relative to the largest gradient entry,
+        # was 3.5e-7 (1.6e-7 at this seed).
+        exact, mixed = (build_model(Sensor.EEG, in_channels=2, window_samples=16,
+                                    pool_size=2, seed=0) for _ in range(2))
+        rng = np.random.default_rng(0)
+        xb = rng.standard_normal((4, 2, 16))
+        yb = np.array([0, 1, 3, 4])
+        cfg = FocalLossConfig(gamma=2.0, alpha=np.array([0.5, 0.8, 1.0, 0.9, 0.6]))
+        work = {}
+        want_loss, want = backward_batch(exact, xb, yb, cfg)
+        loss, grad = backward_batch(mixed, xb.astype(np.float32), yb, cfg, work)
+        assert grad.dtype == mixed.buffer.dtype == np.float64
+        assert {buffer.dtype for buffers in work[4] for buffer in buffers} == \
+            {np.dtype(np.float32)}
+        assert np.abs(grad - want).max() <= 1e-6 * np.abs(want).max()
+        np.testing.assert_allclose(loss, want_loss, rtol=1e-6)
+
+    def test_float32_step_moves_the_running_statistics_in_the_buffer(self):
+        # The float32 pass reads a cast copy of the parameters; the batch
+        # statistics must still reach model.buffer, or inference would run
+        # on the initial statistics.
+        exact, mixed = _tiny_model(seed=2), _tiny_model(seed=2)
+        xb = 1.5 + 2.0 * np.random.default_rng(5).standard_normal((8, 2, 16))
+        yb = np.arange(8) % 5
+        backward_batch(exact, xb, yb, FocalLossConfig())
+        backward_batch(mixed, xb.astype(np.float32), yb, FocalLossConfig())
+        stats = mixed.views(mixed.buffer)
+        for name, start in (("batchnorm.running_mean", 0.0),
+                            ("batchnorm.running_var", 1.0)):
+            assert np.all(np.abs(stats[name] - start) > 0.05), name
+            np.testing.assert_allclose(stats[name], exact.params[name], rtol=1e-6)
 
     def test_set_parameters_roundtrip(self):
         # Writing through a named view writes the buffer, and back.
@@ -726,6 +781,22 @@ class TestTrain:
         cfg = TrainConfig(batch_size=8, max_epochs=1)
         train(model, *_toy_set(3, seed=0), *_toy_set(1, seed=1), train_cfg=cfg)
         assert set(vars(model)) == {f.name for f in dataclasses.fields(SensorModel)}
+
+    def test_steps_compute_in_float32_against_float64_state(self, monkeypatch):
+        seen = []
+
+        def spy(model, xb, *rest):
+            seen.append((xb.dtype, model.buffer.dtype))
+            return backward_batch(model, xb, *rest)
+
+        monkeypatch.setattr("preictal.nn.train.backward_batch", spy)
+        model = _toy_model()
+        (xs, ys), (xv, yv) = _toy_set(3, seed=0), _toy_set(1, seed=1)
+        train(model, xs, ys, xv, yv, train_cfg=TrainConfig(batch_size=8, max_epochs=2))
+        assert set(seen) == {(np.dtype(np.float32), np.dtype(np.float64))}
+        assert len(seen) == 2 * 2  # 15 windows in batches of 8, two epochs
+        assert xs.dtype == np.float64  # the caller's windows are left alone
+        assert model_forward(model, xv).dtype == np.float64
 
     def test_rejects_empty_sets(self):
         model = _toy_model()
