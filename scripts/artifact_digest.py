@@ -4,12 +4,17 @@
     python3 scripts/artifact_digest.py --config tiny.json --workspace W
 
 Runs the steps of scripts/run_experiment.py into W, then replays every
-window over the benchmark's lossy link (loss 0.2, 3 retries) into
-W/sim-lossy, and writes the sha256 of every file under W except the echoed
-config.json files to W.sha256.  BLAS is pinned to one thread before numpy
-loads, so float summation order is fixed, and the checkout's own src/ is
-imported.  Run it in a checkout of each commit with the same config, then
-diff the two .sha256 files; no output means identical.
+window of patient p00 through the models of W/cv/models/p00_fold0 over the
+benchmark's lossy link (loss 0.2, 3 retries) into W/sim-lossy, and writes
+the sha256 of every file under W except the echoed config.json files to
+W.sha256.  The artifacts are data/ (dataset.json and each patient's EEG and
+ECG manifest and samples), cv/ (report.json, confusion.csv, metrics.csv,
+trend.csv, summary.txt), the six files of every fold directory
+cv/models/pXX_foldF/, and sim/ and sim-lossy/ (trace.jsonl, latency.json).
+BLAS is pinned to one thread before numpy loads, so float summation order
+is fixed, and the checkout's own src/ is imported.  Run it in a checkout of
+each commit with the same config, then diff the two .sha256 files; no
+output means identical.
 """
 
 import argparse
@@ -52,7 +57,8 @@ def main(argv=None) -> int:
         lossy.write_text(json.dumps(cfg))
         print("==> preictal simulate --all-windows (lossy link)")
         rc = cli_main(["simulate", "--all-windows", "--config", str(lossy),
-                       "--data", str(ws / "data"), "--models", str(ws / "models"),
+                       "--data", str(ws / "data"),
+                       "--models", str(ws / "cv" / "models" / "p00_fold0"),
                        "--out", str(ws / "sim-lossy")])
     if rc != 0:
         return rc

@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""End-to-end desk experiment: data -> cross-validation -> train -> simulate.
+"""End-to-end desk experiment: data -> cross-validation -> simulate -> report.
 
 Produces, under the workspace directory:
 
-    data/       synthetic recordings (gen-data)
-    cv/         report.json + confusion/metrics/trend CSVs + per-fold weights
-    models/     one patient's trained weights + holdout ids (train)
-    sim/        closed-loop trace.jsonl + latency.json (simulate)
+    data/                 synthetic recordings (gen-data)
+    cv/                   report.json + confusion/metrics/trend CSVs +
+                          summary.txt (cross-validate, report)
+    cv/models/pXX_foldF/  one directory per fold: eeg_model.bin,
+                          ecg_model.bin, combiner.json, eeg_train.csv,
+                          ecg_train.csv, holdout.json (cross-validate)
+    sim/                  closed-loop trace.jsonl + latency.json over the
+                          held-out windows of cv/models/p00_fold0 (simulate)
 
 Everything is deterministic in --seed; rerunning overwrites with identical
 bytes.  Pass --config to override any subset of the defaults.
@@ -37,9 +41,8 @@ def run(argv) -> int:
     steps = [
         ["gen-data", "--out", str(ws / "data")],
         ["cross-validate", "--data", str(ws / "data"), "--out", str(ws / "cv")],
-        ["train", "--data", str(ws / "data"), "--out", str(ws / "models")],
-        ["simulate", "--data", str(ws / "data"), "--models", str(ws / "models"),
-         "--out", str(ws / "sim")],
+        ["simulate", "--data", str(ws / "data"),
+         "--models", str(ws / "cv" / "models" / "p00_fold0"), "--out", str(ws / "sim")],
         ["report", "--report-dir", str(ws / "cv"), "--out", str(ws / "cv")],
     ]
     for step in steps:

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .bansim import latency_report, run_simulation, write_trace_jsonl
 from .combiner import load_combiner, save_combiner
@@ -41,29 +42,42 @@ from .nn.model import load_model, save_model
 from .nn.train import write_train_report
 
 DATASET_INDEX = "dataset.json"
+# One fold's directory, as train and cross-validate write it and simulate reads it.
 MODEL_FILES = {"eeg": "eeg_model.bin", "ecg": "ecg_model.bin",
-               "combiner": "combiner.json"}
+               "combiner": "combiner.json", "eeg_train": "eeg_train.csv",
+               "ecg_train": "ecg_train.csv", "holdout": "holdout.json"}
 
 
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
 
-def _resolve_config(args) -> ExperimentConfig:
+def _resolve_run(args) -> tuple[ExperimentConfig, Path]:
+    """The config, with --seed applied, and the --out directory it is echoed into."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
-
-
-def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    write_config(cfg, out / "config.json")
+    return cfg, out
 
 
-def _dataset_index(data_dir: Path | str) -> list[tuple[str, Path, Path]]:
-    """(patient id, EEG manifest, ECG manifest) per patient, in index order."""
+def _read_pair(index_path: Path, pid: str, eeg: Path, ecg: Path):
+    """An entry's recordings, in a call of its own so the reader holds none after."""
+    eeg_rec = load_recording(eeg)
+    if eeg_rec.patient_id != pid:
+        raise ValueError(f"{index_path} lists {eeg.name} under id {pid!r}, but it "
+                         f"records patient {eeg_rec.patient_id!r}")
+    return eeg_rec, load_recording(ecg)
+
+
+def _read_patients(data_dir: Path | str, patient_id: str | None = None
+                   ) -> Iterator[tuple[int, Recording, Recording]]:
+    """(index position, EEG, ECG) per patient of the dataset index, or only
+    `patient_id`'s, each pair read when reached.  ValueError naming the index if
+    it lists no patients, repeats an id or files an EEG recording under another
+    patient's id; `paired_windows` then holds the ECG to the EEG."""
     index_path = Path(data_dir) / DATASET_INDEX
     if not index_path.exists():
         raise FileNotFoundError(f"expected dataset index at {index_path}; "
@@ -71,21 +85,17 @@ def _dataset_index(data_dir: Path | str) -> list[tuple[str, Path, Path]]:
     entries = read_json(index_path, "a dataset index", lambda index: [
         (entry["id"], index_path.parent / entry["eeg"],
          index_path.parent / entry["ecg"]) for entry in index["patients"]])
-    if not entries:
+    ids = [pid for pid, _, _ in entries]
+    if not ids:
         raise ValueError(f"{index_path} lists no patients")
-    return entries
-
-
-def _load_patient(data_dir: Path | str, patient_id) -> tuple[int, Recording, Recording]:
-    """One patient's index position and pair, the first's if `patient_id` is None."""
-    entries = _dataset_index(data_dir)
-    ids = [entry[0] for entry in entries]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"{index_path} repeats a patient id: {', '.join(ids)}")
     if patient_id not in (None, *ids):
         raise ValueError(f"patient {patient_id!r} not in dataset "
                          f"(known: {', '.join(ids)})")
-    p_idx = 0 if patient_id is None else ids.index(patient_id)
-    _, eeg, ecg = entries[p_idx]
-    return p_idx, load_recording(eeg), load_recording(ecg)
+    for p_idx, entry in enumerate(entries):
+        if patient_id in (None, entry[0]):
+            yield (p_idx, *_read_pair(index_path, *entry))
 
 
 def _fnum(value) -> str:
@@ -97,14 +107,17 @@ def _fnum(value) -> str:
 # Report files
 
 
-def _save_fold(fold: FoldResult, out: Path, stem: str = "",
-               model_suffix: str = "_model.bin") -> None:
-    """Write a fold's two sensor models, their training curves and its combiner."""
+def _save_fold(fold: FoldResult, pid: str, windowing: WindowingConfig, out: Path) -> None:
+    """Write a fold's directory: models, training curves, combiner, held-out ids."""
+    out.mkdir(parents=True, exist_ok=True)
     for sensor, model in fold.models.items():
-        name = stem + sensor.value.lower()
-        save_model(model, out / (name + model_suffix))
-        write_train_report(fold.reports[sensor], out / f"{name}_train.csv")
-    save_combiner(fold.combiner_params, out / f"{stem}combiner.json")
+        name = sensor.value.lower()
+        save_model(model, out / MODEL_FILES[name])
+        write_train_report(fold.reports[sensor], out / MODEL_FILES[f"{name}_train"])
+    save_combiner(fold.combiner_params, out / MODEL_FILES["combiner"])
+    (out / MODEL_FILES["holdout"]).write_text(json.dumps(
+        {"patient": pid, "window_ids": fold.split.test_ids,
+         **dataclasses.asdict(windowing)}, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -144,9 +157,7 @@ def _write_report_files(patients: list[PatientResult], out: Path) -> dict:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _resolve_config(args)
-    out = _out_dir(args)
-    write_config(cfg, out / "config.json")
+    cfg, out = _resolve_run(args)
     entries = []
     for i in range(cfg.patients):
         pid = f"p{i:02d}"
@@ -165,10 +176,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve_config(args)
-    out = _out_dir(args)
-    write_config(cfg, out / "config.json")
-    p_idx, eeg_rec, ecg_rec = _load_patient(args.data, args.patient)
+    cfg, out = _resolve_run(args)
+    p_idx, eeg_rec, ecg_rec = next(_read_patients(args.data, args.patient))
     pid = eeg_rec.patient_id
     eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
     del eeg_rec, ecg_rec  # the windows are copies; free the samples to train
@@ -178,10 +187,7 @@ def cmd_train(args) -> int:
           f"({len(split.train_ids)} train / {len(split.val_ids)} val / "
           f"{len(split.test_ids)} held out)")
     result = run_patient_fold(eeg_w, ecg_w, split, cfg, p_idx)
-    _save_fold(result, out)
-    (out / "holdout.json").write_text(json.dumps(
-        {"patient": pid, "window_ids": split.test_ids,
-         **dataclasses.asdict(cfg.windowing)}, sort_keys=True) + "\n")
+    _save_fold(result, pid, cfg.windowing, out)
     for name in VARIANTS:
         b = binary_metrics(result.confusion[name])
         print(f"  {name:>8}: sensitivity={_fnum(b.sensitivity)} "
@@ -191,18 +197,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_cross_validate(args) -> int:
-    cfg = _resolve_config(args)
-    out = _out_dir(args)
-    write_config(cfg, out / "config.json")
-    pairs = ((load_recording(eeg), load_recording(ecg))  # read one patient at a time
-             for _, eeg, ecg in _dataset_index(args.data))
+    cfg, out = _resolve_run(args)
+    # Unlike a generator expression's loop variable, map holds no pair once handed on.
+    pairs = map(lambda row: row[1:], _read_patients(args.data))
     patients = run_cross_validation(pairs, cfg)
     doc = _write_report_files(patients, out)
-    models_dir = out / "models"
-    models_dir.mkdir(exist_ok=True)
     for pr in patients:
         for fr in pr.folds:
-            _save_fold(fr, models_dir, f"{pr.patient_id}_fold{fr.fold_index}_", ".bin")
+            _save_fold(fr, pr.patient_id, cfg.windowing,
+                       out / "models" / f"{pr.patient_id}_fold{fr.split.fold_index}")
     for name in VARIANTS:
         b = doc["aggregate"][name]["binary"]
         print(f"{name:>8}: sensitivity={_fnum(b['sensitivity'])} "
@@ -213,38 +216,34 @@ def cmd_cross_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
-    out = _out_dir(args)
-    write_config(cfg, out / "config.json")
+    cfg, out = _resolve_run(args)
     model_dir = Path(args.models)
-    paths = {k: model_dir / v for k, v in MODEL_FILES.items()}
+    paths = {k: model_dir / MODEL_FILES[k] for k in ("eeg", "ecg", "combiner", "holdout")}
     for k, p in paths.items():
         if not p.exists():
-            raise FileNotFoundError(f"expected {k} weights at {p}; run train first")
+            raise FileNotFoundError(f"expected {k} file at {p}; --models takes a "
+                                    f"fold directory from train or cross-validate")
     eeg_model = load_model(paths["eeg"])
     ecg_model = load_model(paths["ecg"])
     combiner_params = load_combiner(paths["combiner"])
+    held_patient, held_ids, held_windowing = read_json(
+        paths["holdout"], "a held-out window list",
+        lambda h: (h["patient"], sorted(h["window_ids"]), WindowingConfig(
+            h["window_seconds"], h["stride_seconds"])))
 
-    holdout_path = model_dir / "holdout.json"
-    held_patient = held_ids = held_windowing = None
-    if holdout_path.exists():
-        held_patient, held_ids, held_windowing = read_json(
-            holdout_path, "a held-out window list",
-            lambda h: (h["patient"], sorted(h["window_ids"]), WindowingConfig(
-                h["window_seconds"], h["stride_seconds"])))
-    _, eeg_rec, ecg_rec = _load_patient(args.data, args.patient or held_patient)
+    _, eeg_rec, ecg_rec = next(_read_patients(args.data, args.patient or held_patient))
     eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
     ids = sorted(eeg_w)
     if held_patient == eeg_rec.patient_id and not args.all_windows:
         # Window ids are stride-grid positions, so they name the same data
         # only at the windowing they were cut at.
         if held_windowing != cfg.windowing:
-            raise ValueError(f"{holdout_path} was cut at {held_windowing}; the "
+            raise ValueError(f"{paths['holdout']} was cut at {held_windowing}; the "
                              f"config asks for {cfg.windowing}")
         unknown = [i for i in held_ids if i not in eeg_w]
         if unknown:
-            raise ValueError(f"{holdout_path} lists {len(unknown)} ids that are not "
-                             f"windows of patient {held_patient!r}, the first "
+            raise ValueError(f"{paths['holdout']} lists {len(unknown)} ids that are "
+                             f"not windows of patient {held_patient!r}, the first "
                              f"{unknown[0]}")
         ids = held_ids
     pairs = [(eeg_w[i], ecg_w[i]) for i in ids]
@@ -287,8 +286,8 @@ def cmd_report(args) -> int:
                                 _summary_lines))
     print(text)
     if args.out:
-        out = _out_dir(args)
-        (out / "summary.txt").write_text(text + "\n")
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        (Path(args.out) / "summary.txt").write_text(text + "\n")
     return 0
 
 
@@ -331,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
                                         "held-out windows")
     common(p)
     p.add_argument("--data", required=True, help="directory from gen-data")
-    p.add_argument("--models", required=True, help="directory from train")
-    p.add_argument("--patient", help="patient id (default: the trained one)")
+    p.add_argument("--models", required=True,
+                   help="a fold directory from train or cross-validate")
+    p.add_argument("--patient", help="patient id (default: the fold's)")
     p.add_argument("--all-windows", action="store_true",
                    help="simulate every window, not just the held-out ones")
     p.set_defaults(func=cmd_simulate)

@@ -152,7 +152,7 @@ def mean_score(scores: Sequence[dict]) -> dict:
 
 @dataclass
 class FoldResult:
-    fold_index: int
+    split: FoldSplit
     confusion: dict[str, np.ndarray]  # variant -> 5x5 counts on the test set
     models: dict[Sensor, SensorModel]
     reports: dict[Sensor, TrainReport]
@@ -175,7 +175,7 @@ def report_document(patients: Sequence[PatientResult]) -> dict:
     doc = {"patients": {}, "aggregate": {}}
     for pr in patients:
         doc["patients"][pr.patient_id] = {"folds": {
-            str(f.fold_index): {
+            str(f.split.fold_index): {
                 v: {"confusion": f.confusion[v].tolist(),
                     "binary": asdict(binary_metrics(f.confusion[v])),
                     "trend": trend_values(f.confusion[v])}
@@ -275,7 +275,7 @@ def run_patient_fold(
                          test_eeg, [ecg_windows[i] for i in split.test_ids])
     counts = {name: confusion(p, [w.label for w in test_eeg])
               for name, p in preds.items()}
-    return FoldResult(split.fold_index, counts, models, reports, combiner_params)
+    return FoldResult(split, counts, models, reports, combiner_params)
 
 
 def run_cross_validation(

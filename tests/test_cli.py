@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from preictal import cli
+from preictal import cli, evaluation
 from preictal.cli import main
 
 TINY_CONFIG = {
@@ -238,6 +238,41 @@ class TestTrain:
         assert "patient 'p00' do not align: their patient ids differ" in err
 
 
+class TestDatasetIds:
+    @pytest.fixture(scope="class")
+    def two_data(self, work):
+        config = work / "two_ids.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "patients": 2}))
+        data = work / "two_ids_data"
+        assert main(["gen-data", "--config", str(config), "--out", str(data)]) == 0
+        return config, data
+
+    @pytest.mark.parametrize("ids", [
+        pytest.param(("p01", "p00"), id="swapped"),
+        pytest.param(("p00", "p00"), id="repeated"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "cross-validate", "simulate"])
+    def test_index_ids_must_match_the_recordings(self, tmp_path, two_data, train_dir,
+                                                 capsys, ids, command):
+        config, clean = two_data
+        data = tmp_path / "data"
+        shutil.copytree(clean, data)
+        index = json.loads((data / "dataset.json").read_text())
+        for entry, pid in zip(index["patients"], ids):
+            entry["id"] = pid
+        (data / "dataset.json").write_text(json.dumps(index))
+        # train asks for the first entry's id, simulate for the held-out p00.
+        extra = {"train": ["--patient", ids[0]], "cross-validate": [],
+                 "simulate": ["--models", str(train_dir)]}[command]
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--data", str(data),
+                     *extra, "--out", str(out)]) == 1
+        assert str(data / "dataset.json") in capsys.readouterr().err
+        assert not (out / "holdout.json").exists()
+        assert not (out / "report.json").exists()
+        assert not (out / "trace.jsonl").exists()
+
+
 class TestTrainIsFoldZero:
     @pytest.fixture(scope="class")
     def two_patients(self, work):
@@ -257,13 +292,10 @@ class TestTrainIsFoldZero:
         out = work / f"two_clean_{patient}"
         assert main(["train", "--config", str(config), "--data", str(data),
                      "--patient", patient, "--out", str(out)]) == 0
-        for trained, fold in (("eeg_model.bin", "eeg.bin"),
-                              ("ecg_model.bin", "ecg.bin"),
-                              ("combiner.json", "combiner.json"),
-                              ("eeg_train.csv", "eeg_train.csv"),
-                              ("ecg_train.csv", "ecg_train.csv")):
-            assert (out / trained).read_bytes() == \
-                (cv / "models" / f"{patient}_fold0_{fold}").read_bytes(), trained
+        assert len(cli.MODEL_FILES) == 6
+        for name in cli.MODEL_FILES.values():
+            assert (out / name).read_bytes() == \
+                (cv / "models" / f"{patient}_fold0" / name).read_bytes(), name
 
     def test_frees_the_recordings_before_training(self, work, two_patients,
                                                   monkeypatch):
@@ -286,6 +318,28 @@ class TestTrainIsFoldZero:
         assert main(["train", "--config", str(config), "--data", str(data),
                      "--out", str(work / "two_clean_freed")]) == 0
         assert len(refs) == 2 and alive == [False, False]
+
+    def test_cross_validate_frees_each_patient_before_training(self, work, two_patients,
+                                                               monkeypatch):
+        # The dataset reader holds no recording between patients.
+        config, data, _ = two_patients
+        refs, alive = [], []
+
+        def load(path):
+            rec = load_recording(path)
+            refs.append(weakref.ref(rec))
+            return rec
+
+        def fold(*args):
+            alive.extend(r() is not None for r in refs)
+            return run_patient_fold(*args)
+
+        load_recording, run_patient_fold = cli.load_recording, evaluation.run_patient_fold
+        monkeypatch.setattr(cli, "load_recording", load)
+        monkeypatch.setattr(evaluation, "run_patient_fold", fold)
+        assert main(["cross-validate", "--config", str(config), "--data", str(data),
+                     "--out", str(work / "two_clean_cv_freed")]) == 0
+        assert len(refs) == 4 and len(alive) == 2 * 5 + 4 * 5 and not any(alive)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +398,19 @@ class TestCrossValidate:
 
     def test_per_fold_weights_written(self, cv_dir):
         models = cv_dir / "models"
+        assert sorted(p.name for p in models.iterdir()) == \
+            [f"p00_fold{fold}" for fold in range(5)]
+        payload = json.loads((cv_dir / "report.json").read_text())
         for fold in range(5):
-            stem = f"p00_fold{fold}"
-            for suffix in ("_eeg.bin", "_ecg.bin", "_combiner.json",
-                           "_eeg_train.csv", "_ecg_train.csv"):
-                assert (models / f"{stem}{suffix}").exists(), stem + suffix
+            fold_dir = models / f"p00_fold{fold}"
+            assert sorted(p.name for p in fold_dir.iterdir()) == sorted(
+                ["eeg_model.bin", "ecg_model.bin", "combiner.json",
+                 "eeg_train.csv", "ecg_train.csv", "holdout.json"])
+            holdout = json.loads((fold_dir / "holdout.json").read_text())
+            assert holdout["patient"] == "p00"
+            assert (holdout["window_seconds"], holdout["stride_seconds"]) == (5.0, 40.0)
+            counts = payload["patients"]["p00"]["folds"][str(fold)]["eeg"]["confusion"]
+            assert len(holdout["window_ids"]) == sum(map(sum, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +446,25 @@ class TestSimulate:
         dataset_ids = {e["detail"]["dataset_index"] for e in produced}
         assert dataset_ids == set(holdout["window_ids"])
 
+    def test_simulating_a_fold_matches_its_report_entry(self, work, config_path,
+                                                        dataset_dir, cv_dir):
+        out = work / "sim_fold3"
+        assert main(["simulate", "--config", str(config_path),
+                     "--data", str(dataset_dir),
+                     "--models", str(cv_dir / "models" / "p00_fold3"),
+                     "--out", str(out)]) == 0
+        fold = json.loads((cv_dir / "report.json").read_text())[
+            "patients"]["p00"]["folds"]["3"]["combined"]["confusion"]
+        summary = json.loads((out / "latency.json").read_text())
+        assert summary["n_windows"] == sum(map(sum, fold))
+        assert summary["n_fused"] == summary["n_windows"]   # lossless default
+        tally = [[0] * 5 for _ in range(5)]
+        for line in (out / "trace.jsonl").read_text().splitlines():
+            event = json.loads(line)
+            if event["event_type"] == "fusion_decision":
+                tally[event["detail"]["label"]][event["detail"]["decision"]] += 1
+        assert tally == fold
+
     def test_all_windows_flag_widens_the_replay(self, work, config_path,
                                                 dataset_dir, train_dir):
         out = work / "sim_all"
@@ -394,15 +475,25 @@ class TestSimulate:
         holdout = json.loads((train_dir / "holdout.json").read_text())
         assert summary["n_windows"] > len(holdout["window_ids"])
 
-    def test_missing_weights_fail_cleanly(self, work, config_path,
-                                          dataset_dir, capsys):
-        empty = work / "no_models"
-        empty.mkdir()
+    @pytest.mark.parametrize("kept, missing", [
+        pytest.param((), "eeg_model.bin", id="empty"),
+        pytest.param(("eeg_model.bin", "ecg_model.bin", "combiner.json",
+                      "eeg_train.csv", "ecg_train.csv"), "holdout.json",
+                     id="no-holdout"),
+    ])
+    def test_missing_weights_fail_cleanly(self, tmp_path, config_path, dataset_dir,
+                                          train_dir, capsys, kept, missing):
+        models = tmp_path / "models"
+        models.mkdir()
+        for name in kept:
+            shutil.copy(train_dir / name, models / name)
         assert main(["simulate", "--config", str(config_path),
-                     "--data", str(dataset_dir), "--models", str(empty),
-                     "--out", str(work / "never6")]) == 1
+                     "--data", str(dataset_dir), "--models", str(models),
+                     "--out", str(tmp_path / "sim")]) == 1
         err = capsys.readouterr().err
-        assert "eeg_model.bin" in err and "train" in err
+        assert str(models / missing) in err
+        assert "a fold directory from train or cross-validate" in err
+        assert not (tmp_path / "sim" / "trace.jsonl").exists()
 
     @pytest.mark.parametrize("text", [
         pytest.param(None, id="truncated"),
@@ -549,13 +640,12 @@ class TestParser:
 
 
 def _run_pipeline(root, config_path):
-    """gen-data, train, cross-validate and simulate --all-windows under
+    """gen-data, cross-validate and simulate --all-windows of fold 0 under
     `root`; returns {relative path: sha256} of every file written."""
-    data, models = root / "data", root / "models"
+    data, cv = root / "data", root / "cv"
     for argv in (["gen-data", "--out", data],
-                 ["train", "--data", data, "--out", models],
-                 ["cross-validate", "--data", data, "--out", root / "cv"],
-                 ["simulate", "--data", data, "--models", models,
+                 ["cross-validate", "--data", data, "--out", cv],
+                 ["simulate", "--data", data, "--models", cv / "models" / "p00_fold0",
                   "--all-windows", "--out", root / "sim"]):
         assert main([*map(str, argv), "--config", str(config_path)]) == 0
     return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -566,12 +656,15 @@ class TestRerun:
     def test_every_artifact_is_byte_identical(self, tmp_path, config_path):
         first = _run_pipeline(tmp_path / "a", config_path)
         second = _run_pipeline(tmp_path / "b", config_path)
-        for name in ("data/p00_eeg.f64", "models/eeg_model.bin",
-                     "models/ecg_model.bin", "models/combiner.json",
-                     "models/eeg_train.csv", "models/holdout.json",
+        for name in ("data/p00_eeg.f64", "cv/models/p00_fold0/eeg_model.bin",
+                     "cv/models/p00_fold0/ecg_model.bin",
+                     "cv/models/p00_fold0/combiner.json",
+                     "cv/models/p00_fold0/eeg_train.csv",
+                     "cv/models/p00_fold0/holdout.json",
                      "cv/report.json", "cv/confusion.csv",
-                     "cv/models/p00_fold4_ecg.bin",
-                     "cv/models/p00_fold4_combiner.json",
+                     "cv/models/p00_fold4/ecg_model.bin",
+                     "cv/models/p00_fold4/combiner.json",
+                     "cv/models/p00_fold4/holdout.json",
                      "sim/trace.jsonl", "sim/latency.json"):
             assert name in first, name
         assert first == second
@@ -586,5 +679,5 @@ class TestArtifactDigest:
                                  capture_output=True, text=True)
             assert run.returncode == 0, run.stderr
         first = (tmp_path / "a.sha256").read_text().splitlines()
-        assert len(first) == 45
+        assert len(first) == 44
         assert first == (tmp_path / "b.sha256").read_text().splitlines()

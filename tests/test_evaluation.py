@@ -17,6 +17,7 @@ from preictal.combiner import (
 )
 from preictal.config import ExperimentConfig, ModelConfig, WindowingConfig
 from preictal.dataset import (
+    FoldSplit,
     LabelClass,
     LabeledWindow,
     Recording,
@@ -223,7 +224,8 @@ class TestAggregate:
 
 def _fold(idx, preds, labels):
     counts = confusion(preds, labels)
-    return FoldResult(idx, {name: counts for name in VARIANTS}, {}, {}, None)
+    return FoldResult(FoldSplit(idx, [], [], []),
+                      {name: counts for name in VARIANTS}, {}, {}, None)
 
 
 def _document(patients):
@@ -341,7 +343,7 @@ class TestRunCrossValidation:
 
         assert len(r1) == 1
         folds = r1[0].folds
-        assert [f.fold_index for f in folds] == [0, 1, 2, 3, 4]
+        assert [f.split.fold_index for f in folds] == [0, 1, 2, 3, 4]
         n_total = 0
         for f in folds:
             assert set(f.confusion) == set(VARIANTS)
