@@ -215,6 +215,18 @@ def cmd_cross_validate(args) -> int:
     return 0
 
 
+def _holdout(h: dict) -> tuple[str, list[int], WindowingConfig]:
+    """A holdout.json document's patient, sorted window ids and windowing."""
+    ids = sorted(h["window_ids"])
+    if not ids:
+        raise ValueError("window_ids is empty")
+    repeated = [a for a, b in zip(ids, ids[1:]) if a == b]
+    if repeated:
+        raise ValueError(f"window_ids repeats id {repeated[0]}")
+    return h["patient"], ids, WindowingConfig(h["window_seconds"],
+                                              h["stride_seconds"])
+
+
 def cmd_simulate(args) -> int:
     cfg, out = _resolve_run(args)
     model_dir = Path(args.models)
@@ -227,14 +239,12 @@ def cmd_simulate(args) -> int:
     ecg_model = load_model(paths["ecg"])
     combiner_params = load_combiner(paths["combiner"])
     held_patient, held_ids, held_windowing = read_json(
-        paths["holdout"], "a held-out window list",
-        lambda h: (h["patient"], sorted(h["window_ids"]), WindowingConfig(
-            h["window_seconds"], h["stride_seconds"])))
+        paths["holdout"], "a held-out window list", _holdout)
 
-    _, eeg_rec, ecg_rec = next(_read_patients(args.data, args.patient or held_patient))
+    _, eeg_rec, ecg_rec = next(_read_patients(args.data, held_patient))
     eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
     ids = sorted(eeg_w)
-    if held_patient == eeg_rec.patient_id and not args.all_windows:
+    if not args.all_windows:
         # Window ids are stride-grid positions, so they name the same data
         # only at the windowing they were cut at.
         if held_windowing != cfg.windowing:
@@ -258,7 +268,7 @@ def cmd_simulate(args) -> int:
     summary = {**dataclasses.asdict(rep), "equivalence": equivalence}
     (out / "latency.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"simulated {rep.n_windows} windows on patient {eeg_rec.patient_id}: "
+    print(f"simulated {rep.n_windows} windows on patient {held_patient}: "
           f"{rep.n_fused} fused, {rep.n_dropped} dropped, "
           f"{rep.stimulation_count} stimulation commands")
     print(f"mean latency {rep.mean_latency_s} s, equivalence={equivalence}")
@@ -332,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="directory from gen-data")
     p.add_argument("--models", required=True,
                    help="a fold directory from train or cross-validate")
-    p.add_argument("--patient", help="patient id (default: the fold's)")
     p.add_argument("--all-windows", action="store_true",
                    help="simulate every window, not just the held-out ones")
     p.set_defaults(func=cmd_simulate)

@@ -42,19 +42,14 @@ class WindowingConfig:
 @dataclass
 class ModelConfig:
     kernel_len: int = 5
-    pool_size: int = 4
-    ecg_pool_size: int = 2  # single-channel stack keeps more time resolution
     hidden: tuple[int, int] = (64, 32)
-    focal_gamma: float = 2.0
 
     def __post_init__(self):
         self.hidden = tuple(self.hidden)
-        if self.kernel_len <= 0 or self.pool_size <= 0 or self.ecg_pool_size <= 0:
-            raise ValueError("kernel_len and pool sizes must be positive")
+        if self.kernel_len <= 0:
+            raise ValueError("kernel_len must be positive")
         if len(self.hidden) != 2 or any(h <= 0 for h in self.hidden):
             raise ValueError("hidden must be two positive layer widths")
-        if self.focal_gamma < 0:
-            raise ValueError("focal_gamma must be >= 0")
 
 
 @dataclass

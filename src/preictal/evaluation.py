@@ -32,7 +32,6 @@ from .dataset import (
     segment,
     stack_windows,
 )
-from .nn.losses import FocalLossConfig, inverse_frequency_alpha
 from .nn.model import SensorModel, build_model, model_forward
 from .nn.train import TrainReport, train
 
@@ -45,6 +44,7 @@ TREND_ORDER = (
 VARIANTS = ("eeg", "ecg", "combined")
 RATES = ("sensitivity", "specificity", "accuracy")
 INTERICTAL = int(LabelClass.INTERICTAL)  # classes below it are pre-seizure
+POOL_SIZES = {Sensor.EEG: 4, Sensor.ECG: 2}  # ECG's one channel keeps more time
 
 
 @dataclass
@@ -255,17 +255,15 @@ def run_patient_fold(
     """
     fold_seed = cfg.seed + 1000 * p_idx + 10 * split.fold_index
     models, reports, fit = {}, {}, {}
-    for offset, (sensor, windows, pool_size) in enumerate((
-            (Sensor.EEG, eeg_windows, cfg.model.pool_size),
-            (Sensor.ECG, ecg_windows, cfg.model.ecg_pool_size))):
+    for offset, (sensor, windows) in enumerate(((Sensor.EEG, eeg_windows),
+                                                (Sensor.ECG, ecg_windows))):
         xs, ys = stack_windows([windows[i] for i in split.train_ids])
         xv, yv = stack_windows([windows[i] for i in split.val_ids])
         model = models[sensor] = build_model(
             sensor, *xs.shape[1:], kernel_len=cfg.model.kernel_len,
-            pool_size=pool_size, hidden=cfg.model.hidden, seed=fold_seed + offset)
-        loss_cfg = FocalLossConfig(gamma=cfg.model.focal_gamma,
-                                   alpha=inverse_frequency_alpha(ys))
-        _, reports[sensor] = train(model, xs, ys, xv, yv, loss_cfg, cfg.training)
+            pool_size=POOL_SIZES[sensor], hidden=cfg.model.hidden,
+            seed=fold_seed + offset)
+        _, reports[sensor] = train(model, xs, ys, xv, yv, cfg.training)
         fit[sensor] = quantize4(model_forward(model, xs)), ys
 
     (p_eeg, labels), (p_ecg, _) = fit[Sensor.EEG], fit[Sensor.ECG]

@@ -59,6 +59,7 @@ MODEL_MAGIC = b"PSM1"
 N_BLOCKS = 4
 N_DENSE = 3
 FORWARD_CHUNK = 64  # windows per batched inference pass; bounds memory
+BN_EPSILON, BN_MOMENTUM = 1e-5, 0.1  # of every built model; headers carry them
 
 # View names, in buffer order.
 BN_KEYS = tuple(f"batchnorm.{a}"
@@ -166,14 +167,13 @@ def build_model(
     sensor: Sensor,
     in_channels: int,
     window_samples: int,
-    kernel_len: int = 5,
-    pool_size: int = 4,
-    hidden: tuple[int, int] = (64, 32),
-    seed: int = 0,
-    bn_epsilon: float = 1e-5,
-    bn_momentum: float = 0.1,
+    kernel_len: int,
+    pool_size: int,
+    hidden: tuple[int, int],
+    seed: int,
 ) -> SensorModel:
-    """Fresh model, deterministically initialized from `seed`.
+    """Fresh model, deterministically initialized from `seed`, with the same
+    `pool_size` in every block and batchnorm at BN_EPSILON and BN_MOMENTUM.
 
     Conv kernels start at the identity (center tap passes the input through)
     plus fan-in-scaled uniform noise.  With batchnorm only at the input, a
@@ -183,7 +183,7 @@ def build_model(
     use ReLU-gain fan-in-scaled uniform weights; biases start at zero.
     """
     model = SensorModel(sensor, in_channels, window_samples, kernel_len,
-                        (pool_size,) * N_BLOCKS, hidden, bn_epsilon, bn_momentum,
+                        (pool_size,) * N_BLOCKS, hidden, BN_EPSILON, BN_MOMENTUM,
                         seed)
     rng = np.random.default_rng(seed)
 

@@ -8,24 +8,22 @@ import numpy as np
 
 from ..errors import ShapeError
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's, as Kingma & Ba suggest
+
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     batch_size: int = 32
     max_epochs: int = 30
     patience: int = 5
+    focal_gamma: float = 2.0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if self.adam_epsilon <= 0:
-            raise ValueError("adam_epsilon must be positive")
+        if self.focal_gamma < 0:
+            raise ValueError("focal_gamma must be >= 0")
         if self.batch_size <= 0 or self.max_epochs <= 0 or self.patience <= 0:
             raise ValueError("batch_size, max_epochs, and patience must be positive")
 
@@ -55,11 +53,11 @@ def adam_step(
         raise ShapeError(f"params {params.shape}, grads {grads.shape} and Adam "
                          f"state {state.m.shape} must have one shape")
     state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     m, v = state.m, state.v
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * grads
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * grads * grads
-    params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_epsilon)
+    m *= BETA1
+    m += (1.0 - BETA1) * grads
+    v *= BETA2
+    v += (1.0 - BETA2) * grads * grads
+    params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)

@@ -53,16 +53,15 @@ def train(
     ys: np.ndarray,
     xv: np.ndarray,
     yv: np.ndarray,
-    loss_cfg: Optional[FocalLossConfig] = None,
     train_cfg: Optional[TrainConfig] = None,
 ) -> tuple[SensorModel, TrainReport]:
     """Train in place; returns the model restored to its best-validation state.
 
     `xs` [N x C x T] and `ys` [N] are the training windows and their classes,
     `xv` and `yv` the validation ones (see `dataset.stack_windows`).  The
-    epoch shuffle is seeded with the model's `seed`.  When `loss_cfg` is
-    omitted, alpha weights are set to the inverse class frequency of the
-    training windows (normalized to max 1).  Early stopping
+    epoch shuffle is seeded with the model's `seed`.  The focal loss has
+    `train_cfg.focal_gamma` and alpha weights at the inverse class frequency
+    of the training windows (normalized to max 1).  Early stopping
     keeps the snapshot with the lowest validation focal loss and gives up
     after `patience` epochs without improvement.  A non-finite batch or
     validation loss raises ValueError.  The steps compute in float32 on a
@@ -76,8 +75,8 @@ def train(
     train_cfg = train_cfg or TrainConfig()
     _check_input(model, xs)
     _check_input(model, xv)
-    if loss_cfg is None:
-        loss_cfg = FocalLossConfig(alpha=inverse_frequency_alpha(ys))
+    loss_cfg = FocalLossConfig(gamma=train_cfg.focal_gamma,
+                               alpha=inverse_frequency_alpha(ys))
     xs = xs.astype(np.float32)
 
     rng = np.random.default_rng(model.seed)

@@ -71,7 +71,7 @@ def verdict(num: int, ok: bool, detail: str) -> None:
 def test_criterion_01_gradient_correctness():
     t0 = time.monotonic()
     model = build_model(Sensor.EEG, in_channels=2, window_samples=16,
-                        pool_size=2, seed=0)
+                        kernel_len=5, pool_size=2, hidden=(64, 32), seed=0)
     rng = np.random.default_rng(0)
     xb = rng.standard_normal((4, 2, 16))
     yb = np.array([0, 1, 3, 4])

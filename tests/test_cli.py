@@ -11,6 +11,7 @@ import pytest
 
 from preictal import cli, evaluation
 from preictal.cli import main
+from preictal.nn.model import load_model
 
 TINY_CONFIG = {
     "seed": 0,
@@ -411,10 +412,21 @@ class TestCrossValidate:
             assert (holdout["window_seconds"], holdout["stride_seconds"]) == (5.0, 40.0)
             counts = payload["patients"]["p00"]["folds"][str(fold)]["eeg"]["confusion"]
             assert len(holdout["window_ids"]) == sum(map(sum, counts))
+            # Every fold trains the one architecture per sensor.
+            for name, pool in (("eeg", 4), ("ecg", 2)):
+                model = load_model(fold_dir / cli.MODEL_FILES[name])
+                assert model.pool_sizes == (pool,) * 4, name
+                assert (model.bn_epsilon, model.bn_momentum) == (1e-5, 0.1), name
 
 
 # ---------------------------------------------------------------------------
 # simulate
+
+
+def _relist(text: str, pick) -> str:
+    """A holdout.json text with its window ids replaced by `pick` of them."""
+    doc = json.loads(text)
+    return json.dumps({**doc, "window_ids": pick(doc["window_ids"])})
 
 
 class TestSimulate:
@@ -495,19 +507,22 @@ class TestSimulate:
         assert "a fold directory from train or cross-validate" in err
         assert not (tmp_path / "sim" / "trace.jsonl").exists()
 
-    @pytest.mark.parametrize("text", [
-        pytest.param(None, id="truncated"),
-        pytest.param('{"patient": "p00"}', id="no-window-ids"),
-        pytest.param('{"patient": "p00", "window_ids": [1]}', id="no-windowing"),
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda text: text[:20], id="truncated"),
+        pytest.param(lambda text: '{"patient": "p00"}', id="no-window-ids"),
+        pytest.param(lambda text: '{"patient": "p00", "window_ids": [1]}',
+                     id="no-windowing"),
+        pytest.param(lambda text: _relist(text, lambda ids: []), id="empty-ids"),
+        # A real held-out window three times over: only the repeat is wrong.
+        pytest.param(lambda text: _relist(text, lambda ids: ids[:1] * 3),
+                     id="repeated-id"),
     ])
     def test_malformed_holdout_is_named(self, tmp_path, config_path,
-                                        dataset_dir, train_dir, capsys, text):
+                                        dataset_dir, train_dir, capsys, edit):
         models = tmp_path / "models"
         shutil.copytree(train_dir, models)
         holdout = models / "holdout.json"
-        if text is None:
-            text = (train_dir / "holdout.json").read_text()[:20]
-        holdout.write_text(text)
+        holdout.write_text(edit((train_dir / "holdout.json").read_text()))
         assert main(["simulate", "--config", str(config_path),
                      "--data", str(dataset_dir), "--models", str(models),
                      "--out", str(tmp_path / "sim")]) == 1

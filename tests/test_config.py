@@ -60,6 +60,17 @@ class TestTypeMismatch:
                      id="string-in-tuple"),
         pytest.param({"model": {"hidden": [8, 6.5]}}, "hidden",
                      id="float-in-int-tuple"),
+        # Settings that are constants of the module that reads them, or that
+        # moved to another section, are unknown keys.
+        pytest.param({"model": {"focal_gamma": 2.0}}, "focal_gamma",
+                     id="model-focal-gamma"),
+        pytest.param({"model": {"pool_size": 4}}, "pool_size", id="pool-size"),
+        pytest.param({"model": {"ecg_pool_size": 2}}, "ecg_pool_size",
+                     id="ecg-pool-size"),
+        pytest.param({"training": {"beta1": 0.9}}, "beta1", id="beta1"),
+        pytest.param({"training": {"beta2": 0.999}}, "beta2", id="beta2"),
+        pytest.param({"training": {"adam_epsilon": 1e-8}}, "adam_epsilon",
+                     id="adam-epsilon"),
     ])
     def test_rejected_with_its_key(self, payload, key):
         with pytest.raises(ValueError, match=f"config key {key!r}"):
@@ -93,8 +104,10 @@ class TestNonFinite:
                      id="data-inf"),
         pytest.param('{"windowing": {"stride_seconds": NaN}}', "stride_seconds",
                      id="windowing"),
-        pytest.param('{"model": {"focal_gamma": Infinity}}', "focal_gamma",
+        pytest.param('{"model": {"kernel_len": Infinity}}', "kernel_len",
                      id="model"),
+        pytest.param('{"training": {"focal_gamma": Infinity}}', "focal_gamma",
+                     id="training-gamma"),
         pytest.param('{"training": {"learning_rate": NaN}}', "learning_rate",
                      id="training"),
         pytest.param('{"combiner": {"learning_rate": Infinity}}', "learning_rate",

@@ -32,7 +32,7 @@ from preictal.nn.model import (
     model_forward,
     save_model,
 )
-from preictal.nn.optim import AdamState, TrainConfig, adam_step
+from preictal.nn.optim import BETA1, BETA2, EPSILON, AdamState, TrainConfig, adam_step
 from preictal.nn.ops import (
     batchnorm_forward_with_cache,
     conv1d_backward,
@@ -387,9 +387,11 @@ def _tiny_model(seed=0, sensor=Sensor.EEG, channels=2):
 class TestModel:
     def test_conv_stack_output_widths(self):
         # pool 4 halves 320 -> 80 -> 20 -> 5 -> 2 by ceiling division.
-        eeg = build_model(Sensor.EEG, 4, 320, pool_size=4)
+        eeg = build_model(Sensor.EEG, 4, 320, kernel_len=5, pool_size=4,
+                          hidden=(64, 32), seed=0)
         assert eeg.params["dense.0.weights"].shape == (64, 4 * 2)
-        ecg = build_model(Sensor.ECG, 1, 320, pool_size=2)
+        ecg = build_model(Sensor.ECG, 1, 320, kernel_len=5, pool_size=2,
+                          hidden=(64, 32), seed=0)
         assert ecg.params["dense.0.weights"].shape == (64, 1 * 20)
         assert eeg.params["dense.2.weights"].shape[0] == 5
 
@@ -481,7 +483,8 @@ class TestModel:
         # largest gradient error, relative to the largest gradient entry,
         # was 3.5e-7 (1.6e-7 at this seed).
         exact, mixed = (build_model(Sensor.EEG, in_channels=2, window_samples=16,
-                                    pool_size=2, seed=0) for _ in range(2))
+                                    kernel_len=5, pool_size=2, hidden=(64, 32),
+                                    seed=0) for _ in range(2))
         rng = np.random.default_rng(0)
         xb = rng.standard_normal((4, 2, 16))
         yb = np.array([0, 1, 3, 4])
@@ -550,7 +553,8 @@ class TestModel:
             with pytest.raises(ValueError):
                 SensorModel(**{**spec, **bad})
         with pytest.raises(ValueError):
-            build_model(Sensor.EEG, 2, 16, pool_size=0)
+            build_model(Sensor.EEG, 2, 16, kernel_len=3, pool_size=0,
+                        hidden=(4, 3), seed=0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.in_channels = 3
 
@@ -672,11 +676,11 @@ class TestAdam:
             grad = rng.standard_normal(10)
             adam_step(p, grad, state, cfg)
             for a, g, mi, vi in zip(ref_p, (grad[:4], grad[4:].reshape(2, 3)), m, v):
-                mi[...] = cfg.beta1 * mi + (1 - cfg.beta1) * g
-                vi[...] = cfg.beta2 * vi + (1 - cfg.beta2) * g * g
-                mhat = mi / (1 - cfg.beta1 ** t)
-                vhat = vi / (1 - cfg.beta2 ** t)
-                a -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.adam_epsilon)
+                mi[...] = BETA1 * mi + (1 - BETA1) * g
+                vi[...] = BETA2 * vi + (1 - BETA2) * g * g
+                mhat = mi / (1 - BETA1 ** t)
+                vhat = vi / (1 - BETA2 ** t)
+                a -= cfg.learning_rate * mhat / (np.sqrt(vhat) + EPSILON)
         np.testing.assert_allclose(p, np.concatenate([a.ravel() for a in ref_p]),
                                    atol=1e-12)
 
@@ -693,7 +697,7 @@ class TestAdam:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
-            TrainConfig(beta1=1.0)
+            TrainConfig(focal_gamma=-0.5)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
