@@ -4,7 +4,9 @@ The two five-class probability vectors are quantized to four decimal digits
 (that is what fits on the body-area-network wire), concatenated EEG-first into
 a ten-element input by `build_input` (for one window or a batch alike), and
 mapped to the final class by softmax(W x + b) with an argmax readout.
-Training sees the same quantized precision as operation.
+Training sees the same quantized precision as operation.  `lr_train` fits
+class-major, with the inputs as columns, while `lr_forward` applies the fit
+one input row at a time; `lr_train` says what that layout changes.
 """
 
 from __future__ import annotations
@@ -100,9 +102,17 @@ def lr_train(
     """Fit by full-batch gradient descent on mean cross-entropy from zero init.
 
     `xs` holds one fusion input per row ([N x 10], from `build_input`) and
-    `ys` its class.  Stops when the gradient max-norm falls below 1e-8 or
+    `ys` its class.  Stops when the gradient max-norm falls below GRAD_TOL or
     after `max_epochs` steps.  The problem is convex; the analytic gradient
     is (softmax - onehot)^T x averaged over the dataset.
+
+    The fit runs class-major: the inputs are held once as [11 x N], one row
+    per input element and a row of ones that carries the bias, so W and b
+    are one [5 x 11] matrix, the logits are [5 x N] and the softmax reduces
+    over five contiguous rows.  Every epoch writes into buffers made once
+    per call.  The arithmetic is that of the row-major form, softmax(x W^T +
+    b) with separate W and b gradients, summed in another order, so W and b
+    can differ from it in the last bits.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=int)
@@ -115,21 +125,30 @@ def lr_train(
     if not is_quantized(xs):
         raise ValueError("combiner training inputs must be quantized")
     n = len(ys)
-    onehot = np.zeros((n, N_CLASSES))
-    onehot[np.arange(n), ys] = 1.0
+    x1 = np.ones((N_INPUTS + 1, n))
+    x1[:N_INPUTS] = xs.T
+    onehot = np.zeros((N_CLASSES, n))
+    onehot[ys, np.arange(n)] = 1.0
 
-    w = np.zeros((N_CLASSES, N_INPUTS))
-    b = np.zeros(N_CLASSES)
+    wb = np.zeros((N_CLASSES, N_INPUTS + 1))  # [W | b]
+    z = np.empty((N_CLASSES, n))
+    col = np.empty(n)
+    grad = np.empty_like(wb)
     for _ in range(cfg.max_epochs):
-        probs = softmax(xs @ w.T + b)
-        err = (probs - onehot) / n
-        g_w = err.T @ xs
-        g_b = err.sum(axis=0)
-        if max(np.abs(g_w).max(), np.abs(g_b).max()) < GRAD_TOL:
+        np.matmul(wb, x1, out=z)
+        np.max(z, axis=0, out=col)
+        z -= col
+        np.exp(z, out=z)
+        np.sum(z, axis=0, out=col)
+        z /= col
+        z -= onehot
+        z /= n
+        np.matmul(z, x1.T, out=grad)
+        if np.abs(grad).max() < GRAD_TOL:
             break
-        w -= cfg.learning_rate * g_w
-        b -= cfg.learning_rate * g_b
-    return CombinerParams(w, b)
+        grad *= cfg.learning_rate
+        wb -= grad
+    return CombinerParams(wb[:, :N_INPUTS].copy(), wb[:, N_INPUTS].copy())
 
 
 def save_combiner(params: CombinerParams, path: Path | str) -> None:

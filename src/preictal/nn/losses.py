@@ -7,7 +7,7 @@ prediction yields a large finite loss instead of an infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,14 +16,10 @@ from ..dataset import N_CLASSES
 P_CLAMP = 1e-12
 
 
-def _default_alpha() -> np.ndarray:
-    return np.ones(N_CLASSES)
-
-
 @dataclass
 class FocalLossConfig:
-    gamma: float = 2.0
-    alpha: np.ndarray = field(default_factory=_default_alpha)
+    gamma: float
+    alpha: np.ndarray
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)

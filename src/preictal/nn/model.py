@@ -9,12 +9,14 @@ one tap-stacked GEMM over the whole batch (see `ops`).  `backward_batch`
 runs reverse-mode differentiation through the whole stack and returns exact
 gradients of the mean focal loss for every trainable parameter.  It
 computes in the dtype of its windows, which `train` makes float32, against
-a copy of the float64 parameters cast to that dtype (see `train`).  Its
-conv buffers come from a dict, keyed by batch size, that the caller may
-pass to every step: `train` owns one for the length of the call, so the
-conv scratch is allocated once per batch size and no buffer outlives
-training.  Inference is the same forward pass without the tape, in float64
-on fresh arrays, in chunks of FORWARD_CHUNK windows.
+a copy of the float64 parameters cast to that dtype (see `train`).  What
+a step would otherwise rebuild lives in a `Workspace` the caller may pass
+to every step: the cast parameter copy and its named views, refreshed in
+place each step, the gradient buffer and its views, and the conv buffers
+of each batch size.  `train` owns one for the length of the call, so all
+of it is allocated once per call and no buffer outlives training.
+Inference is the same forward pass without the tape, in float64 on fresh
+arrays, in chunks of FORWARD_CHUNK windows.
 
 A `SensorModel` is an immutable architecture spec plus one flat float64
 buffer.  The spec's fields are the weight-file header's (sensor, channels,
@@ -213,29 +215,53 @@ def _check_input(model: SensorModel, xb: np.ndarray) -> None:
         )
 
 
-def _workspace(model: SensorModel, batch: int, dtype) -> list[tuple[np.ndarray, ...]]:
-    """Training buffers of `dtype` for one batch size, one triple per conv
-    block: the padded input, its tap stack and the conv output.  A block's
-    backward pass reuses its forward pass's triple for the input gradient; by
-    then only the tap stack is still needed, and the kernel gradient reads it
-    first."""
-    c, k, t = model.in_channels, model.kernel_len, model.window_samples
-    blocks = []
-    for pool in model.pool_sizes:
-        blocks.append((np.empty((c, batch, t + k - 1), dtype),
-                       np.empty((k * c, batch * t), dtype),
-                       np.empty((c, batch * t), dtype)))
-        t = -(-t // pool)
-    return blocks
+class Workspace:
+    """What every training step of one model at one dtype reuses.
+
+    `params` is the parameter buffer in the step's dtype: `model.buffer`
+    itself for float64, otherwise a copy that `backward_batch` refreshes in
+    place at each step; `p` holds its named views.  `grad` is the gradient
+    buffer, laid out and typed like `model.buffer`, and `g` its views; the
+    running statistics' entries stay zero.  `blocks` maps a batch size to
+    its conv buffers, one triple per conv block: the padded input, its tap
+    stack and the conv output.  A block's backward pass reuses its forward
+    pass's triple for the input gradient; by then only the tap stack is
+    still needed, and the kernel gradient reads it first.
+    """
+
+    def __init__(self, model: SensorModel, dtype):
+        self.model = model
+        if np.dtype(dtype) == model.buffer.dtype:
+            self.params, self.p = model.buffer, model.params
+        else:
+            self.params = np.empty(model.buffer.shape, dtype)
+            self.p = model.views(self.params)
+        self.grad = np.zeros_like(model.buffer)
+        self.g = model.views(self.grad)
+        self.blocks: dict[int, list[tuple[np.ndarray, ...]]] = {}
+
+    def conv_buffers(self, batch: int) -> list[tuple[np.ndarray, ...]]:
+        """The conv buffers of `batch` windows, made on first use."""
+        if batch not in self.blocks:
+            model, dtype = self.model, self.params.dtype
+            c, k, t = model.in_channels, model.kernel_len, model.window_samples
+            blocks = []
+            for pool in model.pool_sizes:
+                blocks.append((np.empty((c, batch, t + k - 1), dtype),
+                               np.empty((k * c, batch * t), dtype),
+                               np.empty((c, batch * t), dtype)))
+                t = -(-t // pool)
+            self.blocks[batch] = blocks
+        return self.blocks[batch]
 
 
-def _forward(model: SensorModel, xb: np.ndarray, p: dict, work=None):
+def _forward(model: SensorModel, xb: np.ndarray, p: dict, buffers=None):
     """Batched forward pass over [B x C x T] windows with the parameter
     views `p`, returning logits and, when training, the tape.
 
     The conv blocks run channel-major, [C x B x T], from the batchnorm to the
-    flatten.  Training (`work` given) normalizes by the batch statistics and
-    runs the convs in `work`, the batch size's buffers from `_workspace`;
+    flatten.  Training (`buffers` given) normalizes by the batch statistics
+    and runs the convs in `buffers`, from `Workspace.conv_buffers`;
     otherwise batchnorm uses the running statistics and every array is
     fresh.  The running statistics are always the model's own, so training
     folds the batch statistics into `model.buffer` even when `p` views a
@@ -243,20 +269,20 @@ def _forward(model: SensorModel, xb: np.ndarray, p: dict, work=None):
     passes the same gradients.
     """
     _check_input(model, xb)
-    training = work is not None
+    training = buffers is not None
     b = xb.shape[0]
     h, xhat = batchnorm_forward_with_cache(
         xb.transpose(1, 0, 2), *[p[k] for k in BN_KEYS[:2]],
         *[model.params[k] for k in BN_KEYS[2:]], model.bn_epsilon,
         model.bn_momentum, "train" if training else "inference")
     tape = {"xhat": xhat, "blocks": []} if training else None
-    for (kernels, bias), pool, buffers in zip(
-            BLOCK_KEYS, model.pool_sizes, work or [(None,) * 3] * N_BLOCKS):
-        z = conv1d_forward(h, p[kernels], p[bias], *buffers)
+    for (kernels, bias), pool, (xpad, cols, out) in zip(
+            BLOCK_KEYS, model.pool_sizes, buffers or [(None,) * 3] * N_BLOCKS):
+        z = conv1d_forward(h, p[kernels], p[bias], xpad, cols, out)
         pooled, arg = maxpool1d_with_argmax(z, pool)
         h = relu(pooled)
         if training:
-            tape["blocks"].append((buffers[1], arg, h, z.shape[2]))
+            tape["blocks"].append((cols, arg, h, z.shape[2]))
     h = h.transpose(1, 0, 2).reshape(b, -1)
     dense_x = []
     dense_z = []
@@ -288,7 +314,7 @@ def model_forward(model: SensorModel, windows: np.ndarray) -> np.ndarray:
 
 def backward_batch(
     model: SensorModel, xb: np.ndarray, yb: np.ndarray, cfg: FocalLossConfig,
-    work: dict | None = None,
+    work: Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean focal loss over the batch and its gradient, laid out like
     `model.buffer` and of its dtype (the running statistics get zero
@@ -297,23 +323,26 @@ def backward_batch(
     The passes compute in the dtype of `xb`: float32 windows run against a
     float32 copy of the parameters, float64 windows against the buffer
     itself.  Batchnorm normalizes by the batch statistics and updates the
-    running averages in `model.buffer`.  `work` maps a batch size to its
-    conv buffers, of the windows' dtype, and gains an entry for each new
-    size; a caller that passes the same dict to every step, with windows of
-    one dtype, reuses them.  Without it the buffers are fresh.
+    running averages in `model.buffer`.  `work` is a `Workspace` of this
+    model and of the windows' dtype; a caller that passes the same one to
+    every step reuses its parameter copy, gradient and conv buffers, and
+    the gradient returned is then `work.grad`, which the next step that
+    shares `work` overwrites.  Without it every buffer is fresh.
     """
+    work = Workspace(model, xb.dtype) if work is None else work
+    if work.model is not model or work.params.dtype != xb.dtype:
+        raise ValueError(f"the workspace is for another model or dtype than "
+                         f"these {xb.dtype} windows")
     b = len(xb)
-    work = {} if work is None else work
-    if b not in work:
-        work[b] = _workspace(model, b, xb.dtype)
-    p = model.views(model.buffer.astype(xb.dtype, copy=False))
-    logits, tape = _forward(model, xb, p, work[b])
+    buffers = work.conv_buffers(b)
+    if work.params is not model.buffer:
+        np.copyto(work.params, model.buffer)
+    p, g = work.p, work.g
+    logits, tape = _forward(model, xb, p, buffers)
     probs = softmax(logits)
     loss = float(focal_loss_batch(probs, yb, cfg).mean())
     delta = focal_grad_wrt_logits(probs, yb, cfg)
 
-    grad = np.zeros_like(model.buffer)
-    g = model.views(grad)
     for i in range(N_DENSE - 1, -1, -1):
         weights, bias = DENSE_KEYS[i]
         g[weights][...], g[bias][...], delta = (
@@ -328,11 +357,11 @@ def backward_batch(
         delta = maxpool1d_backward(relu_backward(delta, a), arg,
                                    model.pool_sizes[i], t_in)
         g[kernels][...], g[bias][...], delta = conv1d_backward(
-            delta, cols, p[kernels], *work[b][i])
+            delta, cols, p[kernels], *buffers[i])
 
     g["batchnorm.gamma"][...], g["batchnorm.beta"][...] = batchnorm_param_grads(
         delta, tape["xhat"])
-    return loss, grad
+    return loss, work.grad
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,11 +30,18 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First and second moment estimates, shaped like the parameter buffer."""
+    """First and second moment estimates, shaped like the parameter buffer,
+    and the step count.  `scratch` holds two more arrays of that shape,
+    made with the state, that `adam_step` computes its update in, so a
+    step allocates nothing."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
@@ -46,7 +53,10 @@ def adam_step(
 ) -> None:
     """One Adam update of a flat parameter buffer, in place.
 
-    A single fused elementwise pass; entries with zero gradient (and zero
+    Elementwise passes into the state's scratch arrays, each the same
+    operation on the same operands as the textbook expression
+    lr * (m / bc1) / (sqrt(v / bc2) + eps), so the bits are those of
+    evaluating it on fresh arrays.  Entries with zero gradient (and zero
     moments) are left exactly as they are.  Deterministic.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
@@ -56,8 +66,18 @@ def adam_step(
     bc1 = 1.0 - BETA1 ** state.t
     bc2 = 1.0 - BETA2 ** state.t
     m, v = state.m, state.v
+    step, denom = state.scratch
     m *= BETA1
-    m += (1.0 - BETA1) * grads
+    np.multiply(grads, 1.0 - BETA1, out=step)
+    m += step
     v *= BETA2
-    v += (1.0 - BETA2) * grads * grads
-    params -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
+    np.multiply(grads, 1.0 - BETA2, out=step)
+    step *= grads
+    v += step
+    np.divide(m, bc1, out=step)
+    step *= cfg.learning_rate
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += EPSILON
+    step /= denom
+    params -= step

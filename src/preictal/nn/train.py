@@ -14,12 +14,11 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .losses import FocalLossConfig, focal_loss_batch, inverse_frequency_alpha
-from .model import SensorModel, _check_input, backward_batch, model_forward
+from .model import SensorModel, Workspace, _check_input, backward_batch, model_forward
 from .optim import AdamState, TrainConfig, adam_step
 
 
@@ -53,7 +52,7 @@ def train(
     ys: np.ndarray,
     xv: np.ndarray,
     yv: np.ndarray,
-    train_cfg: Optional[TrainConfig] = None,
+    train_cfg: TrainConfig,
 ) -> tuple[SensorModel, TrainReport]:
     """Train in place; returns the model restored to its best-validation state.
 
@@ -66,13 +65,13 @@ def train(
     after `patience` epochs without improvement.  A non-finite batch or
     validation loss raises ValueError.  The steps compute in float32 on a
     float32 copy of `xs`, made once per call; validation runs in float64.
-    The conv buffers of each batch size are made once per call and reused by
-    every step; none outlives it.
+    The step's `Workspace` (the float32 parameter copy, the gradient and the
+    conv buffers of each batch size) is made once per call and reused by
+    every step; none of it outlives the call.
     """
     if not (len(xs) == len(ys) > 0 and len(xv) == len(yv) > 0):
         raise ValueError("train and validation window sets must be non-empty, "
                          "with one label per window")
-    train_cfg = train_cfg or TrainConfig()
     _check_input(model, xs)
     _check_input(model, xv)
     loss_cfg = FocalLossConfig(gamma=train_cfg.focal_gamma,
@@ -84,7 +83,7 @@ def train(
     report = TrainReport()
     best_val = np.inf
     bad_epochs = 0
-    work: dict = {}
+    work = Workspace(model, np.float32)
 
     for epoch in range(1, train_cfg.max_epochs + 1):
         order = rng.permutation(len(xs))

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from preictal.combiner import build_input, quantize4
+
 
 def conv1d_naive(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Cross-correlation, stride 1, zero 'same' padding, nested loops.
@@ -140,3 +142,40 @@ def parameters(model) -> list[tuple[str, np.ndarray]]:
     order: every named view except batchnorm's running statistics."""
     return [(name, view) for name, view in model.params.items()
             if not name.startswith("batchnorm.running")]
+
+
+def lr_train_rowmajor(xs, ys, learning_rate, max_epochs, grad_tol):
+    """Full-batch gradient descent for the combiner in the row-major form:
+    inputs [N x 10], logits softmax(x W^T + b) [N x 5], separate W and b
+    gradients, fresh arrays every epoch.  Returns (W, b)."""
+    xs = np.asarray(xs, dtype=float)
+    n = len(ys)
+    onehot = np.zeros((n, 5))
+    onehot[np.arange(n), ys] = 1.0
+    w = np.zeros((5, xs.shape[1]))
+    b = np.zeros(5)
+    for _ in range(max_epochs):
+        logits = xs @ w.T + b
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        err = (e / e.sum(axis=1, keepdims=True) - onehot) / n
+        g_w = err.T @ xs
+        g_b = err.sum(axis=0)
+        if max(np.abs(g_w).max(), np.abs(g_b).max()) < grad_tol:
+            break
+        w -= learning_rate * g_w
+        b -= learning_rate * g_b
+    return w, b
+
+
+def noisy_quantized_set(n, seed):
+    """(inputs [N x 10], classes [N]) for the combiner: quantized probability
+    pairs that lean toward the label by a random margin, so no W separates
+    them and a fit runs every epoch, as a desk fold's does."""
+    rng = np.random.default_rng(seed)
+    ys = rng.integers(0, 5, size=n)
+    halves = []
+    for _ in range(2):
+        p = rng.dirichlet(np.full(5, 0.5), size=n)
+        p[np.arange(n), ys] += rng.uniform(0.0, 1.0, size=n)
+        halves.append(quantize4(p / p.sum(axis=1, keepdims=True)))
+    return build_input(*halves), ys

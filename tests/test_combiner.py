@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import central_difference, cross_entropy
+from oracles import central_difference, cross_entropy, lr_train_rowmajor, noisy_quantized_set
 from preictal.combiner import (
     N_INPUTS,
     QUANT_STEP,
     CombinerConfig,
+    GRAD_TOL,
     CombinerParams,
     build_input,
     is_quantized,
@@ -261,6 +262,41 @@ class TestTrain:
         xs, ys = _separable_dataset(n_per_class=2)
         with pytest.raises(ValueError, match="10 inputs for 9 labels"):
             lr_train(xs, ys[:-1])
+
+
+class TestTrainMatchesRowMajor:
+    """`lr_train` against the row-major loop in `oracles`: the same method
+    summed in another order, so W and b agree to rounding and every row
+    reads out the same class."""
+
+    def _check(self, xs, ys, cfg=CombinerConfig()):
+        params = lr_train(xs, ys, cfg)
+        w, b = lr_train_rowmajor(xs, ys, cfg.learning_rate, cfg.max_epochs, GRAD_TOL)
+        np.testing.assert_allclose(params.W, w, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(params.b, b, rtol=0, atol=1e-12)
+        reference = CombinerParams(w, b)
+        np.testing.assert_array_equal(lr_forward(xs, params).argmax(axis=1),
+                                      lr_forward(xs, reference).argmax(axis=1))
+        return params
+
+    @pytest.mark.parametrize("n,seed", [(7, 0), (60, 1), (333, 2), (1395, 7919)])
+    def test_random_quantized_sets(self, n, seed):
+        self._check(*noisy_quantized_set(n, seed))
+
+    def test_one_window(self):
+        xs, ys = noisy_quantized_set(1, seed=3)
+        self._check(xs, ys, CombinerConfig(learning_rate=0.5, max_epochs=40))
+
+    def test_zero_gradient_at_init_stops_at_once(self):
+        # All-zero inputs and balanced labels: the softmax is uniform and
+        # its error sums over each class to zero but for rounding (~1e-17,
+        # far below GRAD_TOL), so the fit stops before its first step with
+        # W and b still zero.  Without the stop, 500 steps of that rounding
+        # would leave b nonzero.
+        xs = np.zeros((10, N_INPUTS))
+        ys = np.repeat(np.arange(5), 2)
+        params = self._check(xs, ys)
+        assert not params.W.any() and not params.b.any()
 
 
 # ---------------------------------------------------------------------------

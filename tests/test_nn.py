@@ -26,6 +26,7 @@ from preictal.nn.losses import (
 from preictal.nn.model import (
     SPEC_FIELDS,
     SensorModel,
+    Workspace,
     backward_batch,
     build_model,
     load_model,
@@ -284,7 +285,7 @@ class TestFocalLoss:
 
     def test_gamma_zero_alpha_one_is_cross_entropy(self):
         rng = np.random.default_rng(4)
-        cfg = FocalLossConfig(gamma=0.0)
+        cfg = FocalLossConfig(gamma=0.0, alpha=np.ones(5))
         for _ in range(200):
             logits = rng.standard_normal(5) * 4
             probs = softmax(logits)
@@ -306,14 +307,14 @@ class TestFocalLoss:
 
     def test_confidently_wrong_is_clamped_finite(self):
         probs = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-        loss = focal_loss(probs, 1, FocalLossConfig(gamma=2.0))
+        loss = focal_loss(probs, 1, FocalLossConfig(gamma=2.0, alpha=np.ones(5)))
         assert np.isfinite(loss)
         np.testing.assert_allclose(loss, -(1.0 - 1e-12) ** 2 * np.log(1e-12),
                                    rtol=1e-12)
 
     def test_perfect_prediction_costs_nothing(self):
         probs = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        assert focal_loss(probs, 2, FocalLossConfig(gamma=2.0)) == 0.0
+        assert focal_loss(probs, 2, FocalLossConfig(gamma=2.0, alpha=np.ones(5))) == 0.0
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(6)
@@ -325,14 +326,20 @@ class TestFocalLoss:
             np.testing.assert_allclose(batch[i], focal_loss(probs[i], targets[i], cfg))
 
     def test_config_validation(self):
+        # Both settings are required: `train` derives them from its config
+        # and its training labels, so a default here would be a second copy.
+        with pytest.raises(TypeError):
+            FocalLossConfig()
+        with pytest.raises(TypeError):
+            FocalLossConfig(gamma=2.0)
         with pytest.raises(ValueError):
-            FocalLossConfig(gamma=-0.5)
+            FocalLossConfig(gamma=-0.5, alpha=np.ones(5))
         with pytest.raises(ValueError):
-            FocalLossConfig(alpha=np.ones(4))
+            FocalLossConfig(gamma=2.0, alpha=np.ones(4))
         with pytest.raises(ValueError):
-            FocalLossConfig(alpha=np.array([0.0, 1, 1, 1, 1]))
+            FocalLossConfig(gamma=2.0, alpha=np.array([0.0, 1, 1, 1, 1]))
         with pytest.raises(ValueError):
-            FocalLossConfig(alpha=np.array([1.5, 1, 1, 1, 1]))
+            FocalLossConfig(gamma=2.0, alpha=np.array([1.5, 1, 1, 1, 1]))
 
     def test_inverse_frequency_alpha(self):
         alpha = inverse_frequency_alpha(np.array([0, 0, 0, 0, 1]))
@@ -462,11 +469,11 @@ class TestModel:
                          for _ in range(2))
         cfg = FocalLossConfig(gamma=2.0, alpha=np.array([0.5, 0.7, 0.9, 1.0, 0.6]))
         rng = np.random.default_rng(16)
-        work = {}
+        work = Workspace(shared, np.float64)
         for b in (32, 32, 7, 32, 7):
             xb = rng.uniform(0.5, 3.0) * rng.standard_normal((b, 3, 40))
             yb = rng.integers(0, 5, size=b)
-            for blocks in work.values():
+            for blocks in work.blocks.values():
                 for buffers in blocks:
                     for buffer in buffers:
                         buffer.fill(np.nan)
@@ -476,7 +483,7 @@ class TestModel:
             np.testing.assert_array_equal(grad, want_grad)
             shared.buffer[...] -= 0.05 * grad
             fresh.buffer[...] -= 0.05 * want_grad
-        assert sorted(work) == [7, 32]
+        assert sorted(work.blocks) == [7, 32]
 
     def test_float32_windows_give_a_float64_gradient_near_the_float64_one(self):
         # The tiny model of acceptance criterion 1.  Over seeds 0-19 the
@@ -489,14 +496,50 @@ class TestModel:
         xb = rng.standard_normal((4, 2, 16))
         yb = np.array([0, 1, 3, 4])
         cfg = FocalLossConfig(gamma=2.0, alpha=np.array([0.5, 0.8, 1.0, 0.9, 0.6]))
-        work = {}
+        work = Workspace(mixed, np.float32)
         want_loss, want = backward_batch(exact, xb, yb, cfg)
         loss, grad = backward_batch(mixed, xb.astype(np.float32), yb, cfg, work)
         assert grad.dtype == mixed.buffer.dtype == np.float64
-        assert {buffer.dtype for buffers in work[4] for buffer in buffers} == \
+        assert {buffer.dtype for buffers in work.blocks[4] for buffer in buffers} == \
             {np.dtype(np.float32)}
         assert np.abs(grad - want).max() <= 1e-6 * np.abs(want).max()
         np.testing.assert_allclose(loss, want_loss, rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_workspace_across_adam_steps_matches_fresh_calls(self, dtype):
+        # Three steps with Adam between them: the workspace's float32
+        # parameter copy must be refreshed from the updated buffer at every
+        # step (a stale copy would repeat the first step's loss), and the
+        # reused gradient buffer must hold only this step's gradient.
+        shared, fresh = _tiny_model(seed=6), _tiny_model(seed=6)
+        cfg = FocalLossConfig(gamma=2.0, alpha=np.array([0.5, 0.7, 0.9, 1.0, 0.6]))
+        train_cfg = TrainConfig(learning_rate=0.05)
+        states = AdamState.for_params(shared.buffer), AdamState.for_params(fresh.buffer)
+        rng = np.random.default_rng(21)
+        work = Workspace(shared, dtype)
+        losses = []
+        for _ in range(3):
+            xb = rng.standard_normal((8, 2, 16)).astype(dtype)
+            yb = rng.integers(0, 5, size=8)
+            loss, grad = backward_batch(shared, xb, yb, cfg, work)
+            want_loss, want_grad = backward_batch(fresh, xb, yb, cfg)
+            assert grad is work.grad
+            assert loss == want_loss
+            np.testing.assert_array_equal(grad, want_grad)
+            adam_step(shared.buffer, grad, states[0], train_cfg)
+            adam_step(fresh.buffer, want_grad, states[1], train_cfg)
+            losses.append(loss)
+        np.testing.assert_array_equal(shared.buffer, fresh.buffer)
+        assert len(set(losses)) == 3
+
+    def test_workspace_of_another_model_or_dtype_rejected(self):
+        model = _tiny_model()
+        xb, yb = np.ones((2, 2, 16)), np.array([0, 1])
+        cfg = FocalLossConfig(gamma=2.0, alpha=np.ones(5))
+        with pytest.raises(ValueError, match="another model or dtype"):
+            backward_batch(model, xb, yb, cfg, Workspace(_tiny_model(), np.float64))
+        with pytest.raises(ValueError, match="another model or dtype"):
+            backward_batch(model, xb, yb, cfg, Workspace(model, np.float32))
 
     def test_float32_step_moves_the_running_statistics_in_the_buffer(self):
         # The float32 pass reads a cast copy of the parameters; the batch
@@ -505,8 +548,9 @@ class TestModel:
         exact, mixed = _tiny_model(seed=2), _tiny_model(seed=2)
         xb = 1.5 + 2.0 * np.random.default_rng(5).standard_normal((8, 2, 16))
         yb = np.arange(8) % 5
-        backward_batch(exact, xb, yb, FocalLossConfig())
-        backward_batch(mixed, xb.astype(np.float32), yb, FocalLossConfig())
+        cfg = FocalLossConfig(gamma=2.0, alpha=np.ones(5))
+        backward_batch(exact, xb, yb, cfg)
+        backward_batch(mixed, xb.astype(np.float32), yb, cfg)
         stats = mixed.views(mixed.buffer)
         for name, start in (("batchnorm.running_mean", 0.0),
                             ("batchnorm.running_var", 1.0)):
@@ -538,7 +582,7 @@ class TestModel:
             model.buffer.size
         # Batchnorm's running statistics update in place, inside the buffer.
         backward_batch(model, np.ones((2, 2, 16)), np.array([0, 1]),
-                       FocalLossConfig())
+                       FocalLossConfig(gamma=2.0, alpha=np.ones(5)))
         np.testing.assert_array_equal(model.views(model.buffer)
                                       ["batchnorm.running_mean"], [0.1, 0.1])
 
@@ -684,6 +728,29 @@ class TestAdam:
         np.testing.assert_allclose(p, np.concatenate([a.ravel() for a in ref_p]),
                                    atol=1e-12)
 
+    def test_in_place_update_matches_the_fresh_array_expression_bit_for_bit(self):
+        # The update written into the state's scratch arrays against the
+        # same formula evaluated on fresh arrays, over 20 steps of float32
+        # gradients with some entries always zero.
+        rng = np.random.default_rng(12)
+        cfg = TrainConfig(learning_rate=1e-3)
+        p = rng.standard_normal(500)
+        ref_p, m, v = p.copy(), np.zeros(500), np.zeros(500)
+        state = AdamState.for_params(p)
+        for t in range(1, 21):
+            grad = rng.standard_normal(500).astype(np.float32).astype(np.float64)
+            grad[::7] = 0.0
+            adam_step(p, grad, state, cfg)
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * grad * grad
+            ref_p -= cfg.learning_rate * (m / (1.0 - BETA1 ** t)) / (
+                np.sqrt(v / (1.0 - BETA2 ** t)) + EPSILON)
+            np.testing.assert_array_equal(p, ref_p)
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
+
     def test_shape_mismatch_rejected(self):
         p = np.zeros(3)
         state = AdamState.for_params(p)
@@ -774,7 +841,8 @@ class TestTrain:
         (xs, ys), (xv, yv) = _toy_set(6, seed=8), _toy_set(2, seed=9)
         model, report = train(model, xs, ys, xv, yv, train_cfg=cfg)
         loss, _ = evaluate(model, xv, yv,
-                           FocalLossConfig(alpha=inverse_frequency_alpha(ys)))
+                           FocalLossConfig(gamma=cfg.focal_gamma,
+                                           alpha=inverse_frequency_alpha(ys)))
         np.testing.assert_allclose(loss, min(report.val_loss), rtol=1e-9)
 
     def test_leaves_no_workspace_on_the_model(self):
@@ -806,14 +874,14 @@ class TestTrain:
         model = _toy_model()
         empty = np.empty((0, 2, 64)), np.empty(0, dtype=int)
         with pytest.raises(ValueError):
-            train(model, *empty, *_toy_set(2, seed=0))
+            train(model, *empty, *_toy_set(2, seed=0), TrainConfig())
         with pytest.raises(ValueError):
-            train(model, *_toy_set(2, seed=0), *empty)
+            train(model, *_toy_set(2, seed=0), *empty, TrainConfig())
 
     def test_rejects_a_label_count_unlike_the_window_count(self):
         xs, ys = _toy_set(2, seed=0)
         with pytest.raises(ValueError, match="one label per window"):
-            train(_toy_model(), xs, ys[:-1], xs, ys)
+            train(_toy_model(), xs, ys[:-1], xs, ys, TrainConfig())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_input_stops_training(self):
@@ -832,7 +900,7 @@ class TestTrain:
         model = _toy_model()  # expects 2 x 64
         wrong = _toy_set(2, seed=0, channels=1)
         with pytest.raises(ValueError, match="does not match"):
-            train(model, *wrong, *wrong)
+            train(model, *wrong, *wrong, TrainConfig())
 
     def test_write_train_report(self, tmp_path):
         report = TrainReport(epochs=[1, 2], train_loss=[0.5, 0.25],
