@@ -36,7 +36,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 
 from oracles import noisy_quantized_set  # noqa: E402
-from preictal.combiner import lr_train  # noqa: E402
+from preictal.combiner import CombinerConfig, lr_train  # noqa: E402
 from preictal.config import ModelConfig  # noqa: E402
 from preictal.dataset import Sensor  # noqa: E402
 from preictal.nn.losses import FocalLossConfig, inverse_frequency_alpha  # noqa: E402
@@ -85,7 +85,7 @@ def time_fits() -> list[float]:
     times = []
     for _ in range(FITS):
         start = time.perf_counter()
-        lr_train(xs, ys)
+        lr_train(xs, ys, CombinerConfig())
         times.append(time.perf_counter() - start)
     return times
 

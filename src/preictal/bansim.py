@@ -1,9 +1,9 @@
 """Discrete-event simulation of the closed-loop body-area network.
 
-Four nodes: an EEG classifier node and an ECG classifier node stream
-quantized five-class probability vectors to a gateway, which fuses them with
-the logistic-regression combiner and, when the fused class calls for it,
-sends a stimulation command frame to the DBS node.
+Four nodes: an EEG node and an ECG node stream quantized five-class
+probability vectors, computed offline before the run, to a gateway, which
+fuses them with the logistic-regression combiner and, when the fused class
+calls for it, sends a stimulation command frame to the DBS node.
 
 Everything rides on one abstract link model (bitrate, propagation delay,
 independent per-attempt loss with bounded retransmission); there is no
@@ -45,7 +45,7 @@ from .combiner import (
     quantize4,
 )
 from .dataset import N_CLASSES, LabelClass, LabeledWindow
-from .nn.model import SensorModel, model_forward
+from .nn.model import model_forward  # noqa: F401  (perfbench/spans.py traces it here)
 
 FRAME_STRUCT = struct.Struct("<BBI5H")
 FRAME_BYTES = FRAME_STRUCT.size  # 16
@@ -131,6 +131,13 @@ class SimConfig:
             raise ValueError("processing_delay_s must be non-negative")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be non-negative")
+        if self.max_windows == 0:
+            raise ValueError("duration_s is shorter than one window period")
+
+    @property
+    def max_windows(self) -> int:
+        """The window periods the duration holds, which cap a replay."""
+        return int(np.floor(self.duration_s / self.window_period_s + 1e-9))
 
 
 @dataclass
@@ -196,34 +203,27 @@ def _stimulate(policy: StimulationPolicy, decision: LabelClass) -> bool:
 
 def run_simulation(
     cfg: SimConfig,
-    eeg_model: SensorModel,
-    ecg_model: SensorModel,
     combiner_params: CombinerParams,
-    windows: Sequence[tuple[LabeledWindow, LabeledWindow]],
+    windows: Sequence[LabeledWindow],
+    eeg_rows: np.ndarray,
+    ecg_rows: np.ndarray,
 ) -> SimTrace:
-    """Replay paired windows through the network and record every event.
+    """Replay windows through the network and record every event.
 
-    Window w becomes available at (w+1) * window_period_s (a window must end
-    before it can be classified); both sensor nodes then spend one processing
-    delay on inference and transmit.  A lost frame is retried back-to-back up
-    to retry_limit times.  A window is pending until both sensor frames reach
+    The nodes send row w of `eeg_rows` and `ecg_rows`, from `_predictions`,
+    for `windows[w]`, up to `cfg.max_windows` windows.  Window w becomes
+    available at (w+1) * window_period_s (a window must end before it can be
+    classified); both sensor nodes then spend one processing delay on
+    inference and transmit.  A lost frame is retried back-to-back up to
+    retry_limit times.  A window is pending until both sensor frames reach
     the gateway, which fuses it one processing delay later; a window still
     pending one window period after production is dropped.  Per-window
     latency is the gateway decision time minus the production time.
     """
-    if not windows:
-        raise ValueError("need at least one window pair to simulate")
-    n_sim = min(len(windows),
-                int(np.floor(cfg.duration_s / cfg.window_period_s + 1e-9)))
-    if n_sim == 0:
-        raise ValueError("duration_s is shorter than one window period")
-    pairs = list(windows[:n_sim])
-    for we, wc in pairs:
-        if we.window_index != wc.window_index:
-            raise ValueError("EEG/ECG window pair indices do not match")
-
-    eeg_q = quantize4(model_forward(eeg_model, np.stack([we.data for we, _ in pairs])))
-    ecg_q = quantize4(model_forward(ecg_model, np.stack([wc.data for _, wc in pairs])))
+    if not 0 < len(windows) == len(eeg_rows) == len(ecg_rows):
+        raise ValueError(f"need at least one window and one EEG and ECG row each; got "
+                         f"{len(eeg_rows)} and {len(ecg_rows)} rows for {len(windows)}")
+    n_sim = min(len(windows), cfg.max_windows)
 
     rng = np.random.default_rng(cfg.link.seed)
     ft = cfg.link.frame_time_s()
@@ -260,10 +260,10 @@ def run_simulation(
         if kind == "produce":
             pending[w] = {}
             emit(t, "window_produced", NodeId.GATEWAY, w,
-                 label=int(pairs[w][0].label),
-                 dataset_index=pairs[w][0].window_index)
-            for source, row in ((NodeId.EEG_NODE, eeg_q[w]),
-                                (NodeId.ECG_NODE, ecg_q[w])):
+                 label=int(windows[w].label),
+                 dataset_index=windows[w].window_index)
+            for source, row in ((NodeId.EEG_NODE, eeg_rows[w]),
+                                (NodeId.ECG_NODE, ecg_rows[w])):
                 schedule(t + cfg.processing_delay_s, "send", w,
                          encode_message(row, w, source))
             schedule(t + cfg.window_period_s, "deadline", w)
@@ -289,7 +289,7 @@ def run_simulation(
             trace.decisions[w] = decision
             trace.latencies[w] = t - (w + 1) * cfg.window_period_s
             emit(t, "fusion_decision", NodeId.GATEWAY, w,
-                 decision=int(decision), label=int(pairs[w][0].label))
+                 decision=int(decision), label=int(windows[w].label))
             if _stimulate(cfg.stimulation_policy, decision):
                 emit(t, "alert", NodeId.GATEWAY, w, decision=int(decision))
                 emit(t, "stimulation_command", NodeId.GATEWAY, w,

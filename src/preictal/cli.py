@@ -217,6 +217,9 @@ def cmd_cross_validate(args) -> int:
 
 def _holdout(h: dict) -> tuple[str, list[int], WindowingConfig]:
     """A holdout.json document's patient, sorted window ids and windowing."""
+    bad = [i for i in h["window_ids"] if type(i) is not int]
+    if bad:
+        raise ValueError(f"window_ids must be integers, got {bad[0]!r}")
     ids = sorted(h["window_ids"])
     if not ids:
         raise ValueError("window_ids is empty")
@@ -256,14 +259,13 @@ def cmd_simulate(args) -> int:
                              f"not windows of patient {held_patient!r}, the first "
                              f"{unknown[0]}")
         ids = held_ids
-    pairs = [(eeg_w[i], ecg_w[i]) for i in ids]
-
-    trace = run_simulation(cfg.sim, eeg_model, ecg_model, combiner_params, pairs)
+    windows = [eeg_w[i] for i in ids[:cfg.sim.max_windows]]
+    preds = _predictions(eeg_model, ecg_model, combiner_params, windows,
+                         [ecg_w[w.window_index] for w in windows])
+    trace = run_simulation(cfg.sim, combiner_params, windows,
+                           preds["eeg_rows"], preds["ecg_rows"])
     write_trace_jsonl(trace, out / "trace.jsonl")
-
-    offline = _predictions(eeg_model, ecg_model, combiner_params,
-                           *zip(*pairs[:trace.n_windows]))["combined"]
-    equivalence = all(offline[w] == d for w, d in trace.decisions.items())
+    equivalence = all(preds["combined"][w] == d for w, d in trace.decisions.items())
     rep = latency_report(trace)
     summary = {**dataclasses.asdict(rep), "equivalence": equivalence}
     (out / "latency.json").write_text(

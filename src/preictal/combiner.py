@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
-
 import numpy as np
 
 from .dataset import N_CLASSES, LabelClass
@@ -96,9 +94,7 @@ def predict(p: np.ndarray) -> LabelClass:
     return LabelClass(int(np.argmax(p)))
 
 
-def lr_train(
-    xs: np.ndarray, ys: np.ndarray, cfg: Optional[CombinerConfig] = None
-) -> CombinerParams:
+def lr_train(xs: np.ndarray, ys: np.ndarray, cfg: CombinerConfig) -> CombinerParams:
     """Fit by full-batch gradient descent on mean cross-entropy from zero init.
 
     `xs` holds one fusion input per row ([N x 10], from `build_input`) and
@@ -119,7 +115,6 @@ def lr_train(
     if len(ys) == 0 or len(xs) != len(ys):
         raise ValueError(f"combiner training set must be non-empty, one label per "
                          f"input; got {len(xs)} inputs for {len(ys)} labels")
-    cfg = cfg or CombinerConfig()
     if xs.shape[1:] != (N_INPUTS,):
         raise ShapeError(f"combiner inputs must have {N_INPUTS} elements")
     if not is_quantized(xs):

@@ -221,16 +221,17 @@ def _predictions(
     eeg_windows: list[LabeledWindow],
     ecg_windows: list[LabeledWindow],
 ) -> dict[str, np.ndarray]:
-    """Each variant's class per window as an int array, from one batched pass.
-    Argmax breaks ties toward the lowest class as `predict` does, and
-    `lr_forward` gives a row the same bits alone or in a batch, so the combined
-    classes equal the gateway's per-window decisions."""
+    """Each variant's class per window as an int array, and the fused quantized
+    rows, which the simulator replays, as `eeg_rows` and `ecg_rows`, from one
+    batched pass.  Argmax breaks ties toward the lowest class as `predict`
+    does, and `lr_forward` gives a row the same bits alone or in a batch, so
+    the combined classes equal the gateway's per-window decisions."""
     p_eeg = model_forward(eeg_model, stack_windows(eeg_windows)[0])
     p_ecg = model_forward(ecg_model, stack_windows(ecg_windows)[0])
-    fused = lr_forward(build_input(quantize4(p_eeg), quantize4(p_ecg)),
-                       combiner_params)
+    rows = {"eeg_rows": quantize4(p_eeg), "ecg_rows": quantize4(p_ecg)}
+    fused = lr_forward(build_input(*rows.values()), combiner_params)
     return {"eeg": p_eeg.argmax(axis=1), "ecg": p_ecg.argmax(axis=1),
-            "combined": fused.argmax(axis=1)}
+            "combined": fused.argmax(axis=1), **rows}
 
 
 def split_seed(cfg: ExperimentConfig, p_idx: int) -> int:
@@ -271,8 +272,8 @@ def run_patient_fold(
     test_eeg = [eeg_windows[i] for i in split.test_ids]
     preds = _predictions(models[Sensor.EEG], models[Sensor.ECG], combiner_params,
                          test_eeg, [ecg_windows[i] for i in split.test_ids])
-    counts = {name: confusion(p, [w.label for w in test_eeg])
-              for name, p in preds.items()}
+    counts = {name: confusion(preds[name], [w.label for w in test_eeg])
+              for name in VARIANTS}
     return FoldResult(split, counts, models, reports, combiner_params)
 
 

@@ -27,7 +27,8 @@ buffer, in the order of the weight files: batchnorm (gamma, beta,
 running_mean, running_var), blocks 1-4 (kernels, bias), dense 1-3 (weights,
 bias).  Gradients use the same layout, so Adam, best-epoch snapshots and
 weight files each handle one array.  Weight files are version 1 and hold
-the buffer as little-endian float64 (`<f8`), whatever precision trained it.
+the buffer as little-endian float64 (`<f8`), whatever precision trained it;
+`load_model` refuses a file whose buffer holds a non-finite value.
 """
 
 from __future__ import annotations
@@ -406,4 +407,8 @@ def load_model(path: Path | str) -> SensorModel:
         raise ValueError(f"{path}: weight blob holds {len(blob)} bytes but the "
                          f"architecture needs {8 * model.buffer.size}")
     model.buffer[...] = np.frombuffer(blob, dtype="<f8")
+    bad = next((name for name, view in model.params.items()
+                if not np.isfinite(view).all()), None)
+    if bad is not None:
+        raise ValueError(f"{path}: weight blob holds a non-finite value in {bad}")
     return model

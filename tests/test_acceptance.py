@@ -424,6 +424,9 @@ def test_criterion_09_quantization_and_wire():
 
 
 def _sim_fixture(n_windows):
+    """A random combiner, n_windows EEG windows cycling through five base
+    pairs, and the quantized rows small untrained models give for each
+    window and its ECG partner."""
     eeg_model = build_model(Sensor.EEG, 2, 64, kernel_len=3, pool_size=2,
                             hidden=(8, 6), seed=0)
     ecg_model = build_model(Sensor.ECG, 1, 64, kernel_len=3, pool_size=2,
@@ -444,25 +447,25 @@ def _sim_fixture(n_windows):
         eeg, ecg, label = base[w % 5]
         pairs.append((LabeledWindow(w, 5.0 * w, eeg, label),
                       LabeledWindow(w, 5.0 * w, ecg, label)))
-    return eeg_model, ecg_model, combiner, pairs
+    xe, _ = stack_windows([p[0] for p in pairs])
+    xc, _ = stack_windows([p[1] for p in pairs])
+    pe = quantize4(model_forward(eeg_model, xe))
+    pc = quantize4(model_forward(ecg_model, xc))
+    return combiner, [p[0] for p in pairs], pe, pc
 
 
 def test_criterion_10_simulation_equivalence_latency_loss():
-    eeg_model, ecg_model, combiner, pairs = _sim_fixture(200)
+    combiner, windows, pe, pc = _sim_fixture(200)
     lossless = SimConfig(
         window_period_s=5.0, processing_delay_s=0.020,
         link=LinkModel(bitrate_bps=1e6, propagation_delay_s=0.003,
                        loss_probability=0.0, seed=0),
         duration_s=5.0 * 200, retry_limit=3)
-    trace = run_simulation(lossless, eeg_model, ecg_model, combiner, pairs)
+    trace = run_simulation(lossless, combiner, windows, pe, pc)
 
-    xe, _ = stack_windows([p[0] for p in pairs])
-    xc, _ = stack_windows([p[1] for p in pairs])
-    pe = quantize4(model_forward(eeg_model, xe))
-    pc = quantize4(model_forward(ecg_model, xc))
     offline = [
         LabelClass(int(np.argmax(lr_forward(build_input(pe[i], pc[i]), combiner))))
-        for i in range(len(pairs))
+        for i in range(len(windows))
     ]
     n_match = sum(trace.decisions.get(w) is offline[w] for w in range(200))
     equivalent = n_match == 200 and not trace.dropped
@@ -475,13 +478,11 @@ def test_criterion_10_simulation_equivalence_latency_loss():
     # four attempts fail; a window needs both sensor messages.
     q_msg = 0.2 ** 4
     analytic_drop = 1.0 - (1.0 - q_msg) ** 2
-    _, _, _, lossy_pairs = _sim_fixture(10_000)
     lossy = SimConfig(
         window_period_s=5.0, processing_delay_s=0.020,
         link=LinkModel(bitrate_bps=1e6, loss_probability=0.2, seed=7),
         duration_s=5.0 * 10_000, retry_limit=3)
-    lossy_trace = run_simulation(lossy, eeg_model, ecg_model, combiner,
-                                 lossy_pairs)
+    lossy_trace = run_simulation(lossy, *_sim_fixture(10_000))
     observed_drop = len(lossy_trace.dropped) / lossy_trace.n_windows
     drop_ok = abs(observed_drop - analytic_drop) <= 0.02
 

@@ -146,7 +146,9 @@ class TestConfigs:
 
 @pytest.fixture(scope="module")
 def sim_setup():
-    """Small untrained models, a random combiner, and 40 paired windows."""
+    """A random combiner, 40 EEG windows, and the quantized rows that small
+    untrained models give for them and their ECG partners, in the order
+    `run_simulation` takes them."""
     eeg_model = build_model(Sensor.EEG, 2, 64, kernel_len=3, pool_size=2,
                             hidden=(8, 6), seed=0)
     ecg_model = build_model(Sensor.ECG, 1, 64, kernel_len=3, pool_size=2,
@@ -166,19 +168,23 @@ def sim_setup():
             LabeledWindow(w, 5.0 * w, eeg, LabelClass(code)),
             LabeledWindow(w, 5.0 * w, ecg, LabelClass(code)),
         ))
-    return eeg_model, ecg_model, combiner, pairs
-
-
-def _offline_decisions(eeg_model, ecg_model, combiner, pairs):
     xe, _ = stack_windows([p[0] for p in pairs])
     xc, _ = stack_windows([p[1] for p in pairs])
-    p_eeg = quantize4(model_forward(eeg_model, xe))
-    p_ecg = quantize4(model_forward(ecg_model, xc))
-    out = []
-    for i in range(len(pairs)):
-        x = build_input(p_eeg[i], p_ecg[i])
-        out.append(LabelClass(int(np.argmax(lr_forward(x, combiner)))))
-    return out
+    eeg_rows = quantize4(model_forward(eeg_model, xe))
+    ecg_rows = quantize4(model_forward(ecg_model, xc))
+    return combiner, [p[0] for p in pairs], eeg_rows, ecg_rows
+
+
+def _offline_decisions(combiner, windows, eeg_rows, ecg_rows):
+    """The gateway's decision per window, fused one row at a time."""
+    return [LabelClass(int(np.argmax(lr_forward(build_input(e, c), combiner))))
+            for e, c in zip(eeg_rows, ecg_rows)]
+
+
+def _first(setup, n):
+    """The simulation inputs of `setup` cut to its first n windows."""
+    combiner, windows, eeg_rows, ecg_rows = setup
+    return combiner, windows[:n], eeg_rows[:n], ecg_rows[:n]
 
 
 LOSSLESS = SimConfig(
@@ -195,16 +201,14 @@ LOSSLESS = SimConfig(
 
 class TestLosslessSimulation:
     def test_decisions_match_offline_pipeline_exactly(self, sim_setup):
-        eeg_model, ecg_model, combiner, pairs = sim_setup
-        trace = run_simulation(LOSSLESS, eeg_model, ecg_model, combiner, pairs)
-        offline = _offline_decisions(eeg_model, ecg_model, combiner, pairs)
+        trace = run_simulation(LOSSLESS, *sim_setup)
+        offline = _offline_decisions(*sim_setup)
         assert trace.n_windows == 40
         assert not trace.dropped
         assert [trace.decisions[w] for w in range(40)] == offline
 
     def test_latency_is_two_processing_delays_plus_frame_time(self, sim_setup):
-        eeg_model, ecg_model, combiner, pairs = sim_setup
-        trace = run_simulation(LOSSLESS, eeg_model, ecg_model, combiner, pairs)
+        trace = run_simulation(LOSSLESS, *sim_setup)
         expected = 2 * 0.020 + 128 / 1e6
         lat = np.array([trace.latencies[w] for w in range(40)])
         np.testing.assert_allclose(lat, expected, atol=1e-9)
@@ -237,21 +241,20 @@ class TestLosslessSimulation:
         assert trace.count("alert") == preictal
 
     def test_stimulation_policy_nearest_bin_only(self, sim_setup):
-        eeg_model, ecg_model, combiner, pairs = sim_setup
         cfg = SimConfig(window_period_s=5.0, processing_delay_s=0.020,
                         link=LinkModel(seed=0),
                         stimulation_policy=StimulationPolicy.PRE_0_15_ONLY,
                         duration_s=200.0, retry_limit=3)
-        trace = run_simulation(cfg, eeg_model, ecg_model, combiner, pairs)
+        trace = run_simulation(cfg, *sim_setup)
         nearest = sum(1 for d in trace.decisions.values()
                       if d is LabelClass.PRE_0_15)
         assert trace.count("stimulation_command") == nearest
 
     def test_duration_caps_window_count(self, sim_setup):
-        eeg_model, ecg_model, combiner, pairs = sim_setup
         cfg = SimConfig(window_period_s=5.0, duration_s=15.0,
                         link=LinkModel(seed=0))
-        trace = run_simulation(cfg, eeg_model, ecg_model, combiner, pairs)
+        assert cfg.max_windows == 3
+        trace = run_simulation(cfg, *sim_setup)
         assert trace.n_windows == 3
         assert set(trace.decisions) == {0, 1, 2}
 
@@ -281,11 +284,10 @@ class TestLosslessSimulation:
 
 class TestLossySimulation:
     def test_arrival_after_deadline_drops_every_window(self, sim_setup):
-        eeg_model, ecg_model, combiner, pairs = sim_setup
         cfg = SimConfig(window_period_s=5.0, processing_delay_s=0.020,
                         link=LinkModel(propagation_delay_s=6.0, seed=0),
                         duration_s=100.0, retry_limit=0)
-        trace = run_simulation(cfg, eeg_model, ecg_model, combiner, pairs)
+        trace = run_simulation(cfg, *sim_setup)
         assert trace.dropped == list(range(trace.n_windows))
         assert not trace.latencies
         report = latency_report(trace)
@@ -296,24 +298,23 @@ class TestLossySimulation:
     def test_loss_rate_statistics(self, sim_setup):
         # loss 0.5, no retries: a window survives only if both frames do,
         # so the expected drop rate is 1 - 0.25 = 0.75.
-        eeg_model, ecg_model, combiner, pairs = sim_setup
-        many = [pairs[i % len(pairs)] for i in range(600)]
-        many = [(LabeledWindow(i, 5.0 * i, e.data, e.label),
-                 LabeledWindow(i, 5.0 * i, c.data, c.label))
-                for i, (e, c) in enumerate(many)]
+        combiner, windows, eeg_rows, ecg_rows = sim_setup
+        cycle = np.arange(600) % len(windows)
+        many = [LabeledWindow(i, 5.0 * i, windows[j].data, windows[j].label)
+                for i, j in enumerate(cycle)]
         cfg = SimConfig(window_period_s=5.0,
                         link=LinkModel(loss_probability=0.5, seed=11),
                         duration_s=5.0 * 600, retry_limit=0)
-        trace = run_simulation(cfg, eeg_model, ecg_model, combiner, many)
+        trace = run_simulation(cfg, combiner, many, eeg_rows[cycle],
+                               ecg_rows[cycle])
         drop = len(trace.dropped) / trace.n_windows
         assert abs(drop - 0.75) < 0.1
 
     def test_retry_attempts_are_contiguous(self, sim_setup):
-        eeg_model, ecg_model, combiner, pairs = sim_setup
         cfg = SimConfig(window_period_s=5.0,
                         link=LinkModel(loss_probability=0.4, seed=3),
                         duration_s=5.0 * 40, retry_limit=3)
-        trace = run_simulation(cfg, eeg_model, ecg_model, combiner, pairs)
+        trace = run_simulation(cfg, *sim_setup)
         by_sender: dict[tuple, list[int]] = {}
         for e in trace.events:
             if e.event_type == "message_sent":
@@ -327,27 +328,23 @@ class TestLossySimulation:
     def test_fused_decisions_unaffected_by_loss(self, sim_setup):
         # Retransmission changes timing, never payloads: surviving windows
         # decide exactly as the lossless run does.
-        eeg_model, ecg_model, combiner, pairs = sim_setup
         cfg = SimConfig(window_period_s=5.0,
                         link=LinkModel(loss_probability=0.3, seed=7),
                         duration_s=5.0 * 40, retry_limit=2)
-        lossy = run_simulation(cfg, eeg_model, ecg_model, combiner, pairs)
-        clean = run_simulation(LOSSLESS, eeg_model, ecg_model, combiner, pairs)
+        lossy = run_simulation(cfg, *sim_setup)
+        clean = run_simulation(LOSSLESS, *sim_setup)
         assert lossy.decisions  # seed 7 keeps at least some windows
         for w, decision in lossy.decisions.items():
             assert decision is clean.decisions[w]
 
     def test_retries_recover_windows(self, sim_setup):
-        eeg_model, ecg_model, combiner, pairs = sim_setup
         base = dict(window_period_s=5.0, duration_s=5.0 * 40)
         no_retry = SimConfig(link=LinkModel(loss_probability=0.4, seed=5),
                              retry_limit=0, **base)
         with_retry = SimConfig(link=LinkModel(loss_probability=0.4, seed=5),
                                retry_limit=3, **base)
-        dropped_plain = len(run_simulation(
-            no_retry, eeg_model, ecg_model, combiner, pairs).dropped)
-        dropped_retry = len(run_simulation(
-            with_retry, eeg_model, ecg_model, combiner, pairs).dropped)
+        dropped_plain = len(run_simulation(no_retry, *sim_setup).dropped)
+        dropped_retry = len(run_simulation(with_retry, *sim_setup).dropped)
         assert dropped_retry < dropped_plain
 
 
@@ -377,14 +374,13 @@ class TestConservation:
            seed=st.integers(0, 2**32 - 1))
     def test_each_window_fused_or_dropped_once(self, sim_setup, processing,
                                                propagation, loss, retries, seed):
-        eeg_model, ecg_model, combiner, pairs = sim_setup
         cfg = SimConfig(processing_delay_s=processing, duration_s=50.0,
                         link=LinkModel(propagation_delay_s=propagation,
                                        loss_probability=loss, seed=seed),
                         retry_limit=retries)
-        trace = run_simulation(cfg, eeg_model, ecg_model, combiner, pairs[:10])
-        _assert_each_window_ends_once(
-            trace, _offline_decisions(eeg_model, ecg_model, combiner, pairs[:10]))
+        first10 = _first(sim_setup, 10)
+        trace = run_simulation(cfg, *first10)
+        _assert_each_window_ends_once(trace, _offline_decisions(*first10))
 
     @pytest.mark.parametrize("cfg", [
         pytest.param(SimConfig(processing_delay_s=3.0, duration_s=50.0),
@@ -396,10 +392,9 @@ class TestConservation:
         # Both frames arrive before the deadline; fusion lands after it.  The
         # window left the pending table on its second frame, so it is fused
         # and not also dropped.
-        eeg_model, ecg_model, combiner, pairs = sim_setup
-        trace = run_simulation(cfg, eeg_model, ecg_model, combiner, pairs[:10])
-        _assert_each_window_ends_once(
-            trace, _offline_decisions(eeg_model, ecg_model, combiner, pairs[:10]))
+        first10 = _first(sim_setup, 10)
+        trace = run_simulation(cfg, *first10)
+        _assert_each_window_ends_once(trace, _offline_decisions(*first10))
         report = latency_report(trace)
         assert (report.n_fused, report.n_dropped, report.drop_rate) == (10, 0, 0.0)
         assert report.mean_latency_s > cfg.window_period_s
@@ -411,21 +406,23 @@ class TestConservation:
 
 class TestSimulationEdges:
     def test_rejects_empty_windows(self, sim_setup):
-        eeg_model, ecg_model, combiner, _ = sim_setup
         with pytest.raises(ValueError):
-            run_simulation(LOSSLESS, eeg_model, ecg_model, combiner, [])
+            run_simulation(LOSSLESS, *_first(sim_setup, 0))
 
-    def test_rejects_mismatched_pair_indices(self, sim_setup):
-        eeg_model, ecg_model, combiner, pairs = sim_setup
-        bad = [(pairs[0][0], pairs[1][1])]
-        with pytest.raises(ValueError):
-            run_simulation(LOSSLESS, eeg_model, ecg_model, combiner, bad)
+    @pytest.mark.parametrize("cut", [
+        pytest.param((39, 40, 40), id="fewer-windows"),
+        pytest.param((40, 39, 40), id="fewer-eeg-rows"),
+        pytest.param((40, 40, 39), id="fewer-ecg-rows"),
+    ])
+    def test_rejects_rows_and_windows_of_unequal_count(self, sim_setup, cut):
+        combiner, *inputs = sim_setup
+        with pytest.raises(ValueError, match="rows for"):
+            run_simulation(LOSSLESS, combiner,
+                           *(part[:n] for part, n in zip(inputs, cut)))
 
-    def test_rejects_duration_below_one_period(self, sim_setup):
-        eeg_model, ecg_model, combiner, pairs = sim_setup
-        cfg = SimConfig(window_period_s=5.0, duration_s=4.0)
-        with pytest.raises(ValueError):
-            run_simulation(cfg, eeg_model, ecg_model, combiner, pairs)
+    def test_rejects_duration_below_one_period(self):
+        with pytest.raises(ValueError, match="shorter than one window period"):
+            SimConfig(window_period_s=5.0, duration_s=4.0)
 
     def test_empty_latency_report(self):
         trace = SimTrace(n_windows=0)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from preictal import cli, evaluation
+from preictal import bansim, cli, evaluation
 from preictal.cli import main
 from preictal.nn.model import load_model
 
@@ -487,6 +487,31 @@ class TestSimulate:
         holdout = json.loads((train_dir / "holdout.json").read_text())
         assert summary["n_windows"] > len(holdout["window_ids"])
 
+    def test_forwards_each_simulated_window_once_per_sensor(
+            self, tmp_path, dataset_dir, train_dir, monkeypatch):
+        # 50 s hold ten 5 s window periods, fewer than the patient's windows.
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "sim": {
+            "window_period_s": 5.0, "duration_s": 50.0}}))
+        forwarded = []
+
+        def counting(forward):
+            def wrapper(model, x):
+                forwarded.append(1 if x.ndim == 2 else len(x))
+                return forward(model, x)
+            return wrapper
+
+        for module in (evaluation, bansim):
+            monkeypatch.setattr(module, "model_forward",
+                                counting(module.model_forward))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config),
+                     "--data", str(dataset_dir), "--models", str(train_dir),
+                     "--all-windows", "--out", str(out)]) == 0
+        summary = json.loads((out / "latency.json").read_text())
+        assert (summary["n_windows"], summary["equivalence"]) == (10, True)
+        assert sum(forwarded) == 2 * 10
+
     @pytest.mark.parametrize("kept, missing", [
         pytest.param((), "eeg_model.bin", id="empty"),
         pytest.param(("eeg_model.bin", "ecg_model.bin", "combiner.json",
@@ -516,6 +541,13 @@ class TestSimulate:
         # A real held-out window three times over: only the repeat is wrong.
         pytest.param(lambda text: _relist(text, lambda ids: ids[:1] * 3),
                      id="repeated-id"),
+        # Ids that equal or print like a window of the grid, but are not
+        # JSON integers.
+        pytest.param(lambda text: _relist(text, lambda ids: [True]), id="bool-id"),
+        pytest.param(lambda text: _relist(text, lambda ids: [float(i) for i in ids]),
+                     id="float-id"),
+        pytest.param(lambda text: _relist(text, lambda ids: [str(ids[0])]),
+                     id="string-id"),
     ])
     def test_malformed_holdout_is_named(self, tmp_path, config_path,
                                         dataset_dir, train_dir, capsys, edit):

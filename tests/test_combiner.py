@@ -195,7 +195,7 @@ def _separable_dataset(n_per_class=20, seed=0, confidence=0.9):
 class TestTrain:
     def test_learns_separable_fusion(self):
         xs, ys = _separable_dataset()
-        params = lr_train(xs, ys)
+        params = lr_train(xs, ys, CombinerConfig())
         correct = sum(predict(lr_forward(x, params)) == y for x, y in zip(xs, ys))
         assert correct == len(ys)
 
@@ -211,14 +211,15 @@ class TestTrain:
 
     def test_deterministic(self):
         xs, ys = _separable_dataset(seed=3)
-        a, b = lr_train(xs, ys), lr_train(xs, ys)
+        cfg = CombinerConfig()
+        a, b = lr_train(xs, ys, cfg), lr_train(xs, ys, cfg)
         np.testing.assert_array_equal(a.W, b.W)
         np.testing.assert_array_equal(a.b, b.b)
 
     def test_training_reduces_cross_entropy(self):
         xs, ys = _separable_dataset(seed=4)
         zero = CombinerParams(np.zeros((5, 10)), np.zeros(5))
-        fitted = lr_train(xs, ys)
+        fitted = lr_train(xs, ys, CombinerConfig())
         assert cross_entropy(xs, ys, fitted) < cross_entropy(xs, ys, zero)
 
     def test_analytic_gradient_matches_finite_differences(self):
@@ -249,19 +250,23 @@ class TestTrain:
             CombinerConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             CombinerConfig(max_epochs=0)
+        xs, ys = _separable_dataset(n_per_class=2)
+        with pytest.raises(TypeError):
+            lr_train(xs, ys)  # the settings have no default
 
     def test_rejects_empty_and_unquantized(self):
         with pytest.raises(ValueError):
-            lr_train(np.empty((0, 10)), [])
+            lr_train(np.empty((0, 10)), [], CombinerConfig())
         with pytest.raises(ValueError):
-            lr_train([np.full(10, 0.12345)], [LabelClass.PRE_0_15])
+            lr_train([np.full(10, 0.12345)], [LabelClass.PRE_0_15], CombinerConfig())
         with pytest.raises(ShapeError):
-            lr_train([quantize4(np.full(9, 0.1))], [LabelClass.PRE_0_15])
+            lr_train([quantize4(np.full(9, 0.1))], [LabelClass.PRE_0_15],
+                     CombinerConfig())
 
     def test_rejects_mismatched_lengths(self):
         xs, ys = _separable_dataset(n_per_class=2)
         with pytest.raises(ValueError, match="10 inputs for 9 labels"):
-            lr_train(xs, ys[:-1])
+            lr_train(xs, ys[:-1], CombinerConfig())
 
 
 class TestTrainMatchesRowMajor:

@@ -95,6 +95,11 @@ class TestOutOfRange:
         with pytest.raises(ValueError, match="seizure_duration_s must be positive"):
             from_dict({"data": {"seizure_duration_s": value}})
 
+    def test_simulation_shorter_than_one_window_period_rejected(self):
+        with pytest.raises(ValueError,
+                           match="duration_s is shorter than one window period"):
+            from_dict({"sim": {"duration_s": 4.0}})
+
 
 class TestNonFinite:
     # Written with the JSON literals Python's json module reads as floats.

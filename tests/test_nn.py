@@ -689,6 +689,29 @@ class TestModelFiles:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_model(path)
 
+    @pytest.mark.parametrize("name, value", [
+        pytest.param("batchnorm.gamma", np.nan, id="first-view-nan"),
+        pytest.param("blocks.2.bias", np.inf, id="block-inf"),
+        pytest.param("dense.2.bias", -np.inf, id="last-view-minus-inf"),
+    ])
+    def test_non_finite_weight_names_its_path_and_first_view(self, tmp_path,
+                                                             name, value):
+        model = _tiny_model()
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        raw = bytearray(path.read_bytes())
+        (hlen,) = struct.unpack_from("<I", raw, 4)
+        names = list(model.params)
+        end = sum(model.params[k].size for k in names[:names.index(name) + 1])
+        # The last element of `name`, and the very last weight of the blob.
+        for i in (end - 1, model.buffer.size - 1):
+            struct.pack_into("<d", raw, 8 + hlen + 8 * i, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")
+                           + "weight blob holds a non-finite value in "
+                           + re.escape(name) + "$"):
+            load_model(path)
+
 
 # ---------------------------------------------------------------------------
 # Adam
