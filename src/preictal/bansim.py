@@ -39,9 +39,9 @@ from .combiner import (
     QUANT_STEP,
     CombinerParams,
     build_input,
-    is_quantized,
     lr_forward,
     predict,
+    quant_steps,
     quantize4,
 )
 from .dataset import N_CLASSES, LabelClass, LabeledWindow
@@ -52,6 +52,7 @@ FRAME_BYTES = FRAME_STRUCT.size  # 16
 FRAME_BITS = 8 * FRAME_BYTES
 WIRE_VERSION = 1
 PROBS_Q_MAX = 10_000
+WINDOW_INDEX_MAX = 2**32 - 1  # the frame's u32 field
 
 
 class NodeId(IntEnum):
@@ -172,13 +173,18 @@ def encode_message(
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (N_CLASSES,):
         raise ValueError(f"expected {N_CLASSES} probabilities, got shape {probs.shape}")
-    if not is_quantized(probs):
+    steps = quant_steps(probs)
+    if steps is None:
         raise ValueError("probabilities must be quantized to 4 decimal digits")
-    q = [int(round(p / QUANT_STEP)) for p in probs]
+    q = [int(v) for v in steps.tolist()]
     for v in q:
         if not (0 <= v <= PROBS_Q_MAX):
             raise ValueError(f"quantized probability {v * QUANT_STEP} outside [0, 1]")
-    return FRAME_STRUCT.pack(int(source), WIRE_VERSION, int(window_index), *q)
+    index = int(window_index)
+    if not 0 <= index <= WINDOW_INDEX_MAX:
+        raise ValueError(f"window index {index} does not fit the frame's u32 "
+                         f"field [0, {WINDOW_INDEX_MAX}]")
+    return FRAME_STRUCT.pack(int(source), WIRE_VERSION, index, *q)
 
 
 def decode_message(frame: bytes) -> ProbabilityMessage:

@@ -59,9 +59,17 @@ def quantize4(p: np.ndarray) -> np.ndarray:
     return np.floor(np.abs(p) / QUANT_STEP + 0.5) * np.sign(p) * QUANT_STEP
 
 
-def is_quantized(p: np.ndarray) -> bool:
+def quant_steps(p: np.ndarray) -> np.ndarray | None:
+    """Each component of `p` as a whole number of QUANT_STEPs (a float,
+    rounded half to even), or None when any lies 1e-6 of a step or more
+    from a whole number."""
     scaled = np.asarray(p, dtype=float) / QUANT_STEP
-    return bool(np.all(np.abs(scaled - np.round(scaled)) < 1e-6))
+    steps = np.rint(scaled)
+    return steps if np.all(np.abs(scaled - steps) < 1e-6) else None
+
+
+def is_quantized(p: np.ndarray) -> bool:
+    return quant_steps(p) is not None
 
 
 def build_input(p_eeg: np.ndarray, p_ecg: np.ndarray) -> np.ndarray:
@@ -74,9 +82,10 @@ def build_input(p_eeg: np.ndarray, p_ecg: np.ndarray) -> np.ndarray:
     if p_eeg.shape != p_ecg.shape or p_eeg.shape[-1:] != (N_CLASSES,) or p_eeg.ndim > 2:
         raise ShapeError(f"expected two [{N_CLASSES}] or [N x {N_CLASSES}] probability "
                          f"arrays of one shape, got {p_eeg.shape} and {p_ecg.shape}")
-    if not (is_quantized(p_eeg) and is_quantized(p_ecg)):
+    x = np.concatenate([p_eeg, p_ecg], axis=-1)
+    if not is_quantized(x):
         raise ValueError("combiner inputs must be quantized to 4 decimal digits")
-    return np.concatenate([p_eeg, p_ecg], axis=-1)
+    return x
 
 
 def lr_forward(x: np.ndarray, params: CombinerParams) -> np.ndarray:

@@ -15,8 +15,14 @@ to every step: the cast parameter copy and its named views, refreshed in
 place each step, the gradient buffer and its views, and the conv buffers
 of each batch size.  `train` owns one for the length of the call, so all
 of it is allocated once per call and no buffer outlives training.
-Inference is the same forward pass without the tape, in float64 on fresh
-arrays, in chunks of FORWARD_CHUNK windows.
+Inference is the same forward pass without the tape, in float64.  One
+window, as a sensor node classifies each window as it arrives, runs in
+`WindowBuffers` that its model keeps from its first one-window call on
+(100 KB for the desk EEG model, 37 KB for the ECG one): each op writes
+where the next one reads, so a conv is one tap copy and one GEMM.  A batch
+runs in chunks of FORWARD_CHUNK windows on fresh arrays.  Batches keep no
+buffers: a prototype that kept those of 64-window chunks too raised the
+peak RSS of a benchmark `simulate` run from 158 to 180 MB.
 
 A `SensorModel` is an immutable architecture spec plus one flat float64
 buffer.  The spec's fields are the weight-file header's (sensor, channels,
@@ -56,6 +62,8 @@ from .ops import (
     relu,
     relu_backward,
     softmax,
+    tap_view,
+    window_offsets,
 )
 
 MODEL_MAGIC = b"PSM1"
@@ -105,6 +113,7 @@ class SensorModel:
     shapes: dict[str, tuple[int, ...]] = field(init=False, repr=False)
     buffer: np.ndarray = field(init=False, repr=False)
     params: dict[str, np.ndarray] = field(init=False, repr=False)
+    window_buffers: "WindowBuffers | None" = field(init=False, repr=False)
 
     def __post_init__(self):
         checks = (
@@ -143,6 +152,15 @@ class SensorModel:
         set_field(self, "buffer",
                   np.zeros(sum(math.prod(s) for s in shapes.values())))
         set_field(self, "params", self.views(self.buffer))
+        set_field(self, "window_buffers", None)  # see `model_forward`
+
+    def __deepcopy__(self, memo) -> "SensorModel":
+        """A model of this spec holding a copy of the buffer.  Copying the
+        fields one by one would leave `params` and the one-window buffers
+        viewing copies of arrays the copy's own buffer is not."""
+        twin = SensorModel(**{name: getattr(self, name) for name in SPEC_FIELDS})
+        twin.buffer[...] = self.buffer
+        return twin
 
     def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
         """Named views into `buffer`, laid out like the parameter buffer."""
@@ -256,15 +274,52 @@ class Workspace:
         return self.blocks[batch]
 
 
-def _forward(model: SensorModel, xb: np.ndarray, p: dict, buffers=None):
+class WindowBuffers:
+    """The float64 arrays a one-window `model_forward` keeps on its model
+    (100 KB for the desk EEG model): every padded input, tap stack, conv
+    output and layer output of the pass.  What a call still allocates is
+    small: the pools' argmax, index and gather, and the softmax.
+
+    Batchnorm writes into `input`, the interior of block 1's zero-padded
+    input.  Each entry of `blocks` is one conv block's (xpad, cols, out,
+    taps, offsets, act), as `_forward` hands them to the ops: the padded
+    input is read only through `taps`, its tap view, so `xpad` is None;
+    `act` is where pool and ReLU write, the next block's padded interior or
+    the flatten input.  Padding keeps the zeros it starts with.  `dense`
+    holds the dense outputs.  Nothing here derives from the weights and the
+    probabilities returned are fresh, so a call leaves nothing the next one
+    reads; two calls on one model must not overlap.
+    """
+
+    def __init__(self, model: SensorModel):
+        c, k = model.in_channels, model.kernel_len
+        before = (k - 1) // 2
+        widths = [model.window_samples]
+        for pool in model.pool_sizes:
+            widths.append(-(-widths[-1] // pool))
+        pads = [np.zeros((c, 1, t + k - 1)) for t in widths[:-1]]
+        inputs = [pad[:, :, before:before + t] for pad, t in zip(pads, widths)]
+        self.input = inputs[0]
+        acts = [*inputs[1:], np.empty((c, 1, widths[-1]))]
+        self.blocks = [
+            (None, np.empty((k * c, t)), np.empty((c, t)), tap_view(pad, t),
+             window_offsets(c * n, pool), act)
+            for pad, t, n, pool, act in zip(pads, widths, widths[1:],
+                                            model.pool_sizes, acts)]
+        self.dense = [np.empty((1, n)) for n in (*model.hidden, N_CLASSES)]
+
+
+def _forward(model: SensorModel, xb: np.ndarray, p: dict, buffers=None,
+             window: WindowBuffers | None = None):
     """Batched forward pass over [B x C x T] windows with the parameter
     views `p`, returning logits and, when training, the tape.
 
     The conv blocks run channel-major, [C x B x T], from the batchnorm to the
     flatten.  Training (`buffers` given) normalizes by the batch statistics
     and runs the convs in `buffers`, from `Workspace.conv_buffers`;
-    otherwise batchnorm uses the running statistics and every array is
-    fresh.  The running statistics are always the model's own, so training
+    otherwise batchnorm uses the running statistics, and every array is
+    fresh unless `window`, the `WindowBuffers` of a one-window call, holds
+    it.  The running statistics are always the model's own, so training
     folds the batch statistics into `model.buffer` even when `p` views a
     cast copy of it.  ReLU follows each max-pool: it commutes with max and
     passes the same gradients.
@@ -272,26 +327,32 @@ def _forward(model: SensorModel, xb: np.ndarray, p: dict, buffers=None):
     _check_input(model, xb)
     training = buffers is not None
     b = xb.shape[0]
+    if window is not None:
+        bn_out, blocks, dense_out = (window.input,) * 2, window.blocks, window.dense
+    else:
+        bn_out, dense_out = (), [None] * N_DENSE
+        blocks = [(*conv, None, None, None)
+                  for conv in buffers or [(None,) * 3] * N_BLOCKS]
     h, xhat = batchnorm_forward_with_cache(
         xb.transpose(1, 0, 2), *[p[k] for k in BN_KEYS[:2]],
         *[model.params[k] for k in BN_KEYS[2:]], model.bn_epsilon,
-        model.bn_momentum, "train" if training else "inference")
+        model.bn_momentum, "train" if training else "inference", *bn_out)
     tape = {"xhat": xhat, "blocks": []} if training else None
-    for (kernels, bias), pool, (xpad, cols, out) in zip(
-            BLOCK_KEYS, model.pool_sizes, buffers or [(None,) * 3] * N_BLOCKS):
-        z = conv1d_forward(h, p[kernels], p[bias], xpad, cols, out)
-        pooled, arg = maxpool1d_with_argmax(z, pool)
-        h = relu(pooled)
+    for (kernels, bias), pool, (xpad, cols, out, taps, offsets, act) in zip(
+            BLOCK_KEYS, model.pool_sizes, blocks):
+        z = conv1d_forward(h, p[kernels], p[bias], xpad, cols, out, taps)
+        pooled, arg = maxpool1d_with_argmax(z, pool, offsets)
+        h = relu(pooled, act)
         if training:
             tape["blocks"].append((cols, arg, h, z.shape[2]))
     h = h.transpose(1, 0, 2).reshape(b, -1)
     dense_x = []
     dense_z = []
-    for i, (weights, bias) in enumerate(DENSE_KEYS):
+    for i, ((weights, bias), out) in enumerate(zip(DENSE_KEYS, dense_out)):
         dense_x.append(h)
-        z = dense_forward(h, p[weights], p[bias])
+        z = dense_forward(h, p[weights], p[bias], out)
         dense_z.append(z)
-        h = relu(z) if i < N_DENSE - 1 else z
+        h = relu(z, out) if i < N_DENSE - 1 else z
     if training:
         tape["dense_x"] = dense_x
         tape["dense_z"] = dense_z
@@ -301,11 +362,15 @@ def _forward(model: SensorModel, xb: np.ndarray, p: dict, buffers=None):
 def model_forward(model: SensorModel, windows: np.ndarray) -> np.ndarray:
     """Class probabilities for one window [C x T] or a batch [B x C x T].
 
-    Batchnorm uses the running statistics.  A batch runs in chunks of
-    FORWARD_CHUNK windows.
+    Batchnorm uses the running statistics.  One window runs in the model's
+    `WindowBuffers`, made on its first such call.  A batch runs in chunks
+    of FORWARD_CHUNK windows on fresh arrays.
     """
     if windows.ndim == 2:
-        logits, _ = _forward(model, windows[None], model.params)
+        if model.window_buffers is None:
+            object.__setattr__(model, "window_buffers", WindowBuffers(model))
+        logits, _ = _forward(model, windows[None], model.params,
+                             window=model.window_buffers)
         return softmax(logits)[0]
     return np.concatenate([
         softmax(_forward(model, windows[i:i + FORWARD_CHUNK], model.params)[0])

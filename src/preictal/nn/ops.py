@@ -12,9 +12,12 @@ the output gradient.  Dense, ReLU and softmax act on [B x features].
 All operations are plain numpy and take the parameter arrays they read.
 They compute in the dtype of their input, and every scratch array they make
 follows it: training runs them in float32 (see `train`), inference and the
-finite-difference checks in float64.  The conv ops take their scratch
-arrays as optional arguments, like numpy's `out=`: training passes buffers
-that it reuses from step to step; without them fresh arrays are allocated.
+finite-difference checks in float64.  The ops take their scratch arrays
+as optional arguments, like numpy's `out=`: training passes conv buffers
+that it reuses from step to step, and one-window inference the buffers its
+model keeps, where each op writes the next one's input; without them fresh
+arrays are allocated.  A conv copies its whole tap stack at once, from a
+strided view of the padded input (`tap_view`).
 Backward counterparts compute exact gradients and are checked in float64
 against central finite differences in the test suite.
 """
@@ -26,6 +29,15 @@ import numpy as np
 from ..errors import ShapeError
 
 
+def tap_view(xpad: np.ndarray, t: int) -> np.ndarray:
+    """The taps of `xpad` [C x B x T+K-1], which must be C-contiguous, as one
+    strided [K x C x B x T] view: tap k is xpad[:, :, k:k+T]."""
+    c, b, n = xpad.shape
+    sc, sb, st = xpad.strides
+    return np.ndarray((n - t + 1, c, b, t), xpad.dtype, xpad,
+                      strides=(st, sc, sb, st))
+
+
 def _tap_gemm(
     x: np.ndarray,
     weights: np.ndarray,
@@ -34,20 +46,23 @@ def _tap_gemm(
     xpad: np.ndarray | None,
     cols: np.ndarray | None,
     out: np.ndarray | None,
+    taps: np.ndarray | None = None,
 ) -> np.ndarray:
     """`weights` [R x K*C] times the tap stack of `x` [C x B x T] zero-padded
-    by `before` samples in front and K-1-before behind: [R x B*T]."""
+    by `before` samples in front and K-1-before behind: [R x B*T].  Given
+    `taps`, the tap view of a padded input whose interior already holds `x`,
+    nothing is padded."""
     c, b, t = x.shape
-    if xpad is None:
-        xpad = np.empty((c, b, t + klen - 1), dtype=x.dtype)
+    if taps is None:
+        if xpad is None:
+            xpad = np.empty((c, b, t + klen - 1), dtype=x.dtype)
+        xpad[:, :, :before] = 0.0
+        xpad[:, :, before:before + t] = x
+        xpad[:, :, before + t:] = 0.0
+        taps = tap_view(xpad, t)
     if cols is None:
         cols = np.empty((klen * c, b * t), dtype=x.dtype)
-    xpad[:, :, :before] = 0.0
-    xpad[:, :, before:before + t] = x
-    xpad[:, :, before + t:] = 0.0
-    taps = cols.reshape(klen, c, b, t)
-    for k in range(klen):
-        taps[k] = xpad[:, :, k:k + t]
+    cols.reshape(klen, c, b, t)[...] = taps
     return np.matmul(weights, cols, out=out)
 
 
@@ -58,6 +73,7 @@ def conv1d_forward(
     xpad: np.ndarray | None = None,
     cols: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    taps: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cross-correlation, stride 1, zero 'same' padding, plus per-channel bias.
 
@@ -66,6 +82,10 @@ def conv1d_forward(
     after.  Optional scratch: `xpad` [C_in x B x T+K-1] for the padded
     input, `cols` [K*C_in x B*T], which afterwards holds the tap stack
     `conv1d_backward` reads, and `out` [C_out x B*T], which the result views.
+    A caller that keeps a zeroed `xpad` may instead keep its `tap_view` and
+    pass that as `taps`, with `x` written straight into the interior,
+    xpad[:, :, (K-1)//2:][:, :, :T]: then the input is not copied and the
+    padding, zero from the start, is never written.
     """
     out_c, in_c, klen = kernels.shape
     if x.ndim != 3 or x.shape[0] != in_c:
@@ -74,7 +94,7 @@ def conv1d_forward(
     if t < 1:
         raise ShapeError("input must have at least one time step")
     weights = kernels.transpose(0, 2, 1).reshape(out_c, klen * in_c)
-    y = _tap_gemm(x, weights, klen, (klen - 1) // 2, xpad, cols, out)
+    y = _tap_gemm(x, weights, klen, (klen - 1) // 2, xpad, cols, out, taps)
     y += bias[:, None]
     return y.reshape(out_c, b, t)
 
@@ -108,13 +128,15 @@ def conv1d_backward(
 
 
 def maxpool1d_with_argmax(
-    x: np.ndarray, pool_size: int
+    x: np.ndarray, pool_size: int, offsets: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Non-overlapping max pooling along the last (time) axis; a trailing
     partial window is pooled as-is.
 
     Also returns the within-window argmax (first maximum on ties) used to
-    route gradients back.
+    route gradients back.  `offsets`, each window's first index into the
+    flattened padded input (`window_offsets`), depends only on the shape, so
+    a caller pooling one shape again and again may keep it.
     """
     if pool_size <= 0:
         raise ValueError("pool_size must be positive")
@@ -127,12 +149,23 @@ def maxpool1d_with_argmax(
         padded[..., :t] = x
         x = padded
     arg = x.reshape(*lead, n_out, pool_size).argmax(axis=-1)
-    return x.reshape(-1)[_flat_argmax(arg, pool_size)].reshape(arg.shape), arg
+    flat = _flat_argmax(arg, pool_size, offsets)
+    return x.reshape(-1)[flat].reshape(arg.shape), arg
 
 
-def _flat_argmax(arg: np.ndarray, pool_size: int) -> np.ndarray:
+def window_offsets(n_windows: int, pool_size: int) -> np.ndarray:
+    """The first index of each of `n_windows` pool windows in the flattened
+    padded input."""
+    return np.arange(0, n_windows * pool_size, pool_size)
+
+
+def _flat_argmax(
+    arg: np.ndarray, pool_size: int, offsets: np.ndarray | None = None
+) -> np.ndarray:
     """Each window's argmax as an index into the flattened padded input."""
-    return np.arange(0, arg.size * pool_size, pool_size) + arg.reshape(-1)
+    if offsets is None:
+        offsets = window_offsets(arg.size, pool_size)
+    return offsets + arg.reshape(-1)
 
 
 def maxpool1d_backward(
@@ -153,6 +186,8 @@ def batchnorm_forward_with_cache(
     epsilon: float,
     momentum: float,
     mode: str,
+    xhat: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel normalization of [C x B x T] input.
 
@@ -161,15 +196,18 @@ def batchnorm_forward_with_cache(
     them into the running averages in place:
     running <- (1 - momentum) * running + momentum * batch.  Inference uses
     the running statistics and is pure.  Returns the output and the
-    normalized pre-scale values (needed for gamma's gradient).
+    normalized pre-scale values (needed for gamma's gradient).  Optional
+    scratch for inference, [C x B x T] each: `xhat` for the normalized
+    values and `out` for the output.  They may be one array, which then
+    ends up holding the output.
     """
     if mode not in ("train", "inference"):
         raise ValueError(f"mode must be 'train' or 'inference', got {mode!r}")
     c = gamma.shape[0]
     if x.shape[0] != c:
         raise ShapeError(f"input has {x.shape[0]} channels, batchnorm expects {c}")
-    rows = x.reshape(c, -1)
     if mode == "train":
+        rows = x.reshape(c, -1)
         mean = rows.mean(axis=1)
         centered = rows - mean[:, None]
         var = np.square(centered).mean(axis=1)
@@ -177,13 +215,14 @@ def batchnorm_forward_with_cache(
         # parameter buffer, and rebinding would detach them from it.
         running_mean[...] = (1 - momentum) * running_mean + momentum * mean
         running_var[...] = (1 - momentum) * running_var + momentum * var
+        centered = centered.reshape(x.shape)
     else:
-        centered = rows - running_mean[:, None]
+        centered = np.subtract(x, running_mean[:, None, None], out=xhat)
         var = running_var
-    xhat = np.divide(centered, np.sqrt(var + epsilon)[:, None], out=centered)
-    y = gamma[:, None] * xhat
-    y += beta[:, None]
-    return y.reshape(x.shape), xhat.reshape(x.shape)
+    xhat = np.divide(centered, np.sqrt(var + epsilon)[:, None, None], out=centered)
+    y = np.multiply(gamma[:, None, None], xhat, out=out)
+    y += beta[:, None, None]
+    return y, xhat
 
 
 def batchnorm_param_grads(
@@ -193,8 +232,8 @@ def batchnorm_param_grads(
     return (delta * xhat).sum(axis=(1, 2)), delta.sum(axis=(1, 2))
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_backward(delta: np.ndarray, activation: np.ndarray) -> np.ndarray:
@@ -202,14 +241,19 @@ def relu_backward(delta: np.ndarray, activation: np.ndarray) -> np.ndarray:
     return delta * (activation > 0)
 
 
-def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """x @ weights.T + bias, with `weights` [out x in]."""
+def dense_forward(
+    x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """x @ weights.T + bias, with `weights` [out x in], into `out` if given."""
     if x.shape[-1] != weights.shape[1]:
         raise ShapeError(
             f"input width {x.shape[-1]} does not match dense layer "
             f"input {weights.shape[1]}"
         )
-    return x @ weights.T + bias
+    y = np.matmul(x, weights.T, out=out)
+    y += bias
+    return y
 
 
 def dense_backward(

@@ -83,6 +83,37 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             encode_message(np.zeros(4), 0, NodeId.EEG_NODE)
 
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(0, 1), min_size=5, max_size=5), st.integers(0, 4),
+           st.sampled_from([1.5e-5, 4.9e-5, -3e-5]))
+    def test_levels_are_the_rounded_steps_and_every_rejection_holds(self, values, i,
+                                                                     off):
+        p = quantize4(np.array(values))
+        frame = encode_message(p, 0, NodeId.EEG_NODE)
+        assert list(struct.unpack_from("<5H", frame, 6)) == \
+            [int(round(v / QUANT_STEP)) for v in p]
+        off_grid = p.copy()
+        off_grid[i] += off
+        with pytest.raises(ValueError, match="quantized to 4 decimal digits"):
+            encode_message(off_grid, 0, NodeId.EEG_NODE)
+        for level in (-1, PROBS_Q_MAX + 1):
+            outside = p.copy()
+            outside[i] = level * QUANT_STEP
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                encode_message(outside, 0, NodeId.EEG_NODE)
+        for shape in (p[:4], np.append(p, 0.0), p[None]):
+            with pytest.raises(ValueError, match="expected 5 probabilities"):
+                encode_message(shape, 0, NodeId.EEG_NODE)
+
+    @pytest.mark.parametrize("index", [-1, 2**32])
+    def test_encode_rejects_a_window_index_outside_the_u32_field(self, index):
+        p = quantize4(np.full(5, 0.2))
+        with pytest.raises(ValueError, match=f"window index {index} does not fit"):
+            encode_message(p, index, NodeId.EEG_NODE)
+        edge = 0 if index < 0 else 2**32 - 1
+        assert decode_message(encode_message(p, edge, NodeId.EEG_NODE)).window_index \
+            == edge
+
     def test_decode_rejects_bad_frames(self):
         good = encode_message(quantize4(np.full(5, 0.2)), 3, NodeId.GATEWAY)
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import re
@@ -391,6 +392,19 @@ def _tiny_model(seed=0, sensor=Sensor.EEG, channels=2):
                        pool_size=2, hidden=(4, 3), seed=seed)
 
 
+def _desk_model(channels, pool, seed):
+    """A desk-shape model (320 samples, kernel 5) whose batchnorm statistics
+    and scale are not the identity."""
+    model = build_model(Sensor.EEG if channels > 1 else Sensor.ECG, channels,
+                        320, kernel_len=5, pool_size=pool, hidden=(64, 32),
+                        seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, low, high in (("gamma", 0.5, 2.0), ("beta", -0.5, 0.5),
+                            ("running_mean", -0.3, 0.3), ("running_var", 0.5, 4.0)):
+        model.params[f"batchnorm.{name}"][...] = rng.uniform(low, high, channels)
+    return model
+
+
 class TestModel:
     def test_conv_stack_output_widths(self):
         # pool 4 halves 320 -> 80 -> 20 -> 5 -> 2 by ceiling division.
@@ -434,6 +448,59 @@ class TestModel:
             model_forward(model, np.zeros((2, 15)))
         with pytest.raises(ShapeError):
             model_forward(model, np.zeros((3, 16)))
+
+    @pytest.mark.parametrize("channels,pool", [(4, 4), (1, 2)], ids=["eeg", "ecg"])
+    def test_one_window_in_kept_buffers_matches_a_batch_of_one_bit_for_bit(
+            self, channels, pool):
+        # Desk shapes: pool 4 takes 320 samples to a width-5 block, which it
+        # pads with -inf; pool 2 divides every width.
+        model = _desk_model(channels, pool, seed=11)
+        windows = 2.0 * np.random.default_rng(12).standard_normal((200, channels, 320))
+        for x in windows:
+            np.testing.assert_array_equal(model_forward(model, x),
+                                          model_forward(model, x[None])[0])
+        assert model.window_buffers is not None
+
+    def test_one_window_carries_no_state_between_calls(self):
+        model, other = _desk_model(4, 4, seed=13), _desk_model(4, 4, seed=14)
+        a, b = np.random.default_rng(15).standard_normal((2, 4, 320))
+        first = model_forward(model, a)
+        kept = first.copy()
+        model_forward(model, b)
+        np.testing.assert_array_equal(first, kept)  # not a view of a buffer
+        np.testing.assert_array_equal(model_forward(model, a), kept)
+
+        # Two models of one architecture, in turn, each get their own result.
+        np.testing.assert_array_equal(model_forward(other, a),
+                                      model_forward(other, a[None])[0])
+        np.testing.assert_array_equal(model_forward(model, a), kept)
+
+        # One training step rewrites the weights and running statistics in
+        # place; the next one-window call must use them.
+        cfg = FocalLossConfig(gamma=2.0, alpha=np.ones(5))
+        _, grad = backward_batch(model, np.stack([a, b]), np.array([0, 3]), cfg)
+        adam_step(model.buffer, grad, AdamState.for_params(model.buffer),
+                  TrainConfig(learning_rate=0.05))
+        stepped = model_forward(model, a)
+        assert not np.array_equal(stepped, kept)
+        np.testing.assert_array_equal(stepped, model_forward(model, a[None])[0])
+
+        # So must other weights copied into the same buffer.
+        model.buffer[...] = other.buffer
+        np.testing.assert_array_equal(model_forward(model, a),
+                                      model_forward(other, a))
+
+    def test_deep_copy_computes_with_its_own_buffer(self):
+        model = _desk_model(1, 2, seed=16)
+        x, y = np.random.default_rng(17).standard_normal((2, 1, 320))
+        model_forward(model, x)
+        twin = copy.deepcopy(model)
+        np.testing.assert_array_equal(twin.buffer, model.buffer)
+        np.testing.assert_array_equal(model_forward(twin, y), model_forward(model, y))
+        twin.buffer[...] = _desk_model(1, 2, seed=18).buffer
+        assert not np.array_equal(model_forward(twin, y), model_forward(model, y))
+        np.testing.assert_array_equal(model_forward(twin, y),
+                                      model_forward(twin, y[None])[0])
 
     def test_gradients_match_finite_differences(self):
         model = _tiny_model(seed=1)
@@ -876,6 +943,7 @@ class TestTrain:
         cfg = TrainConfig(batch_size=8, max_epochs=1)
         train(model, *_toy_set(3, seed=0), *_toy_set(1, seed=1), train_cfg=cfg)
         assert set(vars(model)) == {f.name for f in dataclasses.fields(SensorModel)}
+        assert model.window_buffers is None  # only a one-window call makes them
 
     def test_steps_compute_in_float32_against_float64_state(self, monkeypatch):
         seen = []
