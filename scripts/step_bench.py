@@ -24,7 +24,9 @@ labels.  Each sensor times 400 steps after 30 untimed warm-up steps, and
 2000 one-window forwards, on the first window of each batch, after 30
 untimed ones; the fit is timed 30 times on one set from `tests/oracles.py`.
 BLAS is pinned to one thread before numpy loads, and the checkout's own
-src/ is imported.  The last line is the result as JSON.
+src/ is imported.  The last line is the result as JSON: each timing's
+quartiles under its name, and `src_lines`, the lines of every *.py under
+src/, counted as perfbench's provenance counts them.
 """
 
 import json
@@ -127,6 +129,9 @@ def main() -> int:
     for name, q in result.items():
         print(f"{name:10s} median {q['median_ms']:8.3f} ms  "
               f"q1 {q['q1_ms']:8.3f}  q3 {q['q3_ms']:8.3f}  n {q['n']}")
+    result["src_lines"] = sum(len(p.read_text().splitlines())
+                              for p in sorted((ROOT / "src").rglob("*.py")))
+    print(f"src_lines  {result['src_lines']}")
     print(json.dumps(result))
     return 0
 

@@ -72,6 +72,13 @@ def _read_pair(index_path: Path, pid: str, eeg: Path, ecg: Path):
     return eeg_rec, load_recording(ecg)
 
 
+def _patient_id(entry: dict) -> str:
+    """A dataset index entry's patient id; ValueError if it is not a string."""
+    if not isinstance(entry["id"], str):
+        raise ValueError(f"patient id {entry['id']!r} is not a string")
+    return entry["id"]
+
+
 def _read_patients(data_dir: Path | str, patient_id: str | None = None
                    ) -> Iterator[tuple[int, Recording, Recording]]:
     """(index position, EEG, ECG) per patient of the dataset index, or only
@@ -83,7 +90,7 @@ def _read_patients(data_dir: Path | str, patient_id: str | None = None
         raise FileNotFoundError(f"expected dataset index at {index_path}; "
                                 f"run gen-data first")
     entries = read_json(index_path, "a dataset index", lambda index: [
-        (entry["id"], index_path.parent / entry["eeg"],
+        (_patient_id(entry), index_path.parent / entry["eeg"],
          index_path.parent / entry["ecg"]) for entry in index["patients"]])
     ids = [pid for pid, _, _ in entries]
     if not ids:

@@ -9,20 +9,23 @@ one tap-stacked GEMM over the whole batch (see `ops`).  `backward_batch`
 runs reverse-mode differentiation through the whole stack and returns exact
 gradients of the mean focal loss for every trainable parameter.  It
 computes in the dtype of its windows, which `train` makes float32, against
-a copy of the float64 parameters cast to that dtype (see `train`).  What
-a step would otherwise rebuild lives in a `Workspace` the caller may pass
-to every step: the cast parameter copy and its named views, refreshed in
-place each step, the gradient buffer and its views, and the conv buffers
-of each batch size.  `train` owns one for the length of the call, so all
-of it is allocated once per call and no buffer outlives training.
-Inference is the same forward pass without the tape, in float64.  One
-window, as a sensor node classifies each window as it arrives, runs in
-`WindowBuffers` that its model keeps from its first one-window call on
-(100 KB for the desk EEG model, 37 KB for the ECG one): each op writes
-where the next one reads, so a conv is one tap copy and one GEMM.  A batch
-runs in chunks of FORWARD_CHUNK windows on fresh arrays.  Batches keep no
-buffers: a prototype that kept those of 64-window chunks too raised the
-peak RSS of a benchmark `simulate` run from 158 to 180 MB.
+a copy of the float64 parameters cast to that dtype (see `train`).
+Inference is the same forward pass without the tape, in float64.
+
+A pass that runs again and again at one shape keeps its arrays in a
+`Buffers`: each block's zero-padded conv input, tap stack and conv output,
+and the dense outputs.  Each op writes where the next one reads, and the
+padding, zero from the start, is never written, so a conv is one tap copy
+and one GEMM.  Two passes keep them.  A training step runs in the
+`Buffers` of its batch size, held by a `Workspace` the caller may pass to
+every step together with the cast parameter copy and the gradient; `train`
+owns one for the length of the call, so no buffer outlives training.  One
+window, as a sensor node classifies each window as it arrives, runs in the
+batch-1 float64 `Buffers` its model keeps from its first one-window call
+on (100 KB for the desk EEG model, 37 KB for the ECG one).  Batched
+inference runs in chunks of FORWARD_CHUNK windows on fresh arrays: a
+prototype that kept the buffers of 64-window chunks raised the peak RSS
+of a benchmark `simulate` run from 158 to 180 MB.
 
 A `SensorModel` is an immutable architecture spec plus one flat float64
 buffer.  The spec's fields are the weight-file header's (sensor, channels,
@@ -113,7 +116,7 @@ class SensorModel:
     shapes: dict[str, tuple[int, ...]] = field(init=False, repr=False)
     buffer: np.ndarray = field(init=False, repr=False)
     params: dict[str, np.ndarray] = field(init=False, repr=False)
-    window_buffers: "WindowBuffers | None" = field(init=False, repr=False)
+    window_buffers: "Buffers | None" = field(init=False, repr=False)
 
     def __post_init__(self):
         checks = (
@@ -234,6 +237,41 @@ def _check_input(model: SensorModel, xb: np.ndarray) -> None:
         )
 
 
+class Buffers:
+    """The arrays of one forward pass over `batch` windows, of `dtype`, for
+    a caller that runs that pass again and again.
+
+    `pads` holds each conv block's zero-padded input [C x batch x T+K-1].
+    Batchnorm writes into `input`, the interior of block 1's.  Each entry
+    of `blocks` is one conv block's (taps, cols, out, offsets, act), as
+    `_forward` hands them to the ops: the tap view of the padded input, the
+    tap stack, the conv output, the pool's window offsets, and `act`, where
+    pool and ReLU write: the next block's padded interior or, after the
+    last block, the flatten input.  `dense` holds the dense outputs.  Only
+    interiors are ever written, so the padding keeps its zeros.  Nothing
+    here derives from the weights and a pass reads nothing an earlier one
+    left, so one `Buffers` serves any number of passes, one at a time.
+    """
+
+    def __init__(self, model: SensorModel, batch: int, dtype):
+        c, k = model.in_channels, model.kernel_len
+        before = (k - 1) // 2
+        widths = [model.window_samples]
+        for pool in model.pool_sizes:
+            widths.append(-(-widths[-1] // pool))
+        self.pads = [np.zeros((c, batch, t + k - 1), dtype) for t in widths[:-1]]
+        inputs = [pad[:, :, before:before + t] for pad, t in zip(self.pads, widths)]
+        self.input = inputs[0]
+        acts = [*inputs[1:], np.empty((c, batch, widths[-1]), dtype)]
+        self.blocks = [
+            (tap_view(pad, t), np.empty((k * c, batch * t), dtype),
+             np.empty((c, batch * t), dtype), window_offsets(c * batch * n, pool),
+             act)
+            for pad, t, n, pool, act in zip(self.pads, widths, widths[1:],
+                                            model.pool_sizes, acts)]
+        self.dense = [np.empty((batch, n), dtype) for n in (*model.hidden, N_CLASSES)]
+
+
 class Workspace:
     """What every training step of one model at one dtype reuses.
 
@@ -241,11 +279,12 @@ class Workspace:
     itself for float64, otherwise a copy that `backward_batch` refreshes in
     place at each step; `p` holds its named views.  `grad` is the gradient
     buffer, laid out and typed like `model.buffer`, and `g` its views; the
-    running statistics' entries stay zero.  `blocks` maps a batch size to
-    its conv buffers, one triple per conv block: the padded input, its tap
-    stack and the conv output.  A block's backward pass reuses its forward
-    pass's triple for the input gradient; by then only the tap stack is
-    still needed, and the kernel gradient reads it first.
+    running statistics' entries stay zero.  `buffers` maps a batch size to
+    the `Buffers` its steps run in, made on first use.  A block's backward
+    pass writes its input gradient into that block's tap stack and conv
+    output, which the forward pass no longer needs, and never into a padded
+    input: the next step reads its padding, and block i's ReLU output, whose
+    mask block i's backward reads, is block i+1's padded interior.
     """
 
     def __init__(self, model: SensorModel, dtype):
@@ -257,94 +296,41 @@ class Workspace:
             self.p = model.views(self.params)
         self.grad = np.zeros_like(model.buffer)
         self.g = model.views(self.grad)
-        self.blocks: dict[int, list[tuple[np.ndarray, ...]]] = {}
-
-    def conv_buffers(self, batch: int) -> list[tuple[np.ndarray, ...]]:
-        """The conv buffers of `batch` windows, made on first use."""
-        if batch not in self.blocks:
-            model, dtype = self.model, self.params.dtype
-            c, k, t = model.in_channels, model.kernel_len, model.window_samples
-            blocks = []
-            for pool in model.pool_sizes:
-                blocks.append((np.empty((c, batch, t + k - 1), dtype),
-                               np.empty((k * c, batch * t), dtype),
-                               np.empty((c, batch * t), dtype)))
-                t = -(-t // pool)
-            self.blocks[batch] = blocks
-        return self.blocks[batch]
+        self.buffers: dict[int, Buffers] = {}
 
 
-class WindowBuffers:
-    """The float64 arrays a one-window `model_forward` keeps on its model
-    (100 KB for the desk EEG model): every padded input, tap stack, conv
-    output and layer output of the pass.  What a call still allocates is
-    small: the pools' argmax, index and gather, and the softmax.
-
-    Batchnorm writes into `input`, the interior of block 1's zero-padded
-    input.  Each entry of `blocks` is one conv block's (xpad, cols, out,
-    taps, offsets, act), as `_forward` hands them to the ops: the padded
-    input is read only through `taps`, its tap view, so `xpad` is None;
-    `act` is where pool and ReLU write, the next block's padded interior or
-    the flatten input.  Padding keeps the zeros it starts with.  `dense`
-    holds the dense outputs.  Nothing here derives from the weights and the
-    probabilities returned are fresh, so a call leaves nothing the next one
-    reads; two calls on one model must not overlap.
-    """
-
-    def __init__(self, model: SensorModel):
-        c, k = model.in_channels, model.kernel_len
-        before = (k - 1) // 2
-        widths = [model.window_samples]
-        for pool in model.pool_sizes:
-            widths.append(-(-widths[-1] // pool))
-        pads = [np.zeros((c, 1, t + k - 1)) for t in widths[:-1]]
-        inputs = [pad[:, :, before:before + t] for pad, t in zip(pads, widths)]
-        self.input = inputs[0]
-        acts = [*inputs[1:], np.empty((c, 1, widths[-1]))]
-        self.blocks = [
-            (None, np.empty((k * c, t)), np.empty((c, t)), tap_view(pad, t),
-             window_offsets(c * n, pool), act)
-            for pad, t, n, pool, act in zip(pads, widths, widths[1:],
-                                            model.pool_sizes, acts)]
-        self.dense = [np.empty((1, n)) for n in (*model.hidden, N_CLASSES)]
-
-
-def _forward(model: SensorModel, xb: np.ndarray, p: dict, buffers=None,
-             window: WindowBuffers | None = None):
-    """Batched forward pass over [B x C x T] windows with the parameter
-    views `p`, returning logits and, when training, the tape.
+def _forward(model: SensorModel, xb: np.ndarray, p: dict,
+             bufs: Buffers | None = None, training: bool = False):
+    """Forward pass over [B x C x T] windows with the parameter views `p`,
+    returning logits and, when training, the tape.
 
     The conv blocks run channel-major, [C x B x T], from the batchnorm to the
-    flatten.  Training (`buffers` given) normalizes by the batch statistics
-    and runs the convs in `buffers`, from `Workspace.conv_buffers`;
-    otherwise batchnorm uses the running statistics, and every array is
-    fresh unless `window`, the `WindowBuffers` of a one-window call, holds
-    it.  The running statistics are always the model's own, so training
-    folds the batch statistics into `model.buffer` even when `p` views a
-    cast copy of it.  ReLU follows each max-pool: it commutes with max and
-    passes the same gradients.
+    flatten.  Every array is written into `bufs`, a `Buffers` of this batch
+    size and dtype, or, without it, is fresh.  Training normalizes by the
+    batch statistics, inference by the running ones.  The running statistics
+    are always the model's own, so training folds the batch statistics into
+    `model.buffer` even when `p` views a cast copy of it.  The tape holds
+    views of `bufs` (`backward_batch` always passes them).  ReLU follows each
+    max-pool: it commutes with max and passes the same gradients.
     """
     _check_input(model, xb)
-    training = buffers is not None
     b = xb.shape[0]
-    if window is not None:
-        bn_out, blocks, dense_out = (window.input,) * 2, window.blocks, window.dense
+    if bufs is None:
+        bn_out, blocks, dense_out = None, [(None,) * 5] * N_BLOCKS, [None] * N_DENSE
     else:
-        bn_out, dense_out = (), [None] * N_DENSE
-        blocks = [(*conv, None, None, None)
-                  for conv in buffers or [(None,) * 3] * N_BLOCKS]
+        bn_out, blocks, dense_out = bufs.input, bufs.blocks, bufs.dense
     h, xhat = batchnorm_forward_with_cache(
         xb.transpose(1, 0, 2), *[p[k] for k in BN_KEYS[:2]],
         *[model.params[k] for k in BN_KEYS[2:]], model.bn_epsilon,
-        model.bn_momentum, "train" if training else "inference", *bn_out)
+        model.bn_momentum, "train" if training else "inference", bn_out)
     tape = {"xhat": xhat, "blocks": []} if training else None
-    for (kernels, bias), pool, (xpad, cols, out, taps, offsets, act) in zip(
+    for (kernels, bias), pool, (taps, cols, out, offsets, act) in zip(
             BLOCK_KEYS, model.pool_sizes, blocks):
-        z = conv1d_forward(h, p[kernels], p[bias], xpad, cols, out, taps)
+        z = conv1d_forward(h, p[kernels], p[bias], cols, out, taps)
         pooled, arg = maxpool1d_with_argmax(z, pool, offsets)
         h = relu(pooled, act)
         if training:
-            tape["blocks"].append((cols, arg, h, z.shape[2]))
+            tape["blocks"].append((cols, out, arg, h, z.shape[2]))
     h = h.transpose(1, 0, 2).reshape(b, -1)
     dense_x = []
     dense_z = []
@@ -363,14 +349,14 @@ def model_forward(model: SensorModel, windows: np.ndarray) -> np.ndarray:
     """Class probabilities for one window [C x T] or a batch [B x C x T].
 
     Batchnorm uses the running statistics.  One window runs in the model's
-    `WindowBuffers`, made on its first such call.  A batch runs in chunks
-    of FORWARD_CHUNK windows on fresh arrays.
+    batch-1 float64 `Buffers`, made on its first such call.  A batch runs in
+    chunks of FORWARD_CHUNK windows on fresh arrays.
     """
     if windows.ndim == 2:
         if model.window_buffers is None:
-            object.__setattr__(model, "window_buffers", WindowBuffers(model))
+            object.__setattr__(model, "window_buffers", Buffers(model, 1, np.float64))
         logits, _ = _forward(model, windows[None], model.params,
-                             window=model.window_buffers)
+                             model.window_buffers)
         return softmax(logits)[0]
     return np.concatenate([
         softmax(_forward(model, windows[i:i + FORWARD_CHUNK], model.params)[0])
@@ -391,7 +377,7 @@ def backward_batch(
     itself.  Batchnorm normalizes by the batch statistics and updates the
     running averages in `model.buffer`.  `work` is a `Workspace` of this
     model and of the windows' dtype; a caller that passes the same one to
-    every step reuses its parameter copy, gradient and conv buffers, and
+    every step reuses its parameter copy, gradient and `Buffers`, and
     the gradient returned is then `work.grad`, which the next step that
     shares `work` overwrites.  Without it every buffer is fresh.
     """
@@ -400,11 +386,13 @@ def backward_batch(
         raise ValueError(f"the workspace is for another model or dtype than "
                          f"these {xb.dtype} windows")
     b = len(xb)
-    buffers = work.conv_buffers(b)
+    bufs = work.buffers.get(b)
+    if bufs is None:
+        bufs = work.buffers[b] = Buffers(model, b, xb.dtype)
     if work.params is not model.buffer:
         np.copyto(work.params, model.buffer)
     p, g = work.p, work.g
-    logits, tape = _forward(model, xb, p, buffers)
+    logits, tape = _forward(model, xb, p, bufs, training=True)
     probs = softmax(logits)
     loss = float(focal_loss_batch(probs, yb, cfg).mean())
     delta = focal_grad_wrt_logits(probs, yb, cfg)
@@ -418,12 +406,12 @@ def backward_batch(
 
     delta = delta.reshape(b, model.in_channels, -1).transpose(1, 0, 2)
     for i in range(N_BLOCKS - 1, -1, -1):
-        cols, arg, a, t_in = tape["blocks"][i]
+        cols, out, arg, a, t_in = tape["blocks"][i]
         kernels, bias = BLOCK_KEYS[i]
         delta = maxpool1d_backward(relu_backward(delta, a), arg,
                                    model.pool_sizes[i], t_in)
         g[kernels][...], g[bias][...], delta = conv1d_backward(
-            delta, cols, p[kernels], *buffers[i])
+            delta, cols, p[kernels], cols, out)
 
     g["batchnorm.gamma"][...], g["batchnorm.beta"][...] = batchnorm_param_grads(
         delta, tape["xhat"])

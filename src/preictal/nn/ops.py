@@ -12,12 +12,12 @@ the output gradient.  Dense, ReLU and softmax act on [B x features].
 All operations are plain numpy and take the parameter arrays they read.
 They compute in the dtype of their input, and every scratch array they make
 follows it: training runs them in float32 (see `train`), inference and the
-finite-difference checks in float64.  The ops take their scratch arrays
-as optional arguments, like numpy's `out=`: training passes conv buffers
-that it reuses from step to step, and one-window inference the buffers its
-model keeps, where each op writes the next one's input; without them fresh
-arrays are allocated.  A conv copies its whole tap stack at once, from a
-strided view of the padded input (`tap_view`).
+finite-difference checks in float64.  The ops take their output and scratch
+arrays as optional arguments, like numpy's `out=`, and allocate fresh ones
+without them.  A caller that keeps a zero-padded conv input passes its
+`tap_view` and writes the input straight into the padded interior (see
+`model.Buffers`); otherwise the conv pads a fresh copy.  Either way a conv
+copies its whole tap stack at once, from a strided view of the padded input.
 Backward counterparts compute exact gradients and are checked in float64
 against central finite differences in the test suite.
 """
@@ -43,7 +43,6 @@ def _tap_gemm(
     weights: np.ndarray,
     klen: int,
     before: int,
-    xpad: np.ndarray | None,
     cols: np.ndarray | None,
     out: np.ndarray | None,
     taps: np.ndarray | None = None,
@@ -54,8 +53,7 @@ def _tap_gemm(
     nothing is padded."""
     c, b, t = x.shape
     if taps is None:
-        if xpad is None:
-            xpad = np.empty((c, b, t + klen - 1), dtype=x.dtype)
+        xpad = np.empty((c, b, t + klen - 1), dtype=x.dtype)
         xpad[:, :, :before] = 0.0
         xpad[:, :, before:before + t] = x
         xpad[:, :, before + t:] = 0.0
@@ -70,7 +68,6 @@ def conv1d_forward(
     x: np.ndarray,
     kernels: np.ndarray,
     bias: np.ndarray,
-    xpad: np.ndarray | None = None,
     cols: np.ndarray | None = None,
     out: np.ndarray | None = None,
     taps: np.ndarray | None = None,
@@ -79,13 +76,13 @@ def conv1d_forward(
 
     `x` is [C_in x B x T] and `kernels` [C_out x C_in x K]; the result is
     [C_out x B x T].  Each window gets (K-1)//2 zeros before it and K//2
-    after.  Optional scratch: `xpad` [C_in x B x T+K-1] for the padded
-    input, `cols` [K*C_in x B*T], which afterwards holds the tap stack
-    `conv1d_backward` reads, and `out` [C_out x B*T], which the result views.
-    A caller that keeps a zeroed `xpad` may instead keep its `tap_view` and
-    pass that as `taps`, with `x` written straight into the interior,
-    xpad[:, :, (K-1)//2:][:, :, :T]: then the input is not copied and the
-    padding, zero from the start, is never written.
+    after.  Optional scratch: `cols` [K*C_in x B*T], which afterwards holds
+    the tap stack `conv1d_backward` reads, and `out` [C_out x B*T], which
+    the result views.  Without `taps` the input is copied into a fresh
+    zero-padded array.  A caller that keeps a zero-padded input
+    [C_in x B x T+K-1] passes its `tap_view` as `taps`, with `x` written
+    straight into the interior, xpad[:, :, (K-1)//2:][:, :, :T]: then the
+    input is not copied and the padding is never written.
     """
     out_c, in_c, klen = kernels.shape
     if x.ndim != 3 or x.shape[0] != in_c:
@@ -94,7 +91,7 @@ def conv1d_forward(
     if t < 1:
         raise ShapeError("input must have at least one time step")
     weights = kernels.transpose(0, 2, 1).reshape(out_c, klen * in_c)
-    y = _tap_gemm(x, weights, klen, (klen - 1) // 2, xpad, cols, out, taps)
+    y = _tap_gemm(x, weights, klen, (klen - 1) // 2, cols, out, taps)
     y += bias[:, None]
     return y.reshape(out_c, b, t)
 
@@ -103,7 +100,6 @@ def conv1d_backward(
     delta: np.ndarray,
     cols: np.ndarray,
     kernels: np.ndarray,
-    d_pad: np.ndarray | None = None,
     d_cols: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -113,17 +109,18 @@ def conv1d_backward(
     carry any loss-mean scaling; `cols` is the tap stack the forward pass
     left.  The input gradient is itself a tap-stacked correlation: of
     `delta`, padded the other way round, with the kernels mirrored in time
-    and with in and out channels swapped.  Optional scratch, as for
-    conv1d_forward: `d_pad` [C_out x B x T+K-1], `d_cols` [K*C_out x B*T]
-    and `out` [C_in x B*T], which the input gradient views.  `d_cols` may be
-    `cols` itself: the kernel gradient reads `cols` before it is overwritten.
+    and with in and out channels swapped; its padded copy of `delta` is
+    always fresh.  Optional scratch, as for conv1d_forward: `d_cols`
+    [K*C_out x B*T] and `out` [C_in x B*T], which the input gradient views.
+    `d_cols` may be `cols` itself: the kernel gradient reads `cols` before
+    it is overwritten.
     """
     out_c, in_c, klen = kernels.shape
     _, b, t = delta.shape
     d = delta.reshape(out_c, b * t)
     d_kernels = (d @ cols.T).reshape(out_c, klen, in_c).transpose(0, 2, 1)
     mirrored = kernels[:, :, ::-1].transpose(1, 2, 0).reshape(in_c, klen * out_c)
-    d_input = _tap_gemm(delta, mirrored, klen, klen // 2, d_pad, d_cols, out)
+    d_input = _tap_gemm(delta, mirrored, klen, klen // 2, d_cols, out)
     return d_kernels, d.sum(axis=1), d_input.reshape(in_c, b, t)
 
 
@@ -186,7 +183,6 @@ def batchnorm_forward_with_cache(
     epsilon: float,
     momentum: float,
     mode: str,
-    xhat: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel normalization of [C x B x T] input.
@@ -197,9 +193,9 @@ def batchnorm_forward_with_cache(
     running <- (1 - momentum) * running + momentum * batch.  Inference uses
     the running statistics and is pure.  Returns the output and the
     normalized pre-scale values (needed for gamma's gradient).  Optional
-    scratch for inference, [C x B x T] each: `xhat` for the normalized
-    values and `out` for the output.  They may be one array, which then
-    ends up holding the output.
+    `out` [C x B x T] takes the output.  Inference computes the normalized
+    values in it too, so with `out` the two arrays returned are one; train
+    mode keeps them apart.
     """
     if mode not in ("train", "inference"):
         raise ValueError(f"mode must be 'train' or 'inference', got {mode!r}")
@@ -217,7 +213,7 @@ def batchnorm_forward_with_cache(
         running_var[...] = (1 - momentum) * running_var + momentum * var
         centered = centered.reshape(x.shape)
     else:
-        centered = np.subtract(x, running_mean[:, None, None], out=xhat)
+        centered = np.subtract(x, running_mean[:, None, None], out=out)
         var = running_var
     xhat = np.divide(centered, np.sqrt(var + epsilon)[:, None, None], out=centered)
     y = np.multiply(gamma[:, None, None], xhat, out=out)

@@ -66,7 +66,7 @@ def train(
     validation loss raises ValueError.  The steps compute in float32 on a
     float32 copy of `xs`, made once per call; validation runs in float64.
     The step's `Workspace` (the float32 parameter copy, the gradient and the
-    conv buffers of each batch size) is made once per call and reused by
+    `Buffers` of each batch size) is made once per call and reused by
     every step; none of it outlives the call.
     """
     if not (len(xs) == len(ys) > 0 and len(xv) == len(yv) > 0):

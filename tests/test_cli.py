@@ -274,6 +274,23 @@ class TestDatasetIds:
         assert not (out / "trace.jsonl").exists()
 
 
+    @pytest.mark.parametrize("command", ["train", "cross-validate"])
+    def test_non_string_id_is_named(self, tmp_path, two_data, capsys, command):
+        config, clean = two_data
+        data = tmp_path / "data"
+        shutil.copytree(clean, data)
+        index = json.loads((data / "dataset.json").read_text())
+        for entry in index["patients"]:
+            entry["id"] = 7
+        (data / "dataset.json").write_text(json.dumps(index))
+        extra = ["--patient", "p00"] if command == "train" else []
+        assert main([command, "--config", str(config), "--data", str(data),
+                     *extra, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert str(data / "dataset.json") in err
+        assert "patient id 7 is not a string" in err
+
+
 class TestTrainIsFoldZero:
     @pytest.fixture(scope="class")
     def two_patients(self, work):

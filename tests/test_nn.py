@@ -26,8 +26,10 @@ from preictal.nn.losses import (
 )
 from preictal.nn.model import (
     SPEC_FIELDS,
+    Buffers,
     SensorModel,
     Workspace,
+    _forward,
     backward_batch,
     build_model,
     load_model,
@@ -526,31 +528,43 @@ class TestModel:
 
     @pytest.mark.parametrize("klen", [4, 5])
     def test_reused_buffers_match_fresh_ones_bit_for_bit(self, klen):
-        # One buffer dict across batch sizes 32, 32, 7, 32, 7, against fresh
-        # buffers at every step.  Pool 3 over 40 samples leaves partial
-        # windows and, in the last blocks, inputs shorter than the kernel.
-        # Every reused buffer is filled with NaN first, so reading anything
-        # an earlier step left behind would show in the loss or gradient.
+        # One workspace across batch sizes 32, 32, 7, 32, 7, against a fresh
+        # one at every step.  Pool 3 over 40 samples leaves partial windows
+        # and, in the last blocks, inputs shorter than the kernel.  Every
+        # kept array an op writes is filled with NaN first, so reading
+        # anything an earlier step left behind would show in the loss or
+        # gradient.  The padding is read at every step and must stay zero;
+        # at K=4 the input gradient pads the other way round, so a backward
+        # pass that reused a padded input would leave a nonzero column.
         shared, fresh = (build_model(Sensor.EEG, 3, 40, kernel_len=klen,
                                      pool_size=3, hidden=(6, 4), seed=4)
                          for _ in range(2))
         cfg = FocalLossConfig(gamma=2.0, alpha=np.array([0.5, 0.7, 0.9, 1.0, 0.6]))
         rng = np.random.default_rng(16)
         work = Workspace(shared, np.float64)
+        before = (klen - 1) // 2
         for b in (32, 32, 7, 32, 7):
             xb = rng.uniform(0.5, 3.0) * rng.standard_normal((b, 3, 40))
             yb = rng.integers(0, 5, size=b)
-            for blocks in work.blocks.values():
-                for buffers in blocks:
-                    for buffer in buffers:
-                        buffer.fill(np.nan)
+            for bufs in work.buffers.values():
+                bufs.input.fill(np.nan)
+                for _, cols, out, _, act in bufs.blocks:
+                    for written in (cols, out, act):
+                        written.fill(np.nan)
+                for written in bufs.dense:
+                    written.fill(np.nan)
             loss, grad = backward_batch(shared, xb, yb, cfg, work)
             want_loss, want_grad = backward_batch(fresh, xb, yb, cfg)
             assert loss == want_loss
             np.testing.assert_array_equal(grad, want_grad)
+            for bufs in work.buffers.values():
+                for pad, (taps, *_) in zip(bufs.pads, bufs.blocks):
+                    after = before + taps.shape[-1]
+                    assert (pad[:, :, :before] == 0.0).all()
+                    assert (pad[:, :, after:] == 0.0).all()
             shared.buffer[...] -= 0.05 * grad
             fresh.buffer[...] -= 0.05 * want_grad
-        assert sorted(work.blocks) == [7, 32]
+        assert sorted(work.buffers) == [7, 32]
 
     def test_float32_windows_give_a_float64_gradient_near_the_float64_one(self):
         # The tiny model of acceptance criterion 1.  Over seeds 0-19 the
@@ -567,10 +581,42 @@ class TestModel:
         want_loss, want = backward_batch(exact, xb, yb, cfg)
         loss, grad = backward_batch(mixed, xb.astype(np.float32), yb, cfg, work)
         assert grad.dtype == mixed.buffer.dtype == np.float64
-        assert {buffer.dtype for buffers in work.blocks[4] for buffer in buffers} == \
-            {np.dtype(np.float32)}
+        bufs = work.buffers[4]
+        kept = [*bufs.pads, bufs.input, *bufs.dense,
+                *(a for block in bufs.blocks for a in block if a.dtype.kind == "f")]
+        assert len(kept) == 4 + 1 + 3 + 4 * 4
+        assert {a.dtype for a in kept} == {np.dtype(np.float32)}
         assert np.abs(grad - want).max() <= 1e-6 * np.abs(want).max()
         np.testing.assert_allclose(loss, want_loss, rtol=1e-6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(channels=st.integers(1, 3), samples=st.integers(1, 20),
+           klen=st.integers(1, 6), pool=st.integers(1, 4), batch=st.integers(1, 5),
+           regime=st.sampled_from([(np.float64, False), (np.float32, True),
+                                   (np.float64, True)]),
+           seed=st.integers(0, 2**16))
+    def test_kept_buffers_match_fresh_arrays_bit_for_bit(
+            self, channels, samples, klen, pool, batch, regime, seed):
+        # Two passes through one `Buffers` on different windows against
+        # passes on fresh arrays, in float64 inference and in float32 and
+        # float64 training: the logits, and the running statistics each
+        # training pass folds into the buffer.  Small shapes reach every
+        # edge: windows shorter than the kernel, even kernels, partial pools.
+        dtype, training = regime
+        kept, fresh = (build_model(Sensor.EEG, channels, samples, klen, pool,
+                                   hidden=(4, 3), seed=seed) for _ in range(2))
+        bufs = Buffers(kept, batch, dtype)
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            xb = rng.uniform(0.5, 3.0) * rng.standard_normal((batch, channels, samples))
+            xb = xb.astype(dtype)
+            got, _ = _forward(kept, xb, kept.views(kept.buffer.astype(dtype)),
+                              bufs, training)
+            want, _ = _forward(fresh, xb, fresh.views(fresh.buffer.astype(dtype)),
+                               training=training)
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(kept.buffer, fresh.buffer)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_shared_workspace_across_adam_steps_matches_fresh_calls(self, dtype):
@@ -936,7 +982,7 @@ class TestTrain:
         np.testing.assert_allclose(loss, min(report.val_loss), rtol=1e-9)
 
     def test_leaves_no_workspace_on_the_model(self):
-        # The per-batch-size conv buffers live only for the call: a fold's
+        # The per-batch-size `Buffers` live only for the call: a fold's
         # result keeps its models, and buffers cached on them would stay
         # resident with every fold.
         model = _toy_model()
