@@ -25,10 +25,13 @@ labels.  Each sensor times 400 steps after 30 untimed warm-up steps, and
 untimed ones; the fit is timed 30 times on one set from `tests/oracles.py`.
 BLAS is pinned to one thread before numpy loads, and the checkout's own
 src/ is imported.  The last line is the result as JSON: each timing's
-quartiles under its name, and `src_lines`, the lines of every *.py under
-src/, counted as perfbench's provenance counts them.
+quartiles under its name, `src_lines`, the lines of every *.py under
+src/, counted as perfbench's provenance counts them, and `config_leaves`,
+the values a config file can set: the leaves of `ExperimentConfig()`'s
+dataclass tree, a tuple such as `model.hidden` counting as one.
 """
 
+import dataclasses
 import json
 import os
 import sys
@@ -44,7 +47,7 @@ import numpy as np  # noqa: E402
 
 from oracles import noisy_quantized_set  # noqa: E402
 from preictal.combiner import CombinerConfig, lr_train  # noqa: E402
-from preictal.config import ModelConfig  # noqa: E402
+from preictal.config import ExperimentConfig, ModelConfig  # noqa: E402
 from preictal.dataset import Sensor  # noqa: E402
 from preictal.nn.losses import FocalLossConfig, inverse_frequency_alpha  # noqa: E402
 from preictal.nn.model import (  # noqa: E402
@@ -120,6 +123,12 @@ def time_fits() -> list[float]:
     return times
 
 
+def config_leaves(node) -> int:
+    """The values settable under `node`, a config dataclass."""
+    return sum(config_leaves(value) if dataclasses.is_dataclass(value) else 1
+               for value in (getattr(node, f.name) for f in dataclasses.fields(node)))
+
+
 def main() -> int:
     result = {f"{name}-step": quartiles(time_steps(sensor, channels, pool))
               for name, sensor, channels, pool in SHAPES}
@@ -132,6 +141,8 @@ def main() -> int:
     result["src_lines"] = sum(len(p.read_text().splitlines())
                               for p in sorted((ROOT / "src").rglob("*.py")))
     print(f"src_lines  {result['src_lines']}")
+    result["config_leaves"] = config_leaves(ExperimentConfig())
+    print(f"config_leaves  {result['config_leaves']}")
     print(json.dumps(result))
     return 0
 

@@ -2,12 +2,16 @@
 
 Four nodes: an EEG node and an ECG node stream quantized five-class
 probability vectors, computed offline before the run, to a gateway, which
-fuses them with the logistic-regression combiner and, when the fused class
-calls for it, sends a stimulation command frame to the DBS node.
+fuses them with the logistic-regression combiner and, on every pre-seizure
+decision (any class but interictal), sends a stimulation command frame to
+the DBS node.
 
-Everything rides on one abstract link model (bitrate, propagation delay,
-independent per-attempt loss with bounded retransmission); there is no
-channel physics.  All frames are 16 bytes::
+Everything rides on one abstract link: a frame takes FRAME_TIME_S, its
+airtime at a fixed BITRATE_BPS of 1 Mb/s, with no propagation delay (on a
+body-area network it is nanoseconds); each attempt is lost independently
+with the configured probability, and a lost frame is retransmitted up to
+the configured retry limit.  There is no channel physics.  All frames are
+16 bytes::
 
     offset 0  source kind   u8
     offset 1  version (=1)  u8
@@ -20,6 +24,8 @@ until its second sensor frame arrives, and is then fused; a window still
 pending at its deadline is dropped, so each window ends exactly one way.
 The event loop is a priority queue keyed by (timestamp, sequence number), so
 a trace is a pure function of the configuration — including the link seed.
+The event list is the simulation's only record: `latency_report` counts
+every outcome from it.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import itertools
 import json
 import struct
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import IntEnum
 from heapq import heappop, heappush
 from pathlib import Path
 from typing import Optional, Sequence
@@ -50,6 +56,8 @@ from .nn.model import model_forward  # noqa: F401  (perfbench/spans.py traces it
 FRAME_STRUCT = struct.Struct("<BBI5H")
 FRAME_BYTES = FRAME_STRUCT.size  # 16
 FRAME_BITS = 8 * FRAME_BYTES
+BITRATE_BPS = 1e6
+FRAME_TIME_S = FRAME_BITS / BITRATE_BPS
 WIRE_VERSION = 1
 PROBS_Q_MAX = 10_000
 WINDOW_INDEX_MAX = 2**32 - 1  # the frame's u32 field
@@ -66,11 +74,6 @@ class NodeId(IntEnum):
     @property
     def label(self) -> str:
         return self.name.lower()
-
-
-class StimulationPolicy(str, Enum):
-    ANY_PREICTAL = "any_preictal"      # fused class 0-3 triggers a command
-    PRE_0_15_ONLY = "pre0to15_only"    # only the nearest-to-onset class does
 
 
 @dataclass(frozen=True)
@@ -95,23 +98,14 @@ class ProbabilityMessage:
 
 @dataclass
 class LinkModel:
-    bitrate_bps: float = 1e6
-    propagation_delay_s: float = 0.0
     loss_probability: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.bitrate_bps <= 0:
-            raise ValueError("bitrate_bps must be positive")
-        if self.propagation_delay_s < 0:
-            raise ValueError("propagation_delay_s must be non-negative")
         if not (0.0 <= self.loss_probability < 1.0):
             raise ValueError("loss_probability must lie in [0, 1)")
         if self.seed < 0:
             raise ValueError("link seed must be non-negative")
-
-    def frame_time_s(self) -> float:
-        return FRAME_BITS / self.bitrate_bps + self.propagation_delay_s
 
 
 @dataclass
@@ -119,13 +113,10 @@ class SimConfig:
     window_period_s: float = 5.0
     processing_delay_s: float = 0.020
     link: LinkModel = field(default_factory=LinkModel)
-    stimulation_policy: StimulationPolicy = StimulationPolicy.ANY_PREICTAL
     duration_s: float = 3600.0
     retry_limit: int = 3
 
     def __post_init__(self):
-        if isinstance(self.stimulation_policy, str):
-            self.stimulation_policy = StimulationPolicy(self.stimulation_policy)
         if self.window_period_s <= 0 or self.duration_s <= 0:
             raise ValueError("window_period_s and duration_s must be positive")
         if self.processing_delay_s < 0:
@@ -153,13 +144,6 @@ class TraceEvent:
 @dataclass
 class SimTrace:
     events: list[TraceEvent] = field(default_factory=list)
-    latencies: dict[int, float] = field(default_factory=dict)
-    decisions: dict[int, LabelClass] = field(default_factory=dict)
-    dropped: list[int] = field(default_factory=list)
-    n_windows: int = 0
-
-    def count(self, event_type: str) -> int:
-        return sum(1 for e in self.events if e.event_type == event_type)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +185,6 @@ def decode_message(frame: bytes) -> ProbabilityMessage:
 # Event loop
 
 
-def _stimulate(policy: StimulationPolicy, decision: LabelClass) -> bool:
-    if policy is StimulationPolicy.ANY_PREICTAL:
-        return decision != LabelClass.INTERICTAL
-    return decision == LabelClass.PRE_0_15
-
-
 def run_simulation(
     cfg: SimConfig,
     combiner_params: CombinerParams,
@@ -223,8 +201,8 @@ def run_simulation(
     inference and transmit.  A lost frame is retried back-to-back up to
     retry_limit times.  A window is pending until both sensor frames reach
     the gateway, which fuses it one processing delay later; a window still
-    pending one window period after production is dropped.  Per-window
-    latency is the gateway decision time minus the production time.
+    pending one window period after production is dropped.  A decision
+    other than interictal sends a stimulation command to the DBS node.
     """
     if not 0 < len(windows) == len(eeg_rows) == len(ecg_rows):
         raise ValueError(f"need at least one window and one EEG and ECG row each; got "
@@ -232,8 +210,7 @@ def run_simulation(
     n_sim = min(len(windows), cfg.max_windows)
 
     rng = np.random.default_rng(cfg.link.seed)
-    ft = cfg.link.frame_time_s()
-    trace = SimTrace(n_windows=n_sim)
+    trace = SimTrace()
     heap: list = []  # (time, seq, kind, window, payload, attempt)
     seq = itertools.count()
     pending: dict[int, dict[NodeId, np.ndarray]] = {}  # window -> probs so far
@@ -249,7 +226,7 @@ def run_simulation(
         """One transmission attempt; schedules the retry on loss."""
         source = NodeId(frame[0])
         emit(t, "message_sent", source, w, attempt=attempt)
-        t_arr = t + ft
+        t_arr = t + FRAME_TIME_S
         if rng.random() < cfg.link.loss_probability:
             final = attempt >= cfg.retry_limit
             emit(t_arr, "message_lost", source, w, attempt=attempt, final=final)
@@ -292,11 +269,9 @@ def run_simulation(
         elif kind == "fuse":
             fused = lr_forward(payload, combiner_params)
             decision = predict(fused)
-            trace.decisions[w] = decision
-            trace.latencies[w] = t - (w + 1) * cfg.window_period_s
             emit(t, "fusion_decision", NodeId.GATEWAY, w,
                  decision=int(decision), label=int(windows[w].label))
-            if _stimulate(cfg.stimulation_policy, decision):
+            if decision != LabelClass.INTERICTAL:
                 emit(t, "alert", NodeId.GATEWAY, w, decision=int(decision))
                 emit(t, "stimulation_command", NodeId.GATEWAY, w,
                      decision=int(decision))
@@ -306,7 +281,6 @@ def run_simulation(
             emit(t, "window_dropped", NodeId.GATEWAY, w,
                  eeg_arrived=NodeId.EEG_NODE in probs,
                  ecg_arrived=NodeId.ECG_NODE in probs)
-            trace.dropped.append(w)
 
     return trace
 
@@ -327,18 +301,31 @@ class LatencyReport:
 
 
 def latency_report(trace: SimTrace) -> LatencyReport:
-    """Arithmetic summary of a finished trace; summaries of an empty trace
-    are reported absent."""
-    lat = list(trace.latencies.values())
-    n = trace.n_windows
+    """Arithmetic summary of a finished trace, from one pass over its events.
+    A window's latency is its fusion decision's time minus its production
+    time; summaries of a trace without windows or fusions are reported
+    absent."""
+    produced: dict[int, float] = {}
+    lat: list[float] = []
+    n_dropped = n_stim = 0
+    for e in trace.events:
+        if e.event_type == "window_produced":
+            produced[e.window_index] = e.time_s
+        elif e.event_type == "fusion_decision":
+            lat.append(e.time_s - produced[e.window_index])
+        elif e.event_type == "window_dropped":
+            n_dropped += 1
+        elif e.event_type == "stimulation_command":
+            n_stim += 1
+    n = len(produced)
     return LatencyReport(
         n_windows=n,
         n_fused=len(lat),
-        n_dropped=len(trace.dropped),
-        drop_rate=len(trace.dropped) / n if n else None,
+        n_dropped=n_dropped,
+        drop_rate=n_dropped / n if n else None,
         mean_latency_s=float(np.mean(lat)) if lat else None,
         max_latency_s=float(np.max(lat)) if lat else None,
-        stimulation_count=trace.count("stimulation_command"),
+        stimulation_count=n_stim,
     )
 
 

@@ -72,25 +72,27 @@ def _read_pair(index_path: Path, pid: str, eeg: Path, ecg: Path):
     return eeg_rec, load_recording(ecg)
 
 
-def _patient_id(entry: dict) -> str:
-    """A dataset index entry's patient id; ValueError if it is not a string."""
-    if not isinstance(entry["id"], str):
-        raise ValueError(f"patient id {entry['id']!r} is not a string")
-    return entry["id"]
+def _patient_id(pid) -> str:
+    """A patient id read from a file; ValueError if it is not a string."""
+    if not isinstance(pid, str):
+        raise ValueError(f"patient id {pid!r} is not a string")
+    return pid
 
 
-def _read_patients(data_dir: Path | str, patient_id: str | None = None
+def _read_patients(data_dir: Path | str, patient_id: str | None = None,
+                   listed_in: Path | None = None
                    ) -> Iterator[tuple[int, Recording, Recording]]:
     """(index position, EEG, ECG) per patient of the dataset index, or only
     `patient_id`'s, each pair read when reached.  ValueError naming the index if
     it lists no patients, repeats an id or files an EEG recording under another
-    patient's id; `paired_windows` then holds the ECG to the EEG."""
+    patient's id; `paired_windows` then holds the ECG to the EEG.  An unknown
+    `patient_id` is refused naming `listed_in`, the file it came from, if any."""
     index_path = Path(data_dir) / DATASET_INDEX
     if not index_path.exists():
         raise FileNotFoundError(f"expected dataset index at {index_path}; "
                                 f"run gen-data first")
     entries = read_json(index_path, "a dataset index", lambda index: [
-        (_patient_id(entry), index_path.parent / entry["eeg"],
+        (_patient_id(entry["id"]), index_path.parent / entry["eeg"],
          index_path.parent / entry["ecg"]) for entry in index["patients"]])
     ids = [pid for pid, _, _ in entries]
     if not ids:
@@ -98,7 +100,8 @@ def _read_patients(data_dir: Path | str, patient_id: str | None = None
     if len(set(ids)) < len(ids):
         raise ValueError(f"{index_path} repeats a patient id: {', '.join(ids)}")
     if patient_id not in (None, *ids):
-        raise ValueError(f"patient {patient_id!r} not in dataset "
+        source = f"{listed_in} lists " if listed_in else ""
+        raise ValueError(f"{source}patient {patient_id!r} not in dataset "
                          f"(known: {', '.join(ids)})")
     for p_idx, entry in enumerate(entries):
         if patient_id in (None, entry[0]):
@@ -233,8 +236,8 @@ def _holdout(h: dict) -> tuple[str, list[int], WindowingConfig]:
     repeated = [a for a, b in zip(ids, ids[1:]) if a == b]
     if repeated:
         raise ValueError(f"window_ids repeats id {repeated[0]}")
-    return h["patient"], ids, WindowingConfig(h["window_seconds"],
-                                              h["stride_seconds"])
+    windowing = WindowingConfig(h["window_seconds"], h["stride_seconds"])
+    return _patient_id(h["patient"]), ids, windowing
 
 
 def cmd_simulate(args) -> int:
@@ -251,7 +254,8 @@ def cmd_simulate(args) -> int:
     held_patient, held_ids, held_windowing = read_json(
         paths["holdout"], "a held-out window list", _holdout)
 
-    _, eeg_rec, ecg_rec = next(_read_patients(args.data, held_patient))
+    _, eeg_rec, ecg_rec = next(_read_patients(args.data, held_patient,
+                                              paths["holdout"]))
     eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
     ids = sorted(eeg_w)
     if not args.all_windows:
@@ -272,7 +276,8 @@ def cmd_simulate(args) -> int:
     trace = run_simulation(cfg.sim, combiner_params, windows,
                            preds["eeg_rows"], preds["ecg_rows"])
     write_trace_jsonl(trace, out / "trace.jsonl")
-    equivalence = all(preds["combined"][w] == d for w, d in trace.decisions.items())
+    equivalence = all(preds["combined"][e.window_index] == e.detail["decision"]
+                      for e in trace.events if e.event_type == "fusion_decision")
     rep = latency_report(trace)
     summary = {**dataclasses.asdict(rep), "equivalence": equivalence}
     (out / "latency.json").write_text(

@@ -16,7 +16,6 @@ import dataclasses
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from enum import Enum
 from pathlib import Path
 
 from .bansim import SimConfig
@@ -75,11 +74,9 @@ class ExperimentConfig:
 
 def _fits(value, default) -> bool:
     """A config value must have its default's type, except that an int may
-    stand for a float, a list for a tuple and a string for an enum; a tuple's
-    elements must each fit the default's.  NaN and infinity fit nothing, as
-    they would pass every range check."""
-    if isinstance(default, Enum):
-        return isinstance(value, str)
+    stand for a float and a list for a tuple; a tuple's elements must each
+    fit the default's.  NaN and infinity fit nothing, as they would pass
+    every range check."""
     if isinstance(default, tuple):
         return (isinstance(value, (tuple, list)) and len(value) == len(default)
                 and all(map(_fits, value, default)))

@@ -1,5 +1,9 @@
+import dataclasses
 import json
 import struct
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 from preictal.bansim import (
     FRAME_BYTES,
+    FRAME_TIME_S,
     PROBS_Q_MAX,
     WIRE_VERSION,
     LatencyReport,
@@ -16,7 +21,6 @@ from preictal.bansim import (
     ProbabilityMessage,
     SimConfig,
     SimTrace,
-    StimulationPolicy,
     decode_message,
     encode_message,
     latency_report,
@@ -147,28 +151,24 @@ class TestWireFormat:
 
 class TestConfigs:
     def test_frame_time(self):
-        link = LinkModel(bitrate_bps=1e6, propagation_delay_s=0.001)
-        assert link.frame_time_s() == 128 / 1e6 + 0.001
+        # 16 bytes at 1 Mb/s, with no propagation delay.
+        assert FRAME_TIME_S == 128 / 1e6
 
     def test_link_validation(self):
-        with pytest.raises(ValueError):
-            LinkModel(bitrate_bps=0)
-        with pytest.raises(ValueError):
-            LinkModel(propagation_delay_s=-0.1)
         with pytest.raises(ValueError):
             LinkModel(loss_probability=1.0)
         with pytest.raises(ValueError):
             LinkModel(loss_probability=-0.1)
+        with pytest.raises(ValueError):
+            LinkModel(seed=-1)
 
     def test_sim_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(window_period_s=0)
         with pytest.raises(ValueError):
-            SimConfig(retry_limit=-1)
+            SimConfig(processing_delay_s=-0.1)
         with pytest.raises(ValueError):
-            SimConfig(stimulation_policy="bogus")
-        cfg = SimConfig(stimulation_policy="pre0to15_only")
-        assert cfg.stimulation_policy is StimulationPolicy.PRE_0_15_ONLY
+            SimConfig(retry_limit=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -218,10 +218,31 @@ def _first(setup, n):
     return combiner, windows[:n], eeg_rows[:n], ecg_rows[:n]
 
 
+def _events(trace, event_type):
+    return [e for e in trace.events if e.event_type == event_type]
+
+
+def _decisions(trace):
+    """{window: fused class} from the trace's fusion decisions."""
+    return {e.window_index: LabelClass(e.detail["decision"])
+            for e in _events(trace, "fusion_decision")}
+
+
+def _dropped(trace):
+    return [e.window_index for e in _events(trace, "window_dropped")]
+
+
+def _latencies(trace):
+    """{window: decision time minus production time}, counted independently
+    of `latency_report`."""
+    produced = {e.window_index: e.time_s for e in _events(trace, "window_produced")}
+    return {e.window_index: e.time_s - produced[e.window_index]
+            for e in _events(trace, "fusion_decision")}
+
+
 LOSSLESS = SimConfig(
     window_period_s=5.0, processing_delay_s=0.020,
-    link=LinkModel(bitrate_bps=1e6, propagation_delay_s=0.0,
-                   loss_probability=0.0, seed=0),
+    link=LinkModel(loss_probability=0.0, seed=0),
     duration_s=5.0 * 40, retry_limit=3,
 )
 
@@ -234,14 +255,16 @@ class TestLosslessSimulation:
     def test_decisions_match_offline_pipeline_exactly(self, sim_setup):
         trace = run_simulation(LOSSLESS, *sim_setup)
         offline = _offline_decisions(*sim_setup)
-        assert trace.n_windows == 40
-        assert not trace.dropped
-        assert [trace.decisions[w] for w in range(40)] == offline
+        assert latency_report(trace).n_windows == 40
+        assert not _dropped(trace)
+        decisions = _decisions(trace)
+        assert [decisions[w] for w in range(40)] == offline
 
     def test_latency_is_two_processing_delays_plus_frame_time(self, sim_setup):
         trace = run_simulation(LOSSLESS, *sim_setup)
         expected = 2 * 0.020 + 128 / 1e6
-        lat = np.array([trace.latencies[w] for w in range(40)])
+        latencies = _latencies(trace)
+        lat = np.array([latencies[w] for w in range(40)])
         np.testing.assert_allclose(lat, expected, atol=1e-9)
         report = latency_report(trace)
         np.testing.assert_allclose(report.mean_latency_s, expected, atol=1e-9)
@@ -255,39 +278,41 @@ class TestLosslessSimulation:
 
     def test_window_conservation(self, sim_setup):
         trace = run_simulation(LOSSLESS, *sim_setup)
-        assert trace.count("window_produced") == trace.n_windows
-        assert len(trace.latencies) + len(trace.dropped) == trace.n_windows
+        count = Counter(e.event_type for e in trace.events)
+        assert count["window_produced"] == 40
+        assert count["fusion_decision"] + count["window_dropped"] == 40
         # Lossless: one send and one delivery per sensor per window, plus one
         # frame per stimulation command.
-        stim = trace.count("stimulation_command")
-        assert trace.count("message_sent") == 2 * trace.n_windows + stim
-        assert trace.count("message_delivered") == 2 * trace.n_windows + stim
-        assert trace.count("message_lost") == 0
+        stim = count["stimulation_command"]
+        assert count["message_sent"] == 2 * 40 + stim
+        assert count["message_delivered"] == 2 * 40 + stim
+        assert count["message_lost"] == 0
 
     def test_stimulation_policy_any_preictal(self, sim_setup):
         trace = run_simulation(LOSSLESS, *sim_setup)
-        preictal = sum(1 for d in trace.decisions.values()
+        preictal = sum(1 for d in _decisions(trace).values()
                        if d is not LabelClass.INTERICTAL)
-        assert trace.count("stimulation_command") == preictal
-        assert trace.count("alert") == preictal
+        assert preictal > 0
+        assert len(_events(trace, "stimulation_command")) == preictal
+        assert len(_events(trace, "alert")) == preictal
+        assert latency_report(trace).stimulation_count == preictal
 
-    def test_stimulation_policy_nearest_bin_only(self, sim_setup):
-        cfg = SimConfig(window_period_s=5.0, processing_delay_s=0.020,
-                        link=LinkModel(seed=0),
-                        stimulation_policy=StimulationPolicy.PRE_0_15_ONLY,
-                        duration_s=200.0, retry_limit=3)
-        trace = run_simulation(cfg, *sim_setup)
-        nearest = sum(1 for d in trace.decisions.values()
-                      if d is LabelClass.PRE_0_15)
-        assert trace.count("stimulation_command") == nearest
+    def test_interictal_decisions_send_no_command(self, sim_setup):
+        _, windows, eeg_rows, ecg_rows = sim_setup
+        calm = CombinerParams(np.zeros((5, 10)), np.eye(5)[LabelClass.INTERICTAL])
+        trace = run_simulation(LOSSLESS, calm, windows, eeg_rows, ecg_rows)
+        assert set(_decisions(trace).values()) == {LabelClass.INTERICTAL}
+        assert not _events(trace, "stimulation_command")
+        assert not _events(trace, "alert")
+        assert latency_report(trace).stimulation_count == 0
 
     def test_duration_caps_window_count(self, sim_setup):
         cfg = SimConfig(window_period_s=5.0, duration_s=15.0,
                         link=LinkModel(seed=0))
         assert cfg.max_windows == 3
         trace = run_simulation(cfg, *sim_setup)
-        assert trace.n_windows == 3
-        assert set(trace.decisions) == {0, 1, 2}
+        assert latency_report(trace).n_windows == 3
+        assert set(_decisions(trace)) == {0, 1, 2}
 
     def test_deterministic_trace(self, sim_setup, tmp_path):
         t1 = run_simulation(LOSSLESS, *sim_setup)
@@ -315,13 +340,14 @@ class TestLosslessSimulation:
 
 class TestLossySimulation:
     def test_arrival_after_deadline_drops_every_window(self, sim_setup):
-        cfg = SimConfig(window_period_s=5.0, processing_delay_s=0.020,
-                        link=LinkModel(propagation_delay_s=6.0, seed=0),
-                        duration_s=100.0, retry_limit=0)
+        # Both frames leave 6 s after production, past the 5 s deadline.
+        cfg = SimConfig(window_period_s=5.0, processing_delay_s=6.0,
+                        link=LinkModel(seed=0), duration_s=100.0, retry_limit=0)
         trace = run_simulation(cfg, *sim_setup)
-        assert trace.dropped == list(range(trace.n_windows))
-        assert not trace.latencies
+        assert _dropped(trace) == list(range(20))
+        assert not _events(trace, "fusion_decision")
         report = latency_report(trace)
+        assert (report.n_windows, report.n_dropped) == (20, 20)
         assert report.drop_rate == 1.0
         assert report.mean_latency_s is None
         assert report.max_latency_s is None
@@ -338,8 +364,9 @@ class TestLossySimulation:
                         duration_s=5.0 * 600, retry_limit=0)
         trace = run_simulation(cfg, combiner, many, eeg_rows[cycle],
                                ecg_rows[cycle])
-        drop = len(trace.dropped) / trace.n_windows
+        drop = len(_dropped(trace)) / 600
         assert abs(drop - 0.75) < 0.1
+        assert latency_report(trace).drop_rate == drop
 
     def test_retry_attempts_are_contiguous(self, sim_setup):
         cfg = SimConfig(window_period_s=5.0,
@@ -364,9 +391,10 @@ class TestLossySimulation:
                         duration_s=5.0 * 40, retry_limit=2)
         lossy = run_simulation(cfg, *sim_setup)
         clean = run_simulation(LOSSLESS, *sim_setup)
-        assert lossy.decisions  # seed 7 keeps at least some windows
-        for w, decision in lossy.decisions.items():
-            assert decision is clean.decisions[w]
+        clean_decisions = _decisions(clean)
+        assert _decisions(lossy)  # seed 7 keeps at least some windows
+        for w, decision in _decisions(lossy).items():
+            assert decision is clean_decisions[w]
 
     def test_retries_recover_windows(self, sim_setup):
         base = dict(window_period_s=5.0, duration_s=5.0 * 40)
@@ -374,8 +402,8 @@ class TestLossySimulation:
                              retry_limit=0, **base)
         with_retry = SimConfig(link=LinkModel(loss_probability=0.4, seed=5),
                                retry_limit=3, **base)
-        dropped_plain = len(run_simulation(no_retry, *sim_setup).dropped)
-        dropped_retry = len(run_simulation(with_retry, *sim_setup).dropped)
+        dropped_plain = len(_dropped(run_simulation(no_retry, *sim_setup)))
+        dropped_retry = len(_dropped(run_simulation(with_retry, *sim_setup)))
         assert dropped_retry < dropped_plain
 
 
@@ -388,36 +416,67 @@ def _assert_each_window_ends_once(trace, offline):
     decision is the offline one."""
     produced = [e.window_index for e in trace.events
                 if e.event_type == "window_produced"]
-    assert produced == list(range(trace.n_windows))
+    assert produced == list(range(len(offline)))
     ends = [e.window_index for e in trace.events
             if e.event_type in ("fusion_decision", "window_dropped")]
     assert sorted(ends) == produced
     report = latency_report(trace)
     assert report.n_fused + report.n_dropped == report.n_windows
-    for w, decision in trace.decisions.items():
+    for w, decision in _decisions(trace).items():
         assert decision is offline[w]
 
 
 class TestConservation:
     @settings(max_examples=60, deadline=None)
-    @given(processing=st.floats(0.0, 8.0), propagation=st.floats(0.0, 8.0),
-           loss=st.floats(0.0, 0.9), retries=st.integers(0, 3),
-           seed=st.integers(0, 2**32 - 1))
+    @given(processing=st.floats(0.0, 8.0), loss=st.floats(0.0, 0.9),
+           retries=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
     def test_each_window_fused_or_dropped_once(self, sim_setup, processing,
-                                               propagation, loss, retries, seed):
+                                               loss, retries, seed):
+        # A processing delay is spent before sending and again before fusing,
+        # so draws below 2.5 s fuse before the 5 s deadline, draws from 2.5 s
+        # to just under 5 s fuse after it, and longer ones are dropped.
         cfg = SimConfig(processing_delay_s=processing, duration_s=50.0,
-                        link=LinkModel(propagation_delay_s=propagation,
-                                       loss_probability=loss, seed=seed),
+                        link=LinkModel(loss_probability=loss, seed=seed),
                         retry_limit=retries)
         first10 = _first(sim_setup, 10)
         trace = run_simulation(cfg, *first10)
         _assert_each_window_ends_once(trace, _offline_decisions(*first10))
 
+    @settings(max_examples=40, deadline=None)
+    @given(processing=st.floats(0.0, 8.0), loss=st.floats(0.0, 0.9),
+           retries=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_report_is_a_recount_of_the_written_trace(self, sim_setup, processing,
+                                                     loss, retries, seed):
+        cfg = SimConfig(processing_delay_s=processing, duration_s=50.0,
+                        link=LinkModel(loss_probability=loss, seed=seed),
+                        retry_limit=retries)
+        trace = run_simulation(cfg, *_first(sim_setup, 10))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.jsonl"
+            write_trace_jsonl(trace, path)
+            events = [json.loads(line) for line in path.read_text().splitlines()]
+        count = Counter(e["event_type"] for e in events)
+        produced = {e["window_index"]: e["time_s"] for e in events
+                    if e["event_type"] == "window_produced"}
+        lat = [e["time_s"] - produced[e["window_index"]] for e in events
+               if e["event_type"] == "fusion_decision"]
+        n = count["window_produced"]
+        assert dataclasses.asdict(latency_report(trace)) == {
+            "n_windows": n,
+            "n_fused": count["fusion_decision"],
+            "n_dropped": count["window_dropped"],
+            "drop_rate": count["window_dropped"] / n,
+            "mean_latency_s": float(np.mean(lat)) if lat else None,
+            "max_latency_s": max(lat) if lat else None,
+            "stimulation_count": count["stimulation_command"],
+        }
+
     @pytest.mark.parametrize("cfg", [
         pytest.param(SimConfig(processing_delay_s=3.0, duration_s=50.0),
                      id="slow-processing"),
-        pytest.param(SimConfig(link=LinkModel(propagation_delay_s=4.97),
-                               duration_s=50.0), id="slow-link"),
+        # Both frames reach the gateway under 10 ms before the deadline.
+        pytest.param(SimConfig(processing_delay_s=4.99, duration_s=50.0),
+                     id="slow-link"),
     ])
     def test_fusion_after_the_deadline_still_counts_once(self, sim_setup, cfg):
         # Both frames arrive before the deadline; fusion lands after it.  The
@@ -456,8 +515,7 @@ class TestSimulationEdges:
             SimConfig(window_period_s=5.0, duration_s=4.0)
 
     def test_empty_latency_report(self):
-        trace = SimTrace(n_windows=0)
-        report = latency_report(trace)
+        report = latency_report(SimTrace())
         assert report.n_windows == 0
         assert report.drop_rate is None
         assert report.mean_latency_s is None

@@ -529,6 +529,44 @@ class TestSimulate:
         assert (summary["n_windows"], summary["equivalence"]) == (10, True)
         assert sum(forwarded) == 2 * 10
 
+    def test_a_decision_off_the_offline_class_breaks_equivalence(
+            self, tmp_path, config_path, dataset_dir, train_dir, monkeypatch, capsys):
+        def flipped(*args):
+            preds = evaluation._predictions(*args)
+            combined = preds["combined"].copy()
+            combined[0] = (combined[0] + 1) % 5
+            return {**preds, "combined": combined}
+
+        monkeypatch.setattr(cli, "_predictions", flipped)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config_path),
+                     "--data", str(dataset_dir), "--models", str(train_dir),
+                     "--out", str(out)]) == 0
+        assert "equivalence=False" in capsys.readouterr().out
+        summary = json.loads((out / "latency.json").read_text())
+        assert summary["equivalence"] is False
+        assert summary["n_fused"] == summary["n_windows"]  # window 0 was fused
+
+    @pytest.mark.parametrize("patient, message", [
+        pytest.param(7, "patient id 7 is not a string", id="integer"),
+        pytest.param("p09", "lists patient 'p09' not in dataset (known: p00)",
+                     id="unknown"),
+    ])
+    def test_bad_held_out_patient_names_the_holdout(self, tmp_path, config_path,
+                                                    dataset_dir, train_dir, capsys,
+                                                    patient, message):
+        models = tmp_path / "models"
+        shutil.copytree(train_dir, models)
+        holdout = models / "holdout.json"
+        doc = json.loads(holdout.read_text())
+        holdout.write_text(json.dumps({**doc, "patient": patient}))
+        assert main(["simulate", "--config", str(config_path),
+                     "--data", str(dataset_dir), "--models", str(models),
+                     "--out", str(tmp_path / "sim")]) == 1
+        err = capsys.readouterr().err
+        assert str(holdout) in err and message in err
+        assert not (tmp_path / "sim" / "trace.jsonl").exists()
+
     @pytest.mark.parametrize("kept, missing", [
         pytest.param((), "eeg_model.bin", id="empty"),
         pytest.param(("eeg_model.bin", "ecg_model.bin", "combiner.json",

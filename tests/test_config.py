@@ -2,7 +2,6 @@ import re
 
 import pytest
 
-from preictal.bansim import StimulationPolicy
 from preictal.config import ExperimentConfig, WindowingConfig, from_dict, load_config
 from preictal.dataset import SynthConfig
 
@@ -31,15 +30,13 @@ class TestPartialSections:
         assert (cfg.data.n_seizures, cfg.data.sample_rate_hz,
                 cfg.data.eeg_channels) == (4, 64, 4)
         assert cfg.sim.link.loss_probability == 0.2
-        assert cfg.sim.link.bitrate_bps == ExperimentConfig().sim.link.bitrate_bps
+        assert cfg.sim.link.seed == ExperimentConfig().sim.link.seed
 
     def test_accepted_stand_ins(self):
         cfg = from_dict({"data": {"duration_s": 41240},
-                         "model": {"hidden": [8, 6]},
-                         "sim": {"stimulation_policy": "pre0to15_only"}})
+                         "model": {"hidden": [8, 6]}})
         assert cfg.data.duration_s == 41240.0
         assert cfg.model.hidden == (8, 6)
-        assert cfg.sim.stimulation_policy is StimulationPolicy.PRE_0_15_ONLY
 
 
 class TestTypeMismatch:
@@ -54,8 +51,6 @@ class TestTypeMismatch:
         pytest.param({"model": {"hidden": 5}}, "hidden", id="int-for-tuple"),
         pytest.param({"sim": {"processing_delay_s": False}},
                      "processing_delay_s", id="bool-for-float"),
-        pytest.param({"sim": {"stimulation_policy": 1}}, "stimulation_policy",
-                     id="int-for-enum"),
         pytest.param({"model": {"hidden": [8, "x"]}}, "hidden",
                      id="string-in-tuple"),
         pytest.param({"model": {"hidden": [8, 6.5]}}, "hidden",
@@ -71,6 +66,12 @@ class TestTypeMismatch:
         pytest.param({"training": {"beta2": 0.999}}, "beta2", id="beta2"),
         pytest.param({"training": {"adam_epsilon": 1e-8}}, "adam_epsilon",
                      id="adam-epsilon"),
+        pytest.param({"sim": {"link": {"bitrate_bps": 1e6}}}, "bitrate_bps",
+                     id="bitrate"),
+        pytest.param({"sim": {"link": {"propagation_delay_s": 0.0}}},
+                     "propagation_delay_s", id="propagation-delay"),
+        pytest.param({"sim": {"stimulation_policy": "any_preictal"}},
+                     "stimulation_policy", id="stimulation-policy"),
     ])
     def test_rejected_with_its_key(self, payload, key):
         with pytest.raises(ValueError, match=f"config key {key!r}"):
@@ -119,10 +120,10 @@ class TestNonFinite:
                      id="combiner"),
         pytest.param('{"sim": {"processing_delay_s": NaN}}', "processing_delay_s",
                      id="sim"),
-        pytest.param('{"sim": {"link": {"bitrate_bps": Infinity}}}', "bitrate_bps",
-                     id="sim-link"),
-        pytest.param('{"sim": {"link": {"propagation_delay_s": NaN}}}',
-                     "propagation_delay_s", id="sim-link-nan"),
+        pytest.param('{"sim": {"link": {"loss_probability": Infinity}}}',
+                     "loss_probability", id="sim-link"),
+        pytest.param('{"sim": {"link": {"loss_probability": NaN}}}',
+                     "loss_probability", id="sim-link-nan"),
     ])
     def test_rejected_at_load_with_its_key(self, tmp_path, text, key):
         path = tmp_path / "cfg.json"
