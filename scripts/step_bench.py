@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Time a fold's two inner loops at the desk shapes, the training step and the
-combiner fit, and a sensor node's one-window inference.
+combiner fit, a sensor node's one-window inference, and a fold's batched
+inference.
 
     python3 scripts/step_bench.py
 
-Five timings, each printed as its median and quartiles in ms:
+Seven timings, each printed as its median and quartiles, in ms, or for the
+batched readouts in us per window:
 
     eeg-step    one batch-32 float32 training step of the EEG model (4 x 320,
                 pool 4): `backward_batch` then `adam_step`, every step sharing
@@ -16,13 +18,19 @@ Five timings, each printed as its median and quartiles in ms:
     eeg-window  one `model_forward` of the EEG model on one [4 x 320] window,
                 as a sensor node classifies each window as it arrives
     ecg-window  the same for the ECG model on one [1 x 320] window
+    eeg-batch   one batched `model_forward` of the EEG model over [1395 x 4 x
+                320] float64 windows, the size of a desk fold's combiner fit
+                readout, per window
+    ecg-batch   the same for the ECG model over [1395 x 1 x 320]
 
 The models have the default config's kernel length and hidden widths.  The
 windows are 16 seeded batches of standard-normal noise, cycled, with
 uniform labels; the focal loss has the default gamma and the alpha of those
 labels.  Each sensor times 400 steps after 30 untimed warm-up steps, and
 2000 one-window forwards, on the first window of each batch, after 30
-untimed ones; the fit is timed 30 times on one set from `tests/oracles.py`.
+untimed ones; the fit is timed 30 times on one set from `tests/oracles.py`,
+and each batched readout 20 times after one untimed one, on standard-normal
+noise.
 BLAS is pinned to one thread before numpy loads, and the checkout's own
 src/ is imported.  The last line is the result as JSON: each timing's
 quartiles under its name, `src_lines`, the lines of every *.py under
@@ -63,16 +71,19 @@ WARMUP = 30
 REPEATS = 400  # timed steps per sensor
 FITS = 30  # timed lr_train fits
 WINDOWS = 2000  # timed one-window forwards per sensor
+READOUTS = 20  # timed batched readouts per sensor
 BATCHES = 16  # distinct batches, cycled
-FIT_ROWS = 1395
+FIT_ROWS = 1395  # a desk fold's training windows: the fit set's rows, the readout's windows
 # (sensor, channels, pool) at 64 Hz and 5 s windows.
 SHAPES = (("eeg", Sensor.EEG, 4, 4), ("ecg", Sensor.ECG, 1, 2))
 SAMPLES = 320
 
 
-def quartiles(seconds: list[float]) -> dict:
-    q1, median, q3 = np.percentile(np.asarray(seconds) * 1e3, [25, 50, 75])
-    return {"median_ms": median, "q1_ms": q1, "q3_ms": q3, "n": len(seconds)}
+def quartiles(seconds: list[float], unit: str = "ms") -> dict:
+    scale = {"ms": 1e3, "us": 1e6}[unit]
+    q1, median, q3 = np.percentile(np.asarray(seconds) * scale, [25, 50, 75])
+    return {f"median_{unit}": median, f"q1_{unit}": q1, f"q3_{unit}": q3,
+            "n": len(seconds)}
 
 
 def desk_model_and_batches(sensor: Sensor, channels: int, pool: int):
@@ -113,6 +124,19 @@ def time_windows(sensor: Sensor, channels: int, pool: int) -> list[float]:
     return times[WARMUP:]
 
 
+def time_readouts(sensor: Sensor, channels: int, pool: int) -> list[float]:
+    """Seconds per window of each batched readout."""
+    model, rng, _ = desk_model_and_batches(sensor, channels, pool)
+    xs = rng.standard_normal((FIT_ROWS, channels, SAMPLES))
+    model_forward(model, xs)
+    times = []
+    for _ in range(READOUTS):
+        start = time.perf_counter()
+        model_forward(model, xs)
+        times.append((time.perf_counter() - start) / FIT_ROWS)
+    return times
+
+
 def time_fits() -> list[float]:
     xs, ys = noisy_quantized_set(FIT_ROWS, seed=0)
     times = []
@@ -135,9 +159,13 @@ def main() -> int:
     result["lr-train"] = quartiles(time_fits())
     result.update({f"{name}-window": quartiles(time_windows(sensor, channels, pool))
                    for name, sensor, channels, pool in SHAPES})
+    result.update({f"{name}-batch": quartiles(time_readouts(sensor, channels, pool),
+                                              "us")
+                   for name, sensor, channels, pool in SHAPES})
     for name, q in result.items():
-        print(f"{name:10s} median {q['median_ms']:8.3f} ms  "
-              f"q1 {q['q1_ms']:8.3f}  q3 {q['q3_ms']:8.3f}  n {q['n']}")
+        unit = "us" if "median_us" in q else "ms"
+        print(f"{name:10s} median {q[f'median_{unit}']:8.3f} {unit}  "
+              f"q1 {q[f'q1_{unit}']:8.3f}  q3 {q[f'q3_{unit}']:8.3f}  n {q['n']}")
     result["src_lines"] = sum(len(p.read_text().splitlines())
                               for p in sorted((ROOT / "src").rglob("*.py")))
     print(f"src_lines  {result['src_lines']}")

@@ -76,6 +76,9 @@ class NodeId(IntEnum):
         return self.name.lower()
 
 
+NODE_LABELS = tuple(node.label for node in NodeId)  # indexed by wire code
+
+
 @dataclass(frozen=True)
 class ProbabilityMessage:
     source: NodeId
@@ -220,7 +223,7 @@ def run_simulation(
 
     def emit(time_s, event_type, node: NodeId, window_index, **detail):
         trace.events.append(
-            TraceEvent(time_s, event_type, node.label, window_index, detail))
+            TraceEvent(time_s, event_type, NODE_LABELS[node], window_index, detail))
 
     def send(t, w, frame, attempt):
         """One transmission attempt; schedules the retry on loss."""
@@ -257,7 +260,7 @@ def run_simulation(
             to_dbs = msg.source is NodeId.GATEWAY
             emit(t, "message_delivered",
                  NodeId.DBS_NODE if to_dbs else NodeId.GATEWAY, w,
-                 source=msg.source.label, attempt=attempt)
+                 source=NODE_LABELS[msg.source], attempt=attempt)
             if not to_dbs and w in pending:
                 probs = pending[w]
                 probs[msg.source] = msg.dequantized()
@@ -330,7 +333,10 @@ def latency_report(trace: SimTrace) -> LatencyReport:
 
 
 def write_trace_jsonl(trace: SimTrace, path: Path | str) -> None:
-    """One event per line: time_s, event_type, node, window_index, detail."""
+    """One event per line: time_s, event_type, node, window_index, detail,
+    keys sorted, as `json.dumps(..., sort_keys=True)` writes them, from one
+    encoder per file."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w") as fh:
         for e in trace.events:
-            fh.write(json.dumps(vars(e), sort_keys=True) + "\n")
+            fh.write(encode(vars(e)) + "\n")

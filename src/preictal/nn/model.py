@@ -2,15 +2,18 @@
 
 The forward pass is batchnorm -> 4 x (conv -> maxpool -> ReLU) -> flatten ->
 dense -> ReLU -> dense -> ReLU -> dense -> softmax over the five classes.
-ReLU after the pool gives the same values and gradients as before it, since
-it commutes with max.  Windows arrive as [B x C x T]; from the batchnorm to
-the flatten the activations are channel-major, [C x B x T], so each conv is
-one tap-stacked GEMM over the whole batch (see `ops`).  `backward_batch`
-runs reverse-mode differentiation through the whole stack and returns exact
-gradients of the mean focal loss for every trainable parameter.  It
-computes in the dtype of its windows, which `train` makes float32, against
-a copy of the float64 parameters cast to that dtype (see `train`).
-Inference is the same forward pass without the tape, in float64.
+ReLU commutes with max, so it runs in place on each conv output, before the
+pool: the values are the same, and so are the gradients, since a window
+whose max is not positive passes none.  On the contiguous conv output it
+is one cheap call even for one window.  Windows arrive as [B x C x T];
+from the batchnorm to the flatten the activations are channel-major,
+[C x B x T], so each conv is one tap-stacked GEMM over the whole batch (see
+`ops`).  `backward_batch` runs reverse-mode differentiation through the
+whole stack and returns exact gradients of the mean focal loss for every
+trainable parameter.  It computes in the dtype of its windows, which
+`train` makes float32, against a copy of the float64 parameters cast to
+that dtype (see `train`).  Inference is the same forward pass without the
+tape, in float64.
 
 A pass that runs again and again at one shape keeps its arrays in a
 `Buffers`: each block's zero-padded conv input, tap stack and conv output,
@@ -66,7 +69,6 @@ from .ops import (
     relu_backward,
     softmax,
     tap_view,
-    window_offsets,
 )
 
 MODEL_MAGIC = b"PSM1"
@@ -243,14 +245,16 @@ class Buffers:
 
     `pads` holds each conv block's zero-padded input [C x batch x T+K-1].
     Batchnorm writes into `input`, the interior of block 1's.  Each entry
-    of `blocks` is one conv block's (taps, cols, out, offsets, act), as
+    of `blocks` is one conv block's (taps, cols, out, arg, act), as
     `_forward` hands them to the ops: the tap view of the padded input, the
-    tap stack, the conv output, the pool's window offsets, and `act`, where
-    pool and ReLU write: the next block's padded interior or, after the
-    last block, the flatten input.  `dense` holds the dense outputs.  Only
-    interiors are ever written, so the padding keeps its zeros.  Nothing
-    here derives from the weights and a pass reads nothing an earlier one
-    left, so one `Buffers` serves any number of passes, one at a time.
+    tap stack, the conv output, where ReLU then runs in place, the pool's
+    within-window argmax, which only training writes, in the smallest
+    unsigned type that holds pool-1, and `act`, where the pool writes: the
+    next block's padded interior or, after the last block, the flatten
+    input.  `dense` holds the dense outputs.  Only interiors are ever
+    written, so the padding keeps its zeros.  Nothing here derives from the
+    weights and a pass reads nothing an earlier one left, so one `Buffers`
+    serves any number of passes, one at a time.
     """
 
     def __init__(self, model: SensorModel, batch: int, dtype):
@@ -265,8 +269,8 @@ class Buffers:
         acts = [*inputs[1:], np.empty((c, batch, widths[-1]), dtype)]
         self.blocks = [
             (tap_view(pad, t), np.empty((k * c, batch * t), dtype),
-             np.empty((c, batch * t), dtype), window_offsets(c * batch * n, pool),
-             act)
+             np.empty((c, batch * t), dtype),
+             np.empty((c, batch, n), np.min_scalar_type(pool - 1)), act)
             for pad, t, n, pool, act in zip(self.pads, widths, widths[1:],
                                             model.pool_sizes, acts)]
         self.dense = [np.empty((batch, n), dtype) for n in (*model.hidden, N_CLASSES)]
@@ -283,8 +287,8 @@ class Workspace:
     the `Buffers` its steps run in, made on first use.  A block's backward
     pass writes its input gradient into that block's tap stack and conv
     output, which the forward pass no longer needs, and never into a padded
-    input: the next step reads its padding, and block i's ReLU output, whose
-    mask block i's backward reads, is block i+1's padded interior.
+    input: the next step reads its padding, and block i's pool output, whose
+    ReLU mask block i's backward reads, is block i+1's padded interior.
     """
 
     def __init__(self, model: SensorModel, dtype):
@@ -310,11 +314,14 @@ def _forward(model: SensorModel, xb: np.ndarray, p: dict,
     batch statistics, inference by the running ones.  The running statistics
     are always the model's own, so training folds the batch statistics into
     `model.buffer` even when `p` views a cast copy of it.  The tape holds
-    views of `bufs` (`backward_batch` always passes them).  ReLU follows each
-    max-pool: it commutes with max and passes the same gradients.
+    views of `bufs`, so training without them makes a fresh `Buffers`.
+    ReLU runs in place on each conv output, before its max-pool (see the
+    module docstring).  Only training asks the pool for its argmax.
     """
     _check_input(model, xb)
     b = xb.shape[0]
+    if training and bufs is None:
+        bufs = Buffers(model, b, xb.dtype)
     if bufs is None:
         bn_out, blocks, dense_out = None, [(None,) * 5] * N_BLOCKS, [None] * N_DENSE
     else:
@@ -324,11 +331,11 @@ def _forward(model: SensorModel, xb: np.ndarray, p: dict,
         *[model.params[k] for k in BN_KEYS[2:]], model.bn_epsilon,
         model.bn_momentum, "train" if training else "inference", bn_out)
     tape = {"xhat": xhat, "blocks": []} if training else None
-    for (kernels, bias), pool, (taps, cols, out, offsets, act) in zip(
+    for (kernels, bias), pool, (taps, cols, out, arg, act) in zip(
             BLOCK_KEYS, model.pool_sizes, blocks):
         z = conv1d_forward(h, p[kernels], p[bias], cols, out, taps)
-        pooled, arg = maxpool1d_with_argmax(z, pool, offsets)
-        h = relu(pooled, act)
+        relu(z, z)
+        h, arg = maxpool1d_with_argmax(z, pool, act, arg if training else None)
         if training:
             tape["blocks"].append((cols, out, arg, h, z.shape[2]))
     h = h.transpose(1, 0, 2).reshape(b, -1)

@@ -7,12 +7,16 @@ one [K*C_in x B*T] array, `cols`, whose tap k is the zero-padded input
 shifted by k, and is then a single GEMM with the kernels taken in (out, tap,
 in) order.  Its backward pass takes the kernel gradient as one GEMM against
 the same `cols`, and the input gradient as one more tap-stacked GEMM over
-the output gradient.  Dense, ReLU and softmax act on [B x features].
+the output gradient.  Max-pooling reads sample j of every window as one
+strided slice and takes the max as elementwise maxima of those slices, with
+no per-window reduction; the argmax that routes its gradient is folded into
+the same pass with integer arithmetic, and only when the caller asks for
+it, as training does.  Dense, ReLU and softmax act on [B x features].
 
 All operations are plain numpy and take the parameter arrays they read.
-They compute in the dtype of their input, and every scratch array they make
-follows it: training runs them in float32 (see `train`), inference and the
-finite-difference checks in float64.  The ops take their output and scratch
+They compute in the dtype of their input, and every float scratch array
+they make follows it: training runs them in float32 (see `train`),
+inference and the finite-difference checks in float64.  The ops take their output and scratch
 arrays as optional arguments, like numpy's `out=`, and allocate fresh ones
 without them.  A caller that keeps a zero-padded conv input passes its
 `tap_view` and writes the input straight into the padded interior (see
@@ -125,44 +129,53 @@ def conv1d_backward(
 
 
 def maxpool1d_with_argmax(
-    x: np.ndarray, pool_size: int, offsets: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+    x: np.ndarray, pool_size: int, out: np.ndarray | None = None,
+    arg: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Non-overlapping max pooling along the last (time) axis; a trailing
-    partial window is pooled as-is.
+    partial window is pooled as-is.  Returns (`out`, `arg`).
 
-    Also returns the within-window argmax (first maximum on ties) used to
-    route gradients back.  `offsets`, each window's first index into the
-    flattened padded input (`window_offsets`), depends only on the shape, so
-    a caller pooling one shape again and again may keep it.
+    Sample j of every window is the strided slice x[..., j::pool_size], so
+    the pool is pool_size-1 elementwise maxima of those slices into `out`,
+    which is fresh if not given.  A slice the partial window does not reach
+    is one window shorter; a window of one sample is copied.  Given `arg`,
+    an unsigned integer array shaped like `out`, the same pass writes each
+    window's within-window argmax there, the first maximum on ties, for
+    `maxpool1d_backward`: a sample that beats the running max strictly
+    moves the index to its j, as arg = max(arg, (x_j > max) * j), with no
+    masked select.  Without `arg` no index is computed.
     """
     if pool_size <= 0:
         raise ValueError("pool_size must be positive")
-    *lead, t = x.shape
+    t = x.shape[-1]
     if t < 1:
         raise ShapeError("input must have at least one time step")
-    n_out = -(-t // pool_size)
-    if t % pool_size:
-        padded = np.full((*lead, n_out * pool_size), -np.inf, dtype=x.dtype)
-        padded[..., :t] = x
-        x = padded
-    arg = x.reshape(*lead, n_out, pool_size).argmax(axis=-1)
-    flat = _flat_argmax(arg, pool_size, offsets)
-    return x.reshape(-1)[flat].reshape(arg.shape), arg
-
-
-def window_offsets(n_windows: int, pool_size: int) -> np.ndarray:
-    """The first index of each of `n_windows` pool windows in the flattened
-    padded input."""
-    return np.arange(0, n_windows * pool_size, pool_size)
-
-
-def _flat_argmax(
-    arg: np.ndarray, pool_size: int, offsets: np.ndarray | None = None
-) -> np.ndarray:
-    """Each window's argmax as an index into the flattened padded input."""
-    if offsets is None:
-        offsets = window_offsets(arg.size, pool_size)
-    return offsets + arg.reshape(-1)
+    best = x[..., ::pool_size]  # the running max: first, each window's sample 0
+    n = best.shape[-1]
+    if out is None:
+        out = np.empty(best.shape, x.dtype)
+    paired = -(-(t - 1) // pool_size) if pool_size > 1 else 0
+    if paired < n:  # windows of one sample
+        out[..., paired:] = best[..., paired:]
+        if arg is not None:
+            arg[..., paired:] = 0
+    for j in range(1, min(pool_size, t)):
+        xj = x[..., j::pool_size]
+        m, a = out, arg
+        if xj.shape[-1] < n:  # the partial window ends before sample j
+            k = xj.shape[-1]
+            best, m = best[..., :k], out[..., :k]
+            a = None if arg is None else arg[..., :k]
+        if a is not None:
+            if j == 1:
+                np.greater(xj, best, out=a)
+            else:
+                step = np.greater(xj, best, out=np.empty(a.shape, a.dtype))
+                step *= j
+                np.maximum(a, step, out=a)
+        np.maximum(best, xj, out=m)
+        best = out
+    return out, arg
 
 
 def maxpool1d_backward(
@@ -170,7 +183,7 @@ def maxpool1d_backward(
 ) -> np.ndarray:
     """Route each window's gradient to its argmax; zeros elsewhere."""
     d = np.zeros(arg.size * pool_size, dtype=delta.dtype)
-    d[_flat_argmax(arg, pool_size)] = delta.reshape(-1)
+    d[np.arange(0, d.size, pool_size) + arg.reshape(-1)] = delta.reshape(-1)
     return d.reshape(*arg.shape[:-1], -1)[..., :input_len]
 
 

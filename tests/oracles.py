@@ -47,6 +47,26 @@ def maxpool1d_naive(x: np.ndarray, pool_size: int) -> np.ndarray:
     return out
 
 
+def maxpool1d_argmax_gather(x, pool_size, out=None, arg=None):
+    """Max pooling as it was first written: a trailing partial window padded
+    with -inf, one argmax per [.. x n x pool_size] window (the first maximum
+    on ties), and a gather of the padded input at those indices.  Takes and
+    returns what `ops.maxpool1d_with_argmax` does, so a model can run on it
+    in its place."""
+    *lead, t = x.shape
+    n = -(-t // pool_size)
+    padded = np.full((*lead, n * pool_size), -np.inf, dtype=x.dtype)
+    padded[..., :t] = x
+    index = padded.reshape(*lead, n, pool_size).argmax(axis=-1)
+    flat = np.arange(0, index.size * pool_size, pool_size) + index.reshape(-1)
+    if out is None:
+        out = np.empty(index.shape, x.dtype)
+    out[...] = padded.reshape(-1)[flat].reshape(index.shape)
+    if arg is not None:
+        arg[...] = index
+    return out, arg
+
+
 def label_code_reference(minutes):
     """Independent re-derivation of the label partition over [0, inf).
 

@@ -142,8 +142,13 @@ def test_criterion_03_oracle_equivalence():
                    int(rng.integers(1, 50)))
         pool = int(rng.integers(1, 7))
         x = rng.standard_normal((b, c, t))
-        pool_exact += int(np.array_equal(maxpool1d_with_argmax(x, pool)[0],
-                                         maxpool1d_naive(x, pool)))
+        # Inference pools alone; training also asks for the argmax.
+        naive = maxpool1d_naive(x, pool)
+        alone, _ = maxpool1d_with_argmax(x, pool)
+        with_arg, _ = maxpool1d_with_argmax(
+            x, pool, arg=np.empty((b, c, -(-t // pool)), np.uint8))
+        pool_exact += int(np.array_equal(alone, naive)
+                          and np.array_equal(with_arg, naive))
 
     collapse_exact = 0
     for _ in range(100):

@@ -7,11 +7,14 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from preictal import bansim, cli, evaluation
 from preictal.cli import main
-from preictal.nn.model import load_model
+from preictal.combiner import quantize4
+from preictal.config import WindowingConfig
+from preictal.nn.model import load_model, model_forward
 
 TINY_CONFIG = {
     "seed": 0,
@@ -172,6 +175,23 @@ class TestTrain:
         assert eeg.in_channels == 2 and ecg.in_channels == 1
         assert eeg.window_samples == ecg.window_samples == 320
         load_combiner(train_dir / "combiner.json")
+
+    def test_one_window_rows_quantize_as_the_batched_ones(self, dataset_dir,
+                                                          train_dir):
+        # A sensor node forwards one window at a time; the offline readout
+        # that `simulate` replays and checks equivalence against forwards
+        # batches.  Their float64 rows may differ in the last bits, as they
+        # did for almost every desk window, but the quantized rows the wire
+        # carries must not.
+        (_, eeg_rec, ecg_rec), = cli._read_patients(dataset_dir)
+        windowings = evaluation.paired_windows(eeg_rec, ecg_rec, WindowingConfig())
+        for name, windows in zip(("eeg", "ecg"), windowings):
+            model = load_model(train_dir / f"{name}_model.bin")
+            xs = np.stack([w.data for w in windows.values()])
+            batched = quantize4(model_forward(model, xs))
+            alone = np.stack([quantize4(model_forward(model, x)) for x in xs])
+            assert len(xs) > 500
+            np.testing.assert_array_equal(alone, batched, err_msg=name)
 
     def test_train_report_has_epoch_rows(self, train_dir):
         lines = (train_dir / "eeg_train.csv").read_text().strip().splitlines()

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import (
     central_difference,
     conv1d_naive,
     focal_reference,
+    maxpool1d_argmax_gather,
     maxpool1d_naive,
     parameters,
 )
@@ -25,6 +27,7 @@ from preictal.nn.losses import (
     inverse_frequency_alpha,
 )
 from preictal.nn.model import (
+    BLOCK_KEYS,
     SPEC_FIELDS,
     Buffers,
     SensorModel,
@@ -62,6 +65,12 @@ def cbt(x):
 
 def maxpool1d(x, pool_size):
     return maxpool1d_with_argmax(x, pool_size)[0]
+
+
+def pool_with_arg(x, pool_size):
+    """The pooled values and within-window argmax, as training asks for them."""
+    arg = np.empty((*x.shape[:-1], -(-x.shape[-1] // pool_size)), np.uint8)
+    return maxpool1d_with_argmax(x, pool_size, arg=arg)
 
 
 def bn_arrays(channels, gamma=1.0, beta=0.0, mean=0.0, var=1.0):
@@ -157,16 +166,44 @@ class TestMaxPool:
             np.testing.assert_array_equal(maxpool1d(x, pool),
                                           maxpool1d_naive(x, pool))
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), c=st.integers(1, 3), b=st.integers(1, 3),
+           t=st.integers(1, 30), pool=st.integers(1, 6),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_values_and_first_maximum_on_a_tie_heavy_grid(
+            self, data, c, b, t, pool, dtype):
+        # Five values, so most windows hold a tie.  The output is a strided
+        # view, as a model's next padded interior is, and it and `arg` start
+        # out holding garbage that every entry must overwrite.
+        x = data.draw(hnp.arrays(dtype, (c, b, t),
+                                 elements=st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])))
+        n = -(-t // pool)
+        padded = np.full((c, b, n * pool), -np.inf, dtype)
+        padded[..., :t] = x
+        first = padded.reshape(c, b, n, pool).argmax(axis=-1)
+
+        frame = np.full((c, b, n + 3), np.nan, dtype)
+        view = frame[..., 1:n + 1]
+        out, arg = maxpool1d_with_argmax(x, pool, view,
+                                         np.full((c, b, n), 255, np.uint8))
+        assert out is view
+        assert np.isnan(frame[..., 0]).all() and np.isnan(frame[..., n + 1:]).all()
+        np.testing.assert_array_equal(out, maxpool1d_naive(x, pool))
+        np.testing.assert_array_equal(arg, first)
+        bare, no_arg = maxpool1d_with_argmax(x, pool)
+        assert no_arg is None and bare.dtype == dtype
+        assert bare.tobytes() == np.ascontiguousarray(out).tobytes()
+
     def test_ties_route_gradient_to_first_maximum(self):
         x = np.array([[[3.0, 3.0, 1.0, 2.0]]])
-        out, arg = maxpool1d_with_argmax(x, 2)
+        out, arg = pool_with_arg(x, 2)
         np.testing.assert_array_equal(out, [[[3.0, 2.0]]])
         grad = maxpool1d_backward(np.array([[[1.0, 1.0]]]), arg, 2, 4)
         np.testing.assert_array_equal(grad, [[[1.0, 0.0, 0.0, 1.0]]])
 
     def test_backward_ignores_padding_region(self):
         x = np.array([[[1.0, 2.0, 5.0]]])
-        out, arg = maxpool1d_with_argmax(x, 2)
+        out, arg = pool_with_arg(x, 2)
         np.testing.assert_array_equal(out, [[[2.0, 5.0]]])
         grad = maxpool1d_backward(np.array([[[1.0, 1.0]]]), arg, 2, 3)
         assert grad.shape == (1, 1, 3)
@@ -182,7 +219,7 @@ class TestMaxPool:
             return float((maxpool1d(x, 4) * r).sum())
 
         (fd,) = central_difference(loss, [x], step=1e-6)
-        _, arg = maxpool1d_with_argmax(x, 4)
+        _, arg = pool_with_arg(x, 4)
         np.testing.assert_allclose(maxpool1d_backward(r, arg, 4, 11), fd, atol=1e-8)
 
     def test_invalid_pool_size(self):
@@ -714,6 +751,59 @@ class TestModel:
                         hidden=(4, 3), seed=0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.in_channels = 3
+
+
+class TestPoolAgainstReference:
+    """The model on its pool against the same model on the argmax-and-gather
+    reference, `oracles.maxpool1d_argmax_gather`: equal bits everywhere."""
+
+    @pytest.mark.parametrize("channels, pool", [pytest.param(4, 4, id="eeg"),
+                                                pytest.param(1, 2, id="ecg")])
+    def test_training_and_inference_match_the_reference_bit_for_bit(
+            self, channels, pool, monkeypatch):
+        # Desk shapes; the EEG model's block 4 pools 5 samples by 4, so its
+        # last window is partial.  Runs of zeros in every channel at once,
+        # with conv biases of 0.2-0.5, give runs of equal positive conv
+        # outputs, so pool windows tie at a positive max and the first
+        # maximum decides where the gradient goes.
+        rng = np.random.default_rng(21)
+        xb = rng.standard_normal((8, channels, 320))
+        for w in range(8):
+            for start in rng.choice(np.arange(0, 320, 16), size=6, replace=False):
+                xb[w, :, start:start + int(rng.integers(16, 64))] = 0.0
+        yb = rng.integers(0, 5, size=8)
+        cfg = FocalLossConfig(gamma=2.0, alpha=np.array([0.5, 0.7, 0.9, 1.0, 0.6]))
+
+        def run():
+            model = _desk_model(channels, pool, seed=8)
+            for _, bias in BLOCK_KEYS:
+                model.params[bias][...] = np.linspace(0.2, 0.5, channels)
+            results = [model_forward(model, xb[i]) for i in range(3)]
+            results.append(model_forward(model, xb))
+            for dtype in (np.float32, np.float64):
+                loss, grad = backward_batch(model, xb.astype(dtype), yb, cfg,
+                                            Workspace(model, dtype))
+                results += [np.float64(loss), grad.copy(), model.buffer.copy()]
+            return results
+
+        got = run()
+        ties = []
+
+        def reference(x, pool_size, out=None, arg=None):
+            pooled, index = maxpool1d_argmax_gather(x, pool_size, out, arg)
+            if arg is not None:
+                padded = np.full((*pooled.shape[:-1], pooled.shape[-1] * pool_size),
+                                 -np.inf, x.dtype)
+                padded[..., :x.shape[-1]] = x
+                hits = padded.reshape(*pooled.shape, pool_size) == pooled[..., None]
+                ties.append(int(((hits.sum(axis=-1) > 1) & (pooled > 0)).sum()))
+            return pooled, index
+
+        monkeypatch.setattr("preictal.nn.model.maxpool1d_with_argmax", reference)
+        want = run()
+        assert sum(ties) > 100
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), i
 
 
 # ---------------------------------------------------------------------------
