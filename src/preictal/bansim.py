@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -59,7 +60,7 @@ FRAME_BITS = 8 * FRAME_BYTES
 BITRATE_BPS = 1e6
 FRAME_TIME_S = FRAME_BITS / BITRATE_BPS
 WIRE_VERSION = 1
-PROBS_Q_MAX = 10_000
+PROBS_Q_MAX = round(1 / QUANT_STEP)  # the level of probability 1
 WINDOW_INDEX_MAX = 2**32 - 1  # the frame's u32 field
 
 
@@ -167,7 +168,12 @@ def encode_message(
     for v in q:
         if not (0 <= v <= PROBS_Q_MAX):
             raise ValueError(f"quantized probability {v * QUANT_STEP} outside [0, 1]")
-    index = int(window_index)
+    try:
+        index = operator.index(window_index)
+    except TypeError:
+        index = None
+    if index is None or isinstance(window_index, bool):
+        raise ValueError(f"window index {window_index!r} is not an integer")
     if not 0 <= index <= WINDOW_INDEX_MAX:
         raise ValueError(f"window index {index} does not fit the frame's u32 "
                          f"field [0, {WINDOW_INDEX_MAX}]")

@@ -276,9 +276,11 @@ def cmd_simulate(args) -> int:
     trace = run_simulation(cfg.sim, combiner_params, windows,
                            preds["eeg_rows"], preds["ecg_rows"])
     write_trace_jsonl(trace, out / "trace.jsonl")
-    equivalence = all(preds["combined"][e.window_index] == e.detail["decision"]
-                      for e in trace.events if e.event_type == "fusion_decision")
     rep = latency_report(trace)
+    equivalence = None  # undefined, like the mean latency, if nothing was fused
+    if rep.n_fused:
+        equivalence = all(preds["combined"][e.window_index] == e.detail["decision"]
+                          for e in trace.events if e.event_type == "fusion_decision")
     summary = {**dataclasses.asdict(rep), "equivalence": equivalence}
     (out / "latency.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")

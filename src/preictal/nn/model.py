@@ -12,23 +12,22 @@ from the batchnorm to the flatten the activations are channel-major,
 whole stack and returns exact gradients of the mean focal loss for every
 trainable parameter.  It computes in the dtype of its windows, which
 `train` makes float32, against a copy of the float64 parameters cast to
-that dtype (see `train`).  Inference is the same forward pass without the
-tape, in float64.
+that dtype (see `train`).  Inference is the same forward pass in float64,
+normalizing by the running statistics and asking the pool for no argmax.
 
-A pass that runs again and again at one shape keeps its arrays in a
-`Buffers`: each block's zero-padded conv input, tap stack and conv output,
-and the dense outputs.  Each op writes where the next one reads, and the
-padding, zero from the start, is never written, so a conv is one tap copy
-and one GEMM.  Two passes keep them.  A training step runs in the
-`Buffers` of its batch size, held by a `Workspace` the caller may pass to
-every step together with the cast parameter copy and the gradient; `train`
-owns one for the length of the call, so no buffer outlives training.  One
-window, as a sensor node classifies each window as it arrives, runs in the
-batch-1 float64 `Buffers` its model keeps from its first one-window call
-on (100 KB for the desk EEG model, 37 KB for the ECG one).  Batched
-inference runs in chunks of FORWARD_CHUNK windows on fresh arrays: a
-prototype that kept the buffers of 64-window chunks raised the peak RSS
-of a benchmark `simulate` run from 158 to 180 MB.
+Every array of a pass is written into a `Buffers` or, in batched
+inference, is fresh.  In a `Buffers` each op writes where the next one
+reads and the padding, zero from the start, is never written, so a conv is
+one tap copy and one GEMM.  A training step's backward pass reads what its
+forward pass left in the `Buffers` of its batch size, held with the
+parameter copy in the step's dtype and the gradient by a `Workspace` that
+the caller may pass to every step; `train` owns one for the length of the
+call.  One window, as a sensor node classifies each window as it arrives,
+runs in the batch-1 float64 `Buffers` its model keeps from its first
+one-window call on (100 KB for the desk EEG model, 37 KB for the ECG one).
+Batched inference runs in chunks of FORWARD_CHUNK windows on fresh arrays:
+kept 64-window buffers raised the peak RSS of a benchmark `simulate` run
+from 158 to 180 MB, and buffers made per call ran slower.
 
 A `SensorModel` is an immutable architecture spec plus one flat float64
 buffer.  The spec's fields are the weight-file header's (sensor, channels,
@@ -251,10 +250,11 @@ class Buffers:
     within-window argmax, which only training writes, in the smallest
     unsigned type that holds pool-1, and `act`, where the pool writes: the
     next block's padded interior or, after the last block, the flatten
-    input.  `dense` holds the dense outputs.  Only interiors are ever
-    written, so the padding keeps its zeros.  Nothing here derives from the
-    weights and a pass reads nothing an earlier one left, so one `Buffers`
-    serves any number of passes, one at a time.
+    input.  `dense` holds the dense outputs, where ReLU runs in place.
+    Only interiors are ever written, so the padding keeps its zeros.
+    Nothing here derives from the weights and a pass reads nothing an
+    earlier one left, so one `Buffers` serves any number of passes, one at
+    a time.
     """
 
     def __init__(self, model: SensorModel, batch: int, dtype):
@@ -279,25 +279,22 @@ class Buffers:
 class Workspace:
     """What every training step of one model at one dtype reuses.
 
-    `params` is the parameter buffer in the step's dtype: `model.buffer`
-    itself for float64, otherwise a copy that `backward_batch` refreshes in
-    place at each step; `p` holds its named views.  `grad` is the gradient
-    buffer, laid out and typed like `model.buffer`, and `g` its views; the
-    running statistics' entries stay zero.  `buffers` maps a batch size to
-    the `Buffers` its steps run in, made on first use.  A block's backward
-    pass writes its input gradient into that block's tap stack and conv
-    output, which the forward pass no longer needs, and never into a padded
-    input: the next step reads its padding, and block i's pool output, whose
-    ReLU mask block i's backward reads, is block i+1's padded interior.
+    `params` is a copy of the parameter buffer in the step's dtype, which
+    `backward_batch` refreshes in place at each step; `p` holds its named
+    views.  `grad` is the gradient buffer, laid out and typed like
+    `model.buffer`, and `g` its views; the running statistics' entries
+    stay zero.  `buffers` maps a batch size to the `Buffers` its steps run
+    in, made on first use.  A block's backward pass writes its input
+    gradient into that block's tap stack and conv output, which it has
+    read, and never into a padded input: the next step reads its padding,
+    and block i's pool output, whose ReLU mask block i's backward reads,
+    is block i+1's padded interior.
     """
 
     def __init__(self, model: SensorModel, dtype):
         self.model = model
-        if np.dtype(dtype) == model.buffer.dtype:
-            self.params, self.p = model.buffer, model.params
-        else:
-            self.params = np.empty(model.buffer.shape, dtype)
-            self.p = model.views(self.params)
+        self.params = np.empty(model.buffer.shape, dtype)
+        self.p = model.views(self.params)
         self.grad = np.zeros_like(model.buffer)
         self.g = model.views(self.grad)
         self.buffers: dict[int, Buffers] = {}
@@ -305,23 +302,20 @@ class Workspace:
 
 def _forward(model: SensorModel, xb: np.ndarray, p: dict,
              bufs: Buffers | None = None, training: bool = False):
-    """Forward pass over [B x C x T] windows with the parameter views `p`,
-    returning logits and, when training, the tape.
+    """Forward pass over [B x C x T] windows with the parameter views `p`:
+    the logits and batchnorm's normalized input, which gamma's gradient reads.
 
     The conv blocks run channel-major, [C x B x T], from the batchnorm to the
     flatten.  Every array is written into `bufs`, a `Buffers` of this batch
     size and dtype, or, without it, is fresh.  Training normalizes by the
     batch statistics, inference by the running ones.  The running statistics
     are always the model's own, so training folds the batch statistics into
-    `model.buffer` even when `p` views a cast copy of it.  The tape holds
-    views of `bufs`, so training without them makes a fresh `Buffers`.
-    ReLU runs in place on each conv output, before its max-pool (see the
-    module docstring).  Only training asks the pool for its argmax.
+    `model.buffer` even when `p` views a cast copy of it.  ReLU runs in place
+    on each conv output, before its max-pool (see the module docstring).
+    Only training asks the pool for its argmax, into `bufs`, where
+    `backward_batch` reads it with every other array this pass left.
     """
     _check_input(model, xb)
-    b = xb.shape[0]
-    if training and bufs is None:
-        bufs = Buffers(model, b, xb.dtype)
     if bufs is None:
         bn_out, blocks, dense_out = None, [(None,) * 5] * N_BLOCKS, [None] * N_DENSE
     else:
@@ -329,27 +323,18 @@ def _forward(model: SensorModel, xb: np.ndarray, p: dict,
     h, xhat = batchnorm_forward_with_cache(
         xb.transpose(1, 0, 2), *[p[k] for k in BN_KEYS[:2]],
         *[model.params[k] for k in BN_KEYS[2:]], model.bn_epsilon,
-        model.bn_momentum, "train" if training else "inference", bn_out)
-    tape = {"xhat": xhat, "blocks": []} if training else None
+        model.bn_momentum, training, bn_out)
     for (kernels, bias), pool, (taps, cols, out, arg, act) in zip(
             BLOCK_KEYS, model.pool_sizes, blocks):
         z = conv1d_forward(h, p[kernels], p[bias], cols, out, taps)
         relu(z, z)
-        h, arg = maxpool1d_with_argmax(z, pool, act, arg if training else None)
-        if training:
-            tape["blocks"].append((cols, out, arg, h, z.shape[2]))
-    h = h.transpose(1, 0, 2).reshape(b, -1)
-    dense_x = []
-    dense_z = []
+        h, _ = maxpool1d_with_argmax(z, pool, act, arg if training else None)
+    h = h.transpose(1, 0, 2).reshape(len(xb), -1)
     for i, ((weights, bias), out) in enumerate(zip(DENSE_KEYS, dense_out)):
-        dense_x.append(h)
-        z = dense_forward(h, p[weights], p[bias], out)
-        dense_z.append(z)
-        h = relu(z, out) if i < N_DENSE - 1 else z
-    if training:
-        tape["dense_x"] = dense_x
-        tape["dense_z"] = dense_z
-    return h, tape
+        h = dense_forward(h, p[weights], p[bias], out)
+        if i < N_DENSE - 1:
+            relu(h, h)
+    return h, xhat
 
 
 def model_forward(model: SensorModel, windows: np.ndarray) -> np.ndarray:
@@ -379,14 +364,15 @@ def backward_batch(
     `model.buffer` and of its dtype (the running statistics get zero
     gradient).
 
-    The passes compute in the dtype of `xb`: float32 windows run against a
-    float32 copy of the parameters, float64 windows against the buffer
-    itself.  Batchnorm normalizes by the batch statistics and updates the
-    running averages in `model.buffer`.  `work` is a `Workspace` of this
-    model and of the windows' dtype; a caller that passes the same one to
-    every step reuses its parameter copy, gradient and `Buffers`, and
-    the gradient returned is then `work.grad`, which the next step that
-    shares `work` overwrites.  Without it every buffer is fresh.
+    The passes compute in the dtype of `xb`, against a copy of the
+    parameters cast to it.  The forward pass runs in the `Buffers` of this
+    batch size and the backward pass reads what it left there.  Batchnorm
+    normalizes by the batch statistics and updates the running averages in
+    `model.buffer`.  `work` is a `Workspace` of this model and of the
+    windows' dtype; a caller that passes the same one to every step reuses
+    its parameter copy, gradient and `Buffers`, and the gradient returned
+    is then `work.grad`, which the next step that shares `work` overwrites.
+    Without it every buffer is fresh.
     """
     work = Workspace(model, xb.dtype) if work is None else work
     if work.model is not model or work.params.dtype != xb.dtype:
@@ -396,32 +382,32 @@ def backward_batch(
     bufs = work.buffers.get(b)
     if bufs is None:
         bufs = work.buffers[b] = Buffers(model, b, xb.dtype)
-    if work.params is not model.buffer:
-        np.copyto(work.params, model.buffer)
+    np.copyto(work.params, model.buffer)
     p, g = work.p, work.g
-    logits, tape = _forward(model, xb, p, bufs, training=True)
+    logits, xhat = _forward(model, xb, p, bufs, training=True)
     probs = softmax(logits)
     loss = float(focal_loss_batch(probs, yb, cfg).mean())
     delta = focal_grad_wrt_logits(probs, yb, cfg)
 
+    # The dense inputs; a hidden one is its in-place ReLU's output and mask.
+    acts = [bufs.blocks[-1][4].transpose(1, 0, 2).reshape(b, -1), *bufs.dense[:-1]]
     for i in range(N_DENSE - 1, -1, -1):
         weights, bias = DENSE_KEYS[i]
-        g[weights][...], g[bias][...], delta = (
-            dense_backward(delta, tape["dense_x"][i], p[weights]))
+        g[weights][...], g[bias][...], delta = dense_backward(delta, acts[i], p[weights])
         if i > 0:
-            delta = relu_backward(delta, tape["dense_z"][i - 1])
+            delta = relu_backward(delta, acts[i])
 
     delta = delta.reshape(b, model.in_channels, -1).transpose(1, 0, 2)
     for i in range(N_BLOCKS - 1, -1, -1):
-        cols, out, arg, a, t_in = tape["blocks"][i]
+        taps, cols, out, arg, act = bufs.blocks[i]
         kernels, bias = BLOCK_KEYS[i]
-        delta = maxpool1d_backward(relu_backward(delta, a), arg,
-                                   model.pool_sizes[i], t_in)
+        delta = maxpool1d_backward(relu_backward(delta, act), arg,
+                                   model.pool_sizes[i], taps.shape[-1])
         g[kernels][...], g[bias][...], delta = conv1d_backward(
             delta, cols, p[kernels], cols, out)
 
     g["batchnorm.gamma"][...], g["batchnorm.beta"][...] = batchnorm_param_grads(
-        delta, tape["xhat"])
+        delta, xhat)
     return loss, work.grad
 
 

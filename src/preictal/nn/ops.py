@@ -13,17 +13,21 @@ no per-window reduction; the argmax that routes its gradient is folded into
 the same pass with integer arithmetic, and only when the caller asks for
 it, as training does.  Dense, ReLU and softmax act on [B x features].
 
-All operations are plain numpy and take the parameter arrays they read.
-They compute in the dtype of their input, and every float scratch array
-they make follows it: training runs them in float32 (see `train`),
-inference and the finite-difference checks in float64.  The ops take their output and scratch
-arrays as optional arguments, like numpy's `out=`, and allocate fresh ones
-without them.  A caller that keeps a zero-padded conv input passes its
-`tap_view` and writes the input straight into the padded interior (see
-`model.Buffers`); otherwise the conv pads a fresh copy.  Either way a conv
-copies its whole tap stack at once, from a strided view of the padded input.
-Backward counterparts compute exact gradients and are checked in float64
-against central finite differences in the test suite.
+All operations are plain numpy, take the parameter arrays they read and
+keep nothing between calls: a backward op takes what its forward
+counterpart left, a conv's tap stack, a pool's argmax, batchnorm's
+normalized input, and the caller keeps those (see `model.Buffers`).
+Batchnorm's `training` flag picks the batch statistics over the running
+ones.  The ops compute in the dtype of their input, and every float
+scratch array they make follows it: training runs them in float32 (see
+`train`), inference and the finite-difference checks in float64.  They
+take their output and scratch arrays as optional arguments, like numpy's
+`out=`, and allocate fresh ones without them.  A caller that keeps a
+zero-padded conv input passes its `tap_view` and writes the input straight
+into the padded interior; otherwise the conv pads a fresh copy.  Either
+way a conv copies its whole tap stack at once, from a strided view of the
+padded input.  Backward counterparts compute exact gradients and are
+checked in float64 against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -195,27 +199,25 @@ def batchnorm_forward_with_cache(
     running_var: np.ndarray,
     epsilon: float,
     momentum: float,
-    mode: str,
+    training: bool,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel normalization of [C x B x T] input.
 
-    Train mode normalizes by the batch statistics (biased variance over the
+    Training normalizes by the batch statistics (biased variance over the
     batch and time axes, one contiguous [B*T] row per channel) and folds
     them into the running averages in place:
     running <- (1 - momentum) * running + momentum * batch.  Inference uses
     the running statistics and is pure.  Returns the output and the
     normalized pre-scale values (needed for gamma's gradient).  Optional
     `out` [C x B x T] takes the output.  Inference computes the normalized
-    values in it too, so with `out` the two arrays returned are one; train
-    mode keeps them apart.
+    values in it too, so with `out` the two arrays returned are one;
+    training keeps them apart.
     """
-    if mode not in ("train", "inference"):
-        raise ValueError(f"mode must be 'train' or 'inference', got {mode!r}")
     c = gamma.shape[0]
     if x.shape[0] != c:
         raise ShapeError(f"input has {x.shape[0]} channels, batchnorm expects {c}")
-    if mode == "train":
+    if training:
         rows = x.reshape(c, -1)
         mean = rows.mean(axis=1)
         centered = rows - mean[:, None]

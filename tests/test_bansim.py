@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 import tempfile
 from collections import Counter
@@ -117,6 +118,16 @@ class TestWireFormat:
         edge = 0 if index < 0 else 2**32 - 1
         assert decode_message(encode_message(p, edge, NodeId.EEG_NODE)).window_index \
             == edge
+
+    @pytest.mark.parametrize("index", [3.7, True, np.True_, "3", None])
+    def test_encode_rejects_a_window_index_that_is_not_an_integer(self, index):
+        # Refused, not truncated: 3.7 is not window 3, nor True window 1.
+        p = quantize4(np.full(5, 0.2))
+        with pytest.raises(ValueError, match=re.escape(
+                f"window index {index!r} is not an integer")):
+            encode_message(p, index, NodeId.EEG_NODE)
+        assert decode_message(encode_message(p, np.uint32(3), NodeId.EEG_NODE)) \
+            .window_index == 3
 
     def test_decode_rejects_bad_frames(self):
         good = encode_message(quantize4(np.full(5, 0.2)), 3, NodeId.GATEWAY)

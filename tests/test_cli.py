@@ -549,6 +549,24 @@ class TestSimulate:
         assert (summary["n_windows"], summary["equivalence"]) == (10, True)
         assert sum(forwarded) == 2 * 10
 
+    def test_equivalence_is_null_when_no_window_is_fused(
+            self, tmp_path, dataset_dir, train_dir, capsys):
+        # Frames that leave their node a whole window period late reach the
+        # gateway after every deadline, so there is no decision to compare.
+        config = tmp_path / "late.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "sim": {
+            "processing_delay_s": 5.0}}))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config),
+                     "--data", str(dataset_dir), "--models", str(train_dir),
+                     "--all-windows", "--out", str(out)]) == 0
+        assert "equivalence=None" in capsys.readouterr().out
+        summary = json.loads((out / "latency.json").read_text())
+        assert summary["n_fused"] == 0
+        assert summary["n_dropped"] == summary["n_windows"] > 0
+        assert summary["equivalence"] is None
+        assert summary["mean_latency_s"] is None
+
     def test_a_decision_off_the_offline_class_breaks_equivalence(
             self, tmp_path, config_path, dataset_dir, train_dir, monkeypatch, capsys):
         def flipped(*args):

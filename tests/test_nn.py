@@ -78,9 +78,9 @@ def bn_arrays(channels, gamma=1.0, beta=0.0, mean=0.0, var=1.0):
     return tuple(np.full(channels, v) for v in (gamma, beta, mean, var))
 
 
-def batchnorm_forward(x, arrays, mode, epsilon=1e-5, momentum=0.1):
+def batchnorm_forward(x, arrays, training, epsilon=1e-5, momentum=0.1):
     return cbt(batchnorm_forward_with_cache(cbt(x), *arrays, epsilon, momentum,
-                                            mode)[0])
+                                            training)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ class TestMaxPool:
 class TestBatchNorm:
     def test_train_mode_normalizes_batch(self):
         x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
-        out = batchnorm_forward(x, bn_arrays(1), "train", epsilon=1e-12)
+        out = batchnorm_forward(x, bn_arrays(1), True, epsilon=1e-12)
         expected = (x - 2.5) / np.sqrt(1.25 + 1e-12)
         np.testing.assert_allclose(out, expected, atol=1e-9)
         assert abs(out.mean()) < 1e-9
@@ -243,14 +243,14 @@ class TestBatchNorm:
     def test_running_statistics_update(self):
         arrays = bn_arrays(1)
         x = np.array([[[1.0, 2.0, 3.0, 4.0]]])
-        batchnorm_forward(x, arrays, "train", momentum=0.1)
+        batchnorm_forward(x, arrays, True, momentum=0.1)
         np.testing.assert_allclose(arrays[2], [0.9 * 0.0 + 0.1 * 2.5])
         np.testing.assert_allclose(arrays[3], [0.9 * 1.0 + 0.1 * 1.25])
 
     def test_inference_mode_is_pure_and_uses_running_stats(self):
         arrays = bn_arrays(1, gamma=2.0, beta=1.0, mean=3.0, var=4.0)
         x = np.array([[[3.0, 5.0]]])
-        out = batchnorm_forward(x, arrays, "inference", epsilon=1e-12)
+        out = batchnorm_forward(x, arrays, False, epsilon=1e-12)
         np.testing.assert_allclose(out, [[[1.0, 3.0]]], atol=1e-9)
         np.testing.assert_array_equal(arrays[2], [3.0])
         np.testing.assert_array_equal(arrays[3], [4.0])
@@ -258,15 +258,14 @@ class TestBatchNorm:
     def test_gamma_beta_applied(self):
         x = np.array([[[1.0, -1.0]]])
         out, xhat = batchnorm_forward_with_cache(
-            x, *bn_arrays(1, gamma=3.0, beta=-1.0), 1e-12, 0.1, "train")
+            x, *bn_arrays(1, gamma=3.0, beta=-1.0), 1e-12, 0.1, True)
         np.testing.assert_allclose(out, 3.0 * xhat - 1.0)
 
-    def test_mode_and_shape_validation(self):
+    def test_channel_count_validation(self):
         arrays = bn_arrays(2)
-        with pytest.raises(ValueError):
-            batchnorm_forward(np.zeros((1, 2, 4)), arrays, "eval")
-        with pytest.raises(ShapeError):
-            batchnorm_forward(np.zeros((1, 3, 4)), arrays, "train")
+        for training in (True, False):
+            with pytest.raises(ShapeError):
+                batchnorm_forward(np.zeros((1, 3, 4)), arrays, training)
 
 
 # ---------------------------------------------------------------------------
@@ -634,11 +633,14 @@ class TestModel:
            seed=st.integers(0, 2**16))
     def test_kept_buffers_match_fresh_arrays_bit_for_bit(
             self, channels, samples, klen, pool, batch, regime, seed):
-        # Two passes through one `Buffers` on different windows against
-        # passes on fresh arrays, in float64 inference and in float32 and
-        # float64 training: the logits, and the running statistics each
-        # training pass folds into the buffer.  Small shapes reach every
-        # edge: windows shorter than the kernel, even kernels, partial pools.
+        # Two passes through one `Buffers` on different windows, in float64
+        # inference against passes on fresh arrays, and in float32 and
+        # float64 training against a new `Buffers` per pass: the logits and
+        # normalized input, and the running statistics each training pass
+        # folds into the buffer.  In training every array the pass left,
+        # which the backward pass reads, must match too.  Small shapes reach
+        # every edge: windows shorter than the kernel, even kernels, partial
+        # pools.
         dtype, training = regime
         kept, fresh = (build_model(Sensor.EEG, channels, samples, klen, pool,
                                    hidden=(4, 3), seed=seed) for _ in range(2))
@@ -647,13 +649,39 @@ class TestModel:
         for _ in range(2):
             xb = rng.uniform(0.5, 3.0) * rng.standard_normal((batch, channels, samples))
             xb = xb.astype(dtype)
-            got, _ = _forward(kept, xb, kept.views(kept.buffer.astype(dtype)),
-                              bufs, training)
-            want, _ = _forward(fresh, xb, fresh.views(fresh.buffer.astype(dtype)),
-                               training=training)
-            assert got.dtype == want.dtype == dtype
-            np.testing.assert_array_equal(got, want)
+            new = Buffers(fresh, batch, dtype) if training else None
+            got = _forward(kept, xb, kept.views(kept.buffer.astype(dtype)),
+                           bufs, training)
+            want = _forward(fresh, xb, fresh.views(fresh.buffer.astype(dtype)),
+                            new, training)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == dtype
+                np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(kept.buffer, fresh.buffer)
+            if training:
+                for a, b in zip(bufs.blocks + [bufs.dense], new.blocks + [new.dense]):
+                    for x, y in zip(a, b):
+                        np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_step_leaves_the_buffer_but_its_running_statistics_unchanged(
+            self, dtype):
+        # Every workspace, float64 too, computes on its own copy of the
+        # parameters: a step moves batchnorm's running statistics in
+        # model.buffer and nothing else there, and writes no parameter.
+        model = _tiny_model(seed=3)
+        start = model.buffer.copy()
+        rng = np.random.default_rng(9)
+        xb = (1.5 + 2.0 * rng.standard_normal((8, 2, 16))).astype(dtype)
+        work = Workspace(model, dtype)
+        backward_batch(model, xb, np.arange(8) % 5,
+                       FocalLossConfig(gamma=2.0, alpha=np.ones(5)), work)
+        assert work.params is not model.buffer
+        before, after = model.views(start), model.views(model.buffer)
+        moved = {name for name in before
+                 if not np.array_equal(before[name], after[name])}
+        assert moved == {"batchnorm.running_mean", "batchnorm.running_var"}
+        np.testing.assert_array_equal(work.params, start.astype(dtype))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_shared_workspace_across_adam_steps_matches_fresh_calls(self, dtype):
