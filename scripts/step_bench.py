@@ -23,10 +23,10 @@ batched readouts in us per window:
                 readout, per window
     ecg-batch   the same for the ECG model over [1395 x 1 x 320]
 
-The models have the default config's kernel length and hidden widths.  The
-windows are 16 seeded batches of standard-normal noise, cycled, with
-uniform labels; the focal loss has the default gamma and the alpha of those
-labels.  Each sensor times 400 steps after 30 untimed warm-up steps, and
+The models have the pipeline's kernel length (`evaluation.KERNEL_LEN`) and
+the default config's hidden widths.  The windows are 16 seeded batches of
+standard-normal noise, cycled, with uniform labels; the focal loss has
+training's gamma (`nn.losses.FOCAL_GAMMA`) and the alpha of those labels.  Each sensor times 400 steps after 30 untimed warm-up steps, and
 2000 one-window forwards, on the first window of each batch, after 30
 untimed ones; the fit is timed 30 times on one set from `tests/oracles.py`,
 and each batched readout 20 times after one untimed one, on standard-normal
@@ -57,7 +57,12 @@ from oracles import noisy_quantized_set  # noqa: E402
 from preictal.combiner import CombinerConfig, lr_train  # noqa: E402
 from preictal.config import ExperimentConfig, ModelConfig  # noqa: E402
 from preictal.dataset import Sensor  # noqa: E402
-from preictal.nn.losses import FocalLossConfig, inverse_frequency_alpha  # noqa: E402
+from preictal.evaluation import KERNEL_LEN  # noqa: E402
+from preictal.nn.losses import (  # noqa: E402
+    FOCAL_GAMMA,
+    FocalLossConfig,
+    inverse_frequency_alpha,
+)
 from preictal.nn.model import (  # noqa: E402
     Workspace,
     backward_batch,
@@ -87,9 +92,8 @@ def quartiles(seconds: list[float], unit: str = "ms") -> dict:
 
 
 def desk_model_and_batches(sensor: Sensor, channels: int, pool: int):
-    model_cfg = ModelConfig()
-    model = build_model(sensor, channels, SAMPLES, model_cfg.kernel_len, pool,
-                        model_cfg.hidden, seed=0)
+    model = build_model(sensor, channels, SAMPLES, KERNEL_LEN, pool,
+                        ModelConfig().hidden, seed=0)
     rng = np.random.default_rng(0)
     return model, rng, rng.standard_normal((BATCHES, BATCH, channels, SAMPLES))
 
@@ -99,8 +103,7 @@ def time_steps(sensor: Sensor, channels: int, pool: int) -> list[float]:
     model, rng, xs = desk_model_and_batches(sensor, channels, pool)
     xs = xs.astype(np.float32)
     ys = rng.integers(0, 5, size=(BATCHES, BATCH))
-    loss_cfg = FocalLossConfig(gamma=train_cfg.focal_gamma,
-                               alpha=inverse_frequency_alpha(ys.ravel()))
+    loss_cfg = FocalLossConfig(gamma=FOCAL_GAMMA, alpha=inverse_frequency_alpha(ys.ravel()))
     work = Workspace(model, np.float32)
     state = AdamState.for_params(model.buffer)
     times = []

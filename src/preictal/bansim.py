@@ -51,7 +51,7 @@ from .combiner import (
     quant_steps,
     quantize4,
 )
-from .dataset import N_CLASSES, LabelClass, LabeledWindow
+from .dataset import N_CLASSES, LabelClass
 from .nn.model import model_forward  # noqa: F401  (perfbench/spans.py traces it here)
 
 FRAME_STRUCT = struct.Struct("<BBI5H")
@@ -197,26 +197,29 @@ def decode_message(frame: bytes) -> ProbabilityMessage:
 def run_simulation(
     cfg: SimConfig,
     combiner_params: CombinerParams,
-    windows: Sequence[LabeledWindow],
+    labels: Sequence[int],
+    dataset_index: Sequence[int],
     eeg_rows: np.ndarray,
     ecg_rows: np.ndarray,
 ) -> SimTrace:
     """Replay windows through the network and record every event.
 
-    The nodes send row w of `eeg_rows` and `ecg_rows`, from `_predictions`,
-    for `windows[w]`, up to `cfg.max_windows` windows.  Window w becomes
-    available at (w+1) * window_period_s (a window must end before it can be
-    classified); both sensor nodes then spend one processing delay on
-    inference and transmit.  A lost frame is retried back-to-back up to
-    retry_limit times.  A window is pending until both sensor frames reach
-    the gateway, which fuses it one processing delay later; a window still
-    pending one window period after production is dropped.  A decision
-    other than interictal sends a stimulation command to the DBS node.
+    Window w, of class `labels[w]` and stride-grid id `dataset_index[w]`,
+    sends row w of `eeg_rows` and `ecg_rows`, from `_predictions`; at most
+    `cfg.max_windows` windows are replayed.  Window w becomes available at
+    (w+1) * window_period_s (a window must end before it can be classified);
+    both sensor nodes then spend one processing delay on inference and
+    transmit.  A lost frame is retried back-to-back up to retry_limit times.
+    A window is pending until both sensor frames reach the gateway, which
+    fuses it one processing delay later; a window still pending one window
+    period after production is dropped.  A decision other than interictal
+    sends a stimulation command to the DBS node.
     """
-    if not 0 < len(windows) == len(eeg_rows) == len(ecg_rows):
+    if not 0 < len(labels) == len(dataset_index) == len(eeg_rows) == len(ecg_rows):
         raise ValueError(f"need at least one window and one EEG and ECG row each; got "
-                         f"{len(eeg_rows)} and {len(ecg_rows)} rows for {len(windows)}")
-    n_sim = min(len(windows), cfg.max_windows)
+                         f"{len(eeg_rows)} and {len(ecg_rows)} rows for {len(labels)} "
+                         f"labels and {len(dataset_index)} dataset indices")
+    n_sim = min(len(labels), cfg.max_windows)
 
     rng = np.random.default_rng(cfg.link.seed)
     trace = SimTrace()
@@ -252,8 +255,7 @@ def run_simulation(
         if kind == "produce":
             pending[w] = {}
             emit(t, "window_produced", NodeId.GATEWAY, w,
-                 label=int(windows[w].label),
-                 dataset_index=windows[w].window_index)
+                 label=int(labels[w]), dataset_index=int(dataset_index[w]))
             for source, row in ((NodeId.EEG_NODE, eeg_rows[w]),
                                 (NodeId.ECG_NODE, ecg_rows[w])):
                 schedule(t + cfg.processing_delay_s, "send", w,
@@ -279,7 +281,7 @@ def run_simulation(
             fused = lr_forward(payload, combiner_params)
             decision = predict(fused)
             emit(t, "fusion_decision", NodeId.GATEWAY, w,
-                 decision=int(decision), label=int(windows[w].label))
+                 decision=int(decision), label=int(labels[w]))
             if decision != LabelClass.INTERICTAL:
                 emit(t, "alert", NodeId.GATEWAY, w, decision=int(decision))
                 emit(t, "stimulation_command", NodeId.GATEWAY, w,

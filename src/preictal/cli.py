@@ -19,11 +19,8 @@ from .bansim import latency_report, run_simulation, write_trace_jsonl
 from .combiner import load_combiner, save_combiner
 from .config import ExperimentConfig, WindowingConfig, load_config, write_config
 from .dataset import Recording, kfold_split, load_recording, save_recording, synth_generate
+from .dataset import segment  # noqa: F401  (perfbench/spans.py traces it here)
 from .errors import read_json
-
-# Not called in this module.  perfbench/spans.py traces `segment` under
-# preictal.cli, so the name must stay importable here.
-from .dataset import segment  # noqa: F401
 from .evaluation import (
     RATES,
     TREND_ORDER,
@@ -65,6 +62,9 @@ def _resolve_run(args) -> tuple[ExperimentConfig, Path]:
 
 def _read_pair(index_path: Path, pid: str, eeg: Path, ecg: Path):
     """An entry's recordings, in a call of its own so the reader holds none after."""
+    missing = next((path for path in (eeg, ecg) if not path.is_file()), None)
+    if missing:
+        raise FileNotFoundError(f"{index_path} lists {missing}, which does not exist")
     eeg_rec = load_recording(eeg)
     if eeg_rec.patient_id != pid:
         raise ValueError(f"{index_path} lists {eeg.name} under id {pid!r}, but it "
@@ -192,7 +192,8 @@ def cmd_train(args) -> int:
     eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
     del eeg_rec, ecg_rec  # the windows are copies; free the samples to train
     # The patient's cross-validation fold 0.
-    split = kfold_split(list(eeg_w.values()), cfg.folds, seed=split_seed(cfg, p_idx))[0]
+    split = kfold_split(list(eeg_w), [w.label for w in eeg_w.values()], cfg.folds,
+                        seed=split_seed(cfg, p_idx))[0]
     print(f"patient {pid}: {len(eeg_w)} windows "
           f"({len(split.train_ids)} train / {len(split.val_ids)} val / "
           f"{len(split.test_ids)} held out)")
@@ -270,11 +271,11 @@ def cmd_simulate(args) -> int:
                              f"not windows of patient {held_patient!r}, the first "
                              f"{unknown[0]}")
         ids = held_ids
-    windows = [eeg_w[i] for i in ids[:cfg.sim.max_windows]]
-    preds = _predictions(eeg_model, ecg_model, combiner_params, windows,
-                         [ecg_w[w.window_index] for w in windows])
-    trace = run_simulation(cfg.sim, combiner_params, windows,
-                           preds["eeg_rows"], preds["ecg_rows"])
+    ids = ids[:cfg.sim.max_windows]
+    preds = _predictions(eeg_model, ecg_model, combiner_params,
+                         [eeg_w[i] for i in ids], [ecg_w[i] for i in ids])
+    trace = run_simulation(cfg.sim, combiner_params, [eeg_w[i].label for i in ids],
+                           ids, preds["eeg_rows"], preds["ecg_rows"])
     write_trace_jsonl(trace, out / "trace.jsonl")
     rep = latency_report(trace)
     equivalence = None  # undefined, like the mean latency, if nothing was fused

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import N_CLASSES, LabelClass
-from .errors import ShapeError, read_json
+from .errors import ShapeError, fits, read_json
 from .nn.ops import softmax
 
 QUANT_STEP = 1e-4
@@ -161,5 +161,11 @@ def save_combiner(params: CombinerParams, path: Path | str) -> None:
 
 
 def load_combiner(path: Path | str) -> CombinerParams:
-    return read_json(Path(path), "a combiner file", lambda payload: CombinerParams(
-        np.array(payload["W"]), np.array(payload["b"])))
+    """The fit a combiner file holds; every weight must be a JSON number."""
+    def params(payload):
+        W, b = payload["W"], payload["b"]
+        if not (fits(W, ((0.0,) * N_INPUTS,) * N_CLASSES) and fits(b, (0.0,) * N_CLASSES)):
+            raise ValueError("W and b must be 5x10 and 5 finite numbers")
+        return CombinerParams(np.array(W), np.array(b))
+
+    return read_json(Path(path), "a combiner file", params)

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .bansim import SimConfig
 from .combiner import CombinerConfig
 from .dataset import SynthConfig
-from .errors import read_json
+from .errors import fits, read_json
 from .nn.optim import TrainConfig
 
 
@@ -40,13 +39,10 @@ class WindowingConfig:
 
 @dataclass
 class ModelConfig:
-    kernel_len: int = 5
     hidden: tuple[int, int] = (64, 32)
 
     def __post_init__(self):
         self.hidden = tuple(self.hidden)
-        if self.kernel_len <= 0:
-            raise ValueError("kernel_len must be positive")
         if len(self.hidden) != 2 or any(h <= 0 for h in self.hidden):
             raise ValueError("hidden must be two positive layer widths")
 
@@ -72,20 +68,6 @@ class ExperimentConfig:
             raise ValueError("folds must be >= 2")
 
 
-def _fits(value, default) -> bool:
-    """A config value must have its default's type, except that an int may
-    stand for a float and a list for a tuple; a tuple's elements must each
-    fit the default's.  NaN and infinity fit nothing, as they would pass
-    every range check."""
-    if isinstance(default, tuple):
-        return (isinstance(value, (tuple, list)) and len(value) == len(default)
-                and all(map(_fits, value, default)))
-    allowed = (float, int) if type(default) is float else type(default)
-    return (isinstance(value, allowed)
-            and isinstance(value, bool) == isinstance(default, bool)
-            and (not isinstance(value, float) or math.isfinite(value)))
-
-
 def _overlay(default, payload):
     """`default` with the keys of `payload` replaced; a nested section is
     overlaid onto the default's own section, so its other keys keep their
@@ -103,7 +85,7 @@ def _overlay(default, payload):
         current = getattr(default, key)
         if dataclasses.is_dataclass(current):
             value = _overlay(current, value)
-        elif not _fits(value, current):
+        elif not fits(value, current):
             raise ValueError(f"config key {key!r} in {name} must be "
                              f"{type(current).__name__}, got {value!r}")
         changes[key] = value

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -136,14 +136,6 @@ def label_codes(minutes) -> np.ndarray:
     codes = np.searchsorted(edges, minutes, side="right")
     codes[(minutes >= PREICTAL_HORIZON_MIN) & (minutes <= INTERICTAL_THRESHOLD_MIN)] = DISCARD
     return codes
-
-
-def label_for_offset(minutes_to_next_onset: Optional[float]) -> Optional[LabelClass]:
-    """One offset's class, None in the buffer; None as the offset means no
-    seizure ahead."""
-    m = minutes_to_next_onset
-    code = int(label_codes([np.inf if m is None else m])[0])
-    return None if code == DISCARD else LabelClass(code)
 
 
 def _check_integral(value: float, what: str) -> int:
@@ -346,31 +338,30 @@ def synth_generate(
 
 
 def kfold_split(
-    windows: list[LabeledWindow], k: int = 5, seed: int = 0
+    ids: Sequence[int], labels: Sequence[int], k: int = 5, seed: int = 0
 ) -> list[FoldSplit]:
-    """Stratified k-fold split over window indices.
+    """Stratified k-fold split of windows given as stride-grid ids and classes.
 
     Test sets partition the windows with per-class counts within +-1 of n_c/k
     and fold sizes within +-1 of n/k; within each fold, 10% of the non-test
     windows (largest-remainder across classes) form the validation set.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if len(windows) < k:
-        raise ValueError(f"need at least k={k} windows, got {len(windows)}")
+    if not 2 <= k <= len(ids) == len(labels):
+        raise ValueError(f"need at least k={k} windows, one label each, and k >= 2; "
+                         f"got {len(ids)} ids and {len(labels)} labels")
 
     rng = np.random.default_rng(seed)
-    index = np.array([w.window_index for w in windows])
-    label = np.array([int(w.label) for w in windows])
+    index = np.asarray(ids)
+    label = np.asarray(labels, dtype=int)
     loads = np.zeros(k, dtype=int)  # test windows per fold so far
     cuts = []                       # per class, in class order: its k test cuts
     for cls in np.unique(label):
-        ids = np.sort(index[label == cls])
-        rng.shuffle(ids)
-        sizes = np.full(k, len(ids) // k)
-        sizes[np.argsort(loads, kind="stable")[:len(ids) % k]] += 1
+        members = np.sort(index[label == cls])
+        rng.shuffle(members)
+        sizes = np.full(k, len(members) // k)
+        sizes[np.argsort(loads, kind="stable")[:len(members) % k]] += 1
         loads += sizes
-        cuts.append(np.split(ids, np.cumsum(sizes)[:-1]))
+        cuts.append(np.split(members, np.cumsum(sizes)[:-1]))
 
     splits = []
     for f in range(k):
@@ -433,8 +424,8 @@ def save_recording(rec: Recording, out_dir: Path | str, basename: str) -> Path:
 
 
 def load_recording(manifest_path: Path | str) -> Recording:
-    """The recording a manifest describes; ValueError naming the manifest if it is
-    malformed, or the samples file if that is the wrong size or not finite."""
+    """The recording a manifest describes; an error names the manifest if it is
+    malformed, the samples file if not finite, both if that is missing or short."""
     manifest_path = Path(manifest_path)
 
     def locate(manifest):
@@ -442,13 +433,17 @@ def load_recording(manifest_path: Path | str) -> Recording:
         if not all(type(n) is int and n >= 0 for n in shape):
             raise ValueError(f"channels and n_samples must be non-negative "
                              f"integers, got {shape}")
-        return manifest, manifest_path.parent / manifest["data_file"], shape
+        data_path = manifest_path.parent / manifest["data_file"]
+        if not data_path.is_file():
+            raise FileNotFoundError(f"{manifest_path} names missing file {data_path}")
+        return manifest, data_path, shape
 
     manifest, data_path, shape = read_json(manifest_path, "a recording manifest", locate)
     raw = data_path.read_bytes()
     if len(raw) != 8 * shape[0] * shape[1]:
-        raise ValueError(f"{data_path} holds {len(raw)} bytes; {shape[0]} channels x "
-                         f"{shape[1]} samples of float64 need {8 * shape[0] * shape[1]}")
+        raise ValueError(f"{data_path} holds {len(raw)} bytes; {manifest_path} gives "
+                         f"{shape[0]} channels x {shape[1]} samples of float64, which "
+                         f"need {8 * shape[0] * shape[1]}")
     # A read-only view of the file's bytes (on a little-endian host): a
     # copy would double the recording's peak memory while it loads.
     samples = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)

@@ -44,6 +44,7 @@ TREND_ORDER = (
 VARIANTS = ("eeg", "ecg", "combined")
 RATES = ("sensitivity", "specificity", "accuracy")
 INTERICTAL = int(LabelClass.INTERICTAL)  # classes below it are pre-seizure
+KERNEL_LEN = 5  # every conv layer's taps, for both sensors
 POOL_SIZES = {Sensor.EEG: 4, Sensor.ECG: 2}  # ECG's one channel keeps more time
 
 
@@ -261,7 +262,7 @@ def run_patient_fold(
         xs, ys = stack_windows([windows[i] for i in split.train_ids])
         xv, yv = stack_windows([windows[i] for i in split.val_ids])
         model = models[sensor] = build_model(
-            sensor, *xs.shape[1:], kernel_len=cfg.model.kernel_len,
+            sensor, *xs.shape[1:], kernel_len=KERNEL_LEN,
             pool_size=POOL_SIZES[sensor], hidden=cfg.model.hidden,
             seed=fold_seed + offset)
         _, reports[sensor] = train(model, xs, ys, xv, yv, cfg.training)
@@ -295,8 +296,9 @@ def run_cross_validation(
         eeg_windows, ecg_windows = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
         del eeg_rec, ecg_rec  # the windows are copies; free the samples to train
         try:
-            splits = kfold_split(list(eeg_windows.values()), cfg.folds,
-                                 seed=split_seed(cfg, p_idx))
+            splits = kfold_split(list(eeg_windows),
+                                 [w.label for w in eeg_windows.values()],
+                                 cfg.folds, seed=split_seed(cfg, p_idx))
             folds = [run_patient_fold(eeg_windows, ecg_windows, split, cfg, p_idx)
                      for split in splits]
         except Exception as exc:

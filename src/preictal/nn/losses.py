@@ -14,6 +14,7 @@ import numpy as np
 from ..dataset import N_CLASSES
 
 P_CLAMP = 1e-12
+FOCAL_GAMMA = 2.0  # training's gamma; 2 worked best in Lin et al. (2017)
 
 
 @dataclass

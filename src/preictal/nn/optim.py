@@ -17,13 +17,10 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 30
     patience: int = 5
-    focal_gamma: float = 2.0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.focal_gamma < 0:
-            raise ValueError("focal_gamma must be >= 0")
         if self.batch_size <= 0 or self.max_epochs <= 0 or self.patience <= 0:
             raise ValueError("batch_size, max_epochs, and patience must be positive")
 

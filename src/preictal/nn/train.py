@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import FocalLossConfig, focal_loss_batch, inverse_frequency_alpha
+from .losses import FOCAL_GAMMA, FocalLossConfig, focal_loss_batch, inverse_frequency_alpha
 from .model import SensorModel, Workspace, _check_input, backward_batch, model_forward
 from .optim import AdamState, TrainConfig, adam_step
 
@@ -59,7 +59,7 @@ def train(
     `xs` [N x C x T] and `ys` [N] are the training windows and their classes,
     `xv` and `yv` the validation ones (see `dataset.stack_windows`).  The
     epoch shuffle is seeded with the model's `seed`.  The focal loss has
-    `train_cfg.focal_gamma` and alpha weights at the inverse class frequency
+    gamma FOCAL_GAMMA and alpha weights at the inverse class frequency
     of the training windows (normalized to max 1).  Early stopping
     keeps the snapshot with the lowest validation focal loss and gives up
     after `patience` epochs without improvement.  A non-finite batch or
@@ -74,8 +74,7 @@ def train(
                          "with one label per window")
     _check_input(model, xs)
     _check_input(model, xv)
-    loss_cfg = FocalLossConfig(gamma=train_cfg.focal_gamma,
-                               alpha=inverse_frequency_alpha(ys))
+    loss_cfg = FocalLossConfig(gamma=FOCAL_GAMMA, alpha=inverse_frequency_alpha(ys))
     xs = xs.astype(np.float32)
 
     rng = np.random.default_rng(model.seed)

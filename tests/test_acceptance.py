@@ -37,14 +37,14 @@ from preictal.cli import main as cli_main
 from preictal.combiner import QUANT_STEP, CombinerParams, build_input, lr_forward, quantize4
 from preictal.config import ExperimentConfig, load_config
 from preictal.dataset import (
+    DISCARD,
     ECG_CLASS_FREQS_HZ,
     EEG_CLASS_FREQS_HZ,
     LabelClass,
-    LabeledWindow,
     Sensor,
     kfold_split,
+    label_codes,
     segment,
-    stack_windows,
     synth_generate,
 )
 from preictal.evaluation import (
@@ -170,7 +170,8 @@ def test_criterion_03_oracle_equivalence():
 
 
 def test_criterion_04_labeling_totality():
-    from preictal.dataset import label_for_offset
+    def code_for(minutes):
+        return int(label_codes([minutes])[0])
 
     rng = np.random.default_rng(3)
     offsets = list(rng.uniform(0.0, 200.0, size=5000))
@@ -180,15 +181,16 @@ def test_criterion_04_labeling_totality():
     mismatches = 0
     for m in offsets:
         want = label_code_reference(m)
-        got = label_for_offset(m)
+        got = code_for(m)
         if want == "discard":
-            mismatches += int(got is not None)
+            mismatches += int(got != DISCARD)
         else:
-            mismatches += int(got is None or int(got) != want)
-    mismatches += int(label_for_offset(None) is not LabelClass.INTERICTAL)
+            mismatches += int(got != want)
+    # No seizure ahead: an infinite offset.
+    mismatches += int(code_for(np.inf) != LabelClass.INTERICTAL)
     negative_raises = False
     try:
-        label_for_offset(-1.0)
+        code_for(-1.0)
     except ValueError:
         negative_raises = True
 
@@ -233,26 +235,19 @@ def test_criterion_05_cv_partition_law():
     k = 5
     violations = []
 
-    def windows_from(counts, seed):
-        out, idx = [], 0
-        for code, n in counts.items():
-            for _ in range(n):
-                out.append(LabeledWindow(idx, float(idx), np.zeros((1, 1)),
-                                         LabelClass(code)))
-                idx += 1
-        np.random.default_rng(seed).shuffle(out)
-        return out
-
     n_sets = 15
     for trial in range(n_sets):
         counts = {c: int(rng.integers(0, 60)) for c in range(5)}
         if sum(counts.values()) < k:
             counts[0] += k
-        windows = windows_from(counts, trial)
-        splits = kfold_split(windows, k, seed=trial)
-        n = len(windows)
-        all_ids = sorted(w.window_index for w in windows)
-        by_id = {w.window_index: int(w.label) for w in windows}
+        # Ids 0..n-1 given class by class, then shuffled with their classes.
+        labels = np.repeat(list(counts), list(counts.values()))
+        window_ids = np.random.default_rng(trial).permutation(len(labels))
+        labels = labels[window_ids]
+        splits = kfold_split(window_ids, labels, k, seed=trial)
+        n = len(labels)
+        all_ids = list(range(n))
+        by_id = dict(zip(window_ids.tolist(), labels.tolist()))
         seen_test = []
         for split in splits:
             ids = split.train_ids + split.val_ids + split.test_ids
@@ -430,9 +425,9 @@ def test_criterion_09_quantization_and_wire():
 
 
 def _sim_fixture(n_windows):
-    """A random combiner, n_windows EEG windows cycling through five base
-    pairs, and the quantized rows small untrained models give for each
-    window and its ECG partner."""
+    """A random combiner and, for n_windows windows cycling through five
+    base pairs, their classes, their dataset indices and the quantized rows
+    small untrained models give for each window's EEG and ECG."""
     eeg_model = build_model(Sensor.EEG, 2, 64, kernel_len=3, pool_size=2,
                             hidden=(8, 6), seed=0)
     ecg_model = build_model(Sensor.ECG, 1, 64, kernel_len=3, pool_size=2,
@@ -441,37 +436,30 @@ def _sim_fixture(n_windows):
     combiner = CombinerParams(rng.standard_normal((5, 10)),
                               rng.standard_normal(5))
     t = np.arange(64)
-    base = []
+    base_eeg, base_ecg = [], []
     for code in range(5):
-        eeg = np.sin(2 * np.pi * (code + 1) * t / 64) \
-            + 0.2 * rng.standard_normal((2, 64))
-        ecg = np.sin(2 * np.pi * (code + 1) * t / 64) \
-            + 0.2 * rng.standard_normal((1, 64))
-        base.append((eeg, ecg, LabelClass(code)))
-    pairs = []
-    for w in range(n_windows):
-        eeg, ecg, label = base[w % 5]
-        pairs.append((LabeledWindow(w, 5.0 * w, eeg, label),
-                      LabeledWindow(w, 5.0 * w, ecg, label)))
-    xe, _ = stack_windows([p[0] for p in pairs])
-    xc, _ = stack_windows([p[1] for p in pairs])
-    pe = quantize4(model_forward(eeg_model, xe))
-    pc = quantize4(model_forward(ecg_model, xc))
-    return combiner, [p[0] for p in pairs], pe, pc
+        base_eeg.append(np.sin(2 * np.pi * (code + 1) * t / 64)
+                        + 0.2 * rng.standard_normal((2, 64)))
+        base_ecg.append(np.sin(2 * np.pi * (code + 1) * t / 64)
+                        + 0.2 * rng.standard_normal((1, 64)))
+    codes = np.arange(n_windows) % 5  # window w is base pair w % 5, of class w % 5
+    pe = quantize4(model_forward(eeg_model, np.stack(base_eeg)[codes]))
+    pc = quantize4(model_forward(ecg_model, np.stack(base_ecg)[codes]))
+    return combiner, codes, np.arange(n_windows), pe, pc
 
 
 def test_criterion_10_simulation_equivalence_latency_loss():
-    combiner, windows, pe, pc = _sim_fixture(200)
+    combiner, labels, dataset_index, pe, pc = _sim_fixture(200)
     lossless = SimConfig(
         window_period_s=5.0, processing_delay_s=0.020,
         link=LinkModel(loss_probability=0.0, seed=0),
         duration_s=5.0 * 200, retry_limit=3)
-    trace = run_simulation(lossless, combiner, windows, pe, pc)
+    trace = run_simulation(lossless, combiner, labels, dataset_index, pe, pc)
     report = latency_report(trace)
 
     offline = [
         LabelClass(int(np.argmax(lr_forward(build_input(pe[i], pc[i]), combiner))))
-        for i in range(len(windows))
+        for i in range(len(labels))
     ]
     decisions = {e.window_index: LabelClass(e.detail["decision"])
                  for e in trace.events if e.event_type == "fusion_decision"}

@@ -35,7 +35,7 @@ from preictal.combiner import (
     lr_forward,
     quantize4,
 )
-from preictal.dataset import LabelClass, LabeledWindow, Sensor, stack_windows
+from preictal.dataset import LabelClass, Sensor
 from preictal.nn.model import build_model, model_forward
 
 
@@ -188,9 +188,9 @@ class TestConfigs:
 
 @pytest.fixture(scope="module")
 def sim_setup():
-    """A random combiner, 40 EEG windows, and the quantized rows that small
-    untrained models give for them and their ECG partners, in the order
-    `run_simulation` takes them."""
+    """A random combiner and, for 40 windows, their classes, their dataset
+    indices and the quantized rows that small untrained models give for
+    each window's EEG and ECG, in the order `run_simulation` takes them."""
     eeg_model = build_model(Sensor.EEG, 2, 64, kernel_len=3, pool_size=2,
                             hidden=(8, 6), seed=0)
     ecg_model = build_model(Sensor.ECG, 1, 64, kernel_len=3, pool_size=2,
@@ -199,25 +199,19 @@ def sim_setup():
     combiner = CombinerParams(rng.standard_normal((5, 10)),
                               rng.standard_normal(5))
     t = np.arange(64)
-    pairs = []
-    for w in range(40):
-        code = w % 5
-        eeg = np.sin(2 * np.pi * (code + 1) * t / 64) \
+    labels = np.arange(40) % 5
+    xe, xc = np.empty((40, 2, 64)), np.empty((40, 1, 64))
+    for w, code in enumerate(labels):
+        xe[w] = np.sin(2 * np.pi * (code + 1) * t / 64) \
             + 0.2 * rng.standard_normal((2, 64))
-        ecg = np.sin(2 * np.pi * (code + 1) * t / 64) \
+        xc[w] = np.sin(2 * np.pi * (code + 1) * t / 64) \
             + 0.2 * rng.standard_normal((1, 64))
-        pairs.append((
-            LabeledWindow(w, 5.0 * w, eeg, LabelClass(code)),
-            LabeledWindow(w, 5.0 * w, ecg, LabelClass(code)),
-        ))
-    xe, _ = stack_windows([p[0] for p in pairs])
-    xc, _ = stack_windows([p[1] for p in pairs])
     eeg_rows = quantize4(model_forward(eeg_model, xe))
     ecg_rows = quantize4(model_forward(ecg_model, xc))
-    return combiner, [p[0] for p in pairs], eeg_rows, ecg_rows
+    return combiner, labels, np.arange(40), eeg_rows, ecg_rows
 
 
-def _offline_decisions(combiner, windows, eeg_rows, ecg_rows):
+def _offline_decisions(combiner, labels, dataset_index, eeg_rows, ecg_rows):
     """The gateway's decision per window, fused one row at a time."""
     return [LabelClass(int(np.argmax(lr_forward(build_input(e, c), combiner))))
             for e, c in zip(eeg_rows, ecg_rows)]
@@ -225,8 +219,8 @@ def _offline_decisions(combiner, windows, eeg_rows, ecg_rows):
 
 def _first(setup, n):
     """The simulation inputs of `setup` cut to its first n windows."""
-    combiner, windows, eeg_rows, ecg_rows = setup
-    return combiner, windows[:n], eeg_rows[:n], ecg_rows[:n]
+    combiner, *per_window = setup
+    return combiner, *(part[:n] for part in per_window)
 
 
 def _events(trace, event_type):
@@ -309,9 +303,9 @@ class TestLosslessSimulation:
         assert latency_report(trace).stimulation_count == preictal
 
     def test_interictal_decisions_send_no_command(self, sim_setup):
-        _, windows, eeg_rows, ecg_rows = sim_setup
+        _, *per_window = sim_setup
         calm = CombinerParams(np.zeros((5, 10)), np.eye(5)[LabelClass.INTERICTAL])
-        trace = run_simulation(LOSSLESS, calm, windows, eeg_rows, ecg_rows)
+        trace = run_simulation(LOSSLESS, calm, *per_window)
         assert set(_decisions(trace).values()) == {LabelClass.INTERICTAL}
         assert not _events(trace, "stimulation_command")
         assert not _events(trace, "alert")
@@ -332,6 +326,16 @@ class TestLosslessSimulation:
         write_trace_jsonl(t1, p1)
         write_trace_jsonl(t2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_produced_windows_carry_their_class_and_dataset_index(self, sim_setup):
+        combiner, labels, _, eeg_rows, ecg_rows = sim_setup
+        index = 1000 + 3 * np.arange(40)  # ids of a stride grid with gaps
+        trace = run_simulation(LOSSLESS, combiner, labels, index, eeg_rows, ecg_rows)
+        produced = _events(trace, "window_produced")
+        assert [e.detail for e in produced] == [
+            {"label": int(c), "dataset_index": int(i)} for c, i in zip(labels, index)]
+        assert {e.window_index: e.detail["label"]
+                for e in _events(trace, "fusion_decision")} == dict(enumerate(labels))
 
     def test_trace_jsonl_shape(self, sim_setup, tmp_path):
         trace = run_simulation(LOSSLESS, *sim_setup)
@@ -366,15 +370,13 @@ class TestLossySimulation:
     def test_loss_rate_statistics(self, sim_setup):
         # loss 0.5, no retries: a window survives only if both frames do,
         # so the expected drop rate is 1 - 0.25 = 0.75.
-        combiner, windows, eeg_rows, ecg_rows = sim_setup
-        cycle = np.arange(600) % len(windows)
-        many = [LabeledWindow(i, 5.0 * i, windows[j].data, windows[j].label)
-                for i, j in enumerate(cycle)]
+        combiner, labels, _, eeg_rows, ecg_rows = sim_setup
+        cycle = np.arange(600) % len(labels)
         cfg = SimConfig(window_period_s=5.0,
                         link=LinkModel(loss_probability=0.5, seed=11),
                         duration_s=5.0 * 600, retry_limit=0)
-        trace = run_simulation(cfg, combiner, many, eeg_rows[cycle],
-                               ecg_rows[cycle])
+        trace = run_simulation(cfg, combiner, labels[cycle], np.arange(600),
+                               eeg_rows[cycle], ecg_rows[cycle])
         drop = len(_dropped(trace)) / 600
         assert abs(drop - 0.75) < 0.1
         assert latency_report(trace).drop_rate == drop
@@ -511,9 +513,10 @@ class TestSimulationEdges:
             run_simulation(LOSSLESS, *_first(sim_setup, 0))
 
     @pytest.mark.parametrize("cut", [
-        pytest.param((39, 40, 40), id="fewer-windows"),
-        pytest.param((40, 39, 40), id="fewer-eeg-rows"),
-        pytest.param((40, 40, 39), id="fewer-ecg-rows"),
+        pytest.param((39, 40, 40, 40), id="fewer-windows"),
+        pytest.param((40, 39, 40, 40), id="fewer-dataset-indices"),
+        pytest.param((40, 40, 39, 40), id="fewer-eeg-rows"),
+        pytest.param((40, 40, 40, 39), id="fewer-ecg-rows"),
     ])
     def test_rejects_rows_and_windows_of_unequal_count(self, sim_setup, cut):
         combiner, *inputs = sim_setup

@@ -242,6 +242,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(index) in err and "lists no patients" in err
 
+    @pytest.mark.parametrize("sensor", ["eeg", "ecg"])
+    @pytest.mark.parametrize("command", ["train", "cross-validate", "simulate"])
+    def test_missing_manifest_names_the_index(self, tmp_path, dataset_dir, config_path,
+                                              train_dir, capsys, command, sensor):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        index = json.loads((data / "dataset.json").read_text())
+        index["patients"][0][sensor] = f"missing_{sensor}.json"
+        (data / "dataset.json").write_text(json.dumps(index))
+        models = ["--models", str(train_dir)] if command == "simulate" else []
+        assert main([command, "--config", str(config_path), "--data", str(data),
+                     *models, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert str(data / "dataset.json") in err
+        assert str(data / f"missing_{sensor}.json") in err
+
     @pytest.mark.parametrize("command", ["train", "cross-validate", "simulate"])
     def test_cross_patient_pair_is_refused(self, tmp_path, train_dir, capsys,
                                            command):
@@ -652,6 +668,21 @@ class TestSimulate:
                      "--data", str(dataset_dir), "--models", str(models),
                      "--out", str(tmp_path / "sim")]) == 1
         assert str(holdout) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_weight_that_is_not_a_number_is_refused(self, tmp_path, config_path,
+                                                    dataset_dir, train_dir, capsys,
+                                                    value):
+        models = tmp_path / "models"
+        shutil.copytree(train_dir, models)
+        combiner = json.loads((models / "combiner.json").read_text())
+        combiner["W"][0][0] = value
+        (models / "combiner.json").write_text(json.dumps(combiner))
+        assert main(["simulate", "--config", str(config_path),
+                     "--data", str(dataset_dir), "--models", str(models),
+                     "--out", str(tmp_path / "sim")]) == 1
+        assert str(models / "combiner.json") in capsys.readouterr().err
+        assert not (tmp_path / "sim" / "trace.jsonl").exists()
 
     def test_replay_at_another_stride_is_refused(self, tmp_path, dataset_dir,
                                                  train_dir, capsys):

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -320,7 +321,6 @@ class TestCombinerFiles:
         np.testing.assert_array_equal(back.b, params.b)
 
     def test_file_is_json_with_expected_keys(self, tmp_path):
-        import json
         params = CombinerParams(np.zeros((5, 10)), np.zeros(5))
         path = tmp_path / "combiner.json"
         save_combiner(params, path)
@@ -337,4 +337,23 @@ class TestCombinerFiles:
         path = tmp_path / "combiner.json"
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_combiner(path)
+
+    @pytest.mark.parametrize("key, row, value", [
+        pytest.param("W", 0, True, id="bool-weight"),
+        pytest.param("W", 0, "0.5", id="string-weight"),
+        pytest.param("W", 0, None, id="null-weight"),
+        pytest.param("W", 0, [0.5], id="list-weight"),
+        pytest.param("b", None, False, id="bool-bias"),
+        pytest.param("b", None, "1", id="string-bias"),
+    ])
+    def test_weight_that_is_not_a_number_names_the_file(self, tmp_path, key, row,
+                                                          value):
+        # numpy reads true as 1.0 and "0.5" as 0.5; the file must not pass.
+        path = tmp_path / "combiner.json"
+        save_combiner(CombinerParams(np.zeros((5, 10)), np.zeros(5)), path)
+        payload = json.loads(path.read_text())
+        (payload[key] if row is None else payload[key][row])[0] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*numbers"):
             load_combiner(path)

@@ -59,6 +59,11 @@ class TestTypeMismatch:
         # moved to another section, are unknown keys.
         pytest.param({"model": {"focal_gamma": 2.0}}, "focal_gamma",
                      id="model-focal-gamma"),
+        # Unknown before their values are read: not refused as non-finite.
+        pytest.param({"model": {"kernel_len": float("inf")}}, "kernel_len",
+                     id="kernel-len"),
+        pytest.param({"training": {"focal_gamma": float("inf")}}, "focal_gamma",
+                     id="training-focal-gamma"),
         pytest.param({"model": {"pool_size": 4}}, "pool_size", id="pool-size"),
         pytest.param({"model": {"ecg_pool_size": 2}}, "ecg_pool_size",
                      id="ecg-pool-size"),
@@ -110,10 +115,6 @@ class TestNonFinite:
                      id="data-inf"),
         pytest.param('{"windowing": {"stride_seconds": NaN}}', "stride_seconds",
                      id="windowing"),
-        pytest.param('{"model": {"kernel_len": Infinity}}', "kernel_len",
-                     id="model"),
-        pytest.param('{"training": {"focal_gamma": Infinity}}', "focal_gamma",
-                     id="training-gamma"),
         pytest.param('{"training": {"learning_rate": NaN}}', "learning_rate",
                      id="training"),
         pytest.param('{"combiner": {"learning_rate": Infinity}}', "learning_rate",

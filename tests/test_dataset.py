@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 
 from oracles import band_energy_predict, label_code_reference
 from preictal.dataset import (
+    DISCARD,
     ECG_CLASS_FREQS_HZ,
     EEG_CLASS_FREQS_HZ,
     LabelClass,
-    LabeledWindow,
     Recording,
     SeizureAnnotation,
     Sensor,
     SynthConfig,
     kfold_split,
-    label_for_offset,
+    label_codes,
     load_recording,
     save_recording,
     segment,
@@ -28,6 +28,11 @@ from preictal.dataset import (
 
 # ---------------------------------------------------------------------------
 # Labeling
+
+
+def code_for(minutes):
+    """`label_codes` of one offset; None stands for no seizure ahead."""
+    return int(label_codes([np.inf if minutes is None else minutes])[0])
 
 
 class TestLabelForOffset:
@@ -44,26 +49,22 @@ class TestLabelForOffset:
         (None, LabelClass.INTERICTAL),  # no future seizure in the recording
     ])
     def test_examples(self, minutes, expected):
-        assert label_for_offset(minutes) is expected
+        assert code_for(minutes) == expected
 
     @pytest.mark.parametrize("minutes", [75.0, 60.0, 90.0])
     def test_buffer_zone_is_discarded(self, minutes):
-        assert label_for_offset(minutes) is None
+        assert code_for(minutes) == DISCARD
 
     def test_negative_offset_rejected(self):
         with pytest.raises(ValueError):
-            label_for_offset(-0.001)
+            code_for(-0.001)
 
     @settings(max_examples=300)
     @given(st.floats(min_value=0.0, max_value=1000.0,
                      allow_nan=False, allow_infinity=False))
     def test_totality_matches_reference(self, minutes):
-        got = label_for_offset(minutes)
         want = label_code_reference(minutes)
-        if want == "discard":
-            assert got is None
-        else:
-            assert got is not None and int(got) == want
+        assert code_for(minutes) == (DISCARD if want == "discard" else want)
 
     def test_label_codes_are_stable(self):
         assert [int(c) for c in LabelClass] == [0, 1, 2, 3, 4]
@@ -313,27 +314,23 @@ class TestRecordingInvariants:
 # Cross-validation folds
 
 
-def _labeled_windows(class_counts, seed=0, step=1):
-    rng = np.random.default_rng(seed)
-    windows = []
-    idx = 0
-    for code, count in class_counts.items():
-        for _ in range(count):
-            windows.append(LabeledWindow(idx, float(idx), np.zeros((1, 1)),
-                                         LabelClass(code)))
-            idx += step
-    rng.shuffle(windows)
-    return windows
+def _ids_and_labels(class_counts, seed=0, step=1):
+    """Window ids `step` apart, class by class in the order of `class_counts`,
+    and their classes, shuffled together."""
+    labels = np.repeat(list(class_counts), list(class_counts.values()))
+    ids = step * np.arange(len(labels))
+    order = np.random.default_rng(seed).permutation(len(labels))
+    return ids[order], labels[order]
 
 
-def _check_partition(windows, splits, k):
-    all_ids = sorted(w.window_index for w in windows)
+def _check_partition(window_ids, labels, splits, k):
+    all_ids = sorted(window_ids.tolist())
     seen_test = []
-    n = len(windows)
-    by_id = {w.window_index: int(w.label) for w in windows}
+    n = len(window_ids)
+    by_id = dict(zip(window_ids.tolist(), labels.tolist()))
     class_totals = {}
-    for w in windows:
-        class_totals[int(w.label)] = class_totals.get(int(w.label), 0) + 1
+    for code in labels.tolist():
+        class_totals[code] = class_totals.get(code, 0) + 1
 
     for split in splits:
         ids = split.train_ids + split.val_ids + split.test_ids
@@ -351,34 +348,32 @@ def _check_partition(windows, splits, k):
 
 class TestKfoldSplit:
     def test_partition_law_balanced(self):
-        windows = _labeled_windows({c: 50 for c in range(5)})
-        _check_partition(windows, kfold_split(windows, 5, seed=3), 5)
+        ids, labels = _ids_and_labels({c: 50 for c in range(5)})
+        _check_partition(ids, labels, kfold_split(ids, labels, 5, seed=3), 5)
 
     def test_partition_law_imbalanced(self):
-        windows = _labeled_windows({0: 7, 1: 23, 2: 11, 3: 40, 4: 203}, seed=9)
-        _check_partition(windows, kfold_split(windows, 5, seed=4), 5)
+        ids, labels = _ids_and_labels({0: 7, 1: 23, 2: 11, 3: 40, 4: 203}, seed=9)
+        _check_partition(ids, labels, kfold_split(ids, labels, 5, seed=4), 5)
 
     def test_partition_law_random_multisets(self):
         rng = np.random.default_rng(17)
         for trial in range(10):
             counts = {c: int(rng.integers(5, 60)) for c in range(5)}
-            windows = _labeled_windows(counts, seed=trial)
-            _check_partition(windows, kfold_split(windows, 5, seed=trial), 5)
+            ids, labels = _ids_and_labels(counts, seed=trial)
+            _check_partition(ids, labels, kfold_split(ids, labels, 5, seed=trial), 5)
 
     def test_hundred_windows_make_five_folds_of_twenty(self):
-        windows = _labeled_windows({c: 20 for c in range(5)})
-        splits = kfold_split(windows, 5, seed=0)
+        splits = kfold_split(*_ids_and_labels({c: 20 for c in range(5)}), 5, seed=0)
         assert [len(s.test_ids) for s in splits] == [20] * 5
 
     def test_minimal_two_fold_case(self):
-        windows = _labeled_windows({0: 2})
-        splits = kfold_split(windows, 2, seed=0)
+        splits = kfold_split(*_ids_and_labels({0: 2}), 2, seed=0)
         assert [len(s.test_ids) for s in splits] == [1, 1]
 
     def test_deterministic_and_input_order_invariant(self):
-        windows = _labeled_windows({c: 30 for c in range(5)}, seed=1)
-        a = kfold_split(windows, 5, seed=7)
-        b = kfold_split(list(reversed(windows)), 5, seed=7)
+        ids, labels = _ids_and_labels({c: 30 for c in range(5)}, seed=1)
+        a = kfold_split(ids, labels, 5, seed=7)
+        b = kfold_split(ids[::-1].tolist(), labels[::-1].tolist(), 5, seed=7)
         for sa, sb in zip(a, b):
             assert sa.test_ids == sb.test_ids
             assert sa.val_ids == sb.val_ids
@@ -387,9 +382,9 @@ class TestKfoldSplit:
     def test_pinned_layout(self):
         # One seeded, imbalanced input with gapped ids and a class absent:
         # a change in the order of the random draws changes these folds.
-        windows = _labeled_windows({0: 2, 1: 5, 3: 3, 4: 9}, seed=4, step=3)
+        ids, labels = _ids_and_labels({0: 2, 1: 5, 3: 3, 4: 9}, seed=4, step=3)
         folds = [(s.train_ids, s.val_ids, s.test_ids)
-                 for s in kfold_split(windows, 3, seed=11)]
+                 for s in kfold_split(ids, labels, 3, seed=11)]
         assert folds == [
             ([0, 6, 12, 15, 24, 27, 30, 33, 39, 45, 48], [42],
              [3, 9, 18, 21, 36, 51, 54]),
@@ -399,16 +394,21 @@ class TestKfoldSplit:
              [6, 15, 27, 30, 42, 45]),
         ]
         folds = [(s.train_ids, s.val_ids, s.test_ids)
-                 for s in kfold_split(windows, 5, seed=11)]
+                 for s in kfold_split(ids, labels, 5, seed=11)]
         assert hashlib.sha256(json.dumps(folds).encode()).hexdigest() == \
             "e2ed00ff271062a4ee2129763645bdcdc75e89c472fb9a0c81b012f284b8b6c6"
 
     def test_rejects_bad_k(self):
-        windows = _labeled_windows({0: 10})
+        ids, labels = _ids_and_labels({0: 10})
         with pytest.raises(ValueError):
-            kfold_split(windows, 1, seed=0)
+            kfold_split(ids, labels, 1, seed=0)
         with pytest.raises(ValueError):
-            kfold_split(windows[:3], 5, seed=0)
+            kfold_split(ids[:3], labels[:3], 5, seed=0)
+
+    def test_rejects_ids_and_labels_of_unequal_count(self):
+        ids, labels = _ids_and_labels({0: 10})
+        with pytest.raises(ValueError, match="10 ids and 9 labels"):
+            kfold_split(ids, labels[:9], 5, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +461,30 @@ class TestRecordingFiles:
                            + ".*channel 1, sample 4") as exc:
             load_recording(manifest)
         assert "not a recording manifest" not in str(exc.value)
+
+    @pytest.mark.parametrize("key, delta", [
+        pytest.param("n_samples", 1, id="n-samples"),
+        pytest.param("channels", -1, id="channels"),
+    ])
+    def test_shape_off_the_samples_file_names_both(self, tmp_path, key, delta):
+        # The samples file is whole; the manifest's shape is what is wrong.
+        manifest = save_recording(_recording(3.0), tmp_path, "r")
+        payload = json.loads(manifest.read_text())
+        payload[key] += delta
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as exc:
+            load_recording(manifest)
+        assert str(manifest) in str(exc.value)
+        assert str(tmp_path / "r.f64") in str(exc.value)
+
+    def test_missing_samples_file_names_the_manifest(self, tmp_path):
+        manifest = save_recording(_recording(3.0), tmp_path, "r")
+        payload = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**payload, "data_file": "nope.f64"}))
+        with pytest.raises(FileNotFoundError) as exc:
+            load_recording(manifest)
+        assert str(manifest) in str(exc.value)
+        assert str(tmp_path / "nope.f64") in str(exc.value)
 
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda m: m.pop("channels"), id="no-channels"),

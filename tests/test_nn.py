@@ -21,6 +21,7 @@ from oracles import (
 from preictal.dataset import Sensor
 from preictal.errors import ShapeError
 from preictal.nn.losses import (
+    FOCAL_GAMMA,
     FocalLossConfig,
     focal_grad_wrt_logits,
     focal_loss_batch,
@@ -1018,8 +1019,6 @@ class TestAdam:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
-            TrainConfig(focal_gamma=-0.5)
-        with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
@@ -1095,7 +1094,7 @@ class TestTrain:
         (xs, ys), (xv, yv) = _toy_set(6, seed=8), _toy_set(2, seed=9)
         model, report = train(model, xs, ys, xv, yv, train_cfg=cfg)
         loss, _ = evaluate(model, xv, yv,
-                           FocalLossConfig(gamma=cfg.focal_gamma,
+                           FocalLossConfig(gamma=FOCAL_GAMMA,
                                            alpha=inverse_frequency_alpha(ys)))
         np.testing.assert_allclose(loss, min(report.val_loss), rtol=1e-9)
 
