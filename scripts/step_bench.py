@@ -34,16 +34,21 @@ noise.
 BLAS is pinned to one thread before numpy loads, and the checkout's own
 src/ is imported.  The last line is the result as JSON: each timing's
 quartiles under its name, `src_lines`, the lines of every *.py under
-src/, counted as perfbench's provenance counts them, and `config_leaves`,
+src/, counted as perfbench's provenance counts them, `config_leaves`,
 the values a config file can set: the leaves of `ExperimentConfig()`'s
-dataclass tree, a tuple such as `model.hidden` counting as one.
+dataclass tree, a tuple such as `model.hidden` counting as one, and
+`windows_peak_mb`, the tracemalloc peak in MB (2^20 bytes) of `cut_windows`
+reading one default-config (desk) patient's EEG and ECG windows from their
+files, as `train`, `cross-validate` and `simulate` read them.
 """
 
 import dataclasses
 import json
 import os
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
@@ -56,7 +61,13 @@ import numpy as np  # noqa: E402
 from oracles import noisy_quantized_set  # noqa: E402
 from preictal.combiner import CombinerConfig, lr_train  # noqa: E402
 from preictal.config import ExperimentConfig, ModelConfig  # noqa: E402
-from preictal.dataset import Sensor  # noqa: E402
+from preictal.dataset import (  # noqa: E402
+    Sensor,
+    cut_windows,
+    read_manifest,
+    save_recording,
+    synth_generate,
+)
 from preictal.evaluation import KERNEL_LEN  # noqa: E402
 from preictal.nn.losses import (  # noqa: E402
     FOCAL_GAMMA,
@@ -156,6 +167,19 @@ def config_leaves(node) -> int:
                for value in (getattr(node, f.name) for f in dataclasses.fields(node)))
 
 
+def windows_peak_mb() -> float:
+    cfg = ExperimentConfig()
+    step = (cfg.windowing.window_seconds, cfg.windowing.stride_seconds)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifests = [save_recording(rec, tmp, rec.sensor.value)
+                     for rec in synth_generate(cfg.data, seed=cfg.seed)]
+        tracemalloc.start()
+        windows = [cut_windows(read_manifest(m), *step) for m in manifests]  # noqa: F841
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak / 2**20
+
+
 def main() -> int:
     result = {f"{name}-step": quartiles(time_steps(sensor, channels, pool))
               for name, sensor, channels, pool in SHAPES}
@@ -174,6 +198,8 @@ def main() -> int:
     print(f"src_lines  {result['src_lines']}")
     result["config_leaves"] = config_leaves(ExperimentConfig())
     print(f"config_leaves  {result['config_leaves']}")
+    result["windows_peak_mb"] = windows_peak_mb()
+    print(f"windows_peak_mb  {result['windows_peak_mb']:.1f}")
     print(json.dumps(result))
     return 0
 

@@ -205,7 +205,7 @@ def run_simulation(
     """Replay windows through the network and record every event.
 
     Window w, of class `labels[w]` and stride-grid id `dataset_index[w]`,
-    sends row w of `eeg_rows` and `ecg_rows`, from `_predictions`; at most
+    sends row w of `eeg_rows` and `ecg_rows`, from `predictions`; at most
     `cfg.max_windows` windows are replayed.  Window w becomes available at
     (w+1) * window_period_s (a window must end before it can be classified);
     both sensor nodes then spend one processing delay on inference and

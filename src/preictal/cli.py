@@ -18,8 +18,9 @@ from typing import Iterator
 from .bansim import latency_report, run_simulation, write_trace_jsonl
 from .combiner import load_combiner, save_combiner
 from .config import ExperimentConfig, WindowingConfig, load_config, write_config
-from .dataset import Recording, kfold_split, load_recording, save_recording, synth_generate
-from .dataset import segment  # noqa: F401  (perfbench/spans.py traces it here)
+from .dataset import (Windows, cut_windows, kfold_split, read_manifest, save_recording,
+                      synth_generate)
+from .dataset import load_recording, segment  # noqa: F401  (perfbench/spans.py traces them)
 from .errors import read_json
 from .evaluation import (
     RATES,
@@ -27,9 +28,9 @@ from .evaluation import (
     VARIANTS,
     FoldResult,
     PatientResult,
-    _predictions,
+    _predictions,  # noqa: F401  (perfbench/spans.py traces it here)
     binary_metrics,
-    paired_windows,
+    predictions,
     report_document,
     run_cross_validation,
     run_patient_fold,
@@ -60,16 +61,27 @@ def _resolve_run(args) -> tuple[ExperimentConfig, Path]:
     return cfg, out
 
 
-def _read_pair(index_path: Path, pid: str, eeg: Path, ecg: Path):
-    """An entry's recordings, in a call of its own so the reader holds none after."""
+def _read_pair(index_path: Path, pid: str, eeg: Path, ecg: Path,
+               windowing: WindowingConfig) -> tuple[Windows, Windows]:
+    """An entry's EEG and ECG windows.  Before any sample is read, each
+    manifest's patient is held to the entry's id, naming the index and the
+    manifest, and the two timelines to each other, naming both manifests."""
     missing = next((path for path in (eeg, ecg) if not path.is_file()), None)
     if missing:
         raise FileNotFoundError(f"{index_path} lists {missing}, which does not exist")
-    eeg_rec = load_recording(eeg)
-    if eeg_rec.patient_id != pid:
-        raise ValueError(f"{index_path} lists {eeg.name} under id {pid!r}, but it "
-                         f"records patient {eeg_rec.patient_id!r}")
-    return eeg_rec, load_recording(ecg)
+    manifests = [read_manifest(eeg), read_manifest(ecg)]
+    for m in manifests:
+        if m.patient_id != pid:
+            raise ValueError(f"{index_path} lists {m.path} under id {pid!r}, but that "
+                             f"manifest records patient {m.patient_id!r}")
+    timelines = [(m.sample_rate_hz, m.n_samples, m.annotations) for m in manifests]
+    differ = [name for name, a, b in zip(
+        ("sample rates", "sample counts", "annotations"), *timelines) if a != b]
+    if differ:
+        raise ValueError(f"{eeg} and {ecg} of patient {pid!r} do not align: "
+                         f"their {', '.join(differ)} differ")
+    step = (windowing.window_seconds, windowing.stride_seconds)
+    return tuple(cut_windows(m, *step) for m in manifests)
 
 
 def _patient_id(pid) -> str:
@@ -79,14 +91,14 @@ def _patient_id(pid) -> str:
     return pid
 
 
-def _read_patients(data_dir: Path | str, patient_id: str | None = None,
-                   listed_in: Path | None = None
-                   ) -> Iterator[tuple[int, Recording, Recording]]:
-    """(index position, EEG, ECG) per patient of the dataset index, or only
-    `patient_id`'s, each pair read when reached.  ValueError naming the index if
-    it lists no patients, repeats an id or files an EEG recording under another
-    patient's id; `paired_windows` then holds the ECG to the EEG.  An unknown
-    `patient_id` is refused naming `listed_in`, the file it came from, if any."""
+def _read_patients(data_dir: Path | str, windowing: WindowingConfig,
+                   patient_id: str | None = None, listed_in: Path | None = None
+                   ) -> Iterator[tuple[int, str, Windows, Windows]]:
+    """(index position, id, EEG windows, ECG windows) per patient of the
+    dataset index, or only `patient_id`'s, each read by `_read_pair` when
+    reached.  ValueError naming the index if it lists no patients or repeats
+    an id.  An unknown `patient_id` is refused naming `listed_in`, the file
+    it came from, if any."""
     index_path = Path(data_dir) / DATASET_INDEX
     if not index_path.exists():
         raise FileNotFoundError(f"expected dataset index at {index_path}; "
@@ -105,7 +117,7 @@ def _read_patients(data_dir: Path | str, patient_id: str | None = None,
                          f"(known: {', '.join(ids)})")
     for p_idx, entry in enumerate(entries):
         if patient_id in (None, entry[0]):
-            yield (p_idx, *_read_pair(index_path, *entry))
+            yield (p_idx, entry[0], *_read_pair(index_path, *entry, windowing))
 
 
 def _fnum(value) -> str:
@@ -187,17 +199,13 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, out = _resolve_run(args)
-    p_idx, eeg_rec, ecg_rec = next(_read_patients(args.data, args.patient))
-    pid = eeg_rec.patient_id
-    eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
-    del eeg_rec, ecg_rec  # the windows are copies; free the samples to train
+    p_idx, pid, eeg, ecg = next(_read_patients(args.data, cfg.windowing, args.patient))
     # The patient's cross-validation fold 0.
-    split = kfold_split(list(eeg_w), [w.label for w in eeg_w.values()], cfg.folds,
-                        seed=split_seed(cfg, p_idx))[0]
-    print(f"patient {pid}: {len(eeg_w)} windows "
+    split = kfold_split(eeg.index, eeg.label, cfg.folds, seed=split_seed(cfg, p_idx))[0]
+    print(f"patient {pid}: {len(eeg.index)} windows "
           f"({len(split.train_ids)} train / {len(split.val_ids)} val / "
           f"{len(split.test_ids)} held out)")
-    result = run_patient_fold(eeg_w, ecg_w, split, cfg, p_idx)
+    result = run_patient_fold(eeg, ecg, split, cfg, p_idx)
     _save_fold(result, pid, cfg.windowing, out)
     for name in VARIANTS:
         b = binary_metrics(result.confusion[name])
@@ -209,9 +217,10 @@ def cmd_train(args) -> int:
 
 def cmd_cross_validate(args) -> int:
     cfg, out = _resolve_run(args)
-    # Unlike a generator expression's loop variable, map holds no pair once handed on.
-    pairs = map(lambda row: row[1:], _read_patients(args.data))
-    patients = run_cross_validation(pairs, cfg)
+    # Unlike a generator expression's loop variable, map holds no patient once
+    # handed on.
+    patients = run_cross_validation(
+        map(lambda row: row[1:], _read_patients(args.data, cfg.windowing)), cfg)
     doc = _write_report_files(patients, out)
     for pr in patients:
         for fr in pr.folds:
@@ -255,27 +264,25 @@ def cmd_simulate(args) -> int:
     held_patient, held_ids, held_windowing = read_json(
         paths["holdout"], "a held-out window list", _holdout)
 
-    _, eeg_rec, ecg_rec = next(_read_patients(args.data, held_patient,
-                                              paths["holdout"]))
-    eeg_w, ecg_w = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
-    ids = sorted(eeg_w)
+    _, _, eeg, ecg = next(_read_patients(args.data, cfg.windowing, held_patient,
+                                         paths["holdout"]))
+    ids = eeg.index
     if not args.all_windows:
         # Window ids are stride-grid positions, so they name the same data
         # only at the windowing they were cut at.
         if held_windowing != cfg.windowing:
             raise ValueError(f"{paths['holdout']} was cut at {held_windowing}; the "
                              f"config asks for {cfg.windowing}")
-        unknown = [i for i in held_ids if i not in eeg_w]
+        unknown = sorted(set(held_ids).difference(eeg.index.tolist()))
         if unknown:
             raise ValueError(f"{paths['holdout']} lists {len(unknown)} ids that are "
                              f"not windows of patient {held_patient!r}, the first "
                              f"{unknown[0]}")
         ids = held_ids
-    ids = ids[:cfg.sim.max_windows]
-    preds = _predictions(eeg_model, ecg_model, combiner_params,
-                         [eeg_w[i] for i in ids], [ecg_w[i] for i in ids])
-    trace = run_simulation(cfg.sim, combiner_params, [eeg_w[i].label for i in ids],
-                           ids, preds["eeg_rows"], preds["ecg_rows"])
+    eeg, ecg = eeg.at(ids[:cfg.sim.max_windows]), ecg.at(ids[:cfg.sim.max_windows])
+    preds = predictions(eeg_model, ecg_model, combiner_params, eeg.data, ecg.data)
+    trace = run_simulation(cfg.sim, combiner_params, eeg.label, eeg.index,
+                           preds["eeg_rows"], preds["ecg_rows"])
     write_trace_jsonl(trace, out / "trace.jsonl")
     rep = latency_report(trace)
     equivalence = None  # undefined, like the mean latency, if nothing was fused

@@ -4,19 +4,20 @@ The labeling timeline, stated once in `label_codes`: minutes to the next
 onset fall in BIN_MIN-wide bins up to PREICTAL_HORIZON_MIN, lower edge
 inclusive ([0,15) [15,30) [30,45) [45,60)); the buffer [PREICTAL_HORIZON_MIN,
 INTERICTAL_THRESHOLD_MIN] is discarded rather than forced into either side;
-beyond it, or with no seizure ahead, is baseline (interictal).  `segment`
+beyond it, or with no seizure ahead, is baseline (interictal).  `cut_windows`
 also discards windows overlapping a seizure or the POSTICTAL_EXCLUSION_S
 after it; the generator lays out its class regions from the same constants.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +62,24 @@ class SeizureAnnotation:
             )
 
 
+def _check_header(rec) -> None:
+    """ValueError if a recording's or manifest's header does not make sense."""
+    if type(rec.sample_rate_hz) is not int or rec.sample_rate_hz <= 0:
+        raise ValueError(f"sample_rate_hz must be a positive integer, "
+                         f"got {rec.sample_rate_hz!r}")
+    if rec.sensor == Sensor.EEG and rec.channels < 2:
+        raise ValueError("EEG recordings need channels >= 2")
+    if rec.sensor == Sensor.ECG and rec.channels != 1:
+        raise ValueError("ECG recordings are single-channel")
+    prev_end = 0.0
+    for ann in rec.annotations:
+        if ann.onset_time < prev_end:
+            raise ValueError("annotations must be sorted and non-overlapping")
+        if ann.end_time > rec.n_samples / rec.sample_rate_hz:
+            raise ValueError("annotation extends past the end of the recording")
+        prev_end = ann.end_time
+
+
 @dataclass
 class Recording:
     """One sensor's annotated multichannel time series.
@@ -78,42 +97,72 @@ class Recording:
     annotations: list[SeizureAnnotation] = field(default_factory=list)
 
     def __post_init__(self):
-        if type(self.sample_rate_hz) is not int or self.sample_rate_hz <= 0:
-            raise ValueError(f"sample_rate_hz must be a positive integer, "
-                             f"got {self.sample_rate_hz!r}")
-        if self.sensor == Sensor.EEG and self.channels < 2:
-            raise ValueError("EEG recordings need channels >= 2")
-        if self.sensor == Sensor.ECG and self.channels != 1:
-            raise ValueError("ECG recordings are single-channel")
         if self.samples.ndim != 2 or self.samples.shape[0] != self.channels:
             raise ValueError(
                 f"samples must be [channels x time], got shape {self.samples.shape}"
             )
-        duration = self.duration_s
-        prev_end = 0.0
-        for ann in self.annotations:
-            if ann.onset_time < prev_end:
-                raise ValueError("annotations must be sorted and non-overlapping")
-            if ann.end_time > duration:
-                raise ValueError("annotation extends past the end of the recording")
-            prev_end = ann.end_time
+        _check_header(self)
 
     @property
-    def duration_s(self) -> float:
-        return self.samples.shape[1] / self.sample_rate_hz
+    def n_samples(self) -> int:
+        return self.samples.shape[1]
+
+
+@dataclass
+class Manifest:
+    """A recording as its manifest describes it, the samples left in the
+    `.f64` file at `data_path`, which `read_manifest` found to be their size.
+    The header obeys `Recording`'s rules."""
+
+    path: Path
+    data_path: Path
+    patient_id: str
+    sensor: Sensor
+    sample_rate_hz: int
+    channels: int
+    n_samples: int
+    annotations: list[SeizureAnnotation]
+
+    def __post_init__(self):
+        _check_header(self)
+
+    def read_rows(self, rows) -> Iterator[np.ndarray]:
+        """Read the samples into `rows`, one channel row at a time, and yield
+        each row once it is found finite; ValueError naming the file, channel
+        and sample of the first value that is not."""
+        with open(self.data_path, "rb") as fh:
+            for c, row in zip(range(self.channels), rows):
+                fh.readinto(row)
+                # NaN propagates through min and max, so no full-size mask is needed.
+                if row.size and not np.isfinite([row.min(), row.max()]).all():
+                    i = int(np.flatnonzero(~np.isfinite(row))[0])
+                    raise ValueError(f"{self.data_path} holds NaN or infinite samples, "
+                                     f"the first at channel {c}, sample {i}")
+                yield row
+
+
+@dataclass(eq=False)
+class Windows:
+    """A recording's kept windows as one record of arrays, in stride-grid
+    order: `index` [N] the stride-grid ids (a window starts at index x
+    stride, so ids align between a patient's EEG and ECG), `label` [N] the
+    class codes and `data` [N x C x T] the samples."""
+
+    index: np.ndarray
+    label: np.ndarray
+    data: np.ndarray
+
+    def at(self, ids) -> Windows:
+        """The windows of stride-grid `ids`, each of which must be in the record."""
+        pos = np.searchsorted(self.index, ids)
+        return Windows(self.index[pos], self.label[pos], self.data[pos])
 
 
 @dataclass
 class LabeledWindow:
-    """A fixed-length segment cut from a recording.
-
-    `window_index` is the position on the stride grid, so indices stay aligned
-    between the EEG and ECG windowings of the same patient even when windows
-    in between are discarded.
-    """
+    """One window of `segment`'s list: a row of `Windows` as an object."""
 
     window_index: int
-    start_time: float
     data: np.ndarray
     label: LabelClass
 
@@ -145,28 +194,28 @@ def _check_integral(value: float, what: str) -> int:
     return int(n)
 
 
-def segment(
-    recording: Recording, window_seconds: float, stride_seconds: float
-) -> list[LabeledWindow]:
-    """Cut a recording into labeled windows, every stride position in one pass.
+def cut_windows(rec: Recording | Manifest, window_seconds: float,
+                stride_seconds: float) -> Windows:
+    """A recording's kept windows, every stride position labeled in one pass.
 
     A window's label is `label_codes` of the minutes from its END time (the
     freshest signal the model sees) to the next onset at or after it.  It is
     dropped when that is DISCARD or it overlaps [onset, end +
-    POSTICTAL_EXCLUSION_S) of a seizure.  The kept windows are the rows of one
-    block copied out of the recording: one allocation, not one per window.
+    POSTICTAL_EXCLUSION_S) of a seizure.  The block is filled one channel row
+    at a time, from a `Recording`'s samples or, for a `Manifest`, from its
+    `.f64` through one reused row buffer, so a file is never held whole.
     """
-    fs = recording.sample_rate_hz
+    fs = rec.sample_rate_hz
     window_samples = _check_integral(window_seconds * fs, "window_seconds * sample_rate")
     stride_samples = _check_integral(stride_seconds * fs, "stride_seconds * sample_rate")
-    n = recording.samples.shape[1]
+    n = rec.n_samples
     if n < window_samples:
-        raise ValueError(f"{recording.patient_id} {recording.sensor.value} recording "
+        raise ValueError(f"{rec.patient_id} {rec.sensor.value} recording "
                          f"({n} samples) is shorter than one window ({window_samples})")
 
     s0 = stride_samples * np.arange((n - window_samples) // stride_samples + 1)
     starts, ends = s0 / fs, (s0 + window_samples) / fs
-    anns = recording.annotations
+    anns = rec.annotations
     onsets = np.array([a.onset_time for a in anns] + [np.inf])
     excluded_until = np.array([a.end_time for a in anns]) + POSTICTAL_EXCLUSION_S
     next_onset = onsets[np.searchsorted(onsets, ends, side="left")]
@@ -174,15 +223,24 @@ def segment(
     codes[((starts[:, None] < excluded_until)
            & (onsets[:-1] < ends[:, None])).any(axis=1)] = DISCARD
     keep = np.flatnonzero(codes != DISCARD)
-    grid = np.lib.stride_tricks.sliding_window_view(recording.samples, window_samples, 1)
-    data = grid[:, ::stride_samples].transpose(1, 0, 2)[keep]
-    return [LabeledWindow(int(i), float(starts[i]), x, LabelClass(int(codes[i])))
-            for i, x in zip(keep, data)]
+    rows = (rec.samples if isinstance(rec, Recording)
+            else rec.read_rows(itertools.repeat(np.empty(n, dtype="<f8"))))
+    data = np.empty((len(keep), rec.channels, window_samples))
+    for c, row in enumerate(rows):
+        grid = np.lib.stride_tricks.sliding_window_view(row, window_samples)[::stride_samples]
+        for k in range(0, len(keep), 256):  # a gather's temporary, not a channel's
+            data[k:k + 256, c] = grid[keep[k:k + 256]]
+    return Windows(keep, codes[keep], data)
 
 
-def stack_windows(windows: Sequence[LabeledWindow]) -> tuple[np.ndarray, np.ndarray]:
-    """Windows -> their data [N x C x T] and int classes [N]."""
-    return np.stack([w.data for w in windows]), np.array([int(w.label) for w in windows])
+def segment(
+    recording: Recording, window_seconds: float, stride_seconds: float
+) -> list[LabeledWindow]:
+    """`cut_windows` of a recording as window objects, whose data are rows of
+    one block; perfbench's stream-infer reads windows in this form."""
+    w = cut_windows(recording, window_seconds, stride_seconds)
+    return [LabeledWindow(int(i), x, LabelClass(int(c)))
+            for i, c, x in zip(w.index, w.label, w.data)]
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +475,14 @@ def save_recording(rec: Recording, out_dir: Path | str, basename: str) -> Path:
     }
     manifest_path = out_dir / f"{basename}.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    (out_dir / data_name).write_bytes(
-        np.ascontiguousarray(rec.samples, dtype="<f8").tobytes()
-    )
+    np.ascontiguousarray(rec.samples, dtype="<f8").tofile(out_dir / data_name)
     return manifest_path
 
 
-def load_recording(manifest_path: Path | str) -> Recording:
-    """The recording a manifest describes; an error names the manifest if it is
-    malformed, the samples file if not finite, both if that is missing or short."""
+def read_manifest(manifest_path: Path | str) -> Manifest:
+    """The manifest at `manifest_path`, its samples not read; an error names the
+    manifest if it is malformed, both it and the samples file if that is
+    missing or not the size the manifest gives."""
     manifest_path = Path(manifest_path)
 
     def locate(manifest):
@@ -438,29 +495,35 @@ def load_recording(manifest_path: Path | str) -> Recording:
             raise FileNotFoundError(f"{manifest_path} names missing file {data_path}")
         return manifest, data_path, shape
 
-    manifest, data_path, shape = read_json(manifest_path, "a recording manifest", locate)
-    raw = data_path.read_bytes()
-    if len(raw) != 8 * shape[0] * shape[1]:
-        raise ValueError(f"{data_path} holds {len(raw)} bytes; {manifest_path} gives "
-                         f"{shape[0]} channels x {shape[1]} samples of float64, which "
-                         f"need {8 * shape[0] * shape[1]}")
-    # A read-only view of the file's bytes (on a little-endian host): a
-    # copy would double the recording's peak memory while it loads.
-    samples = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False)
-    # NaN propagates through min and max, so no full-size mask is needed.
-    if samples.size and not np.isfinite([samples.min(), samples.max()]).all():
-        c, i = divmod(int(np.flatnonzero(~np.isfinite(samples))[0]), shape[1])
-        raise ValueError(f"{data_path} holds NaN or infinite samples, the "
-                         f"first at channel {c}, sample {i}")
+    manifest, data_path, (channels, n) = read_json(manifest_path, "a recording manifest",
+                                                   locate)
+    size = data_path.stat().st_size
+    if size != 8 * channels * n:
+        raise ValueError(f"{data_path} holds {size} bytes; {manifest_path} gives "
+                         f"{channels} channels x {n} samples of float64, which "
+                         f"need {8 * channels * n}")
     with naming(manifest_path, "a recording manifest"):
-        return Recording(
+        return Manifest(
+            manifest_path, data_path,
             patient_id=manifest["patient_id"],
             sensor=Sensor(manifest["sensor"]),
             sample_rate_hz=manifest["sample_rate_hz"],
-            channels=manifest["channels"],
-            samples=samples.reshape(shape),
+            channels=channels,
+            n_samples=n,
             annotations=[
                 SeizureAnnotation(a["onset_time"], a["end_time"])
                 for a in manifest["annotations"]
             ],
         )
+
+
+def load_recording(manifest_path: Path | str) -> Recording:
+    """The whole recording a manifest describes, each row read straight into
+    its samples by `Manifest.read_rows`; the pipeline reads `cut_windows`
+    of the manifest instead, and perfbench's stream-infer reads this."""
+    m = read_manifest(manifest_path)
+    samples = np.empty((m.channels, m.n_samples), dtype="<f8")
+    for _ in m.read_rows(samples):
+        pass
+    return Recording(m.patient_id, m.sensor, m.sample_rate_hz, m.channels,
+                     samples.astype(np.float64, copy=False), m.annotations)

@@ -20,18 +20,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .combiner import CombinerParams, build_input, lr_forward, lr_train, quantize4
-from .config import ExperimentConfig, WindowingConfig
-from .dataset import (
-    N_CLASSES,
-    FoldSplit,
-    LabelClass,
-    LabeledWindow,
-    Recording,
-    Sensor,
-    kfold_split,
-    segment,
-    stack_windows,
-)
+from .config import ExperimentConfig
+from .dataset import (N_CLASSES, FoldSplit, LabelClass, LabeledWindow, Sensor, Windows,
+                      kfold_split)
+from .dataset import segment  # noqa: F401  (perfbench/spans.py traces it here)
 from .nn.model import SensorModel, build_model, model_forward
 from .nn.train import TrainReport, train
 
@@ -193,46 +185,32 @@ def report_document(patients: Sequence[PatientResult]) -> dict:
     return doc
 
 
-def paired_windows(
-    eeg_rec: Recording, ecg_rec: Recording, windowing: WindowingConfig
-) -> tuple[dict[int, LabeledWindow], dict[int, LabeledWindow]]:
-    """Window both recordings of a patient, each keyed by window index.
-
-    The two recordings must share one timeline: patient id, sample rate,
-    sample count and annotations.  Then their windowings align index for
-    index and label for label; ValueError naming the patient if they do not.
-    """
-    timelines = [(r.patient_id, r.sample_rate_hz, r.samples.shape[1], r.annotations)
-                 for r in (eeg_rec, ecg_rec)]
-    differ = [name for name, a, b in zip(
-        ("patient ids", "sample rates", "sample counts", "annotations"),
-        *timelines) if a != b]
-    if differ:
-        raise ValueError(f"EEG and ECG recordings of patient {eeg_rec.patient_id!r} "
-                         f"do not align: their {', '.join(differ)} differ")
-    step = (windowing.window_seconds, windowing.stride_seconds)
-    return tuple({w.window_index: w for w in segment(rec, *step)}
-                 for rec in (eeg_rec, ecg_rec))
-
-
-def _predictions(
+def predictions(
     eeg_model: SensorModel,
     ecg_model: SensorModel,
     combiner_params: CombinerParams,
-    eeg_windows: list[LabeledWindow],
-    ecg_windows: list[LabeledWindow],
+    eeg_x: np.ndarray,
+    ecg_x: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """Each variant's class per window as an int array, and the fused quantized
-    rows, which the simulator replays, as `eeg_rows` and `ecg_rows`, from one
-    batched pass.  Argmax breaks ties toward the lowest class as `predict`
-    does, and `lr_forward` gives a row the same bits alone or in a batch, so
-    the combined classes equal the gateway's per-window decisions."""
-    p_eeg = model_forward(eeg_model, stack_windows(eeg_windows)[0])
-    p_ecg = model_forward(ecg_model, stack_windows(ecg_windows)[0])
+    """Each variant's class per window of the blocks `eeg_x` and `ecg_x` as an
+    int array, and the fused quantized rows, which the simulator replays, as
+    `eeg_rows` and `ecg_rows`, from one batched pass.  Argmax breaks ties
+    toward the lowest class as `predict` does, and `lr_forward` gives a row
+    the same bits alone or in a batch, so the combined classes equal the
+    gateway's per-window decisions."""
+    p_eeg = model_forward(eeg_model, eeg_x)
+    p_ecg = model_forward(ecg_model, ecg_x)
     rows = {"eeg_rows": quantize4(p_eeg), "ecg_rows": quantize4(p_ecg)}
     fused = lr_forward(build_input(*rows.values()), combiner_params)
     return {"eeg": p_eeg.argmax(axis=1), "ecg": p_ecg.argmax(axis=1),
             "combined": fused.argmax(axis=1), **rows}
+
+
+def _predictions(eeg_model, ecg_model, combiner_params,
+                 eeg_windows: list[LabeledWindow], ecg_windows: list[LabeledWindow]):
+    """`predictions` of window objects; perfbench's stream-infer calls it."""
+    blocks = (np.stack([w.data for w in ws]) for ws in (eeg_windows, ecg_windows))
+    return predictions(eeg_model, ecg_model, combiner_params, *blocks)
 
 
 def split_seed(cfg: ExperimentConfig, p_idx: int) -> int:
@@ -241,71 +219,66 @@ def split_seed(cfg: ExperimentConfig, p_idx: int) -> int:
 
 
 def run_patient_fold(
-    eeg_windows: dict[int, LabeledWindow],
-    ecg_windows: dict[int, LabeledWindow],
-    split: FoldSplit,
-    cfg: ExperimentConfig,
-    p_idx: int,
+    eeg: Windows, ecg: Windows, split: FoldSplit, cfg: ExperimentConfig, p_idx: int
 ) -> FoldResult:
     """Train both sensor models and the combiner on one split; score the test set.
 
-    One pass per sensor stacks its training and validation windows once,
-    trains its model (model and shuffle seeded with the fold's seed for the
-    patient at position `p_idx` of the dataset, plus one for ECG) and forwards
-    its training windows into the combiner's fit set.  Fusion and test labels
-    are the EEG windows'.
+    One pass per sensor takes its training and validation windows out of its
+    record once, trains its model (model and shuffle seeded with the fold's
+    seed for the patient at position `p_idx` of the dataset, plus one for
+    ECG) and forwards its training windows into the combiner's fit set.
+    Fusion and test labels are the EEG windows'.
     """
     fold_seed = cfg.seed + 1000 * p_idx + 10 * split.fold_index
     models, reports, fit = {}, {}, {}
-    for offset, (sensor, windows) in enumerate(((Sensor.EEG, eeg_windows),
-                                                (Sensor.ECG, ecg_windows))):
-        xs, ys = stack_windows([windows[i] for i in split.train_ids])
-        xv, yv = stack_windows([windows[i] for i in split.val_ids])
+    for offset, (sensor, windows) in enumerate(((Sensor.EEG, eeg), (Sensor.ECG, ecg))):
+        fit_w, val_w = windows.at(split.train_ids), windows.at(split.val_ids)
         model = models[sensor] = build_model(
-            sensor, *xs.shape[1:], kernel_len=KERNEL_LEN,
+            sensor, *fit_w.data.shape[1:], kernel_len=KERNEL_LEN,
             pool_size=POOL_SIZES[sensor], hidden=cfg.model.hidden,
             seed=fold_seed + offset)
-        _, reports[sensor] = train(model, xs, ys, xv, yv, cfg.training)
-        fit[sensor] = quantize4(model_forward(model, xs)), ys
+        _, reports[sensor] = train(model, fit_w.data, fit_w.label,
+                                   val_w.data, val_w.label, cfg.training)
+        fit[sensor] = quantize4(model_forward(model, fit_w.data)), fit_w.label
 
     (p_eeg, labels), (p_ecg, _) = fit[Sensor.EEG], fit[Sensor.ECG]
     combiner_params = lr_train(build_input(p_eeg, p_ecg), labels, cfg.combiner)
-    test_eeg = [eeg_windows[i] for i in split.test_ids]
-    preds = _predictions(models[Sensor.EEG], models[Sensor.ECG], combiner_params,
-                         test_eeg, [ecg_windows[i] for i in split.test_ids])
-    counts = {name: confusion(preds[name], [w.label for w in test_eeg])
-              for name in VARIANTS}
+    test_eeg, test_ecg = eeg.at(split.test_ids), ecg.at(split.test_ids)
+    preds = predictions(models[Sensor.EEG], models[Sensor.ECG], combiner_params,
+                        test_eeg.data, test_ecg.data)
+    counts = {name: confusion(preds[name], test_eeg.label) for name in VARIANTS}
     return FoldResult(split, counts, models, reports, combiner_params)
 
 
 def run_cross_validation(
-    recordings: Iterable[tuple[Recording, Recording]],
+    patients: Iterable[tuple[str, Windows, Windows]],
     cfg: ExperimentConfig,
 ) -> list[PatientResult]:
     """Train and evaluate all three predictor variants per patient and fold.
 
-    `recordings` yields (EEG, ECG) pairs, one per patient in dataset order,
-    each patient id once.  It is walked once and each pair is dropped once
-    windowed, so a generator holds one patient's recordings at a time.
+    `patients` yields (patient id, EEG windows, ECG windows), one per patient
+    in dataset order, each id once; ValueError if a patient's two records do
+    not hold the same ids and classes.  It is walked once and each patient's
+    windows are dropped once scored, so a generator holds one patient's
+    windows at a time.
     """
-    patients = []
-    for eeg_rec, ecg_rec in recordings:
-        pid, p_idx = eeg_rec.patient_id, len(patients)
-        if any(pr.patient_id == pid for pr in patients):
+    results = []
+    for pid, eeg, ecg in patients:
+        p_idx = len(results)
+        if any(pr.patient_id == pid for pr in results):
             raise ValueError(f"patient ids must be unique; {pid!r} is repeated")
-        eeg_windows, ecg_windows = paired_windows(eeg_rec, ecg_rec, cfg.windowing)
-        del eeg_rec, ecg_rec  # the windows are copies; free the samples to train
+        if not (np.array_equal(eeg.index, ecg.index)
+                and np.array_equal(eeg.label, ecg.label)):
+            raise ValueError(f"EEG and ECG windows of patient {pid!r} do not align")
         try:
-            splits = kfold_split(list(eeg_windows),
-                                 [w.label for w in eeg_windows.values()],
-                                 cfg.folds, seed=split_seed(cfg, p_idx))
-            folds = [run_patient_fold(eeg_windows, ecg_windows, split, cfg, p_idx)
-                     for split in splits]
+            splits = kfold_split(eeg.index, eeg.label, cfg.folds,
+                                 seed=split_seed(cfg, p_idx))
+            folds = [run_patient_fold(eeg, ecg, split, cfg, p_idx) for split in splits]
         except Exception as exc:
             raise RuntimeError(f"cross-validation failed for patient "
                                f"{pid!r}: {exc}") from exc
-        del eeg_windows, ecg_windows  # before the next pair is read
-        patients.append(PatientResult(pid, folds))
-    if not patients:
-        raise ValueError("need at least one patient's recordings")
-    return patients
+        del eeg, ecg  # before the next patient is read
+        results.append(PatientResult(pid, folds))
+    if not results:
+        raise ValueError("need at least one patient's windows")
+    return results

@@ -57,7 +57,7 @@ def train(
     """Train in place; returns the model restored to its best-validation state.
 
     `xs` [N x C x T] and `ys` [N] are the training windows and their classes,
-    `xv` and `yv` the validation ones (see `dataset.stack_windows`).  The
+    `xv` and `yv` the validation ones (see `dataset.Windows`).  The
     epoch shuffle is seeded with the model's `seed`.  The focal loss has
     gamma FOCAL_GAMMA and alpha weights at the inverse class frequency
     of the training windows (normalized to max 1).  Early stopping

@@ -42,6 +42,7 @@ from preictal.dataset import (
     EEG_CLASS_FREQS_HZ,
     LabelClass,
     Sensor,
+    cut_windows,
     kfold_split,
     label_codes,
     segment,
@@ -58,6 +59,14 @@ from preictal.nn.model import backward_batch, build_model, model_forward
 from preictal.nn.ops import conv1d_forward, maxpool1d_with_argmax, softmax
 
 VARIANTS = ("eeg", "ecg", "combined")
+
+
+def patient_windows(pairs, windowing):
+    """(id, EEG windows, ECG windows) of each (EEG, ECG) recording pair, cut
+    when reached, as `run_cross_validation` takes them."""
+    step = (windowing.window_seconds, windowing.stride_seconds)
+    for eeg, ecg in pairs:
+        yield eeg.patient_id, cut_windows(eeg, *step), cut_windows(ecg, *step)
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -298,7 +307,8 @@ def desk_run():
         pytest.fail(f"band-energy oracle gate failed before training: {oracle}")
 
     t0 = time.monotonic()
-    patients = run_cross_validation(recordings, ExperimentConfig())
+    cfg = ExperimentConfig()
+    patients = run_cross_validation(patient_windows(recordings, cfg.windowing), cfg)
     elapsed = time.monotonic() - t0
     n_windows = len(segment(recordings[0][0], 5.0, 5.0))
     return oracle, report_document(patients)["aggregate"], elapsed, n_windows
@@ -382,7 +392,7 @@ def test_fusion_beats_the_best_single_sensor_under_noise():
     cfg = load_config(STRESS_CONFIG)
     recordings = (synth_generate(cfg.data, seed=cfg.seed + i, patient_id=f"p{i:02d}")
                   for i in range(cfg.patients))  # as gen-data seeds them
-    patients = run_cross_validation(recordings, cfg)
+    patients = run_cross_validation(patient_windows(recordings, cfg.windowing), cfg)
     accuracy = {}
     for v in VARIANTS:
         counts = sum(f.confusion[v] for pr in patients for f in pr.folds)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from preictal import bansim, cli, evaluation
+from preictal import bansim, cli, dataset, evaluation
 from preictal.cli import main
 from preictal.combiner import quantize4
 from preictal.config import WindowingConfig
@@ -183,11 +183,10 @@ class TestTrain:
         # batches.  Their float64 rows may differ in the last bits, as they
         # did for almost every desk window, but the quantized rows the wire
         # carries must not.
-        (_, eeg_rec, ecg_rec), = cli._read_patients(dataset_dir)
-        windowings = evaluation.paired_windows(eeg_rec, ecg_rec, WindowingConfig())
+        (_, _, *windowings), = cli._read_patients(dataset_dir, WindowingConfig())
         for name, windows in zip(("eeg", "ecg"), windowings):
             model = load_model(train_dir / f"{name}_model.bin")
-            xs = np.stack([w.data for w in windows.values()])
+            xs = windows.data
             batched = quantize4(model_forward(model, xs))
             alone = np.stack([quantize4(model_forward(model, x)) for x in xs])
             assert len(xs) > 500
@@ -272,7 +271,40 @@ class TestTrain:
         assert main([command, "--config", str(config), "--data", str(data),
                      *models, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert "patient 'p00' do not align: their patient ids differ" in err
+        assert str(data / "dataset.json") in err and str(data / "p01_ecg.json") in err
+        assert "records patient 'p01'" in err
+
+    @pytest.mark.parametrize("command", ["train", "cross-validate", "simulate"])
+    def test_timelines_that_differ_name_both_manifests(self, tmp_path, dataset_dir,
+                                                       config_path, train_dir, capsys,
+                                                       command):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / "p00_ecg.json").read_text())
+        manifest["annotations"][0]["onset_time"] += 5.0
+        (data / "p00_ecg.json").write_text(json.dumps(manifest))
+        models = ["--models", str(train_dir)] if command == "simulate" else []
+        assert main([command, "--config", str(config_path), "--data", str(data),
+                     *models, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert str(data / "p00_eeg.json") in err and str(data / "p00_ecg.json") in err
+        assert "their annotations differ" in err
+
+    @pytest.mark.parametrize("sensor", ["eeg", "ecg"])
+    @pytest.mark.parametrize("command", ["train", "cross-validate", "simulate"])
+    def test_manifest_of_another_patient_names_it_and_the_index(
+            self, tmp_path, dataset_dir, config_path, train_dir, capsys, command, sensor):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        manifest = json.loads((data / f"p00_{sensor}.json").read_text())
+        manifest["patient_id"] = "px"
+        (data / f"p00_{sensor}.json").write_text(json.dumps(manifest))
+        models = ["--models", str(train_dir)] if command == "simulate" else []
+        assert main([command, "--config", str(config_path), "--data", str(data),
+                     *models, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert str(data / "dataset.json") in err
+        assert str(data / f"p00_{sensor}.json") in err and "'px'" in err
 
 
 class TestDatasetIds:
@@ -351,49 +383,49 @@ class TestTrainIsFoldZero:
             assert (out / name).read_bytes() == \
                 (cv / "models" / f"{patient}_fold0" / name).read_bytes(), name
 
-    def test_frees_the_recordings_before_training(self, work, two_patients,
-                                                  monkeypatch):
-        # The windows are copies, so the recordings need not outlive them.
+    def test_never_holds_a_whole_recording(self, work, two_patients, monkeypatch):
+        # Windows are cut from each samples file a channel row at a time,
+        # through one row buffer per file; no `Recording` is built.
         config, data, _ = two_patients
-        refs, alive = [], []
+        made, buffers = [], {}
 
-        def load(path):
-            rec = load_recording(path)
-            refs.append(weakref.ref(rec))
-            return rec
+        def reading(manifest, rows):
+            for row in read_rows(manifest, rows):
+                assert row.shape == (manifest.n_samples,)
+                buffers.setdefault(manifest.path.name, set()).add(row.ctypes.data)
+                yield row
 
-        def fold(*args):
-            alive.extend(r() is not None for r in refs)
-            return run_patient_fold(*args)
-
-        load_recording, run_patient_fold = cli.load_recording, cli.run_patient_fold
-        monkeypatch.setattr(cli, "load_recording", load)
-        monkeypatch.setattr(cli, "run_patient_fold", fold)
+        read_rows = dataset.Manifest.read_rows
+        monkeypatch.setattr(dataset.Recording, "__post_init__", made.append)
+        monkeypatch.setattr(dataset.Manifest, "read_rows", reading)
         assert main(["train", "--config", str(config), "--data", str(data),
                      "--out", str(work / "two_clean_freed")]) == 0
-        assert len(refs) == 2 and alive == [False, False]
+        assert made == []
+        assert sorted(buffers) == ["p00_ecg.json", "p00_eeg.json"]
+        assert all(len(addresses) == 1 for addresses in buffers.values())
 
     def test_cross_validate_frees_each_patient_before_training(self, work, two_patients,
                                                                monkeypatch):
-        # The dataset reader holds no recording between patients.
+        # The dataset reader holds no patient's windows past its folds.
         config, data, _ = two_patients
         refs, alive = [], []
 
-        def load(path):
-            rec = load_recording(path)
-            refs.append(weakref.ref(rec))
-            return rec
+        def cut(*args):
+            windows = cut_windows(*args)
+            refs.append(weakref.ref(windows))
+            return windows
 
         def fold(*args):
-            alive.extend(r() is not None for r in refs)
+            alive.append([r() is not None for r in refs])
             return run_patient_fold(*args)
 
-        load_recording, run_patient_fold = cli.load_recording, evaluation.run_patient_fold
-        monkeypatch.setattr(cli, "load_recording", load)
+        cut_windows, run_patient_fold = cli.cut_windows, evaluation.run_patient_fold
+        monkeypatch.setattr(cli, "cut_windows", cut)
         monkeypatch.setattr(evaluation, "run_patient_fold", fold)
         assert main(["cross-validate", "--config", str(config), "--data", str(data),
                      "--out", str(work / "two_clean_cv_freed")]) == 0
-        assert len(refs) == 4 and len(alive) == 2 * 5 + 4 * 5 and not any(alive)
+        assert len(refs) == 4
+        assert alive == [[True, True]] * 5 + [[False, False, True, True]] * 5
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +618,12 @@ class TestSimulate:
     def test_a_decision_off_the_offline_class_breaks_equivalence(
             self, tmp_path, config_path, dataset_dir, train_dir, monkeypatch, capsys):
         def flipped(*args):
-            preds = evaluation._predictions(*args)
+            preds = evaluation.predictions(*args)
             combined = preds["combined"].copy()
             combined[0] = (combined[0] + 1) % 5
             return {**preds, "combined": combined}
 
-        monkeypatch.setattr(cli, "_predictions", flipped)
+        monkeypatch.setattr(cli, "predictions", flipped)
         out = tmp_path / "sim"
         assert main(["simulate", "--config", str(config_path),
                      "--data", str(dataset_dir), "--models", str(train_dir),

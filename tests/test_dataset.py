@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from preictal.dataset import (
     SeizureAnnotation,
     Sensor,
     SynthConfig,
+    cut_windows,
     kfold_split,
     label_codes,
     load_recording,
+    read_manifest,
     save_recording,
     segment,
     synth_generate,
@@ -88,7 +91,7 @@ class TestSegment:
         # onset is inside the ictal/post-ictal exclusion and must be omitted.
         rec = _recording(3600.0, annotations=[SeizureAnnotation(3000.0, 3120.0)])
         windows = segment(rec, 5.0, 5.0)
-        ends = {w.start_time + 5.0: w.label for w in windows}
+        ends = {5.0 * w.window_index + 5.0: w.label for w in windows}
         assert max(ends) == 3000.0
         expected_counts = {
             LabelClass.PRE_45_60: 60,    # ends in (0, 5] min
@@ -114,7 +117,8 @@ class TestSegment:
         windows = segment(rec, 5.0, 2.5)
         assert windows[0].data.shape == (2, 160)
         assert [w.window_index for w in windows[:3]] == [0, 1, 2]
-        assert windows[1].start_time == 2.5
+        # Window 1 starts at 2.5 s, sample 80.
+        np.testing.assert_array_equal(windows[1].data, rec.samples[:, 80:240])
         np.testing.assert_array_equal(windows[0].data, rec.samples[:, :160])
         # Overlapping windows hold separate copies, none a view of the recording.
         assert not np.shares_memory(windows[0].data, windows[1].data)
@@ -127,11 +131,14 @@ class TestSegment:
         rec = _recording(160.0 + 3600.0 + 50.0, annotations=[ann])
         windows = segment(rec, 5.0, 5.0)
         post_end = 160.0 + 3600.0
-        kept_after = [w for w in windows if w.start_time >= post_end]
-        assert kept_after and kept_after[0].start_time == post_end
+        def start(w):  # seconds; a window starts at its id x the stride
+            return 5.0 * w.window_index
+
+        kept_after = [w for w in windows if start(w) >= post_end]
+        assert kept_after and start(kept_after[0]) == post_end
         assert all(w.label is LabelClass.INTERICTAL for w in kept_after)
         in_exclusion = [w for w in windows
-                        if w.start_time + 5.0 > 100.0 and w.start_time < post_end]
+                        if start(w) + 5.0 > 100.0 and start(w) < post_end]
         assert not in_exclusion
 
     def test_too_short_recording_rejected(self):
@@ -461,6 +468,55 @@ class TestRecordingFiles:
                            + ".*channel 1, sample 4") as exc:
             load_recording(manifest)
         assert "not a recording manifest" not in str(exc.value)
+
+    def test_windows_read_row_by_row_equal_the_whole_recording_s(self, tmp_path):
+        # Windows on both sides of a seizure are discarded, and the last
+        # 3 s are a stride too short for another window.
+        rec = _recording(9703.0, fs=16, channels=4,
+                         annotations=[SeizureAnnotation(6000.0, 6060.0)])
+        manifest = save_recording(rec, tmp_path, "r")
+        windows = cut_windows(read_manifest(manifest), 5.0, 5.0)
+        whole = segment(load_recording(manifest), 5.0, 5.0)
+        grid = (rec.n_samples - 80) // 80 + 1
+        assert (rec.n_samples - 80) % 80 and windows.index[-1] == grid - 1
+        assert 0 < len(windows.index) < grid - 1000
+        assert windows.index.tolist() == [w.window_index for w in whole]
+        assert windows.label.tolist() == [int(w.label) for w in whole]
+        assert windows.data.tobytes() == np.stack([w.data for w in whole]).tobytes()
+        np.testing.assert_array_equal(
+            windows.data, np.stack([rec.samples[:, 80 * i:80 * i + 80]
+                                    for i in windows.index]))
+
+    def test_reading_windows_holds_the_block_and_not_the_recording(self, tmp_path):
+        # One patient's EEG at perfbench's desk shape: 64 Hz, 4 channels,
+        # 20,620 s.  Loading the whole file and then windowing it peaks at
+        # 59.9 MiB; the bound is 39.1 MiB, and reading rows peaked at 29.8.
+        eeg, _ = synth_generate(SynthConfig(duration_s=20_620.0, n_seizures=2),
+                                seed=0)
+        manifest = save_recording(eeg, tmp_path, "eeg")
+        row_bytes = 8 * eeg.n_samples
+        del eeg
+        tracemalloc.start()
+        try:
+            windows = cut_windows(read_manifest(manifest), 5.0, 5.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(windows.index) > 1500
+        assert peak < windows.data.nbytes + 2 * row_bytes
+
+    def test_non_finite_row_is_refused_alike_by_both_readers(self, tmp_path):
+        manifest = save_recording(_recording(3.0), tmp_path, "r")
+        samples = np.fromfile(tmp_path / "r.f64", dtype="<f8")
+        samples[100] = np.nan  # channel 1, sample 4 of a 2 x 96 recording
+        samples.tofile(tmp_path / "r.f64")
+        with pytest.raises(ValueError) as whole:
+            load_recording(manifest)
+        with pytest.raises(ValueError) as rows:
+            cut_windows(read_manifest(manifest), 1.0, 1.0)
+        assert str(rows.value) == str(whole.value)
+        assert str(tmp_path / "r.f64") in str(rows.value)
+        assert "channel 1, sample 4" in str(rows.value)
 
     @pytest.mark.parametrize("key, delta", [
         pytest.param("n_samples", 1, id="n-samples"),

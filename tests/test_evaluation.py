@@ -24,7 +24,8 @@ from preictal.dataset import (
     SeizureAnnotation,
     Sensor,
     SynthConfig,
-    stack_windows,
+    Windows,
+    cut_windows,
     synth_generate,
 )
 from preictal.evaluation import (
@@ -38,7 +39,7 @@ from preictal.evaluation import (
     confusion,
     mean_score,
     normalized,
-    paired_windows,
+    predictions,
     report_document,
     run_cross_validation,
     score,
@@ -300,6 +301,14 @@ def _tiny_recordings(seed=0):
     return [synth_generate(cfg, seed=seed)]
 
 
+def _windows(pairs, windowing=WindowingConfig(stride_seconds=40.0)):
+    """(id, EEG windows, ECG windows) of each (EEG, ECG) recording pair, as
+    `run_cross_validation` takes them; the tiny pipeline's windowing."""
+    step = (windowing.window_seconds, windowing.stride_seconds)
+    return [(eeg.patient_id, cut_windows(eeg, *step), cut_windows(ecg, *step))
+            for eeg, ecg in pairs]
+
+
 def _tiny_pipeline():
     return ExperimentConfig(
         seed=0,
@@ -317,29 +326,32 @@ class TestPredictions:
                                 hidden=(8, 6), seed=seed)
                     for seed, (sensor, channels) in enumerate(((Sensor.EEG, 2),
                                                                (Sensor.ECG, 1))))
-        eeg_w, ecg_w = ([LabeledWindow(i, 5.0 * i, rng.standard_normal((c, 64)),
-                                       LabelClass(i % 5)) for i in range(300)]
-                        for c in (2, 1))
-        pe = quantize4(model_forward(eeg, stack_windows(eeg_w)[0]))
-        pc = quantize4(model_forward(ecg, stack_windows(ecg_w)[0]))
+        eeg_x, ecg_x = (rng.standard_normal((300, c, 64)) for c in (2, 1))
+        pe = quantize4(model_forward(eeg, eeg_x))
+        pc = quantize4(model_forward(ecg, ecg_x))
         # Untrained heads barely vary; large weights centred on the mean
         # input spread the fused calls over the classes.
         w = 300 * rng.standard_normal((5, 10))
         params = CombinerParams(w, -w @ build_input(pe, pc).mean(axis=0))
-        combined = _predictions(eeg, ecg, params, eeg_w, ecg_w)["combined"]
+        combined = predictions(eeg, ecg, params, eeg_x, ecg_x)["combined"]
         readout = [predict(lr_forward(build_input(pe[i], pc[i]), params))
                    for i in range(300)]
         assert combined.dtype.kind == "i"
         assert combined.tolist() == readout
         assert len(set(readout)) > 1
+        # The window-object form gives the same classes.
+        eeg_w, ecg_w = ([LabeledWindow(i, x, LabelClass(i % 5)) for i, x in enumerate(xs)]
+                        for xs in (eeg_x, ecg_x))
+        np.testing.assert_array_equal(
+            _predictions(eeg, ecg, params, eeg_w, ecg_w)["combined"], combined)
 
 
 class TestRunCrossValidation:
     def test_structure_and_determinism(self):
         recordings = _tiny_recordings()
         cfg = _tiny_pipeline()
-        r1 = run_cross_validation(recordings, cfg)
-        r2 = run_cross_validation(_tiny_recordings(), cfg)
+        r1 = run_cross_validation(_windows(recordings), cfg)
+        r2 = run_cross_validation(_windows(_tiny_recordings()), cfg)
 
         assert len(r1) == 1
         folds = r1[0].folds
@@ -360,11 +372,8 @@ class TestRunCrossValidation:
                 f2.models[Sensor.EEG].params["dense.0.weights"])
 
         # Folds' test sets partition all windows exactly once.
-        from preictal.dataset import segment
-        eeg_rec, _ = recordings[0]
-        n_windows = len(segment(eeg_rec, cfg.windowing.window_seconds,
-                                cfg.windowing.stride_seconds))
-        assert n_total == n_windows
+        (_, eeg_w, _), = _windows(recordings)
+        assert n_total == len(eeg_w.index)
 
     def test_walks_a_generator_one_pair_at_a_time(self):
         synth = SynthConfig(duration_s=9260.0, n_seizures=1, sample_rate_hz=64,
@@ -374,13 +383,13 @@ class TestRunCrossValidation:
         def pairs():
             for i in range(3):
                 alive_at_draw.append([r() is not None for r in refs])
-                pair = synth_generate(synth, seed=i, patient_id=f"p{i}")
-                refs.extend(weakref.ref(rec) for rec in pair)
-                yield pair
+                patient, = _windows([synth_generate(synth, seed=i, patient_id=f"p{i}")])
+                refs.extend(weakref.ref(w) for w in patient[1:])
+                yield patient
 
         patients = run_cross_validation(pairs(), _tiny_pipeline())
         assert [p.patient_id for p in patients] == ["p0", "p1", "p2"]
-        # When the third pair is drawn, the first pair's recordings are gone.
+        # When the third patient is drawn, the first one's windows are gone.
         assert alive_at_draw[2][:2] == [False, False]
         with pytest.raises(ValueError, match="at least one patient"):
             run_cross_validation(iter([]), _tiny_pipeline())
@@ -388,26 +397,26 @@ class TestRunCrossValidation:
     def test_rejects_empty_and_mismatched_pairs(self):
         with pytest.raises(ValueError):
             run_cross_validation([], _tiny_pipeline())
-        (eeg, ecg), = _tiny_recordings()
-        ecg_other = type(ecg)(
-            "someone-else", ecg.sensor, ecg.sample_rate_hz, ecg.channels,
-            ecg.samples, ecg.annotations)
+        (pid, eeg, ecg), = _windows(_tiny_recordings())
+        ecg_other = Windows(ecg.index[1:], ecg.label[1:], ecg.data[1:])
         with pytest.raises(ValueError):
-            run_cross_validation([(eeg, ecg_other)], _tiny_pipeline())
+            run_cross_validation([(pid, eeg, ecg_other)], _tiny_pipeline())
         # report.json keys patients by id, so a repeated id is refused.
         with pytest.raises(ValueError, match="unique"):
-            run_cross_validation([(eeg, ecg), (eeg, ecg)], _tiny_pipeline())
+            run_cross_validation([(pid, eeg, ecg), (pid, eeg, ecg)], _tiny_pipeline())
 
     def test_wraps_inner_failures_with_patient_context(self):
-        (eeg, ecg), = _tiny_recordings()
+        patient, = _windows(_tiny_recordings())
         cfg = _tiny_pipeline()
         cfg.folds = 10_000   # more folds than windows
-        with pytest.raises(RuntimeError, match=f"{eeg.patient_id}.*"
+        with pytest.raises(RuntimeError, match=f"{patient[0]}.*"
                            "need at least k=10000 windows"):
-            run_cross_validation([(eeg, ecg)], cfg)
+            run_cross_validation([patient], cfg)
 
 
 class TestPairedWindows:
+    # A patient's two records must hold the same ids and classes, which the
+    # windows of two recordings on one timeline do.
     @staticmethod
     def _pair(ecg_seconds):
         rng = np.random.default_rng(0)
@@ -417,13 +426,15 @@ class TestPairedWindows:
         return eeg, ecg
 
     def test_windows_keyed_by_shared_index(self):
-        eeg_w, ecg_w = paired_windows(*self._pair(100), WindowingConfig())
-        assert sorted(eeg_w) == sorted(ecg_w) == list(range(20))
-        assert eeg_w[3].data.shape == (2, 40) and ecg_w[3].data.shape == (1, 40)
+        (_, eeg_w, ecg_w), = _windows([self._pair(100)], WindowingConfig())
+        assert eeg_w.index.tolist() == ecg_w.index.tolist() == list(range(20))
+        assert eeg_w.at([3]).data.shape == (1, 2, 40)
+        assert ecg_w.at([3]).data.shape == (1, 1, 40)
 
     def test_shorter_ecg_does_not_align(self):
         with pytest.raises(ValueError, match="do not align"):
-            paired_windows(*self._pair(90), WindowingConfig())
+            run_cross_validation(_windows([self._pair(90)], WindowingConfig()),
+                                 _tiny_pipeline())
 
     def test_different_annotations_do_not_align(self):
         # Windowed at stride 40 s, both keep the same 364 indices, but
@@ -432,6 +443,7 @@ class TestPairedWindows:
                         [SeizureAnnotation(9010.0, 9070.0)])
         ecg = Recording("p", Sensor.ECG, 16, 1, np.zeros((1, 16 * 20_000)),
                         [SeizureAnnotation(9030.0, 9070.0)])
-        with pytest.raises(ValueError,
-                           match="'p' do not align: their annotations differ"):
-            paired_windows(eeg, ecg, WindowingConfig(5.0, 40.0))
+        (_, eeg_w, ecg_w), = _windows([(eeg, ecg)])
+        assert eeg_w.index.tolist() == ecg_w.index.tolist()
+        with pytest.raises(ValueError, match="'p' do not align"):
+            run_cross_validation([("p", eeg_w, ecg_w)], _tiny_pipeline())
