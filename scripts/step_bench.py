@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Time a fold's two inner loops at the desk shapes, the training step and the
-combiner fit, a sensor node's one-window inference, and a fold's batched
-inference.
+combiner fit, a sensor node's one-window inference, a fold's batched
+inference, and a simulated hour of the network.
 
     python3 scripts/step_bench.py
 
-Seven timings, each printed as its median and quartiles, in ms, or for the
+Eight timings, each printed as its median and quartiles, in ms, or for the
 batched readouts in us per window:
 
     eeg-step    one batch-32 float32 training step of the EEG model (4 x 320,
@@ -22,6 +22,9 @@ batched readouts in us per window:
                 320] float64 windows, the size of a desk fold's combiner fit
                 readout, per window
     ecg-batch   the same for the ECG model over [1395 x 1 x 320]
+    sim-run     one `run_simulation` of 720 windows (the default simulated
+                hour at a 5 s period) of quantized EEG and ECG rows over
+                closed-loop-sim's link: loss 0.2, 3 retries
 
 The models have the pipeline's kernel length (`evaluation.KERNEL_LEN`) and
 the default config's hidden widths.  The windows are 16 seeded batches of
@@ -30,7 +33,9 @@ training's gamma (`nn.losses.FOCAL_GAMMA`) and the alpha of those labels.  Each 
 2000 one-window forwards, on the first window of each batch, after 30
 untimed ones; the fit is timed 30 times on one set from `tests/oracles.py`,
 and each batched readout 20 times after one untimed one, on standard-normal
-noise.
+noise; the simulation is timed 30 times after one untimed run, on
+softmax rows of seeded standard-normal logits, uniform labels and a
+standard-normal combiner.
 BLAS is pinned to one thread before numpy loads, and the checkout's own
 src/ is imported.  The last line is the result as JSON: each timing's
 quartiles under its name, `src_lines`, the lines of every *.py under
@@ -59,7 +64,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 
 from oracles import noisy_quantized_set  # noqa: E402
-from preictal.combiner import CombinerConfig, lr_train  # noqa: E402
+from preictal.bansim import LinkModel, SimConfig, run_simulation  # noqa: E402
+from preictal.combiner import (  # noqa: E402
+    CombinerConfig,
+    CombinerParams,
+    lr_train,
+    quantize4,
+)
 from preictal.config import ExperimentConfig, ModelConfig  # noqa: E402
 from preictal.dataset import (  # noqa: E402
     Sensor,
@@ -80,6 +91,7 @@ from preictal.nn.model import (  # noqa: E402
     build_model,
     model_forward,
 )
+from preictal.nn.ops import softmax  # noqa: E402
 from preictal.nn.optim import AdamState, TrainConfig, adam_step  # noqa: E402
 
 BATCH = 32
@@ -88,6 +100,10 @@ REPEATS = 400  # timed steps per sensor
 FITS = 30  # timed lr_train fits
 WINDOWS = 2000  # timed one-window forwards per sensor
 READOUTS = 20  # timed batched readouts per sensor
+SIM_RUNS = 30  # timed simulations
+SIM_WINDOWS = 720  # an hour of 5 s windows
+# closed-loop-sim's link
+SIM_CONFIG = SimConfig(link=LinkModel(loss_probability=0.2), retry_limit=3)
 BATCHES = 16  # distinct batches, cycled
 FIT_ROWS = 1395  # a desk fold's training windows: the fit set's rows, the readout's windows
 # (sensor, channels, pool) at 64 Hz and 5 s windows.
@@ -161,6 +177,22 @@ def time_fits() -> list[float]:
     return times
 
 
+def time_simulations() -> list[float]:
+    rng = np.random.default_rng(0)
+    eeg_rows, ecg_rows = (quantize4(softmax(rng.standard_normal((SIM_WINDOWS, 5))))
+                          for _ in range(2))
+    labels = rng.integers(0, 5, size=SIM_WINDOWS)
+    params = CombinerParams(rng.standard_normal((5, 10)), rng.standard_normal(5))
+    args = (SIM_CONFIG, params, labels, np.arange(SIM_WINDOWS), eeg_rows, ecg_rows)
+    run_simulation(*args)
+    times = []
+    for _ in range(SIM_RUNS):
+        start = time.perf_counter()
+        run_simulation(*args)
+        times.append(time.perf_counter() - start)
+    return times
+
+
 def config_leaves(node) -> int:
     """The values settable under `node`, a config dataclass."""
     return sum(config_leaves(value) if dataclasses.is_dataclass(value) else 1
@@ -189,6 +221,7 @@ def main() -> int:
     result.update({f"{name}-batch": quartiles(time_readouts(sensor, channels, pool),
                                               "us")
                    for name, sensor, channels, pool in SHAPES})
+    result["sim-run"] = quartiles(time_simulations())
     for name, q in result.items():
         unit = "us" if "median_us" in q else "ms"
         print(f"{name:10s} median {q[f'median_{unit}']:8.3f} {unit}  "

@@ -19,13 +19,20 @@ the configured retry limit.  There is no channel physics.  All frames are
     offset 6  probs * 1e4   5 x u16 LE
 
 Stimulation commands reuse the same frame, carrying the fused probability
-vector with the gateway as source.  A window is pending from production
-until its second sensor frame arrives, and is then fused; a window still
-pending at its deadline is dropped, so each window ends exactly one way.
-The event loop is a priority queue keyed by (timestamp, sequence number), so
-a trace is a pure function of the configuration — including the link seed.
-The event list is the simulation's only record: `latency_report` counts
-every outcome from it.
+vector with the gateway as source.  `encode_message` and `decode_message`
+pack and read one frame; `encode_frames` and `decode_frames` a block of
+them, as `FRAME_DTYPE` records, under the same checks.
+
+A frame's content does not depend on when it arrives, so before the event
+loop the run encodes every replayed window's sensor frames, decodes them,
+and fuses the decoded rows in one block; the loop then only moves frames:
+it schedules, loses and delivers them, and a fusion reads its window's
+decision.  A window is pending from production until its second sensor
+frame arrives, and is then fused; a window still pending at its deadline is
+dropped, so each window ends exactly one way.  The event loop is a priority
+queue keyed by (timestamp, sequence number), so a trace is a pure function
+of the configuration — including the link seed.  The event list is the
+simulation's only record: `latency_report` counts every outcome from it.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ from .combiner import (
     CombinerParams,
     build_input,
     lr_forward,
-    predict,
     quant_steps,
     quantize4,
 )
@@ -56,6 +62,9 @@ from .nn.model import model_forward  # noqa: F401  (perfbench/spans.py traces it
 
 FRAME_STRUCT = struct.Struct("<BBI5H")
 FRAME_BYTES = FRAME_STRUCT.size  # 16
+# The same layout as a 16-byte record, for a block of frames.
+FRAME_DTYPE = np.dtype([("source", "u1"), ("version", "u1"), ("window_index", "<u4"),
+                        ("probs_q", "<u2", (N_CLASSES,))])
 FRAME_BITS = 8 * FRAME_BYTES
 BITRATE_BPS = 1e6
 FRAME_TIME_S = FRAME_BITS / BITRATE_BPS
@@ -77,7 +86,37 @@ class NodeId(IntEnum):
         return self.name.lower()
 
 
-NODE_LABELS = tuple(node.label for node in NodeId)  # indexed by wire code
+NODES = tuple(NodeId)  # indexed by wire code
+NODE_LABELS = tuple(node.label for node in NODES)
+
+# Each frame field's bounds, and the refusal of a value outside them.
+FIELD_BOUNDS = {
+    "source": (0, len(NODES) - 1, lambda v: f"source code {v} names no node"),
+    "version": (WIRE_VERSION, WIRE_VERSION, lambda v: f"unsupported frame version {v}"),
+    "window index": (0, WINDOW_INDEX_MAX, lambda v: (
+        f"window index {v} does not fit the frame's u32 field [0, {WINDOW_INDEX_MAX}]")),
+    "level": (0, PROBS_Q_MAX, lambda v: (
+        f"quantized probability {v * QUANT_STEP} outside [0, 1]")),
+}
+
+
+def _check_bounds(field: str, lowest, highest) -> None:
+    """ValueError unless a frame field's values, from `lowest` to `highest`,
+    lie in its bounds.  One frame passes its value twice (or its levels'
+    least and greatest), a block of frames its least and greatest, so the
+    one-frame and block codecs refuse the same frames."""
+    lo, hi, refusal = FIELD_BOUNDS[field]
+    if lowest < lo or highest > hi:
+        raise ValueError(refusal(lowest if lowest < lo else highest))
+
+
+def _steps(probs: np.ndarray) -> np.ndarray:
+    """`quant_steps` of probabilities of any shape; ValueError if they are not
+    quantized."""
+    steps = quant_steps(probs)
+    if steps is None:
+        raise ValueError("probabilities must be quantized to 4 decimal digits")
+    return steps
 
 
 @dataclass(frozen=True)
@@ -89,11 +128,10 @@ class ProbabilityMessage:
     def __post_init__(self):
         if self.window_index < 0:
             raise ValueError("window_index must be non-negative")
-        if len(self.probs_q) != N_CLASSES:
+        q = self.probs_q
+        if len(q) != N_CLASSES:
             raise ValueError(f"probs_q must have {N_CLASSES} entries")
-        for q in self.probs_q:
-            if not (0 <= q <= PROBS_Q_MAX):
-                raise ValueError(f"probs_q entry {q} outside [0, {PROBS_Q_MAX}]")
+        _check_bounds("level", min(q), max(q))
 
     def dequantized(self) -> np.ndarray:
         """Float probabilities; identical to the sender's quantized values."""
@@ -161,33 +199,68 @@ def encode_message(
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (N_CLASSES,):
         raise ValueError(f"expected {N_CLASSES} probabilities, got shape {probs.shape}")
-    steps = quant_steps(probs)
-    if steps is None:
-        raise ValueError("probabilities must be quantized to 4 decimal digits")
-    q = [int(v) for v in steps.tolist()]
-    for v in q:
-        if not (0 <= v <= PROBS_Q_MAX):
-            raise ValueError(f"quantized probability {v * QUANT_STEP} outside [0, 1]")
+    q = _steps(probs).tolist()
+    _check_bounds("level", min(q), max(q))
     try:
         index = operator.index(window_index)
     except TypeError:
         index = None
     if index is None or isinstance(window_index, bool):
         raise ValueError(f"window index {window_index!r} is not an integer")
-    if not 0 <= index <= WINDOW_INDEX_MAX:
-        raise ValueError(f"window index {index} does not fit the frame's u32 "
-                         f"field [0, {WINDOW_INDEX_MAX}]")
-    return FRAME_STRUCT.pack(int(source), WIRE_VERSION, index, *q)
+    _check_bounds("window index", index, index)
+    code = int(source)
+    _check_bounds("source", code, code)
+    return FRAME_STRUCT.pack(code, WIRE_VERSION, index, *map(int, q))
 
 
 def decode_message(frame: bytes) -> ProbabilityMessage:
     """Exact inverse of encode_message."""
     if len(frame) != FRAME_BYTES:
         raise ValueError(f"frame must be {FRAME_BYTES} bytes, got {len(frame)}")
-    source, version, window_index, *q = FRAME_STRUCT.unpack(frame)
-    if version != WIRE_VERSION:
-        raise ValueError(f"unsupported frame version {version}")
-    return ProbabilityMessage(NodeId(source), window_index, tuple(q))
+    fields = FRAME_STRUCT.unpack(frame)  # source, version, window index, 5 levels
+    _check_bounds("version", fields[1], fields[1])
+    _check_bounds("source", fields[0], fields[0])
+    return ProbabilityMessage(NODES[fields[0]], fields[2], fields[3:])
+
+
+def encode_frames(probs: np.ndarray, window_index: np.ndarray, source: NodeId) -> bytes:
+    """Pack a block of quantized probability rows ([N x 5]) and their N window
+    indices, all from `source`: the bytes of `encode_message` on each row in
+    turn, and refused wherever it refuses a row."""
+    probs = np.asarray(probs, dtype=float)
+    index = np.asarray(window_index)
+    if probs.ndim != 2 or probs.shape[1] != N_CLASSES or index.shape != probs.shape[:1]:
+        raise ValueError(f"expected [N x {N_CLASSES}] probabilities and N window "
+                         f"indices, got shapes {probs.shape} and {index.shape}")
+    if index.dtype.kind not in "iu":
+        raise ValueError(f"window indices must be integers, got {index.dtype}")
+    steps = _steps(probs)
+    code = int(source)
+    _check_bounds("source", code, code)
+    if len(probs):
+        _check_bounds("level", steps.min(), steps.max())
+        _check_bounds("window index", index.min(), index.max())
+    frames = np.empty(len(probs), FRAME_DTYPE)
+    frames["source"] = code
+    frames["version"] = WIRE_VERSION
+    frames["window_index"] = index
+    frames["probs_q"] = steps
+    return frames.tobytes()
+
+
+def decode_frames(data: bytes) -> np.ndarray:
+    """The `FRAME_DTYPE` records of a run of frames, refused wherever
+    `decode_message` refuses a frame; `probs_q * QUANT_STEP` reads a
+    record's probabilities as `ProbabilityMessage.dequantized` does."""
+    if len(data) % FRAME_BYTES:
+        raise ValueError(f"frames must be a whole number of {FRAME_BYTES} bytes, "
+                         f"got {len(data)}")
+    frames = np.frombuffer(data, FRAME_DTYPE)
+    if len(frames):
+        for field in ("version", "source"):
+            _check_bounds(field, frames[field].min(), frames[field].max())
+        _check_bounds("level", 0, frames["probs_q"].max())
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -206,92 +279,103 @@ def run_simulation(
 
     Window w, of class `labels[w]` and stride-grid id `dataset_index[w]`,
     sends row w of `eeg_rows` and `ecg_rows`, from `predictions`; at most
-    `cfg.max_windows` windows are replayed.  Window w becomes available at
-    (w+1) * window_period_s (a window must end before it can be classified);
-    both sensor nodes then spend one processing delay on inference and
-    transmit.  A lost frame is retried back-to-back up to retry_limit times.
-    A window is pending until both sensor frames reach the gateway, which
-    fuses it one processing delay later; a window still pending one window
-    period after production is dropped.  A decision other than interictal
-    sends a stimulation command to the DBS node.
+    `cfg.max_windows` windows are replayed.  Before the event loop, each
+    sensor's rows are encoded into frames and decoded as the gateway reads
+    them, and the gateway fuses every window's two decoded rows in one
+    block (a row-wise argmax, ties toward the lowest class); the command
+    frames of the windows whose decision is not interictal are encoded
+    from the fused rows.  Window w becomes available at (w+1) *
+    window_period_s (a window must end before it can be classified); both
+    sensor nodes then spend one processing delay on inference and transmit.
+    A lost frame is retried back-to-back up to retry_limit times.  A window
+    is pending until both sensor frames reach the gateway, which fuses it
+    one processing delay later; a window still pending one window period
+    after production is dropped.  A decision other than interictal sends a
+    stimulation command to the DBS node.
     """
     if not 0 < len(labels) == len(dataset_index) == len(eeg_rows) == len(ecg_rows):
         raise ValueError(f"need at least one window and one EEG and ECG row each; got "
                          f"{len(eeg_rows)} and {len(ecg_rows)} rows for {len(labels)} "
                          f"labels and {len(dataset_index)} dataset indices")
     n_sim = min(len(labels), cfg.max_windows)
+    windows = np.arange(n_sim)
+    received = [decode_frames(encode_frames(rows[:n_sim], windows, source))
+                for source, rows in ((NodeId.EEG_NODE, eeg_rows),
+                                     (NodeId.ECG_NODE, ecg_rows))]
+    fused = lr_forward(build_input(*(r["probs_q"] * QUANT_STEP for r in received)),
+                       combiner_params)
+    decisions = fused.argmax(axis=1)
+    # The command frames carry nothing the loop reads, but encoding them
+    # refuses a fused row the wire cannot carry.
+    stimulated = np.flatnonzero(decisions != LabelClass.INTERICTAL)
+    encode_frames(quantize4(fused[stimulated]), stimulated, NodeId.GATEWAY)
+    decisions = decisions.tolist()
+    labels = np.asarray(labels[:n_sim]).tolist()
+    dataset_index = np.asarray(dataset_index[:n_sim]).tolist()
 
     rng = np.random.default_rng(cfg.link.seed)
     trace = SimTrace()
-    heap: list = []  # (time, seq, kind, window, payload, attempt)
+    heap: list = []  # (time, seq, kind, window, source, attempt)
     seq = itertools.count()
-    pending: dict[int, dict[NodeId, np.ndarray]] = {}  # window -> probs so far
+    pending: dict[int, set[NodeId]] = {}  # window -> sensors whose frames arrived
 
-    def schedule(time_s, kind, w, payload=None, attempt=0):
-        heappush(heap, (time_s, next(seq), kind, w, payload, attempt))
+    def schedule(time_s, kind, w, source=None, attempt=0):
+        heappush(heap, (time_s, next(seq), kind, w, source, attempt))
 
     def emit(time_s, event_type, node: NodeId, window_index, **detail):
         trace.events.append(
             TraceEvent(time_s, event_type, NODE_LABELS[node], window_index, detail))
 
-    def send(t, w, frame, attempt):
+    def send(t, w, source, attempt):
         """One transmission attempt; schedules the retry on loss."""
-        source = NodeId(frame[0])
         emit(t, "message_sent", source, w, attempt=attempt)
         t_arr = t + FRAME_TIME_S
         if rng.random() < cfg.link.loss_probability:
             final = attempt >= cfg.retry_limit
             emit(t_arr, "message_lost", source, w, attempt=attempt, final=final)
             if not final:
-                schedule(t_arr, "send", w, frame, attempt + 1)
+                schedule(t_arr, "send", w, source, attempt + 1)
         else:
-            schedule(t_arr, "deliver", w, frame, attempt)
+            schedule(t_arr, "deliver", w, source, attempt)
 
     for w in range(n_sim):
         schedule((w + 1) * cfg.window_period_s, "produce", w)
 
     while heap:
-        t, _, kind, w, payload, attempt = heappop(heap)
+        t, _, kind, w, source, attempt = heappop(heap)
         if kind == "produce":
-            pending[w] = {}
+            pending[w] = set()
             emit(t, "window_produced", NodeId.GATEWAY, w,
-                 label=int(labels[w]), dataset_index=int(dataset_index[w]))
-            for source, row in ((NodeId.EEG_NODE, eeg_rows[w]),
-                                (NodeId.ECG_NODE, ecg_rows[w])):
-                schedule(t + cfg.processing_delay_s, "send", w,
-                         encode_message(row, w, source))
+                 label=labels[w], dataset_index=dataset_index[w])
+            for sensor in (NodeId.EEG_NODE, NodeId.ECG_NODE):
+                schedule(t + cfg.processing_delay_s, "send", w, sensor)
             schedule(t + cfg.window_period_s, "deadline", w)
         elif kind == "send":
-            send(t, w, payload, attempt)
+            send(t, w, source, attempt)
         elif kind == "deliver":
-            msg = decode_message(payload)
-            to_dbs = msg.source is NodeId.GATEWAY
+            to_dbs = source is NodeId.GATEWAY
             emit(t, "message_delivered",
                  NodeId.DBS_NODE if to_dbs else NodeId.GATEWAY, w,
-                 source=NODE_LABELS[msg.source], attempt=attempt)
+                 source=NODE_LABELS[source], attempt=attempt)
             if not to_dbs and w in pending:
-                probs = pending[w]
-                probs[msg.source] = msg.dequantized()
-                if len(probs) == 2:
+                arrived = pending[w]
+                arrived.add(source)
+                if len(arrived) == 2:
                     del pending[w]
-                    schedule(t + cfg.processing_delay_s, "fuse", w,
-                             build_input(probs[NodeId.EEG_NODE],
-                                         probs[NodeId.ECG_NODE]))
+                    schedule(t + cfg.processing_delay_s, "fuse", w)
         elif kind == "fuse":
-            fused = lr_forward(payload, combiner_params)
-            decision = predict(fused)
+            decision = decisions[w]
             emit(t, "fusion_decision", NodeId.GATEWAY, w,
-                 decision=int(decision), label=int(labels[w]))
+                 decision=decision, label=labels[w])
             if decision != LabelClass.INTERICTAL:
-                emit(t, "alert", NodeId.GATEWAY, w, decision=int(decision))
-                emit(t, "stimulation_command", NodeId.GATEWAY, w,
-                     decision=int(decision))
-                send(t, w, encode_message(quantize4(fused), w, NodeId.GATEWAY), 0)
+                emit(t, "alert", NodeId.GATEWAY, w, decision=decision)
+                emit(t, "stimulation_command", NodeId.GATEWAY, w, decision=decision)
+                send(t, w, NodeId.GATEWAY, 0)
         elif kind == "deadline" and w in pending:
-            probs = pending.pop(w)
+            arrived = pending.pop(w)
             emit(t, "window_dropped", NodeId.GATEWAY, w,
-                 eeg_arrived=NodeId.EEG_NODE in probs,
-                 ecg_arrived=NodeId.ECG_NODE in probs)
+                 eeg_arrived=NodeId.EEG_NODE in arrived,
+                 ecg_arrived=NodeId.ECG_NODE in arrived)
 
     return trace
 

@@ -18,8 +18,8 @@ from typing import Iterator
 from .bansim import latency_report, run_simulation, write_trace_jsonl
 from .combiner import load_combiner, save_combiner
 from .config import ExperimentConfig, WindowingConfig, load_config, write_config
-from .dataset import (Windows, cut_windows, kfold_split, read_manifest, save_recording,
-                      synth_generate)
+from .dataset import (Sensor, Windows, cut_windows, kfold_split, read_manifest,
+                      save_recording, synth_generate)
 from .dataset import load_recording, segment  # noqa: F401  (perfbench/spans.py traces them)
 from .errors import read_json
 from .evaluation import (
@@ -64,16 +64,21 @@ def _resolve_run(args) -> tuple[ExperimentConfig, Path]:
 def _read_pair(index_path: Path, pid: str, eeg: Path, ecg: Path,
                windowing: WindowingConfig) -> tuple[Windows, Windows]:
     """An entry's EEG and ECG windows.  Before any sample is read, each
-    manifest's patient is held to the entry's id, naming the index and the
-    manifest, and the two timelines to each other, naming both manifests."""
+    manifest's patient and sensor are held to the entry's id and the slot it
+    is listed in, naming the index and the manifest, and the two timelines
+    to each other, naming both manifests."""
     missing = next((path for path in (eeg, ecg) if not path.is_file()), None)
     if missing:
         raise FileNotFoundError(f"{index_path} lists {missing}, which does not exist")
     manifests = [read_manifest(eeg), read_manifest(ecg)]
-    for m in manifests:
+    for m, sensor in zip(manifests, (Sensor.EEG, Sensor.ECG)):
         if m.patient_id != pid:
             raise ValueError(f"{index_path} lists {m.path} under id {pid!r}, but that "
                              f"manifest records patient {m.patient_id!r}")
+        if m.sensor is not sensor:
+            raise ValueError(f"{index_path} lists {m.path} as patient {pid!r}'s "
+                             f"{sensor.value} recording, but that manifest records "
+                             f"{m.sensor.value}")
     timelines = [(m.sample_rate_hz, m.n_samples, m.annotations) for m in manifests]
     differ = [name for name, a, b in zip(
         ("sample rates", "sample counts", "annotations"), *timelines) if a != b]
@@ -191,6 +196,7 @@ def cmd_gen_data(args) -> int:
         print(f"wrote {pid}: {eeg.channels}-channel EEG + ECG, "
               f"{eeg.samples.shape[1]} samples at {eeg.sample_rate_hz} Hz, "
               f"{len(eeg.annotations)} seizures")
+        del eeg, ecg  # before the next patient is rendered
     (out / DATASET_INDEX).write_text(
         json.dumps({"seed": cfg.seed, "patients": entries},
                    indent=2, sort_keys=True) + "\n")

@@ -65,7 +65,7 @@ def quant_steps(p: np.ndarray) -> np.ndarray | None:
     from a whole number."""
     scaled = np.asarray(p, dtype=float) / QUANT_STEP
     steps = np.rint(scaled)
-    return steps if np.all(np.abs(scaled - steps) < 1e-6) else None
+    return steps if (np.abs(scaled - steps) < 1e-6).all() else None
 
 
 def is_quantized(p: np.ndarray) -> bool:
@@ -99,7 +99,9 @@ def lr_forward(x: np.ndarray, params: CombinerParams) -> np.ndarray:
 
 
 def predict(p: np.ndarray) -> LabelClass:
-    """Argmax; ties break toward the lowest class index (nearest to onset)."""
+    """Argmax; ties break toward the lowest class index (nearest to onset).
+    Only the tests call it, to pin the tie rule the block readouts' row-wise
+    argmax follows."""
     return LabelClass(int(np.argmax(p)))
 
 

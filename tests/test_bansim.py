@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from preictal.bansim import (
     FRAME_BYTES,
+    FRAME_DTYPE,
+    FRAME_STRUCT,
     FRAME_TIME_S,
     PROBS_Q_MAX,
     WIRE_VERSION,
@@ -22,7 +25,9 @@ from preictal.bansim import (
     ProbabilityMessage,
     SimConfig,
     SimTrace,
+    decode_frames,
     decode_message,
+    encode_frames,
     encode_message,
     latency_report,
     run_simulation,
@@ -154,6 +159,114 @@ class TestWireFormat:
         assert NodeId.EEG_NODE.label == "eeg_node"
         assert NodeId.GATEWAY.label == "gateway"
         assert [int(n) for n in NodeId] == [0, 1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# Block codec
+
+
+# A block of 1-8 rows of integer levels, their window indices and a sender.
+blocks = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    hnp.arrays(np.int64, (n, 5), elements=st.integers(0, PROBS_Q_MAX)),
+    st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n),
+    st.sampled_from(list(NodeId))))
+
+
+def _refused(call, *args) -> bool:
+    try:
+        call(*args)
+    except ValueError:
+        return True
+    return False
+
+
+class TestBlockCodec:
+    def test_frame_dtype_is_the_frame_struct_layout(self):
+        assert FRAME_DTYPE.itemsize == FRAME_BYTES == FRAME_STRUCT.size
+        codes = FRAME_STRUCT.format.lstrip("<")  # "BBI5H"
+        offsets = [struct.calcsize("<" + codes[:k]) for k in (0, 1, 2, 3)]
+        assert [FRAME_DTYPE.fields[name][1] for name in FRAME_DTYPE.names] == offsets
+        record = np.zeros((), FRAME_DTYPE)
+        record["source"], record["version"], record["window_index"] = 2, 1, 2**32 - 1
+        record["probs_q"] = [1, 2, 3, 4, PROBS_Q_MAX]
+        assert record.tobytes() == FRAME_STRUCT.pack(2, 1, 2**32 - 1, 1, 2, 3, 4,
+                                                     PROBS_Q_MAX)
+
+    @settings(max_examples=200)
+    @given(blocks)
+    def test_block_encode_is_the_frames_of_each_row(self, block):
+        levels, index, source = block
+        probs = levels * QUANT_STEP
+        data = encode_frames(probs, index, source)
+        assert data == b"".join(encode_message(p, w, source)
+                                for p, w in zip(probs, index))
+        assert encode_frames(probs, np.array(index, dtype=np.uint32), source) == data
+
+    @settings(max_examples=200)
+    @given(blocks)
+    def test_block_decode_agrees_with_each_frame_decoded(self, block):
+        levels, index, source = block
+        data = encode_frames(levels * QUANT_STEP, index, source)
+        records = decode_frames(data)
+        assert records.dtype == FRAME_DTYPE and len(records) == len(index)
+        for k, record in enumerate(records):
+            msg = decode_message(data[k * FRAME_BYTES:(k + 1) * FRAME_BYTES])
+            assert NodeId(record["source"]) is msg.source is source
+            assert record["window_index"] == msg.window_index == index[k]
+            assert tuple(record["probs_q"].tolist()) == msg.probs_q == \
+                tuple(levels[k].tolist())
+            assert (record["probs_q"] * QUANT_STEP).tobytes() == \
+                msg.dequantized().tobytes()
+
+    @settings(max_examples=200)
+    @given(blocks, st.data())
+    def test_a_row_encode_message_refuses_makes_the_block_refused(self, block, data):
+        levels, index, source = block
+        probs, index = levels * QUANT_STEP, list(index)
+        k = data.draw(st.integers(0, len(index) - 1))
+        kind = data.draw(st.sampled_from(["off-grid", "level", "index"]))
+        if kind == "off-grid":
+            probs[k, data.draw(st.integers(0, 4))] += data.draw(
+                st.sampled_from([1.5e-5, 4.9e-5, -3e-5]))
+        elif kind == "level":
+            probs[k, data.draw(st.integers(0, 4))] = data.draw(
+                st.sampled_from([-1, PROBS_Q_MAX + 1, 2**16])) * QUANT_STEP
+        else:
+            index[k] = data.draw(st.sampled_from([-1, 2**32, 2**40, 2**64, 3.7]))
+        assert _refused(encode_message, probs[k], index[k], source)
+        assert _refused(encode_frames, probs, index, source)
+
+    @settings(max_examples=200)
+    @given(blocks, st.data())
+    def test_a_frame_decode_message_refuses_makes_the_block_refused(self, block, data):
+        levels, index, source = block
+        frames = bytearray(encode_frames(levels * QUANT_STEP, index, source))
+        k = data.draw(st.integers(0, len(index) - 1))
+        at = k * FRAME_BYTES
+        kind = data.draw(st.sampled_from(["version", "source", "level"]))
+        if kind == "version":
+            frames[at + 1] = data.draw(st.integers(0, 255).filter(
+                lambda v: v != WIRE_VERSION))
+        elif kind == "source":
+            frames[at] = data.draw(st.integers(len(NodeId), 255))
+        else:
+            slot = at + 6 + 2 * data.draw(st.integers(0, 4))
+            struct.pack_into("<H", frames, slot,
+                             data.draw(st.integers(PROBS_Q_MAX + 1, 2**16 - 1)))
+        assert _refused(decode_message, bytes(frames[at:at + FRAME_BYTES]))
+        assert _refused(decode_frames, bytes(frames))
+
+    def test_block_shapes_and_lengths_are_checked(self):
+        p = quantize4(np.full((3, 5), 0.2))
+        for probs, index in ((p[0], [0]), (p, [0, 1]), (p[:, :4], [0, 1, 2]),
+                             (p, np.array([True, False, True]))):
+            with pytest.raises(ValueError):
+                encode_frames(probs, index, NodeId.EEG_NODE)
+        data = encode_frames(p, [0, 1, 2], NodeId.EEG_NODE)
+        with pytest.raises(ValueError, match="whole number of 16 bytes"):
+            decode_frames(data[:-1])
+        assert encode_frames(p[:0], np.arange(0), NodeId.GATEWAY) == b""
+        assert len(decode_frames(b"")) == 0
 
 
 # ---------------------------------------------------------------------------

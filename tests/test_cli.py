@@ -290,6 +290,24 @@ class TestTrain:
         assert str(data / "p00_eeg.json") in err and str(data / "p00_ecg.json") in err
         assert "their annotations differ" in err
 
+    @pytest.mark.parametrize("command", ["train", "cross-validate", "simulate"])
+    def test_swapped_sensors_name_the_index_and_the_manifest(
+            self, tmp_path, dataset_dir, config_path, train_dir, capsys, command):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_dir, data)
+        index = json.loads((data / "dataset.json").read_text())
+        entry = index["patients"][0]
+        entry["eeg"], entry["ecg"] = entry["ecg"], entry["eeg"]
+        (data / "dataset.json").write_text(json.dumps(index))
+        models = ["--models", str(train_dir)] if command == "simulate" else []
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config_path), "--data", str(data),
+                     *models, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(data / "dataset.json") in err and str(data / "p00_ecg.json") in err
+        assert "EEG recording" in err and "records ECG" in err
+        assert not any(out.glob("*.bin")) and not (out / "trace.jsonl").exists()
+
     @pytest.mark.parametrize("sensor", ["eeg", "ecg"])
     @pytest.mark.parametrize("command", ["train", "cross-validate", "simulate"])
     def test_manifest_of_another_patient_names_it_and_the_index(
