@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Time a fold's two inner loops at the desk shapes, the training step and the
 combiner fit, a sensor node's one-window inference, a fold's batched
-inference, and a simulated hour of the network.
+inference, and a simulated hour of the network and the writing of its trace.
 
     python3 scripts/step_bench.py
 
-Eight timings, each printed as its median and quartiles, in ms, or for the
+Nine timings, each printed as its median and quartiles, in ms, or for the
 batched readouts in us per window:
 
     eeg-step    one batch-32 float32 training step of the EEG model (4 x 320,
@@ -25,6 +25,8 @@ batched readouts in us per window:
     sim-run     one `run_simulation` of 720 windows (the default simulated
                 hour at a 5 s period) of quantized EEG and ECG rows over
                 closed-loop-sim's link: loss 0.2, 3 retries
+    sim-trace   one `write_trace_jsonl` of that simulation's trace (about 7,900
+                events) into a temporary file
 
 The models have the pipeline's kernel length (`evaluation.KERNEL_LEN`) and
 the default config's hidden widths.  The windows are 16 seeded batches of
@@ -35,7 +37,8 @@ untimed ones; the fit is timed 30 times on one set from `tests/oracles.py`,
 and each batched readout 20 times after one untimed one, on standard-normal
 noise; the simulation is timed 30 times after one untimed run, on
 softmax rows of seeded standard-normal logits, uniform labels and a
-standard-normal combiner.
+standard-normal combiner, and its trace is written 30 times after one
+untimed write.
 BLAS is pinned to one thread before numpy loads, and the checkout's own
 src/ is imported.  The last line is the result as JSON: each timing's
 quartiles under its name, `src_lines`, the lines of every *.py under
@@ -64,7 +67,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 
 from oracles import noisy_quantized_set  # noqa: E402
-from preictal.bansim import LinkModel, SimConfig, run_simulation  # noqa: E402
+from preictal.bansim import (  # noqa: E402
+    LinkModel,
+    SimConfig,
+    run_simulation,
+    write_trace_jsonl,
+)
 from preictal.combiner import (  # noqa: E402
     CombinerConfig,
     CombinerParams,
@@ -100,7 +108,7 @@ REPEATS = 400  # timed steps per sensor
 FITS = 30  # timed lr_train fits
 WINDOWS = 2000  # timed one-window forwards per sensor
 READOUTS = 20  # timed batched readouts per sensor
-SIM_RUNS = 30  # timed simulations
+SIM_RUNS = 30  # timed simulations, and timed writes of one trace
 SIM_WINDOWS = 720  # an hour of 5 s windows
 # closed-loop-sim's link
 SIM_CONFIG = SimConfig(link=LinkModel(loss_probability=0.2), retry_limit=3)
@@ -177,20 +185,29 @@ def time_fits() -> list[float]:
     return times
 
 
-def time_simulations() -> list[float]:
+def time_simulations() -> tuple[list[float], list[float]]:
+    """Seconds of each simulation run, and of each write of its trace."""
     rng = np.random.default_rng(0)
     eeg_rows, ecg_rows = (quantize4(softmax(rng.standard_normal((SIM_WINDOWS, 5))))
                           for _ in range(2))
     labels = rng.integers(0, 5, size=SIM_WINDOWS)
     params = CombinerParams(rng.standard_normal((5, 10)), rng.standard_normal(5))
     args = (SIM_CONFIG, params, labels, np.arange(SIM_WINDOWS), eeg_rows, ecg_rows)
-    run_simulation(*args)
-    times = []
+    trace = run_simulation(*args)
+    runs = []
     for _ in range(SIM_RUNS):
         start = time.perf_counter()
         run_simulation(*args)
-        times.append(time.perf_counter() - start)
-    return times
+        runs.append(time.perf_counter() - start)
+    writes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        write_trace_jsonl(trace, path)
+        for _ in range(SIM_RUNS):
+            start = time.perf_counter()
+            write_trace_jsonl(trace, path)
+            writes.append(time.perf_counter() - start)
+    return runs, writes
 
 
 def config_leaves(node) -> int:
@@ -221,7 +238,9 @@ def main() -> int:
     result.update({f"{name}-batch": quartiles(time_readouts(sensor, channels, pool),
                                               "us")
                    for name, sensor, channels, pool in SHAPES})
-    result["sim-run"] = quartiles(time_simulations())
+    runs, writes = time_simulations()
+    result["sim-run"] = quartiles(runs)
+    result["sim-trace"] = quartiles(writes)
     for name, q in result.items():
         unit = "us" if "median_us" in q else "ms"
         print(f"{name:10s} median {q[f'median_{unit}']:8.3f} {unit}  "

@@ -32,13 +32,17 @@ frame arrives, and is then fused; a window still pending at its deadline is
 dropped, so each window ends exactly one way.  The event loop is a priority
 queue keyed by (timestamp, sequence number), so a trace is a pure function
 of the configuration — including the link seed.  The event list is the
-simulation's only record: `latency_report` counts every outcome from it.
+simulation's only record: `latency_report` counts every outcome from it, and
+`write_trace_jsonl` writes each event from its kind's line template, built
+once from `EVENT_DETAIL`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import operator
 import struct
 from dataclasses import dataclass, field
@@ -126,12 +130,15 @@ class ProbabilityMessage:
     probs_q: tuple[int, int, int, int, int]
 
     def __post_init__(self):
-        if self.window_index < 0:
-            raise ValueError("window_index must be non-negative")
+        index = self.window_index
+        if type(index) is not int or not 0 <= index <= WINDOW_INDEX_MAX:
+            raise ValueError(f"window index {index!r} is not an int in the frame's "
+                             f"u32 field [0, {WINDOW_INDEX_MAX}]")
         q = self.probs_q
         if len(q) != N_CLASSES:
             raise ValueError(f"probs_q must have {N_CLASSES} entries")
-        _check_bounds("level", min(q), max(q))
+        if min(q) < 0 or max(q) > PROBS_Q_MAX:  # inline: this runs per decoded frame
+            _check_bounds("level", min(q), max(q))
 
     def dequantized(self) -> np.ndarray:
         """Float probabilities; identical to the sender's quantized values."""
@@ -159,6 +166,9 @@ class SimConfig:
     retry_limit: int = 3
 
     def __post_init__(self):
+        for name in ("window_period_s", "processing_delay_s", "duration_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.window_period_s <= 0 or self.duration_s <= 0:
             raise ValueError("window_period_s and duration_s must be positive")
         if self.processing_delay_s < 0:
@@ -215,9 +225,10 @@ def encode_message(
 
 def decode_message(frame: bytes) -> ProbabilityMessage:
     """Exact inverse of encode_message."""
-    if len(frame) != FRAME_BYTES:
-        raise ValueError(f"frame must be {FRAME_BYTES} bytes, got {len(frame)}")
-    fields = FRAME_STRUCT.unpack(frame)  # source, version, window index, 5 levels
+    try:
+        fields = FRAME_STRUCT.unpack(frame)  # source, version, window index, 5 levels
+    except struct.error:
+        raise ValueError(f"frame must be {FRAME_BYTES} bytes, got {len(frame)}") from None
     _check_bounds("version", fields[1], fields[1])
     _check_bounds("source", fields[0], fields[0])
     return ProbabilityMessage(NODES[fields[0]], fields[2], fields[3:])
@@ -424,11 +435,88 @@ def latency_report(trace: SimTrace) -> LatencyReport:
     )
 
 
+# Each event kind `run_simulation` emits, and the keys of its detail.
+EVENT_DETAIL = {
+    "window_produced": ("dataset_index", "label"),
+    "message_sent": ("attempt",),
+    "message_lost": ("attempt", "final"),
+    "message_delivered": ("attempt", "source"),
+    "fusion_decision": ("decision", "label"),
+    "alert": ("decision",),
+    "stimulation_command": ("decision",),
+    "window_dropped": ("ecg_arrived", "eeg_arrived"),
+}
+
+# Each kind's trace line as `json.dumps(vars(event), sort_keys=True)` writes
+# it, with a %s slot for each detail value in sorted key order, then for the
+# node, time and window index; and its detail keys in that order.
+_TRACE_LINES = {
+    kind: ('{"detail": {' + ", ".join(f'"{key}": %s' for key in sorted(keys))
+           + f'}}, "event_type": "{kind}", "node": %s, "time_s": %s, '
+           + '"window_index": %s}\n', tuple(sorted(keys)))
+    for kind, keys in EVENT_DETAIL.items()
+}
+
+
+def _json_float(x: float) -> str:
+    """`float.__repr__`, which `json` writes for a finite float; KeyError for
+    NaN or infinity, which `json` writes as tokens that are not JSON."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise KeyError(x)
+
+
+# How `json` writes a value of each type a trace line may hold; KeyError for
+# a value it cannot.  A trace's strings are node labels, so their encodings
+# are cached.
+_JSON_VALUE = {
+    int: int.__repr__,
+    float: _json_float,
+    np.float64: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    str: functools.lru_cache(maxsize=64)(json.dumps),
+    type(None): lambda _: "null",
+}
+
+
+def _trace_line(e: TraceEvent) -> str:
+    """`json.dumps(vars(e), sort_keys=True)` and a newline, from the line
+    template of `e`'s kind."""
+    try:
+        template, keys = _TRACE_LINES[e.event_type]
+        detail = e.detail
+        if len(detail) != len(keys):
+            raise KeyError
+        values = (*map(detail.__getitem__, keys), e.node, e.time_s, e.window_index)
+        return template % tuple([_JSON_VALUE[type(v)](v) for v in values])
+    except KeyError:
+        raise ValueError(_refusal(e)) from None
+
+
+def _refusal(e: TraceEvent) -> str:
+    """Why `_trace_line` cannot write `e`."""
+    kind = e.event_type
+    if kind not in EVENT_DETAIL:
+        return f"trace event kind {kind!r} is not in EVENT_DETAIL"
+    keys, expected = sorted(e.detail), sorted(EVENT_DETAIL[kind])
+    if keys != expected:
+        return f"{kind} event has detail keys {keys}, EVENT_DETAIL has {expected}"
+    for name, value in (*e.detail.items(), ("node", e.node), ("time_s", e.time_s),
+                        ("window_index", e.window_index)):
+        if type(value) not in _JSON_VALUE:
+            return f"{kind} event's {name} {value!r} is of a type the trace does not write"
+        if _JSON_VALUE[type(value)] is _json_float and not math.isfinite(value):
+            return f"{kind} event's {name} {value!r} is not finite"
+    raise AssertionError(f"no refusal found for {e}")
+
+
 def write_trace_jsonl(trace: SimTrace, path: Path | str) -> None:
     """One event per line: time_s, event_type, node, window_index, detail,
-    keys sorted, as `json.dumps(..., sort_keys=True)` writes them, from one
-    encoder per file."""
-    encode = json.JSONEncoder(sort_keys=True).encode
+    keys sorted, as `json.dumps(..., sort_keys=True)` writes them, each from
+    its kind's line template.  ValueError naming the kind, and no file
+    written, if an event's kind is not in `EVENT_DETAIL`, its detail keys
+    differ from the table's, or a value is not finite or of a type not in
+    `_JSON_VALUE`."""
+    text = "".join(map(_trace_line, trace.events))
     with open(path, "w") as fh:
-        for e in trace.events:
-            fh.write(encode(vars(e)) + "\n")
+        fh.write(text)

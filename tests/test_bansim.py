@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from preictal.bansim import (
+    EVENT_DETAIL,
     FRAME_BYTES,
     FRAME_DTYPE,
     FRAME_STRUCT,
@@ -25,6 +26,7 @@ from preictal.bansim import (
     ProbabilityMessage,
     SimConfig,
     SimTrace,
+    TraceEvent,
     decode_frames,
     decode_message,
     encode_frames,
@@ -154,6 +156,11 @@ class TestWireFormat:
             ProbabilityMessage(NodeId.EEG_NODE, 0, (0, 0, 0, 0))
         with pytest.raises(ValueError):
             ProbabilityMessage(NodeId.EEG_NODE, 0, (0, 0, 0, 0, 10001))
+
+    @pytest.mark.parametrize("index", [-1, 2**32, 2**33, 2.5, True, np.int64(3)])
+    def test_probability_message_refuses_an_index_no_frame_carries(self, index):
+        with pytest.raises(ValueError, match=re.escape(f"window index {index!r} is not")):
+            ProbabilityMessage(NodeId.EEG_NODE, index, (0, 0, 0, 0, 0))
 
     def test_node_labels(self):
         assert NodeId.EEG_NODE.label == "eeg_node"
@@ -293,6 +300,13 @@ class TestConfigs:
             SimConfig(processing_delay_s=-0.1)
         with pytest.raises(ValueError):
             SimConfig(retry_limit=-1)
+
+    @pytest.mark.parametrize("name", ["window_period_s", "processing_delay_s",
+                                      "duration_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_sim_config_refuses_non_finite_times(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SimConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +474,61 @@ class TestLosslessSimulation:
         assert set(first) == {"time_s", "event_type", "node", "window_index",
                               "detail"}
         assert first["event_type"] == "window_produced"
+
+
+class TestTraceWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(processing=st.floats(0.0, 8.0), loss=st.floats(0.0, 0.9),
+           retries=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_each_line_is_the_events_json(self, sim_setup, processing, loss,
+                                          retries, seed):
+        cfg = SimConfig(processing_delay_s=processing, duration_s=100.0,
+                        link=LinkModel(loss_probability=loss, seed=seed),
+                        retry_limit=retries)
+        trace = run_simulation(cfg, *_first(sim_setup, 20))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.jsonl"
+            write_trace_jsonl(trace, path)
+            lines = path.read_text().splitlines()
+        assert lines == [json.dumps(vars(e), sort_keys=True) for e in trace.events]
+        for e in trace.events:
+            assert tuple(sorted(e.detail)) == EVENT_DETAIL[e.event_type]
+
+    def test_writes_int_and_numpy_float_times_as_json_does(self, tmp_path):
+        events = [TraceEvent(5, "message_sent", "eeg_node", 0, {"attempt": 0}),
+                  TraceEvent(np.float64(0.1) * 3, "alert", "gateway", 2**40,
+                             {"decision": 4}),
+                  TraceEvent(1e22, "window_dropped", "gateway", None,
+                             {"eeg_arrived": True, "ecg_arrived": False})]
+        write_trace_jsonl(SimTrace(events), tmp_path / "t.jsonl")
+        assert (tmp_path / "t.jsonl").read_text() == "".join(
+            json.dumps(vars(e), sort_keys=True) + "\n" for e in events)
+
+    @pytest.mark.parametrize("event, refusal", [
+        (TraceEvent(1.0, "window_lost", "gateway", 0, {}),
+         "trace event kind 'window_lost' is not in EVENT_DETAIL"),
+        (TraceEvent(1.0, "message_lost", "eeg_node", 0, {"attempt": 0}),
+         "message_lost event has detail keys ['attempt'], "
+         "EVENT_DETAIL has ['attempt', 'final']"),
+        (TraceEvent(1.0, "alert", "gateway", 0, {"decision": 1, "label": 1}),
+         "alert event has detail keys ['decision', 'label'], "
+         "EVENT_DETAIL has ['decision']"),
+        (TraceEvent(1.0, "fusion_decision", "gateway", 0,
+                    {"decision": np.int64(1), "label": 1}),
+         "fusion_decision event's decision np.int64(1) is of a type"),
+        (TraceEvent(np.float32(1.0), "message_sent", "eeg_node", 0, {"attempt": 0}),
+         "message_sent event's time_s np.float32(1.0) is of a type"),
+        (TraceEvent(float("inf"), "window_dropped", "gateway", 0,
+                    {"eeg_arrived": False, "ecg_arrived": True}),
+         "window_dropped event's time_s inf is not finite"),
+    ])
+    def test_refuses_an_event_it_cannot_write_naming_its_kind(self, tmp_path,
+                                                               event, refusal):
+        good = TraceEvent(0.0, "message_sent", "eeg_node", 0, {"attempt": 0})
+        path = tmp_path / "trace.jsonl"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            write_trace_jsonl(SimTrace([good, event]), path)
+        assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
