@@ -9,8 +9,10 @@ Nine timings, each printed as its median and quartiles, in ms, or for the
 batched readouts in us per window:
 
     eeg-step    one batch-32 float32 training step of the EEG model (4 x 320,
-                pool 4): `backward_batch` then `adam_step`, every step sharing
-                one `Workspace` and one `AdamState` as `train` does
+                pool 4) as `train` runs it: gather 32 shuffled windows from a
+                channel-major float32 set, then `backward_batch` on that
+                [C x B x T] batch seen as [B x C x T], then `adam_step`, every
+                step sharing one `Workspace` and one `AdamState`
     ecg-step    the same for the ECG model (1 x 320, pool 2)
     lr-train    one `lr_train` on a [1395 x 10] quantized fit set, the size
                 of a desk fold's; its labels are noisy enough that the fit
@@ -30,10 +32,13 @@ batched readouts in us per window:
 
 The models have the pipeline's kernel length (`evaluation.KERNEL_LEN`) and
 the default config's hidden widths.  The windows are 16 seeded batches of
-standard-normal noise, cycled, with uniform labels; the focal loss has
-training's gamma (`nn.losses.FOCAL_GAMMA`) and the alpha of those labels.  Each sensor times 400 steps after 30 untimed warm-up steps, and
-2000 one-window forwards, on the first window of each batch, after 30
-untimed ones; the fit is timed 30 times on one set from `tests/oracles.py`,
+standard-normal noise with uniform labels; the steps draw their batches from
+all 512 of them, held [C x 512 x T] in float32, by a seeded shuffle
+renewed every 16 steps, as `train` draws an epoch's.  The focal loss has
+training's gamma (`nn.losses.FOCAL_GAMMA`) and the alpha of those labels.
+Each sensor times 400 steps after 30 untimed warm-up steps, and 2000
+one-window forwards, on the first window of each batch, after 30 untimed
+ones; the fit is timed 30 times on one set from `tests/oracles.py`,
 and each batched readout 20 times after one untimed one, on standard-normal
 noise; the simulation is timed 30 times after one untimed run, on
 softmax rows of seeded standard-normal logits, uniform labels and a
@@ -136,16 +141,20 @@ def desk_model_and_batches(sensor: Sensor, channels: int, pool: int):
 def time_steps(sensor: Sensor, channels: int, pool: int) -> list[float]:
     train_cfg = TrainConfig()
     model, rng, xs = desk_model_and_batches(sensor, channels, pool)
-    xs = xs.astype(np.float32)
-    ys = rng.integers(0, 5, size=(BATCHES, BATCH))
-    loss_cfg = FocalLossConfig(gamma=FOCAL_GAMMA, alpha=inverse_frequency_alpha(ys.ravel()))
+    xs = np.ascontiguousarray(
+        xs.reshape(-1, channels, SAMPLES).transpose(1, 0, 2), dtype=np.float32)
+    ys = rng.integers(0, 5, size=BATCHES * BATCH)
+    loss_cfg = FocalLossConfig(gamma=FOCAL_GAMMA, alpha=inverse_frequency_alpha(ys))
     work = Workspace(model, np.float32)
     state = AdamState.for_params(model.buffer)
     times = []
     for i in range(WARMUP + REPEATS):
-        xb, yb = xs[i % BATCHES], ys[i % BATCHES]
+        if i % BATCHES == 0:
+            order = rng.permutation(len(ys))
+        idx = order[i % BATCHES * BATCH:][:BATCH]
         start = time.perf_counter()
-        _, grad = backward_batch(model, xb, yb, loss_cfg, work)
+        xb = np.take(xs, idx, axis=1).transpose(1, 0, 2)
+        _, grad = backward_batch(model, xb, ys[idx], loss_cfg, work)
         adam_step(model.buffer, grad, state, train_cfg)
         times.append(time.perf_counter() - start)
     return times[WARMUP:]

@@ -175,6 +175,16 @@ class SimConfig:
             raise ValueError("processing_delay_s must be non-negative")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be non-negative")
+        # The last window is produced by duration_s; its deadline comes one
+        # period later, and its fusion two processing delays and a few frame
+        # times later.
+        last = ((self.duration_s / self.window_period_s + 2.0) * self.window_period_s
+                + 2 * self.processing_delay_s)
+        if not math.isfinite(last):
+            raise ValueError(
+                f"window_period_s {self.window_period_s}, duration_s {self.duration_s} "
+                f"and processing_delay_s {self.processing_delay_s} put the last event "
+                f"time past the largest float")
         if self.max_windows == 0:
             raise ValueError("duration_s is shorter than one window period")
 

@@ -153,8 +153,14 @@ class Windows:
     data: np.ndarray
 
     def at(self, ids) -> Windows:
-        """The windows of stride-grid `ids`, each of which must be in the record."""
+        """The windows of stride-grid `ids`; an id not in the record is
+        refused, naming the first such id."""
+        ids = np.asarray(ids)
         pos = np.searchsorted(self.index, ids)
+        found = pos < len(self.index)
+        found[found] = self.index[pos[found]] == ids[found]
+        if not found.all():
+            raise ValueError(f"window id {ids[~found][0]} is not in the record")
         return Windows(self.index[pos], self.label[pos], self.data[pos])
 
 

@@ -19,15 +19,19 @@ Every array of a pass is written into a `Buffers` or, in batched
 inference, is fresh.  In a `Buffers` each op writes where the next one
 reads and the padding, zero from the start, is never written, so a conv is
 one tap copy and one GEMM.  A training step's backward pass reads what its
-forward pass left in the `Buffers` of its batch size, held with the
-parameter copy in the step's dtype and the gradient by a `Workspace` that
-the caller may pass to every step; `train` owns one for the length of the
-call.  One window, as a sensor node classifies each window as it arrives,
-runs in the batch-1 float64 `Buffers` its model keeps from its first
-one-window call on (100 KB for the desk EEG model, 37 KB for the ECG one).
-Batched inference runs in chunks of FORWARD_CHUNK windows on fresh arrays:
-kept 64-window buffers raised the peak RSS of a benchmark `simulate` run
-from 158 to 180 MB, and buffers made per call ran slower.
+forward pass left in the `Buffers` of its batch size and writes into that
+`Buffers`' own backward arrays, held with the parameter copy in the step's
+dtype and the gradient by a `Workspace` that the caller may pass to every
+step; `train` owns one for the length of the call.  One window, as a
+sensor node classifies each window as it arrives, runs in the batch-1
+float64 `Buffers` its model keeps from its first one-window call on (100 KB
+for the desk EEG model, 37 KB for the ECG one), which has no backward
+arrays.  Batched inference runs in chunks of FORWARD_CHUNK windows on
+fresh arrays, each conv building its tap stack one L2-sized tile of
+windows at a time (see `ops`): kept 64-window buffers raised the peak RSS
+of a benchmark `simulate` run from 158 to 180 MB, and buffers made per
+call or per chunk ran slower.  The chunk stays at 64 windows: the dense
+layers' GEMMs, unlike the conv's, give bits that depend on their row count.
 
 A `SensorModel` is an immutable architecture spec plus one flat float64
 buffer.  The spec's fields are the weight-file header's (sensor, channels,
@@ -64,6 +68,7 @@ from .ops import (
     dense_forward,
     maxpool1d_backward,
     maxpool1d_with_argmax,
+    pool_offsets,
     relu,
     relu_backward,
     softmax,
@@ -73,7 +78,8 @@ from .ops import (
 MODEL_MAGIC = b"PSM1"
 N_BLOCKS = 4
 N_DENSE = 3
-FORWARD_CHUNK = 64  # windows per batched inference pass; bounds memory
+FORWARD_CHUNK = 64  # windows per batched inference pass; bounds memory.  The
+# dense layers' bits depend on it, so it stays 64 (see the module docstring).
 BN_EPSILON, BN_MOMENTUM = 1e-5, 0.1  # of every built model; headers carry them
 
 # View names, in buffer order.
@@ -255,9 +261,20 @@ class Buffers:
     Nothing here derives from the weights and a pass reads nothing an
     earlier one left, so one `Buffers` serves any number of passes, one at
     a time.
+
+    With `backward`, as a `Workspace` makes them, each entry of `back`
+    holds one conv block's backward arrays (d_out, base, index, d_in,
+    d_taps): `d_out` [C x batch x T], where the pool's backward pass zeroes
+    and scatters the gradient at the conv output, `base`, the pool's
+    `pool_offsets` into `d_out`, and `index`, its scatter scratch; then the
+    interior `d_in` of the zero-padded `d_pads` entry, the gradient padded
+    the other way round (K//2 zeros in front), into which the block copies
+    `d_out`, and `d_taps`, that array's tap view, which the input
+    gradient's GEMM reads.  Without `backward`, both lists are empty.
     """
 
-    def __init__(self, model: SensorModel, batch: int, dtype):
+    def __init__(self, model: SensorModel, batch: int, dtype,
+                 backward: bool = False):
         c, k = model.in_channels, model.kernel_len
         before = (k - 1) // 2
         widths = [model.window_samples]
@@ -274,6 +291,13 @@ class Buffers:
             for pad, t, n, pool, act in zip(self.pads, widths, widths[1:],
                                             model.pool_sizes, acts)]
         self.dense = [np.empty((batch, n), dtype) for n in (*model.hidden, N_CLASSES)]
+        self.d_pads = [np.zeros_like(pad) for pad in self.pads] if backward else []
+        self.back = [
+            (np.empty((c, batch, t), dtype), pool_offsets((c, batch, t), pool),
+             np.empty((c, batch, n), np.intp), d_pad[:, :, k // 2:k // 2 + t],
+             tap_view(d_pad, t))
+            for d_pad, t, n, pool in zip(self.d_pads, widths, widths[1:],
+                                         model.pool_sizes)]
 
 
 class Workspace:
@@ -283,12 +307,13 @@ class Workspace:
     `backward_batch` refreshes in place at each step; `p` holds its named
     views.  `grad` is the gradient buffer, laid out and typed like
     `model.buffer`, and `g` its views; the running statistics' entries
-    stay zero.  `buffers` maps a batch size to the `Buffers` its steps run
-    in, made on first use.  A block's backward pass writes its input
-    gradient into that block's tap stack and conv output, which it has
-    read, and never into a padded input: the next step reads its padding,
-    and block i's pool output, whose ReLU mask block i's backward reads,
-    is block i+1's padded interior.
+    stay zero.  `buffers` maps a batch size to the `Buffers`, with backward arrays,
+    that its steps run in, made on first use.  A block's backward pass
+    writes its input gradient into that block's tap stack and conv output,
+    which it has read, and its own backward arrays, and never into a
+    forward padded input: the next step reads its padding, and block i's
+    pool output, whose ReLU mask block i's backward reads, is block i+1's
+    padded interior.
     """
 
     def __init__(self, model: SensorModel, dtype):
@@ -303,12 +328,15 @@ class Workspace:
 def _forward(model: SensorModel, xb: np.ndarray, p: dict,
              bufs: Buffers | None = None, training: bool = False):
     """Forward pass over [B x C x T] windows with the parameter views `p`:
-    the logits and batchnorm's normalized input, which gamma's gradient reads.
+    the logits and, in training, batchnorm's normalized input, which gamma's
+    gradient reads (inference gives batchnorm's output there).
 
     The conv blocks run channel-major, [C x B x T], from the batchnorm to the
-    flatten.  Every array is written into `bufs`, a `Buffers` of this batch
-    size and dtype, or, without it, is fresh.  Training normalizes by the
-    batch statistics, inference by the running ones.  The running statistics
+    flatten; windows that are a [B x C x T] view of a C-contiguous
+    [C x B x T] array, as `train` gathers them, reach batchnorm uncopied.
+    Every array is written into `bufs`, a `Buffers` of this batch size and
+    dtype, or, without it, is fresh.  Training normalizes by the batch
+    statistics, inference by the running ones, as one affine map.  The running statistics
     are always the model's own, so training folds the batch statistics into
     `model.buffer` even when `p` views a cast copy of it.  ReLU runs in place
     on each conv output, before its max-pool (see the module docstring).
@@ -372,7 +400,10 @@ def backward_batch(
     windows' dtype; a caller that passes the same one to every step reuses
     its parameter copy, gradient and `Buffers`, and the gradient returned
     is then `work.grad`, which the next step that shares `work` overwrites.
-    Without it every buffer is fresh.
+    Without it every buffer is fresh.  Each op returns its parameter
+    gradients in the windows' dtype, and they are copied into `work.grad`:
+    numpy would sum a float32 row longer than its 8192-element buffer into
+    a float64 `out` in pieces, and so round otherwise.
     """
     work = Workspace(model, xb.dtype) if work is None else work
     if work.model is not model or work.params.dtype != xb.dtype:
@@ -381,7 +412,7 @@ def backward_batch(
     b = len(xb)
     bufs = work.buffers.get(b)
     if bufs is None:
-        bufs = work.buffers[b] = Buffers(model, b, xb.dtype)
+        bufs = work.buffers[b] = Buffers(model, b, xb.dtype, backward=True)
     np.copyto(work.params, model.buffer)
     p, g = work.p, work.g
     logits, xhat = _forward(model, xb, p, bufs, training=True)
@@ -400,11 +431,14 @@ def backward_batch(
     delta = delta.reshape(b, model.in_channels, -1).transpose(1, 0, 2)
     for i in range(N_BLOCKS - 1, -1, -1):
         taps, cols, out, arg, act = bufs.blocks[i]
+        d_out, base, index, d_in, d_taps = bufs.back[i]
         kernels, bias = BLOCK_KEYS[i]
         delta = maxpool1d_backward(relu_backward(delta, act), arg,
-                                   model.pool_sizes[i], taps.shape[-1])
+                                   model.pool_sizes[i], taps.shape[-1],
+                                   d_out, base, index)
+        d_in[...] = delta
         g[kernels][...], g[bias][...], delta = conv1d_backward(
-            delta, cols, p[kernels], cols, out)
+            delta, cols, p[kernels], cols, out, d_taps)
 
     g["batchnorm.gamma"][...], g["batchnorm.beta"][...] = batchnorm_param_grads(
         delta, xhat)

@@ -24,17 +24,34 @@ scratch array they make follows it: training runs them in float32 (see
 take their output and scratch arrays as optional arguments, like numpy's
 `out=`, and allocate fresh ones without them.  A caller that keeps a
 zero-padded conv input passes its `tap_view` and writes the input straight
-into the padded interior; otherwise the conv pads a fresh copy.  Either
-way a conv copies its whole tap stack at once, from a strided view of the
-padded input.  Backward counterparts compute exact gradients and are
+into the padded interior; otherwise the conv pads a fresh copy.  Into a
+kept tap stack a conv copies all its taps at once, from a strided view of
+the padded input.  A fresh tap stack, which only batched inference builds,
+is built and multiplied one tile of windows at a time, each tile about
+TAP_TILE_BYTES: half the 2 MiB per-core L2 of the benchmark host, so the
+GEMM reads a tile the copy has just left in cache.  Each output column of
+the GEMM is one window's samples, so the tile size does not change a bit.
+A GEMM operand is never a negatively strided view: numpy hands such an
+operand to its own loop, not to BLAS.  The one-channel ECG model's
+mirrored kernels, [1 x K] with stride -1 along the taps, made its float32
+[1 x 5] by [5 x 10240] input-gradient product take 68 us, against 7 us
+for a contiguous copy (2-core Xeon, one BLAS thread).
+
+Inference batchnorm is one per-channel affine map, x * s + (beta - mean * s)
+with s = gamma / sqrt(var + eps), computed from the running statistics at
+each call.  Backward counterparts compute exact gradients and are
 checked in float64 against central finite differences in the test suite.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ShapeError
+
+TAP_TILE_BYTES = 1 << 20  # a fresh tap stack's tile: half a 2 MiB per-core L2
 
 
 def tap_view(xpad: np.ndarray, t: int) -> np.ndarray:
@@ -58,7 +75,8 @@ def _tap_gemm(
     """`weights` [R x K*C] times the tap stack of `x` [C x B x T] zero-padded
     by `before` samples in front and K-1-before behind: [R x B*T].  Given
     `taps`, the tap view of a padded input whose interior already holds `x`,
-    nothing is padded."""
+    nothing is padded.  Without `cols` the tap stack is built and multiplied
+    one tile of windows of about TAP_TILE_BYTES at a time."""
     c, b, t = x.shape
     if taps is None:
         xpad = np.empty((c, b, t + klen - 1), dtype=x.dtype)
@@ -66,10 +84,19 @@ def _tap_gemm(
         xpad[:, :, before:before + t] = x
         xpad[:, :, before + t:] = 0.0
         taps = tap_view(xpad, t)
-    if cols is None:
-        cols = np.empty((klen * c, b * t), dtype=x.dtype)
-    cols.reshape(klen, c, b, t)[...] = taps
-    return np.matmul(weights, cols, out=out)
+    if cols is not None:
+        cols.reshape(klen, c, b, t)[...] = taps
+        return np.matmul(weights, cols, out=out)
+    if out is None:
+        out = np.empty((weights.shape[0], b * t), np.result_type(weights, x))
+    tile = min(b, max(1, TAP_TILE_BYTES // (klen * c * t * x.itemsize)))
+    cols = np.empty((klen * c, tile * t), dtype=x.dtype)
+    for w in range(0, b, tile):
+        n = min(tile, b - w)
+        part = cols[:, :n * t]
+        part.reshape(klen, c, n, t)[...] = taps[:, :, w:w + n]
+        np.matmul(weights, part, out=out[:, w * t:(w + n) * t])
+    return out
 
 
 def conv1d_forward(
@@ -110,6 +137,7 @@ def conv1d_backward(
     kernels: np.ndarray,
     d_cols: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    d_taps: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (d_kernels, d_bias, d_input) for conv1d_forward.
 
@@ -117,18 +145,22 @@ def conv1d_backward(
     carry any loss-mean scaling; `cols` is the tap stack the forward pass
     left.  The input gradient is itself a tap-stacked correlation: of
     `delta`, padded the other way round, with the kernels mirrored in time
-    and with in and out channels swapped; its padded copy of `delta` is
-    always fresh.  Optional scratch, as for conv1d_forward: `d_cols`
-    [K*C_out x B*T] and `out` [C_in x B*T], which the input gradient views.
-    `d_cols` may be `cols` itself: the kernel gradient reads `cols` before
-    it is overwritten.
+    and with in and out channels swapped.  The mirrored kernels are made
+    C-contiguous, so that BLAS, not numpy's own loop, multiplies them.
+    Optional scratch, as for conv1d_forward: `d_cols` [K*C_out x B*T] and
+    `out` [C_in x B*T], which the input gradient views, and `d_taps`, the
+    `tap_view` of a zero-padded [C_out x B x T+K-1] array whose interior,
+    xpad[:, :, K//2:][:, :, :T], already holds `delta`; without it `delta`
+    is copied into a fresh padded array.  `d_cols` may be `cols` itself:
+    the kernel gradient reads `cols` before it is overwritten.
     """
     out_c, in_c, klen = kernels.shape
     _, b, t = delta.shape
     d = delta.reshape(out_c, b * t)
     d_kernels = (d @ cols.T).reshape(out_c, klen, in_c).transpose(0, 2, 1)
-    mirrored = kernels[:, :, ::-1].transpose(1, 2, 0).reshape(in_c, klen * out_c)
-    d_input = _tap_gemm(delta, mirrored, klen, klen // 2, d_cols, out)
+    mirrored = np.ascontiguousarray(
+        kernels[:, :, ::-1].transpose(1, 2, 0).reshape(in_c, klen * out_c))
+    d_input = _tap_gemm(delta, mirrored, klen, klen // 2, d_cols, out, d_taps)
     return d_kernels, d.sum(axis=1), d_input.reshape(in_c, b, t)
 
 
@@ -182,13 +214,34 @@ def maxpool1d_with_argmax(
     return out, arg
 
 
+def pool_offsets(shape: tuple[int, ...], pool_size: int) -> np.ndarray:
+    """Where each pool window of a C-contiguous [... x T] array `shape`
+    starts, as flat element offsets: [... x ceil(T / pool_size)]."""
+    *lead, t = shape
+    rows = np.arange(math.prod(lead), dtype=np.intp)[:, None] * t
+    return (rows + np.arange(0, t, pool_size)).reshape(*lead, -1)
+
+
 def maxpool1d_backward(
-    delta: np.ndarray, arg: np.ndarray, pool_size: int, input_len: int
+    delta: np.ndarray, arg: np.ndarray, pool_size: int, input_len: int,
+    out: np.ndarray | None = None, base: np.ndarray | None = None,
+    index: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Route each window's gradient to its argmax; zeros elsewhere."""
-    d = np.zeros(arg.size * pool_size, dtype=delta.dtype)
-    d[np.arange(0, d.size, pool_size) + arg.reshape(-1)] = delta.reshape(-1)
-    return d.reshape(*arg.shape[:-1], -1)[..., :input_len]
+    """Route each window's gradient to its argmax; zeros elsewhere.
+
+    The result, [... x input_len], is zeroed and each window's gradient
+    scattered to flat offset base + arg.  Optional, for a caller that
+    keeps them: `out`, C-contiguous, for the result; `base`, the
+    `pool_offsets` of its shape; `index`, intp scratch shaped like `arg`.
+    """
+    shape = (*arg.shape[:-1], input_len)
+    if out is None:
+        out = np.empty(shape, delta.dtype)
+    if base is None:
+        base = pool_offsets(shape, pool_size)
+    out.fill(0.0)
+    out.reshape(-1)[np.add(base, arg, out=index)] = delta
+    return out
 
 
 def batchnorm_forward_with_cache(
@@ -208,28 +261,30 @@ def batchnorm_forward_with_cache(
     batch and time axes, one contiguous [B*T] row per channel) and folds
     them into the running averages in place:
     running <- (1 - momentum) * running + momentum * batch.  Inference uses
-    the running statistics and is pure.  Returns the output and the
-    normalized pre-scale values (needed for gamma's gradient).  Optional
-    `out` [C x B x T] takes the output.  Inference computes the normalized
-    values in it too, so with `out` the two arrays returned are one;
-    training keeps them apart.
+    the running statistics and is pure: one per-channel affine map,
+    x * s + (beta - running_mean * s) with s = gamma / sqrt(running_var +
+    epsilon).  Training returns the output and the normalized pre-scale
+    values (needed for gamma's gradient); inference computes no normalized
+    values and returns its output twice.  Optional `out` [C x B x T] takes
+    the output.
     """
     c = gamma.shape[0]
     if x.shape[0] != c:
         raise ShapeError(f"input has {x.shape[0]} channels, batchnorm expects {c}")
-    if training:
-        rows = x.reshape(c, -1)
-        mean = rows.mean(axis=1)
-        centered = rows - mean[:, None]
-        var = np.square(centered).mean(axis=1)
-        # Written in place: a model's running statistics are views into its
-        # parameter buffer, and rebinding would detach them from it.
-        running_mean[...] = (1 - momentum) * running_mean + momentum * mean
-        running_var[...] = (1 - momentum) * running_var + momentum * var
-        centered = centered.reshape(x.shape)
-    else:
-        centered = np.subtract(x, running_mean[:, None, None], out=out)
-        var = running_var
+    if not training:
+        scale = gamma / np.sqrt(running_var + epsilon)
+        y = np.multiply(x, scale[:, None, None], out=out)
+        y += (beta - running_mean * scale)[:, None, None]
+        return y, y
+    rows = x.reshape(c, -1)
+    mean = rows.mean(axis=1)
+    centered = rows - mean[:, None]
+    var = np.square(centered).mean(axis=1)
+    # Written in place: a model's running statistics are views into its
+    # parameter buffer, and rebinding would detach them from it.
+    running_mean[...] = (1 - momentum) * running_mean + momentum * mean
+    running_var[...] = (1 - momentum) * running_var + momentum * var
+    centered = centered.reshape(x.shape)
     xhat = np.divide(centered, np.sqrt(var + epsilon)[:, None, None], out=centered)
     y = np.multiply(gamma[:, None, None], xhat, out=out)
     y += beta[:, None, None]

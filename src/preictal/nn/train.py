@@ -6,6 +6,13 @@ backward passes compute in float32, on the training windows cast once per
 call, while the parameters, Adam's moments and the best-epoch snapshot stay
 float64, and Adam applies the float32-computed gradient to them in float64.
 Validation, and all inference after training, run in float64.
+
+The float32 training windows are held channel-major, [C x N x T], so a
+step's batch, gathered as np.take(xs, idx, axis=1), is already the
+[C x B x T] layout the conv blocks run in, and batchnorm reads each
+channel's batch as one contiguous row instead of copying a transposed batch
+at every step.  (xs[:, idx] would not do: numpy lays out the result of an
+index array after a slice window-major, as a transposed view.)
 """
 
 from __future__ import annotations
@@ -64,7 +71,9 @@ def train(
     keeps the snapshot with the lowest validation focal loss and gives up
     after `patience` epochs without improvement.  A non-finite batch or
     validation loss raises ValueError.  The steps compute in float32 on a
-    float32 copy of `xs`, made once per call; validation runs in float64.
+    channel-major float32 copy of `xs`, made once per call, each on a
+    [B x C x T] view of its C-contiguous [C x B x T] batch; validation runs
+    in float64.
     The step's `Workspace` (the float32 parameter copy, the gradient and the
     `Buffers` of each batch size) is made once per call and reused by
     every step; none of it outlives the call.
@@ -75,7 +84,7 @@ def train(
     _check_input(model, xs)
     _check_input(model, xv)
     loss_cfg = FocalLossConfig(gamma=FOCAL_GAMMA, alpha=inverse_frequency_alpha(ys))
-    xs = xs.astype(np.float32)
+    xs = np.ascontiguousarray(xs.transpose(1, 0, 2), dtype=np.float32)
 
     rng = np.random.default_rng(model.seed)
     state = AdamState.for_params(model.buffer)
@@ -85,12 +94,13 @@ def train(
     work = Workspace(model, np.float32)
 
     for epoch in range(1, train_cfg.max_epochs + 1):
-        order = rng.permutation(len(xs))
+        order = rng.permutation(len(ys))
         batch_losses = []
         batch_sizes = []
         for i in range(0, len(order), train_cfg.batch_size):
             idx = order[i:i + train_cfg.batch_size]
-            loss, grad = backward_batch(model, xs[idx], ys[idx], loss_cfg, work)
+            xb = np.take(xs, idx, axis=1).transpose(1, 0, 2)
+            loss, grad = backward_batch(model, xb, ys[idx], loss_cfg, work)
             _check_finite(model, loss, "batch loss", epoch)
             adam_step(model.buffer, grad, state, train_cfg)
             batch_losses.append(loss)

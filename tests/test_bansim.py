@@ -309,6 +309,18 @@ class TestConfigs:
             SimConfig(**{name: value})
 
 
+    def test_sim_config_refuses_times_whose_events_overflow(self):
+        # Each time is finite, but window 0's deadline, one period after it
+        # is produced at 1e308, is not: the run would drop it at inf.
+        with pytest.raises(ValueError, match="window_period_s 1e.308, duration_s "
+                                             "1.5e.308 .* past the largest float"):
+            SimConfig(window_period_s=1e308, duration_s=1.5e308,
+                      link=LinkModel(loss_probability=0.9), retry_limit=0)
+        with pytest.raises(ValueError, match="past the largest float"):
+            SimConfig(window_period_s=1e-10, duration_s=1e308)
+        SimConfig(window_period_s=1e300, duration_s=1e301)
+
+
 # ---------------------------------------------------------------------------
 # Simulation fixtures
 

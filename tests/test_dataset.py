@@ -18,6 +18,7 @@ from preictal.dataset import (
     SeizureAnnotation,
     Sensor,
     SynthConfig,
+    Windows,
     cut_windows,
     kfold_split,
     label_codes,
@@ -486,6 +487,20 @@ class TestRecordingFiles:
         np.testing.assert_array_equal(
             windows.data, np.stack([rec.samples[:, 80 * i:80 * i + 80]
                                     for i in windows.index]))
+
+    def test_windows_at_refuses_an_id_not_in_the_record(self):
+        windows = Windows(np.array([0, 2, 5]), np.array([1, 2, 3]),
+                          np.arange(6.0).reshape(3, 1, 2))
+        picked = windows.at([5, 0])
+        assert picked.index.tolist() == [5, 0]
+        assert picked.label.tolist() == [3, 1]
+        np.testing.assert_array_equal(picked.data, windows.data[[2, 0]])
+        assert windows.at([]).index.size == 0
+        # 3 falls between 2 and 5, and 6 past the end; 1 and 3 are both
+        # absent and the first is named.
+        for ids, missing in (([2, 3], 3), ([0, 6], 6), ([1, 3], 1)):
+            with pytest.raises(ValueError, match=f"window id {missing} is not in"):
+                windows.at(ids)
 
     def test_reading_windows_holds_the_block_and_not_the_recording(self, tmp_path):
         # One patient's EEG at perfbench's desk shape: 64 Hz, 4 channels,

@@ -148,6 +148,45 @@ class TestConv1d:
                                    conv1d_backward(r, cols, kernels), fd):
             np.testing.assert_allclose(got, want, atol=1e-7, err_msg=name)
 
+    def test_one_channel_input_gradient_is_the_contiguous_kernel_gemm(self):
+        # The ECG model's block 1 in float32: the mirrored [1 x 5] kernel is
+        # a negatively strided view unless copied, and numpy multiplies such
+        # an operand in its own loop, which rounds differently from BLAS.
+        rng = np.random.default_rng(22)
+        b, t, klen = 32, 320, 5
+        x = rng.standard_normal((1, b, t)).astype(np.float32)
+        kernels = rng.standard_normal((1, 1, klen)).astype(np.float32)
+        delta = rng.standard_normal((1, b, t)).astype(np.float32)
+        cols = np.empty((klen, b * t), np.float32)
+        conv1d_forward(x, kernels, np.zeros(1, np.float32), cols=cols)
+        d_input = conv1d_backward(delta, cols, kernels)[2]
+        dpad = np.zeros((1, b, t + klen - 1), np.float32)
+        dpad[:, :, klen // 2:klen // 2 + t] = delta
+        d_cols = np.stack([dpad[0, :, k:k + t].reshape(-1) for k in range(klen)])
+        mirrored = np.ascontiguousarray(kernels[0, 0, ::-1])[None]
+        want = np.matmul(mirrored, d_cols)
+        assert d_input.dtype == want.dtype
+        assert d_input.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("tile_windows", [1, 7, 20, 64])
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_batched_forward_matches_one_call_per_window(
+            self, channels, tile_windows, monkeypatch):
+        # A fresh tap stack is built one tile of windows at a time; whatever
+        # the tile, each window's output must have the bits of a call on
+        # that window alone.  64 windows in tiles of 7 leave a partial tile.
+        t, klen = 320, 5
+        monkeypatch.setattr("preictal.nn.ops.TAP_TILE_BYTES",
+                            tile_windows * klen * channels * t * 8)
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((channels, 64, t))
+        kernels = rng.standard_normal((channels, channels, klen))
+        bias = rng.standard_normal(channels)
+        batched = conv1d_forward(x, kernels, bias)
+        for w in range(64):
+            one = conv1d_forward(x[:, w:w + 1], kernels, bias)
+            assert batched[:, w:w + 1].tobytes() == one.tobytes(), w
+
 
 # ---------------------------------------------------------------------------
 # Max pooling
@@ -499,6 +538,7 @@ class TestModel:
             np.testing.assert_array_equal(model_forward(model, x),
                                           model_forward(model, x[None])[0])
         assert model.window_buffers is not None
+        assert model.window_buffers.back == model.window_buffers.d_pads == []
 
     def test_one_window_carries_no_state_between_calls(self):
         model, other = _desk_model(4, 4, seed=13), _desk_model(4, 4, seed=14)
@@ -572,7 +612,10 @@ class TestModel:
         # anything an earlier step left behind would show in the loss or
         # gradient.  The padding is read at every step and must stay zero;
         # at K=4 the input gradient pads the other way round, so a backward
-        # pass that reused a padded input would leave a nonzero column.
+        # pass that reused a padded input would leave a nonzero column.  The
+        # backward arrays are filled too: the pool's scatter target and its
+        # index scratch, and the interior of the padded gradient, whose own
+        # padding must stay zero.
         shared, fresh = (build_model(Sensor.EEG, 3, 40, kernel_len=klen,
                                      pool_size=3, hidden=(6, 4), seed=4)
                          for _ in range(2))
@@ -590,15 +633,22 @@ class TestModel:
                         written.fill(np.nan)
                 for written in bufs.dense:
                     written.fill(np.nan)
+                for scatter, _, index, d_in, _ in bufs.back:
+                    scatter.fill(np.nan)
+                    index.fill(-1)
+                    d_in.fill(np.nan)
             loss, grad = backward_batch(shared, xb, yb, cfg, work)
             want_loss, want_grad = backward_batch(fresh, xb, yb, cfg)
             assert loss == want_loss
             np.testing.assert_array_equal(grad, want_grad)
             for bufs in work.buffers.values():
-                for pad, (taps, *_) in zip(bufs.pads, bufs.blocks):
-                    after = before + taps.shape[-1]
-                    assert (pad[:, :, :before] == 0.0).all()
-                    assert (pad[:, :, after:] == 0.0).all()
+                assert len(bufs.d_pads) == len(bufs.back) == len(bufs.pads)
+                for pad, d_pad, (taps, *_) in zip(bufs.pads, bufs.d_pads,
+                                                  bufs.blocks):
+                    t = taps.shape[-1]
+                    for lead, padded in ((before, pad), (klen // 2, d_pad)):
+                        assert (padded[:, :, :lead] == 0.0).all()
+                        assert (padded[:, :, lead + t:] == 0.0).all()
             shared.buffer[...] -= 0.05 * grad
             fresh.buffer[...] -= 0.05 * want_grad
         assert sorted(work.buffers) == [7, 32]
@@ -710,6 +760,33 @@ class TestModel:
             losses.append(loss)
         np.testing.assert_array_equal(shared.buffer, fresh.buffer)
         assert len(set(losses)) == 3
+
+    @pytest.mark.parametrize("channels,pool", [(4, 4), (1, 2)], ids=["eeg", "ecg"])
+    def test_step_on_a_channel_major_gather_matches_a_contiguous_batch(
+            self, channels, pool):
+        # `train` holds its float32 windows [C x N x T] and steps on the
+        # batch gathered channel-major and seen as [B x C x T]; that view
+        # must give the bits of the same batch laid out [B x C x T], loss,
+        # gradient and running statistics alike, over two steps with Adam
+        # between them.
+        rng = np.random.default_rng(24)
+        xs = rng.standard_normal((channels, 100, 320)).astype(np.float32)
+        cfg = FocalLossConfig(gamma=2.0, alpha=np.array([0.5, 0.7, 0.9, 1.0, 0.6]))
+        train_cfg = TrainConfig(learning_rate=0.05)
+        models = [_desk_model(channels, pool, seed=25) for _ in range(2)]
+        works = [Workspace(m, np.float32) for m in models]
+        states = [AdamState.for_params(m.buffer) for m in models]
+        for _ in range(2):
+            idx = rng.permutation(100)[:32]
+            view = np.take(xs, idx, axis=1).transpose(1, 0, 2)
+            assert view.transpose(1, 0, 2).flags.c_contiguous
+            results = []
+            for xb, model, work, state in zip(
+                    (view, np.ascontiguousarray(view)), models, works, states):
+                loss, grad = backward_batch(model, xb, idx % 5, cfg, work)
+                results.append((loss, grad.tobytes(), model.buffer.tobytes()))
+                adam_step(model.buffer, grad, state, train_cfg)
+            assert results[0] == results[1]
 
     def test_workspace_of_another_model_or_dtype_rejected(self):
         model = _tiny_model()
@@ -1112,14 +1189,16 @@ class TestTrain:
         seen = []
 
         def spy(model, xb, *rest):
-            seen.append((xb.dtype, model.buffer.dtype))
+            # Each batch is a [B x C x T] view of a channel-major array.
+            seen.append((xb.dtype, model.buffer.dtype,
+                         xb.transpose(1, 0, 2).flags.c_contiguous))
             return backward_batch(model, xb, *rest)
 
         monkeypatch.setattr("preictal.nn.train.backward_batch", spy)
         model = _toy_model()
         (xs, ys), (xv, yv) = _toy_set(3, seed=0), _toy_set(1, seed=1)
         train(model, xs, ys, xv, yv, train_cfg=TrainConfig(batch_size=8, max_epochs=2))
-        assert set(seen) == {(np.dtype(np.float32), np.dtype(np.float64))}
+        assert set(seen) == {(np.dtype(np.float32), np.dtype(np.float64), True)}
         assert len(seen) == 2 * 2  # 15 windows in batches of 8, two epochs
         assert xs.dtype == np.float64  # the caller's windows are left alone
         assert model_forward(model, xv).dtype == np.float64
