@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Time a fold's two inner loops at the desk shapes, the training step and the
-combiner fit, a sensor node's one-window inference, a fold's batched
-inference, and a simulated hour of the network and the writing of its trace.
+combiner fit, a sensor node's one-window inference, the whole per-window
+decision of the closed loop, a fold's batched inference, and a simulated
+hour of the network and the writing of its trace.
 
     python3 scripts/step_bench.py
 
-Nine timings, each printed as its median and quartiles, in ms, or for the
+Ten timings, each printed as its median and quartiles, in ms, or for the
 batched readouts in us per window:
 
     eeg-step    one batch-32 float32 training step of the EEG model (4 x 320,
@@ -20,6 +21,11 @@ batched readouts in us per window:
     eeg-window  one `model_forward` of the EEG model on one [4 x 320] window,
                 as a sensor node classifies each window as it arrives
     ecg-window  the same for the ECG model on one [1 x 320] window
+    node-window one window's decision as perfbench's stream-infer makes it:
+                the EEG and the ECG one-window `model_forward`, `quantize4`
+                of each, `encode_message` and `decode_message` of each, their
+                `dequantized` rows into `build_input`, then `lr_forward` and
+                the argmax, on a standard-normal combiner
     eeg-batch   one batched `model_forward` of the EEG model over [1395 x 4 x
                 320] float64 windows, the size of a desk fold's combiner fit
                 readout, per window
@@ -38,7 +44,8 @@ renewed every 16 steps, as `train` draws an epoch's.  The focal loss has
 training's gamma (`nn.losses.FOCAL_GAMMA`) and the alpha of those labels.
 Each sensor times 400 steps after 30 untimed warm-up steps, and 2000
 one-window forwards, on the first window of each batch, after 30 untimed
-ones; the fit is timed 30 times on one set from `tests/oracles.py`,
+ones; node-window times 2000 decisions on the same windows after 30
+untimed ones; the fit is timed 30 times on one set from `tests/oracles.py`,
 and each batched readout 20 times after one untimed one, on standard-normal
 noise; the simulation is timed 30 times after one untimed run, on
 softmax rows of seeded standard-normal logits, uniform labels and a
@@ -74,13 +81,18 @@ import numpy as np  # noqa: E402
 from oracles import noisy_quantized_set  # noqa: E402
 from preictal.bansim import (  # noqa: E402
     LinkModel,
+    NodeId,
     SimConfig,
+    decode_message,
+    encode_message,
     run_simulation,
     write_trace_jsonl,
 )
 from preictal.combiner import (  # noqa: E402
     CombinerConfig,
     CombinerParams,
+    build_input,
+    lr_forward,
     lr_train,
     quantize4,
 )
@@ -171,6 +183,26 @@ def time_windows(sensor: Sensor, channels: int, pool: int) -> list[float]:
     return times[WARMUP:]
 
 
+def time_node_windows() -> list[float]:
+    """Seconds of each window's decision, from both windows to the class."""
+    (eeg, _, eeg_xs), (ecg, _, ecg_xs) = (desk_model_and_batches(sensor, channels, pool)
+                                          for _, sensor, channels, pool in SHAPES)
+    rng = np.random.default_rng(0)
+    params = CombinerParams(rng.standard_normal((5, 10)), rng.standard_normal(5))
+    times = []
+    for i in range(WARMUP + WINDOWS):
+        eeg_w, ecg_w = eeg_xs[i % BATCHES, 0], ecg_xs[i % BATCHES, 0]
+        start = time.perf_counter()
+        p_eeg = quantize4(model_forward(eeg, eeg_w))
+        p_ecg = quantize4(model_forward(ecg, ecg_w))
+        m_eeg = decode_message(encode_message(p_eeg, i, NodeId.EEG_NODE))
+        m_ecg = decode_message(encode_message(p_ecg, i, NodeId.ECG_NODE))
+        x = build_input(m_eeg.dequantized(), m_ecg.dequantized())
+        int(np.argmax(lr_forward(x, params)))
+        times.append(time.perf_counter() - start)
+    return times[WARMUP:]
+
+
 def time_readouts(sensor: Sensor, channels: int, pool: int) -> list[float]:
     """Seconds per window of each batched readout."""
     model, rng, _ = desk_model_and_batches(sensor, channels, pool)
@@ -244,6 +276,7 @@ def main() -> int:
     result["lr-train"] = quartiles(time_fits())
     result.update({f"{name}-window": quartiles(time_windows(sensor, channels, pool))
                    for name, sensor, channels, pool in SHAPES})
+    result["node-window"] = quartiles(time_node_windows())
     result.update({f"{name}-batch": quartiles(time_readouts(sensor, channels, pool),
                                               "us")
                    for name, sensor, channels, pool in SHAPES})
@@ -252,7 +285,7 @@ def main() -> int:
     result["sim-trace"] = quartiles(writes)
     for name, q in result.items():
         unit = "us" if "median_us" in q else "ms"
-        print(f"{name:10s} median {q[f'median_{unit}']:8.3f} {unit}  "
+        print(f"{name:11s} median {q[f'median_{unit}']:8.3f} {unit}  "
               f"q1 {q[f'q1_{unit}']:8.3f}  q3 {q[f'q3_{unit}']:8.3f}  n {q['n']}")
     result["src_lines"] = sum(len(p.read_text().splitlines())
                               for p in sorted((ROOT / "src").rglob("*.py")))

@@ -18,20 +18,25 @@ normalizing by the running statistics and asking the pool for no argmax.
 Every array of a pass is written into a `Buffers` or, in batched
 inference, is fresh.  In a `Buffers` each op writes where the next one
 reads and the padding, zero from the start, is never written, so a conv is
-one tap copy and one GEMM.  A training step's backward pass reads what its
-forward pass left in the `Buffers` of its batch size and writes into that
-`Buffers`' own backward arrays, held with the parameter copy in the step's
-dtype and the gradient by a `Workspace` that the caller may pass to every
-step; `train` owns one for the length of the call.  One window, as a
-sensor node classifies each window as it arrives, runs in the batch-1
-float64 `Buffers` its model keeps from its first one-window call on (100 KB
-for the desk EEG model, 37 KB for the ECG one), which has no backward
-arrays.  Batched inference runs in chunks of FORWARD_CHUNK windows on
-fresh arrays, each conv building its tap stack one L2-sized tile of
-windows at a time (see `ops`): kept 64-window buffers raised the peak RSS
-of a benchmark `simulate` run from 158 to 180 MB, and buffers made per
-call or per chunk ran slower.  The chunk stays at 64 windows: the dense
-layers' GEMMs, unlike the conv's, give bits that depend on their row count.
+one tap copy and one GEMM.  A `Buffers` is bound to one set of parameter
+views and binds every op's slices, layout views and scratch once, when it
+is made (see `ops`), so an inference pass through it only calls numpy; on
+fresh arrays each op binds for itself at each call and runs the same code.
+A training step's backward pass reads what its forward pass left in the
+training `Buffers` of its batch size and writes into that `Buffers`' own
+backward arrays, held with the parameter copy in the step's dtype and the
+gradient by a `Workspace` that the caller may pass to every step; `train`
+owns one for the length of the call.  One window, as a sensor node
+classifies each window as it arrives, runs in the batch-1 float64
+`Buffers` its model keeps from its first one-window call on, bound to the
+model's own parameter views (113 KB for the desk EEG model, 43 KB for the
+ECG one, with the bindings), which serves no training pass.  Batched
+inference runs in chunks of FORWARD_CHUNK windows on fresh arrays, each
+conv building its tap stack one L2-sized tile of windows at a time (see
+`ops`): kept 64-window buffers raised the peak RSS of a benchmark
+`simulate` run from 158 to 180 MB, and buffers made per call or per chunk
+ran slower.  The chunk stays at 64 windows: the dense layers' GEMMs, unlike
+the conv's, give bits that depend on their row count.
 
 A `SensorModel` is an immutable architecture spec plus one flat float64
 buffer.  The spec's fields are the weight-file header's (sensor, channels,
@@ -62,6 +67,11 @@ from .losses import FocalLossConfig, focal_grad_wrt_logits, focal_loss_batch
 from .ops import (
     batchnorm_forward_with_cache,
     batchnorm_param_grads,
+    bind_batchnorm,
+    bind_conv1d_backward,
+    bind_conv1d_forward,
+    bind_dense,
+    bind_maxpool1d,
     conv1d_backward,
     conv1d_forward,
     dense_backward,
@@ -245,24 +255,34 @@ def _check_input(model: SensorModel, xb: np.ndarray) -> None:
 
 
 class Buffers:
-    """The arrays of one forward pass over `batch` windows, of `dtype`, for
-    a caller that runs that pass again and again.
+    """The arrays of one forward pass over `batch` windows with the
+    parameter views `p`, in their dtype, for a caller that runs that pass
+    again and again, and every op's binding of them (see `ops`).
 
     `pads` holds each conv block's zero-padded input [C x batch x T+K-1].
     Batchnorm writes into `input`, the interior of block 1's.  Each entry
-    of `blocks` is one conv block's (taps, cols, out, arg, act), as
-    `_forward` hands them to the ops: the tap view of the padded input, the
-    tap stack, the conv output, where ReLU then runs in place, the pool's
-    within-window argmax, which only training writes, in the smallest
+    of `blocks` is one conv block's (taps, cols, out, arg, act): the tap
+    view of the padded input, the tap stack, the conv output, where ReLU
+    then runs in place, the pool's within-window argmax, in the smallest
     unsigned type that holds pool-1, and `act`, where the pool writes: the
-    next block's padded interior or, after the last block, the flatten
-    input.  `dense` holds the dense outputs, where ReLU runs in place.
-    Only interiors are ever written, so the padding keeps its zeros.
-    Nothing here derives from the weights and a pass reads nothing an
-    earlier one left, so one `Buffers` serves any number of passes, one at
-    a time.
+    next block's padded interior or, after the last block, `flat`
+    [batch x C*T] seen as [C x batch x T], so the flatten copies nothing.
+    `dense` holds the dense outputs, where ReLU runs in place.  Only
+    interiors are ever written, so the padding keeps its zeros.
 
-    With `backward`, as a `Workspace` makes them, each entry of `back`
+    Each op's slices, layout views and scratch are bound here, once: `bn`
+    holds inference batchnorm's binding; each entry of `convs` is one
+    block's (conv binding, pool binding, arg, act); each entry of `head` is
+    one dense layer's (output, weights.T).  An inference pass then only
+    calls numpy; a training pass still makes its batchnorm statistics,
+    argmax steps and ReLU masks fresh.  The bindings view `p`, and each
+    pass refills the kernel and batchnorm scratch from it, so nothing here
+    derives from the weights across passes and a pass reads nothing an
+    earlier one left: one `Buffers` serves any number of passes, one at a
+    time, with `p` as it is at each.
+
+    Only a `training` `Buffers`, as a `Workspace` makes them, serves
+    training passes: its blocks have an `arg`, and each entry of `back`
     holds one conv block's backward arrays (d_out, base, index, d_in,
     d_taps): `d_out` [C x batch x T], where the pool's backward pass zeroes
     and scatters the gradient at the conv output, `base`, the pool's
@@ -270,34 +290,54 @@ class Buffers:
     interior `d_in` of the zero-padded `d_pads` entry, the gradient padded
     the other way round (K//2 zeros in front), into which the block copies
     `d_out`, and `d_taps`, that array's tap view, which the input
-    gradient's GEMM reads.  Without `backward`, both lists are empty.
+    gradient's GEMM reads.  `d_convs` holds each block's `conv1d_backward`
+    binding.  Otherwise `arg` is None and the backward lists are empty.
     """
 
-    def __init__(self, model: SensorModel, batch: int, dtype,
-                 backward: bool = False):
+    def __init__(self, model: SensorModel, batch: int, p: dict,
+                 training: bool = False):
+        dtype = p[BN_KEYS[0]].dtype
         c, k = model.in_channels, model.kernel_len
         before = (k - 1) // 2
         widths = [model.window_samples]
         for pool in model.pool_sizes:
             widths.append(-(-widths[-1] // pool))
+        self.p, self.training = p, training
         self.pads = [np.zeros((c, batch, t + k - 1), dtype) for t in widths[:-1]]
         inputs = [pad[:, :, before:before + t] for pad, t in zip(self.pads, widths)]
         self.input = inputs[0]
-        acts = [*inputs[1:], np.empty((c, batch, widths[-1]), dtype)]
+        self.flat = np.empty((batch, c * widths[-1]), dtype)
+        acts = [*inputs[1:], self.flat.reshape(batch, c, -1).transpose(1, 0, 2)]
         self.blocks = [
             (tap_view(pad, t), np.empty((k * c, batch * t), dtype),
              np.empty((c, batch * t), dtype),
-             np.empty((c, batch, n), np.min_scalar_type(pool - 1)), act)
+             np.empty((c, batch, n), np.min_scalar_type(pool - 1)) if training
+             else None, act)
             for pad, t, n, pool, act in zip(self.pads, widths, widths[1:],
                                             model.pool_sizes, acts)]
         self.dense = [np.empty((batch, n), dtype) for n in (*model.hidden, N_CLASSES)]
-        self.d_pads = [np.zeros_like(pad) for pad in self.pads] if backward else []
+
+        self.bn = bind_batchnorm(p[BN_KEYS[0]], p[BN_KEYS[1]],
+                                 *(model.params[key] for key in BN_KEYS[2:]))
+        self.convs = []
+        for x, (kernels, bias), pool, (taps, cols, out, arg, act) in zip(
+                inputs, BLOCK_KEYS, model.pool_sizes, self.blocks):
+            conv = bind_conv1d_forward(x, p[kernels], p[bias], cols, out, taps)
+            self.convs.append((conv, bind_maxpool1d(conv[-1], pool, act, arg), arg, act))
+        self.head = [(out, bind_dense(x, p[weights])) for (weights, _), x, out in zip(
+            DENSE_KEYS, [self.flat, *self.dense[:-1]], self.dense)]
+
+        self.d_pads = [np.zeros_like(pad) for pad in self.pads] if training else []
         self.back = [
             (np.empty((c, batch, t), dtype), pool_offsets((c, batch, t), pool),
              np.empty((c, batch, n), np.intp), d_pad[:, :, k // 2:k // 2 + t],
              tap_view(d_pad, t))
             for d_pad, t, n, pool in zip(self.d_pads, widths, widths[1:],
                                          model.pool_sizes)]
+        self.d_convs = [
+            bind_conv1d_backward(d_out, cols, p[kernels], cols, out, d_taps)
+            for (d_out, *_, d_taps), (_, cols, out, _, _), (kernels, _) in zip(
+                self.back, self.blocks, BLOCK_KEYS)]
 
 
 class Workspace:
@@ -307,11 +347,11 @@ class Workspace:
     `backward_batch` refreshes in place at each step; `p` holds its named
     views.  `grad` is the gradient buffer, laid out and typed like
     `model.buffer`, and `g` its views; the running statistics' entries
-    stay zero.  `buffers` maps a batch size to the `Buffers`, with backward arrays,
-    that its steps run in, made on first use.  A block's backward pass
-    writes its input gradient into that block's tap stack and conv output,
-    which it has read, and its own backward arrays, and never into a
-    forward padded input: the next step reads its padding, and block i's
+    stay zero.  `buffers` maps a batch size to the training `Buffers`, bound
+    to `p`, that its steps run in, made on first use.  A block's backward
+    pass writes its input gradient into that block's tap stack and conv
+    output, which it has read, and its own backward arrays, and never into
+    a forward padded input: the next step reads its padding, and block i's
     pool output, whose ReLU mask block i's backward reads, is block i+1's
     padded interior.
     """
@@ -334,50 +374,64 @@ def _forward(model: SensorModel, xb: np.ndarray, p: dict,
     The conv blocks run channel-major, [C x B x T], from the batchnorm to the
     flatten; windows that are a [B x C x T] view of a C-contiguous
     [C x B x T] array, as `train` gathers them, reach batchnorm uncopied.
-    Every array is written into `bufs`, a `Buffers` of this batch size and
-    dtype, or, without it, is fresh.  Training normalizes by the batch
-    statistics, inference by the running ones, as one affine map.  The running statistics
-    are always the model's own, so training folds the batch statistics into
-    `model.buffer` even when `p` views a cast copy of it.  ReLU runs in place
-    on each conv output, before its max-pool (see the module docstring).
-    Only training asks the pool for its argmax, into `bufs`, where
-    `backward_batch` reads it with every other array this pass left.
+    Every array is written into `bufs`, a `Buffers` of this batch size bound
+    to `p`, through its bindings, or, without it, is fresh and each op
+    binds for itself.  Training needs a training `Buffers`.  Training
+    normalizes by the batch statistics, inference by the running ones, as
+    one affine map.  The running statistics are always the model's own, so
+    training folds the batch statistics into `model.buffer` even when `p`
+    views a cast copy of it.  ReLU runs in place on each conv output, before
+    its max-pool (see the module docstring).  Only training asks the pool
+    for its argmax, into `bufs`, where `backward_batch` reads it with every
+    other array this pass left.
     """
     _check_input(model, xb)
     if bufs is None:
-        bn_out, blocks, dense_out = None, [(None,) * 5] * N_BLOCKS, [None] * N_DENSE
+        bn = bn_out = flat = None
+        convs, head = [(None,) * 4] * N_BLOCKS, [(None, None)] * N_DENSE
+    elif bufs.p is not p or (training and not bufs.training):
+        raise ValueError("the buffers are bound to other parameters, or "
+                         "serve no training pass")
     else:
-        bn_out, blocks, dense_out = bufs.input, bufs.blocks, bufs.dense
+        bn, bn_out, flat = bufs.bn, bufs.input, bufs.flat
+        convs, head = bufs.convs, bufs.head
+    gamma, beta, mean, var = BN_KEYS
     h, xhat = batchnorm_forward_with_cache(
-        xb.transpose(1, 0, 2), *[p[k] for k in BN_KEYS[:2]],
-        *[model.params[k] for k in BN_KEYS[2:]], model.bn_epsilon,
-        model.bn_momentum, training, bn_out)
-    for (kernels, bias), pool, (taps, cols, out, arg, act) in zip(
-            BLOCK_KEYS, model.pool_sizes, blocks):
-        z = conv1d_forward(h, p[kernels], p[bias], cols, out, taps)
+        xb.transpose(1, 0, 2), p[gamma], p[beta], model.params[mean],
+        model.params[var], model.bn_epsilon, model.bn_momentum, training,
+        bn_out, bn)
+    for (kernels, bias), pool, (conv, pooled, arg, act) in zip(
+            BLOCK_KEYS, model.pool_sizes, convs):
+        z = conv1d_forward(h, p[kernels], p[bias], bound=conv)
         relu(z, z)
-        h, _ = maxpool1d_with_argmax(z, pool, act, arg if training else None)
-    h = h.transpose(1, 0, 2).reshape(len(xb), -1)
-    for i, ((weights, bias), out) in enumerate(zip(DENSE_KEYS, dense_out)):
-        h = dense_forward(h, p[weights], p[bias], out)
+        h, _ = maxpool1d_with_argmax(z, pool, act, arg if training else None,
+                                     pooled)
+    h = h.transpose(1, 0, 2).reshape(len(xb), -1) if flat is None else flat
+    for i, ((weights, bias), (out, weights_t)) in enumerate(zip(DENSE_KEYS, head)):
+        h = dense_forward(h, p[weights], p[bias], out, weights_t)
         if i < N_DENSE - 1:
             relu(h, h)
     return h, xhat
 
 
 def model_forward(model: SensorModel, windows: np.ndarray) -> np.ndarray:
-    """Class probabilities for one window [C x T] or a batch [B x C x T].
+    """Class probabilities for one window [C x T] or a batch [B x C x T],
+    as a fresh array.
 
     Batchnorm uses the running statistics.  One window runs in the model's
     batch-1 float64 `Buffers`, made on its first such call.  A batch runs in
-    chunks of FORWARD_CHUNK windows on fresh arrays.
+    chunks of FORWARD_CHUNK windows on fresh arrays; an empty one gives
+    [0 x N_CLASSES].
     """
     if windows.ndim == 2:
-        if model.window_buffers is None:
-            object.__setattr__(model, "window_buffers", Buffers(model, 1, np.float64))
-        logits, _ = _forward(model, windows[None], model.params,
-                             model.window_buffers)
-        return softmax(logits)[0]
+        bufs = model.window_buffers
+        if bufs is None:
+            bufs = Buffers(model, 1, model.params)
+            object.__setattr__(model, "window_buffers", bufs)
+        return softmax(_forward(model, windows[None], model.params, bufs)[0])[0]
+    if len(windows) == 0:
+        _check_input(model, windows)
+        return np.empty((0, N_CLASSES))
     return np.concatenate([
         softmax(_forward(model, windows[i:i + FORWARD_CHUNK], model.params)[0])
         for i in range(0, len(windows), FORWARD_CHUNK)
@@ -393,17 +447,17 @@ def backward_batch(
     gradient).
 
     The passes compute in the dtype of `xb`, against a copy of the
-    parameters cast to it.  The forward pass runs in the `Buffers` of this
-    batch size and the backward pass reads what it left there.  Batchnorm
-    normalizes by the batch statistics and updates the running averages in
-    `model.buffer`.  `work` is a `Workspace` of this model and of the
-    windows' dtype; a caller that passes the same one to every step reuses
-    its parameter copy, gradient and `Buffers`, and the gradient returned
-    is then `work.grad`, which the next step that shares `work` overwrites.
-    Without it every buffer is fresh.  Each op returns its parameter
-    gradients in the windows' dtype, and they are copied into `work.grad`:
-    numpy would sum a float32 row longer than its 8192-element buffer into
-    a float64 `out` in pieces, and so round otherwise.
+    parameters cast to it.  The forward pass runs in the training `Buffers`
+    of this batch size and the backward pass reads what it left there.
+    Batchnorm normalizes by the batch statistics and updates the running
+    averages in `model.buffer`.  `work` is a `Workspace` of this model and
+    of the windows' dtype; a caller that passes the same one to every step
+    reuses its parameter copy, gradient and `Buffers`, and the gradient
+    returned is then `work.grad`, which the next step that shares `work`
+    overwrites.  Without it every buffer is fresh.  Each op returns its
+    parameter gradients in the windows' dtype, and they are copied into
+    `work.grad`: numpy would sum a float32 row longer than its 8192-element
+    buffer into a float64 `out` in pieces, and so round otherwise.
     """
     work = Workspace(model, xb.dtype) if work is None else work
     if work.model is not model or work.params.dtype != xb.dtype:
@@ -412,7 +466,7 @@ def backward_batch(
     b = len(xb)
     bufs = work.buffers.get(b)
     if bufs is None:
-        bufs = work.buffers[b] = Buffers(model, b, xb.dtype, backward=True)
+        bufs = work.buffers[b] = Buffers(model, b, work.p, training=True)
     np.copyto(work.params, model.buffer)
     p, g = work.p, work.g
     logits, xhat = _forward(model, xb, p, bufs, training=True)
@@ -421,7 +475,7 @@ def backward_batch(
     delta = focal_grad_wrt_logits(probs, yb, cfg)
 
     # The dense inputs; a hidden one is its in-place ReLU's output and mask.
-    acts = [bufs.blocks[-1][4].transpose(1, 0, 2).reshape(b, -1), *bufs.dense[:-1]]
+    acts = [bufs.flat, *bufs.dense[:-1]]
     for i in range(N_DENSE - 1, -1, -1):
         weights, bias = DENSE_KEYS[i]
         g[weights][...], g[bias][...], delta = dense_backward(delta, acts[i], p[weights])
@@ -430,15 +484,15 @@ def backward_batch(
 
     delta = delta.reshape(b, model.in_channels, -1).transpose(1, 0, 2)
     for i in range(N_BLOCKS - 1, -1, -1):
-        taps, cols, out, arg, act = bufs.blocks[i]
-        d_out, base, index, d_in, d_taps = bufs.back[i]
+        taps, cols, _, arg, act = bufs.blocks[i]
+        d_out, base, index, d_in, _ = bufs.back[i]
         kernels, bias = BLOCK_KEYS[i]
         delta = maxpool1d_backward(relu_backward(delta, act), arg,
                                    model.pool_sizes[i], taps.shape[-1],
                                    d_out, base, index)
-        d_in[...] = delta
+        np.copyto(d_in, delta)
         g[kernels][...], g[bias][...], delta = conv1d_backward(
-            delta, cols, p[kernels], cols, out, d_taps)
+            delta, cols, p[kernels], bound=bufs.d_convs[i])
 
     g["batchnorm.gamma"][...], g["batchnorm.beta"][...] = batchnorm_param_grads(
         delta, xhat)

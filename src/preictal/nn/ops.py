@@ -22,20 +22,34 @@ ones.  The ops compute in the dtype of their input, and every float
 scratch array they make follows it: training runs them in float32 (see
 `train`), inference and the finite-difference checks in float64.  They
 take their output and scratch arrays as optional arguments, like numpy's
-`out=`, and allocate fresh ones without them.  A caller that keeps a
-zero-padded conv input passes its `tap_view` and writes the input straight
-into the padded interior; otherwise the conv pads a fresh copy.  Into a
-kept tap stack a conv copies all its taps at once, from a strided view of
-the padded input.  A fresh tap stack, which only batched inference builds,
-is built and multiplied one tile of windows at a time, each tile about
-TAP_TILE_BYTES: half the 2 MiB per-core L2 of the benchmark host, so the
-GEMM reads a tile the copy has just left in cache.  Each output column of
-the GEMM is one window's samples, so the tile size does not change a bit.
-A GEMM operand is never a negatively strided view: numpy hands such an
-operand to its own loop, not to BLAS.  The one-channel ECG model's
-mirrored kernels, [1 x K] with stride -1 along the taps, made its float32
-[1 x 5] by [5 x 10240] input-gradient product take 68 us, against 7 us
-for a contiguous copy (2-core Xeon, one BLAS thread).
+`out=`, and allocate fresh ones without them.
+
+What an op does besides its arithmetic, its slices, layout views and
+scratch, is made by its `bind_*` helper, and each op takes that binding as
+`bound`.  A caller that runs an op again and again on the same arrays binds
+once and passes the binding to every call (see `model.Buffers`), so an
+inference call only calls numpy; without `bound` the op binds for itself,
+through the same helper, and then runs the same code.  Training's batch
+statistics and argmax steps stay fresh at each call: kept, they bought no
+step time the benchmark host could resolve and moved a benchmark's peak RSS
+by 13% through where glibc placed them.  A binding holds views of the
+parameter arrays it was made from and refills each weight-derived scratch
+array, a conv's kernels in (out, tap, in) order, its mirrored kernels,
+inference batchnorm's scale and shift, on every call, so it is never stale.
+A binding with a kept zero-padded conv input reads whatever its interior
+holds at each call; a binding without one pads a fresh copy of the input it
+was made for and serves that input only.  Into a kept tap stack a conv
+copies all its taps at once, from a strided view of the padded input.  A
+fresh tap stack, which only batched inference builds, is built and
+multiplied one tile of windows at a time, each tile about TAP_TILE_BYTES:
+half the 2 MiB per-core L2 of the benchmark host, so the GEMM reads a tile
+the copy has just left in cache.  Each output column of the GEMM is one
+window's samples, so the tile size does not change a bit.  A GEMM operand
+is never a negatively strided view: numpy hands such an operand to its own
+loop, not to BLAS.  The one-channel ECG model's mirrored kernels, [1 x K]
+with stride -1 along the taps, made its float32 [1 x 5] by [5 x 10240]
+input-gradient product take 68 us, against 7 us for a contiguous copy
+(2-core Xeon, one BLAS thread).
 
 Inference batchnorm is one per-channel affine map, x * s + (beta - mean * s)
 with s = gamma / sqrt(var + eps), computed from the running statistics at
@@ -63,20 +77,13 @@ def tap_view(xpad: np.ndarray, t: int) -> np.ndarray:
                       strides=(st, sc, sb, st))
 
 
-def _tap_gemm(
-    x: np.ndarray,
-    weights: np.ndarray,
-    klen: int,
-    before: int,
-    cols: np.ndarray | None,
-    out: np.ndarray | None,
-    taps: np.ndarray | None = None,
-) -> np.ndarray:
-    """`weights` [R x K*C] times the tap stack of `x` [C x B x T] zero-padded
-    by `before` samples in front and K-1-before behind: [R x B*T].  Given
-    `taps`, the tap view of a padded input whose interior already holds `x`,
-    nothing is padded.  Without `cols` the tap stack is built and multiplied
-    one tile of windows of about TAP_TILE_BYTES at a time."""
+def _bind_tap_gemm(x, weights, klen, before, cols, out, taps):
+    """The tiles and output of `weights` [R x K*C] times the tap stack of
+    `x` [C x B x T] zero-padded by `before` samples in front and K-1-before
+    behind: ([(cols tile as [K x C x n x T], its taps, cols tile, out
+    columns)], out [R x B*T]).  Without `taps`, `x` is copied into a fresh
+    padded array; without `cols` the stack is built one tile of windows of
+    about TAP_TILE_BYTES at a time."""
     c, b, t = x.shape
     if taps is None:
         xpad = np.empty((c, b, t + klen - 1), dtype=x.dtype)
@@ -84,19 +91,47 @@ def _tap_gemm(
         xpad[:, :, before:before + t] = x
         xpad[:, :, before + t:] = 0.0
         taps = tap_view(xpad, t)
-    if cols is not None:
-        cols.reshape(klen, c, b, t)[...] = taps
-        return np.matmul(weights, cols, out=out)
     if out is None:
         out = np.empty((weights.shape[0], b * t), np.result_type(weights, x))
-    tile = min(b, max(1, TAP_TILE_BYTES // (klen * c * t * x.itemsize)))
-    cols = np.empty((klen * c, tile * t), dtype=x.dtype)
+    tile = b
+    if cols is None:
+        tile = min(b, max(1, TAP_TILE_BYTES // (klen * c * t * x.itemsize)))
+        cols = np.empty((klen * c, tile * t), dtype=x.dtype)
+    tiles = []
     for w in range(0, b, tile):
         n = min(tile, b - w)
         part = cols[:, :n * t]
-        part.reshape(klen, c, n, t)[...] = taps[:, :, w:w + n]
-        np.matmul(weights, part, out=out[:, w * t:(w + n) * t])
-    return out
+        tiles.append((part.reshape(klen, c, n, t), taps[:, :, w:w + n], part,
+                      out[:, w * t:(w + n) * t]))
+    return tiles, out
+
+
+def _tap_gemm(weights: np.ndarray, tiles: list) -> None:
+    for stack, taps, part, out in tiles:
+        np.copyto(stack, taps)
+        np.matmul(weights, part, out=out)
+
+
+def bind_conv1d_forward(x, kernels, bias, cols=None, out=None, taps=None) -> tuple:
+    """What `conv1d_forward` of these arguments reads and writes: the
+    kernels in (out, tap, in) order as the GEMM reads them, [C_out x K*C_in],
+    the (scratch view, kernels view) pair that refills them at each call, or
+    None where they are a view of the kernels (one input channel or one
+    tap), the bias as a column, the tap GEMM's tiles, `out` [C_out x B*T]
+    and the result, its [C_out x B x T] view."""
+    out_c, in_c, klen = kernels.shape
+    if x.ndim != 3 or x.shape[0] != in_c:
+        raise ShapeError(f"input {x.shape} is not [{in_c} channels x batch x time]")
+    _, b, t = x.shape
+    if t < 1:
+        raise ShapeError("input must have at least one time step")
+    by_tap = kernels.transpose(0, 2, 1)
+    weights = by_tap.reshape(out_c, klen * in_c)
+    refill = None
+    if not np.shares_memory(weights, kernels):  # a copy, stale after a step
+        refill = (weights.reshape(by_tap.shape), by_tap)
+    tiles, out = _bind_tap_gemm(x, weights, klen, (klen - 1) // 2, cols, out, taps)
+    return (weights, refill, bias[:, None], tiles, out, out.reshape(out_c, b, t))
 
 
 def conv1d_forward(
@@ -106,6 +141,7 @@ def conv1d_forward(
     cols: np.ndarray | None = None,
     out: np.ndarray | None = None,
     taps: np.ndarray | None = None,
+    bound: tuple | None = None,
 ) -> np.ndarray:
     """Cross-correlation, stride 1, zero 'same' padding, plus per-channel bias.
 
@@ -117,18 +153,40 @@ def conv1d_forward(
     zero-padded array.  A caller that keeps a zero-padded input
     [C_in x B x T+K-1] passes its `tap_view` as `taps`, with `x` written
     straight into the interior, xpad[:, :, (K-1)//2:][:, :, :T]: then the
-    input is not copied and the padding is never written.
+    input is not copied and the padding is never written.  `bound` is
+    `bind_conv1d_forward` of these arguments; given it, the rest but for
+    the kernels' and the padded interior's values is not read.
     """
+    if bound is None:
+        bound = bind_conv1d_forward(x, kernels, bias, cols, out, taps)
+    weights, refill, bias_column, tiles, out, y = bound
+    if refill is not None:
+        np.copyto(*refill)
+    _tap_gemm(weights, tiles)
+    out += bias_column
+    return y
+
+
+def bind_conv1d_backward(delta, cols, kernels, d_cols=None, out=None,
+                         d_taps=None) -> tuple:
+    """What `conv1d_backward` of these arguments reads and writes: `delta`
+    as [C_out x B*T], `cols`' transpose, the kernel gradient [C_out x K*C_in]
+    and its [C_out x C_in x K] view, the bias gradient, the mirrored
+    kernels' scratch [C_in x K*C_out], as the GEMM reads it and as
+    [C_in x K x C_out], the kernels mirrored in that order, the tap GEMM's
+    tiles and the input gradient, a [C_in x B x T] view of `out`."""
     out_c, in_c, klen = kernels.shape
-    if x.ndim != 3 or x.shape[0] != in_c:
-        raise ShapeError(f"input {x.shape} is not [{in_c} channels x batch x time]")
-    _, b, t = x.shape
-    if t < 1:
-        raise ShapeError("input must have at least one time step")
-    weights = kernels.transpose(0, 2, 1).reshape(out_c, klen * in_c)
-    y = _tap_gemm(x, weights, klen, (klen - 1) // 2, cols, out, taps)
-    y += bias[:, None]
-    return y.reshape(out_c, b, t)
+    _, b, t = delta.shape
+    d = delta.reshape(out_c, b * t)
+    d_kernels = np.empty((out_c, klen * in_c), np.result_type(d, cols))
+    mirrored = np.empty((in_c, klen * out_c), kernels.dtype)
+    tiles, out = _bind_tap_gemm(delta, mirrored, klen, klen // 2, d_cols, out,
+                                d_taps)
+    return (d, cols.T, d_kernels,
+            d_kernels.reshape(out_c, klen, in_c).transpose(0, 2, 1),
+            np.empty(out_c, d.dtype), mirrored,
+            mirrored.reshape(in_c, klen, out_c), kernels[:, :, ::-1].transpose(1, 2, 0),
+            tiles, out.reshape(in_c, b, t))
 
 
 def conv1d_backward(
@@ -138,6 +196,7 @@ def conv1d_backward(
     d_cols: np.ndarray | None = None,
     out: np.ndarray | None = None,
     d_taps: np.ndarray | None = None,
+    bound: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (d_kernels, d_bias, d_input) for conv1d_forward.
 
@@ -145,28 +204,64 @@ def conv1d_backward(
     carry any loss-mean scaling; `cols` is the tap stack the forward pass
     left.  The input gradient is itself a tap-stacked correlation: of
     `delta`, padded the other way round, with the kernels mirrored in time
-    and with in and out channels swapped.  The mirrored kernels are made
+    and with in and out channels swapped.  The mirrored kernels are copied
     C-contiguous, so that BLAS, not numpy's own loop, multiplies them.
     Optional scratch, as for conv1d_forward: `d_cols` [K*C_out x B*T] and
     `out` [C_in x B*T], which the input gradient views, and `d_taps`, the
     `tap_view` of a zero-padded [C_out x B x T+K-1] array whose interior,
     xpad[:, :, K//2:][:, :, :T], already holds `delta`; without it `delta`
     is copied into a fresh padded array.  `d_cols` may be `cols` itself:
-    the kernel gradient reads `cols` before it is overwritten.
+    the kernel gradient reads `cols` before it is overwritten.  `bound` is
+    `bind_conv1d_backward` of these arguments; the gradients are then its
+    arrays, which the next call through it overwrites.
     """
-    out_c, in_c, klen = kernels.shape
-    _, b, t = delta.shape
-    d = delta.reshape(out_c, b * t)
-    d_kernels = (d @ cols.T).reshape(out_c, klen, in_c).transpose(0, 2, 1)
-    mirrored = np.ascontiguousarray(
-        kernels[:, :, ::-1].transpose(1, 2, 0).reshape(in_c, klen * out_c))
-    d_input = _tap_gemm(delta, mirrored, klen, klen // 2, d_cols, out, d_taps)
-    return d_kernels, d.sum(axis=1), d_input.reshape(in_c, b, t)
+    if bound is None:
+        bound = bind_conv1d_backward(delta, cols, kernels, d_cols, out, d_taps)
+    (d, cols_t, d_kernels, d_kernels_out, d_bias, mirrored, by_tap,
+     kernels_by_tap, tiles, d_input) = bound
+    np.matmul(d, cols_t, out=d_kernels)
+    np.sum(d, axis=1, out=d_bias)
+    np.copyto(by_tap, kernels_by_tap)
+    _tap_gemm(mirrored, tiles)
+    return d_kernels_out, d_bias, d_input
+
+
+def bind_maxpool1d(x, pool_size, out=None, arg=None) -> tuple:
+    """What `maxpool1d_with_argmax` of these arguments reads and writes:
+    (`out`, (out, x, arg) over the windows of one sample or None, and per
+    sample j >= 1 of a window (j, x's sample j, the running max, out, arg),
+    each cut to the windows that sample reaches).  `out` is fresh if not
+    given; without `arg` no argmax slice is made."""
+    if pool_size <= 0:
+        raise ValueError("pool_size must be positive")
+    t = x.shape[-1]
+    if t < 1:
+        raise ShapeError("input must have at least one time step")
+    best = x[..., ::pool_size]  # the running max: first, each window's sample 0
+    n = best.shape[-1]
+    if out is None:
+        out = np.empty(best.shape, x.dtype)
+    paired = -(-(t - 1) // pool_size) if pool_size > 1 else 0
+    singles = None
+    if paired < n:
+        singles = (out[..., paired:], best[..., paired:],
+                   None if arg is None else arg[..., paired:])
+    steps = []
+    for j in range(1, min(pool_size, t)):
+        xj = x[..., j::pool_size]
+        m, a = out, arg
+        if xj.shape[-1] < n:  # the partial window ends before sample j
+            k = xj.shape[-1]
+            best, m = best[..., :k], out[..., :k]
+            a = None if arg is None else arg[..., :k]
+        steps.append((j, xj, best, m, a))
+        best = out
+    return out, singles, steps
 
 
 def maxpool1d_with_argmax(
     x: np.ndarray, pool_size: int, out: np.ndarray | None = None,
-    arg: np.ndarray | None = None,
+    arg: np.ndarray | None = None, bound: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Non-overlapping max pooling along the last (time) axis; a trailing
     partial window is pooled as-is.  Returns (`out`, `arg`).
@@ -179,30 +274,19 @@ def maxpool1d_with_argmax(
     window's within-window argmax there, the first maximum on ties, for
     `maxpool1d_backward`: a sample that beats the running max strictly
     moves the index to its j, as arg = max(arg, (x_j > max) * j), with no
-    masked select.  Without `arg` no index is computed.
+    masked select.  Without `arg` no index is computed.  `bound` is
+    `bind_maxpool1d` of these arguments, or of them with `arg` when this
+    call passes none.
     """
-    if pool_size <= 0:
-        raise ValueError("pool_size must be positive")
-    t = x.shape[-1]
-    if t < 1:
-        raise ShapeError("input must have at least one time step")
-    best = x[..., ::pool_size]  # the running max: first, each window's sample 0
-    n = best.shape[-1]
-    if out is None:
-        out = np.empty(best.shape, x.dtype)
-    paired = -(-(t - 1) // pool_size) if pool_size > 1 else 0
-    if paired < n:  # windows of one sample
-        out[..., paired:] = best[..., paired:]
+    if bound is None:
+        bound = bind_maxpool1d(x, pool_size, out, arg)
+    out, singles, steps = bound
+    if singles is not None:  # windows of one sample
+        np.copyto(singles[0], singles[1])
         if arg is not None:
-            arg[..., paired:] = 0
-    for j in range(1, min(pool_size, t)):
-        xj = x[..., j::pool_size]
-        m, a = out, arg
-        if xj.shape[-1] < n:  # the partial window ends before sample j
-            k = xj.shape[-1]
-            best, m = best[..., :k], out[..., :k]
-            a = None if arg is None else arg[..., :k]
-        if a is not None:
+            singles[2].fill(0)
+    for j, xj, best, m, a in steps:
+        if arg is not None:
             if j == 1:
                 np.greater(xj, best, out=a)
             else:
@@ -210,7 +294,6 @@ def maxpool1d_with_argmax(
                 step *= j
                 np.maximum(a, step, out=a)
         np.maximum(best, xj, out=m)
-        best = out
     return out, arg
 
 
@@ -244,6 +327,14 @@ def maxpool1d_backward(
     return out
 
 
+def bind_batchnorm(gamma, beta, running_mean, running_var) -> tuple:
+    """The scratch of inference `batchnorm_forward_with_cache` with these
+    parameters: (scale, its [C x 1 x 1] view, shift, its view)."""
+    scale = np.empty(gamma.shape, np.result_type(gamma, running_var))
+    shift = np.empty(gamma.shape, np.result_type(beta, running_mean, scale))
+    return scale, scale[:, None, None], shift, shift[:, None, None]
+
+
 def batchnorm_forward_with_cache(
     x: np.ndarray,
     gamma: np.ndarray,
@@ -254,6 +345,7 @@ def batchnorm_forward_with_cache(
     momentum: float,
     training: bool,
     out: np.ndarray | None = None,
+    bound: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel normalization of [C x B x T] input.
 
@@ -266,15 +358,23 @@ def batchnorm_forward_with_cache(
     epsilon).  Training returns the output and the normalized pre-scale
     values (needed for gamma's gradient); inference computes no normalized
     values and returns its output twice.  Optional `out` [C x B x T] takes
-    the output.
+    the output.  `bound` is `bind_batchnorm` of these parameters, which
+    only inference reads; training makes its scratch fresh at each call.
     """
     c = gamma.shape[0]
     if x.shape[0] != c:
         raise ShapeError(f"input has {x.shape[0]} channels, batchnorm expects {c}")
     if not training:
-        scale = gamma / np.sqrt(running_var + epsilon)
-        y = np.multiply(x, scale[:, None, None], out=out)
-        y += (beta - running_mean * scale)[:, None, None]
+        if bound is None:
+            bound = bind_batchnorm(gamma, beta, running_mean, running_var)
+        scale, scale_column, shift, shift_column = bound
+        np.add(running_var, epsilon, out=scale)
+        np.sqrt(scale, out=scale)
+        np.divide(gamma, scale, out=scale)
+        np.multiply(running_mean, scale, out=shift)
+        np.subtract(beta, shift, out=shift)
+        y = np.multiply(x, scale_column, out=out)
+        y += shift_column
         return y, y
     rows = x.reshape(c, -1)
     mean = rows.mean(axis=1)
@@ -309,17 +409,25 @@ def relu_backward(delta: np.ndarray, activation: np.ndarray) -> np.ndarray:
 
 def dense_forward(
     x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-    out: np.ndarray | None = None,
+    out: np.ndarray | None = None, bound: np.ndarray | None = None,
 ) -> np.ndarray:
-    """x @ weights.T + bias, with `weights` [out x in], into `out` if given."""
+    """x @ weights.T + bias, with `weights` [out x in], into `out` if given.
+    `bound` is `bind_dense` of `x` and `weights`."""
+    if bound is None:
+        bound = bind_dense(x, weights)
+    y = np.matmul(x, bound, out=out)
+    y += bias
+    return y
+
+
+def bind_dense(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """What `dense_forward` reads: `weights.T`, once `x` is checked to fit."""
     if x.shape[-1] != weights.shape[1]:
         raise ShapeError(
             f"input width {x.shape[-1]} does not match dense layer "
             f"input {weights.shape[1]}"
         )
-    y = np.matmul(x, weights.T, out=out)
-    y += bias
-    return y
+    return weights.T
 
 
 def dense_backward(
@@ -329,7 +437,9 @@ def dense_backward(
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, computed with max subtraction."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed with max subtraction, in place
+    in the one array it returns."""
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e

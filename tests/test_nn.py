@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -29,6 +29,7 @@ from preictal.nn.losses import (
 )
 from preictal.nn.model import (
     BLOCK_KEYS,
+    BN_KEYS,
     SPEC_FIELDS,
     Buffers,
     SensorModel,
@@ -343,6 +344,19 @@ class TestDenseAndSoftmax:
         np.testing.assert_allclose(softmax(logits + 1000.0), probs, atol=1e-12)
         assert np.all(probs > 0)
 
+    @pytest.mark.parametrize("shape, dtype", [((5,), np.float64), ((7, 5), np.float64),
+                                              ((3, 5), np.float32)])
+    def test_softmax_leaves_its_input_and_the_formula_bits_unchanged(self, shape,
+                                                                      dtype):
+        logits = (np.random.default_rng(4).standard_normal(shape) * 20).astype(dtype)
+        kept = logits.copy()
+        probs = softmax(logits)
+        assert logits.tobytes() == kept.tobytes()
+        assert not np.shares_memory(probs, logits)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        assert probs.dtype == want.dtype and probs.tobytes() == want.tobytes()
+
     def test_softmax_extreme_logits_stay_finite(self):
         probs = softmax(np.array([1e4, 0.0, -1e4, 0.0, 0.0]))
         assert np.all(np.isfinite(probs))
@@ -520,6 +534,13 @@ class TestModel:
             diag = kernels[:, :, center]
             assert np.all(np.abs(np.diag(diag) - 1.0) < 1.0)
 
+    def test_empty_batch_gives_empty_probabilities(self):
+        model = _desk_model(4, 4, seed=1)
+        probs = model_forward(model, np.zeros((0, 4, 320)))
+        assert probs.shape == (0, 5) and probs.dtype == np.float64
+        with pytest.raises(ShapeError):
+            model_forward(model, np.zeros((0, 1, 320)))
+
     def test_wrong_window_shape_rejected(self):
         model = _tiny_model()
         with pytest.raises(ShapeError):
@@ -539,6 +560,30 @@ class TestModel:
                                           model_forward(model, x[None])[0])
         assert model.window_buffers is not None
         assert model.window_buffers.back == model.window_buffers.d_pads == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(channels=st.integers(1, 4), klen=st.integers(1, 7), pool=st.integers(1, 4),
+           samples=st.integers(1, 48), seed=st.integers(0, 2**16))
+    @example(channels=4, klen=5, pool=4, samples=320, seed=0)  # block 4 pools 5 by 4
+    @example(channels=1, klen=4, pool=3, samples=40, seed=1)  # a partial window a block
+    def test_one_window_through_bound_buffers_is_a_batch_of_one_bit_for_bit(
+            self, channels, klen, pool, samples, seed):
+        # The window buffers bind the parameter views once; weights written
+        # into the buffer in place afterwards must reach every bound view and
+        # every scratch array refilled from them.
+        model, other = (build_model(Sensor.EEG, channels, samples, klen, pool,
+                                    hidden=(6, 4), seed=seed + i) for i in range(2))
+        rng = np.random.default_rng(seed)
+        for name in BN_KEYS:
+            model.params[name][...] = rng.uniform(0.5, 2.0, channels)
+        windows = 2.0 * rng.standard_normal((3, channels, samples))
+        for swap in range(2):
+            for x in windows:
+                got = model_forward(model, x)
+                want = model_forward(model, x[None])[0]
+                assert got.tobytes() == want.tobytes(), swap
+            model.buffer[...] = other.buffer
+        assert model.window_buffers is not None
 
     def test_one_window_carries_no_state_between_calls(self):
         model, other = _desk_model(4, 4, seed=13), _desk_model(4, 4, seed=14)
@@ -606,52 +651,59 @@ class TestModel:
     @pytest.mark.parametrize("klen", [4, 5])
     def test_reused_buffers_match_fresh_ones_bit_for_bit(self, klen):
         # One workspace across batch sizes 32, 32, 7, 32, 7, against a fresh
-        # one at every step.  Pool 3 over 40 samples leaves partial windows
-        # and, in the last blocks, inputs shorter than the kernel.  Every
-        # kept array an op writes is filled with NaN first, so reading
-        # anything an earlier step left behind would show in the loss or
-        # gradient.  The padding is read at every step and must stay zero;
-        # at K=4 the input gradient pads the other way round, so a backward
-        # pass that reused a padded input would leave a nonzero column.  The
-        # backward arrays are filled too: the pool's scatter target and its
-        # index scratch, and the interior of the padded gradient, whose own
-        # padding must stay zero.
-        shared, fresh = (build_model(Sensor.EEG, 3, 40, kernel_len=klen,
-                                     pool_size=3, hidden=(6, 4), seed=4)
-                         for _ in range(2))
-        cfg = FocalLossConfig(gamma=2.0, alpha=np.array([0.5, 0.7, 0.9, 1.0, 0.6]))
-        rng = np.random.default_rng(16)
-        work = Workspace(shared, np.float64)
-        before = (klen - 1) // 2
-        for b in (32, 32, 7, 32, 7):
-            xb = rng.uniform(0.5, 3.0) * rng.standard_normal((b, 3, 40))
-            yb = rng.integers(0, 5, size=b)
-            for bufs in work.buffers.values():
-                bufs.input.fill(np.nan)
-                for _, cols, out, _, act in bufs.blocks:
-                    for written in (cols, out, act):
+        # one at every step, at pool 3 and pool 1.  Pool 3 over 40 samples
+        # leaves partial windows and, in the last blocks, inputs shorter than
+        # the kernel; pool 1 makes every window one sample, which the pool
+        # copies.  Every kept array an op writes, the scratch its bindings
+        # made among them, is filled with NaN first, so reading anything an
+        # earlier step left behind would show in the loss or gradient.  The
+        # padding is read at every step and must stay zero; at K=4 the input
+        # gradient pads the other way round, so a backward pass that reused
+        # a padded input would leave a nonzero column.  The backward arrays
+        # are filled too: the pool's scatter target and its index scratch,
+        # and the interior of the padded gradient, whose own padding must
+        # stay zero.
+        for pool in (3, 1):
+            shared, fresh = (build_model(Sensor.EEG, 3, 40, kernel_len=klen,
+                                         pool_size=pool, hidden=(6, 4), seed=4)
+                             for _ in range(2))
+            cfg = FocalLossConfig(gamma=2.0, alpha=np.array([0.5, 0.7, 0.9, 1.0, 0.6]))
+            rng = np.random.default_rng(16)
+            work = Workspace(shared, np.float64)
+            before = (klen - 1) // 2
+            for b in (32, 32, 7, 32, 7):
+                xb = rng.uniform(0.5, 3.0) * rng.standard_normal((b, 3, 40))
+                yb = rng.integers(0, 5, size=b)
+                for bufs in work.buffers.values():
+                    bufs.input.fill(np.nan)
+                    for _, cols, out, _, act in bufs.blocks:
+                        for written in (cols, out, act):
+                            written.fill(np.nan)
+                    for written in bufs.dense:
                         written.fill(np.nan)
-                for written in bufs.dense:
-                    written.fill(np.nan)
-                for scatter, _, index, d_in, _ in bufs.back:
-                    scatter.fill(np.nan)
-                    index.fill(-1)
-                    d_in.fill(np.nan)
-            loss, grad = backward_batch(shared, xb, yb, cfg, work)
-            want_loss, want_grad = backward_batch(fresh, xb, yb, cfg)
-            assert loss == want_loss
-            np.testing.assert_array_equal(grad, want_grad)
-            for bufs in work.buffers.values():
-                assert len(bufs.d_pads) == len(bufs.back) == len(bufs.pads)
-                for pad, d_pad, (taps, *_) in zip(bufs.pads, bufs.d_pads,
-                                                  bufs.blocks):
-                    t = taps.shape[-1]
-                    for lead, padded in ((before, pad), (klen // 2, d_pad)):
-                        assert (padded[:, :, :lead] == 0.0).all()
-                        assert (padded[:, :, lead + t:] == 0.0).all()
-            shared.buffer[...] -= 0.05 * grad
-            fresh.buffer[...] -= 0.05 * want_grad
-        assert sorted(work.buffers) == [7, 32]
+                    for scatter, _, index, d_in, _ in bufs.back:
+                        scatter.fill(np.nan)
+                        index.fill(-1)
+                        d_in.fill(np.nan)
+                    for bound in (bufs.bn, *(c for c, *_ in bufs.convs), *bufs.d_convs):
+                        for scratch in bound:
+                            if isinstance(scratch, np.ndarray) and scratch.base is None:
+                                scratch.fill(np.nan)
+                loss, grad = backward_batch(shared, xb, yb, cfg, work)
+                want_loss, want_grad = backward_batch(fresh, xb, yb, cfg)
+                assert loss == want_loss
+                np.testing.assert_array_equal(grad, want_grad)
+                for bufs in work.buffers.values():
+                    assert len(bufs.d_pads) == len(bufs.back) == len(bufs.pads)
+                    for pad, d_pad, (taps, *_) in zip(bufs.pads, bufs.d_pads,
+                                                      bufs.blocks):
+                        t = taps.shape[-1]
+                        for lead, padded in ((before, pad), (klen // 2, d_pad)):
+                            assert (padded[:, :, :lead] == 0.0).all()
+                            assert (padded[:, :, lead + t:] == 0.0).all()
+                shared.buffer[...] -= 0.05 * grad
+                fresh.buffer[...] -= 0.05 * want_grad
+            assert sorted(work.buffers) == [7, 32]
 
     def test_float32_windows_give_a_float64_gradient_near_the_float64_one(self):
         # The tiny model of acceptance criterion 1.  Over seeds 0-19 the
@@ -695,16 +747,17 @@ class TestModel:
         dtype, training = regime
         kept, fresh = (build_model(Sensor.EEG, channels, samples, klen, pool,
                                    hidden=(4, 3), seed=seed) for _ in range(2))
-        bufs = Buffers(kept, batch, dtype)
+        cast = np.empty(kept.buffer.shape, dtype)
+        bufs = Buffers(kept, batch, kept.views(cast), training)
         rng = np.random.default_rng(seed)
         for _ in range(2):
             xb = rng.uniform(0.5, 3.0) * rng.standard_normal((batch, channels, samples))
             xb = xb.astype(dtype)
-            new = Buffers(fresh, batch, dtype) if training else None
-            got = _forward(kept, xb, kept.views(kept.buffer.astype(dtype)),
-                           bufs, training)
-            want = _forward(fresh, xb, fresh.views(fresh.buffer.astype(dtype)),
-                            new, training)
+            np.copyto(cast, kept.buffer)  # the bound views see the new values
+            p = fresh.views(fresh.buffer.astype(dtype))
+            new = Buffers(fresh, batch, p, training=True) if training else None
+            got = _forward(kept, xb, bufs.p, bufs, training)
+            want = _forward(fresh, xb, p, new, training)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype == dtype
                 np.testing.assert_array_equal(a, b)
@@ -895,7 +948,9 @@ class TestPoolAgainstReference:
         got = run()
         ties = []
 
-        def reference(x, pool_size, out=None, arg=None):
+        def reference(x, pool_size, out=None, arg=None, bound=None):
+            # The pool's binding views `x`, `out` and `arg`; the reference
+            # reads them directly.
             pooled, index = maxpool1d_argmax_gather(x, pool_size, out, arg)
             if arg is not None:
                 padded = np.full((*pooled.shape[:-1], pooled.shape[-1] * pool_size),
