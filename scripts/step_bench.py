@@ -59,7 +59,9 @@ the values a config file can set: the leaves of `ExperimentConfig()`'s
 dataclass tree, a tuple such as `model.hidden` counting as one, and
 `windows_peak_mb`, the tracemalloc peak in MB (2^20 bytes) of `cut_windows`
 reading one default-config (desk) patient's EEG and ECG windows from their
-files, as `train`, `cross-validate` and `simulate` read them.
+files, as `train`, `cross-validate` and `simulate` read them, and
+`gen_peak_mb`, that of `save_synth` writing one default-config patient's
+files, as `gen-data` writes each patient's.
 """
 
 import dataclasses
@@ -102,6 +104,7 @@ from preictal.dataset import (  # noqa: E402
     cut_windows,
     read_manifest,
     save_recording,
+    save_synth,
     synth_generate,
 )
 from preictal.evaluation import KERNEL_LEN  # noqa: E402
@@ -270,6 +273,16 @@ def windows_peak_mb() -> float:
     return peak / 2**20
 
 
+def gen_peak_mb() -> float:
+    cfg = ExperimentConfig()
+    with tempfile.TemporaryDirectory() as tmp:
+        tracemalloc.start()
+        save_synth(cfg.data, cfg.seed, tmp, "p00")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak / 2**20
+
+
 def main() -> int:
     result = {f"{name}-step": quartiles(time_steps(sensor, channels, pool))
               for name, sensor, channels, pool in SHAPES}
@@ -294,6 +307,8 @@ def main() -> int:
     print(f"config_leaves  {result['config_leaves']}")
     result["windows_peak_mb"] = windows_peak_mb()
     print(f"windows_peak_mb  {result['windows_peak_mb']:.1f}")
+    result["gen_peak_mb"] = gen_peak_mb()
+    print(f"gen_peak_mb  {result['gen_peak_mb']:.1f}")
     print(json.dumps(result))
     return 0
 

@@ -18,9 +18,9 @@ from typing import Iterator
 from .bansim import latency_report, run_simulation, write_trace_jsonl
 from .combiner import load_combiner, save_combiner
 from .config import ExperimentConfig, WindowingConfig, load_config, write_config
-from .dataset import (Sensor, Windows, cut_windows, kfold_split, read_manifest,
-                      save_recording, synth_generate)
-from .dataset import load_recording, segment  # noqa: F401  (perfbench/spans.py traces them)
+from .dataset import Sensor, Windows, cut_windows, kfold_split, read_manifest, save_synth
+from .dataset import (  # noqa: F401  (perfbench/spans.py traces them)
+    load_recording, save_recording, segment, synth_generate)
 from .errors import read_json
 from .evaluation import (
     RATES,
@@ -188,15 +188,11 @@ def cmd_gen_data(args) -> int:
     entries = []
     for i in range(cfg.patients):
         pid = f"p{i:02d}"
-        eeg, ecg = synth_generate(cfg.data, seed=cfg.seed + i, patient_id=pid)
-        save_recording(eeg, out, f"{pid}_eeg")
-        save_recording(ecg, out, f"{pid}_ecg")
-        entries.append({"id": pid, "eeg": f"{pid}_eeg.json",
-                        "ecg": f"{pid}_ecg.json"})
+        eeg, ecg = save_synth(cfg.data, cfg.seed + i, out, pid)
+        entries.append({"id": pid, "eeg": eeg.path.name, "ecg": ecg.path.name})
         print(f"wrote {pid}: {eeg.channels}-channel EEG + ECG, "
-              f"{eeg.samples.shape[1]} samples at {eeg.sample_rate_hz} Hz, "
+              f"{eeg.n_samples} samples at {eeg.sample_rate_hz} Hz, "
               f"{len(eeg.annotations)} seizures")
-        del eeg, ecg  # before the next patient is rendered
     (out / DATASET_INDEX).write_text(
         json.dumps({"seed": cfg.seed, "patients": entries},
                    indent=2, sort_keys=True) + "\n")

@@ -11,7 +11,6 @@ after it; the generator lays out its class regions from the same constants.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,6 +27,7 @@ PREICTAL_HORIZON_MIN = 60.0      # labeled pre-seizure bins end here
 INTERICTAL_THRESHOLD_MIN = 90.0  # beyond this a window counts as baseline
 POSTICTAL_EXCLUSION_S = 3600.0   # discard zone after a seizure ends
 DISCARD = -1                     # the label code of a dropped window
+BLOCK_SAMPLES = 1 << 16          # samples of one channel row moved at a time
 
 
 class LabelClass(IntEnum):
@@ -110,8 +110,8 @@ class Recording:
 
 @dataclass
 class Manifest:
-    """A recording as its manifest describes it, the samples left in the
-    `.f64` file at `data_path`, which `read_manifest` found to be their size.
+    """A recording as its manifest describes it, its samples left in the
+    `.f64` file at `data_path` (`read_manifest` checks that file's size).
     The header obeys `Recording`'s rules."""
 
     path: Path
@@ -126,19 +126,28 @@ class Manifest:
     def __post_init__(self):
         _check_header(self)
 
-    def read_rows(self, rows) -> Iterator[np.ndarray]:
-        """Read the samples into `rows`, one channel row at a time, and yield
-        each row once it is found finite; ValueError naming the file, channel
-        and sample of the first value that is not."""
+    def read_blocks(self, block_samples: int = BLOCK_SAMPLES
+                    ) -> Iterator[tuple[int, int, np.ndarray]]:
+        """(channel, first sample, samples) of each block of up to
+        `block_samples` of each channel row, in file order, read through one
+        buffer that the next block overwrites.  Every block is checked before
+        it is yielded: ValueError naming the file, the channel and the
+        sample's index in the row of the first value that is not finite."""
+        buf = np.empty(min(block_samples, self.n_samples), dtype="<f8")
         with open(self.data_path, "rb") as fh:
-            for c, row in zip(range(self.channels), rows):
-                fh.readinto(row)
-                # NaN propagates through min and max, so no full-size mask is needed.
-                if row.size and not np.isfinite([row.min(), row.max()]).all():
-                    i = int(np.flatnonzero(~np.isfinite(row))[0])
-                    raise ValueError(f"{self.data_path} holds NaN or infinite samples, "
-                                     f"the first at channel {c}, sample {i}")
-                yield row
+            for c in range(self.channels):
+                for first in range(0, self.n_samples, block_samples):
+                    block = buf[:min(block_samples, self.n_samples - first)]
+                    if fh.readinto(block) != block.nbytes:
+                        raise ValueError(f"{self.data_path} is shorter than "
+                                         f"{self.path} gives")
+                    # NaN propagates through min and max, so no mask is made.
+                    if not np.isfinite([block.min(), block.max()]).all():
+                        i = first + int(np.flatnonzero(~np.isfinite(block))[0])
+                        raise ValueError(f"{self.data_path} holds NaN or infinite "
+                                         f"samples, the first at channel {c}, "
+                                         f"sample {i}")
+                    yield c, first, block
 
 
 @dataclass(eq=False)
@@ -152,15 +161,20 @@ class Windows:
     label: np.ndarray
     data: np.ndarray
 
-    def at(self, ids) -> Windows:
-        """The windows of stride-grid `ids`; an id not in the record is
-        refused, naming the first such id."""
+    def find(self, ids) -> np.ndarray:
+        """The positions of stride-grid `ids` in the record; an id not in it
+        is refused, naming the first such id."""
         ids = np.asarray(ids)
         pos = np.searchsorted(self.index, ids)
         found = pos < len(self.index)
         found[found] = self.index[pos[found]] == ids[found]
         if not found.all():
             raise ValueError(f"window id {ids[~found][0]} is not in the record")
+        return pos
+
+    def at(self, ids) -> Windows:
+        """The windows of stride-grid `ids`, refused as `find` refuses them."""
+        pos = self.find(ids)
         return Windows(self.index[pos], self.label[pos], self.data[pos])
 
 
@@ -207,9 +221,12 @@ def cut_windows(rec: Recording | Manifest, window_seconds: float,
     A window's label is `label_codes` of the minutes from its END time (the
     freshest signal the model sees) to the next onset at or after it.  It is
     dropped when that is DISCARD or it overlaps [onset, end +
-    POSTICTAL_EXCLUSION_S) of a seizure.  The block is filled one channel row
-    at a time, from a `Recording`'s samples or, for a `Manifest`, from its
-    `.f64` through one reused row buffer, so a file is never held whole.
+    POSTICTAL_EXCLUSION_S) of a seizure.  The record is filled one block of a
+    channel row at a time: a `Recording`'s rows are one block each, and a
+    `Manifest`'s `.f64` is read by `Manifest.read_blocks`, which checks every
+    sample, in blocks of whole stride positions of up to BLOCK_SAMPLES, so a
+    file is never held whole; each window lies in one block, since a window
+    read from a file is no longer than the stride.
     """
     fs = rec.sample_rate_hz
     window_samples = _check_integral(window_seconds * fs, "window_seconds * sample_rate")
@@ -229,13 +246,25 @@ def cut_windows(rec: Recording | Manifest, window_seconds: float,
     codes[((starts[:, None] < excluded_until)
            & (onsets[:-1] < ends[:, None])).any(axis=1)] = DISCARD
     keep = np.flatnonzero(codes != DISCARD)
-    rows = (rec.samples if isinstance(rec, Recording)
-            else rec.read_rows(itertools.repeat(np.empty(n, dtype="<f8"))))
+    if isinstance(rec, Recording):
+        blocks = ((c, 0, row) for c, row in enumerate(rec.samples))
+    else:
+        if window_samples > stride_samples:
+            raise ValueError(f"windows of {window_samples} samples overlap at a "
+                             f"stride of {stride_samples}; {rec.data_path} is read "
+                             f"in blocks of whole strides")
+        blocks = rec.read_blocks(stride_samples * max(1, BLOCK_SAMPLES // stride_samples))
     data = np.empty((len(keep), rec.channels, window_samples))
-    for c, row in enumerate(rows):
-        grid = np.lib.stride_tricks.sliding_window_view(row, window_samples)[::stride_samples]
-        for k in range(0, len(keep), 256):  # a gather's temporary, not a channel's
-            data[k:k + 256, c] = grid[keep[k:k + 256]]
+    for c, first, block in blocks:
+        if len(block) < window_samples:  # a tail too short for a window
+            continue
+        grid = np.lib.stride_tricks.sliding_window_view(
+            block, window_samples)[::stride_samples]
+        base = first // stride_samples  # the block's first stride-grid id
+        lo, hi = np.searchsorted(keep, [base, base + len(grid)])
+        for k in range(lo, hi, 256):  # a gather's temporary, not a row's
+            ids = keep[k:min(k + 256, hi)]
+            data[k:k + len(ids), c] = grid[ids - base]
     return Windows(keep, codes[keep], data)
 
 
@@ -300,6 +329,11 @@ class SynthConfig:
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 
+    @property
+    def n_samples(self) -> int:
+        """Samples per channel of each recording."""
+        return int(round(self.duration_s * self.sample_rate_hz))
+
 
 def _plan_onsets(cfg: SynthConfig) -> list[SeizureAnnotation]:
     """Place seizures so each has a full buffer+preictal runway and postictal tail."""
@@ -325,34 +359,50 @@ def _render_sensor(
     freqs: dict[int, float],
     offsets: tuple[float, ...],
     rng: np.random.Generator,
-) -> np.ndarray:
-    """One sensor's samples, laid out seizure by seizure as they are rendered:
-    interictal up to the buffer and through it, the four bins on the amplitude
-    ramp, the ictal burst, the post-ictal tail; then interictal to the end,
-    and noise over all of it."""
-    fs = cfg.sample_rate_hz
-    n = int(round(cfg.duration_s * fs))
-    out = np.zeros((channels, n))
+) -> Iterator[np.ndarray]:
+    """One sensor's samples in file order: channel row by row, one
+    BLOCK_SAMPLES block at a time, each in the buffer the next overwrites.
+
+    The plan is drawn first, in layout order: the channel gains, then, seizure
+    by seizure, each region's tone phases or ictal burst: interictal up to the
+    buffer and through it, the four bins on the amplitude ramp, the ictal
+    burst, the post-ictal tail; then interictal to the end.  Each block is
+    then filled from the regions it overlaps, a later region over an earlier
+    one, and gets its noise from the same stream, so the blocks of a row draw
+    what one draw over the whole row would.  Each sample is computed as it
+    was when whole recordings were rendered: a tone's first sine stands for
+    0.0 plus it, since no argument is -0.0.
+    """
+    fs, n = cfg.sample_rate_hz, cfg.n_samples
     gains = rng.uniform(0.8, 1.2, size=channels)
     amp_lo, amp_hi = PREICTAL_AMP_RANGE
+    regions = []  # (first sample, stop, fill(channel, lo, sample times, out))
 
-    def span(start_s: float, stop_s: float) -> slice:
-        return slice(int(round(start_s * fs)), int(round(stop_s * fs)))
+    def span(start_s: float, stop_s: float) -> tuple[int, int]:
+        return int(round(start_s * fs)), int(round(stop_s * fs))
 
     def tone(start_s: float, stop_s: float, cls: int = int(LabelClass.INTERICTAL),
              amp=lambda t: 1.0) -> None:
         """Class `cls`'s tone mixture over [start_s, stop_s), scaled by amp(t)
         at the sample times t; an empty span draws no phases."""
-        cols = span(start_s, stop_s)
-        t = np.arange(cols.start, cols.stop) / fs
-        if not len(t):
+        first, stop = span(start_s, stop_s)
+        if stop <= first:
             return
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(channels, len(offsets)))
-        sig = np.zeros((channels, len(t)))
-        for j, df in enumerate(offsets):
-            sig += np.sin(2.0 * np.pi * (freqs[cls] + df) * t[None, :]
-                          + phases[:, j][:, None])
-        out[:, cols] = amp(t) * gains[:, None] * sig
+        omegas = [2.0 * np.pi * (freqs[cls] + df) for df in offsets]
+
+        def fill(c: int, _: int, t: np.ndarray, out: np.ndarray) -> None:
+            arg = np.empty_like(t)
+            for j, (omega, phase) in enumerate(zip(omegas, phases[c])):
+                np.multiply(omega, t, out=arg)
+                arg += phase
+                if j:
+                    out += np.sin(arg, out=arg)
+                else:
+                    np.sin(arg, out=out)
+            out *= amp(t) * gains[c]
+
+        regions.append((first, stop, fill))
 
     t0 = 0.0
     for ann in anns:
@@ -363,38 +413,86 @@ def _render_sensor(
         tone(buf_start, onset - PREICTAL_S)
         for k in reversed(range(round(PREICTAL_S / BIN_S))):  # PRE_0_15 last
             a = onset - (k + 1) * BIN_S
-            tone(a, a + BIN_S, k, lambda t: amp_lo + (amp_hi - amp_lo)
+            tone(a, a + BIN_S, k, lambda t, onset=onset: amp_lo + (amp_hi - amp_lo)
                  * (1.0 - (onset - t) / PREICTAL_S))  # 0 at -60 min, 1 at onset
-        cols = span(onset, ann.end_time)
-        out[:, cols] = ICTAL_AMP * rng.standard_normal((channels, cols.stop - cols.start))
+        first, stop = span(onset, ann.end_time)
+        burst = ICTAL_AMP * rng.standard_normal((channels, stop - first))
+        regions.append((first, stop, lambda c, lo, _, out, burst=burst, first=first:
+                        np.copyto(out, burst[c, lo - first:lo - first + len(out)])))
         t0 = min(ann.end_time + POSTICTAL_EXCLUSION_S, cfg.duration_s)
         tone(ann.end_time, t0, amp=lambda t: POSTICTAL_AMP)
     if t0 < cfg.duration_s:
         tone(t0, cfg.duration_s)
-    if cfg.noise_sigma > 0:
-        for row in out:  # row by row: the stream of one (channels, n) draw
-            row += cfg.noise_sigma * rng.standard_normal(n)
-    return out
+
+    buf, noise = np.empty(min(BLOCK_SAMPLES, n)), np.empty(min(BLOCK_SAMPLES, n))
+    for c in range(channels):
+        for b0 in range(0, n, BLOCK_SAMPLES):
+            block = buf[:min(BLOCK_SAMPLES, n - b0)]
+            block.fill(0.0)
+            t = np.arange(b0, b0 + len(block), dtype=float)
+            t /= fs
+            for first, stop, fill in regions:
+                lo, hi = max(first, b0), min(stop, b0 + len(block))
+                if lo < hi:
+                    fill(c, lo, t[lo - b0:hi - b0], block[lo - b0:hi - b0])
+            if cfg.noise_sigma > 0:
+                z = rng.standard_normal(out=noise[:len(block)])
+                z *= cfg.noise_sigma
+                block += z
+            yield block
+
+
+def _sensors(cfg: SynthConfig, seed: int):
+    """(sensor, channel count, annotations, `_render_sensor`'s blocks) for
+    EEG, then ECG.  The two sensors draw from independent substreams, so
+    changing the EEG channel count does not perturb the ECG signal."""
+    anns = _plan_onsets(cfg)
+    for stream, (sensor, channels, freqs, offsets) in enumerate((
+            (Sensor.EEG, cfg.eeg_channels, EEG_CLASS_FREQS_HZ, EEG_COMPONENT_OFFSETS_HZ),
+            (Sensor.ECG, 1, ECG_CLASS_FREQS_HZ, ECG_COMPONENT_OFFSETS_HZ))):
+        yield sensor, channels, anns, _render_sensor(
+            cfg, anns, channels, freqs, offsets, np.random.default_rng([seed, stream]))
 
 
 def synth_generate(
     cfg: SynthConfig, seed: int, patient_id: str = "synth"
 ) -> tuple[Recording, Recording]:
-    """Generate one patient's EEG and ECG recordings with shared annotations.
+    """Generate one patient's EEG and ECG recordings with shared annotations,
+    each filled from `_render_sensor`'s blocks; deterministic in (cfg, seed)."""
+    recordings = []
+    for sensor, channels, anns, blocks in _sensors(cfg, seed):
+        samples = np.empty((channels, cfg.n_samples))
+        flat, pos = samples.reshape(-1), 0
+        for block in blocks:
+            flat[pos:pos + len(block)] = block
+            pos += len(block)
+        recordings.append(Recording(patient_id, sensor, cfg.sample_rate_hz, channels,
+                                    samples, list(anns)))
+    return tuple(recordings)
 
-    Deterministic in (cfg, seed); the two sensors use independent substreams
-    so changing the EEG channel count does not perturb the ECG signal.
-    """
-    anns = _plan_onsets(cfg)
-    eeg = _render_sensor(cfg, anns, cfg.eeg_channels, EEG_CLASS_FREQS_HZ,
-                         EEG_COMPONENT_OFFSETS_HZ, np.random.default_rng([seed, 0]))
-    ecg = _render_sensor(cfg, anns, 1, ECG_CLASS_FREQS_HZ,
-                         ECG_COMPONENT_OFFSETS_HZ, np.random.default_rng([seed, 1]))
-    return (
-        Recording(patient_id, Sensor.EEG, cfg.sample_rate_hz, cfg.eeg_channels,
-                  eeg, list(anns)),
-        Recording(patient_id, Sensor.ECG, cfg.sample_rate_hz, 1, ecg, list(anns)),
-    )
+
+def save_synth(cfg: SynthConfig, seed: int, out_dir: Path | str,
+               patient_id: str) -> list[Manifest]:
+    """Write `synth_generate(cfg, seed, patient_id)`'s EEG and ECG recordings
+    as `save_recording` writes them, under `<patient_id>_eeg` and `_ecg`,
+    and return their manifests.  Each `.f64` is written one block at a time
+    as `_render_sensor` renders it, so no recording is held whole.  Both
+    headers are held to `Recording`'s rules before the first byte is
+    written."""
+    out_dir = Path(out_dir)
+    sensors = list(_sensors(cfg, seed))
+    manifests = [
+        Manifest(out_dir / f"{patient_id}_{sensor.value.lower()}.json",
+                 out_dir / f"{patient_id}_{sensor.value.lower()}.f64", patient_id,
+                 sensor, cfg.sample_rate_hz, channels, cfg.n_samples, list(anns))
+        for sensor, channels, anns, _ in sensors]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for m, (*_, blocks) in zip(manifests, sensors):
+        _write_manifest(m)
+        with open(m.data_path, "wb") as fh:
+            for block in blocks:
+                fh.write(block.astype("<f8", copy=False))
+    return manifests
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +557,23 @@ def _largest_remainder(sizes: list[int], target: int) -> list[int]:
 # File formats
 
 
+def _write_manifest(m: Manifest) -> None:
+    """Write `m` as the JSON manifest at `m.path`; its samples file is named
+    relative to it."""
+    m.path.write_text(json.dumps({
+        "patient_id": m.patient_id,
+        "sensor": m.sensor.value,
+        "sample_rate_hz": m.sample_rate_hz,
+        "channels": m.channels,
+        "n_samples": m.n_samples,
+        "data_file": m.data_path.name,
+        "annotations": [
+            {"onset_time": a.onset_time, "end_time": a.end_time}
+            for a in m.annotations
+        ],
+    }, indent=2) + "\n")
+
+
 def save_recording(rec: Recording, out_dir: Path | str, basename: str) -> Path:
     """Write `<basename>.json` manifest plus `<basename>.f64` raw samples.
 
@@ -466,23 +581,12 @@ def save_recording(rec: Recording, out_dir: Path | str, basename: str) -> Path:
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data_name = f"{basename}.f64"
-    manifest = {
-        "patient_id": rec.patient_id,
-        "sensor": rec.sensor.value,
-        "sample_rate_hz": rec.sample_rate_hz,
-        "channels": rec.channels,
-        "n_samples": rec.samples.shape[1],
-        "data_file": data_name,
-        "annotations": [
-            {"onset_time": a.onset_time, "end_time": a.end_time}
-            for a in rec.annotations
-        ],
-    }
-    manifest_path = out_dir / f"{basename}.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    np.ascontiguousarray(rec.samples, dtype="<f8").tofile(out_dir / data_name)
-    return manifest_path
+    m = Manifest(out_dir / f"{basename}.json", out_dir / f"{basename}.f64",
+                 rec.patient_id, rec.sensor, rec.sample_rate_hz, rec.channels,
+                 rec.n_samples, rec.annotations)
+    _write_manifest(m)
+    np.ascontiguousarray(rec.samples, dtype="<f8").tofile(m.data_path)
+    return m.path
 
 
 def read_manifest(manifest_path: Path | str) -> Manifest:
@@ -524,12 +628,13 @@ def read_manifest(manifest_path: Path | str) -> Manifest:
 
 
 def load_recording(manifest_path: Path | str) -> Recording:
-    """The whole recording a manifest describes, each row read straight into
-    its samples by `Manifest.read_rows`; the pipeline reads `cut_windows`
-    of the manifest instead, and perfbench's stream-infer reads this."""
+    """The whole recording a manifest describes, each block read by
+    `Manifest.read_blocks` straight into its samples; the pipeline reads
+    `cut_windows` of the manifest instead, and perfbench's stream-infer reads
+    this."""
     m = read_manifest(manifest_path)
-    samples = np.empty((m.channels, m.n_samples), dtype="<f8")
-    for _ in m.read_rows(samples):
-        pass
+    samples = np.empty((m.channels, m.n_samples))
+    for c, first, block in m.read_blocks():
+        samples[c, first:first + len(block)] = block
     return Recording(m.patient_id, m.sensor, m.sample_rate_hz, m.channels,
-                     samples.astype(np.float64, copy=False), m.annotations)
+                     samples, m.annotations)

@@ -24,7 +24,7 @@ from .config import ExperimentConfig
 from .dataset import (N_CLASSES, FoldSplit, LabelClass, LabeledWindow, Sensor, Windows,
                       kfold_split)
 from .dataset import segment  # noqa: F401  (perfbench/spans.py traces it here)
-from .nn.model import SensorModel, build_model, model_forward
+from .nn.model import FORWARD_CHUNK, SensorModel, build_model, model_forward
 from .nn.train import TrainReport, train
 
 TREND_ORDER = (
@@ -218,28 +218,53 @@ def split_seed(cfg: ExperimentConfig, p_idx: int) -> int:
     return cfg.seed + 97 * p_idx
 
 
+def _fit_block(windows: Windows, pos: np.ndarray) -> np.ndarray:
+    """The windows at positions `pos` of the record as the float32
+    channel-major [C x N x T] block `train` steps on, seen as [N x C x T];
+    gathered FORWARD_CHUNK windows at a time, so no float64 copy of them
+    exists."""
+    n, (_, channels, samples) = len(pos), windows.data.shape
+    block = np.empty((channels, n, samples), dtype=np.float32)
+    for i in range(0, n, FORWARD_CHUNK):
+        chunk = windows.data[pos[i:i + FORWARD_CHUNK]]
+        block[:, i:i + len(chunk)] = chunk.transpose(1, 0, 2)
+    return block.transpose(1, 0, 2)
+
+
+def _readout(model: SensorModel, windows: Windows, pos: np.ndarray) -> np.ndarray:
+    """`model_forward` of the windows at positions `pos` of the record, read
+    one FORWARD_CHUNK of windows at a time, at `model_forward`'s own chunk
+    boundaries, so its bits are those of one call on all of them."""
+    return np.concatenate([
+        model_forward(model, windows.data[pos[i:i + FORWARD_CHUNK]])
+        for i in range(0, len(pos), FORWARD_CHUNK)])
+
+
 def run_patient_fold(
     eeg: Windows, ecg: Windows, split: FoldSplit, cfg: ExperimentConfig, p_idx: int
 ) -> FoldResult:
     """Train both sensor models and the combiner on one split; score the test set.
 
-    One pass per sensor takes its training and validation windows out of its
-    record once, trains its model (model and shuffle seeded with the fold's
-    seed for the patient at position `p_idx` of the dataset, plus one for
-    ECG) and forwards its training windows into the combiner's fit set.
-    Fusion and test labels are the EEG windows'.
+    One pass per sensor trains its model (model and shuffle seeded with the
+    fold's seed for the patient at position `p_idx` of the dataset, plus one
+    for ECG) on a float32 block of its training windows gathered from its
+    record (`_fit_block`), validates on a copy of its validation windows,
+    and reads its training windows out of the record again, a chunk at a
+    time, into the combiner's fit set (`_readout`), so the fold holds no
+    float64 copy of its training windows.  Fusion and test labels are the
+    EEG windows'.
     """
     fold_seed = cfg.seed + 1000 * p_idx + 10 * split.fold_index
     models, reports, fit = {}, {}, {}
     for offset, (sensor, windows) in enumerate(((Sensor.EEG, eeg), (Sensor.ECG, ecg))):
-        fit_w, val_w = windows.at(split.train_ids), windows.at(split.val_ids)
+        pos, val_w = windows.find(split.train_ids), windows.at(split.val_ids)
         model = models[sensor] = build_model(
-            sensor, *fit_w.data.shape[1:], kernel_len=KERNEL_LEN,
+            sensor, *windows.data.shape[1:], kernel_len=KERNEL_LEN,
             pool_size=POOL_SIZES[sensor], hidden=cfg.model.hidden,
             seed=fold_seed + offset)
-        _, reports[sensor] = train(model, fit_w.data, fit_w.label,
+        _, reports[sensor] = train(model, _fit_block(windows, pos), windows.label[pos],
                                    val_w.data, val_w.label, cfg.training)
-        fit[sensor] = quantize4(model_forward(model, fit_w.data)), fit_w.label
+        fit[sensor] = quantize4(_readout(model, windows, pos)), windows.label[pos]
 
     (p_eeg, labels), (p_ecg, _) = fit[Sensor.EEG], fit[Sensor.ECG]
     combiner_params = lr_train(build_input(p_eeg, p_ecg), labels, cfg.combiner)

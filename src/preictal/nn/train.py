@@ -71,9 +71,10 @@ def train(
     keeps the snapshot with the lowest validation focal loss and gives up
     after `patience` epochs without improvement.  A non-finite batch or
     validation loss raises ValueError.  The steps compute in float32 on a
-    channel-major float32 copy of `xs`, made once per call, each on a
-    [B x C x T] view of its C-contiguous [C x B x T] batch; validation runs
-    in float64.
+    channel-major float32 copy of `xs`, made once per call (none is made when
+    `xs` is the [N x C x T] view of a C-contiguous float32 [C x N x T] block,
+    as a fold passes it), each on a [B x C x T] view of its C-contiguous
+    [C x B x T] batch; validation runs in float64.
     The step's `Workspace` (the float32 parameter copy, the gradient and the
     `Buffers` of each batch size) is made once per call and reused by
     every step; none of it outlives the call.

@@ -402,20 +402,26 @@ class TestTrainIsFoldZero:
                 (cv / "models" / f"{patient}_fold0" / name).read_bytes(), name
 
     def test_never_holds_a_whole_recording(self, work, two_patients, monkeypatch):
-        # Windows are cut from each samples file a channel row at a time,
-        # through one row buffer per file; no `Recording` is built.
+        # gen-data writes each samples file a block at a time, and train cuts
+        # windows from it a block at a time, through one block buffer per
+        # file; neither builds a `Recording`.
         config, data, _ = two_patients
         made, buffers = [], {}
 
-        def reading(manifest, rows):
-            for row in read_rows(manifest, rows):
-                assert row.shape == (manifest.n_samples,)
-                buffers.setdefault(manifest.path.name, set()).add(row.ctypes.data)
-                yield row
+        def reading(manifest, block_samples=dataset.BLOCK_SAMPLES):
+            assert block_samples <= dataset.BLOCK_SAMPLES
+            for c, first, block in read_blocks(manifest, block_samples):
+                assert 0 < block.size <= block_samples and block.ndim == 1
+                buffers.setdefault(manifest.path.name, set()).add(block.ctypes.data)
+                yield c, first, block
 
-        read_rows = dataset.Manifest.read_rows
+        read_blocks = dataset.Manifest.read_blocks
         monkeypatch.setattr(dataset.Recording, "__post_init__", made.append)
-        monkeypatch.setattr(dataset.Manifest, "read_rows", reading)
+        monkeypatch.setattr(dataset.Manifest, "read_blocks", reading)
+        regen = work / "two_clean_regen"
+        assert main(["gen-data", "--config", str(config), "--out", str(regen)]) == 0
+        for name in ("p00_eeg.f64", "p01_ecg.f64"):
+            assert (regen / name).read_bytes() == (data / name).read_bytes()
         assert main(["train", "--config", str(config), "--data", str(data),
                      "--out", str(work / "two_clean_freed")]) == 0
         assert made == []

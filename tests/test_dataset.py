@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import band_energy_predict, label_code_reference
+from preictal import dataset
 from preictal.dataset import (
+    BLOCK_SAMPLES,
     DISCARD,
     ECG_CLASS_FREQS_HZ,
     EEG_CLASS_FREQS_HZ,
@@ -25,6 +27,7 @@ from preictal.dataset import (
     load_recording,
     read_manifest,
     save_recording,
+    save_synth,
     segment,
     synth_generate,
 )
@@ -289,6 +292,53 @@ class TestSynthGenerate:
                 SynthConfig(seizure_duration_s=seizure_duration_s)
 
 
+class TestStreamedGenerator:
+    # 600 s seizures put the ictal burst across the block boundary at
+    # sample 6 x BLOCK_SAMPLES, as the amplitude ramp crosses 2 x
+    # BLOCK_SAMPLES; a row of 640,000 samples is not whole blocks.
+    CFG = dict(duration_s=10_000.0, n_seizures=1, sample_rate_hz=64,
+               eeg_channels=2, seizure_duration_s=600.0)
+
+    @staticmethod
+    def _files(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_streamed_files_equal_the_saved_recordings(self, tmp_path, monkeypatch,
+                                                       noise):
+        cfg = SynthConfig(**self.CFG, noise_sigma=noise)
+        eeg, ecg = synth_generate(cfg, seed=3, patient_id="p")
+        (ann,) = eeg.annotations
+        n = eeg.n_samples
+        assert n % BLOCK_SAMPLES
+        for start_s, stop_s in ((ann.onset_time - 3600.0, ann.onset_time),
+                                (ann.onset_time, ann.end_time)):  # ramp, burst
+            first, stop = round(64 * start_s), round(64 * stop_s)
+            assert first // BLOCK_SAMPLES < (stop - 1) // BLOCK_SAMPLES
+        save_recording(eeg, tmp_path / "whole", "p_eeg")
+        save_recording(ecg, tmp_path / "whole", "p_ecg")
+        manifests = save_synth(cfg, 3, tmp_path / "streamed", "p")
+        assert [m.path.name for m in manifests] == ["p_eeg.json", "p_ecg.json"]
+        whole = self._files(tmp_path / "whole")
+        assert sorted(whole) == ["p_ecg.f64", "p_ecg.json", "p_eeg.f64", "p_eeg.json"]
+        assert self._files(tmp_path / "streamed") == whole
+        # Another block size moves no bit.
+        monkeypatch.setattr(dataset, "BLOCK_SAMPLES", 1000)
+        save_synth(cfg, 3, tmp_path / "small", "p")
+        assert self._files(tmp_path / "small") == whole
+
+    def test_header_is_refused_before_a_byte_is_written(self, tmp_path):
+        # The config takes a rate of 64.5 Hz; a recording's header does not.
+        cfg = SynthConfig(**{**self.CFG, "sample_rate_hz": 64.5})
+        with pytest.raises(ValueError, match="sample_rate_hz must be a positive "
+                                             "integer") as streamed:
+            save_synth(cfg, 0, tmp_path / "out", "p")
+        with pytest.raises(ValueError) as whole:
+            synth_generate(cfg, 0)
+        assert str(streamed.value) == str(whole.value)
+        assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # Recording/annotation validation
 
@@ -505,11 +555,11 @@ class TestRecordingFiles:
     def test_reading_windows_holds_the_block_and_not_the_recording(self, tmp_path):
         # One patient's EEG at perfbench's desk shape: 64 Hz, 4 channels,
         # 20,620 s.  Loading the whole file and then windowing it peaks at
-        # 59.9 MiB; the bound is 39.1 MiB, and reading rows peaked at 29.8.
+        # 60.0 MiB; reading whole channel rows peaked at 29.8, the windows'
+        # 18.9 plus a 10.1 MiB row; reading blocks peaks at 20.1.
         eeg, _ = synth_generate(SynthConfig(duration_s=20_620.0, n_seizures=2),
                                 seed=0)
         manifest = save_recording(eeg, tmp_path, "eeg")
-        row_bytes = 8 * eeg.n_samples
         del eeg
         tracemalloc.start()
         try:
@@ -518,7 +568,7 @@ class TestRecordingFiles:
         finally:
             tracemalloc.stop()
         assert len(windows.index) > 1500
-        assert peak < windows.data.nbytes + 2 * row_bytes
+        assert peak < windows.data.nbytes + 4 * 8 * BLOCK_SAMPLES
 
     def test_non_finite_row_is_refused_alike_by_both_readers(self, tmp_path):
         manifest = save_recording(_recording(3.0), tmp_path, "r")
@@ -532,6 +582,50 @@ class TestRecordingFiles:
         assert str(rows.value) == str(whole.value)
         assert str(tmp_path / "r.f64") in str(rows.value)
         assert "channel 1, sample 4" in str(rows.value)
+
+    @pytest.mark.parametrize("channel, sample", [
+        pytest.param(2, 100_000, id="discarded"),
+        pytest.param(3, 155_230, id="tail"),
+        pytest.param(1, 80 * (BLOCK_SAMPLES // 80) - 1, id="window-block-end"),
+        pytest.param(1, 80 * (BLOCK_SAMPLES // 80), id="window-block-start"),
+        pytest.param(0, BLOCK_SAMPLES - 1, id="block-end"),
+        pytest.param(3, BLOCK_SAMPLES, id="block-start"),
+    ])
+    def test_every_sample_is_checked_not_only_the_kept_windows(self, tmp_path,
+                                                               channel, sample):
+        # 16 Hz windows of 80 samples at a stride of 80: a seizure at 6000 s
+        # discards samples 96,000 to 154,560 as well as its runway, and the
+        # 155,248-sample rows end 48 samples after the last window.
+        rec = _recording(9703.0, fs=16, channels=4,
+                         annotations=[SeizureAnnotation(6000.0, 6060.0)])
+        manifest = save_recording(rec, tmp_path, "r")
+        windows = cut_windows(read_manifest(manifest), 5.0, 5.0)
+        assert 80 * windows.index[-1] + 80 == 155_200 < 155_230
+        assert not any(80 * i <= 100_000 < 80 * i + 80 for i in windows.index)
+        samples = np.fromfile(tmp_path / "r.f64", dtype="<f8")
+        samples[channel * rec.n_samples + sample] = np.nan
+        samples.tofile(tmp_path / "r.f64")
+        with pytest.raises(ValueError) as whole:
+            load_recording(manifest)
+        with pytest.raises(ValueError) as cut:
+            cut_windows(read_manifest(manifest), 5.0, 5.0)
+        assert str(cut.value) == str(whole.value) == (
+            f"{tmp_path / 'r.f64'} holds NaN or infinite samples, the first at "
+            f"channel {channel}, sample {sample}")
+
+    def test_a_file_cut_short_after_its_manifest_was_read_is_refused(self, tmp_path):
+        manifest = save_recording(_recording(3.0), tmp_path, "r")
+        m = read_manifest(manifest)
+        raw = (tmp_path / "r.f64").read_bytes()
+        (tmp_path / "r.f64").write_bytes(raw[:-8])
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'r.f64'} is "
+                                                       f"shorter than {manifest}")):
+            cut_windows(m, 1.0, 1.0)
+
+    def test_overlapping_windows_are_not_read_from_a_file(self, tmp_path):
+        manifest = save_recording(_recording(60.0, fs=32), tmp_path, "r")
+        with pytest.raises(ValueError, match="overlap.*r.f64"):
+            cut_windows(read_manifest(manifest), 5.0, 2.5)
 
     @pytest.mark.parametrize("key, delta", [
         pytest.param("n_samples", 1, id="n-samples"),

@@ -28,12 +28,15 @@ from preictal.dataset import (
     cut_windows,
     synth_generate,
 )
+from preictal import evaluation
 from preictal.evaluation import (
     TREND_ORDER,
     VARIANTS,
     FoldResult,
     PatientResult,
+    _fit_block,
     _predictions,
+    _readout,
     accuracy_trend,
     collapse_binary,
     confusion,
@@ -42,9 +45,10 @@ from preictal.evaluation import (
     predictions,
     report_document,
     run_cross_validation,
+    run_patient_fold,
     score,
 )
-from preictal.nn.model import build_model, model_forward
+from preictal.nn.model import FORWARD_CHUNK, build_model, model_forward
 from preictal.nn.optim import TrainConfig
 
 P0, P1, P2, P3, I = (LabelClass.PRE_0_15, LabelClass.PRE_15_30,
@@ -344,6 +348,53 @@ class TestPredictions:
                         for xs in (eeg_x, ecg_x))
         np.testing.assert_array_equal(
             _predictions(eeg, ecg, params, eeg_w, ecg_w)["combined"], combined)
+
+
+class TestFoldWindows:
+    # A fold reads its training windows out of the patient's record: once
+    # as train's float32 block, once a chunk at a time for the combiner's
+    # fit set.  Neither may move a bit against a float64 copy of them.
+    @staticmethod
+    def _fold_set():
+        (_, eeg_w, ecg_w), = _windows(_tiny_recordings(), WindowingConfig())
+        ids = eeg_w.index[3::5][:2 * FORWARD_CHUNK + 13]
+        assert len(ids) > FORWARD_CHUNK and len(ids) % FORWARD_CHUNK
+        return eeg_w, ecg_w, ids
+
+    def test_chunked_readout_equals_one_forward_of_a_copy(self):
+        eeg_w, _, ids = self._fold_set()
+        # At the default widths, chunks of 50 windows would move bits.
+        model = build_model(Sensor.EEG, *eeg_w.data.shape[1:], kernel_len=5,
+                            pool_size=4, hidden=ModelConfig().hidden, seed=1)
+        got = _readout(model, eeg_w, eeg_w.find(ids))
+        assert got.tobytes() == model_forward(model, eeg_w.at(ids).data).tobytes()
+
+    def test_train_block_is_its_own_cast(self):
+        eeg_w, _, ids = self._fold_set()
+        xs = _fit_block(eeg_w, eeg_w.find(ids))
+        assert xs.shape == (len(ids), *eeg_w.data.shape[1:])
+        cast = np.ascontiguousarray(xs.transpose(1, 0, 2), dtype=np.float32)
+        assert np.shares_memory(cast, xs)  # train's cast copies nothing
+        assert cast.tobytes() == np.ascontiguousarray(
+            eeg_w.at(ids).data.transpose(1, 0, 2), dtype=np.float32).tobytes()
+
+    def test_fold_trains_on_its_block_and_refuses_an_unknown_id(self, monkeypatch):
+        eeg_w, ecg_w, ids = self._fold_set()
+        others = [int(i) for i in eeg_w.index[::5][:200]]
+        seen = []
+
+        def recording(model, xs, ys, *rest):
+            seen.append((xs.dtype, len(xs), xs.transpose(1, 0, 2).flags.c_contiguous))
+            return train(model, xs, ys, *rest)
+
+        train = evaluation.train
+        monkeypatch.setattr(evaluation, "train", recording)
+        split = FoldSplit(0, ids.tolist(), others[:10], others[10:])
+        run_patient_fold(eeg_w, ecg_w, split, _tiny_pipeline(), 0)
+        assert seen == [(np.float32, len(ids), True)] * 2
+        split.train_ids = [*split.train_ids, 10**6]
+        with pytest.raises(ValueError, match="window id 1000000 is not in the record"):
+            run_patient_fold(eeg_w, ecg_w, split, _tiny_pipeline(), 0)
 
 
 class TestRunCrossValidation:
