@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Time a fold's two inner loops at the desk shapes, the training step and the
 combiner fit, a sensor node's one-window inference, the whole per-window
-decision of the closed loop, a fold's batched inference, and a simulated
-hour of the network and the writing of its trace.
+decision of the closed loop, a fold's batched inference, a simulated hour of
+the network and the writing of its trace, and the cutting of the windows
+that hour replays.
 
     python3 scripts/step_bench.py
 
-Ten timings, each printed as its median and quartiles, in ms, or for the
+Eleven timings, each printed as its median and quartiles, in ms, or for the
 batched readouts in us per window:
 
     eeg-step    one batch-32 float32 training step of the EEG model (4 x 320,
@@ -32,9 +33,15 @@ batched readouts in us per window:
     ecg-batch   the same for the ECG model over [1395 x 1 x 320]
     sim-run     one `run_simulation` of 720 windows (the default simulated
                 hour at a 5 s period) of quantized EEG and ECG rows over
-                closed-loop-sim's link: loss 0.2, 3 retries
+                closed-loop-sim's link: loss 0.2, 3 retries; it records one
+                `TraceRow` tuple per event
     sim-trace   one `write_trace_jsonl` of that simulation's trace (about 7,900
-                events) into a temporary file
+                rows) into a temporary file
+    sim-cut     `cut_windows` of the first 720 kept windows of one
+                default-config (desk) patient from its EEG and its ECG
+                manifest, as `simulate --all-windows` cuts the windows it
+                replays: every block of both files is read and checked, and
+                only those windows are gathered
 
 The models have the pipeline's kernel length (`evaluation.KERNEL_LEN`) and
 the default config's hidden widths.  The windows are 16 seeded batches of
@@ -50,7 +57,8 @@ and each batched readout 20 times after one untimed one, on standard-normal
 noise; the simulation is timed 30 times after one untimed run, on
 softmax rows of seeded standard-normal logits, uniform labels and a
 standard-normal combiner, and its trace is written 30 times after one
-untimed write.
+untimed write; the cut is timed 20 times after one untimed cut, on files
+`save_synth` wrote.
 BLAS is pinned to one thread before numpy loads, and the checkout's own
 src/ is imported.  The last line is the result as JSON: each timing's
 quartiles under its name, `src_lines`, the lines of every *.py under
@@ -106,6 +114,7 @@ from preictal.dataset import (  # noqa: E402
     save_recording,
     save_synth,
     synth_generate,
+    window_timeline,
 )
 from preictal.evaluation import KERNEL_LEN  # noqa: E402
 from preictal.nn.losses import (  # noqa: E402
@@ -129,6 +138,7 @@ FITS = 30  # timed lr_train fits
 WINDOWS = 2000  # timed one-window forwards per sensor
 READOUTS = 20  # timed batched readouts per sensor
 SIM_RUNS = 30  # timed simulations, and timed writes of one trace
+CUTS = 20  # timed cuts of the replayed windows
 SIM_WINDOWS = 720  # an hour of 5 s windows
 # closed-loop-sim's link
 SIM_CONFIG = SimConfig(link=LinkModel(loss_probability=0.2), retry_limit=3)
@@ -254,6 +264,22 @@ def time_simulations() -> tuple[list[float], list[float]]:
     return runs, writes
 
 
+def time_sim_cuts() -> list[float]:
+    """Seconds of each cut of one patient's first SIM_WINDOWS kept windows."""
+    cfg = ExperimentConfig()
+    step = (cfg.windowing.window_seconds, cfg.windowing.stride_seconds)
+    with tempfile.TemporaryDirectory() as tmp:
+        manifests = save_synth(cfg.data, cfg.seed, tmp, "p00")
+        ids = window_timeline(manifests[0], *step)[0][:SIM_WINDOWS]
+        times = []
+        for i in range(1 + CUTS):
+            start = time.perf_counter()
+            for m in manifests:
+                cut_windows(m, *step, ids)
+            times.append(time.perf_counter() - start)
+    return times[1:]
+
+
 def config_leaves(node) -> int:
     """The values settable under `node`, a config dataclass."""
     return sum(config_leaves(value) if dataclasses.is_dataclass(value) else 1
@@ -296,6 +322,7 @@ def main() -> int:
     runs, writes = time_simulations()
     result["sim-run"] = quartiles(runs)
     result["sim-trace"] = quartiles(writes)
+    result["sim-cut"] = quartiles(time_sim_cuts())
     for name, q in result.items():
         unit = "us" if "median_us" in q else "ms"
         print(f"{name:11s} median {q[f'median_{unit}']:8.3f} {unit}  "

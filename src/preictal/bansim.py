@@ -32,19 +32,21 @@ frame arrives, and is then fused; a window still pending at its deadline is
 dropped, so each window ends exactly one way.  The event loop is a priority
 queue keyed by (timestamp, sequence number), so a trace is a pure function
 of the configuration — including the link seed.  The event list is the
-simulation's only record: `latency_report` counts every outcome from it, and
-`write_trace_jsonl` writes each event from its kind's line template, built
-once from `EVENT_DETAIL`.
+simulation's only record, one `TraceRow` per event: (event_type, time_s,
+node label, window_index, then the detail values in `EVENT_DETAIL` order),
+a tuple whose fields are also read by name.  `latency_report` counts every
+outcome from the rows, and `write_trace_jsonl` checks each kind's rows
+once, column by column, and writes each row from its kind's line template.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 import operator
 import struct
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import IntEnum
 from heapq import heappop, heappush
@@ -194,18 +196,39 @@ class SimConfig:
         return int(np.floor(self.duration_s / self.window_period_s + 1e-9))
 
 
-@dataclass
-class TraceEvent:
-    time_s: float
-    event_type: str
-    node: str
-    window_index: Optional[int]
-    detail: dict
+# Each event kind `run_simulation` emits, and the keys of its detail, in the
+# order a row holds their values.
+EVENT_DETAIL = {
+    "window_produced": ("dataset_index", "label"),
+    "message_sent": ("attempt",),
+    "message_lost": ("attempt", "final"),
+    "message_delivered": ("attempt", "source"),
+    "fusion_decision": ("decision", "label"),
+    "alert": ("decision",),
+    "stimulation_command": ("decision",),
+    "window_dropped": ("ecg_arrived", "eeg_arrived"),
+}
+
+
+class TraceRow(tuple):
+    """One event: (event_type, time_s, node label, window_index, then its
+    detail values in `EVENT_DETAIL` order), its fields also read by name."""
+
+    __slots__ = ()
+    event_type = property(operator.itemgetter(0))
+    time_s = property(operator.itemgetter(1))
+    node = property(operator.itemgetter(2))
+    window_index = property(operator.itemgetter(3))
+
+    @property
+    def detail(self) -> dict:
+        """The detail values by key, built when read."""
+        return dict(zip(EVENT_DETAIL[self[0]], self[4:]))
 
 
 @dataclass
 class SimTrace:
-    events: list[TraceEvent] = field(default_factory=list)
+    events: list[TraceRow] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +366,18 @@ def run_simulation(
     def schedule(time_s, kind, w, source=None, attempt=0):
         heappush(heap, (time_s, next(seq), kind, w, source, attempt))
 
-    def emit(time_s, event_type, node: NodeId, window_index, **detail):
+    def emit(time_s, event_type, node: NodeId, window_index, *detail):
+        """Record an event, its detail values in `EVENT_DETAIL` order."""
         trace.events.append(
-            TraceEvent(time_s, event_type, NODE_LABELS[node], window_index, detail))
+            TraceRow((event_type, time_s, NODE_LABELS[node], window_index, *detail)))
 
     def send(t, w, source, attempt):
         """One transmission attempt; schedules the retry on loss."""
-        emit(t, "message_sent", source, w, attempt=attempt)
+        emit(t, "message_sent", source, w, attempt)
         t_arr = t + FRAME_TIME_S
         if rng.random() < cfg.link.loss_probability:
             final = attempt >= cfg.retry_limit
-            emit(t_arr, "message_lost", source, w, attempt=attempt, final=final)
+            emit(t_arr, "message_lost", source, w, attempt, final)
             if not final:
                 schedule(t_arr, "send", w, source, attempt + 1)
         else:
@@ -366,8 +390,7 @@ def run_simulation(
         t, _, kind, w, source, attempt = heappop(heap)
         if kind == "produce":
             pending[w] = set()
-            emit(t, "window_produced", NodeId.GATEWAY, w,
-                 label=labels[w], dataset_index=dataset_index[w])
+            emit(t, "window_produced", NodeId.GATEWAY, w, dataset_index[w], labels[w])
             for sensor in (NodeId.EEG_NODE, NodeId.ECG_NODE):
                 schedule(t + cfg.processing_delay_s, "send", w, sensor)
             schedule(t + cfg.window_period_s, "deadline", w)
@@ -375,9 +398,8 @@ def run_simulation(
             send(t, w, source, attempt)
         elif kind == "deliver":
             to_dbs = source is NodeId.GATEWAY
-            emit(t, "message_delivered",
-                 NodeId.DBS_NODE if to_dbs else NodeId.GATEWAY, w,
-                 source=NODE_LABELS[source], attempt=attempt)
+            emit(t, "message_delivered", NodeId.DBS_NODE if to_dbs else NodeId.GATEWAY,
+                 w, attempt, NODE_LABELS[source])
             if not to_dbs and w in pending:
                 arrived = pending[w]
                 arrived.add(source)
@@ -386,17 +408,15 @@ def run_simulation(
                     schedule(t + cfg.processing_delay_s, "fuse", w)
         elif kind == "fuse":
             decision = decisions[w]
-            emit(t, "fusion_decision", NodeId.GATEWAY, w,
-                 decision=decision, label=labels[w])
+            emit(t, "fusion_decision", NodeId.GATEWAY, w, decision, labels[w])
             if decision != LabelClass.INTERICTAL:
-                emit(t, "alert", NodeId.GATEWAY, w, decision=decision)
-                emit(t, "stimulation_command", NodeId.GATEWAY, w, decision=decision)
+                emit(t, "alert", NodeId.GATEWAY, w, decision)
+                emit(t, "stimulation_command", NodeId.GATEWAY, w, decision)
                 send(t, w, NodeId.GATEWAY, 0)
         elif kind == "deadline" and w in pending:
             arrived = pending.pop(w)
             emit(t, "window_dropped", NodeId.GATEWAY, w,
-                 eeg_arrived=NodeId.EEG_NODE in arrived,
-                 ecg_arrived=NodeId.ECG_NODE in arrived)
+                 NodeId.ECG_NODE in arrived, NodeId.EEG_NODE in arrived)
 
     return trace
 
@@ -417,21 +437,22 @@ class LatencyReport:
 
 
 def latency_report(trace: SimTrace) -> LatencyReport:
-    """Arithmetic summary of a finished trace, from one pass over its events.
+    """Arithmetic summary of a finished trace, from one pass over its rows.
     A window's latency is its fusion decision's time minus its production
     time; summaries of a trace without windows or fusions are reported
     absent."""
     produced: dict[int, float] = {}
     lat: list[float] = []
     n_dropped = n_stim = 0
-    for e in trace.events:
-        if e.event_type == "window_produced":
-            produced[e.window_index] = e.time_s
-        elif e.event_type == "fusion_decision":
-            lat.append(e.time_s - produced[e.window_index])
-        elif e.event_type == "window_dropped":
+    for row in trace.events:  # (event_type, time_s, node, window_index, ...)
+        kind = row[0]
+        if kind == "window_produced":
+            produced[row[3]] = row[1]
+        elif kind == "fusion_decision":
+            lat.append(row[1] - produced[row[3]])
+        elif kind == "window_dropped":
             n_dropped += 1
-        elif e.event_type == "stimulation_command":
+        elif kind == "stimulation_command":
             n_stim += 1
     n = len(produced)
     return LatencyReport(
@@ -445,88 +466,99 @@ def latency_report(trace: SimTrace) -> LatencyReport:
     )
 
 
-# Each event kind `run_simulation` emits, and the keys of its detail.
-EVENT_DETAIL = {
-    "window_produced": ("dataset_index", "label"),
-    "message_sent": ("attempt",),
-    "message_lost": ("attempt", "final"),
-    "message_delivered": ("attempt", "source"),
-    "fusion_decision": ("decision", "label"),
-    "alert": ("decision",),
-    "stimulation_command": ("decision",),
-    "window_dropped": ("ecg_arrived", "eeg_arrived"),
-}
-
-# Each kind's trace line as `json.dumps(vars(event), sort_keys=True)` writes
-# it, with a %s slot for each detail value in sorted key order, then for the
-# node, time and window index; and its detail keys in that order.
+# Each kind's trace line as `json.dumps(..., sort_keys=True)` writes a row's
+# fields by name, with a %s slot for each detail value in sorted key order,
+# then for the node, time and window index; and the row positions of the
+# values those slots take, in that order.
 _TRACE_LINES = {
     kind: ('{"detail": {' + ", ".join(f'"{key}": %s' for key in sorted(keys))
            + f'}}, "event_type": "{kind}", "node": %s, "time_s": %s, '
-           + '"window_index": %s}\n', tuple(sorted(keys)))
+           + '"window_index": %s}\n',
+           (*(4 + keys.index(key) for key in sorted(keys)), 2, 1, 3))
     for kind, keys in EVENT_DETAIL.items()
 }
 
-
-def _json_float(x: float) -> str:
-    """`float.__repr__`, which `json` writes for a finite float; KeyError for
-    NaN or infinity, which `json` writes as tokens that are not JSON."""
-    if math.isfinite(x):
-        return float.__repr__(x)
-    raise KeyError(x)
-
-
-# How `json` writes a value of each type a trace line may hold; KeyError for
-# a value it cannot.  A trace's strings are node labels, so their encodings
-# are cached.
+# How `json` writes a value of each type a trace line may hold.  A %s slot
+# writes an int or a finite float as `json` does, so only the others are
+# converted.
 _JSON_VALUE = {
     int: int.__repr__,
-    float: _json_float,
-    np.float64: _json_float,
+    float: float.__repr__,
+    np.float64: float.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
-    str: functools.lru_cache(maxsize=64)(json.dumps),
+    str: json.dumps,
     type(None): lambda _: "null",
 }
+_AS_FORMATTED = {int, float}
+_FLOATS = {float, np.float64}
 
 
-def _trace_line(e: TraceEvent) -> str:
-    """`json.dumps(vars(e), sort_keys=True)` and a newline, from the line
-    template of `e`'s kind."""
-    try:
-        template, keys = _TRACE_LINES[e.event_type]
-        detail = e.detail
-        if len(detail) != len(keys):
-            raise KeyError
-        values = (*map(detail.__getitem__, keys), e.node, e.time_s, e.window_index)
-        return template % tuple([_JSON_VALUE[type(v)](v) for v in values])
-    except KeyError:
-        raise ValueError(_refusal(e)) from None
+def _kind_lines(kind: str, rows: list) -> Optional[list[str]]:
+    """The trace lines of `kind`'s rows, checked and converted a column at a
+    time; None if a row's kind is unknown, its arity is not `EVENT_DETAIL`'s,
+    or a value is of a type not in `_JSON_VALUE` or a float not finite."""
+    keys = EVENT_DETAIL.get(kind)
+    if keys is None or set(map(len, rows)) != {4 + len(keys)}:
+        return None
+    template, order = _TRACE_LINES[kind]
+    kinds, *fields = zip(*rows)
+    columns = [kinds]
+    for column in fields:
+        types = set(map(type, column))
+        if not types <= _JSON_VALUE.keys():
+            return None
+        floats = types & _FLOATS
+        if floats and not all(map(math.isfinite, column if types <= floats else
+                                  (v for v in column if type(v) in floats))):
+            return None
+        if not types <= _AS_FORMATTED:
+            # A column of one type (node labels, flags) is converted once per
+            # distinct value; a mixed one per value, since equal values of
+            # two types (True and 1) would share a key.
+            text = ({v: _JSON_VALUE[type(v)](v) for v in set(column)}.__getitem__
+                    if len(types) == 1 else lambda v: _JSON_VALUE[type(v)](v))
+            column = list(map(text, column))
+        columns.append(column)
+    return list(map(template.__mod__, zip(*map(columns.__getitem__, order))))
 
 
-def _refusal(e: TraceEvent) -> str:
-    """Why `_trace_line` cannot write `e`."""
-    kind = e.event_type
-    if kind not in EVENT_DETAIL:
-        return f"trace event kind {kind!r} is not in EVENT_DETAIL"
-    keys, expected = sorted(e.detail), sorted(EVENT_DETAIL[kind])
-    if keys != expected:
-        return f"{kind} event has detail keys {keys}, EVENT_DETAIL has {expected}"
-    for name, value in (*e.detail.items(), ("node", e.node), ("time_s", e.time_s),
-                        ("window_index", e.window_index)):
-        if type(value) not in _JSON_VALUE:
-            return f"{kind} event's {name} {value!r} is of a type the trace does not write"
-        if _JSON_VALUE[type(value)] is _json_float and not math.isfinite(value):
-            return f"{kind} event's {name} {value!r} is not finite"
-    raise AssertionError(f"no refusal found for {e}")
+def _refusal(rows: Sequence) -> str:
+    """Why `write_trace_jsonl` cannot write the first row of `rows` it
+    refuses."""
+    for row in rows:
+        kind = row[0]
+        if kind not in EVENT_DETAIL:
+            return f"trace event kind {kind!r} is not in EVENT_DETAIL"
+        keys = EVENT_DETAIL[kind]
+        if len(row) != 4 + len(keys):
+            return (f"{kind} event holds detail values {list(row[4:])}, EVENT_DETAIL "
+                    f"has keys {list(keys)}")
+        for name, value in zip(("time_s", "node", "window_index", *keys), row[1:]):
+            if type(value) not in _JSON_VALUE:
+                return f"{kind} event's {name} {value!r} is of a type the trace does not write"
+            if type(value) in _FLOATS and not math.isfinite(value):
+                return f"{kind} event's {name} {value!r} is not finite"
+    raise AssertionError("no row refused")
 
 
 def write_trace_jsonl(trace: SimTrace, path: Path | str) -> None:
     """One event per line: time_s, event_type, node, window_index, detail,
     keys sorted, as `json.dumps(..., sort_keys=True)` writes them, each from
     its kind's line template.  ValueError naming the kind, and no file
-    written, if an event's kind is not in `EVENT_DETAIL`, its detail keys
-    differ from the table's, or a value is not finite or of a type not in
-    `_JSON_VALUE`."""
-    text = "".join(map(_trace_line, trace.events))
+    written, if a row's kind is not in `EVENT_DETAIL`, its detail values are
+    not as many as the table's keys, or a value is not finite or of a type
+    not in `_JSON_VALUE`."""
+    groups: dict[str, list] = defaultdict(list)
+    for row in trace.events:
+        groups[row[0]].append(row)
+    lines = {}
+    for kind, rows in groups.items():
+        kind_lines = _kind_lines(kind, rows)
+        if kind_lines is None:
+            raise ValueError(_refusal(trace.events))
+        lines[kind] = iter(kind_lines)
+    # Each row's line, in trace order: the next line of the row's kind.
+    text = "".join(map(next, map(lines.__getitem__, map(operator.itemgetter(0),
+                                                        trace.events))))
     with open(path, "w") as fh:
         fh.write(text)

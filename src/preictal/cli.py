@@ -18,7 +18,8 @@ from typing import Iterator
 from .bansim import latency_report, run_simulation, write_trace_jsonl
 from .combiner import load_combiner, save_combiner
 from .config import ExperimentConfig, WindowingConfig, load_config, write_config
-from .dataset import Sensor, Windows, cut_windows, kfold_split, read_manifest, save_synth
+from .dataset import (Manifest, Sensor, Windows, cut_windows, kfold_split, read_manifest,
+                      save_synth, window_timeline)
 from .dataset import (  # noqa: F401  (perfbench/spans.py traces them)
     load_recording, save_recording, segment, synth_generate)
 from .errors import read_json
@@ -61,12 +62,11 @@ def _resolve_run(args) -> tuple[ExperimentConfig, Path]:
     return cfg, out
 
 
-def _read_pair(index_path: Path, pid: str, eeg: Path, ecg: Path,
-               windowing: WindowingConfig) -> tuple[Windows, Windows]:
-    """An entry's EEG and ECG windows.  Before any sample is read, each
-    manifest's patient and sensor are held to the entry's id and the slot it
-    is listed in, naming the index and the manifest, and the two timelines
-    to each other, naming both manifests."""
+def _read_pair(index_path: Path, pid: str, eeg: Path, ecg: Path) -> list[Manifest]:
+    """An entry's EEG and ECG manifests, no sample read.  Each manifest's
+    patient and sensor are held to the entry's id and the slot it is listed
+    in, naming the index and the manifest, and the two timelines to each
+    other, naming both manifests, so one window grid serves both."""
     missing = next((path for path in (eeg, ecg) if not path.is_file()), None)
     if missing:
         raise FileNotFoundError(f"{index_path} lists {missing}, which does not exist")
@@ -85,8 +85,7 @@ def _read_pair(index_path: Path, pid: str, eeg: Path, ecg: Path,
     if differ:
         raise ValueError(f"{eeg} and {ecg} of patient {pid!r} do not align: "
                          f"their {', '.join(differ)} differ")
-    step = (windowing.window_seconds, windowing.stride_seconds)
-    return tuple(cut_windows(m, *step) for m in manifests)
+    return manifests
 
 
 def _patient_id(pid) -> str:
@@ -96,10 +95,10 @@ def _patient_id(pid) -> str:
     return pid
 
 
-def _read_patients(data_dir: Path | str, windowing: WindowingConfig,
-                   patient_id: str | None = None, listed_in: Path | None = None
-                   ) -> Iterator[tuple[int, str, Windows, Windows]]:
-    """(index position, id, EEG windows, ECG windows) per patient of the
+def _patients(data_dir: Path | str, patient_id: str | None = None,
+              listed_in: Path | None = None
+              ) -> Iterator[tuple[int, str, Manifest, Manifest]]:
+    """(index position, id, EEG manifest, ECG manifest) per patient of the
     dataset index, or only `patient_id`'s, each read by `_read_pair` when
     reached.  ValueError naming the index if it lists no patients or repeats
     an id.  An unknown `patient_id` is refused naming `listed_in`, the file
@@ -122,7 +121,17 @@ def _read_patients(data_dir: Path | str, windowing: WindowingConfig,
                          f"(known: {', '.join(ids)})")
     for p_idx, entry in enumerate(entries):
         if patient_id in (None, entry[0]):
-            yield (p_idx, entry[0], *_read_pair(index_path, *entry, windowing))
+            yield (p_idx, entry[0], *_read_pair(index_path, *entry))
+
+
+def _read_patients(data_dir: Path | str, windowing: WindowingConfig,
+                   patient_id: str | None = None
+                   ) -> Iterator[tuple[int, str, Windows, Windows]]:
+    """(index position, id, EEG windows, ECG windows) per patient of
+    `_patients`, each patient's windows cut when reached."""
+    step = (windowing.window_seconds, windowing.stride_seconds)
+    for p_idx, pid, *manifests in _patients(data_dir, patient_id):
+        yield (p_idx, pid, *(cut_windows(m, *step) for m in manifests))
 
 
 def _fnum(value) -> str:
@@ -266,22 +275,24 @@ def cmd_simulate(args) -> int:
     held_patient, held_ids, held_windowing = read_json(
         paths["holdout"], "a held-out window list", _holdout)
 
-    _, _, eeg, ecg = next(_read_patients(args.data, cfg.windowing, held_patient,
-                                         paths["holdout"]))
-    ids = eeg.index
+    _, _, *manifests = next(_patients(args.data, held_patient, paths["holdout"]))
+    # The replayed ids are picked from the window grid before any sample is
+    # read, and only their windows are cut.
+    step = (cfg.windowing.window_seconds, cfg.windowing.stride_seconds)
+    ids, _ = window_timeline(manifests[0], *step)
     if not args.all_windows:
         # Window ids are stride-grid positions, so they name the same data
         # only at the windowing they were cut at.
         if held_windowing != cfg.windowing:
             raise ValueError(f"{paths['holdout']} was cut at {held_windowing}; the "
                              f"config asks for {cfg.windowing}")
-        unknown = sorted(set(held_ids).difference(eeg.index.tolist()))
+        unknown = sorted(set(held_ids).difference(ids.tolist()))
         if unknown:
             raise ValueError(f"{paths['holdout']} lists {len(unknown)} ids that are "
                              f"not windows of patient {held_patient!r}, the first "
                              f"{unknown[0]}")
         ids = held_ids
-    eeg, ecg = eeg.at(ids[:cfg.sim.max_windows]), ecg.at(ids[:cfg.sim.max_windows])
+    eeg, ecg = (cut_windows(m, *step, ids[:cfg.sim.max_windows]) for m in manifests)
     preds = predictions(eeg_model, ecg_model, combiner_params, eeg.data, ecg.data)
     trace = run_simulation(cfg.sim, combiner_params, eeg.label, eeg.index,
                            preds["eeg_rows"], preds["ecg_rows"])
@@ -289,8 +300,9 @@ def cmd_simulate(args) -> int:
     rep = latency_report(trace)
     equivalence = None  # undefined, like the mean latency, if nothing was fused
     if rep.n_fused:
-        equivalence = all(preds["combined"][e.window_index] == e.detail["decision"]
-                          for e in trace.events if e.event_type == "fusion_decision")
+        # A fusion_decision row's first detail value is its decision.
+        equivalence = all(preds["combined"][row[3]] == row[4]
+                          for row in trace.events if row[0] == "fusion_decision")
     summary = {**dataclasses.asdict(rep), "equivalence": equivalence}
     (out / "latency.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -4,9 +4,11 @@ The labeling timeline, stated once in `label_codes`: minutes to the next
 onset fall in BIN_MIN-wide bins up to PREICTAL_HORIZON_MIN, lower edge
 inclusive ([0,15) [15,30) [30,45) [45,60)); the buffer [PREICTAL_HORIZON_MIN,
 INTERICTAL_THRESHOLD_MIN] is discarded rather than forced into either side;
-beyond it, or with no seizure ahead, is baseline (interictal).  `cut_windows`
-also discards windows overlapping a seizure or the POSTICTAL_EXCLUSION_S
-after it; the generator lays out its class regions from the same constants.
+beyond it, or with no seizure ahead, is baseline (interictal).
+`window_timeline` also discards windows overlapping a seizure or the
+POSTICTAL_EXCLUSION_S after it, and `cut_windows` fills the kept windows
+it is asked for; the generator lays out its class regions from the same
+constants.
 """
 
 from __future__ import annotations
@@ -164,13 +166,7 @@ class Windows:
     def find(self, ids) -> np.ndarray:
         """The positions of stride-grid `ids` in the record; an id not in it
         is refused, naming the first such id."""
-        ids = np.asarray(ids)
-        pos = np.searchsorted(self.index, ids)
-        found = pos < len(self.index)
-        found[found] = self.index[pos[found]] == ids[found]
-        if not found.all():
-            raise ValueError(f"window id {ids[~found][0]} is not in the record")
-        return pos
+        return _positions(self.index, ids)
 
     def at(self, ids) -> Windows:
         """The windows of stride-grid `ids`, refused as `find` refuses them."""
@@ -214,29 +210,46 @@ def _check_integral(value: float, what: str) -> int:
     return int(n)
 
 
-def cut_windows(rec: Recording | Manifest, window_seconds: float,
-                stride_seconds: float) -> Windows:
-    """A recording's kept windows, every stride position labeled in one pass.
+def _positions(index: np.ndarray, ids) -> np.ndarray:
+    """The positions of stride-grid `ids` in the sorted `index`; an id not in
+    it is refused, naming the first such id."""
+    ids = np.asarray(ids)
+    pos = np.searchsorted(index, ids)
+    found = pos < len(index)
+    found[found] = index[pos[found]] == ids[found]
+    if not found.all():
+        raise ValueError(f"window id {ids[~found][0]} is not in the record")
+    return pos
+
+
+def _window_samples(rec: Recording | Manifest, window_seconds: float,
+                    stride_seconds: float) -> tuple[int, int]:
+    """A window's and a stride's length in samples; ValueError unless both
+    are whole and the recording holds at least one window."""
+    fs = rec.sample_rate_hz
+    window_samples = _check_integral(window_seconds * fs, "window_seconds * sample_rate")
+    stride_samples = _check_integral(stride_seconds * fs, "stride_seconds * sample_rate")
+    if rec.n_samples < window_samples:
+        raise ValueError(f"{rec.patient_id} {rec.sensor.value} recording "
+                         f"({rec.n_samples} samples) is shorter than one window "
+                         f"({window_samples})")
+    return window_samples, stride_samples
+
+
+def window_timeline(rec: Recording | Manifest, window_seconds: float,
+                    stride_seconds: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stride-grid ids of a recording's kept windows, in order, and their
+    class codes, every stride position labeled in one pass from the header
+    alone: no sample is read.
 
     A window's label is `label_codes` of the minutes from its END time (the
     freshest signal the model sees) to the next onset at or after it.  It is
     dropped when that is DISCARD or it overlaps [onset, end +
-    POSTICTAL_EXCLUSION_S) of a seizure.  The record is filled one block of a
-    channel row at a time: a `Recording`'s rows are one block each, and a
-    `Manifest`'s `.f64` is read by `Manifest.read_blocks`, which checks every
-    sample, in blocks of whole stride positions of up to BLOCK_SAMPLES, so a
-    file is never held whole; each window lies in one block, since a window
-    read from a file is no longer than the stride.
+    POSTICTAL_EXCLUSION_S) of a seizure.
     """
+    window_samples, stride_samples = _window_samples(rec, window_seconds, stride_seconds)
     fs = rec.sample_rate_hz
-    window_samples = _check_integral(window_seconds * fs, "window_seconds * sample_rate")
-    stride_samples = _check_integral(stride_seconds * fs, "stride_seconds * sample_rate")
-    n = rec.n_samples
-    if n < window_samples:
-        raise ValueError(f"{rec.patient_id} {rec.sensor.value} recording "
-                         f"({n} samples) is shorter than one window ({window_samples})")
-
-    s0 = stride_samples * np.arange((n - window_samples) // stride_samples + 1)
+    s0 = stride_samples * np.arange((rec.n_samples - window_samples) // stride_samples + 1)
     starts, ends = s0 / fs, (s0 + window_samples) / fs
     anns = rec.annotations
     onsets = np.array([a.onset_time for a in anns] + [np.inf])
@@ -246,6 +259,30 @@ def cut_windows(rec: Recording | Manifest, window_seconds: float,
     codes[((starts[:, None] < excluded_until)
            & (onsets[:-1] < ends[:, None])).any(axis=1)] = DISCARD
     keep = np.flatnonzero(codes != DISCARD)
+    return keep, codes[keep]
+
+
+def cut_windows(rec: Recording | Manifest, window_seconds: float,
+                stride_seconds: float, ids=None) -> Windows:
+    """The windows of stride-grid `ids`, in the order given, or, by default,
+    all of `window_timeline`'s kept windows; an id that is not a kept window
+    is refused as `Windows.find` refuses it.  The result equals
+    `cut_windows(rec, window_seconds, stride_seconds).at(ids)`, but only the
+    windows asked for are gathered.
+
+    The record is filled one block of a channel row at a time: a
+    `Recording`'s rows are one block each, and a `Manifest`'s `.f64` is read
+    by `Manifest.read_blocks`, which checks every sample, in blocks of whole
+    stride positions of up to BLOCK_SAMPLES, so a file is never held whole;
+    each window lies in one block, since a window read from a file is no
+    longer than the stride.  Every block is read and checked, whichever
+    windows are asked for.  A block's stride grid is one strided view of it.
+    """
+    window_samples, stride_samples = _window_samples(rec, window_seconds, stride_seconds)
+    index, label = window_timeline(rec, window_seconds, stride_seconds)
+    if ids is not None:
+        pos = _positions(index, ids)
+        index, label = index[pos], label[pos]
     if isinstance(rec, Recording):
         blocks = ((c, 0, row) for c, row in enumerate(rec.samples))
     else:
@@ -254,18 +291,22 @@ def cut_windows(rec: Recording | Manifest, window_seconds: float,
                              f"stride of {stride_samples}; {rec.data_path} is read "
                              f"in blocks of whole strides")
         blocks = rec.read_blocks(stride_samples * max(1, BLOCK_SAMPLES // stride_samples))
-    data = np.empty((len(keep), rec.channels, window_samples))
+    # The windows in grid order, and the record position each fills.
+    order = np.argsort(index, kind="stable")
+    wanted = index[order]
+    data = np.empty((len(index), rec.channels, window_samples))
     for c, first, block in blocks:
         if len(block) < window_samples:  # a tail too short for a window
             continue
-        grid = np.lib.stride_tricks.sliding_window_view(
-            block, window_samples)[::stride_samples]
+        step = block.strides[0]
+        grid = np.lib.stride_tricks.as_strided(
+            block, ((len(block) - window_samples) // stride_samples + 1, window_samples),
+            (stride_samples * step, step), writeable=False)
         base = first // stride_samples  # the block's first stride-grid id
-        lo, hi = np.searchsorted(keep, [base, base + len(grid)])
+        lo, hi = np.searchsorted(wanted, [base, base + len(grid)])
         for k in range(lo, hi, 256):  # a gather's temporary, not a row's
-            ids = keep[k:min(k + 256, hi)]
-            data[k:k + len(ids), c] = grid[ids - base]
-    return Windows(keep, codes[keep], data)
+            data[order[k:min(k + 256, hi)], c] = grid[wanted[k:min(k + 256, hi)] - base]
+    return Windows(index, label, data)
 
 
 def segment(

@@ -26,7 +26,7 @@ from preictal.bansim import (
     ProbabilityMessage,
     SimConfig,
     SimTrace,
-    TraceEvent,
+    TraceRow,
     decode_frames,
     decode_message,
     encode_frames,
@@ -488,55 +488,69 @@ class TestLosslessSimulation:
         assert first["event_type"] == "window_produced"
 
 
+def _as_dict(row):
+    """A trace row's fields by name, as a trace line spells them out."""
+    return {"time_s": row.time_s, "event_type": row.event_type, "node": row.node,
+            "window_index": row.window_index, "detail": row.detail}
+
+
+# (link seed, loss probability, retry limit) of the runs whose traces are
+# written; the last drops windows.
+WRITER_RUNS = [(0, 0.0, 3), (7, 0.3, 2), (11, 0.5, 1), (2**32 - 1, 0.9, 0)]
+
+
 class TestTraceWriter:
-    @settings(max_examples=60, deadline=None)
-    @given(processing=st.floats(0.0, 8.0), loss=st.floats(0.0, 0.9),
-           retries=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
-    def test_each_line_is_the_events_json(self, sim_setup, processing, loss,
-                                          retries, seed):
-        cfg = SimConfig(processing_delay_s=processing, duration_s=100.0,
-                        link=LinkModel(loss_probability=loss, seed=seed),
-                        retry_limit=retries)
-        trace = run_simulation(cfg, *_first(sim_setup, 20))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "trace.jsonl"
+    def test_each_line_is_the_events_json(self, sim_setup, tmp_path):
+        dropped = 0
+        for seed, loss, retries in WRITER_RUNS:
+            cfg = SimConfig(duration_s=100.0, retry_limit=retries,
+                            link=LinkModel(loss_probability=loss, seed=seed))
+            trace = run_simulation(cfg, *_first(sim_setup, 20))
+            path = tmp_path / f"trace_{seed}.jsonl"
             write_trace_jsonl(trace, path)
             lines = path.read_text().splitlines()
-        assert lines == [json.dumps(vars(e), sort_keys=True) for e in trace.events]
-        for e in trace.events:
-            assert tuple(sorted(e.detail)) == EVENT_DETAIL[e.event_type]
+            assert lines == [json.dumps(_as_dict(row), sort_keys=True)
+                             for row in trace.events]
+            for row in trace.events:
+                assert type(row) is TraceRow
+                assert tuple(row.detail) == EVENT_DETAIL[row.event_type]
+                assert row == (row.event_type, row.time_s, row.node, row.window_index,
+                               *row.detail.values())
+            dropped += len(_dropped(trace))
+        assert dropped
 
     def test_writes_int_and_numpy_float_times_as_json_does(self, tmp_path):
-        events = [TraceEvent(5, "message_sent", "eeg_node", 0, {"attempt": 0}),
-                  TraceEvent(np.float64(0.1) * 3, "alert", "gateway", 2**40,
-                             {"decision": 4}),
-                  TraceEvent(1e22, "window_dropped", "gateway", None,
-                             {"eeg_arrived": True, "ecg_arrived": False})]
-        write_trace_jsonl(SimTrace(events), tmp_path / "t.jsonl")
+        rows = [TraceRow(("message_sent", 5, "eeg_node", 0, 0)),
+                TraceRow(("alert", np.float64(0.1) * 3, "gateway", 2**40, 4)),
+                TraceRow(("window_dropped", 1e22, "gateway", None, False, True)),
+                # One kind's columns of several types.
+                TraceRow(("message_sent", 0.5, "gateway", None, True)),
+                TraceRow(("message_sent", np.float64(2.5), "eeg_node", 2**40, 1))]
+        write_trace_jsonl(SimTrace(rows), tmp_path / "t.jsonl")
         assert (tmp_path / "t.jsonl").read_text() == "".join(
-            json.dumps(vars(e), sort_keys=True) + "\n" for e in events)
+            json.dumps(_as_dict(row), sort_keys=True) + "\n" for row in rows)
 
     @pytest.mark.parametrize("event, refusal", [
-        (TraceEvent(1.0, "window_lost", "gateway", 0, {}),
+        (TraceRow(("window_lost", 1.0, "gateway", 0)),
          "trace event kind 'window_lost' is not in EVENT_DETAIL"),
-        (TraceEvent(1.0, "message_lost", "eeg_node", 0, {"attempt": 0}),
-         "message_lost event has detail keys ['attempt'], "
-         "EVENT_DETAIL has ['attempt', 'final']"),
-        (TraceEvent(1.0, "alert", "gateway", 0, {"decision": 1, "label": 1}),
-         "alert event has detail keys ['decision', 'label'], "
-         "EVENT_DETAIL has ['decision']"),
-        (TraceEvent(1.0, "fusion_decision", "gateway", 0,
-                    {"decision": np.int64(1), "label": 1}),
+        (TraceRow(("message_lost", 1.0, "eeg_node", 0, 0)),
+         "message_lost event holds detail values [0], "
+         "EVENT_DETAIL has keys ['attempt', 'final']"),
+        (TraceRow(("alert", 1.0, "gateway", 0, 1, 1)),
+         "alert event holds detail values [1, 1], EVENT_DETAIL has keys ['decision']"),
+        (TraceRow(("fusion_decision", 1.0, "gateway", 0, np.int64(1), 1)),
          "fusion_decision event's decision np.int64(1) is of a type"),
-        (TraceEvent(np.float32(1.0), "message_sent", "eeg_node", 0, {"attempt": 0}),
+        (TraceRow(("message_sent", np.float32(1.0), "eeg_node", 0, 0)),
          "message_sent event's time_s np.float32(1.0) is of a type"),
-        (TraceEvent(float("inf"), "window_dropped", "gateway", 0,
-                    {"eeg_arrived": False, "ecg_arrived": True}),
+        (TraceRow(("window_dropped", float("inf"), "gateway", 0, True, False)),
          "window_dropped event's time_s inf is not finite"),
+        # A column that also holds an int.
+        (TraceRow(("message_sent", float("nan"), "eeg_node", 0, 0)),
+         "message_sent event's time_s nan is not finite"),
     ])
     def test_refuses_an_event_it_cannot_write_naming_its_kind(self, tmp_path,
                                                                event, refusal):
-        good = TraceEvent(0.0, "message_sent", "eeg_node", 0, {"attempt": 0})
+        good = TraceRow(("message_sent", 0, "eeg_node", 0, 0))
         path = tmp_path / "trace.jsonl"
         with pytest.raises(ValueError, match=re.escape(refusal)):
             write_trace_jsonl(SimTrace([good, event]), path)

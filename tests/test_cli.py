@@ -769,6 +769,34 @@ class TestSimulate:
         assert str(models / "holdout.json") in err and "1000000" in err
 
 
+    def test_held_id_off_the_grid_is_refused_before_a_sample_is_read(
+            self, tmp_path, config_path, dataset_dir, train_dir, capsys, monkeypatch):
+        # Each manifest's samples file is cut short just after the manifest is
+        # read, so reading any sample of it would be refused.
+        read_manifest = cli.read_manifest
+
+        def read_then_truncate(path):
+            m = read_manifest(path)
+            m.data_path.write_bytes(m.data_path.read_bytes()[:-8])
+            return m
+
+        monkeypatch.setattr(cli, "read_manifest", read_then_truncate)
+        models = tmp_path / "models"
+        shutil.copytree(train_dir, models)
+        holdout = json.loads((models / "holdout.json").read_text())
+        for extra, refusal in (([], "is shorter than"), ([10 ** 6], "the first 1000000")):
+            data = tmp_path / f"data{len(extra)}"
+            shutil.copytree(dataset_dir, data)
+            (models / "holdout.json").write_text(json.dumps(
+                {**holdout, "window_ids": holdout["window_ids"] + extra}))
+            assert main(["simulate", "--config", str(config_path),
+                         "--data", str(data), "--models", str(models),
+                         "--out", str(tmp_path / "sim")]) == 1
+            err = capsys.readouterr().err
+            assert refusal in err
+            assert (str(models / "holdout.json") in err) == bool(extra)
+
+
 class TestLoadsOnlyThePatientUsed:
     @pytest.fixture(scope="class")
     def broken_p01(self, work):

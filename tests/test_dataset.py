@@ -89,6 +89,14 @@ def _recording(duration_s, fs=32, channels=2, annotations=(), seed=0):
     return Recording("t", Sensor.EEG, fs, channels, samples, list(annotations))
 
 
+def _assert_same_windows(a: Windows, b: Windows):
+    """`a` and `b` hold the same windows, bit for bit."""
+    for field in ("index", "label", "data"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), field
+        assert x.tobytes() == y.tobytes(), field
+
+
 class TestSegment:
     def test_hour_recording_with_onset_at_minute_50(self):
         # Window labels follow the window END time; everything at or past the
@@ -127,6 +135,21 @@ class TestSegment:
         # Overlapping windows hold separate copies, none a view of the recording.
         assert not np.shares_memory(windows[0].data, windows[1].data)
         assert not any(np.shares_memory(w.data, rec.samples) for w in windows)
+
+    @pytest.mark.parametrize("pick", [
+        pytest.param(lambda ids: ids[:2], id="start"),
+        pytest.param(lambda ids: ids[len(ids) // 2 - 1:len(ids) // 2 + 2], id="middle"),
+        pytest.param(lambda ids: ids[-2:], id="end"),
+        pytest.param(lambda ids: ids[[-1, 0, len(ids) // 2]], id="unsorted"),
+    ])
+    def test_cutting_overlapping_windows_asked_for_equals_picking_them(self, pick):
+        # 5 s windows every 2 s: each sample lies in two or three windows.
+        rec = _recording(900.0, fs=32, channels=3,
+                         annotations=[SeizureAnnotation(700.0, 710.0)])
+        whole = cut_windows(rec, 5.0, 2.0)
+        assert 0 < len(whole.index) < (900 - 5) // 2 + 1
+        ids = pick(whole.index)
+        _assert_same_windows(cut_windows(rec, 5.0, 2.0, ids), whole.at(ids))
 
     def test_postictal_exclusion_boundary(self):
         # Exclusion covers [onset, end + 60 min); the first window starting
@@ -626,6 +649,48 @@ class TestRecordingFiles:
         manifest = save_recording(_recording(60.0, fs=32), tmp_path, "r")
         with pytest.raises(ValueError, match="overlap.*r.f64"):
             cut_windows(read_manifest(manifest), 5.0, 2.5)
+
+    @pytest.mark.parametrize("pick", [
+        pytest.param(lambda ids: ids[:3], id="start"),
+        # Around the grid id where the second block of whole strides begins.
+        pytest.param(lambda ids: ids[(ids >= BLOCK_SAMPLES // 80 - 2)
+                                     & (ids < BLOCK_SAMPLES // 80 + 2)], id="middle"),
+        pytest.param(lambda ids: ids[-3:], id="end"),
+        pytest.param(lambda ids: ids[[-1, 0, len(ids) // 2, 0]], id="unsorted"),
+        pytest.param(lambda ids: ids[:0], id="none"),
+    ])
+    def test_cutting_the_windows_asked_for_equals_picking_them(self, tmp_path, pick):
+        rec = _recording(9703.0, fs=16, channels=4,
+                         annotations=[SeizureAnnotation(6000.0, 6060.0)])
+        m = read_manifest(save_recording(rec, tmp_path, "r"))
+        whole = cut_windows(m, 5.0, 5.0)
+        ids = pick(whole.index)
+        _assert_same_windows(cut_windows(m, 5.0, 5.0, ids), whole.at(ids))
+
+    def test_a_non_finite_sample_after_the_windows_asked_for_is_refused(self,
+                                                                        tmp_path):
+        # The first three windows lie in the first block; the NaN is in the
+        # second block of channel 2.
+        rec = _recording(9703.0, fs=16, channels=4)
+        manifest = save_recording(rec, tmp_path, "r")
+        sample = BLOCK_SAMPLES + 5
+        samples = np.fromfile(tmp_path / "r.f64", dtype="<f8")
+        samples[2 * rec.n_samples + sample] = np.nan
+        samples.tofile(tmp_path / "r.f64")
+        with pytest.raises(ValueError) as cut:
+            cut_windows(read_manifest(manifest), 5.0, 5.0, [0, 1, 2])
+        assert str(cut.value) == (
+            f"{tmp_path / 'r.f64'} holds NaN or infinite samples, the first at "
+            f"channel 2, sample {sample}")
+
+    def test_an_id_that_is_not_a_kept_window_is_refused(self, tmp_path):
+        rec = _recording(9703.0, fs=16, channels=4,
+                         annotations=[SeizureAnnotation(6000.0, 6060.0)])
+        m = read_manifest(save_recording(rec, tmp_path, "r"))
+        index, _ = dataset.window_timeline(m, 5.0, 5.0)
+        discarded = next(i for i in range(len(index)) if i not in set(index))
+        with pytest.raises(ValueError, match=f"window id {discarded} is not in"):
+            cut_windows(m, 5.0, 5.0, [int(index[0]), discarded])
 
     @pytest.mark.parametrize("key, delta", [
         pytest.param("n_samples", 1, id="n-samples"),
