@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import naming, read_json
+from .errors import fits, naming, read_json
 
 BIN_MIN = 15.0                   # width of one pre-seizure bin
 PREICTAL_HORIZON_MIN = 60.0      # labeled pre-seizure bins end here
@@ -646,6 +646,12 @@ def read_manifest(manifest_path: Path | str) -> Manifest:
             raise FileNotFoundError(f"{manifest_path} names missing file {data_path}")
         return manifest, data_path, shape
 
+    def annotation(a):
+        times = a["onset_time"], a["end_time"]
+        if not fits(times, (0.0, 0.0)):
+            raise ValueError(f"annotation times must be finite numbers, got {times}")
+        return SeizureAnnotation(*times)
+
     manifest, data_path, (channels, n) = read_json(manifest_path, "a recording manifest",
                                                    locate)
     size = data_path.stat().st_size
@@ -661,10 +667,7 @@ def read_manifest(manifest_path: Path | str) -> Manifest:
             sample_rate_hz=manifest["sample_rate_hz"],
             channels=channels,
             n_samples=n,
-            annotations=[
-                SeizureAnnotation(a["onset_time"], a["end_time"])
-                for a in manifest["annotations"]
-            ],
+            annotations=[annotation(a) for a in manifest["annotations"]],
         )
 
 

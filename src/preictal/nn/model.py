@@ -19,14 +19,14 @@ Every array of a pass is written into a `Buffers` or, in batched
 inference, is fresh.  In a `Buffers` each op writes where the next one
 reads and the padding, zero from the start, is never written, so a conv is
 one tap copy and one GEMM.  A `Buffers` is bound to one set of parameter
-views and binds every op's slices, layout views and scratch once, when it
-is made (see `ops`), so an inference pass through it only calls numpy; on
-fresh arrays each op binds for itself at each call and runs the same code.
-A training step's backward pass reads what its forward pass left in the
-training `Buffers` of its batch size and writes into that `Buffers`' own
-backward arrays, held with the parameter copy in the step's dtype and the
-gradient by a `Workspace` that the caller may pass to every step; `train`
-owns one for the length of the call.  One window, as a sensor node
+views and holds its arrays as one binding per op (see `ops`), made once,
+so an inference pass through it only calls numpy; on fresh arrays each op
+gets no binding, binds for itself at each call and runs the same code.  A
+training step's backward pass reads what its forward pass left in the
+training `Buffers` of its batch size and writes through that `Buffers`'
+own backward bindings, held with the parameter copy in the step's dtype
+and the gradient by a `Workspace` that the caller may pass to every step;
+`train` owns one for the length of the call.  One window, as a sensor node
 classifies each window as it arrives, runs in the batch-1 float64
 `Buffers` its model keeps from its first one-window call on, bound to the
 model's own parameter views (113 KB for the desk EEG model, 43 KB for the
@@ -62,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from ..dataset import N_CLASSES, Sensor
-from ..errors import ShapeError
+from ..errors import ShapeError, fits
 from .losses import FocalLossConfig, focal_grad_wrt_logits, focal_loss_batch
 from .ops import (
     batchnorm_forward_with_cache,
@@ -72,13 +72,13 @@ from .ops import (
     bind_conv1d_forward,
     bind_dense,
     bind_maxpool1d,
+    bind_maxpool1d_backward,
     conv1d_backward,
     conv1d_forward,
     dense_backward,
     dense_forward,
     maxpool1d_backward,
     maxpool1d_with_argmax,
-    pool_offsets,
     relu,
     relu_backward,
     softmax,
@@ -99,18 +99,37 @@ BLOCK_KEYS = tuple((f"blocks.{i}.kernels", f"blocks.{i}.bias") for i in range(N_
 DENSE_KEYS = tuple((f"dense.{i}.weights", f"dense.{i}.bias") for i in range(N_DENSE))
 
 
-def _whole(v, low=None) -> bool:
-    return (isinstance(v, int) and not isinstance(v, bool)
-            and (low is None or v >= low))
-
-
-def _real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _widths(v, n) -> bool:
-    return (isinstance(v, (list, tuple)) and len(v) == n
-            and all(_whole(x, 1) for x in v))
+def _shapes(spec: dict) -> dict[str, tuple[int, ...]]:
+    """Each parameter view's shape, in buffer order, for the spec
+    {field: value}; ValueError naming the first field whose value is not
+    allowed.  A value must fit its type as `errors.fits` has it, so bools,
+    NaN and infinities are refused."""
+    eps, momentum = spec["bn_epsilon"], spec["bn_momentum"]
+    checks = (
+        ("sensor", spec["sensor"] in list(Sensor), "EEG or ECG"),
+        *((name, fits(spec[name], 1) and spec[name] >= 1, "a positive integer")
+          for name in ("in_channels", "window_samples", "kernel_len")),
+        *((name, fits(spec[name], (1,) * n) and min(spec[name]) >= 1,
+           f"{n} positive integers")
+          for name, n in (("pool_sizes", N_BLOCKS), ("hidden", N_DENSE - 1))),
+        ("bn_epsilon", fits(eps, 0.0) and eps > 0, "a positive number"),
+        ("bn_momentum", fits(momentum, 0.0) and 0 < momentum < 1,
+         "a number in (0, 1)"),
+        ("seed", fits(spec["seed"], 0), "an integer"),
+    )
+    for name, ok, want in checks:
+        if not ok:
+            raise ValueError(f"{name} must be {want}, got {spec[name]!r}")
+    c, t = spec["in_channels"], spec["window_samples"]
+    for pool in spec["pool_sizes"]:
+        t = -(-t // pool)
+    widths = [c * t, *spec["hidden"], N_CLASSES]
+    shapes = dict.fromkeys(BN_KEYS, (c,))
+    for kernels, bias in BLOCK_KEYS:
+        shapes[kernels], shapes[bias] = (c, c, spec["kernel_len"]), (c,)
+    for (weights, bias), n_in, n_out in zip(DENSE_KEYS, widths, widths[1:]):
+        shapes[weights], shapes[bias] = (n_out, n_in), (n_out,)
+    return shapes
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,38 +155,11 @@ class SensorModel:
     window_buffers: "Buffers | None" = field(init=False, repr=False)
 
     def __post_init__(self):
-        checks = (
-            ("sensor", self.sensor in list(Sensor), "EEG or ECG"),
-            ("in_channels", _whole(self.in_channels, 1), "a positive integer"),
-            ("window_samples", _whole(self.window_samples, 1), "a positive integer"),
-            ("kernel_len", _whole(self.kernel_len, 1), "a positive integer"),
-            ("pool_sizes", _widths(self.pool_sizes, N_BLOCKS),
-             f"{N_BLOCKS} positive integers"),
-            ("hidden", _widths(self.hidden, N_DENSE - 1),
-             f"{N_DENSE - 1} positive integers"),
-            ("bn_epsilon", _real(self.bn_epsilon) and self.bn_epsilon > 0,
-             "a positive number"),
-            ("bn_momentum", _real(self.bn_momentum) and 0 < self.bn_momentum < 1,
-             "a number in (0, 1)"),
-            ("seed", _whole(self.seed), "an integer"),
-        )
-        for name, ok, want in checks:
-            if not ok:
-                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
+        shapes = _shapes({name: getattr(self, name) for name in SPEC_FIELDS})
         set_field = object.__setattr__
         set_field(self, "sensor", Sensor(self.sensor))
         set_field(self, "pool_sizes", tuple(self.pool_sizes))
         set_field(self, "hidden", tuple(self.hidden))
-
-        c, t = self.in_channels, self.window_samples
-        for pool in self.pool_sizes:
-            t = -(-t // pool)
-        widths = [c * t, *self.hidden, N_CLASSES]
-        shapes = dict.fromkeys(BN_KEYS, (c,))
-        for kernels, bias in BLOCK_KEYS:
-            shapes[kernels], shapes[bias] = (c, c, self.kernel_len), (c,)
-        for (weights, bias), n_in, n_out in zip(DENSE_KEYS, widths, widths[1:]):
-            shapes[weights], shapes[bias] = (n_out, n_in), (n_out,)
         set_field(self, "shapes", shapes)
         set_field(self, "buffer",
                   np.zeros(sum(math.prod(s) for s in shapes.values())))
@@ -257,41 +249,36 @@ def _check_input(model: SensorModel, xb: np.ndarray) -> None:
 class Buffers:
     """The arrays of one forward pass over `batch` windows with the
     parameter views `p`, in their dtype, for a caller that runs that pass
-    again and again, and every op's binding of them (see `ops`).
+    again and again, held as each op's binding of them (see `ops`).
 
     `pads` holds each conv block's zero-padded input [C x batch x T+K-1].
-    Batchnorm writes into `input`, the interior of block 1's.  Each entry
-    of `blocks` is one conv block's (taps, cols, out, arg, act): the tap
-    view of the padded input, the tap stack, the conv output, where ReLU
-    then runs in place, the pool's within-window argmax, in the smallest
-    unsigned type that holds pool-1, and `act`, where the pool writes: the
-    next block's padded interior or, after the last block, `flat`
-    [batch x C*T] seen as [C x batch x T], so the flatten copies nothing.
-    `dense` holds the dense outputs, where ReLU runs in place.  Only
-    interiors are ever written, so the padding keeps its zeros.
+    `bn` is batchnorm's binding, which writes into the interior of block
+    1's.  Each entry of `blocks` is one conv block's (conv binding, pool
+    binding): the conv reads the tap view of its padded input and writes
+    its tap stack and its output, where ReLU then runs in place, and the
+    pool writes into the next block's padded interior or, after the last
+    block, into `flat` [batch x C*T] seen as [C x batch x T], so the
+    flatten copies nothing.  Each entry of `head` is one dense layer's
+    binding; ReLU runs in place on its output.  Only interiors are ever
+    written, so the padding keeps its zeros.  An inference pass through
+    the bindings only calls numpy; a training pass still makes its
+    batchnorm statistics, argmax steps and ReLU masks fresh.  The bindings
+    view `p`, and each pass refills the kernel and batchnorm scratch from
+    it, so nothing here derives from the weights across passes and a pass
+    reads nothing an earlier one left: one `Buffers` serves any number of
+    passes, one at a time, with `p` as it is at each.
 
-    Each op's slices, layout views and scratch are bound here, once: `bn`
-    holds inference batchnorm's binding; each entry of `convs` is one
-    block's (conv binding, pool binding, arg, act); each entry of `head` is
-    one dense layer's (output, weights.T).  An inference pass then only
-    calls numpy; a training pass still makes its batchnorm statistics,
-    argmax steps and ReLU masks fresh.  The bindings view `p`, and each
-    pass refills the kernel and batchnorm scratch from it, so nothing here
-    derives from the weights across passes and a pass reads nothing an
-    earlier one left: one `Buffers` serves any number of passes, one at a
-    time, with `p` as it is at each.
-
-    Only a `training` `Buffers`, as a `Workspace` makes them, serves
-    training passes: its blocks have an `arg`, and each entry of `back`
-    holds one conv block's backward arrays (d_out, base, index, d_in,
-    d_taps): `d_out` [C x batch x T], where the pool's backward pass zeroes
-    and scatters the gradient at the conv output, `base`, the pool's
-    `pool_offsets` into `d_out`, and `index`, its scatter scratch; then the
-    interior `d_in` of the zero-padded `d_pads` entry, the gradient padded
-    the other way round (K//2 zeros in front), into which the block copies
-    `d_out`, and `d_taps`, that array's tap view, which the input
-    gradient's GEMM reads.  `d_convs` holds each block's `conv1d_backward`
-    binding.  Otherwise `arg` is None and the backward lists are empty.
+    A `training` `Buffers`, as a `Workspace` makes them, serves training
+    passes only, any other inference passes only.  Its pools write each
+    window's argmax, in the smallest unsigned type that holds pool-1, and
+    each entry of `back` holds what one conv block's backward pass uses
+    that its forward bindings do not give: (cols, pool binding, d_in, conv
+    binding).  `cols` is the tap stack the forward pass left.  The pool's
+    backward binding zeroes and scatters the gradient at the conv output
+    into an array of its own; the block copies that gradient into `d_in`,
+    the interior of its `d_pads` entry, zero-padded the other way round
+    (K//2 zeros in front), and the conv's backward binding reads that
+    array's tap view.  Otherwise `d_pads` and `back` are empty.
     """
 
     def __init__(self, model: SensorModel, batch: int, p: dict,
@@ -305,39 +292,38 @@ class Buffers:
         self.p, self.training = p, training
         self.pads = [np.zeros((c, batch, t + k - 1), dtype) for t in widths[:-1]]
         inputs = [pad[:, :, before:before + t] for pad, t in zip(self.pads, widths)]
-        self.input = inputs[0]
         self.flat = np.empty((batch, c * widths[-1]), dtype)
         acts = [*inputs[1:], self.flat.reshape(batch, c, -1).transpose(1, 0, 2)]
-        self.blocks = [
-            (tap_view(pad, t), np.empty((k * c, batch * t), dtype),
-             np.empty((c, batch * t), dtype),
+        arrays = [  # each block's (cols, out, arg)
+            (np.empty((k * c, batch * t), dtype), np.empty((c, batch * t), dtype),
              np.empty((c, batch, n), np.min_scalar_type(pool - 1)) if training
-             else None, act)
-            for pad, t, n, pool, act in zip(self.pads, widths, widths[1:],
-                                            model.pool_sizes, acts)]
-        self.dense = [np.empty((batch, n), dtype) for n in (*model.hidden, N_CLASSES)]
+             else None)
+            for t, n, pool in zip(widths, widths[1:], model.pool_sizes)]
+        outs = [np.empty((batch, n), dtype) for n in (*model.hidden, N_CLASSES)]
 
         self.bn = bind_batchnorm(p[BN_KEYS[0]], p[BN_KEYS[1]],
-                                 *(model.params[key] for key in BN_KEYS[2:]))
-        self.convs = []
-        for x, (kernels, bias), pool, (taps, cols, out, arg, act) in zip(
-                inputs, BLOCK_KEYS, model.pool_sizes, self.blocks):
-            conv = bind_conv1d_forward(x, p[kernels], p[bias], cols, out, taps)
-            self.convs.append((conv, bind_maxpool1d(conv[-1], pool, act, arg), arg, act))
-        self.head = [(out, bind_dense(x, p[weights])) for (weights, _), x, out in zip(
-            DENSE_KEYS, [self.flat, *self.dense[:-1]], self.dense)]
+                                 *(model.params[key] for key in BN_KEYS[2:]),
+                                 inputs[0])
+        self.blocks = []
+        for x, pad, t, (kernels, bias), pool, act, (cols, out, arg) in zip(
+                inputs, self.pads, widths, BLOCK_KEYS, model.pool_sizes, acts,
+                arrays):
+            conv = bind_conv1d_forward(x, p[kernels], p[bias], cols, out,
+                                       tap_view(pad, t))
+            self.blocks.append((conv, bind_maxpool1d(conv[-1], pool, act, arg)))
+        self.head = [bind_dense(x, p[weights], out) for (weights, _), x, out in zip(
+            DENSE_KEYS, [self.flat, *outs[:-1]], outs)]
 
         self.d_pads = [np.zeros_like(pad) for pad in self.pads] if training else []
+        d_pools = [bind_maxpool1d_backward(arg, pool, t, dtype)
+                   for t, pool, (_, _, arg) in zip(widths, model.pool_sizes, arrays)
+                   ] if training else []
         self.back = [
-            (np.empty((c, batch, t), dtype), pool_offsets((c, batch, t), pool),
-             np.empty((c, batch, n), np.intp), d_pad[:, :, k // 2:k // 2 + t],
-             tap_view(d_pad, t))
-            for d_pad, t, n, pool in zip(self.d_pads, widths, widths[1:],
-                                         model.pool_sizes)]
-        self.d_convs = [
-            bind_conv1d_backward(d_out, cols, p[kernels], cols, out, d_taps)
-            for (d_out, *_, d_taps), (_, cols, out, _, _), (kernels, _) in zip(
-                self.back, self.blocks, BLOCK_KEYS)]
+            (cols, d_pool, d_pad[:, :, k // 2:k // 2 + t],
+             bind_conv1d_backward(d_pool[0], cols, p[kernels], cols, out,
+                                  tap_view(d_pad, t)))
+            for d_pad, t, d_pool, (cols, out, _), (kernels, _) in zip(
+                self.d_pads, widths, d_pools, arrays, BLOCK_KEYS)]
 
 
 class Workspace:
@@ -374,41 +360,37 @@ def _forward(model: SensorModel, xb: np.ndarray, p: dict,
     The conv blocks run channel-major, [C x B x T], from the batchnorm to the
     flatten; windows that are a [B x C x T] view of a C-contiguous
     [C x B x T] array, as `train` gathers them, reach batchnorm uncopied.
-    Every array is written into `bufs`, a `Buffers` of this batch size bound
-    to `p`, through its bindings, or, without it, is fresh and each op
-    binds for itself.  Training needs a training `Buffers`.  Training
+    Each op gets its binding in `bufs`, a `Buffers` of this batch size bound
+    to `p` for this kind of pass, and writes where it says; without `bufs`
+    each op gets None, binds for itself and writes fresh arrays.  Training
     normalizes by the batch statistics, inference by the running ones, as
     one affine map.  The running statistics are always the model's own, so
     training folds the batch statistics into `model.buffer` even when `p`
     views a cast copy of it.  ReLU runs in place on each conv output, before
-    its max-pool (see the module docstring).  Only training asks the pool
-    for its argmax, into `bufs`, where `backward_batch` reads it with every
-    other array this pass left.
+    its max-pool (see the module docstring).  Only a training `Buffers`
+    gives the pool an argmax to write, where `backward_batch` reads it with
+    every other array this pass left.
     """
     _check_input(model, xb)
     if bufs is None:
-        bn = bn_out = flat = None
-        convs, head = [(None,) * 4] * N_BLOCKS, [(None, None)] * N_DENSE
-    elif bufs.p is not p or (training and not bufs.training):
-        raise ValueError("the buffers are bound to other parameters, or "
-                         "serve no training pass")
+        bn, blocks, head, flat = None, [(None, None)] * N_BLOCKS, [None] * N_DENSE, None
+    elif bufs.p is not p or bufs.training != training:
+        raise ValueError("the buffers are bound to other parameters, or serve "
+                         "the other kind of pass")
     else:
-        bn, bn_out, flat = bufs.bn, bufs.input, bufs.flat
-        convs, head = bufs.convs, bufs.head
+        bn, blocks, head, flat = bufs.bn, bufs.blocks, bufs.head, bufs.flat
     gamma, beta, mean, var = BN_KEYS
     h, xhat = batchnorm_forward_with_cache(
         xb.transpose(1, 0, 2), p[gamma], p[beta], model.params[mean],
-        model.params[var], model.bn_epsilon, model.bn_momentum, training,
-        bn_out, bn)
-    for (kernels, bias), pool, (conv, pooled, arg, act) in zip(
-            BLOCK_KEYS, model.pool_sizes, convs):
-        z = conv1d_forward(h, p[kernels], p[bias], bound=conv)
+        model.params[var], model.bn_epsilon, model.bn_momentum, training, bn)
+    for (kernels, bias), pool, (conv, pooled) in zip(
+            BLOCK_KEYS, model.pool_sizes, blocks):
+        z = conv1d_forward(h, p[kernels], p[bias], conv)
         relu(z, z)
-        h, _ = maxpool1d_with_argmax(z, pool, act, arg if training else None,
-                                     pooled)
+        h, _ = maxpool1d_with_argmax(z, pool, pooled)
     h = h.transpose(1, 0, 2).reshape(len(xb), -1) if flat is None else flat
-    for i, ((weights, bias), (out, weights_t)) in enumerate(zip(DENSE_KEYS, head)):
-        h = dense_forward(h, p[weights], p[bias], out, weights_t)
+    for i, ((weights, bias), dense) in enumerate(zip(DENSE_KEYS, head)):
+        h = dense_forward(h, p[weights], p[bias], dense)
         if i < N_DENSE - 1:
             relu(h, h)
     return h, xhat
@@ -475,7 +457,7 @@ def backward_batch(
     delta = focal_grad_wrt_logits(probs, yb, cfg)
 
     # The dense inputs; a hidden one is its in-place ReLU's output and mask.
-    acts = [bufs.flat, *bufs.dense[:-1]]
+    acts = [bufs.flat, *(out for _, out in bufs.head[:-1])]
     for i in range(N_DENSE - 1, -1, -1):
         weights, bias = DENSE_KEYS[i]
         g[weights][...], g[bias][...], delta = dense_backward(delta, acts[i], p[weights])
@@ -484,15 +466,14 @@ def backward_batch(
 
     delta = delta.reshape(b, model.in_channels, -1).transpose(1, 0, 2)
     for i in range(N_BLOCKS - 1, -1, -1):
-        taps, cols, _, arg, act = bufs.blocks[i]
-        d_out, base, index, d_in, _ = bufs.back[i]
+        _, (act, arg, *_) = bufs.blocks[i]  # the pool's output and argmax
+        cols, d_pool, d_in, d_conv = bufs.back[i]
         kernels, bias = BLOCK_KEYS[i]
         delta = maxpool1d_backward(relu_backward(delta, act), arg,
-                                   model.pool_sizes[i], taps.shape[-1],
-                                   d_out, base, index)
+                                   model.pool_sizes[i], d_in.shape[-1], d_pool)
         np.copyto(d_in, delta)
         g[kernels][...], g[bias][...], delta = conv1d_backward(
-            delta, cols, p[kernels], bound=bufs.d_convs[i])
+            delta, cols, p[kernels], d_conv)
 
     g["batchnorm.gamma"][...], g["batchnorm.beta"][...] = batchnorm_param_grads(
         delta, xhat)
@@ -531,15 +512,17 @@ def load_model(path: Path | str) -> SensorModel:
     missing = [name for name in SPEC_FIELDS if name not in header]
     if missing:
         raise ValueError(f"{path}: model header lacks {', '.join(missing)}")
+    spec = {name: header[name] for name in SPEC_FIELDS}
     try:
-        model = SensorModel(**{name: header[name] for name in SPEC_FIELDS})
+        size = sum(math.prod(s) for s in _shapes(spec).values())
     except ValueError as exc:
         raise ValueError(f"{path}: bad model header: {exc}") from exc
 
-    blob = raw[8 + hlen:]
-    if len(blob) != 8 * model.buffer.size:
+    blob = raw[8 + hlen:]  # checked before the model's buffer is allocated
+    if len(blob) != 8 * size:
         raise ValueError(f"{path}: weight blob holds {len(blob)} bytes but the "
-                         f"architecture needs {8 * model.buffer.size}")
+                         f"architecture needs {8 * size}")
+    model = SensorModel(**spec)
     model.buffer[...] = np.frombuffer(blob, dtype="<f8")
     bad = next((name for name, view in model.params.items()
                 if not np.isfinite(view).all()), None)

@@ -20,36 +20,36 @@ normalized input, and the caller keeps those (see `model.Buffers`).
 Batchnorm's `training` flag picks the batch statistics over the running
 ones.  The ops compute in the dtype of their input, and every float
 scratch array they make follows it: training runs them in float32 (see
-`train`), inference and the finite-difference checks in float64.  They
-take their output and scratch arrays as optional arguments, like numpy's
-`out=`, and allocate fresh ones without them.
+`train`), inference and the finite-difference checks in float64.
 
-What an op does besides its arithmetic, its slices, layout views and
-scratch, is made by its `bind_*` helper, and each op takes that binding as
-`bound`.  A caller that runs an op again and again on the same arrays binds
-once and passes the binding to every call (see `model.Buffers`), so an
-inference call only calls numpy; without `bound` the op binds for itself,
-through the same helper, and then runs the same code.  Training's batch
-statistics and argmax steps stay fresh at each call: kept, they bought no
-step time the benchmark host could resolve and moved a benchmark's peak RSS
-by 13% through where glibc placed them.  A binding holds views of the
-parameter arrays it was made from and refills each weight-derived scratch
-array, a conv's kernels in (out, tap, in) order, its mirrored kernels,
-inference batchnorm's scale and shift, on every call, so it is never stale.
-A binding with a kept zero-padded conv input reads whatever its interior
-holds at each call; a binding without one pads a fresh copy of the input it
-was made for and serves that input only.  Into a kept tap stack a conv
-copies all its taps at once, from a strided view of the padded input.  A
-fresh tap stack, which only batched inference builds, is built and
-multiplied one tile of windows at a time, each tile about TAP_TILE_BYTES:
-half the 2 MiB per-core L2 of the benchmark host, so the GEMM reads a tile
-the copy has just left in cache.  Each output column of the GEMM is one
-window's samples, so the tile size does not change a bit.  A GEMM operand
-is never a negatively strided view: numpy hands such an operand to its own
-loop, not to BLAS.  The one-channel ECG model's mirrored kernels, [1 x K]
-with stride -1 along the taps, made its float32 [1 x 5] by [5 x 10240]
-input-gradient product take 68 us, against 7 us for a contiguous copy
-(2-core Xeon, one BLAS thread).
+An op takes its inputs and parameters, and one more argument, `bound`, for
+everything else: the arrays it writes, its output and scratch, and its
+slices and layout views of them and of its inputs.  Its `bind_*` helper
+makes that binding, and it alone takes the arrays to write into: each is
+optional there and fresh if not given.  A caller that runs an op again and
+again on the same arrays binds once and passes the binding to every call
+(see `model.Buffers`), so an inference call only calls numpy; without
+`bound` the op binds for itself, on fresh arrays, through the same helper,
+and then runs the same code.  Training's batch statistics and argmax steps
+stay fresh at each call: kept, they bought no step time the benchmark host
+could resolve and moved a benchmark's peak RSS by 13% through where glibc
+placed them.  A binding holds views of the parameter arrays it was made
+from and refills each weight-derived scratch array, a conv's kernels in
+(out, tap, in) order, its mirrored kernels, inference batchnorm's scale and
+shift, on every call, so it is never stale.  A binding with a kept
+zero-padded conv input reads whatever its interior holds at each call; a
+binding without one pads a fresh copy of the input it was made for and
+serves that input only.  Into a kept tap stack a conv copies all its taps
+at once, from a strided view of the padded input.  A fresh tap stack, which
+only batched inference builds, is built and multiplied one tile of windows
+at a time, each tile about TAP_TILE_BYTES: half the 2 MiB per-core L2 of
+the benchmark host, so the GEMM reads a tile the copy has just left in
+cache.  Each output column of the GEMM is one window's samples, so the tile
+size does not change a bit.  A GEMM operand is never a negatively strided
+view: numpy hands such an operand to its own loop, not to BLAS.  The
+one-channel ECG model's mirrored kernels, [1 x K] with stride -1 along the
+taps, made its float32 [1 x 5] by [5 x 10240] input-gradient product take
+68 us, against 7 us for a contiguous copy (2-core Xeon, one BLAS thread).
 
 Inference batchnorm is one per-channel affine map, x * s + (beta - mean * s)
 with s = gamma / sqrt(var + eps), computed from the running statistics at
@@ -118,7 +118,15 @@ def bind_conv1d_forward(x, kernels, bias, cols=None, out=None, taps=None) -> tup
     the (scratch view, kernels view) pair that refills them at each call, or
     None where they are a view of the kernels (one input channel or one
     tap), the bias as a column, the tap GEMM's tiles, `out` [C_out x B*T]
-    and the result, its [C_out x B x T] view."""
+    and the result, its [C_out x B x T] view.
+
+    Optional arrays, fresh if not given: `cols` [K*C_in x B*T], which after
+    each call holds the tap stack `conv1d_backward` reads, and `out`.
+    Without `taps` the input is copied into a fresh zero-padded array, and
+    the binding serves that input only.  A caller that keeps a zero-padded
+    input [C_in x B x T+K-1] passes its `tap_view` as `taps`, with `x`
+    written straight into the interior, xpad[:, :, (K-1)//2:][:, :, :T]:
+    then the input is not copied and the padding is never written."""
     out_c, in_c, klen = kernels.shape
     if x.ndim != 3 or x.shape[0] != in_c:
         raise ShapeError(f"input {x.shape} is not [{in_c} channels x batch x time]")
@@ -135,30 +143,18 @@ def bind_conv1d_forward(x, kernels, bias, cols=None, out=None, taps=None) -> tup
 
 
 def conv1d_forward(
-    x: np.ndarray,
-    kernels: np.ndarray,
-    bias: np.ndarray,
-    cols: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-    taps: np.ndarray | None = None,
-    bound: tuple | None = None,
+    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, bound: tuple | None = None,
 ) -> np.ndarray:
     """Cross-correlation, stride 1, zero 'same' padding, plus per-channel bias.
 
     `x` is [C_in x B x T] and `kernels` [C_out x C_in x K]; the result is
     [C_out x B x T].  Each window gets (K-1)//2 zeros before it and K//2
-    after.  Optional scratch: `cols` [K*C_in x B*T], which afterwards holds
-    the tap stack `conv1d_backward` reads, and `out` [C_out x B*T], which
-    the result views.  Without `taps` the input is copied into a fresh
-    zero-padded array.  A caller that keeps a zero-padded input
-    [C_in x B x T+K-1] passes its `tap_view` as `taps`, with `x` written
-    straight into the interior, xpad[:, :, (K-1)//2:][:, :, :T]: then the
-    input is not copied and the padding is never written.  `bound` is
-    `bind_conv1d_forward` of these arguments; given it, the rest but for
-    the kernels' and the padded interior's values is not read.
+    after.  `bound` is `bind_conv1d_forward` of these arguments; given it,
+    the rest but for the kernels' and the padded interior's values is not
+    read, and the result is a view of its `out`.
     """
     if bound is None:
-        bound = bind_conv1d_forward(x, kernels, bias, cols, out, taps)
+        bound = bind_conv1d_forward(x, kernels, bias)
     weights, refill, bias_column, tiles, out, y = bound
     if refill is not None:
         np.copyto(*refill)
@@ -174,7 +170,14 @@ def bind_conv1d_backward(delta, cols, kernels, d_cols=None, out=None,
     and its [C_out x C_in x K] view, the bias gradient, the mirrored
     kernels' scratch [C_in x K*C_out], as the GEMM reads it and as
     [C_in x K x C_out], the kernels mirrored in that order, the tap GEMM's
-    tiles and the input gradient, a [C_in x B x T] view of `out`."""
+    tiles and the input gradient, a [C_in x B x T] view of `out`.
+
+    Optional arrays, as for `bind_conv1d_forward`: `d_cols` [K*C_out x B*T]
+    and `out` [C_in x B*T], and `d_taps`, the `tap_view` of a zero-padded
+    [C_out x B x T+K-1] array whose interior, xpad[:, :, K//2:][:, :, :T],
+    holds `delta` at each call; without it `delta` is copied into a fresh
+    padded array.  `d_cols` may be `cols` itself: the kernel gradient reads
+    `cols` before it is overwritten."""
     out_c, in_c, klen = kernels.shape
     _, b, t = delta.shape
     d = delta.reshape(out_c, b * t)
@@ -190,12 +193,7 @@ def bind_conv1d_backward(delta, cols, kernels, d_cols=None, out=None,
 
 
 def conv1d_backward(
-    delta: np.ndarray,
-    cols: np.ndarray,
-    kernels: np.ndarray,
-    d_cols: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-    d_taps: np.ndarray | None = None,
+    delta: np.ndarray, cols: np.ndarray, kernels: np.ndarray,
     bound: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (d_kernels, d_bias, d_input) for conv1d_forward.
@@ -206,17 +204,11 @@ def conv1d_backward(
     `delta`, padded the other way round, with the kernels mirrored in time
     and with in and out channels swapped.  The mirrored kernels are copied
     C-contiguous, so that BLAS, not numpy's own loop, multiplies them.
-    Optional scratch, as for conv1d_forward: `d_cols` [K*C_out x B*T] and
-    `out` [C_in x B*T], which the input gradient views, and `d_taps`, the
-    `tap_view` of a zero-padded [C_out x B x T+K-1] array whose interior,
-    xpad[:, :, K//2:][:, :, :T], already holds `delta`; without it `delta`
-    is copied into a fresh padded array.  `d_cols` may be `cols` itself:
-    the kernel gradient reads `cols` before it is overwritten.  `bound` is
-    `bind_conv1d_backward` of these arguments; the gradients are then its
-    arrays, which the next call through it overwrites.
+    `bound` is `bind_conv1d_backward` of these arguments; the gradients are
+    then its arrays, which the next call through it overwrites.
     """
     if bound is None:
-        bound = bind_conv1d_backward(delta, cols, kernels, d_cols, out, d_taps)
+        bound = bind_conv1d_backward(delta, cols, kernels)
     (d, cols_t, d_kernels, d_kernels_out, d_bias, mirrored, by_tap,
      kernels_by_tap, tiles, d_input) = bound
     np.matmul(d, cols_t, out=d_kernels)
@@ -228,10 +220,11 @@ def conv1d_backward(
 
 def bind_maxpool1d(x, pool_size, out=None, arg=None) -> tuple:
     """What `maxpool1d_with_argmax` of these arguments reads and writes:
-    (`out`, (out, x, arg) over the windows of one sample or None, and per
-    sample j >= 1 of a window (j, x's sample j, the running max, out, arg),
-    each cut to the windows that sample reaches).  `out` is fresh if not
-    given; without `arg` no argmax slice is made."""
+    (`out`, `arg`, (out, x, arg) over the windows of one sample or None, and
+    per sample j >= 1 of a window (j, x's sample j, the running max, out,
+    arg), each cut to the windows that sample reaches).  `out` is fresh if
+    not given; `arg`, an unsigned integer array shaped like `out`, asks the
+    pool for its argmax, and without it no argmax slice is made."""
     if pool_size <= 0:
         raise ValueError("pool_size must be positive")
     t = x.shape[-1]
@@ -256,31 +249,29 @@ def bind_maxpool1d(x, pool_size, out=None, arg=None) -> tuple:
             a = None if arg is None else arg[..., :k]
         steps.append((j, xj, best, m, a))
         best = out
-    return out, singles, steps
+    return out, arg, singles, steps
 
 
 def maxpool1d_with_argmax(
-    x: np.ndarray, pool_size: int, out: np.ndarray | None = None,
-    arg: np.ndarray | None = None, bound: tuple | None = None,
+    x: np.ndarray, pool_size: int, bound: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Non-overlapping max pooling along the last (time) axis; a trailing
     partial window is pooled as-is.  Returns (`out`, `arg`).
 
     Sample j of every window is the strided slice x[..., j::pool_size], so
-    the pool is pool_size-1 elementwise maxima of those slices into `out`,
-    which is fresh if not given.  A slice the partial window does not reach
-    is one window shorter; a window of one sample is copied.  Given `arg`,
-    an unsigned integer array shaped like `out`, the same pass writes each
-    window's within-window argmax there, the first maximum on ties, for
-    `maxpool1d_backward`: a sample that beats the running max strictly
+    the pool is pool_size-1 elementwise maxima of those slices into `out`.
+    A slice the partial window does not reach is one window shorter; a
+    window of one sample is copied.  Given an `arg`, the same pass writes
+    each window's within-window argmax there, the first maximum on ties,
+    for `maxpool1d_backward`: a sample that beats the running max strictly
     moves the index to its j, as arg = max(arg, (x_j > max) * j), with no
-    masked select.  Without `arg` no index is computed.  `bound` is
-    `bind_maxpool1d` of these arguments, or of them with `arg` when this
-    call passes none.
+    masked select.  `bound` is `bind_maxpool1d` of these arguments and the
+    `out` and `arg` it names; without it `out` is fresh and no index is
+    computed.
     """
     if bound is None:
-        bound = bind_maxpool1d(x, pool_size, out, arg)
-    out, singles, steps = bound
+        bound = bind_maxpool1d(x, pool_size)
+    out, arg, singles, steps = bound
     if singles is not None:  # windows of one sample
         np.copyto(singles[0], singles[1])
         if arg is not None:
@@ -305,34 +296,42 @@ def pool_offsets(shape: tuple[int, ...], pool_size: int) -> np.ndarray:
     return (rows + np.arange(0, t, pool_size)).reshape(*lead, -1)
 
 
+def bind_maxpool1d_backward(arg, pool_size, input_len, dtype) -> tuple:
+    """What `maxpool1d_backward` of `arg` and a gradient of `dtype` writes:
+    the result [... x input_len], C-contiguous, its flat view, the
+    `pool_offsets` of its shape and intp scatter scratch shaped like
+    `arg`."""
+    out = np.empty((*arg.shape[:-1], input_len), dtype)
+    return (out, out.reshape(-1), pool_offsets(out.shape, pool_size),
+            np.empty(arg.shape, np.intp))
+
+
 def maxpool1d_backward(
     delta: np.ndarray, arg: np.ndarray, pool_size: int, input_len: int,
-    out: np.ndarray | None = None, base: np.ndarray | None = None,
-    index: np.ndarray | None = None,
+    bound: tuple | None = None,
 ) -> np.ndarray:
     """Route each window's gradient to its argmax; zeros elsewhere.
 
     The result, [... x input_len], is zeroed and each window's gradient
-    scattered to flat offset base + arg.  Optional, for a caller that
-    keeps them: `out`, C-contiguous, for the result; `base`, the
-    `pool_offsets` of its shape; `index`, intp scratch shaped like `arg`.
+    scattered to flat offset base + arg, base being where the window
+    starts.  `bound` is `bind_maxpool1d_backward` of these arguments; the
+    result is then its array, which the next call through it overwrites.
     """
-    shape = (*arg.shape[:-1], input_len)
-    if out is None:
-        out = np.empty(shape, delta.dtype)
-    if base is None:
-        base = pool_offsets(shape, pool_size)
+    if bound is None:
+        bound = bind_maxpool1d_backward(arg, pool_size, input_len, delta.dtype)
+    out, flat, base, index = bound
     out.fill(0.0)
-    out.reshape(-1)[np.add(base, arg, out=index)] = delta
+    flat[np.add(base, arg, out=index)] = delta
     return out
 
 
-def bind_batchnorm(gamma, beta, running_mean, running_var) -> tuple:
-    """The scratch of inference `batchnorm_forward_with_cache` with these
-    parameters: (scale, its [C x 1 x 1] view, shift, its view)."""
+def bind_batchnorm(gamma, beta, running_mean, running_var, out=None) -> tuple:
+    """What `batchnorm_forward_with_cache` with these parameters writes:
+    inference's scratch (scale, its [C x 1 x 1] view, shift, its view) and
+    `out` [C x B x T], the output, or None for a fresh one."""
     scale = np.empty(gamma.shape, np.result_type(gamma, running_var))
     shift = np.empty(gamma.shape, np.result_type(beta, running_mean, scale))
-    return scale, scale[:, None, None], shift, shift[:, None, None]
+    return scale, scale[:, None, None], shift, shift[:, None, None], out
 
 
 def batchnorm_forward_with_cache(
@@ -344,7 +343,6 @@ def batchnorm_forward_with_cache(
     epsilon: float,
     momentum: float,
     training: bool,
-    out: np.ndarray | None = None,
     bound: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel normalization of [C x B x T] input.
@@ -357,9 +355,9 @@ def batchnorm_forward_with_cache(
     x * s + (beta - running_mean * s) with s = gamma / sqrt(running_var +
     epsilon).  Training returns the output and the normalized pre-scale
     values (needed for gamma's gradient); inference computes no normalized
-    values and returns its output twice.  Optional `out` [C x B x T] takes
-    the output.  `bound` is `bind_batchnorm` of these parameters, which
-    only inference reads; training makes its scratch fresh at each call.
+    values and returns its output twice.  `bound` is `bind_batchnorm` of
+    these parameters; training reads only its `out` and makes its scratch
+    fresh at each call.
     """
     c = gamma.shape[0]
     if x.shape[0] != c:
@@ -367,7 +365,7 @@ def batchnorm_forward_with_cache(
     if not training:
         if bound is None:
             bound = bind_batchnorm(gamma, beta, running_mean, running_var)
-        scale, scale_column, shift, shift_column = bound
+        scale, scale_column, shift, shift_column, out = bound
         np.add(running_var, epsilon, out=scale)
         np.sqrt(scale, out=scale)
         np.divide(gamma, scale, out=scale)
@@ -376,6 +374,7 @@ def batchnorm_forward_with_cache(
         y = np.multiply(x, scale_column, out=out)
         y += shift_column
         return y, y
+    out = None if bound is None else bound[-1]
     rows = x.reshape(c, -1)
     mean = rows.mean(axis=1)
     centered = rows - mean[:, None]
@@ -407,27 +406,26 @@ def relu_backward(delta: np.ndarray, activation: np.ndarray) -> np.ndarray:
     return delta * (activation > 0)
 
 
-def dense_forward(
-    x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-    out: np.ndarray | None = None, bound: np.ndarray | None = None,
-) -> np.ndarray:
-    """x @ weights.T + bias, with `weights` [out x in], into `out` if given.
-    `bound` is `bind_dense` of `x` and `weights`."""
-    if bound is None:
-        bound = bind_dense(x, weights)
-    y = np.matmul(x, bound, out=out)
-    y += bias
-    return y
-
-
-def bind_dense(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """What `dense_forward` reads: `weights.T`, once `x` is checked to fit."""
+def bind_dense(x, weights, out=None) -> tuple:
+    """What `dense_forward` reads and writes: (`weights.T`, `out` [B x out]
+    or None for a fresh one), once `x` is checked to fit."""
     if x.shape[-1] != weights.shape[1]:
         raise ShapeError(
             f"input width {x.shape[-1]} does not match dense layer "
             f"input {weights.shape[1]}"
         )
-    return weights.T
+    return weights.T, out
+
+
+def dense_forward(
+    x: np.ndarray, weights: np.ndarray, bias: np.ndarray, bound: tuple | None = None,
+) -> np.ndarray:
+    """x @ weights.T + bias, with `weights` [out x in].  `bound` is
+    `bind_dense` of `x` and `weights`."""
+    weights_t, out = bind_dense(x, weights) if bound is None else bound
+    y = np.matmul(x, weights_t, out=out)
+    y += bias
+    return y
 
 
 def dense_backward(

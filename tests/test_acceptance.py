@@ -56,7 +56,12 @@ from preictal.evaluation import (
 )
 from preictal.nn.losses import FocalLossConfig, focal_loss_batch
 from preictal.nn.model import backward_batch, build_model, model_forward
-from preictal.nn.ops import conv1d_forward, maxpool1d_with_argmax, softmax
+from preictal.nn.ops import (
+    bind_maxpool1d,
+    conv1d_forward,
+    maxpool1d_with_argmax,
+    softmax,
+)
 
 VARIANTS = ("eeg", "ecg", "combined")
 
@@ -154,8 +159,8 @@ def test_criterion_03_oracle_equivalence():
         # Inference pools alone; training also asks for the argmax.
         naive = maxpool1d_naive(x, pool)
         alone, _ = maxpool1d_with_argmax(x, pool)
-        with_arg, _ = maxpool1d_with_argmax(
-            x, pool, arg=np.empty((b, c, -(-t // pool)), np.uint8))
+        with_arg, _ = maxpool1d_with_argmax(x, pool, bind_maxpool1d(
+            x, pool, arg=np.empty((b, c, -(-t // pool)), np.uint8)))
         pool_exact += int(np.array_equal(alone, naive)
                           and np.array_equal(with_arg, naive))
 

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -526,6 +527,36 @@ class TestCrossValidate:
                 model = load_model(fold_dir / cli.MODEL_FILES[name])
                 assert model.pool_sizes == (pool,) * 4, name
                 assert (model.bn_epsilon, model.bn_momentum) == (1e-5, 0.1), name
+
+
+    def test_every_op_span_fires_under_the_benchmark_tracer(
+            self, tmp_path, config_path, dataset_dir):
+        # perfbench times each nn op by replacing the name the model's
+        # passes look it up by in `preictal.nn.model`; an op called any
+        # other way would drop out of its per-layer metrics unnoticed.
+        spans = _perfbench_spans()
+        tracer = spans.Tracer()
+        with tracer.active():
+            assert main(["cross-validate", "--config", str(config_path),
+                         "--data", str(dataset_dir), "--out", str(tmp_path)]) == 0
+            trained = len(tracer.spans)
+            model = load_model(tmp_path / "models" / "p00_fold0" / "eeg_model.bin")
+            model_forward(model, np.zeros((model.in_channels, model.window_samples)))
+        keys = [{span[0] for span in part}
+                for part in (tracer.spans[:trained], tracer.spans[trained:])]
+        for op in spans.NN_OPS:
+            assert f"nn.ops.{op}" in keys[0], op
+            assert (f"nn.ops.{op}" in keys[1]) == ("backward" not in op), op
+
+
+def _perfbench_spans():
+    """perfbench's span tracer module, loaded from its file: perfbench is a
+    directory of scripts, not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------

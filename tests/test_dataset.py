@@ -727,6 +727,16 @@ class TestRecordingFiles:
         pytest.param(lambda m: m.pop("data_file"), id="no-data-file"),
         pytest.param(lambda m: m.update(sample_rate_hz=True), id="bool-sample-rate"),
         pytest.param(lambda m: m.update(sample_rate_hz=64.5), id="float-sample-rate"),
+        pytest.param(lambda m: m.update(annotations=[
+            {"onset_time": float("nan"), "end_time": 2.0}]), id="nan-onset"),
+        pytest.param(lambda m: m.update(annotations=[
+            {"onset_time": 1.0, "end_time": float("nan")}]), id="nan-end"),
+        pytest.param(lambda m: m.update(annotations=[
+            {"onset_time": True, "end_time": 2.0}]), id="bool-onset"),
+        pytest.param(lambda m: m.update(annotations=[
+            {"onset_time": "1.0", "end_time": 2.0}]), id="string-onset"),
+        pytest.param(lambda m: m.update(annotations=[
+            {"onset_time": 1.0, "end_time": float("inf")}]), id="infinite-end"),
     ])
     def test_malformed_manifest_names_its_path(self, tmp_path, edit):
         manifest = save_recording(_recording(3.0), tmp_path, "r")

@@ -44,6 +44,8 @@ from preictal.nn.model import (
 from preictal.nn.optim import BETA1, BETA2, EPSILON, AdamState, TrainConfig, adam_step
 from preictal.nn.ops import (
     batchnorm_forward_with_cache,
+    bind_conv1d_forward,
+    bind_maxpool1d,
     conv1d_backward,
     conv1d_forward,
     dense_forward,
@@ -72,7 +74,16 @@ def maxpool1d(x, pool_size):
 def pool_with_arg(x, pool_size):
     """The pooled values and within-window argmax, as training asks for them."""
     arg = np.empty((*x.shape[:-1], -(-x.shape[-1] // pool_size)), np.uint8)
-    return maxpool1d_with_argmax(x, pool_size, arg=arg)
+    return maxpool1d_with_argmax(x, pool_size, bind_maxpool1d(x, pool_size, arg=arg))
+
+
+def bound_arrays(bound):
+    """Every array a binding, or a tuple or list of them, holds."""
+    if isinstance(bound, np.ndarray):
+        return [bound]
+    if isinstance(bound, (tuple, list)):
+        return [a for item in bound for a in bound_arrays(item)]
+    return []
 
 
 def bn_arrays(channels, gamma=1.0, beta=0.0, mean=0.0, var=1.0):
@@ -144,7 +155,7 @@ class TestConv1d:
 
         fd = central_difference(loss, [kernels, bias, x], step=1e-6)
         cols = np.empty((klen * c_in, b * t))
-        conv1d_forward(x, kernels, bias, cols=cols)
+        conv1d_forward(x, kernels, bias, bind_conv1d_forward(x, kernels, bias, cols))
         for name, got, want in zip(("kernels", "bias", "input"),
                                    conv1d_backward(r, cols, kernels), fd):
             np.testing.assert_allclose(got, want, atol=1e-7, err_msg=name)
@@ -159,7 +170,8 @@ class TestConv1d:
         kernels = rng.standard_normal((1, 1, klen)).astype(np.float32)
         delta = rng.standard_normal((1, b, t)).astype(np.float32)
         cols = np.empty((klen, b * t), np.float32)
-        conv1d_forward(x, kernels, np.zeros(1, np.float32), cols=cols)
+        bias = np.zeros(1, np.float32)
+        conv1d_forward(x, kernels, bias, bind_conv1d_forward(x, kernels, bias, cols))
         d_input = conv1d_backward(delta, cols, kernels)[2]
         dpad = np.zeros((1, b, t + klen - 1), np.float32)
         dpad[:, :, klen // 2:klen // 2 + t] = delta
@@ -225,8 +237,8 @@ class TestMaxPool:
 
         frame = np.full((c, b, n + 3), np.nan, dtype)
         view = frame[..., 1:n + 1]
-        out, arg = maxpool1d_with_argmax(x, pool, view,
-                                         np.full((c, b, n), 255, np.uint8))
+        out, arg = maxpool1d_with_argmax(
+            x, pool, bind_maxpool1d(x, pool, view, np.full((c, b, n), 255, np.uint8)))
         assert out is view
         assert np.isnan(frame[..., 0]).all() and np.isnan(frame[..., n + 1:]).all()
         np.testing.assert_array_equal(out, maxpool1d_naive(x, pool))
@@ -654,15 +666,17 @@ class TestModel:
         # one at every step, at pool 3 and pool 1.  Pool 3 over 40 samples
         # leaves partial windows and, in the last blocks, inputs shorter than
         # the kernel; pool 1 makes every window one sample, which the pool
-        # copies.  Every kept array an op writes, the scratch its bindings
-        # made among them, is filled with NaN first, so reading anything an
-        # earlier step left behind would show in the loss or gradient.  The
-        # padding is read at every step and must stay zero; at K=4 the input
-        # gradient pads the other way round, so a backward pass that reused
-        # a padded input would leave a nonzero column.  The backward arrays
-        # are filled too: the pool's scatter target and its index scratch,
-        # and the interior of the padded gradient, whose own padding must
-        # stay zero.
+        # copies.  Every kept array an op writes, reached through the
+        # bindings, the scratch they made among them, is filled with NaN
+        # first, and each pool's argmax with the largest value its type
+        # holds, so reading anything an earlier step left behind would show
+        # in the loss or gradient.  The padding is read at every step and
+        # must stay zero; at K=4 the input gradient pads the other way
+        # round, so a backward pass that reused a padded input would leave
+        # a nonzero column.  The backward arrays are filled too: the pool's
+        # backward binding's scatter target and index scratch, and the
+        # interior of the padded gradient, whose own padding must stay
+        # zero.
         for pool in (3, 1):
             shared, fresh = (build_model(Sensor.EEG, 3, 40, kernel_len=klen,
                                          pool_size=pool, hidden=(6, 4), seed=4)
@@ -675,29 +689,29 @@ class TestModel:
                 xb = rng.uniform(0.5, 3.0) * rng.standard_normal((b, 3, 40))
                 yb = rng.integers(0, 5, size=b)
                 for bufs in work.buffers.values():
-                    bufs.input.fill(np.nan)
-                    for _, cols, out, _, act in bufs.blocks:
-                        for written in (cols, out, act):
-                            written.fill(np.nan)
-                    for written in bufs.dense:
-                        written.fill(np.nan)
-                    for scatter, _, index, d_in, _ in bufs.back:
-                        scatter.fill(np.nan)
+                    written = [bufs.bn[-1], *(out for _, out in bufs.head)]
+                    for (*_, out, _), (act, arg, *_) in bufs.blocks:
+                        written += [out, act]
+                        arg.fill(np.iinfo(arg.dtype).max)
+                    for cols, (scatter, _, _, index), d_in, _ in bufs.back:
+                        written += [cols, scatter, d_in]
                         index.fill(-1)
-                        d_in.fill(np.nan)
-                    for bound in (bufs.bn, *(c for c, *_ in bufs.convs), *bufs.d_convs):
-                        for scratch in bound:
-                            if isinstance(scratch, np.ndarray) and scratch.base is None:
-                                scratch.fill(np.nan)
+                    for bound in (bufs.bn, *(conv for conv, _ in bufs.blocks),
+                                  *(conv for *_, conv in bufs.back)):
+                        written += [scratch for scratch in bound
+                                    if isinstance(scratch, np.ndarray)
+                                    and scratch.base is None]
+                    for scratch in written:
+                        scratch.fill(np.nan)
                 loss, grad = backward_batch(shared, xb, yb, cfg, work)
                 want_loss, want_grad = backward_batch(fresh, xb, yb, cfg)
                 assert loss == want_loss
                 np.testing.assert_array_equal(grad, want_grad)
                 for bufs in work.buffers.values():
                     assert len(bufs.d_pads) == len(bufs.back) == len(bufs.pads)
-                    for pad, d_pad, (taps, *_) in zip(bufs.pads, bufs.d_pads,
-                                                      bufs.blocks):
-                        t = taps.shape[-1]
+                    for pad, d_pad, (_, _, d_in, _) in zip(bufs.pads, bufs.d_pads,
+                                                           bufs.back):
+                        t = d_in.shape[-1]
                         for lead, padded in ((before, pad), (klen // 2, d_pad)):
                             assert (padded[:, :, :lead] == 0.0).all()
                             assert (padded[:, :, lead + t:] == 0.0).all()
@@ -720,11 +734,19 @@ class TestModel:
         want_loss, want = backward_batch(exact, xb, yb, cfg)
         loss, grad = backward_batch(mixed, xb.astype(np.float32), yb, cfg, work)
         assert grad.dtype == mixed.buffer.dtype == np.float64
+        # Every float array of the step, but for inference batchnorm's
+        # scale and shift, which follow the float64 running statistics.
         bufs = work.buffers[4]
-        kept = [*bufs.pads, bufs.input, *bufs.dense,
-                *(a for block in bufs.blocks for a in block if a.dtype.kind == "f")]
-        assert len(kept) == 4 + 1 + 3 + 4 * 4
+        kept = [a for a in bound_arrays([bufs.pads, bufs.d_pads, bufs.flat, bufs.bn[-1],
+                                         bufs.blocks, bufs.head, bufs.back])
+                if a.dtype.kind == "f"]
         assert {a.dtype for a in kept} == {np.dtype(np.float32)}
+        seen = {id(a) for a in kept}
+        named = [*bufs.pads, bufs.bn[-1], *(out for _, out in bufs.head),
+                 *(a for (*_, out, _), (act, *_) in bufs.blocks for a in (out, act)),
+                 *(cols for cols, *_ in bufs.back)]
+        assert len(named) == 4 + 1 + 3 + 4 * 3
+        assert all(id(a) in seen for a in named)
         assert np.abs(grad - want).max() <= 1e-6 * np.abs(want).max()
         np.testing.assert_allclose(loss, want_loss, rtol=1e-6)
 
@@ -763,9 +785,9 @@ class TestModel:
                 np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(kept.buffer, fresh.buffer)
             if training:
-                for a, b in zip(bufs.blocks + [bufs.dense], new.blocks + [new.dense]):
-                    for x, y in zip(a, b):
-                        np.testing.assert_array_equal(x, y)
+                for x, y in zip(bound_arrays(bufs.blocks + bufs.head),
+                                bound_arrays(new.blocks + new.head), strict=True):
+                    np.testing.assert_array_equal(x, y)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_a_step_leaves_the_buffer_but_its_running_statistics_unchanged(
@@ -849,6 +871,19 @@ class TestModel:
             backward_batch(model, xb, yb, cfg, Workspace(_tiny_model(), np.float64))
         with pytest.raises(ValueError, match="another model or dtype"):
             backward_batch(model, xb, yb, cfg, Workspace(model, np.float32))
+
+    def test_buffers_serve_only_their_parameters_and_kind_of_pass(self):
+        # A training `Buffers` binds the pools' argmax, an inference one
+        # none, so neither may serve the other kind of pass.
+        model = _tiny_model()
+        xb = np.ones((2, 2, 16))
+        for training in (False, True):
+            bufs = Buffers(model, 2, model.params, training)
+            with pytest.raises(ValueError, match="the other kind of pass"):
+                _forward(model, xb, model.params, bufs, not training)
+            with pytest.raises(ValueError, match="bound to other parameters"):
+                _forward(model, xb, model.views(model.buffer.copy()), bufs, training)
+            _forward(model, xb, model.params, bufs, training)
 
     def test_float32_step_moves_the_running_statistics_in_the_buffer(self):
         # The float32 pass reads a cast copy of the parameters; the batch
@@ -948,9 +983,10 @@ class TestPoolAgainstReference:
         got = run()
         ties = []
 
-        def reference(x, pool_size, out=None, arg=None, bound=None):
-            # The pool's binding views `x`, `out` and `arg`; the reference
-            # reads them directly.
+        def reference(x, pool_size, bound=None):
+            # The pool's binding names its `out` and `arg`; the reference
+            # reads `x` and writes into those directly.
+            out, arg = (None, None) if bound is None else bound[:2]
             pooled, index = maxpool1d_argmax_gather(x, pool_size, out, arg)
             if arg is not None:
                 padded = np.full((*pooled.shape[:-1], pooled.shape[-1] * pool_size),
@@ -1039,6 +1075,8 @@ class TestModelFiles:
         pytest.param(lambda h: h.update(pool_sizes=[2, 2, 0, 2]), id="zero-pool"),
         pytest.param(lambda h: h.update(bn_momentum=2.0), id="momentum-range"),
         pytest.param(lambda h: h.update(bn_epsilon=-1e-5), id="epsilon-range"),
+        pytest.param(lambda h: h.update(bn_epsilon=float("inf")), id="epsilon-infinite"),
+        pytest.param(lambda h: h.update(in_channels=100_000), id="blob-too-short"),
     ])
     def test_bad_header_names_its_path(self, tmp_path, edit):
         path = tmp_path / "m.bin"
