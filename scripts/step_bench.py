@@ -14,7 +14,8 @@ batched readouts in us per window:
                 pool 4) as `train` runs it: gather 32 shuffled windows from a
                 channel-major float32 set, then `backward_batch` on that
                 [C x B x T] batch seen as [B x C x T], then `adam_step`, every
-                step sharing one `Workspace` and one `AdamState`
+                step sharing one `AdamState` and the one training `Buffers`
+                of batch 32, as `train` keeps one per batch size
     ecg-step    the same for the ECG model (1 x 320, pool 2)
     lr-train    one `lr_train` on a [1395 x 10] quantized fit set, the size
                 of a desk fold's; its labels are noisy enough that the fit
@@ -123,7 +124,7 @@ from preictal.nn.losses import (  # noqa: E402
     inverse_frequency_alpha,
 )
 from preictal.nn.model import (  # noqa: E402
-    Workspace,
+    Buffers,
     backward_batch,
     build_model,
     model_forward,
@@ -170,8 +171,8 @@ def time_steps(sensor: Sensor, channels: int, pool: int) -> list[float]:
         xs.reshape(-1, channels, SAMPLES).transpose(1, 0, 2), dtype=np.float32)
     ys = rng.integers(0, 5, size=BATCHES * BATCH)
     loss_cfg = FocalLossConfig(gamma=FOCAL_GAMMA, alpha=inverse_frequency_alpha(ys))
-    work = Workspace(model, np.float32)
     state = AdamState.for_params(model.buffer)
+    bufs = Buffers(model, BATCH, np.float32)
     times = []
     for i in range(WARMUP + REPEATS):
         if i % BATCHES == 0:
@@ -179,7 +180,7 @@ def time_steps(sensor: Sensor, channels: int, pool: int) -> list[float]:
         idx = order[i % BATCHES * BATCH:][:BATCH]
         start = time.perf_counter()
         xb = np.take(xs, idx, axis=1).transpose(1, 0, 2)
-        _, grad = backward_batch(model, xb, ys[idx], loss_cfg, work)
+        _, grad = backward_batch(model, xb, ys[idx], loss_cfg, bufs)
         adam_step(model.buffer, grad, state, train_cfg)
         times.append(time.perf_counter() - start)
     return times[WARMUP:]

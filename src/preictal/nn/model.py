@@ -18,25 +18,23 @@ normalizing by the running statistics and asking the pool for no argmax.
 Every array of a pass is written into a `Buffers` or, in batched
 inference, is fresh.  In a `Buffers` each op writes where the next one
 reads and the padding, zero from the start, is never written, so a conv is
-one tap copy and one GEMM.  A `Buffers` is bound to one set of parameter
-views and holds its arrays as one binding per op (see `ops`), made once,
-so an inference pass through it only calls numpy; on fresh arrays each op
-gets no binding, binds for itself at each call and runs the same code.  A
-training step's backward pass reads what its forward pass left in the
-training `Buffers` of its batch size and writes through that `Buffers`'
-own backward bindings, held with the parameter copy in the step's dtype
-and the gradient by a `Workspace` that the caller may pass to every step;
-`train` owns one for the length of the call.  One window, as a sensor node
-classifies each window as it arrives, runs in the batch-1 float64
-`Buffers` its model keeps from its first one-window call on, bound to the
-model's own parameter views (113 KB for the desk EEG model, 43 KB for the
-ECG one, with the bindings), which serves no training pass.  Batched
-inference runs in chunks of FORWARD_CHUNK windows on fresh arrays, each
-conv building its tap stack one L2-sized tile of windows at a time (see
-`ops`): kept 64-window buffers raised the peak RSS of a benchmark
-`simulate` run from 158 to 180 MB, and buffers made per call or per chunk
-ran slower.  The chunk stays at 64 windows: the dense layers' GEMMs, unlike
-the conv's, give bits that depend on their row count.
+one tap copy and one GEMM.  A `Buffers` is its pass's whole state: the
+parameter views it reads, the kind of pass, and its arrays as one binding
+per op (see `ops`), made once, so an inference pass through it only calls
+numpy; on fresh arrays each op gets no binding, binds for itself at each
+call and runs the same code.  A training `Buffers` also owns the step's
+parameter copy and gradient, and its backward pass reads what the forward
+pass left there; `train` keeps one per batch size for the call.  One
+window, as a sensor node classifies each window as it arrives, runs in the
+batch-1 inference `Buffers` its model keeps from its first one-window call
+on (113 KB for the desk EEG model, 43 KB for the ECG one, with the
+bindings).  Batched inference runs in chunks of FORWARD_CHUNK
+windows on fresh arrays, each conv building its tap stack one L2-sized
+tile of windows at a time (see `ops`): kept 64-window buffers raised the
+peak RSS of a benchmark `simulate` run from 158 to 180 MB, and buffers
+made per call or per chunk ran slower.  The chunk stays at 64 windows: the
+dense layers' GEMMs, unlike the conv's, give bits that depend on their row
+count.
 
 A `SensorModel` is an immutable architecture spec plus one flat float64
 buffer.  The spec's fields are the weight-file header's (sensor, channels,
@@ -247,9 +245,16 @@ def _check_input(model: SensorModel, xb: np.ndarray) -> None:
 
 
 class Buffers:
-    """The arrays of one forward pass over `batch` windows with the
-    parameter views `p`, in their dtype, for a caller that runs that pass
-    again and again, held as each op's binding of them (see `ops`).
+    """Everything one forward pass over `batch` windows reads and writes,
+    for a caller that runs that pass again and again, its arrays held as
+    each op's binding of them (see `ops`).
+
+    An inference `Buffers(model, batch)` binds `model.params`.  A training
+    `Buffers(model, batch, dtype)` owns `params`, a copy of `model.buffer`
+    in `dtype` that `backward_batch` refreshes in place at each step, and
+    `grad`, the gradient, laid out and typed like `model.buffer` (the
+    running statistics' entries stay zero), with their named views `p` and
+    `g`.
 
     `pads` holds each conv block's zero-padded input [C x batch x T+K-1].
     `bn` is batchnorm's binding, which writes into the interior of block
@@ -262,34 +267,43 @@ class Buffers:
     binding; ReLU runs in place on its output.  Only interiors are ever
     written, so the padding keeps its zeros.  An inference pass through
     the bindings only calls numpy; a training pass still makes its
-    batchnorm statistics, argmax steps and ReLU masks fresh.  The bindings
-    view `p`, and each pass refills the kernel and batchnorm scratch from
-    it, so nothing here derives from the weights across passes and a pass
-    reads nothing an earlier one left: one `Buffers` serves any number of
-    passes, one at a time, with `p` as it is at each.
+    batchnorm statistics, argmax steps and ReLU masks fresh.  Each pass
+    refills the kernel and batchnorm scratch from `p`, so nothing here
+    derives from the weights across passes and a pass reads nothing an
+    earlier one left: one `Buffers` serves any number of passes, one at a
+    time, with `p` as it is at each.
 
-    A `training` `Buffers`, as a `Workspace` makes them, serves training
-    passes only, any other inference passes only.  Its pools write each
-    window's argmax, in the smallest unsigned type that holds pool-1, and
-    each entry of `back` holds what one conv block's backward pass uses
-    that its forward bindings do not give: (cols, pool binding, d_in, conv
-    binding).  `cols` is the tap stack the forward pass left.  The pool's
-    backward binding zeroes and scatters the gradient at the conv output
-    into an array of its own; the block copies that gradient into `d_in`,
-    the interior of its `d_pads` entry, zero-padded the other way round
-    (K//2 zeros in front), and the conv's backward binding reads that
-    array's tap view.  Otherwise `d_pads` and `back` are empty.
+    In a training `Buffers` the pools write each window's argmax, in the
+    smallest unsigned type that holds pool-1, and each entry of `back`
+    holds what one conv block's backward pass uses that its forward
+    bindings do not give: (cols, pool binding, d_in, conv binding).
+    `cols` is the tap stack the forward pass left.  The pool's backward
+    binding zeroes and scatters the gradient at the conv output into an
+    array of its own; the block copies that gradient into `d_in`, the
+    interior of its `d_pads` entry, zero-padded the other way round (K//2
+    zeros in front), and the conv's backward binding reads that array's
+    tap view.  A block's backward pass writes its input gradient into its
+    tap stack and conv output, which it has read, and its own backward
+    arrays, and never into a forward padded input: the next step reads its
+    padding, and block i's pool output, whose ReLU mask block i's backward
+    reads, is block i+1's padded interior.  In an inference `Buffers`
+    `d_pads` and `back` are empty.
     """
 
-    def __init__(self, model: SensorModel, batch: int, p: dict,
-                 training: bool = False):
-        dtype = p[BN_KEYS[0]].dtype
+    def __init__(self, model: SensorModel, batch: int, dtype=None):
+        if dtype is None:  # inference, on the model's own parameters
+            self.params, self.p, self.grad, self.g = model.buffer, model.params, None, None
+        else:
+            self.params = np.empty(model.buffer.shape, dtype)
+            self.grad = np.zeros_like(model.buffer)
+            self.p, self.g = model.views(self.params), model.views(self.grad)
+        self.model, self.training = model, dtype is not None
+        dtype, p, training = self.params.dtype, self.p, self.training
         c, k = model.in_channels, model.kernel_len
         before = (k - 1) // 2
         widths = [model.window_samples]
         for pool in model.pool_sizes:
             widths.append(-(-widths[-1] // pool))
-        self.p, self.training = p, training
         self.pads = [np.zeros((c, batch, t + k - 1), dtype) for t in widths[:-1]]
         inputs = [pad[:, :, before:before + t] for pad, t in zip(self.pads, widths)]
         self.flat = np.empty((batch, c * widths[-1]), dtype)
@@ -326,59 +340,33 @@ class Buffers:
                 self.d_pads, widths, d_pools, arrays, BLOCK_KEYS)]
 
 
-class Workspace:
-    """What every training step of one model at one dtype reuses.
-
-    `params` is a copy of the parameter buffer in the step's dtype, which
-    `backward_batch` refreshes in place at each step; `p` holds its named
-    views.  `grad` is the gradient buffer, laid out and typed like
-    `model.buffer`, and `g` its views; the running statistics' entries
-    stay zero.  `buffers` maps a batch size to the training `Buffers`, bound
-    to `p`, that its steps run in, made on first use.  A block's backward
-    pass writes its input gradient into that block's tap stack and conv
-    output, which it has read, and its own backward arrays, and never into
-    a forward padded input: the next step reads its padding, and block i's
-    pool output, whose ReLU mask block i's backward reads, is block i+1's
-    padded interior.
-    """
-
-    def __init__(self, model: SensorModel, dtype):
-        self.model = model
-        self.params = np.empty(model.buffer.shape, dtype)
-        self.p = model.views(self.params)
-        self.grad = np.zeros_like(model.buffer)
-        self.g = model.views(self.grad)
-        self.buffers: dict[int, Buffers] = {}
-
-
-def _forward(model: SensorModel, xb: np.ndarray, p: dict,
-             bufs: Buffers | None = None, training: bool = False):
-    """Forward pass over [B x C x T] windows with the parameter views `p`:
-    the logits and, in training, batchnorm's normalized input, which gamma's
-    gradient reads (inference gives batchnorm's output there).
+def _forward(model: SensorModel, xb: np.ndarray, bufs: Buffers | None = None):
+    """Forward pass over [B x C x T] windows: the logits and, in training,
+    batchnorm's normalized input, which gamma's gradient reads (inference
+    gives batchnorm's output there).
 
     The conv blocks run channel-major, [C x B x T], from the batchnorm to the
     flatten; windows that are a [B x C x T] view of a C-contiguous
     [C x B x T] array, as `train` gathers them, reach batchnorm uncopied.
-    Each op gets its binding in `bufs`, a `Buffers` of this batch size bound
-    to `p` for this kind of pass, and writes where it says; without `bufs`
-    each op gets None, binds for itself and writes fresh arrays.  Training
-    normalizes by the batch statistics, inference by the running ones, as
-    one affine map.  The running statistics are always the model's own, so
-    training folds the batch statistics into `model.buffer` even when `p`
-    views a cast copy of it.  ReLU runs in place on each conv output, before
-    its max-pool (see the module docstring).  Only a training `Buffers`
-    gives the pool an argmax to write, where `backward_batch` reads it with
-    every other array this pass left.
+    `bufs`, a `Buffers` of this model and batch size, gives the parameter
+    views `p`, the kind of pass and each op's binding, and each op writes
+    where its binding says; without it the pass is inference on
+    `model.params`, and each op gets None, binds for itself and writes fresh
+    arrays.  Training normalizes by the batch statistics, inference by the
+    running ones, as one affine map.  The running statistics are always the
+    model's own, so training folds the batch statistics into `model.buffer`
+    even when `p` views a cast copy of it.  ReLU runs in place on each conv
+    output, before its max-pool (see the module docstring).  Only a training
+    `Buffers` gives the pool an argmax to write, where `backward_batch` reads
+    it with every other array this pass left.
     """
     _check_input(model, xb)
     if bufs is None:
-        bn, blocks, head, flat = None, [(None, None)] * N_BLOCKS, [None] * N_DENSE, None
-    elif bufs.p is not p or bufs.training != training:
-        raise ValueError("the buffers are bound to other parameters, or serve "
-                         "the other kind of pass")
+        p, training, bn, flat = model.params, False, None, None
+        blocks, head = [(None, None)] * N_BLOCKS, [None] * N_DENSE
     else:
-        bn, blocks, head, flat = bufs.bn, bufs.blocks, bufs.head, bufs.flat
+        p, training, bn, flat = bufs.p, bufs.training, bufs.bn, bufs.flat
+        blocks, head = bufs.blocks, bufs.head
     gamma, beta, mean, var = BN_KEYS
     h, xhat = batchnorm_forward_with_cache(
         xb.transpose(1, 0, 2), p[gamma], p[beta], model.params[mean],
@@ -401,57 +389,58 @@ def model_forward(model: SensorModel, windows: np.ndarray) -> np.ndarray:
     as a fresh array.
 
     Batchnorm uses the running statistics.  One window runs in the model's
-    batch-1 float64 `Buffers`, made on its first such call.  A batch runs in
+    batch-1 inference `Buffers`, made on its first such call.  A batch runs in
     chunks of FORWARD_CHUNK windows on fresh arrays; an empty one gives
     [0 x N_CLASSES].
     """
     if windows.ndim == 2:
         bufs = model.window_buffers
         if bufs is None:
-            bufs = Buffers(model, 1, model.params)
+            bufs = Buffers(model, 1)
             object.__setattr__(model, "window_buffers", bufs)
-        return softmax(_forward(model, windows[None], model.params, bufs)[0])[0]
+        return softmax(_forward(model, windows[None], bufs)[0])[0]
     if len(windows) == 0:
         _check_input(model, windows)
         return np.empty((0, N_CLASSES))
     return np.concatenate([
-        softmax(_forward(model, windows[i:i + FORWARD_CHUNK], model.params)[0])
+        softmax(_forward(model, windows[i:i + FORWARD_CHUNK])[0])
         for i in range(0, len(windows), FORWARD_CHUNK)
     ])
 
 
 def backward_batch(
     model: SensorModel, xb: np.ndarray, yb: np.ndarray, cfg: FocalLossConfig,
-    work: Workspace | None = None,
+    bufs: Buffers | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean focal loss over the batch and its gradient, laid out like
     `model.buffer` and of its dtype (the running statistics get zero
     gradient).
 
     The passes compute in the dtype of `xb`, against a copy of the
-    parameters cast to it.  The forward pass runs in the training `Buffers`
-    of this batch size and the backward pass reads what it left there.
-    Batchnorm normalizes by the batch statistics and updates the running
-    averages in `model.buffer`.  `work` is a `Workspace` of this model and
-    of the windows' dtype; a caller that passes the same one to every step
-    reuses its parameter copy, gradient and `Buffers`, and the gradient
-    returned is then `work.grad`, which the next step that shares `work`
-    overwrites.  Without it every buffer is fresh.  Each op returns its
-    parameter gradients in the windows' dtype, and they are copied into
-    `work.grad`: numpy would sum a float32 row longer than its 8192-element
-    buffer into a float64 `out` in pieces, and so round otherwise.
+    parameters cast to it.  `bufs` is a training `Buffers` of this model,
+    of the windows' dtype and of this batch size, refused otherwise with
+    the mismatch named; without it a fresh one is made.  The step refreshes
+    its parameter copy in place, its forward pass runs in it and its
+    backward pass reads what that left there.  Batchnorm normalizes by the
+    batch statistics and updates the running averages in `model.buffer`.
+    The gradient returned is `bufs.grad`, which the next step through
+    `bufs` overwrites.  Each op returns its parameter gradients in the
+    windows' dtype, and they are copied into `bufs.grad`: numpy would sum a
+    float32 row longer than its 8192-element buffer into a float64 `out` in
+    pieces, and so round otherwise.
     """
-    work = Workspace(model, xb.dtype) if work is None else work
-    if work.model is not model or work.params.dtype != xb.dtype:
-        raise ValueError(f"the workspace is for another model or dtype than "
-                         f"these {xb.dtype} windows")
     b = len(xb)
-    bufs = work.buffers.get(b)
-    if bufs is None:
-        bufs = work.buffers[b] = Buffers(model, b, work.p, training=True)
-    np.copyto(work.params, model.buffer)
-    p, g = work.p, work.g
-    logits, xhat = _forward(model, xb, p, bufs, training=True)
+    bufs = Buffers(model, b, xb.dtype) if bufs is None else bufs
+    mismatch = ("another model" if bufs.model is not model else
+                "inference" if not bufs.training else
+                f"{bufs.params.dtype} windows" if bufs.params.dtype != xb.dtype else
+                f"batches of {len(bufs.flat)}" if len(bufs.flat) != b else None)
+    if mismatch:
+        raise ValueError(f"the buffers are for {mismatch}, not a training step "
+                         f"on {b} {xb.dtype} windows of this model")
+    np.copyto(bufs.params, model.buffer)
+    p, g = bufs.p, bufs.g
+    logits, xhat = _forward(model, xb, bufs)
     probs = softmax(logits)
     loss = float(focal_loss_batch(probs, yb, cfg).mean())
     delta = focal_grad_wrt_logits(probs, yb, cfg)
@@ -477,7 +466,7 @@ def backward_batch(
 
     g["batchnorm.gamma"][...], g["batchnorm.beta"][...] = batchnorm_param_grads(
         delta, xhat)
-    return loss, work.grad
+    return loss, bufs.grad
 
 
 # ---------------------------------------------------------------------------

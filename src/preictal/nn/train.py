@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .losses import FOCAL_GAMMA, FocalLossConfig, focal_loss_batch, inverse_frequency_alpha
-from .model import SensorModel, Workspace, _check_input, backward_batch, model_forward
+from .model import Buffers, SensorModel, _check_input, backward_batch, model_forward
 from .optim import AdamState, TrainConfig, adam_step
 
 
@@ -75,9 +75,9 @@ def train(
     `xs` is the [N x C x T] view of a C-contiguous float32 [C x N x T] block,
     as a fold passes it), each on a [B x C x T] view of its C-contiguous
     [C x B x T] batch; validation runs in float64.
-    The step's `Workspace` (the float32 parameter copy, the gradient and the
-    `Buffers` of each batch size) is made once per call and reused by
-    every step; none of it outlives the call.
+    Each batch size's training `Buffers` (its float32 parameter copy, its
+    gradient and its arrays) is made on the first step of that size and
+    reused by every later one in the call; none of them outlives it.
     """
     if not (len(xs) == len(ys) > 0 and len(xv) == len(yv) > 0):
         raise ValueError("train and validation window sets must be non-empty, "
@@ -92,7 +92,7 @@ def train(
     report = TrainReport()
     best_val = np.inf
     bad_epochs = 0
-    work = Workspace(model, np.float32)
+    buffers: dict[int, Buffers] = {}
 
     for epoch in range(1, train_cfg.max_epochs + 1):
         order = rng.permutation(len(ys))
@@ -101,11 +101,14 @@ def train(
         for i in range(0, len(order), train_cfg.batch_size):
             idx = order[i:i + train_cfg.batch_size]
             xb = np.take(xs, idx, axis=1).transpose(1, 0, 2)
-            loss, grad = backward_batch(model, xb, ys[idx], loss_cfg, work)
+            b = len(idx)
+            if b not in buffers:
+                buffers[b] = Buffers(model, b, np.float32)
+            loss, grad = backward_batch(model, xb, ys[idx], loss_cfg, buffers[b])
             _check_finite(model, loss, "batch loss", epoch)
             adam_step(model.buffer, grad, state, train_cfg)
             batch_losses.append(loss)
-            batch_sizes.append(len(idx))
+            batch_sizes.append(b)
         train_loss = float(np.average(batch_losses, weights=batch_sizes))
         val_loss, val_acc = evaluate(model, xv, yv, loss_cfg)
         _check_finite(model, val_loss, "validation loss", epoch)

@@ -1,8 +1,11 @@
 import copy
 import dataclasses
+import importlib.util
 import json
 import re
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +36,6 @@ from preictal.nn.model import (
     SPEC_FIELDS,
     Buffers,
     SensorModel,
-    Workspace,
     _forward,
     backward_batch,
     build_model,
@@ -662,33 +664,33 @@ class TestModel:
 
     @pytest.mark.parametrize("klen", [4, 5])
     def test_reused_buffers_match_fresh_ones_bit_for_bit(self, klen):
-        # One workspace across batch sizes 32, 32, 7, 32, 7, against a fresh
-        # one at every step, at pool 3 and pool 1.  Pool 3 over 40 samples
-        # leaves partial windows and, in the last blocks, inputs shorter than
-        # the kernel; pool 1 makes every window one sample, which the pool
-        # copies.  Every kept array an op writes, reached through the
-        # bindings, the scratch they made among them, is filled with NaN
-        # first, and each pool's argmax with the largest value its type
-        # holds, so reading anything an earlier step left behind would show
-        # in the loss or gradient.  The padding is read at every step and
-        # must stay zero; at K=4 the input gradient pads the other way
-        # round, so a backward pass that reused a padded input would leave
-        # a nonzero column.  The backward arrays are filled too: the pool's
-        # backward binding's scatter target and index scratch, and the
-        # interior of the padded gradient, whose own padding must stay
-        # zero.
+        # One training `Buffers` per batch size, as `train` keeps them, across
+        # batch sizes 32, 32, 7, 32, 7, against fresh ones at every step, at
+        # pool 3 and pool 1.  Pool 3 over 40 samples leaves partial windows
+        # and, in the last blocks, inputs shorter than the kernel; pool 1
+        # makes every window one sample, which the pool copies.  Every kept
+        # array an op writes, reached through the bindings, the scratch they
+        # made among them, is filled with NaN first, and each pool's argmax
+        # with the largest value its type holds, so reading anything an
+        # earlier step left behind would show in the loss or gradient.  The
+        # padding is read at every step and must stay zero; at K=4 the input
+        # gradient pads the other way round, so a backward pass that reused a
+        # padded input would leave a nonzero column.  The backward arrays are
+        # filled too: the pool's backward binding's scatter target and index
+        # scratch, and the interior of the padded gradient, whose own padding
+        # must stay zero.
         for pool in (3, 1):
             shared, fresh = (build_model(Sensor.EEG, 3, 40, kernel_len=klen,
                                          pool_size=pool, hidden=(6, 4), seed=4)
                              for _ in range(2))
             cfg = FocalLossConfig(gamma=2.0, alpha=np.array([0.5, 0.7, 0.9, 1.0, 0.6]))
             rng = np.random.default_rng(16)
-            work = Workspace(shared, np.float64)
+            buffers = {b: Buffers(shared, b, np.float64) for b in (32, 7)}
             before = (klen - 1) // 2
             for b in (32, 32, 7, 32, 7):
                 xb = rng.uniform(0.5, 3.0) * rng.standard_normal((b, 3, 40))
                 yb = rng.integers(0, 5, size=b)
-                for bufs in work.buffers.values():
+                for bufs in buffers.values():
                     written = [bufs.bn[-1], *(out for _, out in bufs.head)]
                     for (*_, out, _), (act, arg, *_) in bufs.blocks:
                         written += [out, act]
@@ -703,11 +705,11 @@ class TestModel:
                                     and scratch.base is None]
                     for scratch in written:
                         scratch.fill(np.nan)
-                loss, grad = backward_batch(shared, xb, yb, cfg, work)
+                loss, grad = backward_batch(shared, xb, yb, cfg, buffers[b])
                 want_loss, want_grad = backward_batch(fresh, xb, yb, cfg)
                 assert loss == want_loss
                 np.testing.assert_array_equal(grad, want_grad)
-                for bufs in work.buffers.values():
+                for bufs in buffers.values():
                     assert len(bufs.d_pads) == len(bufs.back) == len(bufs.pads)
                     for pad, d_pad, (_, _, d_in, _) in zip(bufs.pads, bufs.d_pads,
                                                            bufs.back):
@@ -717,7 +719,6 @@ class TestModel:
                             assert (padded[:, :, lead + t:] == 0.0).all()
                 shared.buffer[...] -= 0.05 * grad
                 fresh.buffer[...] -= 0.05 * want_grad
-            assert sorted(work.buffers) == [7, 32]
 
     def test_float32_windows_give_a_float64_gradient_near_the_float64_one(self):
         # The tiny model of acceptance criterion 1.  Over seeds 0-19 the
@@ -730,13 +731,12 @@ class TestModel:
         xb = rng.standard_normal((4, 2, 16))
         yb = np.array([0, 1, 3, 4])
         cfg = FocalLossConfig(gamma=2.0, alpha=np.array([0.5, 0.8, 1.0, 0.9, 0.6]))
-        work = Workspace(mixed, np.float32)
+        bufs = Buffers(mixed, 4, np.float32)
         want_loss, want = backward_batch(exact, xb, yb, cfg)
-        loss, grad = backward_batch(mixed, xb.astype(np.float32), yb, cfg, work)
+        loss, grad = backward_batch(mixed, xb.astype(np.float32), yb, cfg, bufs)
         assert grad.dtype == mixed.buffer.dtype == np.float64
         # Every float array of the step, but for inference batchnorm's
         # scale and shift, which follow the float64 running statistics.
-        bufs = work.buffers[4]
         kept = [a for a in bound_arrays([bufs.pads, bufs.d_pads, bufs.flat, bufs.bn[-1],
                                          bufs.blocks, bufs.head, bufs.back])
                 if a.dtype.kind == "f"]
@@ -760,7 +760,8 @@ class TestModel:
             self, channels, samples, klen, pool, batch, regime, seed):
         # Two passes through one `Buffers` on different windows, in float64
         # inference against passes on fresh arrays, and in float32 and
-        # float64 training against a new `Buffers` per pass: the logits and
+        # float64 training against a new training `Buffers` per pass, each
+        # with its parameter copy refreshed as a step does: the logits and
         # normalized input, and the running statistics each training pass
         # folds into the buffer.  In training every array the pass left,
         # which the backward pass reads, must match too.  Small shapes reach
@@ -769,17 +770,18 @@ class TestModel:
         dtype, training = regime
         kept, fresh = (build_model(Sensor.EEG, channels, samples, klen, pool,
                                    hidden=(4, 3), seed=seed) for _ in range(2))
-        cast = np.empty(kept.buffer.shape, dtype)
-        bufs = Buffers(kept, batch, kept.views(cast), training)
+        bufs = Buffers(kept, batch, dtype) if training else Buffers(kept, batch)
         rng = np.random.default_rng(seed)
         for _ in range(2):
             xb = rng.uniform(0.5, 3.0) * rng.standard_normal((batch, channels, samples))
             xb = xb.astype(dtype)
-            np.copyto(cast, kept.buffer)  # the bound views see the new values
-            p = fresh.views(fresh.buffer.astype(dtype))
-            new = Buffers(fresh, batch, p, training=True) if training else None
-            got = _forward(kept, xb, bufs.p, bufs, training)
-            want = _forward(fresh, xb, p, new, training)
+            new = None
+            if training:
+                np.copyto(bufs.params, kept.buffer)  # the bound views see the new values
+                new = Buffers(fresh, batch, dtype)
+                np.copyto(new.params, fresh.buffer)
+            got = _forward(kept, xb, bufs)
+            want = _forward(fresh, xb, new)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype == dtype
                 np.testing.assert_array_equal(a, b)
@@ -792,27 +794,27 @@ class TestModel:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_a_step_leaves_the_buffer_but_its_running_statistics_unchanged(
             self, dtype):
-        # Every workspace, float64 too, computes on its own copy of the
-        # parameters: a step moves batchnorm's running statistics in
+        # Every training `Buffers`, float64 too, computes on its own copy of
+        # the parameters: a step moves batchnorm's running statistics in
         # model.buffer and nothing else there, and writes no parameter.
         model = _tiny_model(seed=3)
         start = model.buffer.copy()
         rng = np.random.default_rng(9)
         xb = (1.5 + 2.0 * rng.standard_normal((8, 2, 16))).astype(dtype)
-        work = Workspace(model, dtype)
+        bufs = Buffers(model, 8, dtype)
         backward_batch(model, xb, np.arange(8) % 5,
-                       FocalLossConfig(gamma=2.0, alpha=np.ones(5)), work)
-        assert work.params is not model.buffer
+                       FocalLossConfig(gamma=2.0, alpha=np.ones(5)), bufs)
+        assert bufs.params is not model.buffer
         before, after = model.views(start), model.views(model.buffer)
         moved = {name for name in before
                  if not np.array_equal(before[name], after[name])}
         assert moved == {"batchnorm.running_mean", "batchnorm.running_var"}
-        np.testing.assert_array_equal(work.params, start.astype(dtype))
+        np.testing.assert_array_equal(bufs.params, start.astype(dtype))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_shared_workspace_across_adam_steps_matches_fresh_calls(self, dtype):
-        # Three steps with Adam between them: the workspace's float32
-        # parameter copy must be refreshed from the updated buffer at every
+        # Three steps with Adam between them through one training `Buffers`:
+        # its parameter copy must be refreshed from the updated buffer at every
         # step (a stale copy would repeat the first step's loss), and the
         # reused gradient buffer must hold only this step's gradient.
         shared, fresh = _tiny_model(seed=6), _tiny_model(seed=6)
@@ -820,14 +822,14 @@ class TestModel:
         train_cfg = TrainConfig(learning_rate=0.05)
         states = AdamState.for_params(shared.buffer), AdamState.for_params(fresh.buffer)
         rng = np.random.default_rng(21)
-        work = Workspace(shared, dtype)
+        bufs = Buffers(shared, 8, dtype)
         losses = []
         for _ in range(3):
             xb = rng.standard_normal((8, 2, 16)).astype(dtype)
             yb = rng.integers(0, 5, size=8)
-            loss, grad = backward_batch(shared, xb, yb, cfg, work)
+            loss, grad = backward_batch(shared, xb, yb, cfg, bufs)
             want_loss, want_grad = backward_batch(fresh, xb, yb, cfg)
-            assert grad is work.grad
+            assert grad is bufs.grad
             assert loss == want_loss
             np.testing.assert_array_equal(grad, want_grad)
             adam_step(shared.buffer, grad, states[0], train_cfg)
@@ -849,41 +851,35 @@ class TestModel:
         cfg = FocalLossConfig(gamma=2.0, alpha=np.array([0.5, 0.7, 0.9, 1.0, 0.6]))
         train_cfg = TrainConfig(learning_rate=0.05)
         models = [_desk_model(channels, pool, seed=25) for _ in range(2)]
-        works = [Workspace(m, np.float32) for m in models]
+        buffers = [Buffers(m, 32, np.float32) for m in models]
         states = [AdamState.for_params(m.buffer) for m in models]
         for _ in range(2):
             idx = rng.permutation(100)[:32]
             view = np.take(xs, idx, axis=1).transpose(1, 0, 2)
             assert view.transpose(1, 0, 2).flags.c_contiguous
             results = []
-            for xb, model, work, state in zip(
-                    (view, np.ascontiguousarray(view)), models, works, states):
-                loss, grad = backward_batch(model, xb, idx % 5, cfg, work)
+            for xb, model, bufs, state in zip(
+                    (view, np.ascontiguousarray(view)), models, buffers, states):
+                loss, grad = backward_batch(model, xb, idx % 5, cfg, bufs)
                 results.append((loss, grad.tobytes(), model.buffer.tobytes()))
                 adam_step(model.buffer, grad, state, train_cfg)
             assert results[0] == results[1]
 
-    def test_workspace_of_another_model_or_dtype_rejected(self):
+    def test_buffers_of_another_model_dtype_batch_size_or_pass_rejected(self):
+        # Each refusal names the mismatch, and leaves the model as it was.
         model = _tiny_model()
+        start = model.buffer.copy()
         xb, yb = np.ones((2, 2, 16)), np.array([0, 1])
         cfg = FocalLossConfig(gamma=2.0, alpha=np.ones(5))
-        with pytest.raises(ValueError, match="another model or dtype"):
-            backward_batch(model, xb, yb, cfg, Workspace(_tiny_model(), np.float64))
-        with pytest.raises(ValueError, match="another model or dtype"):
-            backward_batch(model, xb, yb, cfg, Workspace(model, np.float32))
-
-    def test_buffers_serve_only_their_parameters_and_kind_of_pass(self):
-        # A training `Buffers` binds the pools' argmax, an inference one
-        # none, so neither may serve the other kind of pass.
-        model = _tiny_model()
-        xb = np.ones((2, 2, 16))
-        for training in (False, True):
-            bufs = Buffers(model, 2, model.params, training)
-            with pytest.raises(ValueError, match="the other kind of pass"):
-                _forward(model, xb, model.params, bufs, not training)
-            with pytest.raises(ValueError, match="bound to other parameters"):
-                _forward(model, xb, model.views(model.buffer.copy()), bufs, training)
-            _forward(model, xb, model.params, bufs, training)
+        for bufs, mismatch in (
+                (Buffers(_tiny_model(), 2, np.float64), "for another model"),
+                (Buffers(model, 2, np.float32), "for float32 windows"),
+                (Buffers(model, 3, np.float64), "for batches of 3"),
+                (Buffers(model, 2), "for inference")):
+            with pytest.raises(ValueError, match=mismatch):
+                backward_batch(model, xb, yb, cfg, bufs)
+        np.testing.assert_array_equal(model.buffer, start)
+        backward_batch(model, xb, yb, cfg, Buffers(model, 2, np.float64))
 
     def test_float32_step_moves_the_running_statistics_in_the_buffer(self):
         # The float32 pass reads a cast copy of the parameters; the batch
@@ -976,7 +972,7 @@ class TestPoolAgainstReference:
             results.append(model_forward(model, xb))
             for dtype in (np.float32, np.float64):
                 loss, grad = backward_batch(model, xb.astype(dtype), yb, cfg,
-                                            Workspace(model, dtype))
+                                            Buffers(model, 8, dtype))
                 results += [np.float64(loss), grad.copy(), model.buffer.copy()]
             return results
 
@@ -1269,14 +1265,48 @@ class TestTrain:
         np.testing.assert_allclose(loss, min(report.val_loss), rtol=1e-9)
 
     def test_leaves_no_workspace_on_the_model(self):
-        # The per-batch-size `Buffers` live only for the call: a fold's
-        # result keeps its models, and buffers cached on them would stay
-        # resident with every fold.
+        # The per-batch-size training `Buffers`, with their parameter copies
+        # and gradients, live only for the call: a fold's result keeps its
+        # models, and buffers cached on them would stay resident with every
+        # fold.
         model = _toy_model()
         cfg = TrainConfig(batch_size=8, max_epochs=1)
         train(model, *_toy_set(3, seed=0), *_toy_set(1, seed=1), train_cfg=cfg)
         assert set(vars(model)) == {f.name for f in dataclasses.fields(SensorModel)}
         assert model.window_buffers is None  # only a one-window call makes them
+
+    def test_makes_one_training_buffers_per_batch_size(self, monkeypatch):
+        # 15 windows in batches of 8 over two epochs are four steps of two
+        # sizes; a `Buffers` made per step would pass every bit-identity
+        # test, so count them.
+        made = []
+
+        def spy(model, batch, *dtype):
+            made.append((batch, *dtype))
+            return Buffers(model, batch, *dtype)
+
+        monkeypatch.setattr("preictal.nn.train.Buffers", spy)
+        _, report = train(_toy_model(), *_toy_set(3, seed=0), *_toy_set(1, seed=1),
+                          train_cfg=TrainConfig(batch_size=8, max_epochs=2, patience=2))
+        assert report.epochs == [1, 2]
+        assert made == [(8, np.float32), (7, np.float32)]
+
+    def test_step_bench_times_the_step_of_both_desk_sensors(self, monkeypatch):
+        # scripts/step_bench.py times `train`'s step through the nn API,
+        # which no other test runs, so a rename there would break it
+        # unseen.  It is a script, not a module: load it from its file and
+        # time a few steps of each desk sensor.  Loading it pins BLAS and
+        # puts src/ and tests/ on sys.path; both are restored afterwards.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        path = Path(__file__).resolve().parents[1] / "scripts" / "step_bench.py"
+        spec = importlib.util.spec_from_file_location("step_bench", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        monkeypatch.setattr(bench, "REPEATS", 5)
+        for _, sensor, channels, pool in bench.SHAPES:
+            times = bench.time_steps(sensor, channels, pool)
+            assert len(times) == 5 and min(times) > 0
 
     def test_steps_compute_in_float32_against_float64_state(self, monkeypatch):
         seen = []
