@@ -3,8 +3,9 @@
 
     python3 scripts/artifact_digest.py --config tiny.json --workspace W
 
-Runs the steps of scripts/run_experiment.py into W, then replays every
-window of patient p00 through the models of W/cv/models/p00_fold0 over the
+Runs the steps of scripts/run_experiment.py into W, then replays patient
+p00's windows in id order, the first sim.duration_s / sim.window_period_s
+of them, through the models of W/cv/models/p00_fold0 over the
 benchmark's lossy link (loss 0.2, 3 retries) into W/sim-lossy, and writes
 the sha256 of every file under W except the echoed config.json files to
 W.sha256.  The artifacts are data/ (dataset.json and each patient's EEG and

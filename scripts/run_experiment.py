@@ -10,7 +10,9 @@ Produces, under the workspace directory:
                           ecg_model.bin, combiner.json, eeg_train.csv,
                           ecg_train.csv, holdout.json (cross-validate)
     sim/                  closed-loop trace.jsonl + latency.json over the
-                          held-out windows of cv/models/p00_fold0 (simulate)
+                          held-out windows of cv/models/p00_fold0, the
+                          first sim.duration_s / sim.window_period_s of
+                          them (simulate)
 
 Everything is deterministic in --seed; rerunning overwrites with identical
 bytes.  Pass --config to override any subset of the defaults.

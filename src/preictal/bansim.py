@@ -21,7 +21,9 @@ the configured retry limit.  There is no channel physics.  All frames are
 Stimulation commands reuse the same frame, carrying the fused probability
 vector with the gateway as source.  `encode_message` and `decode_message`
 pack and read one frame; `encode_frames` and `decode_frames` a block of
-them, as `FRAME_DTYPE` records, under the same checks.
+them, as `FRAME_DTYPE` records, under the same checks.  Both encoders take
+a frame's levels from `combiner.quant_steps`, which refuses probabilities
+off the four-digit grid.
 
 A frame's content does not depend on when it arrives, so before the event
 loop the run encodes every replayed window's sensor frames, decodes them,
@@ -114,15 +116,6 @@ def _check_bounds(field: str, lowest, highest) -> None:
     lo, hi, refusal = FIELD_BOUNDS[field]
     if lowest < lo or highest > hi:
         raise ValueError(refusal(lowest if lowest < lo else highest))
-
-
-def _steps(probs: np.ndarray) -> np.ndarray:
-    """`quant_steps` of probabilities of any shape; ValueError if they are not
-    quantized."""
-    steps = quant_steps(probs)
-    if steps is None:
-        raise ValueError("probabilities must be quantized to 4 decimal digits")
-    return steps
 
 
 @dataclass(frozen=True)
@@ -242,7 +235,7 @@ def encode_message(
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (N_CLASSES,):
         raise ValueError(f"expected {N_CLASSES} probabilities, got shape {probs.shape}")
-    q = _steps(probs).tolist()
+    q = quant_steps(probs).tolist()
     _check_bounds("level", min(q), max(q))
     try:
         index = operator.index(window_index)
@@ -278,7 +271,7 @@ def encode_frames(probs: np.ndarray, window_index: np.ndarray, source: NodeId) -
                          f"indices, got shapes {probs.shape} and {index.shape}")
     if index.dtype.kind not in "iu":
         raise ValueError(f"window indices must be integers, got {index.dtype}")
-    steps = _steps(probs)
+    steps = quant_steps(probs)
     code = int(source)
     _check_bounds("source", code, code)
     if len(probs):

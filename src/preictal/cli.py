@@ -381,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True,
                    help="a fold directory from train or cross-validate")
     p.add_argument("--all-windows", action="store_true",
-                   help="simulate every window, not just the held-out ones")
+                   help="replay the patient's windows in id order, not the "
+                        "held-out ones; either list is cut to its first "
+                        "sim.duration_s / sim.window_period_s windows")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="print the aggregate cross-validation "

@@ -3,10 +3,13 @@
 The two five-class probability vectors are quantized to four decimal digits
 (that is what fits on the body-area-network wire), concatenated EEG-first into
 a ten-element input by `build_input` (for one window or a batch alike), and
-mapped to the final class by softmax(W x + b) with an argmax readout.
-Training sees the same quantized precision as operation.  `lr_train` fits
-class-major, with the inputs as columns, while `lr_forward` applies the fit
-one input row at a time; `lr_train` says what that layout changes.
+mapped to the final class by softmax(W x + b) with an argmax readout, whose
+ties go to the lowest class.  Training sees the same quantized precision as
+operation.  `quant_steps` is the one check of that grid: `build_input`,
+`lr_train` and `bansim`'s frame encoders each refuse an off-grid value
+through it, with one message.  `lr_train` fits class-major, with the inputs
+as columns, while `lr_forward` applies the fit one input row at a time;
+`lr_train` says what that layout changes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
-from .dataset import N_CLASSES, LabelClass
+from .dataset import N_CLASSES
 from .errors import ShapeError, fits, read_json
 from .nn.ops import softmax
 
@@ -59,17 +62,16 @@ def quantize4(p: np.ndarray) -> np.ndarray:
     return np.floor(np.abs(p) / QUANT_STEP + 0.5) * np.sign(p) * QUANT_STEP
 
 
-def quant_steps(p: np.ndarray) -> np.ndarray | None:
-    """Each component of `p` as a whole number of QUANT_STEPs (a float,
-    rounded half to even), or None when any lies 1e-6 of a step or more
-    from a whole number."""
+def quant_steps(p: np.ndarray) -> np.ndarray:
+    """Each component of `p`, of any shape, as a whole number of QUANT_STEPs
+    (a float, rounded half to even).  This is the one check that values are
+    quantized: ValueError when any lies 1e-6 of a step or more from a whole
+    number."""
     scaled = np.asarray(p, dtype=float) / QUANT_STEP
     steps = np.rint(scaled)
-    return steps if (np.abs(scaled - steps) < 1e-6).all() else None
-
-
-def is_quantized(p: np.ndarray) -> bool:
-    return quant_steps(p) is not None
+    if not (np.abs(scaled - steps) < 1e-6).all():
+        raise ValueError("probabilities must be quantized to 4 decimal digits")
+    return steps
 
 
 def build_input(p_eeg: np.ndarray, p_ecg: np.ndarray) -> np.ndarray:
@@ -83,8 +85,7 @@ def build_input(p_eeg: np.ndarray, p_ecg: np.ndarray) -> np.ndarray:
         raise ShapeError(f"expected two [{N_CLASSES}] or [N x {N_CLASSES}] probability "
                          f"arrays of one shape, got {p_eeg.shape} and {p_ecg.shape}")
     x = np.concatenate([p_eeg, p_ecg], axis=-1)
-    if not is_quantized(x):
-        raise ValueError("combiner inputs must be quantized to 4 decimal digits")
+    quant_steps(x)
     return x
 
 
@@ -96,13 +97,6 @@ def lr_forward(x: np.ndarray, params: CombinerParams) -> np.ndarray:
     if x.shape[-1] != N_INPUTS:
         raise ShapeError(f"combiner input must have {N_INPUTS} elements, got {x.shape}")
     return softmax(np.einsum("...i,ki->...k", x, params.W) + params.b)
-
-
-def predict(p: np.ndarray) -> LabelClass:
-    """Argmax; ties break toward the lowest class index (nearest to onset).
-    Only the tests call it, to pin the tie rule the block readouts' row-wise
-    argmax follows."""
-    return LabelClass(int(np.argmax(p)))
 
 
 def lr_train(xs: np.ndarray, ys: np.ndarray, cfg: CombinerConfig) -> CombinerParams:
@@ -128,8 +122,7 @@ def lr_train(xs: np.ndarray, ys: np.ndarray, cfg: CombinerConfig) -> CombinerPar
                          f"input; got {len(xs)} inputs for {len(ys)} labels")
     if xs.shape[1:] != (N_INPUTS,):
         raise ShapeError(f"combiner inputs must have {N_INPUTS} elements")
-    if not is_quantized(xs):
-        raise ValueError("combiner training inputs must be quantized")
+    quant_steps(xs)
     n = len(ys)
     x1 = np.ones((N_INPUTS + 1, n))
     x1[:N_INPUTS] = xs.T

@@ -195,7 +195,7 @@ def predictions(
     """Each variant's class per window of the blocks `eeg_x` and `ecg_x` as an
     int array, and the fused quantized rows, which the simulator replays, as
     `eeg_rows` and `ecg_rows`, from one batched pass.  Argmax breaks ties
-    toward the lowest class as `predict` does, and `lr_forward` gives a row
+    toward the lowest class (the nearest onset), and `lr_forward` gives a row
     the same bits alone or in a batch, so the combined classes equal the
     gateway's per-window decisions."""
     p_eeg = model_forward(eeg_model, eeg_x)

@@ -249,12 +249,15 @@ class Buffers:
     for a caller that runs that pass again and again, its arrays held as
     each op's binding of them (see `ops`).
 
-    An inference `Buffers(model, batch)` binds `model.params`.  A training
+    An inference `Buffers(model, batch)` binds `model.params` and keeps no
+    reference to the model, so a model and the one-window `Buffers` it
+    keeps are freed together without the cycle collector.  A training
     `Buffers(model, batch, dtype)` owns `params`, a copy of `model.buffer`
     in `dtype` that `backward_batch` refreshes in place at each step, and
     `grad`, the gradient, laid out and typed like `model.buffer` (the
     running statistics' entries stay zero), with their named views `p` and
-    `g`.
+    `g`, and keeps `model`, whose buffer it copies, for `backward_batch` to
+    check.
 
     `pads` holds each conv block's zero-padded input [C x batch x T+K-1].
     `bn` is batchnorm's binding, which writes into the interior of block
@@ -297,7 +300,8 @@ class Buffers:
             self.params = np.empty(model.buffer.shape, dtype)
             self.grad = np.zeros_like(model.buffer)
             self.p, self.g = model.views(self.params), model.views(self.grad)
-        self.model, self.training = model, dtype is not None
+        self.training = dtype is not None
+        self.model = model if self.training else None
         dtype, p, training = self.params.dtype, self.p, self.training
         c, k = model.in_channels, model.kernel_len
         before = (k - 1) // 2
@@ -431,8 +435,8 @@ def backward_batch(
     """
     b = len(xb)
     bufs = Buffers(model, b, xb.dtype) if bufs is None else bufs
-    mismatch = ("another model" if bufs.model is not model else
-                "inference" if not bufs.training else
+    mismatch = ("inference" if not bufs.training else
+                "another model" if bufs.model is not model else
                 f"{bufs.params.dtype} windows" if bufs.params.dtype != xb.dtype else
                 f"batches of {len(bufs.flat)}" if len(bufs.flat) != b else None)
     if mismatch:

@@ -15,20 +15,23 @@ from preictal.combiner import (
     GRAD_TOL,
     CombinerParams,
     build_input,
-    is_quantized,
     load_combiner,
     lr_forward,
     lr_train,
-    predict,
+    quant_steps,
     quantize4,
     save_combiner,
 )
+from preictal.bansim import NodeId, encode_frames, encode_message
 from preictal.dataset import LabelClass
 from preictal.errors import ShapeError
 
 
 # ---------------------------------------------------------------------------
 # Quantization
+
+QUANT_REFUSAL = r"^probabilities must be quantized to 4 decimal digits$"
+OFF_GRID_ROW = np.array([0.12345, 0.2, 0.2, 0.2, 0.27655])
 
 
 class TestQuantize4:
@@ -50,7 +53,7 @@ class TestQuantize4:
         p = np.array([0.2, 0.30001, 0.49999, 0.00005, 0.0])
         q = quantize4(p)
         np.testing.assert_array_equal(quantize4(q), q)
-        assert is_quantized(q)
+        np.testing.assert_allclose(quant_steps(q) * QUANT_STEP, q, atol=1e-12)
 
     @settings(max_examples=500)
     @given(hnp.arrays(np.float64, 5,
@@ -58,13 +61,29 @@ class TestQuantize4:
     def test_error_bound_and_idempotence(self, p):
         q = quantize4(p)
         assert np.abs(q - p).max() <= 5e-5 + 1e-12
-        assert is_quantized(q)
+        np.testing.assert_allclose(quant_steps(q) * QUANT_STEP, q, atol=1e-12)
         np.testing.assert_array_equal(quantize4(q), q)
 
-    def test_is_quantized(self):
-        assert is_quantized(np.array([0.1234, 0.0, 1.0]))
-        assert not is_quantized(np.array([0.12345]))
-        assert not is_quantized(np.array([0.1234, 1e-5]))
+    def test_quant_steps_on_and_off_the_grid(self):
+        np.testing.assert_array_equal(quant_steps(np.array([0.1234, 0.0, 1.0])),
+                                      [1234.0, 0.0, 10000.0])
+        np.testing.assert_array_equal(quant_steps(np.array([[0.5], [0.0001]])),
+                                      [[5000.0], [1.0]])
+        for off_grid in ([0.12345], [0.1234, 1e-5]):
+            with pytest.raises(ValueError, match=QUANT_REFUSAL):
+                quant_steps(np.array(off_grid))
+
+
+@pytest.mark.parametrize("reader", [
+    lambda p: encode_message(p, 0, NodeId.EEG_NODE),
+    lambda p: encode_frames(p[None], np.zeros(1, dtype=int), NodeId.EEG_NODE),
+    lambda p: build_input(p, quantize4(np.full(5, 0.2))),
+    lambda p: lr_train(np.concatenate([p, p])[None], [0], CombinerConfig()),
+], ids=["encode_message", "encode_frames", "build_input", "lr_train"])
+def test_every_reader_refuses_an_off_grid_row_alike(reader):
+    # Each reader of quantized probabilities checks them through quant_steps.
+    with pytest.raises(ValueError, match=QUANT_REFUSAL):
+        reader(OFF_GRID_ROW)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +124,7 @@ class TestBuildInput:
 
 
 # ---------------------------------------------------------------------------
-# Forward / predict
+# Forward
 
 
 class TestForward:
@@ -157,11 +176,6 @@ class TestForward:
         with pytest.raises(ShapeError):
             lr_forward(np.zeros(9), params)
 
-    def test_predict_tie_breaks_toward_soonest_onset(self):
-        assert predict(np.array([0.3, 0.3, 0.2, 0.1, 0.1])) is LabelClass.PRE_0_15
-        assert predict(np.array([0.1, 0.1, 0.2, 0.3, 0.3])) is LabelClass.PRE_45_60
-        assert predict(np.full(5, 0.2)) is LabelClass.PRE_0_15
-
     def test_params_validation(self):
         with pytest.raises(ShapeError):
             CombinerParams(np.zeros((5, 9)), np.zeros(5))
@@ -197,7 +211,7 @@ class TestTrain:
     def test_learns_separable_fusion(self):
         xs, ys = _separable_dataset()
         params = lr_train(xs, ys, CombinerConfig())
-        correct = sum(predict(lr_forward(x, params)) == y for x, y in zip(xs, ys))
+        correct = sum(int(np.argmax(lr_forward(x, params))) == y for x, y in zip(xs, ys))
         assert correct == len(ys)
 
     def test_single_example_probability_increases(self):

@@ -12,7 +12,6 @@ from preictal.combiner import (
     CombinerParams,
     build_input,
     lr_forward,
-    predict,
     quantize4,
 )
 from preictal.config import ExperimentConfig, ModelConfig, WindowingConfig
@@ -338,7 +337,7 @@ class TestPredictions:
         w = 300 * rng.standard_normal((5, 10))
         params = CombinerParams(w, -w @ build_input(pe, pc).mean(axis=0))
         combined = predictions(eeg, ecg, params, eeg_x, ecg_x)["combined"]
-        readout = [predict(lr_forward(build_input(pe[i], pc[i]), params))
+        readout = [int(np.argmax(lr_forward(build_input(pe[i], pc[i]), params)))
                    for i in range(300)]
         assert combined.dtype.kind == "i"
         assert combined.tolist() == readout
@@ -348,6 +347,22 @@ class TestPredictions:
                         for xs in (eeg_x, ecg_x))
         np.testing.assert_array_equal(
             _predictions(eeg, ecg, params, eeg_w, ecg_w)["combined"], combined)
+
+    def test_combined_ties_break_toward_soonest_onset(self):
+        # With W = 0 the fused row is softmax(b), so equal biases tie
+        # exactly; the gateway and the report both take the lowest class.
+        eeg, ecg = (build_model(sensor, channels, 64, kernel_len=3, pool_size=2,
+                                hidden=(8, 6), seed=seed)
+                    for seed, (sensor, channels) in enumerate(((Sensor.EEG, 2),
+                                                               (Sensor.ECG, 1))))
+        eeg_x, ecg_x = (np.random.default_rng(1).standard_normal((3, c, 64))
+                        for c in (2, 1))
+        for bias, tied in (((1, 1, 0, 0, 0), LabelClass.PRE_0_15),
+                           ((0, 0, 0, 1, 1), LabelClass.PRE_45_60),
+                           ((0, 0, 0, 0, 0), LabelClass.PRE_0_15)):
+            params = CombinerParams(np.zeros((5, 10)), np.array(bias, dtype=float))
+            combined = predictions(eeg, ecg, params, eeg_x, ecg_x)["combined"]
+            assert combined.tolist() == [tied] * 3, bias
 
 
 class TestFoldWindows:

@@ -1,10 +1,12 @@
 import copy
 import dataclasses
+import gc
 import importlib.util
 import json
 import re
 import struct
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -627,6 +629,23 @@ class TestModel:
         model.buffer[...] = other.buffer
         np.testing.assert_array_equal(model_forward(model, a),
                                       model_forward(other, a))
+
+    def test_a_model_and_its_one_window_buffers_die_without_the_collector(self):
+        # An inference Buffers keeps no reference to its model, so the model
+        # and the one-window Buffers it keeps form no cycle: dropping the
+        # model frees both by reference counting alone.
+        model = _tiny_model()
+        model_forward(model, np.ones((2, 16)))
+        assert model.window_buffers is not None
+        ref = weakref.ref(model)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del model
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_deep_copy_computes_with_its_own_buffer(self):
         model = _desk_model(1, 2, seed=16)
