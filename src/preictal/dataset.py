@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -529,10 +529,7 @@ def save_synth(cfg: SynthConfig, seed: int, out_dir: Path | str,
         for sensor, channels, anns, _ in sensors]
     out_dir.mkdir(parents=True, exist_ok=True)
     for m, (*_, blocks) in zip(manifests, sensors):
-        _write_manifest(m)
-        with open(m.data_path, "wb") as fh:
-            for block in blocks:
-                fh.write(block.astype("<f8", copy=False))
+        _write_recording(m, blocks)
     return manifests
 
 
@@ -598,9 +595,11 @@ def _largest_remainder(sizes: list[int], target: int) -> list[int]:
 # File formats
 
 
-def _write_manifest(m: Manifest) -> None:
-    """Write `m` as the JSON manifest at `m.path`; its samples file is named
-    relative to it."""
+def _write_recording(m: Manifest, blocks: Iterable[np.ndarray]) -> None:
+    """Write `m` as the JSON manifest at `m.path`, its samples file named
+    relative to it, then `blocks`, the samples in channel-major order, one
+    after another as little-endian float64 into `m.data_path`: the one
+    writer of a recording's files."""
     m.path.write_text(json.dumps({
         "patient_id": m.patient_id,
         "sensor": m.sensor.value,
@@ -613,6 +612,9 @@ def _write_manifest(m: Manifest) -> None:
             for a in m.annotations
         ],
     }, indent=2) + "\n")
+    with open(m.data_path, "wb") as fh:
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def save_recording(rec: Recording, out_dir: Path | str, basename: str) -> Path:
@@ -625,8 +627,7 @@ def save_recording(rec: Recording, out_dir: Path | str, basename: str) -> Path:
     m = Manifest(out_dir / f"{basename}.json", out_dir / f"{basename}.f64",
                  rec.patient_id, rec.sensor, rec.sample_rate_hz, rec.channels,
                  rec.n_samples, rec.annotations)
-    _write_manifest(m)
-    np.ascontiguousarray(rec.samples, dtype="<f8").tofile(m.data_path)
+    _write_recording(m, rec.samples)
     return m.path
 
 

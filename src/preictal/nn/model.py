@@ -65,7 +65,6 @@ from .losses import FocalLossConfig, focal_grad_wrt_logits, focal_loss_batch
 from .ops import (
     batchnorm_forward_with_cache,
     batchnorm_param_grads,
-    bind_batchnorm,
     bind_conv1d_backward,
     bind_conv1d_forward,
     bind_dense,
@@ -260,8 +259,8 @@ class Buffers:
     check.
 
     `pads` holds each conv block's zero-padded input [C x batch x T+K-1].
-    `bn` is batchnorm's binding, which writes into the interior of block
-    1's.  Each entry of `blocks` is one conv block's (conv binding, pool
+    `bn`, batchnorm's binding, is its output: the interior of block 1's.
+    Each entry of `blocks` is one conv block's (conv binding, pool
     binding): the conv reads the tap view of its padded input and writes
     its tap stack and its output, where ReLU then runs in place, and the
     pool writes into the next block's padded interior or, after the last
@@ -271,7 +270,7 @@ class Buffers:
     written, so the padding keeps its zeros.  An inference pass through
     the bindings only calls numpy; a training pass still makes its
     batchnorm statistics, argmax steps and ReLU masks fresh.  Each pass
-    refills the kernel and batchnorm scratch from `p`, so nothing here
+    refills the convs' kernel scratch from `p`, so nothing here
     derives from the weights across passes and a pass reads nothing an
     earlier one left: one `Buffers` serves any number of passes, one at a
     time, with `p` as it is at each.
@@ -319,9 +318,7 @@ class Buffers:
             for t, n, pool in zip(widths, widths[1:], model.pool_sizes)]
         outs = [np.empty((batch, n), dtype) for n in (*model.hidden, N_CLASSES)]
 
-        self.bn = bind_batchnorm(p[BN_KEYS[0]], p[BN_KEYS[1]],
-                                 *(model.params[key] for key in BN_KEYS[2:]),
-                                 inputs[0])
+        self.bn = inputs[0]
         self.blocks = []
         for x, pad, t, (kernels, bias), pool, act, (cols, out, arg) in zip(
                 inputs, self.pads, widths, BLOCK_KEYS, model.pool_sizes, acts,

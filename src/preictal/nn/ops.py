@@ -26,17 +26,20 @@ An op takes its inputs and parameters, and one more argument, `bound`, for
 everything else: the arrays it writes, its output and scratch, and its
 slices and layout views of them and of its inputs.  Its `bind_*` helper
 makes that binding, and it alone takes the arrays to write into: each is
-optional there and fresh if not given.  A caller that runs an op again and
-again on the same arrays binds once and passes the binding to every call
-(see `model.Buffers`), so an inference call only calls numpy; without
-`bound` the op binds for itself, on fresh arrays, through the same helper,
-and then runs the same code.  Training's batch statistics and argmax steps
-stay fresh at each call: kept, they bought no step time the benchmark host
-could resolve and moved a benchmark's peak RSS by 13% through where glibc
-placed them.  A binding holds views of the parameter arrays it was made
-from and refills each weight-derived scratch array, a conv's kernels in
-(out, tap, in) order, its mirrored kernels, inference batchnorm's scale and
-shift, on every call, so it is never stale.  A binding with a kept
+optional there and fresh if not given.  Batchnorm writes only its output,
+so its binding is that array.  A caller that runs an op again and again on
+the same arrays binds once and passes the binding to every call (see
+`model.Buffers`), so an inference call only calls numpy; without `bound`
+the op binds for itself, on fresh arrays, through the same helper, and
+then runs the same code.  Training's batch statistics and argmax steps,
+inference batchnorm's scale and shift and the pool scatter's index stay
+fresh at each call: kept, none bought time the benchmark host could
+resolve, and training's moved a benchmark's peak RSS by 13% through where
+glibc placed them.  A binding holds views of the parameter arrays it was
+made from, and a conv's binding refills its two weight-derived scratch
+arrays, the kernels in (out, tap, in) order and the mirrored kernels, at
+every call, so it is never stale: made fresh at each call, they slowed
+the one-window forward and the training step.  A binding with a kept
 zero-padded conv input reads whatever its interior holds at each call; a
 binding without one pads a fresh copy of the input it was made for and
 serves that input only.  Into a kept tap stack a conv copies all its taps
@@ -298,12 +301,10 @@ def pool_offsets(shape: tuple[int, ...], pool_size: int) -> np.ndarray:
 
 def bind_maxpool1d_backward(arg, pool_size, input_len, dtype) -> tuple:
     """What `maxpool1d_backward` of `arg` and a gradient of `dtype` writes:
-    the result [... x input_len], C-contiguous, its flat view, the
-    `pool_offsets` of its shape and intp scatter scratch shaped like
-    `arg`."""
+    the result [... x input_len], C-contiguous, its flat view and the
+    `pool_offsets` of its shape."""
     out = np.empty((*arg.shape[:-1], input_len), dtype)
-    return (out, out.reshape(-1), pool_offsets(out.shape, pool_size),
-            np.empty(arg.shape, np.intp))
+    return out, out.reshape(-1), pool_offsets(out.shape, pool_size)
 
 
 def maxpool1d_backward(
@@ -319,19 +320,10 @@ def maxpool1d_backward(
     """
     if bound is None:
         bound = bind_maxpool1d_backward(arg, pool_size, input_len, delta.dtype)
-    out, flat, base, index = bound
+    out, flat, base = bound
     out.fill(0.0)
-    flat[np.add(base, arg, out=index)] = delta
+    flat[base + arg] = delta
     return out
-
-
-def bind_batchnorm(gamma, beta, running_mean, running_var, out=None) -> tuple:
-    """What `batchnorm_forward_with_cache` with these parameters writes:
-    inference's scratch (scale, its [C x 1 x 1] view, shift, its view) and
-    `out` [C x B x T], the output, or None for a fresh one."""
-    scale = np.empty(gamma.shape, np.result_type(gamma, running_var))
-    shift = np.empty(gamma.shape, np.result_type(beta, running_mean, scale))
-    return scale, scale[:, None, None], shift, shift[:, None, None], out
 
 
 def batchnorm_forward_with_cache(
@@ -343,7 +335,7 @@ def batchnorm_forward_with_cache(
     epsilon: float,
     momentum: float,
     training: bool,
-    bound: tuple | None = None,
+    bound: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel normalization of [C x B x T] input.
 
@@ -355,26 +347,18 @@ def batchnorm_forward_with_cache(
     x * s + (beta - running_mean * s) with s = gamma / sqrt(running_var +
     epsilon).  Training returns the output and the normalized pre-scale
     values (needed for gamma's gradient); inference computes no normalized
-    values and returns its output twice.  `bound` is `bind_batchnorm` of
-    these parameters; training reads only its `out` and makes its scratch
-    fresh at each call.
+    values and returns its output twice.  Batchnorm's binding is its
+    output array [C x B x T], or None for a fresh one; its scale, shift and
+    statistics are computed fresh at each call.
     """
     c = gamma.shape[0]
     if x.shape[0] != c:
         raise ShapeError(f"input has {x.shape[0]} channels, batchnorm expects {c}")
     if not training:
-        if bound is None:
-            bound = bind_batchnorm(gamma, beta, running_mean, running_var)
-        scale, scale_column, shift, shift_column, out = bound
-        np.add(running_var, epsilon, out=scale)
-        np.sqrt(scale, out=scale)
-        np.divide(gamma, scale, out=scale)
-        np.multiply(running_mean, scale, out=shift)
-        np.subtract(beta, shift, out=shift)
-        y = np.multiply(x, scale_column, out=out)
-        y += shift_column
+        scale = gamma / np.sqrt(running_var + epsilon)
+        y = np.multiply(x, scale[:, None, None], out=bound)
+        y += (beta - running_mean * scale)[:, None, None]
         return y, y
-    out = None if bound is None else bound[-1]
     rows = x.reshape(c, -1)
     mean = rows.mean(axis=1)
     centered = rows - mean[:, None]
@@ -385,7 +369,7 @@ def batchnorm_forward_with_cache(
     running_var[...] = (1 - momentum) * running_var + momentum * var
     centered = centered.reshape(x.shape)
     xhat = np.divide(centered, np.sqrt(var + epsilon)[:, None, None], out=centered)
-    y = np.multiply(gamma[:, None, None], xhat, out=out)
+    y = np.multiply(gamma[:, None, None], xhat, out=bound)
     y += beta[:, None, None]
     return y, xhat
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,17 +28,11 @@ class TrainConfig:
 @dataclass
 class AdamState:
     """First and second moment estimates, shaped like the parameter buffer,
-    and the step count.  `scratch` holds two more arrays of that shape,
-    made with the state, that `adam_step` computes its update in, so a
-    step allocates nothing."""
+    and the step count."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
@@ -48,33 +42,20 @@ class AdamState:
 def adam_step(
     params: np.ndarray, grads: np.ndarray, state: AdamState, cfg: TrainConfig
 ) -> None:
-    """One Adam update of a flat parameter buffer, in place.
-
-    Elementwise passes into the state's scratch arrays, each the same
-    operation on the same operands as the textbook expression
-    lr * (m / bc1) / (sqrt(v / bc2) + eps), so the bits are those of
-    evaluating it on fresh arrays.  Entries with zero gradient (and zero
-    moments) are left exactly as they are.  Deterministic.
+    """One Adam update of a flat parameter buffer, in place: the moments
+    move toward the gradient and its square, and the parameters by
+    lr * (m / bc1) / (sqrt(v / bc2) + eps), bc1 and bc2 being the bias
+    corrections 1 - beta^t (Kingma & Ba 2015).  Entries with zero gradient
+    (and zero moments) are left exactly as they are.  Deterministic.
     """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeError(f"params {params.shape}, grads {grads.shape} and Adam "
                          f"state {state.m.shape} must have one shape")
     state.t += 1
-    bc1 = 1.0 - BETA1 ** state.t
-    bc2 = 1.0 - BETA2 ** state.t
     m, v = state.m, state.v
-    step, denom = state.scratch
     m *= BETA1
-    np.multiply(grads, 1.0 - BETA1, out=step)
-    m += step
+    m += (1.0 - BETA1) * grads
     v *= BETA2
-    np.multiply(grads, 1.0 - BETA2, out=step)
-    step *= grads
-    v += step
-    np.divide(m, bc1, out=step)
-    step *= cfg.learning_rate
-    np.divide(v, bc2, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += EPSILON
-    step /= denom
-    params -= step
+    v += (1.0 - BETA2) * grads * grads
+    params -= cfg.learning_rate * (m / (1.0 - BETA1 ** state.t)) / (
+        np.sqrt(v / (1.0 - BETA2 ** state.t)) + EPSILON)

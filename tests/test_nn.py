@@ -695,9 +695,8 @@ class TestModel:
         # padding is read at every step and must stay zero; at K=4 the input
         # gradient pads the other way round, so a backward pass that reused a
         # padded input would leave a nonzero column.  The backward arrays are
-        # filled too: the pool's backward binding's scatter target and index
-        # scratch, and the interior of the padded gradient, whose own padding
-        # must stay zero.
+        # filled too: the pool's backward binding's scatter target and the
+        # interior of the padded gradient, whose own padding must stay zero.
         for pool in (3, 1):
             shared, fresh = (build_model(Sensor.EEG, 3, 40, kernel_len=klen,
                                          pool_size=pool, hidden=(6, 4), seed=4)
@@ -710,14 +709,13 @@ class TestModel:
                 xb = rng.uniform(0.5, 3.0) * rng.standard_normal((b, 3, 40))
                 yb = rng.integers(0, 5, size=b)
                 for bufs in buffers.values():
-                    written = [bufs.bn[-1], *(out for _, out in bufs.head)]
+                    written = [bufs.bn, *(out for _, out in bufs.head)]
                     for (*_, out, _), (act, arg, *_) in bufs.blocks:
                         written += [out, act]
                         arg.fill(np.iinfo(arg.dtype).max)
-                    for cols, (scatter, _, _, index), d_in, _ in bufs.back:
+                    for cols, (scatter, *_), d_in, _ in bufs.back:
                         written += [cols, scatter, d_in]
-                        index.fill(-1)
-                    for bound in (bufs.bn, *(conv for conv, _ in bufs.blocks),
+                    for bound in (*(conv for conv, _ in bufs.blocks),
                                   *(conv for *_, conv in bufs.back)):
                         written += [scratch for scratch in bound
                                     if isinstance(scratch, np.ndarray)
@@ -754,14 +752,13 @@ class TestModel:
         want_loss, want = backward_batch(exact, xb, yb, cfg)
         loss, grad = backward_batch(mixed, xb.astype(np.float32), yb, cfg, bufs)
         assert grad.dtype == mixed.buffer.dtype == np.float64
-        # Every float array of the step, but for inference batchnorm's
-        # scale and shift, which follow the float64 running statistics.
-        kept = [a for a in bound_arrays([bufs.pads, bufs.d_pads, bufs.flat, bufs.bn[-1],
+        # Every float array of the step.
+        kept = [a for a in bound_arrays([bufs.pads, bufs.d_pads, bufs.flat, bufs.bn,
                                          bufs.blocks, bufs.head, bufs.back])
                 if a.dtype.kind == "f"]
         assert {a.dtype for a in kept} == {np.dtype(np.float32)}
         seen = {id(a) for a in kept}
-        named = [*bufs.pads, bufs.bn[-1], *(out for _, out in bufs.head),
+        named = [*bufs.pads, bufs.bn, *(out for _, out in bufs.head),
                  *(a for (*_, out, _), (act, *_) in bufs.blocks for a in (out, act)),
                  *(cols for cols, *_ in bufs.back)]
         assert len(named) == 4 + 1 + 3 + 4 * 3
@@ -1169,8 +1166,8 @@ class TestAdam:
                                    atol=1e-12)
 
     def test_in_place_update_matches_the_fresh_array_expression_bit_for_bit(self):
-        # The update written into the state's scratch arrays against the
-        # same formula evaluated on fresh arrays, over 20 steps of float32
+        # The in-place update of the parameters and moments against the
+        # same formula on copies of them, over 20 steps of float32
         # gradients with some entries always zero.
         rng = np.random.default_rng(12)
         cfg = TrainConfig(learning_rate=1e-3)
