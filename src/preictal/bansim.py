@@ -486,24 +486,32 @@ _AS_FORMATTED = {int, float}
 _FLOATS = {float, np.float64}
 
 
-def _kind_lines(kind: str, rows: list) -> Optional[list[str]]:
+def _kind_lines(kind: str, rows: list) -> list[str]:
     """The trace lines of `kind`'s rows, checked and converted a column at a
-    time; None if a row's kind is unknown, its arity is not `EVENT_DETAIL`'s,
-    or a value is of a type not in `_JSON_VALUE` or a float not finite."""
+    time.  ValueError naming the kind, and the field and first value refused,
+    at the first check that fails: a kind not in `EVENT_DETAIL`, a wrong
+    arity, a value of a type not in `_JSON_VALUE`, or a non-finite float."""
     keys = EVENT_DETAIL.get(kind)
-    if keys is None or set(map(len, rows)) != {4 + len(keys)}:
-        return None
+    if keys is None:
+        raise ValueError(f"trace event kind {kind!r} is not in EVENT_DETAIL")
+    if set(map(len, rows)) != {4 + len(keys)}:
+        row = next(row for row in rows if len(row) != 4 + len(keys))
+        raise ValueError(f"{kind} event holds detail values {list(row[4:])}, "
+                         f"EVENT_DETAIL has keys {list(keys)}")
     template, order = _TRACE_LINES[kind]
     kinds, *fields = zip(*rows)
     columns = [kinds]
-    for column in fields:
+    for name, column in zip(("time_s", "node", "window_index", *keys), fields):
         types = set(map(type, column))
         if not types <= _JSON_VALUE.keys():
-            return None
+            value = next(v for v in column if type(v) not in _JSON_VALUE)
+            raise ValueError(f"{kind} event's {name} {value!r} is of a type the "
+                             "trace does not write")
         floats = types & _FLOATS
         if floats and not all(map(math.isfinite, column if types <= floats else
                                   (v for v in column if type(v) in floats))):
-            return None
+            value = next(v for v in column if type(v) in floats and not math.isfinite(v))
+            raise ValueError(f"{kind} event's {name} {value!r} is not finite")
         if not types <= _AS_FORMATTED:
             # A column of one type (node labels, flags) is converted once per
             # distinct value; a mixed one per value, since equal values of
@@ -515,41 +523,15 @@ def _kind_lines(kind: str, rows: list) -> Optional[list[str]]:
     return list(map(template.__mod__, zip(*map(columns.__getitem__, order))))
 
 
-def _refusal(rows: Sequence) -> str:
-    """Why `write_trace_jsonl` cannot write the first row of `rows` it
-    refuses."""
-    for row in rows:
-        kind = row[0]
-        if kind not in EVENT_DETAIL:
-            return f"trace event kind {kind!r} is not in EVENT_DETAIL"
-        keys = EVENT_DETAIL[kind]
-        if len(row) != 4 + len(keys):
-            return (f"{kind} event holds detail values {list(row[4:])}, EVENT_DETAIL "
-                    f"has keys {list(keys)}")
-        for name, value in zip(("time_s", "node", "window_index", *keys), row[1:]):
-            if type(value) not in _JSON_VALUE:
-                return f"{kind} event's {name} {value!r} is of a type the trace does not write"
-            if type(value) in _FLOATS and not math.isfinite(value):
-                return f"{kind} event's {name} {value!r} is not finite"
-    raise AssertionError("no row refused")
-
-
 def write_trace_jsonl(trace: SimTrace, path: Path | str) -> None:
     """One event per line: time_s, event_type, node, window_index, detail,
     keys sorted, as `json.dumps(..., sort_keys=True)` writes them, each from
-    its kind's line template.  ValueError naming the kind, and no file
-    written, if a row's kind is not in `EVENT_DETAIL`, its detail values are
-    not as many as the table's keys, or a value is not finite or of a type
-    not in `_JSON_VALUE`."""
+    its kind's line template.  Kinds are checked in order of first appearance:
+    the first that `_kind_lines` refuses raises, and no file is written."""
     groups: dict[str, list] = defaultdict(list)
     for row in trace.events:
         groups[row[0]].append(row)
-    lines = {}
-    for kind, rows in groups.items():
-        kind_lines = _kind_lines(kind, rows)
-        if kind_lines is None:
-            raise ValueError(_refusal(trace.events))
-        lines[kind] = iter(kind_lines)
+    lines = {kind: iter(_kind_lines(kind, rows)) for kind, rows in groups.items()}
     # Each row's line, in trace order: the next line of the row's kind.
     text = "".join(map(next, map(lines.__getitem__, map(operator.itemgetter(0),
                                                         trace.events))))

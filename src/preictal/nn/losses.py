@@ -62,8 +62,10 @@ def focal_grad_wrt_logits(
     the dtype of `probs`.
 
     d loss / d p_t = alpha_t [gamma (1-p)^{gamma-1} ln p - (1-p)^gamma / p],
-    then through the softmax Jacobian.  The clamp makes the loss flat below
-    P_CLAMP, so the gradient there is zero.
+    then through the softmax Jacobian.  The term is computed for every row,
+    with floating-point warnings off (at p_t = 1 and gamma < 1 it is inf
+    times 0); then the rows the clamp below P_CLAMP or p_t = 1 flattens are
+    set to zero.
     """
     b = probs.shape[0]
     targets = np.asarray(targets, dtype=int)
@@ -71,15 +73,12 @@ def focal_grad_wrt_logits(
     p_raw = probs[rows, targets]
     p = np.maximum(p_raw, P_CLAMP)
     one_m = 1.0 - p
-    dl_dp = np.zeros(b, dtype=probs.dtype)
-    active = (p_raw > P_CLAMP) & (one_m > 0)
-    if active.any():
-        pa = p[active]
-        oa = one_m[active]
-        term = -(oa ** cfg.gamma) / pa
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = -(one_m ** cfg.gamma) / p
         if cfg.gamma > 0:
-            term = term + cfg.gamma * oa ** (cfg.gamma - 1.0) * np.log(pa)
-        dl_dp[active] = cfg.alpha[targets[active]] * term
+            term = term + cfg.gamma * one_m ** (cfg.gamma - 1.0) * np.log(p)
+    dl_dp = np.where((p_raw > P_CLAMP) & (one_m > 0), cfg.alpha[targets] * term,
+                     0.0).astype(probs.dtype)
     onehot = np.zeros_like(probs)
     onehot[rows, targets] = 1.0
     d_logits = dl_dp[:, None] * p[:, None] * (onehot - probs)

@@ -120,6 +120,31 @@ def focal_reference(probs, target, gamma, alpha):
     return -float(alpha[target]) * (1.0 - p_t) ** gamma * np.log(p_t)
 
 
+def focal_grad_masked(probs, targets, cfg):
+    """The focal loss's logit gradient in its earlier masked form: the per-row
+    term is computed only for rows the clamp and saturation leave active,
+    gathered and scattered by a boolean mask, so no row ever holds an
+    infinity or a NaN."""
+    b = probs.shape[0]
+    targets = np.asarray(targets, dtype=int)
+    rows = np.arange(b)
+    p_raw = probs[rows, targets]
+    p = np.maximum(p_raw, 1e-12)
+    one_m = 1.0 - p
+    dl_dp = np.zeros(b, dtype=probs.dtype)
+    active = (p_raw > 1e-12) & (one_m > 0)
+    if active.any():
+        pa = p[active]
+        oa = one_m[active]
+        term = -(oa ** cfg.gamma) / pa
+        if cfg.gamma > 0:
+            term = term + cfg.gamma * oa ** (cfg.gamma - 1.0) * np.log(pa)
+        dl_dp[active] = cfg.alpha[targets[active]] * term
+    onehot = np.zeros_like(probs)
+    onehot[rows, targets] = 1.0
+    return dl_dp[:, None] * p[:, None] * (onehot - probs) / b
+
+
 def band_energy_predict(window, fs, class_freqs, half_width=1.0):
     """Classify one [C x T] window by its dominant class-frequency band."""
     spec = np.abs(np.fft.rfft(window, axis=-1)) ** 2

@@ -556,6 +556,22 @@ class TestTraceWriter:
             write_trace_jsonl(SimTrace([good, event]), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("third, refusal", [
+        (TraceRow(("window_dropped", float("inf"), "gateway", 0, True, False)),
+         "alert event's decision np.int64(4) is of a type"),
+        # The third row's kind first appears before the second row's.
+        (TraceRow(("message_sent", float("nan"), "eeg_node", 0, 0)),
+         "message_sent event's time_s nan is not finite"),
+    ])
+    def test_refuses_the_first_kind_to_appear_whose_check_fails(self, tmp_path,
+                                                                third, refusal):
+        rows = [TraceRow(("message_sent", 0, "eeg_node", 0, 0)),
+                TraceRow(("alert", 1.0, "gateway", 0, np.int64(4))), third]
+        path = tmp_path / "trace.jsonl"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            write_trace_jsonl(SimTrace(rows), path)
+        assert not path.exists()
+
 
 # ---------------------------------------------------------------------------
 # Losses, retries, deadlines

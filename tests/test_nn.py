@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import (
     central_difference,
     conv1d_naive,
+    focal_grad_masked,
     focal_reference,
     maxpool1d_argmax_gather,
     maxpool1d_naive,
@@ -489,6 +490,29 @@ class TestFocalLoss:
         np.testing.assert_allclose(
             grad, focal_grad_wrt_logits(probs.astype(np.float64), targets, cfg),
             rtol=1e-5, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
+    def test_gradient_matches_the_masked_form_bit_for_bit(self, dtype, gamma):
+        # Each batch mixes ordinary rows with rows the gradient flattens:
+        # p_t = 1 and p_t = 0 (clamped), besides p_t one float32 step below
+        # 1, which stays active.
+        below_one = float(np.nextafter(np.float32(1), np.float32(0)))
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            probs = rng.dirichlet(np.ones(5), size=16)
+            targets = rng.integers(0, 5, size=16)
+            for row, p_t in enumerate((1.0, below_one, 0.0)):
+                rest = rng.dirichlet(np.ones(4)) * (1.0 - p_t)
+                probs[row] = np.insert(rest, targets[row], p_t)
+            probs = probs.astype(dtype)
+            cfg = FocalLossConfig(gamma=gamma, alpha=rng.uniform(0.3, 1.0, 5))
+            grad = focal_grad_wrt_logits(probs, targets, cfg)
+            want = focal_grad_masked(probs, targets, cfg)
+            assert grad.dtype == want.dtype == dtype
+            assert grad.tobytes() == want.tobytes()
+            assert not np.any(grad[[0, 2]])
 
 
 # ---------------------------------------------------------------------------
