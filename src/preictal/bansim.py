@@ -23,7 +23,8 @@ vector with the gateway as source.  `encode_message` and `decode_message`
 pack and read one frame; `encode_frames` and `decode_frames` a block of
 them, as `FRAME_DTYPE` records, under the same checks.  Both encoders take
 a frame's levels from `combiner.quant_steps`, which refuses probabilities
-off the four-digit grid.
+off the four-digit grid; both decoders check every field they read, so a
+`ProbabilityMessage` holds what a frame carried and checks nothing itself.
 
 A frame's content does not depend on when it arrives, so before the event
 loop the run encodes every replayed window's sensor frames, decodes them,
@@ -36,9 +37,10 @@ queue keyed by (timestamp, sequence number), so a trace is a pure function
 of the configuration — including the link seed.  The event list is the
 simulation's only record, one `TraceRow` per event: (event_type, time_s,
 node label, window_index, then the detail values in `EVENT_DETAIL` order),
-a tuple whose fields are also read by name.  `latency_report` counts every
-outcome from the rows, and `write_trace_jsonl` checks each kind's rows
-once, column by column, and writes each row from its kind's line template.
+a tuple whose fields are also read by name and each hold the one type
+`ROW_FIELDS` or `EVENT_DETAIL` gives.  `write_trace_jsonl` checks each
+kind's rows once, column by column, and writes each from its kind's line
+template; `latency_report` builds `latency.json` in one pass over them.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from heapq import heappop, heappush
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -124,17 +126,6 @@ class ProbabilityMessage:
     window_index: int
     probs_q: tuple[int, int, int, int, int]
 
-    def __post_init__(self):
-        index = self.window_index
-        if type(index) is not int or not 0 <= index <= WINDOW_INDEX_MAX:
-            raise ValueError(f"window index {index!r} is not an int in the frame's "
-                             f"u32 field [0, {WINDOW_INDEX_MAX}]")
-        q = self.probs_q
-        if len(q) != N_CLASSES:
-            raise ValueError(f"probs_q must have {N_CLASSES} entries")
-        if min(q) < 0 or max(q) > PROBS_Q_MAX:  # inline: this runs per decoded frame
-            _check_bounds("level", min(q), max(q))
-
     def dequantized(self) -> np.ndarray:
         """Float probabilities; identical to the sender's quantized values."""
         return np.array(self.probs_q, dtype=float) * QUANT_STEP
@@ -162,6 +153,8 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("window_period_s", "processing_delay_s", "duration_s"):
+            # A config file may give an int; every event time is a float.
+            setattr(self, name, float(getattr(self, name)))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.window_period_s <= 0 or self.duration_s <= 0:
@@ -189,17 +182,20 @@ class SimConfig:
         return int(np.floor(self.duration_s / self.window_period_s + 1e-9))
 
 
-# Each event kind `run_simulation` emits, and the keys of its detail, in the
-# order a row holds their values.
+# The type of each field a trace row holds between its event type and detail.
+ROW_FIELDS = {"time_s": float, "node": str, "window_index": int}
+
+# Each event kind `run_simulation` emits, and its detail keys with the one
+# type each holds, in the order a row holds their values.
 EVENT_DETAIL = {
-    "window_produced": ("dataset_index", "label"),
-    "message_sent": ("attempt",),
-    "message_lost": ("attempt", "final"),
-    "message_delivered": ("attempt", "source"),
-    "fusion_decision": ("decision", "label"),
-    "alert": ("decision",),
-    "stimulation_command": ("decision",),
-    "window_dropped": ("ecg_arrived", "eeg_arrived"),
+    "window_produced": {"dataset_index": int, "label": int},
+    "message_sent": {"attempt": int},
+    "message_lost": {"attempt": int, "final": bool},
+    "message_delivered": {"attempt": int, "source": str},
+    "fusion_decision": {"decision": int, "label": int},
+    "alert": {"decision": int},
+    "stimulation_command": {"decision": int},
+    "window_dropped": {"ecg_arrived": bool, "eeg_arrived": bool},
 }
 
 
@@ -257,7 +253,9 @@ def decode_message(frame: bytes) -> ProbabilityMessage:
         raise ValueError(f"frame must be {FRAME_BYTES} bytes, got {len(frame)}") from None
     _check_bounds("version", fields[1], fields[1])
     _check_bounds("source", fields[0], fields[0])
-    return ProbabilityMessage(NODES[fields[0]], fields[2], fields[3:])
+    levels = fields[3:]  # unsigned, so only the greatest can be out of bounds
+    _check_bounds("level", 0, max(levels))
+    return ProbabilityMessage(NODES[fields[0]], fields[2], levels)
 
 
 def encode_frames(probs: np.ndarray, window_index: np.ndarray, source: NodeId) -> bytes:
@@ -418,45 +416,38 @@ def run_simulation(
 # Reporting
 
 
-@dataclass
-class LatencyReport:
-    n_windows: int
-    n_fused: int
-    n_dropped: int
-    drop_rate: Optional[float]
-    mean_latency_s: Optional[float]
-    max_latency_s: Optional[float]
-    stimulation_count: int
-
-
-def latency_report(trace: SimTrace) -> LatencyReport:
-    """Arithmetic summary of a finished trace, from one pass over its rows.
-    A window's latency is its fusion decision's time minus its production
-    time; summaries of a trace without windows or fusions are reported
-    absent."""
+def latency_report(trace: SimTrace, offline: Sequence[int]) -> dict:
+    """The `latency.json` document of a finished trace, from one pass over
+    its rows.  A window's latency is its fusion decision's time minus its
+    production time; `equivalence` says whether every fusion decision is
+    `offline`'s class for its window.  Summaries of a trace without windows
+    or fusions are reported absent."""
     produced: dict[int, float] = {}
     lat: list[float] = []
+    equivalence = True
     n_dropped = n_stim = 0
     for row in trace.events:  # (event_type, time_s, node, window_index, ...)
         kind = row[0]
         if kind == "window_produced":
             produced[row[3]] = row[1]
-        elif kind == "fusion_decision":
+        elif kind == "fusion_decision":  # (..., decision, label)
             lat.append(row[1] - produced[row[3]])
+            equivalence = equivalence and offline[row[3]] == row[4]
         elif kind == "window_dropped":
             n_dropped += 1
         elif kind == "stimulation_command":
             n_stim += 1
     n = len(produced)
-    return LatencyReport(
-        n_windows=n,
-        n_fused=len(lat),
-        n_dropped=n_dropped,
-        drop_rate=n_dropped / n if n else None,
-        mean_latency_s=float(np.mean(lat)) if lat else None,
-        max_latency_s=float(np.max(lat)) if lat else None,
-        stimulation_count=n_stim,
-    )
+    return {
+        "n_windows": n,
+        "n_fused": len(lat),
+        "n_dropped": n_dropped,
+        "drop_rate": n_dropped / n if n else None,
+        "mean_latency_s": float(np.mean(lat)) if lat else None,
+        "max_latency_s": float(np.max(lat)) if lat else None,
+        "stimulation_count": n_stim,
+        "equivalence": bool(equivalence) if lat else None,
+    }
 
 
 # Each kind's trace line as `json.dumps(..., sort_keys=True)` writes a row's
@@ -467,58 +458,39 @@ _TRACE_LINES = {
     kind: ('{"detail": {' + ", ".join(f'"{key}": %s' for key in sorted(keys))
            + f'}}, "event_type": "{kind}", "node": %s, "time_s": %s, '
            + '"window_index": %s}\n',
-           (*(4 + keys.index(key) for key in sorted(keys)), 2, 1, 3))
+           (*(4 + list(keys).index(key) for key in sorted(keys)), 2, 1, 3))
     for kind, keys in EVENT_DETAIL.items()
 }
-
-# How `json` writes a value of each type a trace line may hold.  A %s slot
-# writes an int or a finite float as `json` does, so only the others are
-# converted.
-_JSON_VALUE = {
-    int: int.__repr__,
-    float: float.__repr__,
-    np.float64: float.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    str: json.dumps,
-    type(None): lambda _: "null",
-}
-_AS_FORMATTED = {int, float}
-_FLOATS = {float, np.float64}
 
 
 def _kind_lines(kind: str, rows: list) -> list[str]:
     """The trace lines of `kind`'s rows, checked and converted a column at a
     time.  ValueError naming the kind, and the field and first value refused,
     at the first check that fails: a kind not in `EVENT_DETAIL`, a wrong
-    arity, a value of a type not in `_JSON_VALUE`, or a non-finite float."""
-    keys = EVENT_DETAIL.get(kind)
-    if keys is None:
+    arity, a value not exactly of its field's type, or a non-finite time.
+    A %s slot writes an int or a finite float as `json` does, so only bool
+    and str columns are converted, once per distinct value."""
+    detail = EVENT_DETAIL.get(kind)
+    if detail is None:
         raise ValueError(f"trace event kind {kind!r} is not in EVENT_DETAIL")
-    if set(map(len, rows)) != {4 + len(keys)}:
-        row = next(row for row in rows if len(row) != 4 + len(keys))
+    if set(map(len, rows)) != {4 + len(detail)}:
+        row = next(row for row in rows if len(row) != 4 + len(detail))
         raise ValueError(f"{kind} event holds detail values {list(row[4:])}, "
-                         f"EVENT_DETAIL has keys {list(keys)}")
+                         f"EVENT_DETAIL has keys {list(detail)}")
     template, order = _TRACE_LINES[kind]
     kinds, *fields = zip(*rows)
     columns = [kinds]
-    for name, column in zip(("time_s", "node", "window_index", *keys), fields):
-        types = set(map(type, column))
-        if not types <= _JSON_VALUE.keys():
-            value = next(v for v in column if type(v) not in _JSON_VALUE)
-            raise ValueError(f"{kind} event's {name} {value!r} is of a type the "
-                             "trace does not write")
-        floats = types & _FLOATS
-        if floats and not all(map(math.isfinite, column if types <= floats else
-                                  (v for v in column if type(v) in floats))):
-            value = next(v for v in column if type(v) in floats and not math.isfinite(v))
+    for (name, cls), column in zip({**ROW_FIELDS, **detail}.items(), fields):
+        if set(map(type, column)) != {cls}:
+            value = next(v for v in column if type(v) is not cls)
+            raise ValueError(f"{kind} event's {name} {value!r} is of type "
+                             f"{type(value).__name__}, not {cls.__name__}")
+        if cls is float and not all(map(math.isfinite, column)):
+            value = next(v for v in column if not math.isfinite(v))
             raise ValueError(f"{kind} event's {name} {value!r} is not finite")
-        if not types <= _AS_FORMATTED:
-            # A column of one type (node labels, flags) is converted once per
-            # distinct value; a mixed one per value, since equal values of
-            # two types (True and 1) would share a key.
-            text = ({v: _JSON_VALUE[type(v)](v) for v in set(column)}.__getitem__
-                    if len(types) == 1 else lambda v: _JSON_VALUE[type(v)](v))
-            column = list(map(text, column))
+        if cls in (bool, str):
+            column = list(map({v: json.dumps(v) for v in set(column)}.__getitem__,
+                              column))
         columns.append(column)
     return list(map(template.__mod__, zip(*map(columns.__getitem__, order))))
 

@@ -297,19 +297,14 @@ def cmd_simulate(args) -> int:
     trace = run_simulation(cfg.sim, combiner_params, eeg.label, eeg.index,
                            preds["eeg_rows"], preds["ecg_rows"])
     write_trace_jsonl(trace, out / "trace.jsonl")
-    rep = latency_report(trace)
-    equivalence = None  # undefined, like the mean latency, if nothing was fused
-    if rep.n_fused:
-        # A fusion_decision row's first detail value is its decision.
-        equivalence = all(preds["combined"][row[3]] == row[4]
-                          for row in trace.events if row[0] == "fusion_decision")
-    summary = {**dataclasses.asdict(rep), "equivalence": equivalence}
+    report = latency_report(trace, preds["combined"])
     (out / "latency.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"simulated {rep.n_windows} windows on patient {held_patient}: "
-          f"{rep.n_fused} fused, {rep.n_dropped} dropped, "
-          f"{rep.stimulation_count} stimulation commands")
-    print(f"mean latency {rep.mean_latency_s} s, equivalence={equivalence}")
+        json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print(f"simulated {report['n_windows']} windows on patient {held_patient}: "
+          f"{report['n_fused']} fused, {report['n_dropped']} dropped, "
+          f"{report['stimulation_count']} stimulation commands")
+    print(f"mean latency {report['mean_latency_s']} s, "
+          f"equivalence={report['equivalence']}")
     return 0
 
 
@@ -352,10 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def common(p):
         p.add_argument("--config", help="JSON config file (partial overrides)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", required=out_required, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("gen-data", help="synthesize patient recordings")
     common(p)

@@ -62,10 +62,11 @@ def focal_grad_wrt_logits(
     the dtype of `probs`.
 
     d loss / d p_t = alpha_t [gamma (1-p)^{gamma-1} ln p - (1-p)^gamma / p],
-    then through the softmax Jacobian.  The term is computed for every row,
-    with floating-point warnings off (at p_t = 1 and gamma < 1 it is inf
-    times 0); then the rows the clamp below P_CLAMP or p_t = 1 flattens are
-    set to zero.
+    then through the softmax Jacobian.  The term is computed for every row;
+    inside the (gamma-1) power alone, 1-p is floored at the dtype's smallest
+    normal number, which keeps that power finite where p_t = 1 (below 1,
+    1-p is at least half an epsilon, so no other row changes).  Then the
+    rows the clamp below P_CLAMP or p_t = 1 flattens are set to zero.
     """
     b = probs.shape[0]
     targets = np.asarray(targets, dtype=int)
@@ -73,10 +74,9 @@ def focal_grad_wrt_logits(
     p_raw = probs[rows, targets]
     p = np.maximum(p_raw, P_CLAMP)
     one_m = 1.0 - p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = -(one_m ** cfg.gamma) / p
-        if cfg.gamma > 0:
-            term = term + cfg.gamma * one_m ** (cfg.gamma - 1.0) * np.log(p)
+    floored = np.maximum(one_m, np.finfo(probs.dtype).tiny)
+    term = (-(one_m ** cfg.gamma) / p
+            + cfg.gamma * floored ** (cfg.gamma - 1.0) * np.log(p))
     dl_dp = np.where((p_raw > P_CLAMP) & (one_m > 0), cfg.alpha[targets] * term,
                      0.0).astype(probs.dtype)
     onehot = np.zeros_like(probs)

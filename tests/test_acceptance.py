@@ -470,20 +470,21 @@ def test_criterion_10_simulation_equivalence_latency_loss():
         link=LinkModel(loss_probability=0.0, seed=0),
         duration_s=5.0 * 200, retry_limit=3)
     trace = run_simulation(lossless, combiner, labels, dataset_index, pe, pc)
-    report = latency_report(trace)
 
     offline = [
         LabelClass(int(np.argmax(lr_forward(build_input(pe[i], pc[i]), combiner))))
         for i in range(len(labels))
     ]
+    report = latency_report(trace, offline)
     decisions = {e.window_index: LabelClass(e.detail["decision"])
                  for e in trace.events if e.event_type == "fusion_decision"}
     n_match = sum(decisions.get(w) is offline[w] for w in range(200))
-    equivalent = n_match == 200 and report.n_dropped == 0
+    equivalent = (n_match == 200 and report["n_dropped"] == 0
+                  and report["equivalence"] is True)
 
     # Two processing delays and one 16-byte frame at 1 Mb/s.
     closed_form = 2 * 0.020 + 128 / 1e6
-    mean_latency = report.mean_latency_s
+    mean_latency = report["mean_latency_s"]
     latency_ok = abs(mean_latency - closed_form) <= 1e-9
 
     # Independent loss 0.2, three retries: a message survives unless all
@@ -494,15 +495,18 @@ def test_criterion_10_simulation_equivalence_latency_loss():
         window_period_s=5.0, processing_delay_s=0.020,
         link=LinkModel(loss_probability=0.2, seed=7),
         duration_s=5.0 * 10_000, retry_limit=3)
-    lossy_report = latency_report(run_simulation(lossy, *_sim_fixture(10_000)))
-    observed_drop = lossy_report.drop_rate
+    lossy_fixture = _sim_fixture(10_000)
+    combiner, _, _, pe, pc = lossy_fixture
+    lossy_report = latency_report(run_simulation(lossy, *lossy_fixture),
+                                  lr_forward(build_input(pe, pc), combiner).argmax(axis=1))
+    observed_drop = lossy_report["drop_rate"]
     drop_ok = abs(observed_drop - analytic_drop) <= 0.02
 
     verdict(10, equivalent and latency_ok and drop_ok,
             f"lossless decisions match offline {n_match}/200; mean latency "
             f"{mean_latency:.9f}s vs closed form {closed_form:.9f}s "
             f"(|diff| <= 1e-9); drop rate {observed_drop:.5f} vs analytic "
-            f"{analytic_drop:.5f} over {lossy_report.n_windows} windows "
+            f"{analytic_drop:.5f} over {lossy_report['n_windows']} windows "
             f"(tol 0.02)")
 
 

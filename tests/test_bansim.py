@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import struct
@@ -19,11 +18,10 @@ from preictal.bansim import (
     FRAME_STRUCT,
     FRAME_TIME_S,
     PROBS_Q_MAX,
+    ROW_FIELDS,
     WIRE_VERSION,
-    LatencyReport,
     LinkModel,
     NodeId,
-    ProbabilityMessage,
     SimConfig,
     SimTrace,
     TraceRow,
@@ -146,21 +144,8 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             decode_message(bad_version)
         overflow = good[:6] + struct.pack("<H", PROBS_Q_MAX + 1) + good[8:]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             decode_message(overflow)
-
-    def test_probability_message_validation(self):
-        with pytest.raises(ValueError):
-            ProbabilityMessage(NodeId.EEG_NODE, -1, (0, 0, 0, 0, 0))
-        with pytest.raises(ValueError):
-            ProbabilityMessage(NodeId.EEG_NODE, 0, (0, 0, 0, 0))
-        with pytest.raises(ValueError):
-            ProbabilityMessage(NodeId.EEG_NODE, 0, (0, 0, 0, 0, 10001))
-
-    @pytest.mark.parametrize("index", [-1, 2**32, 2**33, 2.5, True, np.int64(3)])
-    def test_probability_message_refuses_an_index_no_frame_carries(self, index):
-        with pytest.raises(ValueError, match=re.escape(f"window index {index!r} is not")):
-            ProbabilityMessage(NodeId.EEG_NODE, index, (0, 0, 0, 0, 0))
 
     def test_node_labels(self):
         assert NodeId.EEG_NODE.label == "eeg_node"
@@ -320,6 +305,18 @@ class TestConfigs:
             SimConfig(window_period_s=1e-10, duration_s=1e308)
         SimConfig(window_period_s=1e300, duration_s=1e301)
 
+    def test_int_times_from_a_config_are_floats(self, sim_setup, tmp_path):
+        # A config file may give a time as an int; every event time is
+        # still a float, so the trace writer takes the run.
+        cfg = SimConfig(window_period_s=5, processing_delay_s=0, duration_s=20,
+                        link=LinkModel(loss_probability=0.5, seed=3), retry_limit=0)
+        assert [type(cfg.window_period_s), type(cfg.processing_delay_s),
+                type(cfg.duration_s)] == [float] * 3
+        trace = run_simulation(cfg, *sim_setup)
+        assert {type(e.time_s) for e in trace.events} == {float}
+        assert _dropped(trace) and _events(trace, "fusion_decision")
+        write_trace_jsonl(trace, tmp_path / "trace.jsonl")
+
 
 # ---------------------------------------------------------------------------
 # Simulation fixtures
@@ -354,6 +351,11 @@ def _offline_decisions(combiner, labels, dataset_index, eeg_rows, ecg_rows):
     """The gateway's decision per window, fused one row at a time."""
     return [LabelClass(int(np.argmax(lr_forward(build_input(e, c), combiner))))
             for e, c in zip(eeg_rows, ecg_rows)]
+
+
+def _report(trace, setup):
+    """`latency_report` of a run of `setup`, against its offline decisions."""
+    return latency_report(trace, _offline_decisions(*setup))
 
 
 def _first(setup, n):
@@ -399,7 +401,8 @@ class TestLosslessSimulation:
     def test_decisions_match_offline_pipeline_exactly(self, sim_setup):
         trace = run_simulation(LOSSLESS, *sim_setup)
         offline = _offline_decisions(*sim_setup)
-        assert latency_report(trace).n_windows == 40
+        report = latency_report(trace, offline)
+        assert (report["n_windows"], report["equivalence"]) == (40, True)
         assert not _dropped(trace)
         decisions = _decisions(trace)
         assert [decisions[w] for w in range(40)] == offline
@@ -410,10 +413,10 @@ class TestLosslessSimulation:
         latencies = _latencies(trace)
         lat = np.array([latencies[w] for w in range(40)])
         np.testing.assert_allclose(lat, expected, atol=1e-9)
-        report = latency_report(trace)
-        np.testing.assert_allclose(report.mean_latency_s, expected, atol=1e-9)
-        assert report.n_fused == 40
-        assert report.drop_rate == 0.0
+        report = _report(trace, sim_setup)
+        np.testing.assert_allclose(report["mean_latency_s"], expected, atol=1e-9)
+        assert report["n_fused"] == 40
+        assert report["drop_rate"] == 0.0
 
     def test_event_times_are_monotone(self, sim_setup):
         trace = run_simulation(LOSSLESS, *sim_setup)
@@ -439,7 +442,7 @@ class TestLosslessSimulation:
         assert preictal > 0
         assert len(_events(trace, "stimulation_command")) == preictal
         assert len(_events(trace, "alert")) == preictal
-        assert latency_report(trace).stimulation_count == preictal
+        assert _report(trace, sim_setup)["stimulation_count"] == preictal
 
     def test_interictal_decisions_send_no_command(self, sim_setup):
         _, *per_window = sim_setup
@@ -448,14 +451,15 @@ class TestLosslessSimulation:
         assert set(_decisions(trace).values()) == {LabelClass.INTERICTAL}
         assert not _events(trace, "stimulation_command")
         assert not _events(trace, "alert")
-        assert latency_report(trace).stimulation_count == 0
+        report = latency_report(trace, [LabelClass.INTERICTAL] * 40)
+        assert (report["stimulation_count"], report["equivalence"]) == (0, True)
 
     def test_duration_caps_window_count(self, sim_setup):
         cfg = SimConfig(window_period_s=5.0, duration_s=15.0,
                         link=LinkModel(seed=0))
         assert cfg.max_windows == 3
         trace = run_simulation(cfg, *sim_setup)
-        assert latency_report(trace).n_windows == 3
+        assert _report(trace, sim_setup)["n_windows"] == 3
         assert set(_decisions(trace)) == {0, 1, 2}
 
     def test_deterministic_trace(self, sim_setup, tmp_path):
@@ -499,6 +503,11 @@ def _as_dict(row):
 WRITER_RUNS = [(0, 0.0, 3), (7, 0.3, 2), (11, 0.5, 1), (2**32 - 1, 0.9, 0)]
 
 
+def _schema(kind):
+    """The type of each field of a `kind` row after its event type."""
+    return [*ROW_FIELDS.values(), *EVENT_DETAIL[kind].values()]
+
+
 class TestTraceWriter:
     def test_each_line_is_the_events_json(self, sim_setup, tmp_path):
         dropped = 0
@@ -513,19 +522,23 @@ class TestTraceWriter:
                              for row in trace.events]
             for row in trace.events:
                 assert type(row) is TraceRow
-                assert tuple(row.detail) == EVENT_DETAIL[row.event_type]
+                assert tuple(row.detail) == tuple(EVENT_DETAIL[row.event_type])
                 assert row == (row.event_type, row.time_s, row.node, row.window_index,
                                *row.detail.values())
+                assert list(map(type, row[1:])) == _schema(row.event_type)
             dropped += len(_dropped(trace))
         assert dropped
 
-    def test_writes_int_and_numpy_float_times_as_json_does(self, tmp_path):
-        rows = [TraceRow(("message_sent", 5, "eeg_node", 0, 0)),
-                TraceRow(("alert", np.float64(0.1) * 3, "gateway", 2**40, 4)),
-                TraceRow(("window_dropped", 1e22, "gateway", None, False, True)),
-                # One kind's columns of several types.
-                TraceRow(("message_sent", 0.5, "gateway", None, True)),
-                TraceRow(("message_sent", np.float64(2.5), "eeg_node", 2**40, 1))]
+    def test_writes_each_schema_type_as_json_does(self, tmp_path):
+        rows = [TraceRow(("message_sent", 5.0, "eeg_node", 0, 0)),
+                TraceRow(("alert", 0.1 * 3, "gateway", 2**40, 4)),
+                TraceRow(("window_dropped", 1e22, "gateway", 3, False, True)),
+                TraceRow(("message_lost", 5e-324, "ecg_node", 2**64, -1, True)),
+                # Strings that json escapes, each converted once however
+                # often it appears.
+                *[TraceRow(("message_delivered", 2.5, 'gate"way\n', 1, 0,
+                            "\u00e9cg\\node")) for _ in range(3)],
+                TraceRow(("message_sent", -0.0, "gateway", 0, 1))]
         write_trace_jsonl(SimTrace(rows), tmp_path / "t.jsonl")
         assert (tmp_path / "t.jsonl").read_text() == "".join(
             json.dumps(_as_dict(row), sort_keys=True) + "\n" for row in rows)
@@ -539,33 +552,57 @@ class TestTraceWriter:
         (TraceRow(("alert", 1.0, "gateway", 0, 1, 1)),
          "alert event holds detail values [1, 1], EVENT_DETAIL has keys ['decision']"),
         (TraceRow(("fusion_decision", 1.0, "gateway", 0, np.int64(1), 1)),
-         "fusion_decision event's decision np.int64(1) is of a type"),
+         "fusion_decision event's decision np.int64(1) is of type int64, not int"),
         (TraceRow(("message_sent", np.float32(1.0), "eeg_node", 0, 0)),
-         "message_sent event's time_s np.float32(1.0) is of a type"),
+         "message_sent event's time_s np.float32(1.0) is of type float32, not float"),
         (TraceRow(("window_dropped", float("inf"), "gateway", 0, True, False)),
          "window_dropped event's time_s inf is not finite"),
-        # A column that also holds an int.
+        # The same kind as the good row, whose time is finite.
         (TraceRow(("message_sent", float("nan"), "eeg_node", 0, 0)),
          "message_sent event's time_s nan is not finite"),
     ])
     def test_refuses_an_event_it_cannot_write_naming_its_kind(self, tmp_path,
                                                                event, refusal):
-        good = TraceRow(("message_sent", 0, "eeg_node", 0, 0))
+        good = TraceRow(("message_sent", 0.0, "eeg_node", 0, 0))
         path = tmp_path / "trace.jsonl"
         with pytest.raises(ValueError, match=re.escape(refusal)):
             write_trace_jsonl(SimTrace([good, event]), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("event, refusal", [
+        (TraceRow(("message_sent", 5, "eeg_node", 0, 0)),
+         "message_sent event's time_s 5 is of type int, not float"),
+        (TraceRow(("message_sent", np.float64(2.5), "eeg_node", 0, 0)),
+         "message_sent event's time_s np.float64(2.5) is of type float64, not float"),
+        (TraceRow(("window_dropped", 1.0, "gateway", None, True, False)),
+         "window_dropped event's window_index None is of type NoneType, not int"),
+        (TraceRow(("message_lost", 1.0, "eeg_node", 0, 0, 1)),
+         "message_lost event's final 1 is of type int, not bool"),
+        (TraceRow(("message_sent", 1.0, "eeg_node", 0, True)),
+         "message_sent event's attempt True is of type bool, not int"),
+    ])
+    def test_refuses_a_value_not_of_its_fields_type(self, tmp_path, event, refusal):
+        # Each of these was written before the rows had one type per field:
+        # an int or numpy time, a missing window index, and an int and a bool
+        # that json writes differently from the type their field holds.
+        good = [TraceRow(("message_sent", 0.0, "eeg_node", 0, 0)),
+                TraceRow(("message_lost", 0.5, "eeg_node", 0, 0, False)),
+                TraceRow(("window_dropped", 5.0, "gateway", 0, False, True))]
+        path = tmp_path / "trace.jsonl"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            write_trace_jsonl(SimTrace([*good, event]), path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("third, refusal", [
         (TraceRow(("window_dropped", float("inf"), "gateway", 0, True, False)),
-         "alert event's decision np.int64(4) is of a type"),
+         "alert event's decision np.int64(4) is of type int64, not int"),
         # The third row's kind first appears before the second row's.
         (TraceRow(("message_sent", float("nan"), "eeg_node", 0, 0)),
          "message_sent event's time_s nan is not finite"),
     ])
     def test_refuses_the_first_kind_to_appear_whose_check_fails(self, tmp_path,
                                                                 third, refusal):
-        rows = [TraceRow(("message_sent", 0, "eeg_node", 0, 0)),
+        rows = [TraceRow(("message_sent", 0.0, "eeg_node", 0, 0)),
                 TraceRow(("alert", 1.0, "gateway", 0, np.int64(4))), third]
         path = tmp_path / "trace.jsonl"
         with pytest.raises(ValueError, match=re.escape(refusal)):
@@ -585,11 +622,12 @@ class TestLossySimulation:
         trace = run_simulation(cfg, *sim_setup)
         assert _dropped(trace) == list(range(20))
         assert not _events(trace, "fusion_decision")
-        report = latency_report(trace)
-        assert (report.n_windows, report.n_dropped) == (20, 20)
-        assert report.drop_rate == 1.0
-        assert report.mean_latency_s is None
-        assert report.max_latency_s is None
+        report = _report(trace, sim_setup)
+        assert (report["n_windows"], report["n_dropped"]) == (20, 20)
+        assert report["drop_rate"] == 1.0
+        assert report["mean_latency_s"] is None
+        assert report["max_latency_s"] is None
+        assert report["equivalence"] is None
 
     def test_loss_rate_statistics(self, sim_setup):
         # loss 0.5, no retries: a window survives only if both frames do,
@@ -603,7 +641,9 @@ class TestLossySimulation:
                                eeg_rows[cycle], ecg_rows[cycle])
         drop = len(_dropped(trace)) / 600
         assert abs(drop - 0.75) < 0.1
-        assert latency_report(trace).drop_rate == drop
+        offline = _offline_decisions(*sim_setup)
+        report = latency_report(trace, [offline[w] for w in cycle])
+        assert (report["drop_rate"], report["equivalence"]) == (drop, True)
 
     def test_retry_attempts_are_contiguous(self, sim_setup):
         cfg = SimConfig(window_period_s=5.0,
@@ -657,8 +697,9 @@ def _assert_each_window_ends_once(trace, offline):
     ends = [e.window_index for e in trace.events
             if e.event_type in ("fusion_decision", "window_dropped")]
     assert sorted(ends) == produced
-    report = latency_report(trace)
-    assert report.n_fused + report.n_dropped == report.n_windows
+    report = latency_report(trace, offline)
+    assert report["n_fused"] + report["n_dropped"] == report["n_windows"]
+    assert report["equivalence"] is (True if report["n_fused"] else None)
     for w, decision in _decisions(trace).items():
         assert decision is offline[w]
 
@@ -687,7 +728,8 @@ class TestConservation:
         cfg = SimConfig(processing_delay_s=processing, duration_s=50.0,
                         link=LinkModel(loss_probability=loss, seed=seed),
                         retry_limit=retries)
-        trace = run_simulation(cfg, *_first(sim_setup, 10))
+        first10 = _first(sim_setup, 10)
+        trace = run_simulation(cfg, *first10)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.jsonl"
             write_trace_jsonl(trace, path)
@@ -698,7 +740,7 @@ class TestConservation:
         lat = [e["time_s"] - produced[e["window_index"]] for e in events
                if e["event_type"] == "fusion_decision"]
         n = count["window_produced"]
-        assert dataclasses.asdict(latency_report(trace)) == {
+        assert _report(trace, first10) == {
             "n_windows": n,
             "n_fused": count["fusion_decision"],
             "n_dropped": count["window_dropped"],
@@ -706,6 +748,7 @@ class TestConservation:
             "mean_latency_s": float(np.mean(lat)) if lat else None,
             "max_latency_s": max(lat) if lat else None,
             "stimulation_count": count["stimulation_command"],
+            "equivalence": True if lat else None,
         }
 
     @pytest.mark.parametrize("cfg", [
@@ -722,9 +765,20 @@ class TestConservation:
         first10 = _first(sim_setup, 10)
         trace = run_simulation(cfg, *first10)
         _assert_each_window_ends_once(trace, _offline_decisions(*first10))
-        report = latency_report(trace)
-        assert (report.n_fused, report.n_dropped, report.drop_rate) == (10, 0, 0.0)
-        assert report.mean_latency_s > cfg.window_period_s
+        report = _report(trace, first10)
+        assert (report["n_fused"], report["n_dropped"], report["drop_rate"]) == \
+            (10, 0, 0.0)
+        assert report["mean_latency_s"] > cfg.window_period_s
+
+    @pytest.mark.parametrize("window", [0, 7])
+    def test_one_decision_off_the_offline_class_breaks_equivalence(self, sim_setup,
+                                                                   window):
+        trace = run_simulation(LOSSLESS, *sim_setup)
+        offline = _offline_decisions(*sim_setup)
+        offline[window] = LabelClass((offline[window] + 1) % 5)
+        report = latency_report(trace, offline)
+        assert (report["n_fused"], report["equivalence"]) == (40, False)
+        assert report == {**_report(trace, sim_setup), "equivalence": False}
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +807,8 @@ class TestSimulationEdges:
             SimConfig(window_period_s=5.0, duration_s=4.0)
 
     def test_empty_latency_report(self):
-        report = latency_report(SimTrace())
-        assert report.n_windows == 0
-        assert report.drop_rate is None
-        assert report.mean_latency_s is None
+        report = latency_report(SimTrace(), [])
+        assert report["n_windows"] == 0
+        assert report["drop_rate"] is None
+        assert report["mean_latency_s"] is None
+        assert report["equivalence"] is None
